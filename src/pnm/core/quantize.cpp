@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "pnm/nn/dense_simd.hpp"
 #include "pnm/util/bits.hpp"
 
 namespace pnm {
@@ -70,14 +71,11 @@ void fake_quantize_into(const Matrix& w, int bits, Matrix& out) {
     return;
   }
   // Fused quantize_codes + rescale: identical element arithmetic
-  // (clamp(round(w/scale)) * scale), no temporary code vector.
+  // (clamp(llround(w/scale)) * scale), no temporary code vector, through
+  // the vectorized kernel's exact inline rounding instead of libm.
   const int qmax = (1 << (bits - 1)) - 1;
-  const auto& src = w.raw();
-  auto& dst = out.raw();
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    const auto q = static_cast<long>(std::llround(src[i] / scale));
-    dst[i] = static_cast<double>(static_cast<int>(std::clamp<long>(q, -qmax, qmax))) * scale;
-  }
+  simd::dense_kernels().fake_quantize(w.data(), out.data(), w.size(), scale,
+                                      static_cast<double>(qmax));
 }
 
 void fake_quantize_mlp(const Mlp& master, Mlp& view, const QuantSpec& spec) {

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cmath>
 
+#include "pnm/nn/fastmath.hpp"
+
 namespace pnm::simd {
 
 // Native tables, provided by the arch-specific TUs when compiled in.
@@ -39,23 +41,33 @@ void axpy_scalar(double* y, const double* x, double s, unsigned long n) {
   for (unsigned long i = 0; i < n; ++i) y[i] += s * x[i];
 }
 
-// ---- sample-blocked (8-lane SoA) trainer kernels --------------------------
-// Each lane j is one sample; buffers are laid out element*8 + lane, the
-// same blocking as the integer inference engine.
+// ---- minibatch (multi-block 8-lane SoA) trainer kernels -------------------
+// Each lane j is one sample; a layer buffer holds `blocks` consecutive
+// blocks laid out element*8 + lane, the same blocking as the integer
+// inference engine.
 
-void layer_fwd8_scalar(const double* w, const double* bias, const double* in,
-                       double* out, unsigned long rows, unsigned long cols) {
-  for (unsigned long r = 0; r < rows; ++r) {
-    double acc[kDenseBlock];
-    for (unsigned long j = 0; j < kDenseBlock; ++j) acc[j] = bias[r];
-    const double* wr = w + r * cols;
-    for (unsigned long c = 0; c < cols; ++c) {
-      const double wc = wr[c];
-      const double* xv = in + c * kDenseBlock;
-      for (unsigned long j = 0; j < kDenseBlock; ++j) acc[j] += wc * xv[j];
+constexpr unsigned long kB = kDenseBlock;
+
+void layer_fwd_scalar(const double* w, const double* bias, const double* in,
+                      double* out, unsigned long rows, unsigned long cols,
+                      unsigned long blocks, bool relu) {
+  for (unsigned long b = 0; b < blocks; ++b) {
+    const double* xb = in + b * cols * kB;
+    double* ob = out + b * rows * kB;
+    for (unsigned long r = 0; r < rows; ++r) {
+      double acc[kB];
+      for (unsigned long j = 0; j < kB; ++j) acc[j] = bias[r];
+      const double* wr = w + r * cols;
+      for (unsigned long c = 0; c < cols; ++c) {
+        const double wc = wr[c];
+        const double* xv = xb + c * kB;
+        for (unsigned long j = 0; j < kB; ++j) acc[j] += wc * xv[j];
+      }
+      double* ov = ob + r * kB;
+      for (unsigned long j = 0; j < kB; ++j) {
+        ov[j] = relu ? (acc[j] > 0.0 ? acc[j] : 0.0) : acc[j];
+      }
     }
-    double* ov = out + r * kDenseBlock;
-    for (unsigned long j = 0; j < kDenseBlock; ++j) ov[j] = acc[j];
   }
 }
 
@@ -69,31 +81,103 @@ inline double sum8(const double* p) {
   return (q0 + q1) + (q2 + q3);
 }
 
-void layer_grad8_scalar(const double* delta, const double* in, double* gw,
-                        double* gb, unsigned long rows, unsigned long cols) {
-  for (unsigned long r = 0; r < rows; ++r) {
-    const double* dv = delta + r * kDenseBlock;
-    gb[r] += sum8(dv);
-    double* gwr = gw + r * cols;
-    for (unsigned long c = 0; c < cols; ++c) {
-      const double* xv = in + c * kDenseBlock;
-      double p[kDenseBlock];
-      for (unsigned long j = 0; j < kDenseBlock; ++j) p[j] = dv[j] * xv[j];
-      gwr[c] += sum8(p);
+void layer_grad_scalar(const double* delta, const double* in, double* gw,
+                       double* gb, unsigned long rows, unsigned long cols,
+                       unsigned long blocks) {
+  for (unsigned long b = 0; b < blocks; ++b) {
+    const double* db = delta + b * rows * kB;
+    const double* xb = in + b * cols * kB;
+    for (unsigned long r = 0; r < rows; ++r) {
+      const double* dv = db + r * kB;
+      gb[r] += sum8(dv);
+      double* gwr = gw + r * cols;
+      for (unsigned long c = 0; c < cols; ++c) {
+        const double* xv = xb + c * kB;
+        double p[kB];
+        for (unsigned long j = 0; j < kB; ++j) p[j] = dv[j] * xv[j];
+        gwr[c] += sum8(p);
+      }
     }
   }
 }
 
-void layer_back8_scalar(const double* w, const double* delta, double* prev,
-                        unsigned long rows, unsigned long cols) {
-  for (unsigned long r = 0; r < rows; ++r) {
-    const double* dv = delta + r * kDenseBlock;
-    const double* wr = w + r * cols;
+void layer_back_scalar(const double* w, const double* delta,
+                       const double* relu_post, double* prev, unsigned long rows,
+                       unsigned long cols, unsigned long blocks) {
+  for (unsigned long b = 0; b < blocks; ++b) {
+    const double* db = delta + b * rows * kB;
+    double* pb = prev + b * cols * kB;
     for (unsigned long c = 0; c < cols; ++c) {
-      const double wc = wr[c];
-      double* pv = prev + c * kDenseBlock;
-      for (unsigned long j = 0; j < kDenseBlock; ++j) pv[j] += wc * dv[j];
+      double acc[kB];
+      for (unsigned long j = 0; j < kB; ++j) acc[j] = 0.0;
+      for (unsigned long r = 0; r < rows; ++r) {
+        const double wc = w[r * cols + c];
+        const double* dv = db + r * kB;
+        for (unsigned long j = 0; j < kB; ++j) acc[j] += wc * dv[j];
+      }
+      double* pv = pb + c * kB;
+      const double* post = relu_post != nullptr ? relu_post + b * cols * kB + c * kB : nullptr;
+      for (unsigned long j = 0; j < kB; ++j) {
+        pv[j] = post != nullptr && post[j] <= 0.0 ? 0.0 : acc[j];
+      }
     }
+  }
+}
+
+void softmax_xent_scalar(const double* logits, const unsigned long* labels,
+                         unsigned long n, unsigned long rows, double* delta,
+                         double* loss) {
+  for (unsigned long b = 0; b * kB < n; ++b) {
+    const double* z = logits + b * rows * kB;
+    double* d = delta + b * rows * kB;
+    const unsigned long lanes = n - b * kB < kB ? n - b * kB : kB;
+    double m[kB];
+    for (unsigned long j = 0; j < kB; ++j) m[j] = z[j];
+    for (unsigned long r = 1; r < rows; ++r) {
+      for (unsigned long j = 0; j < kB; ++j) {
+        if (m[j] < z[r * kB + j]) m[j] = z[r * kB + j];
+      }
+    }
+    for (unsigned long r = 0; r < rows; ++r) {
+      for (unsigned long j = 0; j < kB; ++j) d[r * kB + j] = z[r * kB + j] - m[j];
+    }
+    fast_exp(d, d, rows * kB);
+    double denom[kB];
+    for (unsigned long j = 0; j < kB; ++j) denom[j] = 0.0;
+    for (unsigned long r = 0; r < rows; ++r) {
+      for (unsigned long j = 0; j < kB; ++j) denom[j] += d[r * kB + j];
+    }
+    double inv[kB];
+    for (unsigned long j = 0; j < kB; ++j) inv[j] = 1.0 / denom[j];
+    for (unsigned long r = 0; r < rows; ++r) {
+      for (unsigned long j = 0; j < kB; ++j) d[r * kB + j] *= inv[j];
+    }
+    double block_loss = 0.0;
+    for (unsigned long j = 0; j < lanes; ++j) {
+      const unsigned long label = labels[b * kB + j];
+      d[label * kB + j] -= 1.0;
+      block_loss += fast_log(denom[j]) - (z[label * kB + j] - m[j]);
+    }
+    for (unsigned long j = lanes; j < kB; ++j) {
+      for (unsigned long r = 0; r < rows; ++r) d[r * kB + j] = 0.0;
+    }
+    *loss += block_loss;
+  }
+}
+
+void fake_quantize_scalar(const double* src, double* dst, unsigned long n,
+                          double scale, double qmax) {
+  for (unsigned long i = 0; i < n; ++i) {
+    const double x = src[i] / scale;
+    // trunc(x): every |x| >= 2^52 is already an integer (and NaN stays
+    // NaN), so the integer conversion only sees values it can represent.
+    double q = std::abs(x) < 0x1p52 ? static_cast<double>(static_cast<long long>(x)) : x;
+    const double frac = x - q;  // exact
+    if (frac >= 0.5) q += 1.0;
+    if (frac <= -0.5) q -= 1.0;
+    q = q < -qmax ? -qmax : q;
+    q = q > qmax ? qmax : q;
+    dst[i] = (q + 0.0) * scale;
   }
 }
 
@@ -119,9 +203,15 @@ void sgd_scalar(double* w, const double* g, double* vel, unsigned long n,
 }
 
 constexpr DenseKernels kScalarKernels = {
-    dot_scalar,        axpy_scalar,       layer_fwd8_scalar,
-    layer_grad8_scalar, layer_back8_scalar, adam_scalar,
-    sgd_scalar};
+    .dot = dot_scalar,
+    .axpy = axpy_scalar,
+    .layer_fwd = layer_fwd_scalar,
+    .layer_grad = layer_grad_scalar,
+    .layer_back = layer_back_scalar,
+    .softmax_xent = softmax_xent_scalar,
+    .fake_quantize = fake_quantize_scalar,
+    .adam = adam_scalar,
+    .sgd = sgd_scalar};
 
 }  // namespace
 

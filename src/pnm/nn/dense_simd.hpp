@@ -3,7 +3,8 @@
 
 /// \file dense_simd.hpp
 /// \brief Runtime-dispatched double-precision kernels for the trainer's
-/// dense hot path (matvec / outer-product gradients / optimizer updates).
+/// dense hot path (minibatch forward / gradient / backward, softmax
+/// cross-entropy, the QAT fake-quantizer, and the optimizer updates).
 ///
 /// These kernels are the "vectorized fine-tuning math" companion to the
 /// integer multi-sample engine in core/infer_simd.hpp, and they share its
@@ -11,19 +12,29 @@
 /// process, and PNM_FORCE_SCALAR pins everything to the portable path.
 ///
 /// Determinism contract — results are identical on every ISA:
-///  * axpy / adam / sgd are elementwise over independent outputs; each
-///    lane performs the same individually-rounded mul/add/sqrt/div
-///    sequence as the scalar loop, so vectorizing them cannot change a
-///    single bit.
+///  * axpy / fake_quantize / adam / sgd are elementwise over independent
+///    outputs; each lane performs the same individually-rounded
+///    mul/add/sqrt/div sequence as the scalar loop, so vectorizing them
+///    cannot change a single bit.
 ///  * dot is a reduction, so its summation order IS its semantics.  The
 ///    canonical order is four independent accumulator chains over
 ///    columns c ≡ 0..3 (mod 4), tail columns appended to chains 0..2 in
 ///    order, combined as (c0+c1)+(c2+c3).  The scalar fallback implements
 ///    exactly this order, and the vector kernels map chain j to lane j —
 ///    so scalar, AVX2, and NEON agree bit-for-bit.
+///  * The blocked layer kernels and the softmax define one order per
+///    output as well (documented per slot below); the scalar functions
+///    spell it out and the vector ones reproduce it.
 ///  * No FMA anywhere (the build pins -ffp-contract=off on these TUs):
 ///    a fused multiply-add rounds once where mul+add rounds twice, which
 ///    would split results between FMA and non-FMA hardware.
+///
+/// Blocked layout: a minibatch of n samples is ceil(n/8) consecutive
+/// 8-lane SoA blocks.  Sample i is lane i%8 of block i/8; a layer buffer
+/// of width k holds block b at offset b*k*8 and element e of lane j of
+/// that block at b*k*8 + e*8 + j.  Lanes past n in the last block are
+/// padding: the trainer zero-fills their inputs and the softmax zeroes
+/// their deltas, so they contribute exactly nothing.
 
 #include "pnm/core/infer_simd.hpp"
 
@@ -56,24 +67,52 @@ struct DenseKernels {
   double (*dot)(const double* a, const double* b, unsigned long n);
   /// y[i] += s * x[i] for i in [0, n).  x and y must not overlap.
   void (*axpy)(double* y, const double* x, double s, unsigned long n);
-  /// Blocked dense layer forward over 8 SoA lanes:
+  /// Dense layer forward over `blocks` SoA blocks (in: cols wide, out:
+  /// rows wide), for every block and lane j:
   ///   out[r*8+j] = bias[r] + sum_c w[r*cols+c] * in[c*8+j]
   /// with c ascending — each lane is one independent single-chain sum, so
   /// every ISA (and every lane) computes the classic per-sample order.
-  void (*layer_fwd8)(const double* w, const double* bias, const double* in,
-                     double* out, unsigned long rows, unsigned long cols);
-  /// Blocked gradient accumulation over 8 SoA lanes:
+  /// With relu set, each output is then replaced by (x > 0 ? x : 0.0).
+  void (*layer_fwd)(const double* w, const double* bias, const double* in,
+                    double* out, unsigned long rows, unsigned long cols,
+                    unsigned long blocks, bool relu);
+  /// Gradient accumulation over `blocks` SoA blocks (delta: rows wide,
+  /// in: cols wide).  For each block in order:
   ///   gw[r*cols+c] += sum8_j delta[r*8+j] * in[c*8+j]
   ///   gb[r]        += sum8_j delta[r*8+j]
   /// where sum8 is the canonical lane reduction: chains q_j = p_j + p_{j+4}
   /// combined as (q0+q1)+(q2+q3) — identical on every ISA.
-  void (*layer_grad8)(const double* delta, const double* in, double* gw,
-                      double* gb, unsigned long rows, unsigned long cols);
-  /// Blocked backward (transposed) pass over 8 SoA lanes:
-  ///   prev[c*8+j] += sum_r w[r*cols+c] * delta[r*8+j]
-  /// with r ascending per lane; prev must be zeroed by the caller.
-  void (*layer_back8)(const double* w, const double* delta, double* prev,
-                      unsigned long rows, unsigned long cols);
+  void (*layer_grad)(const double* delta, const double* in, double* gw,
+                     double* gb, unsigned long rows, unsigned long cols,
+                     unsigned long blocks);
+  /// Backward (transposed) pass over `blocks` SoA blocks (delta: rows
+  /// wide, prev: cols wide), overwriting prev:
+  ///   prev[c*8+j] = 0.0 + sum_r w[r*cols+c] * delta[r*8+j]
+  /// with r ascending per lane.  When relu_post (cols wide, the ReLU
+  /// outputs of the layer below) is non-null, every prev element whose
+  /// relu_post element is <= 0 is then set to 0.0 — the ReLU gradient.
+  void (*layer_back)(const double* w, const double* delta,
+                     const double* relu_post, double* prev, unsigned long rows,
+                     unsigned long cols, unsigned long blocks);
+  /// Fast softmax cross-entropy over n samples whose `rows` logits sit in
+  /// ceil(n/8) SoA blocks; writes dL/dlogits to delta (same layout).  Per
+  /// lane, exactly softmax_cross_entropy_fast (nn/trainer.hpp): the max as
+  /// std::max_element picks it, e_r = fast_exp(z_r - max), denom summed
+  /// from 0.0 in r order, delta_r = e_r * (1.0 / denom), then
+  /// delta_label -= 1.0 and loss = fast_log(denom) - (z_label - max).
+  /// Padding lanes get delta 0.0.  Each block's lane losses are summed
+  /// from 0.0 in lane order and that sum is added to *loss, block by
+  /// block.  labels[i] (< rows) is sample i's class.
+  void (*softmax_xent)(const double* logits, const unsigned long* labels,
+                       unsigned long n, unsigned long rows, double* delta,
+                       double* loss);
+  /// Symmetric fake quantization of src[0..n) into dst (may alias):
+  ///   dst[i] = clamp(round(src[i] / scale), -qmax, qmax) * scale
+  /// rounding half away from zero (llround's rule) through an exact
+  /// truncate-and-fix-up, with zero codes as +0.0 — the QAT weight view.
+  /// scale must be positive.
+  void (*fake_quantize)(const double* src, double* dst, unsigned long n,
+                        double scale, double qmax);
   /// Adam update of w[0..n) with gradient g, first/second moment m/v:
   ///   g'   = g[i] + weight_decay * w[i]
   ///   m[i] = b1*m[i] + (1-b1)*g';  v[i] = b2*v[i] + (1-b2)*g'*g'

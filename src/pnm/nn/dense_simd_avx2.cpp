@@ -9,8 +9,10 @@
 
 #include <cmath>
 #include <immintrin.h>
+#include <iterator>
 
 #include "pnm/nn/dense_simd.hpp"
+#include "pnm/nn/fastmath.hpp"
 
 namespace pnm::simd {
 
@@ -44,24 +46,57 @@ void axpy_avx2(double* y, const double* x, double s, unsigned long n) {
   for (; i < n; ++i) y[i] += s * x[i];
 }
 
-// ---- sample-blocked (8-lane SoA) trainer kernels --------------------------
+// ---- minibatch (multi-block 8-lane SoA) trainer kernels -------------------
 // 8 doubles = two __m256d; every lane is an independent mul+add chain, so
-// these are bit-identical to the scalar loops.
+// these are bit-identical to the scalar loops.  The kernels keep several
+// rows or columns in flight at once so the add latency of one chain hides
+// behind the others; that changes which chains run together, never the
+// order of any one chain.
 
-void layer_fwd8_avx2(const double* w, const double* bias, const double* in,
-                     double* out, unsigned long rows, unsigned long cols) {
-  for (unsigned long r = 0; r < rows; ++r) {
-    __m256d acc_lo = _mm256_set1_pd(bias[r]);
-    __m256d acc_hi = acc_lo;
-    const double* wr = w + r * cols;
-    for (unsigned long c = 0; c < cols; ++c) {
-      const __m256d wc = _mm256_set1_pd(wr[c]);
-      const double* xv = in + c * kDenseBlock;
-      acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(wc, _mm256_loadu_pd(xv)));
-      acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(wc, _mm256_loadu_pd(xv + 4)));
+constexpr unsigned long kB = kDenseBlock;
+
+/// R consecutive output rows of one block: 2R independent chains.
+template <unsigned long R>
+inline void fwd_rows(const double* w, const double* bias, const double* xb,
+                     double* ob, unsigned long cols, bool relu) {
+  __m256d acc[2 * R];
+  for (unsigned long k = 0; k < R; ++k) {
+    acc[2 * k] = _mm256_set1_pd(bias[k]);
+    acc[2 * k + 1] = acc[2 * k];
+  }
+  for (unsigned long c = 0; c < cols; ++c) {
+    const __m256d x_lo = _mm256_loadu_pd(xb + c * kB);
+    const __m256d x_hi = _mm256_loadu_pd(xb + c * kB + 4);
+    for (unsigned long k = 0; k < R; ++k) {
+      const __m256d wc = _mm256_set1_pd(w[k * cols + c]);
+      acc[2 * k] = _mm256_add_pd(acc[2 * k], _mm256_mul_pd(wc, x_lo));
+      acc[2 * k + 1] = _mm256_add_pd(acc[2 * k + 1], _mm256_mul_pd(wc, x_hi));
     }
-    _mm256_storeu_pd(out + r * kDenseBlock, acc_lo);
-    _mm256_storeu_pd(out + r * kDenseBlock + 4, acc_hi);
+  }
+  // max(x, 0) returns its second operand unless x > 0 — exactly the
+  // scalar (x > 0 ? x : 0.0), NaN and -0.0 included.
+  const __m256d zero = _mm256_setzero_pd();
+  for (unsigned long k = 0; k < 2 * R; ++k) {
+    _mm256_storeu_pd(ob + k * 4, relu ? _mm256_max_pd(acc[k], zero) : acc[k]);
+  }
+}
+
+void layer_fwd_avx2(const double* w, const double* bias, const double* in,
+                    double* out, unsigned long rows, unsigned long cols,
+                    unsigned long blocks, bool relu) {
+  for (unsigned long b = 0; b < blocks; ++b) {
+    const double* xb = in + b * cols * kB;
+    double* ob = out + b * rows * kB;
+    unsigned long r = 0;
+    for (; r + 4 <= rows; r += 4) {
+      fwd_rows<4>(w + r * cols, bias + r, xb, ob + r * kB, cols, relu);
+    }
+    for (; r + 2 <= rows; r += 2) {
+      fwd_rows<2>(w + r * cols, bias + r, xb, ob + r * kB, cols, relu);
+    }
+    for (; r < rows; ++r) {
+      fwd_rows<1>(w + r * cols, bias + r, xb, ob + r * kB, cols, relu);
+    }
   }
 }
 
@@ -78,37 +113,215 @@ inline double sum8_avx2(__m256d lo, __m256d hi) {
   return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
 }
 
-void layer_grad8_avx2(const double* delta, const double* in, double* gw,
-                      double* gb, unsigned long rows, unsigned long cols) {
+/// The canonical sum8 of four columns at once.  q_c = lo_c + hi_c holds
+/// column c's chains (q0..q3); hadd pairs them into (q0+q1, q2+q3) per
+/// column, interleaved two columns per vector, and permute2f128 gathers
+/// all four (q0+q1) halves and all four (q2+q3) halves, whose sum is the
+/// scalar tree for each column.
+inline __m256d sum8x4_avx2(__m256d q0, __m256d q1, __m256d q2, __m256d q3) {
+  const __m256d h01 = _mm256_hadd_pd(q0, q1);
+  const __m256d h23 = _mm256_hadd_pd(q2, q3);
+  return _mm256_add_pd(_mm256_permute2f128_pd(h01, h23, 0x20),
+                       _mm256_permute2f128_pd(h01, h23, 0x31));
+}
+
+void layer_grad_avx2(const double* delta, const double* in, double* gw,
+                     double* gb, unsigned long rows, unsigned long cols,
+                     unsigned long blocks) {
+  const unsigned long dstride = rows * kB;
+  const unsigned long xstride = cols * kB;
   for (unsigned long r = 0; r < rows; ++r) {
-    const double* dv = delta + r * kDenseBlock;
-    const __m256d d_lo = _mm256_loadu_pd(dv);
-    const __m256d d_hi = _mm256_loadu_pd(dv + 4);
-    gb[r] += sum8_avx2(d_lo, d_hi);
+    const double* dr = delta + r * kB;
+    double g = gb[r];
+    for (unsigned long b = 0; b < blocks; ++b) {
+      const double* dv = dr + b * dstride;
+      g += sum8_avx2(_mm256_loadu_pd(dv), _mm256_loadu_pd(dv + 4));
+    }
+    gb[r] = g;
     double* gwr = gw + r * cols;
-    for (unsigned long c = 0; c < cols; ++c) {
-      const double* xv = in + c * kDenseBlock;
-      gwr[c] += sum8_avx2(_mm256_mul_pd(d_lo, _mm256_loadu_pd(xv)),
-                          _mm256_mul_pd(d_hi, _mm256_loadu_pd(xv + 4)));
+    unsigned long c = 0;
+    for (; c + 4 <= cols; c += 4) {
+      __m256d acc = _mm256_loadu_pd(gwr + c);
+      for (unsigned long b = 0; b < blocks; ++b) {
+        const double* dv = dr + b * dstride;
+        const __m256d d_lo = _mm256_loadu_pd(dv);
+        const __m256d d_hi = _mm256_loadu_pd(dv + 4);
+        const double* xv = in + b * xstride + c * kB;
+        __m256d q[4];
+        for (unsigned long k = 0; k < 4; ++k) {
+          q[k] = _mm256_add_pd(_mm256_mul_pd(d_lo, _mm256_loadu_pd(xv + k * kB)),
+                               _mm256_mul_pd(d_hi, _mm256_loadu_pd(xv + k * kB + 4)));
+        }
+        acc = _mm256_add_pd(acc, sum8x4_avx2(q[0], q[1], q[2], q[3]));
+      }
+      _mm256_storeu_pd(gwr + c, acc);
+    }
+    for (; c < cols; ++c) {
+      double s = gwr[c];
+      for (unsigned long b = 0; b < blocks; ++b) {
+        const double* dv = dr + b * dstride;
+        const double* xv = in + b * xstride + c * kB;
+        s += sum8_avx2(_mm256_mul_pd(_mm256_loadu_pd(dv), _mm256_loadu_pd(xv)),
+                       _mm256_mul_pd(_mm256_loadu_pd(dv + 4), _mm256_loadu_pd(xv + 4)));
+      }
+      gwr[c] = s;
     }
   }
 }
 
-void layer_back8_avx2(const double* w, const double* delta, double* prev,
-                      unsigned long rows, unsigned long cols) {
+/// C consecutive columns of one block's backward pass: 2C independent
+/// chains, each summed over r ascending from +0.0.
+template <unsigned long C>
+inline void back_cols(const double* w, const double* db, const double* post,
+                      double* pb, unsigned long rows, unsigned long cols) {
+  __m256d acc[2 * C];
+  for (unsigned long k = 0; k < 2 * C; ++k) acc[k] = _mm256_setzero_pd();
   for (unsigned long r = 0; r < rows; ++r) {
-    const double* dv = delta + r * kDenseBlock;
-    const __m256d d_lo = _mm256_loadu_pd(dv);
-    const __m256d d_hi = _mm256_loadu_pd(dv + 4);
-    const double* wr = w + r * cols;
-    for (unsigned long c = 0; c < cols; ++c) {
-      const __m256d wc = _mm256_set1_pd(wr[c]);
-      double* pv = prev + c * kDenseBlock;
-      _mm256_storeu_pd(
-          pv, _mm256_add_pd(_mm256_loadu_pd(pv), _mm256_mul_pd(wc, d_lo)));
-      _mm256_storeu_pd(pv + 4, _mm256_add_pd(_mm256_loadu_pd(pv + 4),
-                                             _mm256_mul_pd(wc, d_hi)));
+    const __m256d d_lo = _mm256_loadu_pd(db + r * kB);
+    const __m256d d_hi = _mm256_loadu_pd(db + r * kB + 4);
+    for (unsigned long k = 0; k < C; ++k) {
+      const __m256d wc = _mm256_set1_pd(w[r * cols + k]);
+      acc[2 * k] = _mm256_add_pd(acc[2 * k], _mm256_mul_pd(wc, d_lo));
+      acc[2 * k + 1] = _mm256_add_pd(acc[2 * k + 1], _mm256_mul_pd(wc, d_hi));
     }
+  }
+  const __m256d zero = _mm256_setzero_pd();
+  for (unsigned long k = 0; k < 2 * C; ++k) {
+    __m256d v = acc[k];
+    if (post != nullptr) {
+      // ReLU gradient: post <= 0 clears the lane to +0.0 (NaN compares
+      // false and keeps it, like the scalar test).
+      v = _mm256_andnot_pd(_mm256_cmp_pd(_mm256_loadu_pd(post + k * 4), zero, _CMP_LE_OQ), v);
+    }
+    _mm256_storeu_pd(pb + k * 4, v);
+  }
+}
+
+void layer_back_avx2(const double* w, const double* delta,
+                     const double* relu_post, double* prev, unsigned long rows,
+                     unsigned long cols, unsigned long blocks) {
+  for (unsigned long b = 0; b < blocks; ++b) {
+    const double* db = delta + b * rows * kB;
+    double* pb = prev + b * cols * kB;
+    const double* post = relu_post != nullptr ? relu_post + b * cols * kB : nullptr;
+    unsigned long c = 0;
+    for (; c + 4 <= cols; c += 4) {
+      back_cols<4>(w + c, db, post != nullptr ? post + c * kB : nullptr, pb + c * kB,
+                   rows, cols);
+    }
+    for (; c < cols; ++c) {
+      back_cols<1>(w + c, db, post != nullptr ? post + c * kB : nullptr, pb + c * kB,
+                   rows, cols);
+    }
+  }
+}
+
+/// fast_exp (nn/fastmath.cpp) on four lanes, operation for operation: the
+/// same clamps, the same k = floor(x*log2e + 0.5) (vroundpd floors
+/// exactly, as the scalar round-and-fix-up does), the same reduction and
+/// polynomial, and 2^k from the same exponent-magic bit pattern.
+inline __m256d fast_exp4(__m256d x) {
+  using namespace fastexp;
+  const __m256d ovf = _mm256_set1_pd(kFastExpOverflow);
+  const __m256d unf = _mm256_set1_pd(kFastExpUnderflow);
+  const __m256d hi = _mm256_blendv_pd(x, ovf, _mm256_cmp_pd(x, ovf, _CMP_GT_OQ));
+  const __m256d lo = _mm256_blendv_pd(hi, unf, _mm256_cmp_pd(hi, unf, _CMP_LT_OQ));
+  const __m256d v =
+      _mm256_add_pd(_mm256_mul_pd(lo, _mm256_set1_pd(kLog2E)), _mm256_set1_pd(0.5));
+  const __m256d kd = _mm256_round_pd(v, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+  const __m256d r = _mm256_sub_pd(_mm256_sub_pd(lo, _mm256_mul_pd(kd, _mm256_set1_pd(kLn2Hi))),
+                                  _mm256_mul_pd(kd, _mm256_set1_pd(kLn2Lo)));
+  __m256d p = _mm256_set1_pd(kPoly[0]);
+  for (std::size_t i = 1; i < std::size(kPoly); ++i) {
+    p = _mm256_add_pd(_mm256_mul_pd(p, r), _mm256_set1_pd(kPoly[i]));
+  }
+  const __m256d scale = _mm256_castsi256_pd(_mm256_slli_epi64(
+      _mm256_castpd_si256(_mm256_add_pd(kd, _mm256_set1_pd(kExponentMagic))), 52));
+  const __m256d e = _mm256_mul_pd(p, scale);
+  return _mm256_blendv_pd(e, _mm256_setzero_pd(), _mm256_cmp_pd(x, unf, _CMP_LT_OQ));
+}
+
+void softmax_xent_avx2(const double* logits, const unsigned long* labels,
+                       unsigned long n, unsigned long rows, double* delta,
+                       double* loss) {
+  for (unsigned long b = 0; b * kB < n; ++b) {
+    const double* z = logits + b * rows * kB;
+    double* d = delta + b * rows * kB;
+    const unsigned long lanes = n - b * kB < kB ? n - b * kB : kB;
+    // std::max_element's choice: replace only when strictly greater.
+    __m256d m_lo = _mm256_loadu_pd(z);
+    __m256d m_hi = _mm256_loadu_pd(z + 4);
+    for (unsigned long r = 1; r < rows; ++r) {
+      const __m256d z_lo = _mm256_loadu_pd(z + r * kB);
+      const __m256d z_hi = _mm256_loadu_pd(z + r * kB + 4);
+      m_lo = _mm256_blendv_pd(m_lo, z_lo, _mm256_cmp_pd(m_lo, z_lo, _CMP_LT_OQ));
+      m_hi = _mm256_blendv_pd(m_hi, z_hi, _mm256_cmp_pd(m_hi, z_hi, _CMP_LT_OQ));
+    }
+    __m256d den_lo = _mm256_setzero_pd();
+    __m256d den_hi = _mm256_setzero_pd();
+    for (unsigned long r = 0; r < rows; ++r) {
+      const __m256d e_lo = fast_exp4(_mm256_sub_pd(_mm256_loadu_pd(z + r * kB), m_lo));
+      const __m256d e_hi = fast_exp4(_mm256_sub_pd(_mm256_loadu_pd(z + r * kB + 4), m_hi));
+      _mm256_storeu_pd(d + r * kB, e_lo);
+      _mm256_storeu_pd(d + r * kB + 4, e_hi);
+      den_lo = _mm256_add_pd(den_lo, e_lo);
+      den_hi = _mm256_add_pd(den_hi, e_hi);
+    }
+    const __m256d one = _mm256_set1_pd(1.0);
+    const __m256d inv_lo = _mm256_div_pd(one, den_lo);
+    const __m256d inv_hi = _mm256_div_pd(one, den_hi);
+    for (unsigned long r = 0; r < rows; ++r) {
+      _mm256_storeu_pd(d + r * kB, _mm256_mul_pd(_mm256_loadu_pd(d + r * kB), inv_lo));
+      _mm256_storeu_pd(d + r * kB + 4, _mm256_mul_pd(_mm256_loadu_pd(d + r * kB + 4), inv_hi));
+    }
+    double m[kB];
+    double denom[kB];
+    _mm256_storeu_pd(m, m_lo);
+    _mm256_storeu_pd(m + 4, m_hi);
+    _mm256_storeu_pd(denom, den_lo);
+    _mm256_storeu_pd(denom + 4, den_hi);
+    double block_loss = 0.0;
+    for (unsigned long j = 0; j < lanes; ++j) {
+      const unsigned long label = labels[b * kB + j];
+      d[label * kB + j] -= 1.0;
+      block_loss += fast_log(denom[j]) - (z[label * kB + j] - m[j]);
+    }
+    for (unsigned long j = lanes; j < kB; ++j) {
+      for (unsigned long r = 0; r < rows; ++r) d[r * kB + j] = 0.0;
+    }
+    *loss += block_loss;
+  }
+}
+
+/// The scalar fake-quantizer on four lanes: vroundpd truncates exactly
+/// (a -0.0 result is harmless: the fix-ups and the final +0.0 see the same
+/// values as the scalar integer truncation's +0.0).
+inline __m256d fake_quantize4(__m256d w, __m256d scale, __m256d qmax) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d neg_qmax = _mm256_sub_pd(_mm256_setzero_pd(), qmax);
+  const __m256d x = _mm256_div_pd(w, scale);
+  __m256d q = _mm256_round_pd(x, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  const __m256d frac = _mm256_sub_pd(x, q);
+  q = _mm256_add_pd(q, _mm256_and_pd(_mm256_cmp_pd(frac, _mm256_set1_pd(0.5), _CMP_GE_OQ), one));
+  q = _mm256_sub_pd(q, _mm256_and_pd(_mm256_cmp_pd(frac, _mm256_set1_pd(-0.5), _CMP_LE_OQ), one));
+  q = _mm256_blendv_pd(q, neg_qmax, _mm256_cmp_pd(q, neg_qmax, _CMP_LT_OQ));
+  q = _mm256_blendv_pd(q, qmax, _mm256_cmp_pd(q, qmax, _CMP_GT_OQ));
+  return _mm256_mul_pd(_mm256_add_pd(q, _mm256_setzero_pd()), scale);
+}
+
+void fake_quantize_avx2(const double* src, double* dst, unsigned long n,
+                        double scale, double qmax) {
+  const __m256d sv = _mm256_set1_pd(scale);
+  const __m256d qv = _mm256_set1_pd(qmax);
+  unsigned long i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(dst + i, fake_quantize4(_mm256_loadu_pd(src + i), sv, qv));
+  }
+  if (i < n) {  // the tail, zero-padded to one vector
+    double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+    for (unsigned long k = 0; i + k < n; ++k) lanes[k] = src[i + k];
+    _mm256_storeu_pd(lanes, fake_quantize4(_mm256_loadu_pd(lanes), sv, qv));
+    for (unsigned long k = 0; i + k < n; ++k) dst[i + k] = lanes[k];
   }
 }
 
@@ -176,9 +389,15 @@ void sgd_avx2(double* w, const double* g, double* vel, unsigned long n,
 
 const DenseKernels& dense_kernels_avx2() {
   static constexpr DenseKernels kTable = {
-      dot_avx2,        axpy_avx2,       layer_fwd8_avx2,
-      layer_grad8_avx2, layer_back8_avx2, adam_avx2,
-      sgd_avx2};
+      .dot = dot_avx2,
+      .axpy = axpy_avx2,
+      .layer_fwd = layer_fwd_avx2,
+      .layer_grad = layer_grad_avx2,
+      .layer_back = layer_back_avx2,
+      .softmax_xent = softmax_xent_avx2,
+      .fake_quantize = fake_quantize_avx2,
+      .adam = adam_avx2,
+      .sgd = sgd_avx2};
   return kTable;
 }
 

@@ -43,82 +43,6 @@ void axpy_neon(double* y, const double* x, double s, unsigned long n) {
   for (; i < n; ++i) y[i] += s * x[i];
 }
 
-// ---- sample-blocked (8-lane SoA) trainer kernels --------------------------
-// 8 doubles = four float64x2; every lane is an independent mul+add chain,
-// so these are bit-identical to the scalar loops.
-
-void layer_fwd8_neon(const double* w, const double* bias, const double* in,
-                     double* out, unsigned long rows, unsigned long cols) {
-  for (unsigned long r = 0; r < rows; ++r) {
-    float64x2_t a0 = vdupq_n_f64(bias[r]);
-    float64x2_t a1 = a0, a2 = a0, a3 = a0;
-    const double* wr = w + r * cols;
-    for (unsigned long c = 0; c < cols; ++c) {
-      const float64x2_t wc = vdupq_n_f64(wr[c]);
-      const double* xv = in + c * kDenseBlock;
-      a0 = vaddq_f64(a0, vmulq_f64(wc, vld1q_f64(xv)));
-      a1 = vaddq_f64(a1, vmulq_f64(wc, vld1q_f64(xv + 2)));
-      a2 = vaddq_f64(a2, vmulq_f64(wc, vld1q_f64(xv + 4)));
-      a3 = vaddq_f64(a3, vmulq_f64(wc, vld1q_f64(xv + 6)));
-    }
-    double* ov = out + r * kDenseBlock;
-    vst1q_f64(ov, a0);
-    vst1q_f64(ov + 2, a1);
-    vst1q_f64(ov + 4, a2);
-    vst1q_f64(ov + 6, a3);
-  }
-}
-
-// Canonical 8-lane reduction (see dense_simd.hpp): chains q_j = p_j + p_{j+4}
-// combined as (q0+q1)+(q2+q3).  p01/p23 hold lanes 0..3, p45/p67 lanes 4..7.
-inline double sum8_neon(float64x2_t p01, float64x2_t p23, float64x2_t p45,
-                        float64x2_t p67) {
-  const float64x2_t q01 = vaddq_f64(p01, p45);
-  const float64x2_t q23 = vaddq_f64(p23, p67);
-  return (vgetq_lane_f64(q01, 0) + vgetq_lane_f64(q01, 1)) +
-         (vgetq_lane_f64(q23, 0) + vgetq_lane_f64(q23, 1));
-}
-
-void layer_grad8_neon(const double* delta, const double* in, double* gw,
-                      double* gb, unsigned long rows, unsigned long cols) {
-  for (unsigned long r = 0; r < rows; ++r) {
-    const double* dv = delta + r * kDenseBlock;
-    const float64x2_t d01 = vld1q_f64(dv);
-    const float64x2_t d23 = vld1q_f64(dv + 2);
-    const float64x2_t d45 = vld1q_f64(dv + 4);
-    const float64x2_t d67 = vld1q_f64(dv + 6);
-    gb[r] += sum8_neon(d01, d23, d45, d67);
-    double* gwr = gw + r * cols;
-    for (unsigned long c = 0; c < cols; ++c) {
-      const double* xv = in + c * kDenseBlock;
-      gwr[c] += sum8_neon(vmulq_f64(d01, vld1q_f64(xv)),
-                          vmulq_f64(d23, vld1q_f64(xv + 2)),
-                          vmulq_f64(d45, vld1q_f64(xv + 4)),
-                          vmulq_f64(d67, vld1q_f64(xv + 6)));
-    }
-  }
-}
-
-void layer_back8_neon(const double* w, const double* delta, double* prev,
-                      unsigned long rows, unsigned long cols) {
-  for (unsigned long r = 0; r < rows; ++r) {
-    const double* dv = delta + r * kDenseBlock;
-    const float64x2_t d01 = vld1q_f64(dv);
-    const float64x2_t d23 = vld1q_f64(dv + 2);
-    const float64x2_t d45 = vld1q_f64(dv + 4);
-    const float64x2_t d67 = vld1q_f64(dv + 6);
-    const double* wr = w + r * cols;
-    for (unsigned long c = 0; c < cols; ++c) {
-      const float64x2_t wc = vdupq_n_f64(wr[c]);
-      double* pv = prev + c * kDenseBlock;
-      vst1q_f64(pv, vaddq_f64(vld1q_f64(pv), vmulq_f64(wc, d01)));
-      vst1q_f64(pv + 2, vaddq_f64(vld1q_f64(pv + 2), vmulq_f64(wc, d23)));
-      vst1q_f64(pv + 4, vaddq_f64(vld1q_f64(pv + 4), vmulq_f64(wc, d45)));
-      vst1q_f64(pv + 6, vaddq_f64(vld1q_f64(pv + 6), vmulq_f64(wc, d67)));
-    }
-  }
-}
-
 void adam_neon(double* w, const double* g, double* m, double* v,
                unsigned long n, const AdamStep& step) {
   const float64x2_t b1 = vdupq_n_f64(step.beta1);
@@ -179,10 +103,17 @@ void sgd_neon(double* w, const double* g, double* vel, unsigned long n,
 }  // namespace
 
 const DenseKernels& dense_kernels_neon() {
-  static constexpr DenseKernels kTable = {
-      dot_neon,        axpy_neon,       layer_fwd8_neon,
-      layer_grad8_neon, layer_back8_neon, adam_neon,
-      sgd_neon};
+  // The minibatch layer, softmax and fake-quantize slots reuse the scalar
+  // functions: bit-identical by construction, and no aarch64 build has
+  // verified intrinsics for them yet.
+  static const DenseKernels kTable = [] {
+    DenseKernels t = *dense_kernels_for(Isa::kScalar);
+    t.dot = dot_neon;
+    t.axpy = axpy_neon;
+    t.adam = adam_neon;
+    t.sgd = sgd_neon;
+    return t;
+  }();
   return kTable;
 }
 

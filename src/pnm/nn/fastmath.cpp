@@ -1,41 +1,33 @@
 #include "pnm/nn/fastmath.hpp"
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
+#include <iterator>
 
 namespace pnm {
 
 namespace {
 
-constexpr double kLog2E = 1.4426950408889634074;    // 1/ln 2
-constexpr double kLn2Hi = 6.93145751953125e-1;      // ln 2, high 21 bits (exact)
-constexpr double kLn2Lo = 1.42860682030941723212e-6;  // ln 2 - kLn2Hi
-constexpr double kExpOverflow = 709.782712893384;   // exp() overflows above this
 constexpr double kSqrt2 = 1.41421356237309504880;
 
-/// e^x for x already clamped to [kFastExpUnderflow, kExpOverflow].
-/// k = round(x/ln2); r = x - k*ln2 via the split constant (the k*kLn2Hi
-/// product is exact for |k| <= 2^31, so r carries ~70 bits of reduction);
-/// e^r by degree-10 Taylor (truncation < 3e-13 rel at |r| = ln2/2); then
-/// scale by 2^k assembled straight into the exponent field.
+/// e^x for x already clamped to [kFastExpUnderflow, kFastExpOverflow].
+/// k = round(x/ln2) = floor(x/ln2 + 1/2), computed exactly without libm:
+/// |v| < 1100 here, so the magic addition rounds v to the nearest integer
+/// and one compare steps it down where that rounded up.  r = x - k*ln2 via
+/// the split constant (the k*kLn2Hi product is exact for |k| <= 2^31, so
+/// r carries ~70 bits of reduction); e^r by degree-10 Taylor (truncation
+/// < 3e-13 rel at |r| = ln2/2); then scale by 2^k assembled straight into
+/// the exponent field.  A NaN input stays NaN with no integer conversion.
 inline double exp_core(double x) {
-  const double kd = std::floor(x * kLog2E + 0.5);
+  using namespace fastexp;
+  const double v = x * kLog2E + 0.5;
+  const double t = (v + kRoundMagic) - kRoundMagic;
+  const double kd = t > v ? t - 1.0 : t;
   const double r = (x - kd * kLn2Hi) - kd * kLn2Lo;
-  double p = 1.0 / 3628800.0;
-  p = p * r + 1.0 / 362880.0;
-  p = p * r + 1.0 / 40320.0;
-  p = p * r + 1.0 / 5040.0;
-  p = p * r + 1.0 / 720.0;
-  p = p * r + 1.0 / 120.0;
-  p = p * r + 1.0 / 24.0;
-  p = p * r + 1.0 / 6.0;
-  p = p * r + 0.5;
-  p = p * r + 1.0;
-  p = p * r + 1.0;
-  const auto k = static_cast<std::int64_t>(kd);
+  double p = kPoly[0];
+  for (std::size_t i = 1; i < std::size(kPoly); ++i) p = p * r + kPoly[i];
   const double scale =
-      std::bit_cast<double>(static_cast<std::uint64_t>(k + 1023) << 52);
+      std::bit_cast<double>(std::bit_cast<std::uint64_t>(kd + kExponentMagic) << 52);
   return p * scale;
 }
 
@@ -44,7 +36,7 @@ inline double exp_core(double x) {
 double fast_exp(double x) {
   // Branchless clamps (ternaries if-convert): overflow saturates through
   // the k = 1024 => inf exponent pattern, underflow flushes to exactly 0.
-  const double hi = x > kExpOverflow ? kExpOverflow : x;
+  const double hi = x > kFastExpOverflow ? kFastExpOverflow : x;
   const double lo = hi < kFastExpUnderflow ? kFastExpUnderflow : hi;
   const double e = exp_core(lo);
   return x < kFastExpUnderflow ? 0.0 : e;
@@ -53,7 +45,7 @@ double fast_exp(double x) {
 void fast_exp(const double* x, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const double xi = x[i];
-    const double hi = xi > kExpOverflow ? kExpOverflow : xi;
+    const double hi = xi > kFastExpOverflow ? kFastExpOverflow : xi;
     const double lo = hi < kFastExpUnderflow ? kFastExpUnderflow : hi;
     const double e = exp_core(lo);
     out[i] = xi < kFastExpUnderflow ? 0.0 : e;
@@ -85,7 +77,7 @@ double fast_log(double x) {
   // e * kLn2Hi is exact (11 + 21 significant bits), so the only rounding
   // in the reconstruction is the final add.
   const auto ed = static_cast<double>(e);
-  return (2.0 * t * p + ed * kLn2Lo) + ed * kLn2Hi;
+  return (2.0 * t * p + ed * fastexp::kLn2Lo) + ed * fastexp::kLn2Hi;
 }
 
 }  // namespace pnm

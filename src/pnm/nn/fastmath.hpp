@@ -12,8 +12,12 @@
 ///
 ///  * `fast_exp`: range reduction x = k*ln2 + r (two-part ln2 constant),
 ///    degree-10 Taylor polynomial of e^r on |r| <= ln2/2, result assembled
-///    as poly(r) * 2^k by exponent-bit arithmetic.  Branch-free except for
-///    the range clamp, so the batch form auto-vectorizes.
+///    as poly(r) * 2^k by exponent-bit arithmetic.  k = floor(x/ln2 + 1/2)
+///    is computed inline (round-to-integer by the 1.5*2^52 addition, then
+///    a compare-and-subtract fix-up), so no libm call remains; the batch
+///    form is a plain loop (baseline x86-64 has no vector floor), and the
+///    trainer's softmax kernel (nn/dense_simd.hpp) vectorizes the same
+///    operations with the constants below.
 ///  * `fast_log`: exponent/mantissa split to m in [1/sqrt2, sqrt2), then
 ///    the atanh series log m = 2 * sum t^(2i+1)/(2i+1), t = (m-1)/(m+1),
 ///    truncated at t^13.
@@ -43,12 +47,32 @@ inline constexpr double kFastExpMaxRelError = 1e-12;
 inline constexpr double kFastLogMaxRelError = 4e-12;
 /// Inputs below this flush fast_exp to exactly 0 (no subnormal tail).
 inline constexpr double kFastExpUnderflow = -708.0;
+/// Inputs above this saturate fast_exp to +inf (where exp() overflows).
+inline constexpr double kFastExpOverflow = 709.782712893384;
+
+/// fast_exp's reduction constants and polynomial, shared with the vector
+/// softmax kernels so every implementation performs the same operations.
+namespace fastexp {
+inline constexpr double kLog2E = 1.4426950408889634074;      // 1/ln 2
+inline constexpr double kLn2Hi = 6.93145751953125e-1;        // ln 2, high 21 bits (exact)
+inline constexpr double kLn2Lo = 1.42860682030941723212e-6;  // ln 2 - kLn2Hi
+/// 1.5 * 2^52: adding and subtracting it rounds |v| < 2^51 to an integer.
+inline constexpr double kRoundMagic = 6755399441055744.0;
+/// 2^52 + 1023: k + kExponentMagic carries the biased exponent k + 1023 in
+/// its low mantissa bits, so shifting its bit pattern left by 52 yields 2^k.
+inline constexpr double kExponentMagic = 4503599627371519.0;
+/// Taylor coefficients of e^r, highest degree first (1/10! ... 1/1!, 1).
+inline constexpr double kPoly[] = {1.0 / 3628800.0, 1.0 / 362880.0, 1.0 / 40320.0,
+                                   1.0 / 5040.0,    1.0 / 720.0,    1.0 / 120.0,
+                                   1.0 / 24.0,      1.0 / 6.0,      0.5,
+                                   1.0,             1.0};
+}  // namespace fastexp
 
 /// e^x with the bound above; monotone clamp: +inf for x > 709.78.
 double fast_exp(double x);
 
-/// Batch form: out[i] = fast_exp(x[i]).  One pass, auto-vectorizable
-/// (no data-dependent branches).  `out` may alias `x`.
+/// Batch form: out[i] = fast_exp(x[i]).  One pass with no data-dependent
+/// branches and no libm call.  `out` may alias `x`.
 void fast_exp(const double* x, double* out, std::size_t n);
 
 /// Natural log with the bound above.  Domain: x > 0 and finite (callers

@@ -134,64 +134,88 @@ double backprop_sample(const Mlp& model, const std::vector<double>& x, std::size
   return loss;
 }
 
-double backprop_block(const Mlp& model, const Dataset& train,
-                      const std::size_t* idx, std::size_t lanes,
-                      Gradients& grads, BlockBackpropScratch& scratch) {
+void backprop_minibatch(const Mlp& model, const Dataset& train, const std::size_t* idx,
+                        std::size_t n, Gradients& grads, BlockBackpropScratch& scratch,
+                        double& loss) {
   constexpr std::size_t kB = simd::kDenseBlock;
   const auto& kernels = simd::dense_kernels();
   const std::size_t n_layers = model.layer_count();
+  const std::size_t n_in = model.input_size();
+  const std::size_t n_out = model.output_size();
+  const std::size_t blocks = (n + kB - 1) / kB;
 
-  // Gather up to 8 samples into the SoA input block; padding lanes stay 0.
+  // Gather the minibatch into SoA blocks: sample i is lane i%8 of block
+  // i/8, and the last block's padding lanes stay 0.
   auto& acts = scratch.acts;
   acts.resize(n_layers + 1);
-  acts[0].assign(model.input_size() * kB, 0.0);
-  for (std::size_t j = 0; j < lanes; ++j) {
-    const auto& x = train.x[idx[j]];
-    for (std::size_t f = 0; f < x.size(); ++f) acts[0][f * kB + j] = x[f];
+  acts[0].assign(blocks * n_in * kB, 0.0);
+  scratch.labels.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& x = train.x[idx[i]];
+    double* dst = acts[0].data() + (i / kB) * n_in * kB + i % kB;
+    for (std::size_t f = 0; f < n_in; ++f) dst[f * kB] = x[f];
+    scratch.labels[i] = train.y[idx[i]];
+    if (scratch.labels[i] >= n_out) {
+      throw std::invalid_argument("softmax_cross_entropy: label out of range");
+    }
   }
 
-  // Blocked forward: one weight visit feeds all 8 lanes.
+  // Forward: one weight visit per layer feeds every lane of the minibatch.
   for (std::size_t li = 0; li < n_layers; ++li) {
     const auto& layer = model.layer(li);
-    acts[li + 1].resize(layer.out_features() * kB);
-    kernels.layer_fwd8(layer.weights.raw().data(), layer.bias.data(),
-                       acts[li].data(), acts[li + 1].data(),
-                       layer.out_features(), layer.in_features());
-    apply_activation(layer.act, acts[li + 1]);
+    const bool relu = layer.act == Activation::kRelu;
+    acts[li + 1].resize(blocks * layer.out_features() * kB);
+    kernels.layer_fwd(layer.weights.raw().data(), layer.bias.data(), acts[li].data(),
+                      acts[li + 1].data(), layer.out_features(), layer.in_features(),
+                      blocks, relu);
+    if (!relu) apply_activation(layer.act, acts[li + 1]);
   }
 
-  // Per-lane softmax cross-entropy on the gathered logits; padding lanes
-  // keep delta = 0, so their backward contributions vanish identically.
-  const std::size_t n_out = model.output_size();
+  // Softmax cross-entropy; padding lanes get delta = 0, so their backward
+  // contributions vanish identically.
+  const auto& logits = acts[n_layers];
   auto& delta = scratch.delta;
-  delta.assign(n_out * kB, 0.0);
-  const bool fast = softmax_fast_math();
-  double loss = 0.0;
-  for (std::size_t j = 0; j < lanes; ++j) {
-    auto& logits = scratch.logits;
-    logits.resize(n_out);
-    for (std::size_t r = 0; r < n_out; ++r) logits[r] = acts[n_layers][r * kB + j];
-    loss += fast ? softmax_cross_entropy_fast(logits, train.y[idx[j]], &scratch.grad)
-                 : softmax_cross_entropy(logits, train.y[idx[j]], &scratch.grad);
-    for (std::size_t r = 0; r < n_out; ++r) delta[r * kB + j] = scratch.grad[r];
+  delta.resize(blocks * n_out * kB);
+  if (softmax_fast_math()) {
+    kernels.softmax_xent(logits.data(), scratch.labels.data(), n, n_out, delta.data(),
+                         &loss);
+  } else {
+    // The libm reference, one gathered lane at a time.
+    std::fill(delta.begin(), delta.end(), 0.0);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const double* z = logits.data() + b * n_out * kB;
+      double* d = delta.data() + b * n_out * kB;
+      double block_loss = 0.0;
+      for (std::size_t j = 0; j < kB && b * kB + j < n; ++j) {
+        scratch.logits.resize(n_out);
+        for (std::size_t r = 0; r < n_out; ++r) scratch.logits[r] = z[r * kB + j];
+        block_loss += softmax_cross_entropy(scratch.logits, scratch.labels[b * kB + j],
+                                            &scratch.grad);
+        for (std::size_t r = 0; r < n_out; ++r) d[r * kB + j] = scratch.grad[r];
+      }
+      loss += block_loss;
+    }
   }
-  apply_activation_grad(model.layers().back().act, acts[n_layers], delta);
+  apply_activation_grad(model.layers().back().act, logits, delta);
 
   for (std::size_t li = n_layers; li-- > 0;) {
     const auto& layer = model.layer(li);
-    kernels.layer_grad8(delta.data(), acts[li].data(), grads.w[li].raw().data(),
-                        grads.b[li].data(), layer.out_features(),
-                        layer.in_features());
+    kernels.layer_grad(delta.data(), acts[li].data(), grads.w[li].raw().data(),
+                       grads.b[li].data(), layer.out_features(), layer.in_features(),
+                       blocks);
     if (li == 0) break;
+    // acts[li] is the post-activation output of layer li-1; a ReLU's
+    // gradient is fused into the backward kernel.
+    const Activation below = model.layer(li - 1).act;
     auto& prev_delta = scratch.prev_delta;
-    prev_delta.assign(layer.in_features() * kB, 0.0);
-    kernels.layer_back8(layer.weights.raw().data(), delta.data(),
-                        prev_delta.data(), layer.out_features(),
-                        layer.in_features());
-    apply_activation_grad(model.layer(li - 1).act, acts[li], prev_delta);
+    prev_delta.resize(blocks * layer.in_features() * kB);
+    kernels.layer_back(layer.weights.raw().data(), delta.data(),
+                       below == Activation::kRelu ? acts[li].data() : nullptr,
+                       prev_delta.data(), layer.out_features(), layer.in_features(),
+                       blocks);
+    if (below != Activation::kRelu) apply_activation_grad(below, acts[li], prev_delta);
     delta.swap(prev_delta);
   }
-  return loss;
 }
 
 Trainer::Trainer(TrainConfig config) : config_(config) {
@@ -208,6 +232,7 @@ TrainResult Trainer::fit(Mlp& model, const Dataset& train, Rng& rng) {
     throw std::invalid_argument("Trainer::fit: dataset/model shape mismatch");
   }
 
+  reset_optimizer(model);
   Gradients grads = Gradients::zeros_like(model);
   BlockBackpropScratch scratch;
   BackpropScratch sample_scratch;
@@ -234,14 +259,10 @@ TrainResult Trainer::fit(Mlp& model, const Dataset& train, Rng& rng) {
         fwd = &view_model;
       }
       if (blocked) {
-        // Sample-blocked backprop: up to 8 samples per weight visit through
-        // the SoA block kernels (the trainer-side twin of the inference
-        // engine's multi-sample blocking).
-        for (std::size_t i = start; i < end;) {
-          const std::size_t lanes = std::min<std::size_t>(simd::kDenseBlock, end - i);
-          epoch_loss += backprop_block(*fwd, train, order.data() + i, lanes, grads, scratch);
-          i += lanes;
-        }
+        // The whole minibatch per weight visit, 8 samples per SoA block
+        // (the trainer-side twin of the inference engine's blocking).
+        backprop_minibatch(*fwd, train, order.data() + start, end - start, grads, scratch,
+                           epoch_loss);
       } else {
         for (std::size_t i = start; i < end; ++i) {
           epoch_loss += backprop_sample(*fwd, train.x[order[i]], train.y[order[i]],
@@ -258,25 +279,25 @@ TrainResult Trainer::fit(Mlp& model, const Dataset& train, Rng& rng) {
   return result;
 }
 
-void Trainer::apply_update(Mlp& model, const Gradients& grads, double lr) {
-  // Lazily size the optimizer state.
-  if (vel_w_.size() != model.layer_count()) {
-    vel_w_.clear();
-    m_w_.clear();
-    v_w_.clear();
-    vel_b_.clear();
-    m_b_.clear();
-    v_b_.clear();
-    for (const auto& l : model.layers()) {
-      vel_w_.emplace_back(l.out_features(), l.in_features());
-      m_w_.emplace_back(l.out_features(), l.in_features());
-      v_w_.emplace_back(l.out_features(), l.in_features());
-      vel_b_.emplace_back(l.out_features(), 0.0);
-      m_b_.emplace_back(l.out_features(), 0.0);
-      v_b_.emplace_back(l.out_features(), 0.0);
-    }
-    step_ = 0;
+void Trainer::reset_optimizer(const Mlp& model) {
+  vel_w_.clear();
+  m_w_.clear();
+  v_w_.clear();
+  vel_b_.clear();
+  m_b_.clear();
+  v_b_.clear();
+  for (const auto& l : model.layers()) {
+    vel_w_.emplace_back(l.out_features(), l.in_features());
+    m_w_.emplace_back(l.out_features(), l.in_features());
+    v_w_.emplace_back(l.out_features(), l.in_features());
+    vel_b_.emplace_back(l.out_features(), 0.0);
+    m_b_.emplace_back(l.out_features(), 0.0);
+    v_b_.emplace_back(l.out_features(), 0.0);
   }
+  step_ = 0;
+}
+
+void Trainer::apply_update(Mlp& model, const Gradients& grads, double lr) {
   ++step_;
 
   // Both optimizers update every element independently, so the whole step
@@ -284,6 +305,15 @@ void Trainer::apply_update(Mlp& model, const Gradients& grads, double lr) {
   // scalar loops on every ISA — see nn/dense_simd.hpp).  Weight decay is
   // decoupled L2 on weights only; biases pass weight_decay = 0.
   const auto& kernels = simd::dense_kernels();
+  simd::AdamStep step;
+  if (config_.optimizer == Optimizer::kAdam) {
+    step.beta1 = config_.adam_beta1;
+    step.beta2 = config_.adam_beta2;
+    step.bias_corr1 = 1.0 - std::pow(step.beta1, static_cast<double>(step_));
+    step.bias_corr2 = 1.0 - std::pow(step.beta2, static_cast<double>(step_));
+    step.lr = lr;
+    step.eps = config_.adam_eps;
+  }
   for (std::size_t li = 0; li < model.layer_count(); ++li) {
     auto& layer = model.layer(li);
     auto& w = layer.weights.raw();
@@ -297,13 +327,6 @@ void Trainer::apply_update(Mlp& model, const Gradients& grads, double lr) {
       kernels.sgd(b.data(), gb.data(), vel_b_[li].data(), b.size(),
                   config_.momentum, lr, /*weight_decay=*/0.0);
     } else {
-      simd::AdamStep step;
-      step.beta1 = config_.adam_beta1;
-      step.beta2 = config_.adam_beta2;
-      step.bias_corr1 = 1.0 - std::pow(step.beta1, static_cast<double>(step_));
-      step.bias_corr2 = 1.0 - std::pow(step.beta2, static_cast<double>(step_));
-      step.lr = lr;
-      step.eps = config_.adam_eps;
       step.weight_decay = config_.weight_decay;
       kernels.adam(w.data(), gw.data(), m_w_[li].raw().data(),
                    v_w_[li].raw().data(), w.size(), step);

@@ -62,12 +62,13 @@ void set_softmax_fast_math(bool enabled);
 [[nodiscard]] bool softmax_fast_math();
 
 /// Process-wide switch (default ON) routing Trainer::fit through the
-/// sample-blocked backprop_block path (8 samples per weight visit).  OFF
-/// falls back to the classic per-sample backprop_sample loop — the
-/// pre-blocking reference the benches time the engine against, and a
-/// debugging aid when isolating the blocked kernels.  Same accuracy-
-/// neutral contract as the fast-math softmax: the two paths reduce in
-/// different orders, so they are quality-equivalent, not bit-identical.
+/// sample-blocked backprop_minibatch path (a whole minibatch per weight
+/// visit, 8 samples per SoA block).  OFF falls back to the classic
+/// per-sample backprop_sample loop — the pre-blocking reference the
+/// benches time the engine against, and a debugging aid when isolating
+/// the blocked kernels.  Same accuracy-neutral contract as the fast-math
+/// softmax: the two paths reduce in different orders, so they are
+/// quality-equivalent, not bit-identical.
 void set_blocked_backprop(bool enabled);
 [[nodiscard]] bool blocked_backprop();
 
@@ -91,28 +92,35 @@ double backprop_sample(const Mlp& model, const std::vector<double>& x, std::size
 double backprop_sample(const Mlp& model, const std::vector<double>& x, std::size_t label,
                        Gradients& grads, BackpropScratch& scratch);
 
-/// Reusable buffers for the sample-blocked backprop path.  Block buffers
-/// are SoA with the engine's 8-lane layout: element*8 + lane.
+/// Reusable buffers for the minibatch backprop path.  Layer buffers hold
+/// the minibatch as consecutive 8-lane SoA blocks (nn/dense_simd.hpp's
+/// blocked layout).  One scratch per fit(): every buffer is fully
+/// overwritten before it is read.
 struct BlockBackpropScratch {
   std::vector<std::vector<double>> acts;  ///< blocked activations per layer
   std::vector<double> delta;              ///< blocked dL/d(layer output)
   std::vector<double> prev_delta;         ///< blocked back-propagated delta
-  std::vector<double> logits;             ///< one lane's logits (gathered)
-  std::vector<double> grad;               ///< one lane's dL/dlogits
+  std::vector<std::size_t> labels;        ///< the minibatch's class labels
+  std::vector<double> logits;             ///< one lane's logits (libm softmax)
+  std::vector<double> grad;               ///< one lane's dL/dlogits (libm softmax)
 };
 
-/// Multi-sample backprop: runs up to 8 samples (train.x[idx[0..lanes)])
-/// through forward + backward together in the engine's sample-blocked SoA
-/// layout, so every weight visit feeds 8 lanes (nn/dense_simd.hpp block
-/// kernels).  Accumulates dL/dparams into grads (+=) and returns the
-/// summed loss over the lanes.  Padding lanes (lanes < 8) are zero-filled
-/// and their deltas zeroed after the loss, so they contribute nothing.
-/// Per-lane arithmetic is not bit-identical to backprop_sample (different
-/// reduction orders) — covered by the accuracy-neutral fine-tuning
-/// contract, like the fast-math softmax.
-double backprop_block(const Mlp& model, const Dataset& train,
-                      const std::size_t* idx, std::size_t lanes,
-                      Gradients& grads, BlockBackpropScratch& scratch);
+/// Minibatch backprop: runs the n samples train.x[idx[0..n)] through
+/// forward + backward together as ceil(n/8) SoA blocks, one kernel call
+/// per layer and direction for the whole minibatch (nn/dense_simd.hpp).
+/// Accumulates dL/dparams into grads (+=), block by block, and adds each
+/// block's summed loss to `loss` in block order.  Padding lanes of the
+/// last block are zero-filled and their deltas zeroed after the loss, so
+/// they contribute nothing.  The result is the same bit for bit as
+/// running the blocks one at a time, on every kernel table; it is not
+/// bit-identical to backprop_sample (different reduction orders) —
+/// covered by the accuracy-neutral fine-tuning contract, like the
+/// fast-math softmax.
+/// \throws std::invalid_argument when a label is not below the model's
+///         output width.
+void backprop_minibatch(const Mlp& model, const Dataset& train, const std::size_t* idx,
+                        std::size_t n, Gradients& grads, BlockBackpropScratch& scratch,
+                        double& loss);
 
 enum class Optimizer { kSgd, kAdam };
 
@@ -152,17 +160,20 @@ class Trainer {
   void set_projector(Projector projector) { projector_ = std::move(projector); }
 
   /// Trains and returns the per-epoch loss trace. Deterministic given rng.
+  /// Every call starts from fresh optimizer state sized to `model`, so one
+  /// Trainer may fit any sequence of models.
   TrainResult fit(Mlp& model, const Dataset& train, Rng& rng);
 
   [[nodiscard]] const TrainConfig& config() const { return config_; }
 
  private:
+  void reset_optimizer(const Mlp& model);
   void apply_update(Mlp& model, const Gradients& grads, double lr);
 
   TrainConfig config_;
   WeightView view_;
   Projector projector_;
-  // Optimizer state (lazily sized to the model on first update).
+  // Optimizer state, zeroed and sized to the model at the start of fit().
   std::vector<Matrix> vel_w_, m_w_, v_w_;
   std::vector<std::vector<double>> vel_b_, m_b_, v_b_;
   long step_ = 0;

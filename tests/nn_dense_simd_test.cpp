@@ -1,14 +1,20 @@
 /// Tests for nn/dense_simd.hpp: the determinism contract (every compiled
-/// vector table agrees bit-for-bit with the scalar semantics on all seven
-/// kernels) and the sample-blocked backprop path's equivalence to the
-/// per-sample reference within float tolerance (different reduction
+/// vector table agrees bit-for-bit with the scalar semantics on every
+/// kernel, the softmax and fake-quantizer also with their per-lane and
+/// llround references) and the minibatch backprop path's equivalence to
+/// the per-sample reference within float tolerance (different reduction
 /// orders, so near-equality — the accuracy-neutral contract).
 
 #include "pnm/nn/dense_simd.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "pnm/data/dataset.hpp"
@@ -51,7 +57,9 @@ TEST(DenseSimd, ScalarTableAlwaysPresent) {
   // dense_kernels() must resolve to something callable in any build.
   const auto& k = simd::dense_kernels();
   ASSERT_NE(k.dot, nullptr);
-  ASSERT_NE(k.layer_fwd8, nullptr);
+  ASSERT_NE(k.layer_fwd, nullptr);
+  ASSERT_NE(k.softmax_xent, nullptr);
+  ASSERT_NE(k.fake_quantize, nullptr);
 }
 
 TEST(DenseSimd, DotAxpyBitIdenticalAcrossTables) {
@@ -105,34 +113,257 @@ TEST(DenseSimd, OptimizerKernelsBitIdenticalAcrossTables) {
   }
 }
 
-TEST(DenseSimd, BlockKernelsBitIdenticalAcrossTables) {
+/// Bit-level identity that also accepts two NaNs (whose payloads may
+/// legitimately differ between instruction sequences) and distinguishes
+/// +0.0 from -0.0.
+bool same_value(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_values(const std::vector<double>& a, const std::vector<double>& b,
+                        const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(same_value(a[i], b[i])) << what << " [" << i << "]: " << a[i] << " vs " << b[i];
+  }
+}
+
+/// ReLU outputs for the fused backward gradient: mostly positive, some
+/// exact zeros, some negative (any value <= 0 clears the gradient).
+std::vector<double> relu_post(Rng& rng, std::size_t n) {
+  std::vector<double> v = random_vec(rng, n);
+  for (std::size_t i = 0; i < n; i += 5) v[i] = 0.0;
+  return v;
+}
+
+TEST(DenseSimd, MinibatchLayerKernelsBitIdenticalAcrossTables) {
   const auto* scalar = simd::dense_kernels_for(simd::Isa::kScalar);
   Rng rng(13);
   for (const auto* table : native_tables()) {
-    for (std::size_t rows : {1u, 2u, 4u, 7u}) {
-      for (std::size_t cols : {1u, 3u, 4u, 9u}) {
-        const std::vector<double> w = random_vec(rng, rows * cols);
-        const std::vector<double> bias = random_vec(rng, rows);
-        const std::vector<double> in = random_vec(rng, cols * kB);
-        const std::vector<double> delta = random_vec(rng, rows * kB);
+    for (std::size_t nb : {1u, 2u, 3u, 4u}) {
+      for (std::size_t rows : {1u, 2u, 3u, 5u, 7u, 10u}) {
+        for (std::size_t cols : {1u, 3u, 4u, 6u, 9u, 16u}) {
+          const std::string shape = "nb=" + std::to_string(nb) + " rows=" +
+                                    std::to_string(rows) + " cols=" + std::to_string(cols);
+          const std::vector<double> w = random_vec(rng, rows * cols);
+          const std::vector<double> bias = random_vec(rng, rows);
+          const std::vector<double> in = random_vec(rng, nb * cols * kB);
+          const std::vector<double> delta = random_vec(rng, nb * rows * kB);
+          const std::vector<double> post = relu_post(rng, nb * cols * kB);
 
-        std::vector<double> out0(rows * kB), out1(rows * kB);
-        scalar->layer_fwd8(w.data(), bias.data(), in.data(), out0.data(), rows, cols);
-        table->layer_fwd8(w.data(), bias.data(), in.data(), out1.data(), rows, cols);
-        expect_bits_equal(out0, out1);
+          for (bool relu : {false, true}) {
+            std::vector<double> out0(nb * rows * kB), out1(nb * rows * kB);
+            scalar->layer_fwd(w.data(), bias.data(), in.data(), out0.data(), rows, cols, nb,
+                              relu);
+            table->layer_fwd(w.data(), bias.data(), in.data(), out1.data(), rows, cols, nb,
+                             relu);
+            expect_same_values(out0, out1, "fwd " + shape);
+          }
 
-        std::vector<double> gw0 = random_vec(rng, rows * cols), gw1 = gw0;
-        std::vector<double> gb0 = random_vec(rng, rows), gb1 = gb0;
-        scalar->layer_grad8(delta.data(), in.data(), gw0.data(), gb0.data(), rows, cols);
-        table->layer_grad8(delta.data(), in.data(), gw1.data(), gb1.data(), rows, cols);
-        expect_bits_equal(gw0, gw1);
-        expect_bits_equal(gb0, gb1);
+          std::vector<double> gw0 = random_vec(rng, rows * cols), gw1 = gw0;
+          std::vector<double> gb0 = random_vec(rng, rows), gb1 = gb0;
+          scalar->layer_grad(delta.data(), in.data(), gw0.data(), gb0.data(), rows, cols, nb);
+          table->layer_grad(delta.data(), in.data(), gw1.data(), gb1.data(), rows, cols, nb);
+          expect_same_values(gw0, gw1, "grad w " + shape);
+          expect_same_values(gb0, gb1, "grad b " + shape);
 
-        std::vector<double> prev0(cols * kB, 0.0), prev1(cols * kB, 0.0);
-        scalar->layer_back8(w.data(), delta.data(), prev0.data(), rows, cols);
-        table->layer_back8(w.data(), delta.data(), prev1.data(), rows, cols);
-        expect_bits_equal(prev0, prev1);
+          for (const double* p : {static_cast<const double*>(nullptr), post.data()}) {
+            // Stale contents must be overwritten, not accumulated into.
+            std::vector<double> prev0 = random_vec(rng, nb * cols * kB), prev1 = prev0;
+            scalar->layer_back(w.data(), delta.data(), p, prev0.data(), rows, cols, nb);
+            table->layer_back(w.data(), delta.data(), p, prev1.data(), rows, cols, nb);
+            expect_same_values(prev0, prev1, "back " + shape);
+          }
+        }
       }
+    }
+  }
+}
+
+/// The documented per-element order, spelled out independently of the
+/// tables: forward is bias plus a c-ascending chain, backward a
+/// r-ascending chain from +0.0 with the ReLU mask, and gradients add each
+/// block's canonical sum8 in block order — so one multi-block call equals
+/// one single-block call per block.
+TEST(DenseSimd, MinibatchLayerKernelsFollowDocumentedOrder) {
+  const auto* scalar = simd::dense_kernels_for(simd::Isa::kScalar);
+  Rng rng(17);
+  constexpr std::size_t nb = 3, rows = 5, cols = 6;
+  const std::vector<double> w = random_vec(rng, rows * cols);
+  const std::vector<double> bias = random_vec(rng, rows);
+  const std::vector<double> in = random_vec(rng, nb * cols * kB);
+  const std::vector<double> delta = random_vec(rng, nb * rows * kB);
+  const std::vector<double> post = relu_post(rng, nb * cols * kB);
+
+  std::vector<double> out(nb * rows * kB), prev(nb * cols * kB);
+  scalar->layer_fwd(w.data(), bias.data(), in.data(), out.data(), rows, cols, nb, true);
+  scalar->layer_back(w.data(), delta.data(), post.data(), prev.data(), rows, cols, nb);
+  for (std::size_t b = 0; b < nb; ++b) {
+    for (std::size_t j = 0; j < kB; ++j) {
+      for (std::size_t r = 0; r < rows; ++r) {
+        double acc = bias[r];
+        for (std::size_t c = 0; c < cols; ++c) acc += w[r * cols + c] * in[(b * cols + c) * kB + j];
+        EXPECT_TRUE(same_value(out[(b * rows + r) * kB + j], acc > 0.0 ? acc : 0.0));
+      }
+      for (std::size_t c = 0; c < cols; ++c) {
+        double acc = 0.0;
+        for (std::size_t r = 0; r < rows; ++r) acc += w[r * cols + c] * delta[(b * rows + r) * kB + j];
+        const std::size_t at = (b * cols + c) * kB + j;
+        EXPECT_TRUE(same_value(prev[at], post[at] <= 0.0 ? 0.0 : acc));
+      }
+    }
+  }
+
+  std::vector<double> gw_multi(rows * cols, 0.25), gb_multi(rows, -0.5);
+  std::vector<double> gw_seq = gw_multi, gb_seq = gb_multi;
+  scalar->layer_grad(delta.data(), in.data(), gw_multi.data(), gb_multi.data(), rows, cols, nb);
+  for (std::size_t b = 0; b < nb; ++b) {
+    scalar->layer_grad(delta.data() + b * rows * kB, in.data() + b * cols * kB, gw_seq.data(),
+                       gb_seq.data(), rows, cols, 1);
+  }
+  expect_same_values(gw_multi, gw_seq, "grad w multi vs per-block");
+  expect_same_values(gb_multi, gb_seq, "grad b multi vs per-block");
+}
+
+/// SoA logits for n samples in ceil(n/8) blocks of `rows` classes.
+struct SoftmaxCase {
+  std::size_t n;
+  std::size_t rows;
+  std::vector<double> logits;
+  std::vector<unsigned long> labels;
+};
+
+SoftmaxCase softmax_case(Rng& rng, std::size_t n, std::size_t rows, double span) {
+  SoftmaxCase c{n, rows, {}, {}};
+  const std::size_t blocks = (n + kB - 1) / kB;
+  c.logits = random_vec(rng, blocks * rows * kB, span);
+  for (std::size_t i = 0; i < n; ++i) c.labels.push_back((i * 7 + 3) % rows);
+  return c;
+}
+
+double& logit(SoftmaxCase& c, std::size_t sample, std::size_t r) {
+  return c.logits[(sample / kB) * c.rows * kB + r * kB + sample % kB];
+}
+
+/// Softmax edge cases: tied maxima (including a -0.0/+0.0 tie), logit gaps
+/// past kFastExpUnderflow, and infinite logits.
+std::vector<SoftmaxCase> softmax_cases() {
+  Rng rng(19);
+  std::vector<SoftmaxCase> cases;
+  for (std::size_t n = 1; n <= 8; ++n) {
+    for (std::size_t rows : {1u, 2u, 3u, 10u}) {
+      cases.push_back(softmax_case(rng, n, rows, 3.0));
+      if (rows < 2) continue;
+      SoftmaxCase tied = softmax_case(rng, n, rows, 3.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        logit(tied, i, rows - 1) = logit(tied, i, 0) = 5.0;
+      }
+      if (rows >= 3) {
+        logit(tied, 0, 0) = -0.0;
+        logit(tied, 0, 1) = 0.0;
+        logit(tied, 0, 2) = -1.0;
+      }
+      cases.push_back(tied);
+      SoftmaxCase gap = softmax_case(rng, n, rows, 3.0);
+      for (std::size_t i = 0; i < n; ++i) logit(gap, i, i % rows) = -900.0 - static_cast<double>(i);
+      cases.push_back(gap);
+      SoftmaxCase inf = softmax_case(rng, n, rows, 3.0);
+      logit(inf, 0, 0) = -std::numeric_limits<double>::infinity();
+      if (n > 1) logit(inf, n - 1, rows - 1) = std::numeric_limits<double>::infinity();
+      cases.push_back(inf);
+    }
+  }
+  for (std::size_t n : {13u, 20u, 32u}) cases.push_back(softmax_case(rng, n, 10, 8.0));
+  return cases;
+}
+
+TEST(DenseSimd, SoftmaxKernelMatchesPerLaneReferenceOnEveryTable) {
+  std::vector<const simd::DenseKernels*> tables = native_tables();
+  tables.push_back(simd::dense_kernels_for(simd::Isa::kScalar));
+  for (const SoftmaxCase& c : softmax_cases()) {
+    const std::string what = "n=" + std::to_string(c.n) + " rows=" + std::to_string(c.rows);
+    // Reference: the per-lane fast softmax the trainer used to gather into,
+    // with each block's lane losses summed from 0.0 before joining `loss`.
+    const std::size_t blocks = (c.n + kB - 1) / kB;
+    std::vector<double> want_delta(blocks * c.rows * kB, 0.0);
+    double want_loss = 0.25;
+    std::vector<double> lane(c.rows), grad;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      double block_loss = 0.0;
+      for (std::size_t j = 0; j < kB && b * kB + j < c.n; ++j) {
+        for (std::size_t r = 0; r < c.rows; ++r) lane[r] = c.logits[(b * c.rows + r) * kB + j];
+        block_loss += softmax_cross_entropy_fast(lane, c.labels[b * kB + j], &grad);
+        for (std::size_t r = 0; r < c.rows; ++r) want_delta[(b * c.rows + r) * kB + j] = grad[r];
+      }
+      want_loss += block_loss;
+    }
+    for (const auto* table : tables) {
+      std::vector<double> delta(want_delta.size(), 7.0);
+      double loss = 0.25;
+      table->softmax_xent(c.logits.data(), c.labels.data(), c.n, c.rows, delta.data(), &loss);
+      expect_same_values(delta, want_delta, "softmax delta " + what);
+      EXPECT_TRUE(same_value(loss, want_loss)) << what << ": " << loss << " vs " << want_loss;
+    }
+  }
+}
+
+/// HEAD-era QAT arithmetic: clamp(llround(w / scale)) * scale through an
+/// integer code, so a zero code is +0.0.
+double llround_reference(double w, double scale, int qmax) {
+  const auto q = static_cast<long>(std::llround(w / scale));
+  return static_cast<double>(static_cast<int>(std::clamp<long>(q, -qmax, qmax))) * scale;
+}
+
+TEST(DenseSimd, FakeQuantizeMatchesLlroundOnEveryTable) {
+  std::vector<const simd::DenseKernels*> tables = native_tables();
+  tables.push_back(simd::dense_kernels_for(simd::Isa::kScalar));
+  Rng rng(23);
+  struct Case {
+    std::string name;
+    std::vector<double> w;
+    double scale;
+    int qmax;
+  };
+  std::vector<Case> cases;
+  // Exact ties: scale is a power of two, so w / scale is exactly k + 0.5.
+  Case ties{"ties", {}, 0.25, 7};
+  for (int k = -8; k <= 8; ++k) {
+    ties.w.push_back((k + 0.5) * 0.25);
+    ties.w.push_back((k - 0.5) * 0.25);
+    ties.w.push_back(k * 0.25);
+  }
+  cases.push_back(ties);
+  // Clamps at +-qmax, from just inside to far outside the range.
+  Case clamps{"clamps", {}, 0.125, 3};
+  for (double v : {3.0, 3.49, 3.5, 3.51, 4.0, 100.0}) {
+    clamps.w.push_back(v * 0.125);
+    clamps.w.push_back(-v * 0.125);
+  }
+  cases.push_back(clamps);
+  cases.push_back({"zeros", std::vector<double>(13, 0.0), 0.5, 127});
+  cases.push_back({"negative zeros", std::vector<double>(7, -0.0), 0.5, 127});
+  for (int bits : {2, 3, 4, 8, 16}) {
+    const int qmax = (1 << (bits - 1)) - 1;
+    for (std::size_t n : {1u, 3u, 4u, 7u, 29u}) {
+      std::vector<double> w = random_vec(rng, n, 0.3);
+      double amax = 0.0;
+      for (double v : w) amax = std::max(amax, std::abs(v));
+      cases.push_back({"random b" + std::to_string(bits), w, amax / qmax, qmax});
+    }
+  }
+  for (const Case& c : cases) {
+    std::vector<double> want(c.w.size());
+    for (std::size_t i = 0; i < c.w.size(); ++i) want[i] = llround_reference(c.w[i], c.scale, c.qmax);
+    for (const auto* table : tables) {
+      std::vector<double> got(c.w.size(), 9.0);
+      table->fake_quantize(c.w.data(), got.data(), c.w.size(), c.scale,
+                           static_cast<double>(c.qmax));
+      expect_same_values(got, want, "fake_quantize " + c.name);
+      std::vector<double> inplace = c.w;  // dst may alias src
+      table->fake_quantize(inplace.data(), inplace.data(), inplace.size(), c.scale,
+                           static_cast<double>(c.qmax));
+      expect_same_values(inplace, want, "fake_quantize in place " + c.name);
     }
   }
 }
@@ -146,53 +377,96 @@ TEST(DenseSimd, ForceAndResetSwitchTables) {
   EXPECT_EQ(&simd::dense_kernels(), active);
 }
 
-/// The blocked path and the per-sample path reduce in different orders, so
-/// they agree to float tolerance, not bit-for-bit (the accuracy-neutral
-/// contract) — including for partial blocks, whose padding lanes must
-/// contribute exactly nothing.
-TEST(DenseSimd, BlockedBackpropMatchesPerSampleWithinTolerance) {
-  Rng rng(29);
-  Mlp model({5, 6, 4, 3}, rng);
+Dataset random_dataset(Rng& rng, std::size_t n) {
   Dataset data;
-  data.name = "blocked-vs-sample";
+  data.name = "minibatch-vs-sample";
   data.n_classes = 3;
-  for (std::size_t i = 0; i < 11; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     data.x.push_back(random_vec(rng, 5));
     data.y.push_back(i % 3);
   }
+  return data;
+}
 
-  for (std::size_t lanes : {std::size_t{8}, std::size_t{3}, std::size_t{1}}) {
-    std::vector<std::size_t> idx(lanes);
-    for (std::size_t j = 0; j < lanes; ++j) idx[j] = (j * 5 + 1) % data.x.size();
+/// The minibatch path and the per-sample path reduce in different orders,
+/// so they agree to float tolerance, not bit-for-bit (the accuracy-neutral
+/// contract) — including for partial blocks, whose padding lanes must
+/// contribute exactly nothing.
+TEST(DenseSimd, MinibatchBackpropMatchesPerSampleWithinTolerance) {
+  Rng rng(29);
+  Mlp model({5, 6, 4, 3}, rng);
+  const Dataset data = random_dataset(rng, 40);
+
+  for (std::size_t n : {1u, 3u, 8u, 13u, 32u}) {
+    std::vector<std::size_t> idx(n);
+    for (std::size_t i = 0; i < n; ++i) idx[i] = (i * 5 + 1) % data.x.size();
 
     Gradients ref = Gradients::zeros_like(model);
     BackpropScratch ref_scratch;
     double ref_loss = 0.0;
-    for (std::size_t j = 0; j < lanes; ++j) {
-      ref_loss += backprop_sample(model, data.x[idx[j]], data.y[idx[j]], ref,
-                                  ref_scratch);
+    for (std::size_t i = 0; i < n; ++i) {
+      ref_loss += backprop_sample(model, data.x[idx[i]], data.y[idx[i]], ref, ref_scratch);
     }
 
     Gradients blocked = Gradients::zeros_like(model);
     BlockBackpropScratch scratch;
-    const double loss = backprop_block(model, data, idx.data(), lanes, blocked, scratch);
+    double loss = 0.0;
+    backprop_minibatch(model, data, idx.data(), n, blocked, scratch, loss);
 
-    EXPECT_NEAR(loss, ref_loss, 1e-9 * (1.0 + std::abs(ref_loss))) << "lanes " << lanes;
+    EXPECT_NEAR(loss, ref_loss, 1e-9 * (1.0 + std::abs(ref_loss))) << "n " << n;
     for (std::size_t li = 0; li < model.layer_count(); ++li) {
       const auto& rw = ref.w[li].raw();
       const auto& bw = blocked.w[li].raw();
       ASSERT_EQ(rw.size(), bw.size());
       for (std::size_t i = 0; i < rw.size(); ++i) {
         EXPECT_NEAR(bw[i], rw[i], 1e-9 * (1.0 + std::abs(rw[i])))
-            << "layer " << li << " w[" << i << "] lanes " << lanes;
+            << "layer " << li << " w[" << i << "] n " << n;
       }
       for (std::size_t r = 0; r < ref.b[li].size(); ++r) {
-        EXPECT_NEAR(blocked.b[li][r], ref.b[li][r],
-                    1e-9 * (1.0 + std::abs(ref.b[li][r])))
-            << "layer " << li << " b[" << r << "] lanes " << lanes;
+        EXPECT_NEAR(blocked.b[li][r], ref.b[li][r], 1e-9 * (1.0 + std::abs(ref.b[li][r])))
+            << "layer " << li << " b[" << r << "] n " << n;
       }
     }
   }
+}
+
+/// One minibatch call is bit-identical to one call per 8-sample block: the
+/// gradients and the loss accumulate block by block in the same order.
+TEST(DenseSimd, MinibatchBackpropEqualsBlockByBlock) {
+  Rng rng(31);
+  Mlp model({5, 6, 4, 3}, rng);
+  const Dataset data = random_dataset(rng, 21);
+  std::vector<std::size_t> idx(21);
+  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = (i * 8 + 3) % idx.size();
+
+  Gradients whole = Gradients::zeros_like(model);
+  Gradients split = Gradients::zeros_like(model);
+  BlockBackpropScratch scratch;
+  double whole_loss = 0.125;
+  double split_loss = 0.125;
+  backprop_minibatch(model, data, idx.data(), idx.size(), whole, scratch, whole_loss);
+  for (std::size_t i = 0; i < idx.size(); i += kB) {
+    backprop_minibatch(model, data, idx.data() + i, std::min(kB, idx.size() - i), split,
+                       scratch, split_loss);
+  }
+  EXPECT_TRUE(same_value(whole_loss, split_loss));
+  for (std::size_t li = 0; li < model.layer_count(); ++li) {
+    expect_same_values(whole.w[li].raw(), split.w[li].raw(), "w layer " + std::to_string(li));
+    expect_same_values(whole.b[li], split.b[li], "b layer " + std::to_string(li));
+  }
+}
+
+TEST(DenseSimd, MinibatchBackpropRejectsOutOfRangeLabel) {
+  Rng rng(37);
+  Mlp model({5, 4, 3}, rng);
+  Dataset data = random_dataset(rng, 4);
+  data.y[2] = 3;
+  const std::vector<std::size_t> idx = {0, 1, 2, 3};
+  Gradients grads = Gradients::zeros_like(model);
+  BlockBackpropScratch scratch;
+  double loss = 0.0;
+  EXPECT_THROW(backprop_minibatch(model, data, idx.data(), idx.size(), grads, scratch, loss),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -69,6 +71,40 @@ TEST(FastMath, ExpRandomPointsAndExactAnchors) {
   EXPECT_EQ(fast_exp(-std::numeric_limits<double>::infinity()), 0.0);
   EXPECT_TRUE(std::isinf(fast_exp(800.0)));  // monotone saturation
   EXPECT_TRUE(std::isnan(fast_exp(std::numeric_limits<double>::quiet_NaN())));
+}
+
+/// fast_exp rounds k = floor(x*log2e + 1/2) inline; the result must be the
+/// same bits as the libm-floor formulation it replaced, over the whole
+/// clamped range and at the clamp edges.
+double fast_exp_libm_floor(double x) {
+  const double hi = x > kFastExpOverflow ? kFastExpOverflow : x;
+  const double lo = hi < kFastExpUnderflow ? kFastExpUnderflow : hi;
+  const double kd = std::floor(lo * fastexp::kLog2E + 0.5);
+  const double r = (lo - kd * fastexp::kLn2Hi) - kd * fastexp::kLn2Lo;
+  double p = fastexp::kPoly[0];
+  for (std::size_t i = 1; i < std::size(fastexp::kPoly); ++i) p = p * r + fastexp::kPoly[i];
+  const auto k = static_cast<std::int64_t>(kd);
+  const double e = p * std::bit_cast<double>(static_cast<std::uint64_t>(k + 1023) << 52);
+  return x < kFastExpUnderflow ? 0.0 : e;
+}
+
+TEST(FastMath, InlineFloorMatchesLibmFloorBitForBit) {
+  std::vector<double> xs = {0.0,   -0.0, kFastExpOverflow, kFastExpUnderflow, -708.5,
+                            710.0, 1e6,  -1e6,             0.5 / fastexp::kLog2E};
+  for (double x = -720.0; x <= 720.0; x += 0.00731) xs.push_back(x);
+  // Points where x*log2e + 1/2 lands on or next to an integer, the only
+  // inputs where a floor could round the wrong way.
+  for (int k = -1021; k <= 1024; ++k) {
+    const double x = (k - 0.5) / fastexp::kLog2E;
+    xs.push_back(x);
+    xs.push_back(std::nextafter(x, -1e9));
+    xs.push_back(std::nextafter(x, 1e9));
+  }
+  for (double x : xs) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(fast_exp(x)),
+              std::bit_cast<std::uint64_t>(fast_exp_libm_floor(x)))
+        << "x = " << x;
+  }
 }
 
 TEST(FastMath, BatchExpMatchesScalarAndAllowsAliasing) {

@@ -1,0 +1,218 @@
+/// Bit-identity gate for fine-tuning.  Each case trains a network and
+/// hashes (fnv1a64) the exact bytes of the trained weights, biases and —
+/// where the caller sees it — the per-epoch loss trace.  The committed
+/// digests pin the trainer's arithmetic: any change to the blocked
+/// forward/backward kernels, the softmax, the QAT view, the optimizer or
+/// the order in which any of them reduce moves a digest.
+///
+/// Every digest must hold under the active dense-kernel table and under
+/// the forced scalar table (the determinism contract in nn/dense_simd.hpp),
+/// for both softmax modes of the blocked path: the default fast softmax
+/// and the libm reference (set_softmax_fast_math(false)).
+///
+/// Regenerate a digest only for a declared numerics change: the test
+/// prints every computed digest next to its name.
+
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <iostream>
+#include <string>
+#include <vector>
+
+#include "pnm/core/eval.hpp"
+#include "pnm/core/flow.hpp"
+#include "pnm/core/quantize.hpp"
+#include "pnm/data/scaler.hpp"
+#include "pnm/data/synth.hpp"
+#include "pnm/nn/dense_simd.hpp"
+#include "pnm/nn/trainer.hpp"
+#include "pnm/util/fileio.hpp"
+
+namespace pnm {
+namespace {
+
+void append_bytes(std::string& out, const std::vector<double>& v) {
+  const std::size_t at = out.size();
+  out.resize(at + v.size() * sizeof(double));
+  if (!v.empty()) std::memcpy(out.data() + at, v.data(), v.size() * sizeof(double));
+}
+
+std::string digest(const Mlp& model, const std::vector<double>& epoch_loss) {
+  std::string bytes;
+  for (const auto& layer : model.layers()) {
+    append_bytes(bytes, layer.weights.raw());
+    append_bytes(bytes, layer.bias);
+  }
+  append_bytes(bytes, epoch_loss);
+  return fnv1a64_hex(bytes);
+}
+
+/// One trainer math configuration; restores the shipped defaults on exit.
+struct Mode {
+  const char* name;
+  bool fast_softmax;
+  simd::Isa kernels;
+};
+
+class ScopedMode {
+ public:
+  explicit ScopedMode(const Mode& mode) {
+    set_softmax_fast_math(mode.fast_softmax);
+    set_blocked_backprop(true);
+    simd::force_dense_kernels(mode.kernels);
+  }
+  ~ScopedMode() {
+    set_softmax_fast_math(true);
+    set_blocked_backprop(true);
+    simd::reset_dense_kernels();
+  }
+  ScopedMode(const ScopedMode&) = delete;
+  ScopedMode& operator=(const ScopedMode&) = delete;
+};
+
+/// The fast-softmax digest must hold on both tables, and so must the libm
+/// one.
+const Mode kFastModes[] = {{"fast/active", true, simd::active_isa()},
+                           {"fast/scalar", true, simd::Isa::kScalar}};
+const Mode kLibmModes[] = {{"libm/active", false, simd::active_isa()},
+                           {"libm/scalar", false, simd::Isa::kScalar}};
+
+struct Golden {
+  const char* name;
+  const char* fast;  ///< digest under the fast softmax
+  const char* libm;  ///< digest under the libm softmax
+};
+
+template <typename Run>
+void check_case(const Golden& golden, Run run) {
+  for (const Mode& mode : kFastModes) {
+    ScopedMode scoped(mode);
+    const std::string d = run();
+    std::cout << "  " << golden.name << " [" << mode.name << "]: " << d << "\n";
+    EXPECT_EQ(d, golden.fast) << golden.name << " under " << mode.name;
+  }
+  for (const Mode& mode : kLibmModes) {
+    ScopedMode scoped(mode);
+    const std::string d = run();
+    std::cout << "  " << golden.name << " [" << mode.name << "]: " << d << "\n";
+    EXPECT_EQ(d, golden.libm) << golden.name << " under " << mode.name;
+  }
+}
+
+Dataset scaled_synthetic(std::size_t features, std::size_t classes, std::size_t samples,
+                         std::uint64_t seed) {
+  SynthConfig cfg;
+  cfg.name = "golden";
+  cfg.n_features = features;
+  cfg.n_classes = classes;
+  cfg.n_samples = samples;
+  cfg.class_separation = 2.5;
+  Rng rng(seed);
+  Dataset data = make_synthetic(cfg, rng);
+  MinMaxScaler scaler;
+  scaler.fit(data);
+  return scaler.transform(data);
+}
+
+/// The GA fitness path: prune + cluster + QAT fine-tune on pendigits.  The
+/// flow's baseline is itself trained by the same trainer, so its digest
+/// is folded into every genome's.
+TEST(TrainerGolden, MinimizeFloatOnPendigits) {
+  static const MinimizationFlow flow = [] {
+    FlowConfig config;
+    config.dataset_name = "pendigits";
+    config.seed = 42;
+    config.train.epochs = 12;
+    MinimizationFlow f(config);
+    f.prepare();
+    return f;
+  }();
+  const std::string baseline = digest(flow.float_model(), {});
+  std::cout << "  pendigits baseline: " << baseline << "\n";
+  EXPECT_EQ(baseline, "ac11d1e42db74689") << "pendigits baseline";
+
+  struct GenomeCase {
+    Genome genome;
+    Golden golden;
+  };
+  const GenomeCase cases[] = {
+      {{{2, 2}, {0, 0}, {0, 0}, {}}, {"b2,2|s0,0|c0,0", "5e1a13125902c47d", "31ef3b4f9a5c42df"}},
+      {{{3, 4}, {10, 20}, {2, 0}, {}}, {"b3,4|s10,20|c2,0", "a5a6449ee4bf9067", "632e9a0f0ed08c16"}},
+      {{{4, 4}, {30, 10}, {0, 8}, {}}, {"b4,4|s30,10|c0,8", "79ced1edbfb8beef", "8c58dfb1d29ad250"}},
+      {{{5, 6}, {50, 0}, {8, 2}, {}}, {"b5,6|s50,0|c8,2", "2c02d0556e7df6b0", "ec85566fd631bab8"}},
+      {{{6, 8}, {70, 40}, {0, 0}, {}}, {"b6,8|s70,40|c0,0", "5917a4fb558f9e5d", "9ec2823ccb16e215"}},
+      {{{8, 7}, {20, 70}, {2, 8}, {}}, {"b8,7|s20,70|c2,8", "fc1f80837ca84a4d", "ac8d558233dc1592"}},
+  };
+  const ProxyEvaluator proxy = flow.proxy_evaluator(2);
+  for (const GenomeCase& c : cases) {
+    check_case(c.golden, [&] { return digest(proxy.minimize_float(c.genome), {}); });
+  }
+}
+
+/// 101 samples at batch 13: every minibatch ends in a partial 8-lane
+/// block (13 = 8 + 5) and the last minibatch is short (10 = 8 + 2).
+TEST(TrainerGolden, PartialBlocksAndShortLastMinibatch) {
+  const Dataset data = scaled_synthetic(5, 3, 101, 501);
+  const Golden golden{"qat-b13-n101", "deef83c9acfa6b72", "616624adfda10262"};
+  check_case(golden, [&] {
+    Rng init(502);
+    Mlp model({5, 7, 3}, init);
+    TrainConfig cfg;
+    cfg.epochs = 4;
+    cfg.batch_size = 13;
+    cfg.lr = 4e-3;
+    cfg.weight_decay = 1e-4;
+    Trainer trainer(cfg);
+    trainer.set_weight_view(make_qat_view(QuantSpec::uniform(2, 4)));
+    Rng rng(503);
+    const TrainResult result = trainer.fit(model, data, rng);
+    return digest(model, result.epoch_loss);
+  });
+}
+
+/// Smooth activations take the unfused activation path; SGD with momentum,
+/// weight decay and a decaying learning rate covers the other optimizer.
+TEST(TrainerGolden, TanhAndSigmoidTwoHiddenLayersUnderSgd) {
+  const Dataset data = scaled_synthetic(6, 4, 150, 601);
+  const Golden goldens[] = {{"tanh-sgd", "c6166fac685bbc16", "16f1b8416c6860df"},
+                            {"sigmoid-sgd", "dc48f01d6dc61f88", "8b943ef16cd2da1c"}};
+  const Activation acts[] = {Activation::kTanh, Activation::kSigmoid};
+  for (std::size_t i = 0; i < 2; ++i) {
+    check_case(goldens[i], [&] {
+      Rng init(602);
+      Mlp model({6, 8, 5, 4}, init, acts[i]);
+      TrainConfig cfg;
+      cfg.epochs = 5;
+      cfg.batch_size = 16;
+      cfg.optimizer = Optimizer::kSgd;
+      cfg.lr = 0.05;
+      cfg.momentum = 0.9;
+      cfg.weight_decay = 1e-3;
+      cfg.lr_decay = 0.9;
+      Trainer trainer(cfg);
+      Rng rng(603);
+      const TrainResult result = trainer.fit(model, data, rng);
+      return digest(model, result.epoch_loss);
+    });
+  }
+}
+
+/// Plain training: no weight view, no projector.
+TEST(TrainerGolden, PlainTrainingWithoutHooks) {
+  const Dataset data = scaled_synthetic(4, 3, 300, 701);
+  const Golden golden{"plain-adam", "1eac9c4f939cac97", "58c5dfe982321a3d"};
+  check_case(golden, [&] {
+    Rng init(702);
+    Mlp model({4, 6, 3}, init);
+    TrainConfig cfg;
+    cfg.epochs = 6;
+    Trainer trainer(cfg);
+    Rng rng(703);
+    const TrainResult result = trainer.fit(model, data, rng);
+    return digest(model, result.epoch_loss);
+  });
+}
+
+}  // namespace
+}  // namespace pnm

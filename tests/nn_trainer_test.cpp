@@ -106,6 +106,43 @@ TEST(Trainer, DeterministicGivenSeed) {
   }
 }
 
+/// One Trainer fitting a second model must leave it exactly as a fresh
+/// Trainer would: the optimizer state is sized to, and zeroed for, every
+/// fit — for an equal-shape refit (no carried-over moments or step count)
+/// and for a wider model of the same depth (no writes past the state).
+TEST(Trainer, RefitMatchesFreshTrainer) {
+  const Dataset data = easy_dataset();
+  for (const Optimizer opt : {Optimizer::kAdam, Optimizer::kSgd}) {
+    for (const std::size_t width : {std::size_t{6}, std::size_t{13}}) {
+      TrainConfig cfg;
+      cfg.epochs = 3;
+      cfg.optimizer = opt;
+      cfg.lr = opt == Optimizer::kSgd ? 0.05 : 3e-3;
+      Rng init_a(11);
+      Mlp first({4, 6, 3}, init_a);
+      Rng init_b(12);
+      Mlp second({4, width, 3}, init_b);
+      Mlp fresh = second;
+
+      Trainer reused(cfg);
+      Rng rng_a(13);
+      reused.fit(first, data, rng_a);
+      Rng rng_b(14);
+      const TrainResult got = reused.fit(second, data, rng_b);
+      Rng rng_f(14);
+      const TrainResult want = Trainer(cfg).fit(fresh, data, rng_f);
+
+      EXPECT_EQ(got.epoch_loss, want.epoch_loss) << "width " << width;
+      for (std::size_t li = 0; li < second.layer_count(); ++li) {
+        EXPECT_EQ(second.layer(li).weights, fresh.layer(li).weights)
+            << "layer " << li << " width " << width;
+        EXPECT_EQ(second.layer(li).bias, fresh.layer(li).bias)
+            << "layer " << li << " width " << width;
+      }
+    }
+  }
+}
+
 TEST(Trainer, WeightDecayShrinksNorms) {
   const Dataset data = easy_dataset();
   TrainConfig cfg;
