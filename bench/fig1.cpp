@@ -1,8 +1,7 @@
-#ifndef PNM_BENCH_FIG1_RUNNER_HPP
-#define PNM_BENCH_FIG1_RUNNER_HPP
-
-/// \file fig1_runner.hpp
-/// \brief Shared driver for the four Figure-1 panels.
+/// \file fig1.cpp
+/// \brief Figure 1: standalone minimization fronts, one panel per run.
+///
+/// Usage: fig1 <whitewine|redwine|pendigits|seeds> [csv_dir]
 ///
 /// Paper, Figure 1: "Area-Accuracy trade-off of the printed MLPs with
 /// quantization, pruning, and weight clustering.  Values are normalized
@@ -11,16 +10,31 @@
 ///
 /// Parameters reproduce §III: unstructured pruning at 20-60 % sparsity,
 /// quantization at 2-7 bit weights, clustering over a range of cluster
-/// counts; the baseline is the unminimized 8-bit bespoke MLP.
+/// counts; the baseline is the unminimized 8-bit bespoke MLP.  csv_dir
+/// additionally dumps the three series as <csv_dir>/fig1_<dataset>.csv for
+/// plotting.
+
+#include <string>
 
 #include "common.hpp"
 
-namespace pnm::bench {
+int main(int argc, char** argv) {
+  using namespace pnm;
+  using namespace pnm::bench;
 
-/// Runs one Figure-1 panel.  csv_dir (e.g. from argv[1]) additionally
-/// dumps the three series as <csv_dir>/fig1_<dataset>.csv for plotting.
-inline int run_fig1(const std::string& dataset, const std::string& panel,
-                    const std::string& csv_dir = "") {
+  const std::string dataset = argc > 1 ? argv[1] : "";
+  const std::string csv_dir = argc > 2 ? argv[2] : "";
+  const char* panel = dataset == "whitewine" ? "a"
+                      : dataset == "redwine" ? "b"
+                      : dataset == "pendigits" ? "c"
+                      : dataset == "seeds"     ? "d"
+                                               : nullptr;
+  if (panel == nullptr || argc > 3) {
+    std::cerr << "usage: " << argv[0]
+              << " <whitewine|redwine|pendigits|seeds> [csv_dir]\n";
+    return 1;
+  }
+
   std::cout << "==============================================================\n";
   std::cout << "Figure 1(" << panel << "): standalone minimization fronts on " << dataset
             << "\n";
@@ -60,7 +74,3 @@ inline int run_fig1(const std::string& dataset, const std::string& panel,
   }
   return 0;
 }
-
-}  // namespace pnm::bench
-
-#endif  // PNM_BENCH_FIG1_RUNNER_HPP

@@ -21,19 +21,15 @@
 ///      duplicate evaluation records, and the workers' total fresh
 ///      evaluations must equal the serial run's.
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <thread>
+#include <utility>
 
-#include "pnm/core/eval_store.hpp"
+#include "common.hpp"
 #include "pnm/core/scenario.hpp"
 #include "pnm/util/fileio.hpp"
 
@@ -56,22 +52,6 @@ pnm::ScenarioSpec bench_spec(const std::string& store_dir) {
   };
   spec.store_dir = store_dir;
   return spec;
-}
-
-/// Total duplicate records across every eval store under the scenario's
-/// store directory.
-std::size_t store_duplicates(const std::string& store_dir) {
-  std::size_t duplicates = 0;
-  std::error_code ec;
-  std::filesystem::directory_iterator it(store_dir, ec);
-  if (ec) return duplicates;
-  for (const std::filesystem::directory_entry& entry : it) {
-    if (!entry.is_directory(ec) || ec) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.size() < 10 || name.substr(name.size() - 10) != ".evalstore") continue;
-    duplicates += pnm::EvalStore::count_duplicate_records(entry.path().string());
-  }
-  return duplicates;
 }
 
 /// Worst ungated fidelity delta — the tracked-not-gated baseline number.
@@ -152,61 +132,35 @@ int main() {
             << " fresh evaluations, drift report byte-identical: "
             << (drift_deterministic ? "yes" : "NO (BUG)") << " --\n";
 
-  // Two worker processes drain the same grid into one fresh shared store.
-  // Forked before any runner exists in this process, so no thread pool
-  // crosses the fork; dynamic claiming (no static shard) exercises the
-  // work-queue path.
-  std::fflush(nullptr);
+  // Two worker processes drain the same grid into one fresh shared store,
+  // claiming cells dynamically (no static shard) to exercise the
+  // work-queue path.  No runner, and so no thread pool, is alive here.
   const auto shard_start = std::chrono::steady_clock::now();
-  pid_t children[2] = {0, 0};
-  for (std::size_t j = 0; j < 2; ++j) {
-    const pid_t pid = fork();
-    if (pid < 0) {
-      std::perror("fork");
-      return 1;
-    }
-    if (pid == 0) {
-      ScenarioSpec spec = bench_spec(shard_store);
-      spec.writer_id = j;  // preferred store segment (probing makes any id safe)
-      int status = 0;
-      try {
-        ScenarioRunner worker(std::move(spec));
-        worker.run_worker();
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "worker %zu: %s\n", j, e.what());
-        status = 1;
-      }
-      std::fflush(nullptr);
-      _exit(status);
-    }
-    children[j] = pid;
-  }
-  bool worker_failed = false;
-  for (pid_t pid : children) {
-    int status = 0;
-    if (waitpid(pid, &status, 0) < 0 || !WIFEXITED(status) ||
-        WEXITSTATUS(status) != 0) {
-      worker_failed = true;
-    }
-  }
+  const bool workers_ok = run_worker_processes(2, [&](std::size_t j) {
+    ScenarioSpec spec = bench_spec(shard_store);
+    spec.writer_id = j;  // preferred store segment (probing makes any id safe)
+    ScenarioRunner(std::move(spec)).run_worker();
+    return 0;
+  });
   const std::optional<ScenarioResult> sharded =
-      worker_failed ? std::nullopt : collect_scenario(bench_spec(shard_store));
+      workers_ok ? collect_scenario(bench_spec(shard_store)) : std::nullopt;
   const double shard_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - shard_start)
           .count();
-  if (worker_failed || !sharded) {
-    std::cerr << "FAIL: " << (worker_failed ? "a worker process exited abnormally"
-                                            : "collect found missing/stale cells")
+  if (!sharded) {
+    std::cerr << "FAIL: "
+              << (workers_ok ? "collect found missing/stale cells"
+                             : "a worker process exited abnormally")
               << "\n";
     return 1;
   }
 
   const std::string shard_grid = sharded->grid_json();
   const std::size_t shard_misses = sharded->total_cache_misses();
-  const std::size_t duplicates = store_duplicates(shard_store);
+  const std::size_t duplicates = bench::store_duplicates(shard_store);
   const bool shard_identical = (shard_grid == serial_grid);
   const bool no_duplicate_evals = (shard_misses == serial_misses);
-  const unsigned cores = std::thread::hardware_concurrency();
+  const std::size_t cores = bench::machine_cores();
 
   std::cout << "-- 2-worker: " << shard_seconds << " s, " << shard_misses
             << " fresh evaluations across both workers --\n"
@@ -232,8 +186,8 @@ int main() {
        << ", \"two_worker_misses\": " << shard_misses
        << ", \"duplicate_store_records\": " << duplicates
        << ", \"fidelity_tolerance\": " << format_double_roundtrip(tolerance)
-       << ", \"max_gated_rel_delta\": " << format_double_roundtrip(gated_delta)
-       << ", \"max_ungated_rel_delta\": " << format_double_roundtrip(ungated_delta)
+       << ", \"max_gated_rel_delta\": " << json_number(gated_delta)
+       << ", \"max_ungated_rel_delta\": " << json_number(ungated_delta)
        << ", \"fidelity_violations\": " << violations
        << ", \"drift_report_deterministic\": "
        << (drift_deterministic ? "true" : "false")

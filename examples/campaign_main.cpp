@@ -9,25 +9,9 @@
 ///                 [--worker] [--shard-id K --num-shards N] [--jobs N]
 ///                 [--collect]
 ///
-/// Modes (all share one campaign spec; the scheduling modes need --store):
-///
-///   (default)    run every dataset x seed cell in this process, write the
-///                three report artifacts under PREFIX.
-///   --worker     one work-queue pass: claim available cells (flock claim
-///                files under DIR/claims), run them, publish each result
-///                as DIR/cells/<cell>.cell, and exit.  Run N of these
-///                concurrently — same machine, or hosts sharing a
-///                filesystem with working flock() semantics (local
-///                disks, NFSv4-class mounts; not NFSv3/SMB) — to drain
-///                one campaign into one shared store.
-///   --shard-id K --num-shards N
-///                restrict a --worker pass to cells where
-///                index % N == K (static sharding; shards never contend).
-///   --jobs N     supervisor: fork N local --worker subprocesses, wait,
-///                pick up any cell orphaned by a crashed worker, then
-///                collect and write the reports.
-///   --collect    only merge DIR/cells/* into the reports (fails if any
-///                cell is missing or stale).
+/// The campaign flags build the spec; the rest choose how its dataset x
+/// seed cells run (see cell_cli.hpp: serial by default, or --worker /
+/// --jobs / --collect over DIR/claims and DIR/cells/<cell>.cell).
 ///
 /// Report artifacts (default, --jobs, and --collect modes):
 ///
@@ -38,36 +22,17 @@
 ///                         with cmp)
 ///   PREFIX.report.json  — fronts + baselines + cache/timing statistics
 ///   PREFIX.md           — human-readable markdown report (also printed)
-///
-/// --require-warm makes the exit status assert the resume guarantee:
-/// nonzero unless every evaluation was served from the store (zero cache
-/// misses, nonzero hits).
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cell_cli.hpp"
 #include "pnm/core/campaign.hpp"
-#include "pnm/util/fileio.hpp"
 
 namespace {
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream stream(csv);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
 
 void usage(const char* argv0) {
   std::cerr << "usage: " << argv0
@@ -78,212 +43,64 @@ void usage(const char* argv0) {
                "       [--collect]\n";
 }
 
-int write_reports(const pnm::CampaignResult& result, const std::string& out_prefix,
-                  bool require_warm) {
-  std::cout << result.report_markdown() << '\n';
-  const std::string fronts_path = out_prefix + ".fronts.json";
-  const std::string report_path = out_prefix + ".report.json";
-  const std::string md_path = out_prefix + ".md";
-  bool wrote = pnm::write_text_file_atomic(fronts_path, result.fronts_json());
-  wrote = pnm::write_text_file_atomic(report_path, result.report_json()) && wrote;
-  wrote = pnm::write_text_file_atomic(md_path, result.report_markdown()) && wrote;
-  if (!wrote) {
-    std::cerr << "error: failed writing report files under prefix " << out_prefix
-              << '\n';
-    return EXIT_FAILURE;
-  }
-  std::cout << "wrote " << fronts_path << ", " << report_path << ", " << md_path
-            << '\n';
-
-  if (require_warm) {
-    if (result.total_cache_misses() != 0 || result.total_cache_hits() == 0) {
-      std::cerr << "--require-warm: expected a fully warm campaign, got "
-                << result.total_cache_hits() << " hits / "
-                << result.total_cache_misses() << " misses\n";
-      return EXIT_FAILURE;
-    }
-    std::cout << "warm-run check passed: every evaluation served from the store ("
-              << result.total_cache_hits() << " hits, 0 misses)\n";
-  }
-  return EXIT_SUCCESS;
-}
-
-void print_worker_summary(const char* who, const pnm::CampaignWorkerResult& w) {
-  std::cout << who << ": ran " << w.cells_run << " cell(s), skipped "
-            << w.cells_skipped_done << " done / " << w.cells_skipped_claimed
-            << " claimed by live workers / " << w.cells_skipped_other_shard
-            << " other-shard, in " << w.seconds << " s\n";
-}
-
-/// Runs one worker pass in this process (used by --worker and by each
-/// forked --jobs child).  Catches everything: a forked child must report
-/// and _exit, never unwind through main via std::terminate.
-int run_worker_pass(pnm::CampaignSpec spec, std::size_t shard_id,
-                    std::size_t num_shards, const char* who) {
-  try {
-    pnm::CampaignRunner runner(std::move(spec));
-    const pnm::CampaignWorkerResult w = runner.run_worker(shard_id, num_shards);
-    print_worker_summary(who, w);
-    return EXIT_SUCCESS;
-  } catch (const std::exception& e) {
-    std::cerr << who << ": error: " << e.what() << '\n';
-    return EXIT_FAILURE;
-  }
-}
+const pnm::cli::CellFamily<pnm::CampaignRunner, pnm::CampaignSpec, pnm::CampaignResult>
+    kCampaign{
+        "campaign", "cells", &pnm::collect_campaign,
+        [](const pnm::CampaignResult& r) {
+          return std::vector<std::pair<std::string, std::string>>{
+              {".fronts.json", r.fronts_json()},
+              {".report.json", r.report_json()},
+              {".md", r.report_markdown()}};
+        },
+        [](const pnm::CampaignSpec& s) {
+          return "campaign: " + std::to_string(s.datasets.size()) + " dataset(s) x " +
+                 std::to_string(s.seeds.size()) + " seed(s)";
+        }};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace pnm;
+  using pnm::cli::parse_count;
+  return pnm::cli::guarded([&] {
+    pnm::CampaignSpec spec;
+    spec.datasets = {"seeds"};
+    spec.base.train.epochs = 40;
+    spec.base.finetune_epochs = 8;
+    spec.ga.population = 16;
+    spec.ga.generations = 8;
+    pnm::cli::CellFlags flags;
+    flags.out_prefix = "campaign";
 
-  CampaignSpec spec;
-  spec.datasets = {"seeds"};
-  spec.base.train.epochs = 40;
-  spec.base.finetune_epochs = 8;
-  spec.ga.population = 16;
-  spec.ga.generations = 8;
-  std::string out_prefix = "campaign";
-  bool require_warm = false;
-  bool worker = false;
-  bool collect_only = false;
-  std::size_t shard_id = 0;
-  std::size_t num_shards = 1;
-  std::size_t jobs = 0;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg(argv[i]);
-    const bool has_value = i + 1 < argc;
-    if (arg == "--datasets" && has_value) {
-      spec.datasets = split_csv(argv[++i]);
-    } else if (arg == "--seeds" && has_value) {
-      spec.seeds.clear();
-      for (const std::string& s : split_csv(argv[++i])) {
-        spec.seeds.push_back(std::strtoull(s.c_str(), nullptr, 10));
-      }
-    } else if (arg == "--pop" && has_value) {
-      spec.ga.population = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--gens" && has_value) {
-      spec.ga.generations = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--train-epochs" && has_value) {
-      spec.base.train.epochs = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--finetune" && has_value) {
-      spec.base.finetune_epochs = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--ga-finetune" && has_value) {
-      spec.ga_finetune_epochs = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--threads" && has_value) {
-      spec.threads = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--store" && has_value) {
-      spec.store_dir = argv[++i];
-    } else if (arg == "--out" && has_value) {
-      out_prefix = argv[++i];
-    } else if (arg == "--require-warm") {
-      require_warm = true;
-    } else if (arg == "--worker") {
-      worker = true;
-    } else if (arg == "--collect") {
-      collect_only = true;
-    } else if (arg == "--shard-id" && has_value) {
-      shard_id = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--num-shards" && has_value) {
-      num_shards = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--jobs" && has_value) {
-      jobs = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else {
-      usage(argv[0]);
-      return EXIT_FAILURE;
-    }
-  }
-
-  const bool scheduling = worker || collect_only || jobs > 0;
-  if (scheduling && spec.store_dir.empty()) {
-    std::cerr << "error: --worker/--jobs/--collect need --store DIR (claims and "
-                 "cell results live there)\n";
-    return EXIT_FAILURE;
-  }
-  if ((worker && (collect_only || jobs > 0)) || (collect_only && jobs > 0)) {
-    std::cerr << "error: --worker, --jobs, and --collect are mutually exclusive\n";
-    return EXIT_FAILURE;
-  }
-
-  if (worker) {
-    // Distinct preferred store segments per shard: purely an optimization
-    // (the store probes past held segments anyway).
-    spec.writer_id = shard_id;
-    return run_worker_pass(std::move(spec), shard_id, num_shards, "worker");
-  }
-
-  if (collect_only) {
-    const std::optional<CampaignResult> result = collect_campaign(spec);
-    if (!result) {
-      std::cerr << "error: campaign incomplete — missing or stale cell results "
-                   "under "
-                << spec.store_dir << "/cells (run more workers, then collect "
-                << "again)\n";
-      return EXIT_FAILURE;
-    }
-    return write_reports(*result, out_prefix, require_warm);
-  }
-
-  if (jobs > 0) {
-    // Supervisor: fork the workers *before* any CampaignRunner exists in
-    // this process (so no thread pool crosses a fork), wait for them,
-    // sweep up anything a crashed worker orphaned, then collect.
-    std::cout << "supervisor: spawning " << jobs << " worker process(es)\n";
-    std::fflush(nullptr);
-    std::vector<pid_t> children;
-    for (std::size_t j = 0; j < jobs; ++j) {
-      const pid_t pid = fork();
-      if (pid < 0) {
-        std::perror("fork");
+    for (int i = 1; i < argc; ++i) {
+      if (flags.parse(argc, argv, i)) continue;
+      const std::string arg(argv[i]);
+      if (i + 1 >= argc) {
+        usage(argv[0]);
         return EXIT_FAILURE;
       }
-      if (pid == 0) {
-        CampaignSpec child_spec = spec;
-        child_spec.writer_id = j;  // preferred segment only; probing is safe
-        const int status = run_worker_pass(
-            std::move(child_spec), /*shard_id=*/0, /*num_shards=*/1, "worker");
-        std::fflush(nullptr);
-        _exit(status);
+      const char* value = argv[++i];
+      if (arg == "--datasets") {
+        spec.datasets = pnm::cli::split_csv(value);
+      } else if (arg == "--seeds") {
+        spec.seeds.clear();
+        for (const std::string& s : pnm::cli::split_csv(value)) {
+          spec.seeds.push_back(parse_count(arg, s));
+        }
+      } else if (arg == "--pop") {
+        spec.ga.population = parse_count(arg, value);
+      } else if (arg == "--gens") {
+        spec.ga.generations = parse_count(arg, value);
+      } else if (arg == "--train-epochs") {
+        spec.base.train.epochs = parse_count(arg, value);
+      } else if (arg == "--finetune") {
+        spec.base.finetune_epochs = parse_count(arg, value);
+      } else if (arg == "--ga-finetune") {
+        spec.ga_finetune_epochs = parse_count(arg, value);
+      } else {
+        usage(argv[0]);
+        return EXIT_FAILURE;
       }
-      children.push_back(pid);
     }
-    bool worker_failed = false;
-    for (pid_t pid : children) {
-      int status = 0;
-      if (waitpid(pid, &status, 0) < 0 || !WIFEXITED(status) ||
-          WEXITSTATUS(status) != EXIT_SUCCESS) {
-        worker_failed = true;
-      }
-    }
-    if (worker_failed) {
-      std::cerr << "supervisor: a worker exited abnormally — sweeping up its "
-                   "cells locally\n";
-    }
-    std::optional<CampaignResult> result = collect_campaign(spec);
-    if (!result) {
-      // A worker died mid-cell; its claim evaporated with it, so one
-      // local pass finishes the stragglers.
-      CampaignRunner sweeper(spec);
-      print_worker_summary("supervisor-sweep", sweeper.run_worker());
-      result = collect_campaign(spec);
-    }
-    if (!result) {
-      std::cerr << "error: campaign still incomplete after the sweep pass\n";
-      return EXIT_FAILURE;
-    }
-    return write_reports(*result, out_prefix, require_warm);
-  }
-
-  // Default: the whole campaign in this process.
-  CampaignRunner runner(std::move(spec));
-  std::cout << "campaign: " << runner.spec().datasets.size() << " dataset(s) x "
-            << runner.spec().seeds.size() << " seed(s), pop "
-            << runner.spec().ga.population << ", " << runner.spec().ga.generations
-            << " gens, " << runner.threads() << " shared worker thread(s)"
-            << (runner.spec().store_dir.empty()
-                    ? ", no persistence"
-                    : ", store dir " + runner.spec().store_dir)
-            << "\n\n";
-  const CampaignResult result = runner.run();
-  return write_reports(result, out_prefix, require_warm);
+    return pnm::cli::run_cells(std::move(spec), flags, kCampaign);
+  });
 }

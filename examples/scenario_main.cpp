@@ -12,19 +12,9 @@
 /// The grid itself (datasets, topologies, input bits, tech nodes, seeds,
 /// drifts, GA knobs, fidelity gate) lives entirely in the spec file — see
 /// parse_scenario_spec() in pnm/core/scenario.hpp for the format.  The
-/// flags only choose *how* the grid is executed:
-///
-///   (default)    run every cell in this process, write the artifacts.
-///   --worker     one work-queue pass: flock-claim available cells under
-///                DIR/sclaims, run them, publish DIR/scells/<id>.scell,
-///                exit.  Run N concurrently to drain one grid together.
-///   --shard-id K --num-shards N
-///                restrict a --worker pass to cells where index % N == K.
-///   --jobs N     supervisor: fork N local --worker subprocesses, wait,
-///                sweep up any orphaned cell, then collect and write the
-///                artifacts.
-///   --collect    only merge DIR/scells/* into the artifacts (fails if
-///                any cell is missing or stale).
+/// flags only choose *how* the grid is executed (see cell_cli.hpp: serial
+/// by default, or --worker / --jobs / --collect over DIR/sclaims and
+/// DIR/scells/<id>.scell).
 ///
 /// Report artifacts (default, --jobs, and --collect modes):
 ///
@@ -35,20 +25,15 @@
 ///                        (cell, drift, genome); same determinism contract
 ///   PREFIX.report.json — grid plus cache/timing statistics
 ///   PREFIX.md          — human-readable markdown summary (also printed)
-///
-/// --require-warm asserts the resume guarantee: nonzero exit unless every
-/// evaluation was served from the stores (zero misses, nonzero hits).
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cell_cli.hpp"
 #include "pnm/core/scenario.hpp"
 #include "pnm/util/fileio.hpp"
 
@@ -61,218 +46,57 @@ void usage(const char* argv0) {
                "       [--jobs N] [--collect]\n";
 }
 
-int write_reports(const pnm::ScenarioResult& result, const std::string& out_prefix,
-                  bool require_warm) {
-  std::cout << result.report_markdown() << '\n';
-  const std::string grid_path = out_prefix + ".grid.json";
-  const std::string drift_path = out_prefix + ".drift.tsv";
-  const std::string report_path = out_prefix + ".report.json";
-  const std::string md_path = out_prefix + ".md";
-  bool wrote = pnm::write_text_file_atomic(grid_path, result.grid_json());
-  wrote = pnm::write_text_file_atomic(drift_path, result.drift_report()) && wrote;
-  wrote = pnm::write_text_file_atomic(report_path, result.report_json()) && wrote;
-  wrote = pnm::write_text_file_atomic(md_path, result.report_markdown()) && wrote;
-  if (!wrote) {
-    std::cerr << "error: failed writing report files under prefix " << out_prefix
-              << '\n';
-    return EXIT_FAILURE;
-  }
-  std::cout << "wrote " << grid_path << ", " << drift_path << ", " << report_path
-            << ", " << md_path << '\n';
-
-  if (require_warm) {
-    if (result.total_cache_misses() != 0 || result.total_cache_hits() == 0) {
-      std::cerr << "--require-warm: expected a fully warm scenario run, got "
-                << result.total_cache_hits() << " hits / "
-                << result.total_cache_misses() << " misses\n";
-      return EXIT_FAILURE;
-    }
-    std::cout << "warm-run check passed: every evaluation served from the store ("
-              << result.total_cache_hits() << " hits, 0 misses)\n";
-  }
-  return EXIT_SUCCESS;
-}
-
-void print_worker_summary(const char* who, const pnm::CampaignWorkerResult& w) {
-  std::cout << who << ": ran " << w.cells_run << " cell(s), skipped "
-            << w.cells_skipped_done << " done / " << w.cells_skipped_claimed
-            << " claimed by live workers / " << w.cells_skipped_other_shard
-            << " other-shard, in " << w.seconds << " s\n";
-}
-
-/// One worker pass in this process (used by --worker and by each forked
-/// --jobs child).  Catches everything: a forked child must report and
-/// _exit, never unwind through main via std::terminate.
-int run_worker_pass(pnm::ScenarioSpec spec, std::size_t shard_id,
-                    std::size_t num_shards, const char* who) {
-  try {
-    pnm::ScenarioRunner runner(std::move(spec));
-    print_worker_summary(who, runner.run_worker(shard_id, num_shards));
-    return EXIT_SUCCESS;
-  } catch (const std::exception& e) {
-    std::cerr << who << ": error: " << e.what() << '\n';
-    return EXIT_FAILURE;
-  }
-}
+const pnm::cli::CellFamily<pnm::ScenarioRunner, pnm::ScenarioSpec, pnm::ScenarioResult>
+    kScenario{
+        "scenario", "scells", &pnm::collect_scenario,
+        [](const pnm::ScenarioResult& r) {
+          return std::vector<std::pair<std::string, std::string>>{
+              {".grid.json", r.grid_json()},
+              {".drift.tsv", r.drift_report()},
+              {".report.json", r.report_json()},
+              {".md", r.report_markdown()}};
+        },
+        [](const pnm::ScenarioSpec& s) {
+          return "scenario: " + std::to_string(s.expand().size()) + " cell(s) (" +
+                 std::to_string(s.datasets.size()) + " dataset(s) x " +
+                 std::to_string(s.topologies.size()) + " topology(ies) x " +
+                 std::to_string(s.input_bits.size()) + " bit width(s) x " +
+                 std::to_string(s.tech_nodes.size()) + " tech node(s) x " +
+                 std::to_string(s.seeds.size()) + " seed(s))";
+        }};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace pnm;
-
-  std::string spec_path;
-  std::string store_dir;
-  std::string out_prefix = "scenario";
-  std::size_t threads = 0;
-  bool require_warm = false;
-  bool worker = false;
-  bool collect_only = false;
-  std::size_t shard_id = 0;
-  std::size_t num_shards = 1;
-  std::size_t jobs = 0;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg(argv[i]);
-    const bool has_value = i + 1 < argc;
-    if (arg == "--spec" && has_value) {
-      spec_path = argv[++i];
-    } else if (arg == "--store" && has_value) {
-      store_dir = argv[++i];
-    } else if (arg == "--threads" && has_value) {
-      threads = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--out" && has_value) {
-      out_prefix = argv[++i];
-    } else if (arg == "--require-warm") {
-      require_warm = true;
-    } else if (arg == "--worker") {
-      worker = true;
-    } else if (arg == "--collect") {
-      collect_only = true;
-    } else if (arg == "--shard-id" && has_value) {
-      shard_id = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--num-shards" && has_value) {
-      num_shards = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--jobs" && has_value) {
-      jobs = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else {
+  return pnm::cli::guarded([&] {
+    std::string spec_path;
+    pnm::cli::CellFlags flags;
+    flags.out_prefix = "scenario";
+    for (int i = 1; i < argc; ++i) {
+      if (flags.parse(argc, argv, i)) continue;
+      if (std::string(argv[i]) == "--spec" && i + 1 < argc) {
+        spec_path = argv[++i];
+      } else {
+        usage(argv[0]);
+        return EXIT_FAILURE;
+      }
+    }
+    if (spec_path.empty()) {
       usage(argv[0]);
       return EXIT_FAILURE;
     }
-  }
-
-  if (spec_path.empty()) {
-    usage(argv[0]);
-    return EXIT_FAILURE;
-  }
-  const std::optional<std::string> spec_text = read_text_file(spec_path);
-  if (!spec_text) {
-    std::cerr << "error: cannot read spec file " << spec_path << '\n';
-    return EXIT_FAILURE;
-  }
-  ScenarioSpec spec;
-  try {
-    spec = parse_scenario_spec(*spec_text);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << spec_path << ": " << e.what() << '\n';
-    return EXIT_FAILURE;
-  }
-  spec.store_dir = store_dir;
-  spec.threads = threads;
-
-  const bool scheduling = worker || collect_only || jobs > 0;
-  if (scheduling && spec.store_dir.empty()) {
-    std::cerr << "error: --worker/--jobs/--collect need --store DIR (claims and "
-                 "cell results live there)\n";
-    return EXIT_FAILURE;
-  }
-  if ((worker && (collect_only || jobs > 0)) || (collect_only && jobs > 0)) {
-    std::cerr << "error: --worker, --jobs, and --collect are mutually exclusive\n";
-    return EXIT_FAILURE;
-  }
-
-  if (worker) {
-    // Distinct preferred store segments per shard: purely an optimization
-    // (the store probes past held segments anyway).
-    spec.writer_id = shard_id;
-    return run_worker_pass(std::move(spec), shard_id, num_shards, "worker");
-  }
-
-  if (collect_only) {
-    const std::optional<ScenarioResult> result = collect_scenario(spec);
-    if (!result) {
-      std::cerr << "error: scenario incomplete — missing or stale cell results "
-                   "under "
-                << spec.store_dir << "/scells (run more workers, then collect "
-                << "again)\n";
+    const std::optional<std::string> spec_text = pnm::read_text_file(spec_path);
+    if (!spec_text) {
+      std::cerr << "error: cannot read spec file " << spec_path << '\n';
       return EXIT_FAILURE;
     }
-    return write_reports(*result, out_prefix, require_warm);
-  }
-
-  if (jobs > 0) {
-    // Supervisor: fork the workers *before* any ScenarioRunner exists in
-    // this process (so no thread pool crosses a fork), wait for them,
-    // sweep up anything a crashed worker orphaned, then collect.
-    std::cout << "supervisor: spawning " << jobs << " worker process(es)\n";
-    std::fflush(nullptr);
-    std::vector<pid_t> children;
-    for (std::size_t j = 0; j < jobs; ++j) {
-      const pid_t pid = fork();
-      if (pid < 0) {
-        std::perror("fork");
-        return EXIT_FAILURE;
-      }
-      if (pid == 0) {
-        ScenarioSpec child_spec = spec;
-        child_spec.writer_id = j;  // preferred segment only; probing is safe
-        const int status = run_worker_pass(
-            std::move(child_spec), /*shard_id=*/0, /*num_shards=*/1, "worker");
-        std::fflush(nullptr);
-        _exit(status);
-      }
-      children.push_back(pid);
-    }
-    bool worker_failed = false;
-    for (pid_t pid : children) {
-      int status = 0;
-      if (waitpid(pid, &status, 0) < 0 || !WIFEXITED(status) ||
-          WEXITSTATUS(status) != EXIT_SUCCESS) {
-        worker_failed = true;
-      }
-    }
-    if (worker_failed) {
-      std::cerr << "supervisor: a worker exited abnormally — sweeping up its "
-                   "cells locally\n";
-    }
-    std::optional<ScenarioResult> result = collect_scenario(spec);
-    if (!result) {
-      // A worker died mid-cell; its claim evaporated with it, so one
-      // local pass finishes the stragglers.
-      ScenarioRunner sweeper(spec);
-      print_worker_summary("supervisor-sweep", sweeper.run_worker());
-      result = collect_scenario(spec);
-    }
-    if (!result) {
-      std::cerr << "error: scenario still incomplete after the sweep pass\n";
+    pnm::ScenarioSpec spec;
+    try {
+      spec = pnm::parse_scenario_spec(*spec_text);
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << spec_path << ": " << e.what() << '\n';
       return EXIT_FAILURE;
     }
-    return write_reports(*result, out_prefix, require_warm);
-  }
-
-  // Default: the whole grid in this process.
-  ScenarioRunner runner(std::move(spec));
-  std::cout << "scenario: " << runner.spec().expand().size() << " cell(s) ("
-            << runner.spec().datasets.size() << " dataset(s) x "
-            << runner.spec().topologies.size() << " topology(ies) x "
-            << runner.spec().input_bits.size() << " bit width(s) x "
-            << runner.spec().tech_nodes.size() << " tech node(s) x "
-            << runner.spec().seeds.size() << " seed(s)), pop "
-            << runner.spec().ga.population << ", " << runner.spec().ga.generations
-            << " gens, " << runner.threads() << " shared worker thread(s)"
-            << (runner.spec().store_dir.empty()
-                    ? ", no persistence"
-                    : ", store dir " + runner.spec().store_dir)
-            << "\n\n";
-  const ScenarioResult result = runner.run();
-  return write_reports(result, out_prefix, require_warm);
+    return pnm::cli::run_cells(std::move(spec), flags, kScenario);
+  });
 }

@@ -2,12 +2,9 @@
 
 #include <chrono>
 #include <filesystem>
-#include <limits>
 #include <stdexcept>
-#include <unordered_set>
 #include <utility>
 
-#include "pnm/core/eval_store.hpp"
 #include "pnm/hw/mcm.hpp"
 #include "pnm/nn/trainer.hpp"
 #include "pnm/util/fileio.hpp"
@@ -16,78 +13,35 @@
 namespace pnm {
 namespace {
 
-void append_kv(std::string& out, const char* key, const std::string& value) {
-  out += key;
-  out += '=';
-  out += value;
-  out += ';';
-}
-
 std::string bool_str(bool b) { return b ? "1" : "0"; }
 
 constexpr char kCellMagic[] = "pnm-campaign-cell";
 // v2: the stats line gained the cell's MCM plan-cache hit/miss counters.
 constexpr int kCellVersion = 2;
-
-std::vector<std::string_view> split_lines(std::string_view text) {
-  std::vector<std::string_view> lines = split_fields(text, '\n');
-  // A trailing newline (every well-formed cell file has one) is not an
-  // empty final line.
-  if (!lines.empty() && lines.back().empty()) lines.pop_back();
-  return lines;
-}
-
-/// parse_u64_strict (util/fileio.hpp) narrowed to the size_t counters.
-std::optional<std::size_t> parse_size_strict(std::string_view token) {
-  const std::optional<std::uint64_t> v = parse_u64_strict(token);
-  if (!v || *v > std::numeric_limits<std::size_t>::max()) return std::nullopt;
-  return static_cast<std::size_t>(*v);
-}
+constexpr CellLayout kCampaignLayout{"claims", "cells", ".cell"};
 
 std::string cell_name(const std::string& dataset, std::uint64_t seed) {
   return dataset + "_s" + std::to_string(seed);
 }
 
-std::string cell_file_path(const std::string& store_dir, const std::string& dataset,
-                           std::uint64_t seed) {
-  return store_dir + "/cells/" + cell_name(dataset, seed) + ".cell";
+std::string cell_header(const std::string& cell_fp) {
+  return std::string(kCellMagic) + " v" + std::to_string(kCellVersion) + " " + cell_fp;
 }
 
-/// One JSON object per design point; doubles round-trip exactly, so the
-/// same DesignPoint always renders to the same bytes.
-std::string point_json(const DesignPoint& p) {
-  std::string out = "{\"genome\": \"" + json_escape(p.config) + "\"";
-  out += ", \"technique\": \"" + json_escape(p.technique) + "\"";
-  out += ", \"accuracy\": " + format_double_roundtrip(p.accuracy);
-  out += ", \"area_mm2\": " + format_double_roundtrip(p.area_mm2);
-  out += ", \"power_uw\": " + format_double_roundtrip(p.power_uw);
-  out += ", \"delay_ms\": " + format_double_roundtrip(p.delay_ms);
-  out += "}";
-  return out;
-}
-
-std::string front_json(const std::vector<DesignPoint>& front,
-                       const std::string& indent) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < front.size(); ++i) {
-    out += (i == 0 ? "\n" : ",\n") + indent + "  " + point_json(front[i]);
-  }
-  out += front.empty() ? "]" : "\n" + indent + "]";
-  return out;
-}
-
-template <typename T>
-void require_unique_nonempty(const std::vector<T>& values, const char* what) {
-  if (values.empty()) {
-    throw std::invalid_argument(std::string("CampaignSpec: ") + what +
-                                " list must be non-empty");
-  }
-  std::unordered_set<T> seen;
-  for (const T& v : values) {
-    if (!seen.insert(v).second) {
-      throw std::invalid_argument(std::string("CampaignSpec: duplicate ") + what);
+/// The campaign's cells for the scheduler, datasets-major, seeds-minor.
+std::vector<CellRef> campaign_cells(const CampaignSpec& spec) {
+  std::vector<CellRef> cells;
+  for (const std::string& dataset : spec.datasets) {
+    for (std::uint64_t seed : spec.seeds) {
+      cells.push_back({cell_name(dataset, seed), cell_fingerprint(spec, dataset, seed)});
     }
   }
+  return cells;
+}
+
+double hit_rate(std::size_t hits, std::size_t misses) {
+  const std::size_t total = hits + misses;
+  return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
 }
 
 }  // namespace
@@ -153,11 +107,11 @@ std::string eval_fingerprint(const FlowConfig& flow, const EvalConfig& eval,
 }
 
 void CampaignSpec::validate() const {
-  require_unique_nonempty(datasets, "dataset");
+  require_unique_nonempty(datasets, "CampaignSpec", "dataset");
   for (const std::string& d : datasets) {
     if (d.empty()) throw std::invalid_argument("CampaignSpec: empty dataset name");
   }
-  require_unique_nonempty(seeds, "seed");
+  require_unique_nonempty(seeds, "CampaignSpec", "seed");
   ga.validate();
 }
 
@@ -202,92 +156,169 @@ std::string cell_fingerprint(const CampaignSpec& spec, const std::string& datase
   return fnv1a64_hex(canon);
 }
 
+// ---- Shared cell pieces -------------------------------------------------
+
+CellStats& CellStats::operator+=(const CellStats& other) {
+  distinct_evaluations += other.distinct_evaluations;
+  cache_hits += other.cache_hits;
+  cache_misses += other.cache_misses;
+  store_loaded += other.store_loaded;
+  mcm_hits += other.mcm_hits;
+  mcm_misses += other.mcm_misses;
+  seconds += other.seconds;
+  return *this;
+}
+
+std::string format_cell_body(const CellStats& stats, const DesignPoint& baseline,
+                             const std::vector<DesignPoint>& front) {
+  std::string out = "stats\t" + std::to_string(stats.distinct_evaluations) + "\t" +
+                    std::to_string(stats.cache_hits) + "\t" +
+                    std::to_string(stats.cache_misses) + "\t" +
+                    std::to_string(stats.store_loaded) + "\t" +
+                    std::to_string(stats.mcm_hits) + "\t" +
+                    std::to_string(stats.mcm_misses) + "\t" +
+                    format_double_roundtrip(stats.seconds) + "\n";
+  out += format_eval_record("baseline", baseline);
+  out += "front\t" + std::to_string(front.size()) + "\n";
+  for (const DesignPoint& p : front) out += format_eval_record("point", p);
+  return out;
+}
+
+bool parse_cell_body(const std::vector<std::string_view>& lines, std::size_t& at,
+                     CellStats& stats, DesignPoint& baseline,
+                     std::vector<DesignPoint>& front) {
+  // stats, baseline, front count — then the front itself.
+  if (at > lines.size() || lines.size() - at < 3) return false;
+  const std::vector<std::string_view> fields = split_fields(lines[at], '\t');
+  if (fields.size() != 8 || fields[0] != "stats") return false;
+  std::size_t* const counters[] = {&stats.distinct_evaluations, &stats.cache_hits,
+                                   &stats.cache_misses,         &stats.store_loaded,
+                                   &stats.mcm_hits,             &stats.mcm_misses};
+  for (std::size_t i = 0; i < 6; ++i) {
+    const std::optional<std::size_t> v = parse_size_strict(fields[i + 1]);
+    if (!v) return false;
+    *counters[i] = *v;
+  }
+  const std::optional<double> seconds = parse_double_strict(fields[7]);
+  if (!seconds) return false;
+  stats.seconds = *seconds;
+
+  std::string tag;
+  if (!parse_eval_record(lines[at + 1], tag, baseline) || tag != "baseline") {
+    return false;
+  }
+  const std::vector<std::string_view> head = split_fields(lines[at + 2], '\t');
+  const std::optional<std::size_t> size =
+      head.size() == 2 && head[0] == "front" ? parse_size_strict(head[1]) : std::nullopt;
+  at += 3;
+  if (!size || lines.size() - at < *size) return false;
+  front.clear();
+  front.reserve(*size);
+  for (std::size_t i = 0; i < *size; ++i, ++at) {
+    DesignPoint point;
+    if (!parse_eval_record(lines[at], tag, point) || tag != "point") return false;
+    front.push_back(std::move(point));
+  }
+  return true;
+}
+
+std::string point_json(const DesignPoint& p) {
+  std::string out = "{\"genome\": \"" + json_escape(p.config) + "\"";
+  out += ", \"technique\": \"" + json_escape(p.technique) + "\"";
+  out += ", \"accuracy\": " + json_number(p.accuracy);
+  out += ", \"area_mm2\": " + json_number(p.area_mm2);
+  out += ", \"power_uw\": " + json_number(p.power_uw);
+  out += ", \"delay_ms\": " + json_number(p.delay_ms);
+  out += "}";
+  return out;
+}
+
+std::string front_json(const std::vector<DesignPoint>& front, const std::string& indent) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < front.size(); ++i) {
+    out += (i == 0 ? "\n" : ",\n") + indent + "  " + point_json(front[i]);
+  }
+  out += front.empty() ? "]" : "\n" + indent + "]";
+  return out;
+}
+
+std::string cell_stats_json(const CellStats& stats) {
+  return ", \"distinct_evaluations\": " + std::to_string(stats.distinct_evaluations) +
+         ", \"cache_hits\": " + std::to_string(stats.cache_hits) +
+         ", \"cache_misses\": " + std::to_string(stats.cache_misses) +
+         ", \"store_loaded\": " + std::to_string(stats.store_loaded) +
+         ", \"mcm_plan_hits\": " + std::to_string(stats.mcm_hits) +
+         ", \"mcm_plan_misses\": " + std::to_string(stats.mcm_misses) +
+         ", \"seconds\": " + json_number(stats.seconds);
+}
+
+CellEvalStack::CellEvalStack(PipelineEvaluator& backend, ThreadPool& pool,
+                             const FlowConfig& flow, const std::string& store_stem,
+                             const char* tag, std::size_t writer_id)
+    : parallel_(backend, pool) {
+  if (store_stem.empty()) {
+    cached_.emplace(parallel_);
+    return;
+  }
+  // One store per cell x backend, named by fingerprint, so a config change
+  // opens a fresh store instead of invalidating the old one.
+  const std::string fp = eval_fingerprint(flow, backend.config(), backend.name());
+  store_.emplace(store_stem + "_" + tag + "_" + fp + ".evalstore", fp, writer_id);
+  cached_.emplace(parallel_, *store_);
+}
+
+CellMeter::CellMeter() : start_(std::chrono::steady_clock::now()) {
+  const hw::McmCacheStats mcm = hw::mcm_plan_cache_stats();
+  mcm_hits_ = mcm.hits;
+  mcm_misses_ = mcm.misses;
+}
+
+void CellMeter::record(CellStats& stats, std::size_t distinct_evaluations,
+                       std::initializer_list<CellEvalStack*> stacks) const {
+  stats.distinct_evaluations = distinct_evaluations;
+  stats.cache_hits = stats.cache_misses = stats.store_loaded = 0;
+  for (CellEvalStack* stack : stacks) {
+    stats.cache_hits += stack->cached().hits();
+    stats.cache_misses += stack->cached().misses();
+    stats.store_loaded += stack->cached().loaded();
+  }
+  // Cells run serially within a process, so the process-wide counter
+  // deltas are this cell's own lookups.
+  const hw::McmCacheStats mcm = hw::mcm_plan_cache_stats();
+  stats.mcm_hits = static_cast<std::size_t>(mcm.hits - mcm_hits_);
+  stats.mcm_misses = static_cast<std::size_t>(mcm.misses - mcm_misses_);
+  stats.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
+}
+
 // ---- Cell result files --------------------------------------------------
 
 std::string format_cell_result(const CampaignRunResult& run,
                                const std::string& cell_fp) {
-  std::string out = std::string(kCellMagic) + " v" + std::to_string(kCellVersion) +
-                    " " + cell_fp + "\n";
-  out += "dataset\t" + run.dataset + "\n";
-  out += "seed\t" + std::to_string(run.seed) + "\n";
-  out += "stats\t" + std::to_string(run.distinct_evaluations) + "\t" +
-         std::to_string(run.cache_hits) + "\t" + std::to_string(run.cache_misses) +
-         "\t" + std::to_string(run.store_loaded) + "\t" +
-         std::to_string(run.mcm_hits) + "\t" + std::to_string(run.mcm_misses) +
-         "\t" + format_double_roundtrip(run.seconds) + "\n";
-  out += format_eval_record("baseline", run.baseline);
-  out += "front\t" + std::to_string(run.front.size()) + "\n";
-  for (const DesignPoint& p : run.front) out += format_eval_record("point", p);
-  return out;
+  return cell_header(cell_fp) + "\ndataset\t" + run.dataset + "\nseed\t" +
+         std::to_string(run.seed) + "\n" + format_cell_body(run, run.baseline, run.front);
 }
 
 std::optional<CampaignRunResult> parse_cell_result(std::string_view text,
                                                    const std::string& cell_fp) {
   const std::vector<std::string_view> lines = split_lines(text);
-  // Header, dataset, seed, stats, baseline, front count — then the front.
-  if (lines.size() < 6) return std::nullopt;
-  {
-    const std::vector<std::string_view> tokens = split_fields(lines[0], ' ');
-    if (tokens.size() != 3 || tokens[0] != kCellMagic ||
-        tokens[1] != "v" + std::to_string(kCellVersion) || tokens[2] != cell_fp) {
-      return std::nullopt;
-    }
-  }
+  // Header, dataset, seed — then the shared body, which ends the file.
+  if (lines.size() < 3 || lines[0] != cell_header(cell_fp)) return std::nullopt;
   CampaignRunResult run;
   constexpr std::string_view kDatasetTag = "dataset\t";
-  if (lines[1].substr(0, kDatasetTag.size()) != kDatasetTag) return std::nullopt;
+  if (!lines[1].starts_with(kDatasetTag)) return std::nullopt;
   run.dataset.assign(lines[1].substr(kDatasetTag.size()));
   if (run.dataset.empty()) return std::nullopt;
 
   constexpr std::string_view kSeedTag = "seed\t";
-  if (lines[2].substr(0, kSeedTag.size()) != kSeedTag) return std::nullopt;
+  if (!lines[2].starts_with(kSeedTag)) return std::nullopt;
   const auto seed = parse_u64_strict(lines[2].substr(kSeedTag.size()));
   if (!seed) return std::nullopt;
   run.seed = *seed;
 
-  constexpr std::string_view kStatsTag = "stats\t";
-  if (lines[3].substr(0, kStatsTag.size()) != kStatsTag) return std::nullopt;
-  {
-    const std::vector<std::string_view> fields =
-        split_fields(lines[3].substr(kStatsTag.size()), '\t');
-    if (fields.size() != 7) return std::nullopt;
-    const auto distinct = parse_size_strict(fields[0]);
-    const auto hits = parse_size_strict(fields[1]);
-    const auto misses = parse_size_strict(fields[2]);
-    const auto loaded = parse_size_strict(fields[3]);
-    const auto mcm_hits = parse_size_strict(fields[4]);
-    const auto mcm_misses = parse_size_strict(fields[5]);
-    const auto seconds = parse_double_strict(fields[6]);
-    if (!distinct || !hits || !misses || !loaded || !mcm_hits || !mcm_misses ||
-        !seconds) {
-      return std::nullopt;
-    }
-    run.distinct_evaluations = *distinct;
-    run.cache_hits = *hits;
-    run.cache_misses = *misses;
-    run.store_loaded = *loaded;
-    run.mcm_hits = *mcm_hits;
-    run.mcm_misses = *mcm_misses;
-    run.seconds = *seconds;
-  }
-
-  std::string tag;
-  if (!parse_eval_record(lines[4], tag, run.baseline) || tag != "baseline") {
+  std::size_t at = 3;
+  if (!parse_cell_body(lines, at, run, run.baseline, run.front) || at != lines.size()) {
     return std::nullopt;
-  }
-
-  constexpr std::string_view kFrontTag = "front\t";
-  if (lines[5].substr(0, kFrontTag.size()) != kFrontTag) return std::nullopt;
-  const auto front_size = parse_size_strict(lines[5].substr(kFrontTag.size()));
-  if (!front_size) return std::nullopt;
-  if (lines.size() != 6 + *front_size) return std::nullopt;
-  run.front.reserve(*front_size);
-  for (std::size_t i = 0; i < *front_size; ++i) {
-    DesignPoint point;
-    if (!parse_eval_record(lines[6 + i], tag, point) || tag != "point") {
-      return std::nullopt;
-    }
-    run.front.push_back(std::move(point));
   }
   return run;
 }
@@ -295,47 +326,32 @@ std::optional<CampaignRunResult> parse_cell_result(std::string_view text,
 // ---- CampaignResult -----------------------------------------------------
 
 std::size_t CampaignResult::total_cache_hits() const {
-  std::size_t n = 0;
-  for (const CampaignRunResult& r : runs) n += r.cache_hits;
-  return n;
+  return sum_cell_stats(runs).cache_hits;
 }
 
 std::size_t CampaignResult::total_cache_misses() const {
-  std::size_t n = 0;
-  for (const CampaignRunResult& r : runs) n += r.cache_misses;
-  return n;
+  return sum_cell_stats(runs).cache_misses;
 }
 
 std::size_t CampaignResult::total_store_loaded() const {
-  std::size_t n = 0;
-  for (const CampaignRunResult& r : runs) n += r.store_loaded;
-  return n;
+  return sum_cell_stats(runs).store_loaded;
 }
 
 double CampaignResult::cache_hit_rate() const {
-  const std::size_t hits = total_cache_hits();
-  const std::size_t total = hits + total_cache_misses();
-  return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
+  return hit_rate(total_cache_hits(), total_cache_misses());
 }
 
 std::size_t CampaignResult::total_mcm_hits() const {
-  std::size_t n = 0;
-  for (const CampaignRunResult& r : runs) n += r.mcm_hits;
-  return n;
+  return sum_cell_stats(runs).mcm_hits;
 }
 
 std::size_t CampaignResult::total_mcm_misses() const {
-  std::size_t n = 0;
-  for (const CampaignRunResult& r : runs) n += r.mcm_misses;
-  return n;
+  return sum_cell_stats(runs).mcm_misses;
 }
 
 double CampaignResult::mcm_plan_hit_rate() const {
-  const std::size_t hits = total_mcm_hits();
-  const std::size_t total = hits + total_mcm_misses();
-  return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
+  return hit_rate(total_mcm_hits(), total_mcm_misses());
 }
-
 std::vector<DesignPoint> CampaignResult::merged_front(
     const std::string& dataset) const {
   std::vector<DesignPoint> all;
@@ -373,24 +389,17 @@ std::string CampaignResult::report_json() const {
   out += "  \"total_cache_hits\": " + std::to_string(total_cache_hits()) + ",\n";
   out += "  \"total_cache_misses\": " + std::to_string(total_cache_misses()) + ",\n";
   out += "  \"total_store_loaded\": " + std::to_string(total_store_loaded()) + ",\n";
-  out += "  \"cache_hit_rate\": " + format_double_roundtrip(cache_hit_rate()) + ",\n";
+  out += "  \"cache_hit_rate\": " + json_number(cache_hit_rate()) + ",\n";
   out += "  \"total_mcm_plan_hits\": " + std::to_string(total_mcm_hits()) + ",\n";
   out += "  \"total_mcm_plan_misses\": " + std::to_string(total_mcm_misses()) + ",\n";
-  out += "  \"mcm_plan_hit_rate\": " + format_double_roundtrip(mcm_plan_hit_rate()) +
-         ",\n";
+  out += "  \"mcm_plan_hit_rate\": " + json_number(mcm_plan_hit_rate()) + ",\n";
   out += "  \"runs\": [";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const CampaignRunResult& r = runs[i];
     out += (i == 0 ? "\n" : ",\n");
     out += "    {\"dataset\": \"" + json_escape(r.dataset) + "\"";
     out += ", \"seed\": " + std::to_string(r.seed);
-    out += ", \"distinct_evaluations\": " + std::to_string(r.distinct_evaluations);
-    out += ", \"cache_hits\": " + std::to_string(r.cache_hits);
-    out += ", \"cache_misses\": " + std::to_string(r.cache_misses);
-    out += ", \"store_loaded\": " + std::to_string(r.store_loaded);
-    out += ", \"mcm_plan_hits\": " + std::to_string(r.mcm_hits);
-    out += ", \"mcm_plan_misses\": " + std::to_string(r.mcm_misses);
-    out += ", \"seconds\": " + format_double_roundtrip(r.seconds);
+    out += cell_stats_json(r);
     out += ",\n     \"baseline\": " + point_json(r.baseline);
     out += ",\n     \"front\": " + front_json(r.front, "     ") + "}";
   }
@@ -471,13 +480,7 @@ CampaignResult CampaignRunner::run() {
 
 CampaignRunResult CampaignRunner::run_cell(const std::string& dataset,
                                            std::uint64_t seed) {
-  const auto start = std::chrono::steady_clock::now();
-  // MCM plan-cache lookups attributed to this cell (cells run serially in
-  // a process, so counter deltas are exact): both the proxy's area pricing
-  // and the netlist generator's front re-evaluation go through
-  // hw::plan_mcm_cached.
-  const hw::McmCacheStats mcm_before = hw::mcm_plan_cache_stats();
-
+  const CellMeter meter;
   FlowConfig config = spec_.base;
   config.dataset_name = dataset;
   config.seed = seed;
@@ -489,142 +492,48 @@ CampaignRunResult CampaignRunner::run_cell(const std::string& dataset,
   ProxyEvaluator proxy = flow.proxy_evaluator(spec_.ga_finetune_epochs);
   NetlistEvaluator netlist =
       flow.netlist_evaluator(config.finetune_epochs, /*use_test_set=*/true);
-  ParallelEvaluator proxy_parallel(proxy, pool_);      // borrowed workers
-  ParallelEvaluator netlist_parallel(netlist, pool_);  // borrowed workers
-
-  // Persistent stores (when enabled): one file per run x backend, named
-  // by cell + fingerprint so a config change opens a fresh file instead
-  // of invalidating the old one.
-  std::optional<EvalStore> proxy_store;
-  std::optional<EvalStore> netlist_store;
-  std::optional<CachedEvaluator> fitness;
-  std::optional<CachedEvaluator> front_eval;
-  if (!spec_.store_dir.empty()) {
-    const std::string proxy_fp = eval_fingerprint(
-        config, flow.eval_config(spec_.ga_finetune_epochs, false), "proxy");
-    const std::string netlist_fp = eval_fingerprint(
-        config, flow.eval_config(config.finetune_epochs, true), "netlist");
-    const std::string stem =
-        spec_.store_dir + "/" + dataset + "_s" + std::to_string(seed);
-    proxy_store.emplace(stem + "_proxy_" + proxy_fp + ".evalstore", proxy_fp,
-                        spec_.writer_id);
-    netlist_store.emplace(stem + "_netlist_" + netlist_fp + ".evalstore",
-                          netlist_fp, spec_.writer_id);
-    fitness.emplace(proxy_parallel, *proxy_store);
-    front_eval.emplace(netlist_parallel, *netlist_store);
-  } else {
-    fitness.emplace(proxy_parallel);
-    front_eval.emplace(netlist_parallel);
-  }
-
+  const std::string stem =
+      spec_.store_dir.empty() ? "" : spec_.store_dir + "/" + cell_name(dataset, seed);
+  CellEvalStack fitness(proxy, pool_, config, stem, "proxy", spec_.writer_id);
+  CellEvalStack front_eval(netlist, pool_, config, stem, "netlist", spec_.writer_id);
   const MinimizationFlow::GaOutcome outcome =
-      flow.run_ga(*fitness, *front_eval, spec_.ga);
+      flow.run_ga(fitness.cached(), front_eval.cached(), spec_.ga);
 
   CampaignRunResult run;
   run.dataset = dataset;
   run.seed = seed;
   run.baseline = flow.baseline();
   run.front = outcome.front;
-  run.distinct_evaluations = outcome.raw.evaluations;
-  run.cache_hits = fitness->hits() + front_eval->hits();
-  run.cache_misses = fitness->misses() + front_eval->misses();
-  run.store_loaded = fitness->loaded() + front_eval->loaded();
-  const hw::McmCacheStats mcm_after = hw::mcm_plan_cache_stats();
-  run.mcm_hits = static_cast<std::size_t>(mcm_after.hits - mcm_before.hits);
-  run.mcm_misses = static_cast<std::size_t>(mcm_after.misses - mcm_before.misses);
-  run.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              start)
-                    .count();
+  meter.record(run, outcome.raw.evaluations, {&fitness, &front_eval});
   return run;
 }
 
 CampaignWorkerResult CampaignRunner::run_worker(std::size_t shard_id,
                                                 std::size_t num_shards) {
-  if (spec_.store_dir.empty()) {
-    throw std::invalid_argument(
-        "CampaignRunner::run_worker: a store_dir is required — the claim "
-        "files, cell results, and eval stores all live there");
-  }
-  if (num_shards == 0 || shard_id >= num_shards) {
-    throw std::invalid_argument(
-        "CampaignRunner::run_worker: need num_shards >= 1 and shard_id < "
-        "num_shards");
-  }
-  const auto start = std::chrono::steady_clock::now();
-  const std::string claims_dir = spec_.store_dir + "/claims";
-  if (!create_directories(claims_dir) ||
-      !create_directories(spec_.store_dir + "/cells")) {
-    throw std::runtime_error("CampaignRunner::run_worker: cannot create " +
-                             spec_.store_dir + "/{claims,cells}");
-  }
-
-  CampaignWorkerResult out;
-  std::size_t index = 0;
-  for (const std::string& dataset : spec_.datasets) {
-    for (std::uint64_t seed : spec_.seeds) {
-      const std::size_t cell_index = index++;
-      if (cell_index % num_shards != shard_id) {
-        ++out.cells_skipped_other_shard;
-        continue;
-      }
-      const std::string cell_path = cell_file_path(spec_.store_dir, dataset, seed);
-      const std::string fp = cell_fingerprint(spec_, dataset, seed);
-      const auto published = [&] {
-        const std::optional<std::string> text = read_text_file(cell_path);
-        return text && parse_cell_result(*text, fp).has_value();
-      };
-      if (published()) {
-        ++out.cells_skipped_done;
-        continue;
-      }
-      const std::optional<FileLock> claim = FileLock::try_exclusive(
-          claims_dir + "/" + cell_name(dataset, seed) + ".claim");
-      if (!claim) {
-        // A *live* process holds the claim (a dead one's flock would have
-        // been released by the kernel); it will publish the cell itself.
-        ++out.cells_skipped_claimed;
-        continue;
-      }
-      if (published()) {
-        // Raced: the previous owner published between our check and our
-        // claim.  Nothing to recompute.
-        ++out.cells_skipped_done;
-        continue;
-      }
-      const CampaignRunResult run = run_cell(dataset, seed);
-      if (!write_text_file_atomic(cell_path, format_cell_result(run, fp))) {
-        throw std::runtime_error(
-            "CampaignRunner::run_worker: cannot publish cell result " +
-            cell_path);
-      }
-      ++out.cells_run;
-    }
-  }
-  out.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              start)
-                    .count();
-  return out;
+  const std::size_t seeds = spec_.seeds.size();
+  return run_cell_worker(
+      spec_.store_dir, kCampaignLayout, campaign_cells(spec_), shard_id, num_shards,
+      [&](std::size_t index, const std::string& fp) {
+        return format_cell_result(
+            run_cell(spec_.datasets[index / seeds], spec_.seeds[index % seeds]), fp);
+      },
+      [](std::string_view text, const std::string& fp) {
+        return parse_cell_result(text, fp).has_value();
+      });
 }
 
 std::optional<CampaignResult> collect_campaign(const CampaignSpec& spec) {
   spec.validate();
-  if (spec.store_dir.empty()) {
-    throw std::invalid_argument(
-        "collect_campaign: a store_dir is required — cell results live there");
-  }
   CampaignResult result;
   result.datasets = spec.datasets;
-  for (const std::string& dataset : spec.datasets) {
-    for (std::uint64_t seed : spec.seeds) {
-      const std::optional<std::string> text =
-          read_text_file(cell_file_path(spec.store_dir, dataset, seed));
-      if (!text) return std::nullopt;
-      std::optional<CampaignRunResult> run =
-          parse_cell_result(*text, cell_fingerprint(spec, dataset, seed));
-      if (!run) return std::nullopt;
-      result.runs.push_back(std::move(*run));
-    }
-  }
+  const bool complete =
+      collect_cells(spec.store_dir, kCampaignLayout, campaign_cells(spec),
+                    [&](std::string_view text, const std::string& fp) {
+                      std::optional<CampaignRunResult> run = parse_cell_result(text, fp);
+                      if (run) result.runs.push_back(std::move(*run));
+                      return run.has_value();
+                    });
+  if (!complete) return std::nullopt;
   return result;
 }
 

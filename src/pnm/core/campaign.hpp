@@ -26,19 +26,12 @@
 /// tests/core_campaign_test.cpp and in CI).
 ///
 /// Cross-process scheduling: run() executes every cell in-process, in
-/// spec order.  run_worker() instead treats each cell as a *claimable
-/// unit* in the shared store directory — a worker flock-claims
-/// `claims/<cell>.claim`, runs the cell, and atomically publishes its
-/// result as `cells/<cell>.cell`; cells already published are skipped,
-/// cells claimed by a *live* worker are left to it, and a crashed
-/// worker's claim evaporates with its process (kernel-released flock),
-/// so the next pass simply recomputes the unpublished cell.  Because
-/// every cell is deterministic, N workers draining one campaign — on one
-/// machine, or on hosts sharing a filesystem with working flock()
-/// semantics (local disks / NFSv4-class mounts) — produce cell files
-/// byte-identical to a serial run's in-memory results, and
-/// collect_campaign() reassembles them into the same CampaignResult
-/// (gated in tests, bench/shard_bench.cpp, and CI).
+/// spec order.  run_worker() instead hands the cells to the shared cell
+/// scheduler (pnm/core/cell_queue.hpp) under the campaign layout —
+/// `claims/<cell>.claim`, published as `cells/<cell>.cell` — so N worker
+/// processes drain one campaign and collect_campaign() reassembles the
+/// same CampaignResult a serial run returns (gated in tests,
+/// bench/campaign_bench.cpp, and CI).
 ///
 /// Reports: CampaignResult renders the merged per-dataset Pareto fronts
 /// as deterministic JSON (fronts_json — stable across warm/cold runs and
@@ -46,14 +39,18 @@
 /// report with cache/timing stats (report_json), and a human-readable
 /// markdown table (report_markdown).
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "pnm/core/cell_queue.hpp"
 #include "pnm/core/eval.hpp"
+#include "pnm/core/eval_store.hpp"
 #include "pnm/core/flow.hpp"
 #include "pnm/core/ga.hpp"
 #include "pnm/core/pareto.hpp"
@@ -82,6 +79,117 @@ namespace pnm {
 /// \return a 16-hex-digit whitespace-free token.
 std::string eval_fingerprint(const FlowConfig& flow, const EvalConfig& eval,
                              const std::string& backend);
+
+// ---- Shared by campaign and scenario cells ------------------------------
+
+/// Work counters of one cell (campaign and scenario cells alike): the
+/// `stats` line of every published cell file and the statistics half of
+/// the JSON/markdown reports.
+struct CellStats {
+  std::size_t distinct_evaluations = 0;  ///< GA-distinct genomes this cell
+  std::size_t cache_hits = 0;          ///< across the cell's evaluator stacks
+  std::size_t cache_misses = 0;        ///< fresh evaluations actually run
+  std::size_t store_loaded = 0;        ///< records preloaded from disk
+  /// MCM plan-cache lookups during this cell (hw/mcm.hpp memoized
+  /// planner), counted as deltas of the process-wide counters around the
+  /// cell: both the proxy pricing and the exact netlist front
+  /// re-evaluation route per-column coefficient multisets through
+  /// plan_mcm_cached, so the hit rate shows how much DAG planning the
+  /// memoization saved.  Cells run serially within a process, so the
+  /// deltas attribute cleanly.
+  std::size_t mcm_hits = 0;
+  std::size_t mcm_misses = 0;           ///< fresh MCM DAG plans computed
+  double seconds = 0.0;                ///< wall time of the cell
+
+  /// Field-wise sum (totals over cells).
+  CellStats& operator+=(const CellStats& other);
+};
+
+/// Field-wise sum of the CellStats of every cell in `cells`.
+template <typename Cell>
+CellStats sum_cell_stats(const std::vector<Cell>& cells) {
+  CellStats total;
+  for (const CellStats& cell : cells) total += cell;
+  return total;
+}
+
+/// The lines every published cell file shares, in this order: `stats`
+/// (the seven CellStats fields), the `baseline` record, and the front
+/// (`front\tN`, then N `point` records).  Doubles round-trip exactly.
+///
+/// \param stats     the cell's counters.
+/// \param baseline  the unminimized reference design.
+/// \param front     the cell's exact front.
+/// \return the lines, each terminated by '\n'.
+std::string format_cell_body(const CellStats& stats, const DesignPoint& baseline,
+                             const std::vector<DesignPoint>& front);
+
+/// Parses the block format_cell_body() writes, starting at lines[at].
+///
+/// \param lines     the file's lines (split_lines).
+/// \param at        first line of the block; on success, the line after it.
+/// \param stats     receives the counters.
+/// \param baseline  receives the baseline design.
+/// \param front     receives the front.
+/// \return false when the block is malformed or truncated.
+bool parse_cell_body(const std::vector<std::string_view>& lines, std::size_t& at,
+                     CellStats& stats, DesignPoint& baseline,
+                     std::vector<DesignPoint>& front);
+
+/// One design point as a JSON object.  Doubles go through json_number, so
+/// equal points render to equal bytes and non-finite values as null.
+std::string point_json(const DesignPoint& p);
+
+/// A front as a JSON array, one point per line, indented by `indent`.
+std::string front_json(const std::vector<DesignPoint>& front, const std::string& indent);
+
+/// The per-cell statistics fields of a report_json cell object, starting
+/// with a comma: `, "distinct_evaluations": N, ..., "seconds": X`.
+std::string cell_stats_json(const CellStats& stats);
+
+/// One backend's evaluator stack in a cell —
+/// stored+cached(parallel(backend)) on the runner's shared pool.  With a
+/// non-empty `store_stem` the cache is persisted in the EvalStore
+/// directory `<store_stem>_<tag>_<fp>.evalstore`, where fp =
+/// eval_fingerprint(flow, backend.config(), backend.name()).
+class CellEvalStack {
+ public:
+  /// \param backend     pipeline backend; must outlive the stack.
+  /// \param pool        shared worker pool; must outlive the stack.
+  /// \param flow        the cell's flow configuration.
+  /// \param store_stem  "<store_dir>/<cell id>"; empty disables persistence.
+  /// \param tag         backend tag in the store name ("proxy", "netlist",
+  ///                    "fidproxy").
+  /// \param writer_id   preferred EvalStore segment (see EvalStore).
+  CellEvalStack(PipelineEvaluator& backend, ThreadPool& pool, const FlowConfig& flow,
+                const std::string& store_stem, const char* tag,
+                std::size_t writer_id);
+
+  /// The top of the stack, handed to the GA or the front re-evaluation.
+  CachedEvaluator& cached() { return *cached_; }
+
+ private:
+  ParallelEvaluator parallel_;
+  std::optional<EvalStore> store_;
+  std::optional<CachedEvaluator> cached_;
+};
+
+/// Measures one cell from construction: wall time and the MCM plan-cache
+/// counter deltas.
+class CellMeter {
+ public:
+  CellMeter();
+
+  /// Fills `stats`: the measured time and MCM deltas, `distinct_evaluations`,
+  /// and the cache counters summed over the cell's stacks.
+  void record(CellStats& stats, std::size_t distinct_evaluations,
+              std::initializer_list<CellEvalStack*> stacks) const;
+
+ private:
+  std::chrono::steady_clock::time_point start_;
+  std::uint64_t mcm_hits_ = 0;
+  std::uint64_t mcm_misses_ = 0;
+};
 
 /// Declarative description of one campaign: the Fig. 2 GA across
 /// datasets x seeds, sharing workers and (optionally) persistent stores.
@@ -136,26 +244,13 @@ struct CampaignSpec {
 std::string cell_fingerprint(const CampaignSpec& spec, const std::string& dataset,
                              std::uint64_t seed);
 
-/// Outcome of one (dataset, seed) cell.
-struct CampaignRunResult {
+/// Outcome of one (dataset, seed) cell; the CellStats cover both
+/// evaluator stacks.
+struct CampaignRunResult : CellStats {
   std::string dataset;
   std::uint64_t seed = 0;
   DesignPoint baseline;                ///< unminimized bespoke reference
   std::vector<DesignPoint> front;      ///< exact netlist front, test split
-  std::size_t distinct_evaluations = 0;  ///< GA-distinct genomes this run
-  std::size_t cache_hits = 0;          ///< across both evaluator stacks
-  std::size_t cache_misses = 0;        ///< fresh evaluations actually run
-  std::size_t store_loaded = 0;        ///< records preloaded from disk
-  /// MCM plan-cache lookups during this cell (hw/mcm.hpp memoized
-  /// planner), counted as deltas of the process-wide counters around the
-  /// cell: both the proxy pricing and the exact netlist front
-  /// re-evaluation route per-column coefficient multisets through
-  /// plan_mcm_cached, so the hit rate shows how much DAG planning the
-  /// memoization saved.  Cells run serially within a process, so the
-  /// deltas attribute cleanly.
-  std::size_t mcm_hits = 0;
-  std::size_t mcm_misses = 0;           ///< fresh MCM DAG plans computed
-  double seconds = 0.0;                ///< wall time of the cell
 };
 
 /// Serializes one cell outcome as the deterministic text published under
@@ -179,15 +274,6 @@ std::string format_cell_result(const CampaignRunResult& run,
 ///         retry semantics).
 std::optional<CampaignRunResult> parse_cell_result(std::string_view text,
                                                    const std::string& cell_fp);
-
-/// Outcome of one run_worker() pass over the campaign's cells.
-struct CampaignWorkerResult {
-  std::size_t cells_run = 0;            ///< claimed, computed, published
-  std::size_t cells_skipped_done = 0;   ///< already published (valid file)
-  std::size_t cells_skipped_claimed = 0;  ///< held by another live worker
-  std::size_t cells_skipped_other_shard = 0;  ///< outside this static shard
-  double seconds = 0.0;                 ///< wall time of the pass
-};
 
 /// Aggregated campaign outcome + report rendering.
 struct CampaignResult {
@@ -238,7 +324,8 @@ class CampaignRunner {
   /// \return the aggregated campaign outcome (all cells, spec order).
   CampaignResult run();
 
-  /// One work-queue pass: walks the cells in spec order, claims each
+  /// One work-queue pass of the cell scheduler (run_cell_worker in
+  /// pnm/core/cell_queue.hpp) over the cells in spec order: claims each
   /// available one (flock on `claims/<cell>.claim` under the store
   /// directory), runs it, and atomically publishes `cells/<cell>.cell`.
   /// Cells already published under the current cell_fingerprint() are

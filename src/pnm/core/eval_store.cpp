@@ -1,12 +1,10 @@
 #include "pnm/core/eval_store.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
-#include <thread>
 #include <unordered_set>
 
 #include "pnm/util/fileio.hpp"
@@ -107,17 +105,12 @@ EvalStore::EvalStore(std::string dir, std::string fingerprint, std::size_t write
     throw std::invalid_argument(
         "EvalStore: fingerprint must be one non-empty whitespace-free token");
   }
-  const std::string migrated = migrate_legacy_file();
+  // A file in the way (e.g. an old single-file store) fails here and is
+  // left untouched.
   if (!create_directories(dir_)) {
     throw std::runtime_error("EvalStore: cannot create store directory " + dir_);
   }
   acquire_segment(writer_id);
-  if (!migrated.empty() &&
-      !write_text_file_atomic(segment_path_, header_line() + migrated)) {
-    // Migrated records land in *this* writer's segment — the only one
-    // whose lock we hold, so no concurrent opener can be appending to it.
-    throw std::runtime_error("EvalStore: cannot write migrated segment in " + dir_);
-  }
   load_segments();
   if (own_needs_compaction_ || !path_is_regular_file(segment_path_)) {
     compact_own_segment();
@@ -140,88 +133,6 @@ std::string EvalStore::segment_file(std::size_t id) const {
 
 std::string EvalStore::segment_lock(std::size_t id) const {
   return dir_ + "/" + kSegmentPrefix + std::to_string(id) + ".lock";
-}
-
-std::string EvalStore::migrate_legacy_file() {
-  // PR 4 stored everything in one file exactly where the segment
-  // directory now lives.  Parse it, remove it, and hand the surviving
-  // record lines back to the constructor, which parks them in the
-  // segment this writer claims — records are only ever written to a
-  // segment whose lock the writer holds, so old stores keep resuming
-  // without any user action and without write races.
-  if (!path_is_regular_file(dir_)) return {};
-  // Concurrent openers of the same legacy file would race the
-  // check/parse/remove sequence; a sibling lock file (the store path
-  // itself is about to change from file to directory, so it cannot host
-  // the lock) serializes them.  A loser is done the moment the path
-  // stops being a regular file: all later writes happen under segment
-  // locks, so there is nothing else to wait for.
-  std::optional<FileLock> migration_lock;
-  for (int attempt = 0; !(migration_lock = FileLock::try_exclusive(
-            dir_ + ".migrate.lock"));
-       ++attempt) {
-    if (!path_is_regular_file(dir_)) return {};  // the winner finished
-    if (attempt > 5000) {
-      throw std::runtime_error("EvalStore: stuck waiting to migrate " + dir_);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  if (!path_is_regular_file(dir_)) return {};  // lost the race, work is done
-  const std::optional<std::string> content = read_text_file(dir_);
-  if (!content) {
-    throw std::runtime_error("EvalStore: cannot read legacy store file " + dir_);
-  }
-  std::string migrated;  // surviving records, original order, first-wins
-  if (!content->empty()) {
-    const std::size_t header_end = content->find('\n');
-    const std::string_view header_text =
-        std::string_view(*content).substr(0, header_end == std::string::npos
-                                                 ? content->size()
-                                                 : header_end);
-    const std::optional<Header> header = parse_header(header_text);
-    if (!header) {
-      throw std::runtime_error("EvalStore: " + dir_ + " is not an eval-store file");
-    }
-    if (header->version != kLegacyFormatVersion) {
-      throw std::runtime_error(
-          "EvalStore: " + dir_ + " is format v" + std::to_string(header->version) +
-          ", this build reads v" + std::to_string(kFormatVersion) +
-          " segment directories (and migrates v" +
-          std::to_string(kLegacyFormatVersion) +
-          " files) — refusing to reuse or overwrite it");
-    }
-    const bool fingerprint_matches = (header->fingerprint == fingerprint_);
-    std::unordered_set<std::string> seen;
-    if (header_end != std::string::npos) {
-      std::string_view body = std::string_view(*content).substr(header_end + 1);
-      while (!body.empty()) {
-        const std::size_t eol = body.find('\n');
-        if (eol == std::string_view::npos) {
-          if (fingerprint_matches) ++corrupt_dropped_;  // torn final write
-          break;
-        }
-        const std::string_view line = body.substr(0, eol);
-        body.remove_prefix(eol + 1);
-        if (line.empty()) continue;
-        std::string key;
-        DesignPoint point;
-        if (!parse_eval_record(line, key, point)) {
-          if (fingerprint_matches) ++corrupt_dropped_;
-          continue;
-        }
-        if (!fingerprint_matches) {
-          ++invalidated_;
-          continue;
-        }
-        if (seen.insert(key).second) migrated += format_eval_record(key, point);
-      }
-    }
-  }
-  std::error_code ec;
-  if (!std::filesystem::remove(dir_, ec) || ec) {
-    throw std::runtime_error("EvalStore: cannot replace legacy store file " + dir_);
-  }
-  return migrated;
 }
 
 void EvalStore::acquire_segment(std::size_t preferred_id) {

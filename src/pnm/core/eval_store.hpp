@@ -47,17 +47,14 @@
 ///     only arise from two processes racing the same genome; evaluations
 ///     are deterministic, so the colliding values are identical — the
 ///     rule just makes the merge order formally deterministic);
-///   * the header is versioned: a segment (or legacy file) with a
-///     different format version is rejected (std::runtime_error) rather
-///     than guessed at;
+///   * the header is versioned: a segment with a different format
+///     version is rejected (std::runtime_error) rather than guessed at, and
+///     a regular file where the directory belongs is refused untouched;
 ///   * the header carries the caller's config fingerprint: results from
 ///     a different dataset/config/backend are never loaded — a
 ///     fingerprint-mismatched segment is invalidated (and deleted when
 ///     its lock is free; a config change invalidates the cache, by
 ///     design);
-///   * a legacy PR-4 single-file v1 store found at the directory path is
-///     migrated transparently: its records are re-homed into the new
-///     writer's segment and the file is replaced by the directory;
 ///   * all member functions are thread-safe (one internal mutex), so the
 ///     store can back a CachedEvaluator shared by a thread pool.
 
@@ -97,18 +94,15 @@ bool parse_eval_record(std::string_view line, std::string& key, DesignPoint& poi
 class EvalStore {
  public:
   /// On-disk format version; bumped on any incompatible layout change.
-  /// v2 is the segment-directory layout; v1 (one file) is migrated.
+  /// v2 is the segment-directory layout.
   static constexpr int kFormatVersion = 2;
-  /// The PR-4 single-file layout this build still reads (via migration).
-  static constexpr int kLegacyFormatVersion = 1;
 
   /// Opens (creating if absent) the segment directory at `dir` for the
   /// given config fingerprint, claims a segment for this process, and
   /// loads every valid record from every segment.
   ///
   /// \param dir          store directory; created (with parents) if
-  ///                     missing.  A legacy v1 store *file* at this path
-  ///                     is migrated into the directory transparently.
+  ///                     missing.
   /// \param fingerprint  opaque identity of the evaluation context
   ///                     (dataset/config/backend; see eval_fingerprint()
   ///                     in pnm/core/campaign.hpp).  Must be one
@@ -117,10 +111,10 @@ class EvalStore {
   ///                     segment's lock is held by a live process, the
   ///                     next free id is claimed instead (see
   ///                     writer_id() for the one actually owned).
-  /// \throws std::runtime_error  if an existing segment (or legacy file)
-  ///                     is not an eval store, carries an unsupported
-  ///                     format version, or the directory/segment cannot
-  ///                     be created.
+  /// \throws std::runtime_error  if an existing segment is not an eval
+  ///                     store or carries an unsupported format version,
+  ///                     or the directory/segment cannot be created (a
+  ///                     regular file at `dir` is left untouched).
   /// \throws std::invalid_argument  if `fingerprint` is empty or
   ///                     contains whitespace.
   EvalStore(std::string dir, std::string fingerprint, std::size_t writer_id = 0);
@@ -166,14 +160,13 @@ class EvalStore {
 
   /// Records discarded at construction because an on-disk fingerprint
   /// did not match the caller's (config-change invalidation).
-  /// \return invalidated-record count across segments (and any migrated
-  ///         legacy file).
+  /// \return invalidated-record count across segments.
   [[nodiscard]] std::size_t invalidated() const;
 
   /// Records skipped at preload because their key was already present
   /// (last-write-wins merge).  Nonzero only when two writers raced the
   /// same genome — the sharded campaign scheduler's claim protocol keeps
-  /// this at 0, and bench/shard_bench.cpp fails if it ever is not.
+  /// this at 0, and bench/campaign_bench.cpp fails if it ever is not.
   /// \return duplicate-record count observed during preload.
   [[nodiscard]] std::size_t duplicates() const;
 
@@ -204,9 +197,6 @@ class EvalStore {
   static std::size_t count_duplicate_records(const std::string& dir);
 
  private:
-  /// Returns the legacy file's surviving record lines ("" when there is
-  /// no legacy file); the constructor parks them in the claimed segment.
-  [[nodiscard]] std::string migrate_legacy_file();
   void acquire_segment(std::size_t preferred_id);
   void load_segments();
   void compact_own_segment();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <limits>
@@ -10,10 +9,8 @@
 #include <unordered_set>
 #include <utility>
 
-#include "pnm/core/eval_store.hpp"
 #include "pnm/core/quantize.hpp"
 #include "pnm/data/synth.hpp"
-#include "pnm/hw/mcm.hpp"
 #include "pnm/hw/tech.hpp"
 #include "pnm/util/fileio.hpp"
 #include "pnm/util/table.hpp"
@@ -23,26 +20,6 @@ namespace {
 
 constexpr char kScellMagic[] = "pnm-scenario-cell";
 constexpr int kScellVersion = 1;
-
-void append_kv(std::string& out, const char* key, const std::string& value) {
-  out += key;
-  out += '=';
-  out += value;
-  out += ';';
-}
-
-/// parse_u64_strict narrowed to size_t (mirrors campaign.cpp).
-std::optional<std::size_t> parse_size_strict(std::string_view token) {
-  const std::optional<std::uint64_t> v = parse_u64_strict(token);
-  if (!v || *v > std::numeric_limits<std::size_t>::max()) return std::nullopt;
-  return static_cast<std::size_t>(*v);
-}
-
-std::vector<std::string_view> split_lines(std::string_view text) {
-  std::vector<std::string_view> lines = split_fields(text, '\n');
-  if (!lines.empty() && lines.back().empty()) lines.pop_back();
-  return lines;
-}
 
 /// "default" for the per-dataset topology, else '-'-joined hidden widths.
 std::string hidden_token(const std::vector<std::size_t>& hidden) {
@@ -101,31 +78,21 @@ bool cell_is_gated(const ScenarioCell& cell, std::size_t max_hidden) {
   return true;
 }
 
-std::string scell_path(const std::string& store_dir, const ScenarioCell& cell) {
-  return store_dir + "/scells/" + cell.id() + ".scell";
+constexpr CellLayout kScenarioLayout{"sclaims", "scells", ".scell"};
+
+std::string scell_header(const std::string& cell_fp) {
+  return std::string(kScellMagic) + " v" + std::to_string(kScellVersion) + " " + cell_fp;
 }
 
-/// One JSON object per design point (same shape as campaign.cpp's so the
-/// two report families stay mergeable downstream).
-std::string point_json(const DesignPoint& p) {
-  std::string out = "{\"genome\": \"" + json_escape(p.config) + "\"";
-  out += ", \"technique\": \"" + json_escape(p.technique) + "\"";
-  out += ", \"accuracy\": " + format_double_roundtrip(p.accuracy);
-  out += ", \"area_mm2\": " + format_double_roundtrip(p.area_mm2);
-  out += ", \"power_uw\": " + format_double_roundtrip(p.power_uw);
-  out += ", \"delay_ms\": " + format_double_roundtrip(p.delay_ms);
-  out += "}";
-  return out;
-}
-
-std::string front_json(const std::vector<DesignPoint>& front,
-                       const std::string& indent) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < front.size(); ++i) {
-    out += (i == 0 ? "\n" : ",\n") + indent + "  " + point_json(front[i]);
+/// The grid's cells for the scheduler, in expand() order.
+std::vector<CellRef> scenario_cells(const ScenarioSpec& spec,
+                                    const std::vector<ScenarioCell>& cells) {
+  std::vector<CellRef> refs;
+  refs.reserve(cells.size());
+  for (const ScenarioCell& cell : cells) {
+    refs.push_back({cell.id(), scenario_cell_fingerprint(spec, cell)});
   }
-  out += front.empty() ? "]" : "\n" + indent + "]";
-  return out;
+  return refs;
 }
 
 /// Deterministic perturbation of the (scaled) test split: every draw
@@ -163,20 +130,6 @@ Dataset perturbed_test(const Dataset& test, const DriftSpec& drift,
   return out;
 }
 
-template <typename T>
-void require_unique_nonempty(const std::vector<T>& values, const char* what) {
-  if (values.empty()) {
-    throw std::invalid_argument(std::string("ScenarioSpec: ") + what +
-                                " list must be non-empty");
-  }
-  std::unordered_set<T> seen;
-  for (const T& v : values) {
-    if (!seen.insert(v).second) {
-      throw std::invalid_argument(std::string("ScenarioSpec: duplicate ") + what);
-    }
-  }
-}
-
 }  // namespace
 
 // ---- Spec ---------------------------------------------------------------
@@ -204,7 +157,7 @@ std::string ScenarioCell::id() const {
 }
 
 void ScenarioSpec::validate() const {
-  require_unique_nonempty(datasets, "dataset");
+  require_unique_nonempty(datasets, "ScenarioSpec", "dataset");
   for (const std::string& d : datasets) {
     if (d.rfind("synth:", 0) == 0) {
       parse_synth_dataset_name(d);  // throws with the offending field
@@ -230,15 +183,15 @@ void ScenarioSpec::validate() const {
       }
     }
   }
-  require_unique_nonempty(input_bits, "input_bits");
+  require_unique_nonempty(input_bits, "ScenarioSpec", "input_bits");
   for (int bits : input_bits) {
     if (bits < 1 || bits > 16) {
       throw std::invalid_argument("ScenarioSpec: input_bits must be in [1, 16]");
     }
   }
-  require_unique_nonempty(tech_nodes, "tech node");
+  require_unique_nonempty(tech_nodes, "ScenarioSpec", "tech node");
   for (const std::string& t : tech_nodes) hw::TechLibrary::by_name(t);  // throws
-  require_unique_nonempty(seeds, "seed");
+  require_unique_nonempty(seeds, "ScenarioSpec", "seed");
   {
     std::unordered_set<std::string> seen;
     for (const DriftSpec& d : drifts) {
@@ -309,21 +262,12 @@ std::string scenario_cell_fingerprint(const ScenarioSpec& spec,
 
 std::string format_scenario_cell(const ScenarioCellResult& result,
                                  const std::string& cell_fp) {
-  std::string out = std::string(kScellMagic) + " v" + std::to_string(kScellVersion) +
-                    " " + cell_fp + "\n";
   const ScenarioCell& c = result.cell;
+  std::string out = scell_header(cell_fp) + "\n";
   out += "cell\t" + c.dataset + "\t" + hidden_token(c.hidden) + "\t" +
          std::to_string(c.input_bits) + "\t" + c.tech + "\t" +
          std::to_string(c.seed) + "\n";
-  out += "stats\t" + std::to_string(result.distinct_evaluations) + "\t" +
-         std::to_string(result.cache_hits) + "\t" +
-         std::to_string(result.cache_misses) + "\t" +
-         std::to_string(result.store_loaded) + "\t" +
-         std::to_string(result.mcm_hits) + "\t" + std::to_string(result.mcm_misses) +
-         "\t" + format_double_roundtrip(result.seconds) + "\n";
-  out += format_eval_record("baseline", result.baseline);
-  out += "front\t" + std::to_string(result.front.size()) + "\n";
-  for (const DesignPoint& p : result.front) out += format_eval_record("point", p);
+  out += format_cell_body(result, result.baseline, result.front);
   out += "fidelity\t" + std::to_string(result.fidelity.size()) + "\t" +
          (result.fidelity_gated ? "1" : "0") + "\t" +
          format_double_roundtrip(result.fidelity_max_rel_delta) + "\n";
@@ -349,16 +293,9 @@ std::string format_scenario_cell(const ScenarioCellResult& result,
 std::optional<ScenarioCellResult> parse_scenario_cell(std::string_view text,
                                                       const std::string& cell_fp) {
   const std::vector<std::string_view> lines = split_lines(text);
-  // Header, cell, stats, baseline, and the front/fidelity/drift section
-  // heads plus the "end" sentinel — 8 lines even when every count is 0.
-  if (lines.size() < 8) return std::nullopt;
-  {
-    const std::vector<std::string_view> tokens = split_fields(lines[0], ' ');
-    if (tokens.size() != 3 || tokens[0] != kScellMagic ||
-        tokens[1] != "v" + std::to_string(kScellVersion) || tokens[2] != cell_fp) {
-      return std::nullopt;
-    }
-  }
+  // Header, cell, the shared body, the fidelity and drift sections, and
+  // the "end" sentinel.
+  if (lines.size() < 2 || lines[0] != scell_header(cell_fp)) return std::nullopt;
   ScenarioCellResult result;
   {
     const std::vector<std::string_view> fields = split_fields(lines[1], '\t');
@@ -377,50 +314,11 @@ std::optional<ScenarioCellResult> parse_scenario_cell(std::string_view text,
     result.cell.tech.assign(fields[4]);
     result.cell.seed = *seed;
   }
-  {
-    constexpr std::string_view kStatsTag = "stats\t";
-    if (lines[2].substr(0, kStatsTag.size()) != kStatsTag) return std::nullopt;
-    const std::vector<std::string_view> fields =
-        split_fields(lines[2].substr(kStatsTag.size()), '\t');
-    if (fields.size() != 7) return std::nullopt;
-    const auto distinct = parse_size_strict(fields[0]);
-    const auto hits = parse_size_strict(fields[1]);
-    const auto misses = parse_size_strict(fields[2]);
-    const auto loaded = parse_size_strict(fields[3]);
-    const auto mcm_hits = parse_size_strict(fields[4]);
-    const auto mcm_misses = parse_size_strict(fields[5]);
-    const auto seconds = parse_double_strict(fields[6]);
-    if (!distinct || !hits || !misses || !loaded || !mcm_hits || !mcm_misses ||
-        !seconds) {
-      return std::nullopt;
-    }
-    result.distinct_evaluations = *distinct;
-    result.cache_hits = *hits;
-    result.cache_misses = *misses;
-    result.store_loaded = *loaded;
-    result.mcm_hits = *mcm_hits;
-    result.mcm_misses = *mcm_misses;
-    result.seconds = *seconds;
-  }
-  std::string tag;
-  if (!parse_eval_record(lines[3], tag, result.baseline) || tag != "baseline") {
+  std::size_t at = 2;
+  if (!parse_cell_body(lines, at, result, result.baseline, result.front) ||
+      at >= lines.size()) {
     return std::nullopt;
   }
-  constexpr std::string_view kFrontTag = "front\t";
-  if (lines[4].substr(0, kFrontTag.size()) != kFrontTag) return std::nullopt;
-  const auto front_size = parse_size_strict(lines[4].substr(kFrontTag.size()));
-  if (!front_size) return std::nullopt;
-  std::size_t at = 5;
-  if (lines.size() < at + *front_size + 2) return std::nullopt;
-  result.front.reserve(*front_size);
-  for (std::size_t i = 0; i < *front_size; ++i) {
-    DesignPoint point;
-    if (!parse_eval_record(lines[at + i], tag, point) || tag != "point") {
-      return std::nullopt;
-    }
-    result.front.push_back(std::move(point));
-  }
-  at += *front_size;
   {
     const std::vector<std::string_view> fields = split_fields(lines[at], '\t');
     if (fields.size() != 4 || fields[0] != "fidelity") return std::nullopt;
@@ -432,7 +330,8 @@ std::optional<ScenarioCellResult> parse_scenario_cell(std::string_view text,
     result.fidelity_gated = fields[2] == "1";
     result.fidelity_max_rel_delta = *max_delta;
     ++at;
-    if (lines.size() < at + *count + 1) return std::nullopt;
+    // The records plus the drift head must follow.
+    if (*count >= lines.size() - at) return std::nullopt;
     result.fidelity.reserve(*count);
     for (std::size_t i = 0; i < *count; ++i, ++at) {
       const std::vector<std::string_view> f = split_fields(lines[at], '\t');
@@ -446,12 +345,14 @@ std::optional<ScenarioCellResult> parse_scenario_cell(std::string_view text,
     }
   }
   {
-    constexpr std::string_view kDriftTag = "drift\t";
-    if (lines[at].substr(0, kDriftTag.size()) != kDriftTag) return std::nullopt;
-    const auto count = parse_size_strict(lines[at].substr(kDriftTag.size()));
-    if (!count) return std::nullopt;
+    const std::vector<std::string_view> head = split_fields(lines[at], '\t');
+    const auto count =
+        head.size() == 2 && head[0] == "drift" ? parse_size_strict(head[1]) : std::nullopt;
     ++at;
-    if (lines.size() != at + *count + 1) return std::nullopt;
+    // Exactly the records and the "end" sentinel must follow.
+    if (!count || at >= lines.size() || *count != lines.size() - at - 1) {
+      return std::nullopt;
+    }
     result.drift.reserve(*count);
     for (std::size_t i = 0; i < *count; ++i, ++at) {
       const std::vector<std::string_view> f = split_fields(lines[at], '\t');
@@ -472,21 +373,15 @@ std::optional<ScenarioCellResult> parse_scenario_cell(std::string_view text,
 // ---- ScenarioResult -----------------------------------------------------
 
 std::size_t ScenarioResult::total_cache_hits() const {
-  std::size_t n = 0;
-  for (const ScenarioCellResult& c : cells) n += c.cache_hits;
-  return n;
+  return sum_cell_stats(cells).cache_hits;
 }
 
 std::size_t ScenarioResult::total_cache_misses() const {
-  std::size_t n = 0;
-  for (const ScenarioCellResult& c : cells) n += c.cache_misses;
-  return n;
+  return sum_cell_stats(cells).cache_misses;
 }
 
 std::size_t ScenarioResult::total_store_loaded() const {
-  std::size_t n = 0;
-  for (const ScenarioCellResult& c : cells) n += c.store_loaded;
-  return n;
+  return sum_cell_stats(cells).store_loaded;
 }
 
 double ScenarioResult::max_gated_rel_delta() const {
@@ -522,15 +417,15 @@ std::string ScenarioResult::grid_json() const {
     out += ",\n     \"front\": " + front_json(c.front, "     ");
     out += ",\n     \"fidelity\": {\"gated\": " +
            std::string(c.fidelity_gated ? "true" : "false");
-    out += ", \"max_rel_delta\": " + format_double_roundtrip(c.fidelity_max_rel_delta);
+    out += ", \"max_rel_delta\": " + json_number(c.fidelity_max_rel_delta);
     out += ", \"records\": [";
     for (std::size_t j = 0; j < c.fidelity.size(); ++j) {
       const FidelityRecord& f = c.fidelity[j];
       out += (j == 0 ? "\n" : ",\n");
       out += "       {\"genome\": \"" + json_escape(f.genome) + "\"";
-      out += ", \"proxy_area_mm2\": " + format_double_roundtrip(f.proxy_area_mm2);
-      out += ", \"netlist_area_mm2\": " + format_double_roundtrip(f.netlist_area_mm2);
-      out += ", \"rel_delta\": " + format_double_roundtrip(f.rel_delta) + "}";
+      out += ", \"proxy_area_mm2\": " + json_number(f.proxy_area_mm2);
+      out += ", \"netlist_area_mm2\": " + json_number(f.netlist_area_mm2);
+      out += ", \"rel_delta\": " + json_number(f.rel_delta) + "}";
     }
     out += c.fidelity.empty() ? "]}" : "\n     ]}";
     out += ",\n     \"drift\": [";
@@ -539,8 +434,8 @@ std::string ScenarioResult::grid_json() const {
       out += (j == 0 ? "\n" : ",\n");
       out += "       {\"drift\": \"" + json_escape(d.drift) + "\"";
       out += ", \"genome\": \"" + json_escape(d.genome) + "\"";
-      out += ", \"base_accuracy\": " + format_double_roundtrip(d.base_accuracy);
-      out += ", \"drift_accuracy\": " + format_double_roundtrip(d.drift_accuracy) + "}";
+      out += ", \"base_accuracy\": " + json_number(d.base_accuracy);
+      out += ", \"drift_accuracy\": " + json_number(d.drift_accuracy) + "}";
     }
     out += c.drift.empty() ? "]}" : "\n     ]}";
   }
@@ -565,20 +460,13 @@ std::string ScenarioResult::report_json() const {
   out += "  \"total_cache_hits\": " + std::to_string(total_cache_hits()) + ",\n";
   out += "  \"total_cache_misses\": " + std::to_string(total_cache_misses()) + ",\n";
   out += "  \"total_store_loaded\": " + std::to_string(total_store_loaded()) + ",\n";
-  out += "  \"max_gated_rel_delta\": " + format_double_roundtrip(max_gated_rel_delta()) +
-         ",\n";
+  out += "  \"max_gated_rel_delta\": " + json_number(max_gated_rel_delta()) + ",\n";
   out += "  \"cells\": [";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const ScenarioCellResult& c = cells[i];
     out += (i == 0 ? "\n" : ",\n");
     out += "    {\"id\": \"" + json_escape(c.cell.id()) + "\"";
-    out += ", \"distinct_evaluations\": " + std::to_string(c.distinct_evaluations);
-    out += ", \"cache_hits\": " + std::to_string(c.cache_hits);
-    out += ", \"cache_misses\": " + std::to_string(c.cache_misses);
-    out += ", \"store_loaded\": " + std::to_string(c.store_loaded);
-    out += ", \"mcm_plan_hits\": " + std::to_string(c.mcm_hits);
-    out += ", \"mcm_plan_misses\": " + std::to_string(c.mcm_misses);
-    out += ", \"seconds\": " + format_double_roundtrip(c.seconds) + "}";
+    out += cell_stats_json(c) + "}";
   }
   out += "\n  ],\n  \"grid\": " + grid_json();
   // grid_json ends with "}\n"; splice it in as a nested object.
@@ -652,9 +540,7 @@ ScenarioResult ScenarioRunner::run() {
 }
 
 ScenarioCellResult ScenarioRunner::run_cell(const ScenarioCell& cell) {
-  const auto start = std::chrono::steady_clock::now();
-  const hw::McmCacheStats mcm_before = hw::mcm_plan_cache_stats();
-
+  const CellMeter meter;
   const FlowConfig config = cell_flow_config(spec_, cell);
   MinimizationFlow flow(config);
   flow.prepare();
@@ -668,41 +554,15 @@ ScenarioCellResult ScenarioRunner::run_cell(const ScenarioCell& cell) {
       flow.netlist_evaluator(config.finetune_epochs, /*use_test_set=*/true);
   ProxyEvaluator fidelity_proxy =
       flow.proxy_evaluator(config.finetune_epochs, /*use_test_set=*/true);
-  ParallelEvaluator proxy_parallel(proxy, pool_);
-  ParallelEvaluator netlist_parallel(netlist, pool_);
-  ParallelEvaluator fidelity_parallel(fidelity_proxy, pool_);
-
-  std::optional<EvalStore> proxy_store;
-  std::optional<EvalStore> netlist_store;
-  std::optional<EvalStore> fidelity_store;
-  std::optional<CachedEvaluator> fitness;
-  std::optional<CachedEvaluator> front_eval;
-  std::optional<CachedEvaluator> fidelity_eval;
-  if (!spec_.store_dir.empty()) {
-    const std::string proxy_fp = eval_fingerprint(
-        config, flow.eval_config(spec_.ga_finetune_epochs, false), "proxy");
-    const std::string netlist_fp = eval_fingerprint(
-        config, flow.eval_config(config.finetune_epochs, true), "netlist");
-    const std::string fidelity_fp = eval_fingerprint(
-        config, flow.eval_config(config.finetune_epochs, true), "proxy");
-    const std::string stem = spec_.store_dir + "/" + cell.id();
-    proxy_store.emplace(stem + "_proxy_" + proxy_fp + ".evalstore", proxy_fp,
-                        spec_.writer_id);
-    netlist_store.emplace(stem + "_netlist_" + netlist_fp + ".evalstore",
-                          netlist_fp, spec_.writer_id);
-    fidelity_store.emplace(stem + "_fidproxy_" + fidelity_fp + ".evalstore",
-                           fidelity_fp, spec_.writer_id);
-    fitness.emplace(proxy_parallel, *proxy_store);
-    front_eval.emplace(netlist_parallel, *netlist_store);
-    fidelity_eval.emplace(fidelity_parallel, *fidelity_store);
-  } else {
-    fitness.emplace(proxy_parallel);
-    front_eval.emplace(netlist_parallel);
-    fidelity_eval.emplace(fidelity_parallel);
-  }
+  const std::string stem =
+      spec_.store_dir.empty() ? "" : spec_.store_dir + "/" + cell.id();
+  CellEvalStack fitness(proxy, pool_, config, stem, "proxy", spec_.writer_id);
+  CellEvalStack front_eval(netlist, pool_, config, stem, "netlist", spec_.writer_id);
+  CellEvalStack fidelity_eval(fidelity_proxy, pool_, config, stem, "fidproxy",
+                              spec_.writer_id);
 
   const MinimizationFlow::GaOutcome outcome =
-      flow.run_ga(*fitness, *front_eval, spec_.ga);
+      flow.run_ga(fitness.cached(), front_eval.cached(), spec_.ga);
 
   ScenarioCellResult result;
   result.cell = cell;
@@ -730,8 +590,10 @@ ScenarioCellResult ScenarioRunner::run_cell(const ScenarioCell& cell) {
 
   // Proxy-fidelity pass: the netlist points come straight from the front
   // cache (all hits); the proxy re-pricing is the fidelity stack's job.
-  const std::vector<DesignPoint> netlist_points = front_eval->evaluate_batch(genomes);
-  const std::vector<DesignPoint> proxy_points = fidelity_eval->evaluate_batch(genomes);
+  const std::vector<DesignPoint> netlist_points =
+      front_eval.cached().evaluate_batch(genomes);
+  const std::vector<DesignPoint> proxy_points =
+      fidelity_eval.cached().evaluate_batch(genomes);
   result.fidelity.reserve(genomes.size());
   for (std::size_t i = 0; i < genomes.size(); ++i) {
     FidelityRecord record;
@@ -767,100 +629,35 @@ ScenarioCellResult ScenarioRunner::run_cell(const ScenarioCell& cell) {
     }
   }
 
-  result.distinct_evaluations = outcome.raw.evaluations;
-  result.cache_hits = fitness->hits() + front_eval->hits() + fidelity_eval->hits();
-  result.cache_misses =
-      fitness->misses() + front_eval->misses() + fidelity_eval->misses();
-  result.store_loaded =
-      fitness->loaded() + front_eval->loaded() + fidelity_eval->loaded();
-  const hw::McmCacheStats mcm_after = hw::mcm_plan_cache_stats();
-  result.mcm_hits = static_cast<std::size_t>(mcm_after.hits - mcm_before.hits);
-  result.mcm_misses = static_cast<std::size_t>(mcm_after.misses - mcm_before.misses);
-  result.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                 start)
-                       .count();
+  meter.record(result, outcome.raw.evaluations, {&fitness, &front_eval, &fidelity_eval});
   return result;
 }
 
 CampaignWorkerResult ScenarioRunner::run_worker(std::size_t shard_id,
                                                 std::size_t num_shards) {
-  if (spec_.store_dir.empty()) {
-    throw std::invalid_argument(
-        "ScenarioRunner::run_worker: a store_dir is required — the claim "
-        "files, cell results, and eval stores all live there");
-  }
-  if (num_shards == 0 || shard_id >= num_shards) {
-    throw std::invalid_argument(
-        "ScenarioRunner::run_worker: need num_shards >= 1 and shard_id < "
-        "num_shards");
-  }
-  const auto start = std::chrono::steady_clock::now();
-  const std::string claims_dir = spec_.store_dir + "/sclaims";
-  if (!create_directories(claims_dir) ||
-      !create_directories(spec_.store_dir + "/scells")) {
-    throw std::runtime_error("ScenarioRunner::run_worker: cannot create " +
-                             spec_.store_dir + "/{sclaims,scells}");
-  }
-
-  CampaignWorkerResult out;
   const std::vector<ScenarioCell> cells = spec_.expand();
-  for (std::size_t index = 0; index < cells.size(); ++index) {
-    const ScenarioCell& cell = cells[index];
-    if (index % num_shards != shard_id) {
-      ++out.cells_skipped_other_shard;
-      continue;
-    }
-    const std::string cell_path = scell_path(spec_.store_dir, cell);
-    const std::string fp = scenario_cell_fingerprint(spec_, cell);
-    const auto published = [&] {
-      const std::optional<std::string> text = read_text_file(cell_path);
-      return text && parse_scenario_cell(*text, fp).has_value();
-    };
-    if (published()) {
-      ++out.cells_skipped_done;
-      continue;
-    }
-    const std::optional<FileLock> claim =
-        FileLock::try_exclusive(claims_dir + "/" + cell.id() + ".claim");
-    if (!claim) {
-      // A *live* process holds the claim; it will publish the cell.
-      ++out.cells_skipped_claimed;
-      continue;
-    }
-    if (published()) {
-      // Raced: the previous owner published between our check and claim.
-      ++out.cells_skipped_done;
-      continue;
-    }
-    const ScenarioCellResult result = run_cell(cell);
-    if (!write_text_file_atomic(cell_path, format_scenario_cell(result, fp))) {
-      throw std::runtime_error(
-          "ScenarioRunner::run_worker: cannot publish cell result " + cell_path);
-    }
-    ++out.cells_run;
-  }
-  out.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              start)
-                    .count();
-  return out;
+  return run_cell_worker(
+      spec_.store_dir, kScenarioLayout, scenario_cells(spec_, cells), shard_id,
+      num_shards,
+      [&](std::size_t index, const std::string& fp) {
+        return format_scenario_cell(run_cell(cells[index]), fp);
+      },
+      [](std::string_view text, const std::string& fp) {
+        return parse_scenario_cell(text, fp).has_value();
+      });
 }
 
 std::optional<ScenarioResult> collect_scenario(const ScenarioSpec& spec) {
   spec.validate();
-  if (spec.store_dir.empty()) {
-    throw std::invalid_argument(
-        "collect_scenario: a store_dir is required — cell results live there");
-  }
   ScenarioResult result;
-  for (const ScenarioCell& cell : spec.expand()) {
-    const std::optional<std::string> text =
-        read_text_file(scell_path(spec.store_dir, cell));
-    if (!text) return std::nullopt;
-    std::optional<ScenarioCellResult> parsed =
-        parse_scenario_cell(*text, scenario_cell_fingerprint(spec, cell));
-    if (!parsed) return std::nullopt;
-    result.cells.push_back(std::move(*parsed));
-  }
+  const bool complete = collect_cells(
+      spec.store_dir, kScenarioLayout, scenario_cells(spec, spec.expand()),
+      [&](std::string_view text, const std::string& fp) {
+        std::optional<ScenarioCellResult> cell = parse_scenario_cell(text, fp);
+        if (cell) result.cells.push_back(std::move(*cell));
+        return cell.has_value();
+      });
+  if (!complete) return std::nullopt;
   return result;
 }
 

@@ -26,16 +26,16 @@
 ///     same spec always produces byte-identical drift records, on any
 ///     worker topology (the bench and CI cmp the reports).
 ///
-/// Scheduling rides the PR-5 claim protocol unchanged in shape: a cell is
-/// a claimable unit under the store directory (`sclaims/<id>.claim`,
+/// Scheduling is the campaign layer's cell scheduler
+/// (pnm/core/cell_queue.hpp) under the scenario layout: a cell is a
+/// claimable unit under the store directory (`sclaims/<id>.claim`,
 /// published atomically as `scells/<id>.scell`, stamped with a
 /// scenario_cell_fingerprint()), so N worker processes drain one grid
 /// with zero duplicate evaluations and collect_scenario() reassembles a
 /// result byte-identical to a serial run's.  Each cell's evaluator stacks
-/// are the campaign ones — stored+cached(parallel(backend, shared pool))
-/// — plus a third store-backed stack for the fidelity pass's proxy
-/// re-pricing (its eval_fingerprint differs from the GA fitness proxy's:
-/// front fine-tune budget, test split).
+/// are the campaign ones (CellEvalStack) plus a third store-backed stack
+/// for the fidelity pass's proxy re-pricing (its eval_fingerprint differs
+/// from the GA fitness proxy's: front fine-tune budget, test split).
 
 #include <cstddef>
 #include <cstdint>
@@ -144,7 +144,8 @@ struct FidelityRecord {
   std::string genome;             ///< Genome::key()
   double proxy_area_mm2 = 0.0;
   double netlist_area_mm2 = 0.0;
-  /// |proxy - netlist| / netlist (0 when both are 0).
+  /// |proxy - netlist| / netlist (0 when both are 0, infinite when only
+  /// the netlist area is 0).
   double rel_delta = 0.0;
 };
 
@@ -156,25 +157,19 @@ struct DriftRecord {
   double drift_accuracy = 0.0;    ///< perturbed test split
 };
 
-/// Outcome of one scenario cell.
-struct ScenarioCellResult {
+/// Outcome of one scenario cell; the CellStats cover all three evaluator
+/// stacks of the cell.
+struct ScenarioCellResult : CellStats {
   ScenarioCell cell;
   DesignPoint baseline;               ///< unminimized bespoke reference
   std::vector<DesignPoint> front;     ///< exact netlist front, test split
   /// One record per distinct front genome, sorted by genome key.
   std::vector<FidelityRecord> fidelity;
   bool fidelity_gated = false;        ///< small-topology hard-gate member
+  /// Largest rel_delta (JSON reports render an infinite one as null).
   double fidelity_max_rel_delta = 0.0;
   /// Drift-major, genome-minor (genomes sorted by key).
   std::vector<DriftRecord> drift;
-  // Evaluation statistics across all three evaluator stacks of the cell.
-  std::size_t distinct_evaluations = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  std::size_t store_loaded = 0;
-  std::size_t mcm_hits = 0;
-  std::size_t mcm_misses = 0;
-  double seconds = 0.0;
 };
 
 /// Serializes one cell outcome as the deterministic text published under
@@ -229,9 +224,9 @@ class ScenarioRunner {
   /// Runs every cell in expand() order in this process.
   ScenarioResult run();
 
-  /// One work-queue pass over the grid: flock-claims `sclaims/<id>.claim`
-  /// under the store directory, runs the cell, atomically publishes
-  /// `scells/<id>.scell`.  Semantics identical to
+  /// One work-queue pass of the cell scheduler over the grid: flock-claims
+  /// `sclaims/<id>.claim` under the store directory, runs the cell,
+  /// atomically publishes `scells/<id>.scell`.  Semantics identical to
   /// CampaignRunner::run_worker (published-skip, live-claim skip, static
   /// sharding by cell index, crashed-claim recovery).
   ///

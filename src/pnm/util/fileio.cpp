@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -87,6 +88,12 @@ std::vector<std::string_view> split_fields(std::string_view text, char sep) {
   }
 }
 
+std::vector<std::string_view> split_lines(std::string_view text) {
+  std::vector<std::string_view> lines = split_fields(text, '\n');
+  if (!lines.empty() && lines.back().empty()) lines.pop_back();
+  return lines;
+}
+
 std::optional<std::uint64_t> parse_u64_strict(std::string_view token) {
   if (token.empty()) return std::nullopt;
   std::uint64_t value = 0;
@@ -99,6 +106,12 @@ std::optional<std::uint64_t> parse_u64_strict(std::string_view token) {
     value = value * 10 + digit;
   }
   return value;
+}
+
+std::optional<std::size_t> parse_size_strict(std::string_view token) {
+  const std::optional<std::uint64_t> v = parse_u64_strict(token);
+  if (!v || *v > std::numeric_limits<std::size_t>::max()) return std::nullopt;
+  return static_cast<std::size_t>(*v);
 }
 
 std::uint64_t fnv1a64(std::string_view s) {
@@ -119,6 +132,13 @@ std::string fnv1a64_hex(std::string_view s) {
     h >>= 4;
   }
   return hex;
+}
+
+void append_kv(std::string& out, const char* key, const std::string& value) {
+  out += key;
+  out += '=';
+  out += value;
+  out += ';';
 }
 
 std::string json_escape(std::string_view s) {
@@ -143,6 +163,10 @@ std::string json_escape(std::string_view s) {
     }
   }
   return out;
+}
+
+std::string json_number(double v) {
+  return std::isfinite(v) ? format_double_roundtrip(v) : "null";
 }
 
 bool create_directories(const std::string& path) {

@@ -16,6 +16,7 @@
 /// A stable 64-bit string hash is included for config fingerprints and
 /// deterministic file naming.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -71,6 +72,13 @@ std::optional<double> parse_double_strict(std::string_view token);
 /// \return the fields, in order; never empty (no separator -> 1 field).
 std::vector<std::string_view> split_fields(std::string_view text, char sep);
 
+/// The lines of `text`: split_fields on '\n', except that the trailing
+/// newline of a well-formed file does not produce an empty final line.
+///
+/// \param text  the text to split (views into it are returned).
+/// \return the lines, without their newlines.
+std::vector<std::string_view> split_lines(std::string_view text);
+
 /// Strict all-digits unsigned parse for stored counters and ids:
 /// rejects empty input, any non-digit (sign, whitespace, hex), and
 /// values that overflow 64 bits — corrupted fields are detected instead
@@ -79,6 +87,13 @@ std::vector<std::string_view> split_fields(std::string_view text, char sep);
 /// \param token  the exact text of one stored field.
 /// \return the value; std::nullopt on any deviation.
 std::optional<std::uint64_t> parse_u64_strict(std::string_view token);
+
+/// parse_u64_strict narrowed to std::size_t (counts, sizes, CLI numbers).
+///
+/// \param token  the exact text of one field.
+/// \return the value; std::nullopt on any deviation or when it does not
+///         fit a size_t.
+std::optional<std::size_t> parse_size_strict(std::string_view token);
 
 /// FNV-1a 64-bit hash of a byte string.  Stable across platforms and
 /// runs (unlike std::hash) — usable as an on-disk fingerprint.
@@ -93,12 +108,27 @@ std::uint64_t fnv1a64(std::string_view s);
 /// \return the hash as a fixed-width hex token.
 std::string fnv1a64_hex(std::string_view s);
 
+/// Appends one `key=value;` field to the canonical text a fingerprint
+/// hashes (fnv1a64_hex over the whole text).
+///
+/// \param out    canonical text being built.
+/// \param key    field name.
+/// \param value  field value, already rendered.
+void append_kv(std::string& out, const char* key, const std::string& value);
+
 /// Escapes a string for inclusion inside a JSON string literal (quotes,
 /// backslashes, control characters).  ASCII-transparent otherwise.
 ///
 /// \param s  raw text.
 /// \return the escaped form (without surrounding quotes).
 std::string json_escape(std::string_view s);
+
+/// A double as a JSON value: format_double_roundtrip for finite values,
+/// `null` for inf/-inf/nan, which JSON cannot represent.
+///
+/// \param v  value to render.
+/// \return the JSON token.
+std::string json_number(double v);
 
 /// Creates `path` and any missing parents.
 ///
@@ -108,8 +138,6 @@ std::string json_escape(std::string_view s);
 bool create_directories(const std::string& path);
 
 /// True when `path` names an existing regular file (not a directory).
-/// Used by the evaluation store to detect a legacy single-file v1 store
-/// where the v2 segment directory should live.
 ///
 /// \param path  path to test.
 /// \return whether a regular file exists there.

@@ -1,23 +1,21 @@
 /// Tests for the multi-dataset GA campaign runner: spec validation,
 /// config fingerprints, report rendering, the resume guarantee — a warm
 /// rerun against a populated store produces byte-identical Pareto fronts
-/// while re-evaluating zero previously-seen genomes — and the
-/// cross-process scheduler: claim lifecycle, stale-claim recovery,
-/// cell-result round-trips, and worker processes matching a serial run.
+/// while re-evaluating zero previously-seen genomes — and the campaign's
+/// use of the cell scheduler: cell-result round-trips, worker passes, and
+/// worker processes matching a serial run (the scheduler's own claim
+/// lifecycle is tested in core_cell_queue_test).
 
 #include "pnm/core/campaign.hpp"
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "pnm/core/eval_store.hpp"
-#include "pnm/util/fileio.hpp"
 
 namespace pnm {
 namespace {
@@ -234,6 +232,9 @@ TEST(Campaign, WorkerPassesMatchSerialAndSkipDoneCells) {
   EXPECT_EQ(first.cells_run, 2u);
   EXPECT_EQ(first.cells_skipped_done, 0u);
   EXPECT_EQ(first.cells_skipped_claimed, 0u);
+  // The on-disk layout stores written by older builds rely on.
+  EXPECT_TRUE(std::filesystem::exists(spec.store_dir + "/claims/redwine_s5.claim"));
+  EXPECT_TRUE(std::filesystem::exists(spec.store_dir + "/cells/redwine_s5.cell"));
   const std::optional<CampaignResult> collected = collect_campaign(spec);
   ASSERT_TRUE(collected.has_value());
 
@@ -262,70 +263,6 @@ TEST(Campaign, WorkerPassesMatchSerialAndSkipDoneCells) {
   EXPECT_EQ(sharded->fronts_json(), serial.fronts_json());
 }
 
-TEST(Campaign, StaleCellFileIsRecomputed) {
-  CampaignSpec spec = tiny_spec();
-  spec.store_dir = fresh_store_dir("stale");
-  ASSERT_EQ(CampaignRunner(spec).run_worker().cells_run, 1u);
-  // The spec changes: the published cell is now stale and must be
-  // recomputed under the new fingerprint (retry semantics), not merged.
-  spec.ga.generations += 1;
-  EXPECT_FALSE(collect_campaign(spec).has_value());
-  const CampaignWorkerResult redo = CampaignRunner(spec).run_worker();
-  EXPECT_EQ(redo.cells_run, 1u);
-  EXPECT_TRUE(collect_campaign(spec).has_value());
-}
-
-TEST(Campaign, LiveClaimSkipsCellAndDeadClaimIsReclaimed) {
-  CampaignSpec spec = tiny_spec();
-  spec.store_dir = fresh_store_dir("claims");
-  ASSERT_TRUE(create_directories(spec.store_dir + "/claims"));
-  const std::string claim_path =
-      spec.store_dir + "/claims/" + spec.datasets[0] + "_s" +
-      std::to_string(spec.seeds[0]) + ".claim";
-
-  // A child process holds the cell's claim (a live worker, as far as the
-  // scheduler can tell) until told to exit.
-  int to_child[2];
-  int to_parent[2];
-  ASSERT_EQ(pipe(to_child), 0);
-  ASSERT_EQ(pipe(to_parent), 0);
-  const pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    close(to_child[1]);
-    close(to_parent[0]);
-    int status = 0;
-    std::optional<FileLock> claim = FileLock::try_exclusive(claim_path);
-    if (!claim) status = 1;
-    char byte = 'r';
-    if (write(to_parent[1], &byte, 1) != 1) status = 2;
-    if (read(to_child[0], &byte, 1) < 0) status = 3;  // hold until signalled
-    _exit(status);
-  }
-  close(to_child[0]);
-  close(to_parent[1]);
-  char byte = 0;
-  ASSERT_EQ(read(to_parent[0], &byte, 1), 1);  // the claim is held now
-
-  // The worker pass must leave the claimed cell alone and terminate.
-  const CampaignWorkerResult contended = CampaignRunner(spec).run_worker();
-  EXPECT_EQ(contended.cells_run, 0u);
-  EXPECT_EQ(contended.cells_skipped_claimed, 1u);
-  EXPECT_FALSE(collect_campaign(spec).has_value());
-
-  // The "worker" dies without publishing: its claim evaporates with the
-  // process, so the next pass recomputes the cell — stale-claim recovery
-  // with no lease files or timeouts.
-  close(to_child[1]);
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  ASSERT_EQ(WEXITSTATUS(status), 0);
-  const CampaignWorkerResult recovered = CampaignRunner(spec).run_worker();
-  EXPECT_EQ(recovered.cells_run, 1u);
-  EXPECT_TRUE(collect_campaign(spec).has_value());
-}
-
 TEST(Campaign, TwoWorkerProcessesMatchSerial) {
   // The acceptance invariant at unit level: two real worker processes
   // draining one campaign produce byte-identical merged fronts to the
@@ -334,30 +271,12 @@ TEST(Campaign, TwoWorkerProcessesMatchSerial) {
   spec.seeds = {5, 6};  // two cells on one dataset
   spec.store_dir = fresh_store_dir("twoproc");
 
-  pid_t children[2] = {0, 0};
-  for (std::size_t j = 0; j < 2; ++j) {
-    const pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      int status = 0;
-      try {
-        CampaignSpec child_spec = spec;
-        child_spec.writer_id = j;
-        CampaignRunner worker(std::move(child_spec));
-        worker.run_worker();
-      } catch (const std::exception&) {
-        status = 1;
-      }
-      _exit(status);
-    }
-    children[j] = pid;
-  }
-  for (pid_t pid : children) {
-    int status = 0;
-    ASSERT_EQ(waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status));
-    ASSERT_EQ(WEXITSTATUS(status), 0);
-  }
+  ASSERT_TRUE(run_worker_processes(2, [&](std::size_t j) {
+    CampaignSpec child_spec = spec;
+    child_spec.writer_id = j;
+    CampaignRunner(std::move(child_spec)).run_worker();
+    return 0;
+  }));
 
   const std::optional<CampaignResult> sharded = collect_campaign(spec);
   ASSERT_TRUE(sharded.has_value());

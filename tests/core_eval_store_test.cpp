@@ -1,8 +1,7 @@
 /// Tests for the persistent evaluation store: exact round-trips,
 /// corruption/truncation recovery, version and fingerprint handling,
 /// concurrent threads AND real concurrent writer processes on the
-/// sharded segment layout, legacy v1-file migration, and the
-/// CachedEvaluator backing integration.
+/// sharded segment layout, and the CachedEvaluator backing integration.
 
 #include "pnm/core/eval_store.hpp"
 
@@ -181,45 +180,15 @@ TEST(EvalStore, VersionMismatchIsRejected) {
 }
 
 TEST(EvalStore, NonStoreFileIsRejected) {
-  const std::string file = store_dir("notastore");
-  ASSERT_TRUE(write_text_file_atomic(file, "just some text\nmore text\n"));
-  EXPECT_THROW(EvalStore(file, "fp"), std::runtime_error);
-}
-
-TEST(EvalStore, LegacyV1FileMigratesTransparently) {
-  const std::string path = store_dir("migrate");
-  // A PR-4 store file exactly as the old code wrote it (including a
-  // duplicate key and a torn final record).
-  ASSERT_TRUE(write_text_file_atomic(
-      path,
-      "pnm-eval-store v1 fp\n"
-      "a\tga\tcfg\t0.25\t10\t1\t2\n"
-      "b\tga\tcfg\t0.5\t5\t0\t0\n"
-      "a\tga\tcfg\t0.9\t9\t9\t9\n"
-      "c\tga\tcfg\t0.7\t7"));
-  EvalStore store(path, "fp");
-  EXPECT_EQ(store.loaded(), 2u);           // a + b; duplicate a dropped
-  EXPECT_EQ(store.corrupt_dropped(), 1u);  // the torn c record
-  EXPECT_EQ(store.lookup("a")->accuracy, 0.25);  // first record wins, as in v1
-  EXPECT_TRUE(store.lookup("b").has_value());
-  EXPECT_FALSE(store.lookup("c").has_value());
-  // The path is now a segment directory, and new records join the old.
-  EXPECT_TRUE(std::filesystem::is_directory(path));
-  store.put("d", make_point(0.6, 6.0));
-  EvalStore reopened(path, "fp");
-  EXPECT_EQ(reopened.loaded(), 3u);
-  EXPECT_TRUE(reopened.lookup("d").has_value());
-}
-
-TEST(EvalStore, LegacyV1MigrationRespectsFingerprint) {
-  const std::string path = store_dir("migrate_fp");
-  ASSERT_TRUE(write_text_file_atomic(path,
-                                     "pnm-eval-store v1 other\n"
-                                     "a\tga\tcfg\t0.25\t10\t1\t2\n"));
-  EvalStore store(path, "fp");
-  EXPECT_EQ(store.loaded(), 0u);
-  EXPECT_EQ(store.invalidated(), 1u);
-  EXPECT_FALSE(store.lookup("a").has_value());
+  // Any regular file where the segment directory belongs — including a
+  // single-file store of the old v1 layout — is refused and left as is.
+  for (const std::string content :
+       {"just some text\nmore text\n", "pnm-eval-store v1 fp\na\tga\tcfg\t0.25\t10\t1\t2\n"}) {
+    const std::string file = store_dir("notastore");
+    ASSERT_TRUE(write_text_file_atomic(file, content));
+    EXPECT_THROW(EvalStore(file, "fp"), std::runtime_error);
+    EXPECT_EQ(read_text_file(file), content);
+  }
 }
 
 TEST(EvalStore, FingerprintMismatchInvalidatesButIsolates) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -231,6 +232,37 @@ TEST(ScenarioCellFile, RejectsStaleTruncatedOrMalformed) {
   EXPECT_FALSE(parse_scenario_cell(text + "extra\n", fp).has_value());
 }
 
+TEST(ScenarioCellFile, NonFiniteFidelityRendersAsJsonNull) {
+  // A front design whose circuit folds to a constant class has netlist
+  // area 0 while the proxy still prices it: its relative delta is
+  // infinite.  The cell file keeps the value exactly; the JSON reports
+  // render it as null; the gate still counts it as a violation.
+  ScenarioCellResult result = sample_cell_result();
+  const double inf = std::numeric_limits<double>::infinity();
+  result.fidelity[0] = {"b2,2|s50,20|c0,4", 42.625999999999991, 0.0, inf};
+  result.fidelity_max_rel_delta = inf;
+  const std::string fp = "0123456789abcdef";
+  const std::optional<ScenarioCellResult> parsed =
+      parse_scenario_cell(format_scenario_cell(result, fp), fp);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->fidelity[0].rel_delta, inf);
+  EXPECT_EQ(parsed->fidelity_max_rel_delta, inf);
+
+  ScenarioResult grid;
+  grid.cells = {result};
+  const std::string json = grid.grid_json();
+  EXPECT_EQ(json.find("inf"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"max_rel_delta\": null"), std::string::npos);
+  EXPECT_NE(json.find("\"rel_delta\": null"), std::string::npos);
+  EXPECT_EQ(grid.report_json().find("inf"), std::string::npos);
+  EXPECT_EQ(grid.fidelity_violations(3.0), 1u);
+
+  // Finite values keep their round-trip rendering.
+  grid.cells = {sample_cell_result()};
+  EXPECT_NE(grid.grid_json().find("\"max_rel_delta\": 0.058823529411764698"),
+            std::string::npos);
+}
+
 TEST(ScenarioSpecFile, ParsesFullSpec) {
   const std::string text =
       "# scenario grid\n"
@@ -339,6 +371,10 @@ TEST(Scenario, EndToEndDeterminismResumeAndWorkers) {
   worker_spec.store_dir = fresh_store_dir("e2e_worker");
   const CampaignWorkerResult pass = ScenarioRunner(worker_spec).run_worker();
   EXPECT_EQ(pass.cells_run, 1u);
+  // The on-disk layout stores written by older builds rely on.
+  const std::string id = worker_spec.expand().front().id();
+  EXPECT_TRUE(std::filesystem::exists(worker_spec.store_dir + "/sclaims/" + id + ".claim"));
+  EXPECT_TRUE(std::filesystem::exists(worker_spec.store_dir + "/scells/" + id + ".scell"));
   const std::optional<ScenarioResult> collected = collect_scenario(worker_spec);
   ASSERT_TRUE(collected.has_value());
   EXPECT_EQ(collected->grid_json(), cold.grid_json());
@@ -347,6 +383,29 @@ TEST(Scenario, EndToEndDeterminismResumeAndWorkers) {
   const CampaignWorkerResult second = ScenarioRunner(worker_spec).run_worker();
   EXPECT_EQ(second.cells_run, 0u);
   EXPECT_EQ(second.cells_skipped_done, 1u);
+}
+
+TEST(Scenario, CellMatchesEquivalentCampaignCell) {
+  // A campaign cell is a scenario cell with the default topology, 4-bit
+  // inputs, the egt node, and no drifts: both must find the same front
+  // against the same baseline.
+  ScenarioSpec scenario = tiny_spec();
+  scenario.drifts.clear();
+  CampaignSpec campaign;
+  campaign.base = scenario.base;
+  campaign.datasets = scenario.datasets;
+  campaign.seeds = scenario.seeds;
+  campaign.ga = scenario.ga;
+  campaign.ga_finetune_epochs = scenario.ga_finetune_epochs;
+
+  const ScenarioResult grid = ScenarioRunner(scenario).run();
+  const CampaignResult runs = CampaignRunner(campaign).run();
+  ASSERT_EQ(grid.cells.size(), 1u);
+  ASSERT_EQ(runs.runs.size(), 1u);
+  EXPECT_EQ(grid.cells[0].cell.id(), "seeds__hdef__b4__egt__s5");
+  EXPECT_FALSE(grid.cells[0].front.empty());
+  EXPECT_EQ(grid.cells[0].front, runs.runs[0].front);
+  EXPECT_EQ(grid.cells[0].baseline, runs.runs[0].baseline);
 }
 
 TEST(Scenario, WorkerRequiresStoreAndValidShards) {
