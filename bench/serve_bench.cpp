@@ -7,7 +7,7 @@
 /// {1, 2, 4} reactors x {alpha, beta} models:
 ///   1. every server response over real loopback TCP is bit-identical to
 ///      the offline `predict_quantized_into` on the full test split —
-///      alpha via protocol-v1 frames, beta via v2 named routing;
+///      alpha via the empty (default-model) name, beta by name;
 ///   2. every open-loop rate run answers every request with zero
 ///      mismatches (responses verified per the version that served them);
 ///   3. two hot-swaps per model performed *under concurrent load on both
@@ -90,7 +90,7 @@ int fail(const std::string& why) {
 }
 
 /// Full-test-split bit-exactness for one model over one connection.
-/// \param model_name  "" sends protocol-v1 frames; else v2 named frames.
+/// \param model_name  the route every frame names ("" = the default model).
 bool bit_exact_split(std::uint16_t port, const std::string& model_name,
                      const QuantizedMlp& design, const Dataset& test, std::string& why) {
   ServeClient client;
@@ -102,11 +102,7 @@ bool bit_exact_split(std::uint16_t port, const std::string& model_name,
   std::vector<std::int64_t> xq;
   PredictResponse resp;
   for (std::size_t i = 0; i < test.size(); ++i) {
-    const bool sent = model_name.empty()
-                          ? client.send_predict(static_cast<std::uint32_t>(i), test.x[i])
-                          : client.send_predict_v2(static_cast<std::uint32_t>(i),
-                                                   model_name, test.x[i]);
-    if (!sent) {
+    if (!client.send_predict(static_cast<std::uint32_t>(i), test.x[i], model_name)) {
       why = "send failed at sample " + std::to_string(i);
       return false;
     }
@@ -196,10 +192,10 @@ int main() {
     // ---- Gate 1: bit-exactness on the full test split, per model -------
     std::string why;
     if (!bit_exact_split(server.port(), "", design_a, split.test, why)) {
-      return fail(cell + "alpha (v1 frames): " + why);
+      return fail(cell + "alpha (default name): " + why);
     }
     if (!bit_exact_split(server.port(), "beta", design_b, split.test, why)) {
-      return fail(cell + "beta (v2 frames): " + why);
+      return fail(cell + "beta (named): " + why);
     }
     std::cout << cell << "bit-exact gate: 2x" << split.test.size()
               << " test samples identical to offline inference\n";
@@ -240,8 +236,8 @@ int main() {
     // ---- Gate 3: concurrent per-model hot-swap storms ------------------
     // Both models take open-loop load at once; each loadgen issues two
     // swaps of ITS model mid-run and verifies every response bit-exactly
-    // against the design its version tag names.  Alpha runs protocol v1
-    // throughout (legacy clients keep working mid-swap); beta runs v2.
+    // against the design its version tag names.  Alpha's requests and
+    // swaps use the empty (default-model) name; beta's name their model.
     const std::size_t swap_requests = 3000 / static_cast<std::size_t>(slow);
     LoadGenConfig load_a;
     load_a.port = server.port();

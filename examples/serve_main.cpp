@@ -11,8 +11,8 @@
 ///   Serve it (runs until SIGINT/SIGTERM; SIGHUP hot-swaps the file named
 ///   by --swap-file, or re-loads the default model when it is omitted).
 ///   --model repeats: a plain path is the default model, NAME=FILE
-///   registers an additional named model (protocol-v2 clients route by
-///   name).  --reactors N runs N SO_REUSEPORT accept+IO loops on the port:
+///   registers an additional named model (clients route by name).
+///   --reactors N runs N SO_REUSEPORT accept+IO loops on the port:
 ///     serve_main --model model_a.pnm [--model beta=model_b.pnm]
 ///                --port 9000 [--reactors 2] [--batch-max 32]
 ///                [--batch-deadline-us 200] [--threads 2]
@@ -21,8 +21,8 @@
 ///   Drive it open-loop (paced offered rate; with --verify every response
 ///   is checked bit-exactly against the offline prediction of the design
 ///   version that served it — nonzero exit on any violation).
-///   --model-name NAME switches to protocol-v2 frames routed to that
-///   model (swaps then target it too):
+///   --model-name NAME routes every request, and every swap, to that
+///   model instead of the default one:
 ///     serve_main --loadgen --port 9000 --model model_a.pnm
 ///                [--model-name beta] [--rate 5000] [--requests 10000]
 ///                [--swap-at 2000=model_b.pnm] [--verify 2=model_b.pnm]
@@ -38,20 +38,30 @@
 /// per model name, so a loadgen with --model-name verifies that model's
 /// own sequence.
 ///
+/// Numeric values are strict: digits only (--rate also takes a decimal or
+/// exponent), in range for the field they set (--port at most 65535).  A
+/// malformed value prints "error: <flag>: ..." and exits 1 before any
+/// model is loaded, trained, or served.
+///
 /// This binary links only the pnm_infer engine library — serving a design
 /// needs none of the minimization stack.
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <fcntl.h>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <poll.h>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -63,6 +73,7 @@
 #include "pnm/nn/trainer.hpp"
 #include "pnm/serve/client.hpp"
 #include "pnm/serve/server.hpp"
+#include "pnm/util/fileio.hpp"
 #include "pnm/util/rng.hpp"
 
 namespace {
@@ -104,65 +115,102 @@ bool install_signal_handlers() {
          sigaction(SIGHUP, &sa, nullptr) == 0;
 }
 
+/// Integer flags and the largest value each accepts (the range of the
+/// field it sets).
+const std::map<std::string, std::uint64_t> kIntFlags = {
+    {"--weight-bits", INT_MAX},
+    {"--input-bits", INT_MAX},
+    {"--hidden", SIZE_MAX},
+    {"--seed", UINT64_MAX},
+    {"--train-epochs", SIZE_MAX},
+    {"--port", UINT16_MAX},
+    {"--batch-max", SIZE_MAX},
+    {"--batch-deadline-us", INT64_MAX},
+    {"--threads", SIZE_MAX},
+    {"--reactors", SIZE_MAX},
+    {"--requests", SIZE_MAX},
+};
+
+/// `text` as an unsigned integer no larger than `max`.
+/// \throws std::invalid_argument  naming `flag` otherwise.
+std::uint64_t parse_uint(const std::string& flag, std::string_view text, std::uint64_t max) {
+  const std::optional<std::uint64_t> v = pnm::parse_u64_strict(text);
+  if (!v || *v > max) {
+    const std::string want = max == UINT64_MAX ? "a non-negative integer"
+                                               : "an integer in [0, " + std::to_string(max) + "]";
+    throw std::invalid_argument(flag + ": expected " + want + ", got '" + std::string(text) + "'");
+  }
+  return *v;
+}
+
 struct Args {
   std::map<std::string, std::string> values;
+  std::map<std::string, std::uint64_t> ints;                        // kIntFlags values
+  std::optional<double> rate;                                       // loadgen
   std::vector<std::string> models;                                  // serve: every --model
   std::vector<std::pair<std::size_t, std::string>> swap_at;         // loadgen
   std::map<std::uint32_t, std::string> verify;                      // loadgen
 
-  bool has(const std::string& key) const { return values.count(key) != 0; }
+  bool has(const std::string& key) const { return values.count(key) != 0 || ints.count(key) != 0; }
   std::string get(const std::string& key, const std::string& fallback = "") const {
     const auto it = values.find(key);
     return it == values.end() ? fallback : it->second;
   }
-  long num(const std::string& key, long fallback) const {
-    const auto it = values.find(key);
-    return it == values.end() ? fallback : std::stol(it->second);
+  /// An integer flag's value (already range-checked for its field type).
+  template <typename T>
+  T num(const std::string& key, T fallback) const {
+    const auto it = ints.find(key);
+    return it == ints.end() ? fallback : static_cast<T>(it->second);
   }
 };
 
-bool parse_args(int argc, char** argv, Args& args) {
+/// Parses and validates every flag, numbers included.
+/// \throws std::invalid_argument  on an unknown flag or a malformed value.
+Args parse_args(int argc, char** argv) {
   const std::vector<std::string> flags = {"--loadgen", "--stats"};
-  const std::vector<std::string> with_value = {
-      "--train-model", "--out",   "--weight-bits", "--input-bits",
-      "--hidden",      "--seed",  "--train-epochs", "--model",
-      "--model-name",  "--port",  "--batch-max", "--batch-deadline-us",
-      "--threads",     "--reactors", "--swap-file", "--swap",
-      "--rate",        "--requests"};
+  const std::vector<std::string> with_text = {"--train-model", "--out",      "--model",
+                                              "--model-name",  "--swap-file", "--swap"};
+  Args args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (std::find(flags.begin(), flags.end(), arg) != flags.end()) {
       args.values[arg] = "1";
       continue;
     }
-    const bool known =
-        std::find(with_value.begin(), with_value.end(), arg) != with_value.end();
-    if ((known || arg == "--swap-at" || arg == "--verify") && i + 1 < argc) {
-      const std::string value = argv[++i];
-      if (arg == "--swap-at" || arg == "--verify") {
-        const auto eq = value.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 == value.size()) {
-          std::cerr << "error: " << arg << " wants N=PATH, got '" << value << "'\n";
-          return false;
-        }
-        const long n = std::stol(value.substr(0, eq));
-        if (arg == "--swap-at") {
-          args.swap_at.emplace_back(static_cast<std::size_t>(n), value.substr(eq + 1));
-        } else {
-          args.verify[static_cast<std::uint32_t>(n)] = value.substr(eq + 1);
-        }
-      } else {
-        // --model repeats (serve mode registers every occurrence); the
-        // first one also lands in `values` for the single-model modes.
-        if (arg == "--model") args.models.push_back(value);
-        if (arg != "--model" || !args.has("--model")) args.values[arg] = value;
-      }
-      continue;
+    const bool known = std::find(with_text.begin(), with_text.end(), arg) != with_text.end() ||
+                       kIntFlags.count(arg) != 0 || arg == "--rate" || arg == "--swap-at" ||
+                       arg == "--verify";
+    if (!known || i + 1 >= argc) {
+      throw std::invalid_argument("unknown or valueless argument '" + arg + "'");
     }
-    std::cerr << "error: unknown or valueless argument '" << arg << "'\n";
-    return false;
+    const std::string value = argv[++i];
+    if (const auto it = kIntFlags.find(arg); it != kIntFlags.end()) {
+      args.ints[arg] = parse_uint(arg, value, it->second);
+    } else if (arg == "--rate") {
+      args.rate = pnm::parse_double_strict(value);
+      if (!args.rate || !std::isfinite(*args.rate)) {
+        throw std::invalid_argument(arg + ": expected a finite number, got '" + value + "'");
+      }
+    } else if (arg == "--swap-at" || arg == "--verify") {
+      const auto eq = value.find('=');
+      if (eq == std::string::npos || eq == 0 || eq + 1 == value.size()) {
+        throw std::invalid_argument(arg + ": expected N=PATH, got '" + value + "'");
+      }
+      const std::string_view n = std::string_view(value).substr(0, eq);
+      if (arg == "--swap-at") {
+        args.swap_at.emplace_back(parse_uint(arg, n, SIZE_MAX), value.substr(eq + 1));
+      } else {
+        args.verify[static_cast<std::uint32_t>(parse_uint(arg, n, UINT32_MAX))] =
+            value.substr(eq + 1);
+      }
+    } else {
+      // --model repeats (serve mode registers every occurrence); the
+      // first one also lands in `values` for the single-model modes.
+      if (arg == "--model") args.models.push_back(value);
+      if (arg != "--model" || !args.has("--model")) args.values[arg] = value;
+    }
   }
-  return true;
+  return args;
 }
 
 pnm::Dataset dataset_by_name(const std::string& name, std::uint64_t seed) {
@@ -180,11 +228,11 @@ int run_train(const Args& args) {
     std::cerr << "error: --train-model needs --out PATH\n";
     return 1;
   }
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.num("--seed", 42));
-  const int weight_bits = static_cast<int>(args.num("--weight-bits", 5));
-  const int input_bits = static_cast<int>(args.num("--input-bits", 4));
-  const std::size_t hidden = static_cast<std::size_t>(args.num("--hidden", 10));
-  const std::size_t epochs = static_cast<std::size_t>(args.num("--train-epochs", 30));
+  const auto seed = args.num<std::uint64_t>("--seed", 42);
+  const int weight_bits = args.num("--weight-bits", 5);
+  const int input_bits = args.num("--input-bits", 4);
+  const auto hidden = args.num<std::size_t>("--hidden", 10);
+  const auto epochs = args.num<std::size_t>("--train-epochs", 30);
 
   const std::string name = args.get("--train-model");
   pnm::Dataset data = dataset_by_name(name, 7000 + seed);
@@ -232,11 +280,11 @@ int run_serve(const Args& args) {
     return 1;
   }
   pnm::serve::ServeConfig config;
-  config.port = static_cast<std::uint16_t>(args.num("--port", 0));
-  config.reactors = static_cast<std::size_t>(args.num("--reactors", 1));
-  config.batch_max = static_cast<std::size_t>(args.num("--batch-max", 32));
-  config.batch_deadline_us = args.num("--batch-deadline-us", 200);
-  config.worker_threads = static_cast<std::size_t>(args.num("--threads", 2));
+  config.port = args.num<std::uint16_t>("--port", 0);
+  config.reactors = args.num<std::size_t>("--reactors", 1);
+  config.batch_max = args.num<std::size_t>("--batch-max", 32);
+  config.batch_deadline_us = args.num<std::int64_t>("--batch-deadline-us", 200);
+  config.worker_threads = args.num<std::size_t>("--threads", 2);
 
   auto registry = std::make_shared<pnm::serve::ModelRegistry>();
   for (const std::string& entry : args.models) {
@@ -281,7 +329,7 @@ int run_serve(const Args& args) {
     if (g_hup != 0) {
       g_hup = 0;
       std::string error;
-      if (server.swap_model_named(swap_name, swap_file, &error)) {
+      if (server.swap_model(swap_name, swap_file, &error)) {
         const auto live = registry->get(swap_name);
         std::cout << "swapped " << live->name << " to " << swap_file << " (version "
                   << live->version << ")\n"
@@ -310,7 +358,7 @@ int run_loadgen(const Args& args) {
 
   // Random [0,1] feature vectors: bit-exactness does not care whether the
   // inputs are realistic, only that client and offline agree on them.
-  pnm::Rng rng(static_cast<std::uint64_t>(args.num("--seed", 42)));
+  pnm::Rng rng(args.num<std::uint64_t>("--seed", 42));
   std::vector<std::vector<double>> samples(64);
   for (auto& s : samples) {
     s.resize(base.input_size());
@@ -320,9 +368,9 @@ int run_loadgen(const Args& args) {
   // Keep the verify designs alive for the whole run.
   std::map<std::uint32_t, pnm::QuantizedMlp> designs;
   pnm::serve::LoadGenConfig load;
-  load.port = static_cast<std::uint16_t>(args.num("--port", 0));
-  load.rate = static_cast<double>(args.num("--rate", 2000));
-  load.total_requests = static_cast<std::size_t>(args.num("--requests", 2000));
+  load.port = args.num<std::uint16_t>("--port", 0);
+  load.rate = args.rate.value_or(2000.0);
+  load.total_requests = args.num<std::size_t>("--requests", 2000);
   load.model_name = args.get("--model-name");
   load.samples = &samples;
   for (const auto& [after, path] : args.swap_at) load.swaps[after] = path;
@@ -359,7 +407,7 @@ int run_loadgen(const Args& args) {
 
 int run_admin(const Args& args) {
   pnm::serve::ServeClient client;
-  if (!client.connect("127.0.0.1", static_cast<std::uint16_t>(args.num("--port", 0)), 5)) {
+  if (!client.connect("127.0.0.1", args.num<std::uint16_t>("--port", 0), 5)) {
     std::cerr << "error: cannot connect\n";
     return 1;
   }
@@ -374,8 +422,7 @@ int run_admin(const Args& args) {
   }
   std::string message;
   const auto [name, file] = split_model_arg(args.get("--swap"), std::string());
-  const bool ok = name.empty() ? client.swap(file, message)
-                               : client.swap_named(name, file, message);
+  const bool ok = client.swap(name, file, message);
   std::cout << (ok ? "swapped: " : "rejected: ") << message << '\n';
   return ok ? 0 : 1;
 }
@@ -383,9 +430,8 @@ int run_admin(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  if (!parse_args(argc, argv, args)) return 2;
   try {
+    const Args args = parse_args(argc, argv);
     if (args.has("--train-model")) return run_train(args);
     if (args.has("--loadgen")) return run_loadgen(args);
     if (args.has("--stats") || args.has("--swap")) return run_admin(args);

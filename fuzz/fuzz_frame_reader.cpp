@@ -1,12 +1,15 @@
-/// Fuzz target: serve::FrameReader::feed + the payload decoders.
+/// Fuzz target: serve::FrameReader::feed + every payload decoder.
 ///
 /// Structure-aware split: the first input byte seeds a deterministic
 /// chunker, so one corpus entry exercises many fragmentation patterns of
 /// the same byte stream across mutations (reassembly joins are where
 /// incremental parsers break).  Every completed frame is pushed through
-/// the real payload decoders, and two invariants are enforced with
-/// abort(): a poisoned reader must stay poisoned, and a dispatched
-/// payload must never exceed the frame cap.
+/// the real payload decoder of its type — including the peer-controlled
+/// u8-length model names of kPredict and kSwap — and invariants are
+/// enforced with abort(): a poisoned reader must stay poisoned, a
+/// dispatched payload must never exceed the frame cap, a decoded name
+/// fits its length field, and a decoded swap's name and path partition
+/// its payload.
 
 #include <algorithm>
 #include <cstdint>
@@ -28,8 +31,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
 
   std::uint32_t id = 0;
   std::vector<double> features;
+  std::string name;
+  std::string path;
   pnm::serve::PredictResponse resp;
   bool ok_flag = false;
+  pnm::serve::ErrorCode code{};
   std::string message;
 
   const auto handler = [&](pnm::serve::FrameType type,
@@ -37,16 +43,28 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     if (payload.size() >= kCap) abort();  // cap must bound every dispatch
     switch (type) {
       case pnm::serve::FrameType::kPredict:
-        (void)pnm::serve::decode_predict(payload, id, features);
+        if (pnm::serve::decode_predict(payload, id, features, &name) &&
+            name.size() > pnm::serve::kMaxModelName) {
+          abort();  // a decoded name always fits its u8 length field
+        }
         break;
       case pnm::serve::FrameType::kPredictResp:
         (void)pnm::serve::decode_predict_resp(payload, resp);
         break;
+      case pnm::serve::FrameType::kSwap:
+        if (pnm::serve::decode_swap_req(payload, name, path) &&
+            1 + name.size() + path.size() != payload.size()) {
+          abort();  // name and path partition the payload exactly
+        }
+        break;
       case pnm::serve::FrameType::kSwapResp:
         (void)pnm::serve::decode_swap_resp(payload, ok_flag, message);
         break;
+      case pnm::serve::FrameType::kError:
+        (void)pnm::serve::decode_error(payload, code, message);
+        break;
       default:
-        break;  // kStats/kSwap/kError payloads are free-form bytes
+        break;  // kStats/kStatsResp payloads are free-form bytes
     }
   };
 

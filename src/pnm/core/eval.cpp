@@ -7,25 +7,10 @@
 #include "pnm/core/prune.hpp"
 #include "pnm/core/quantize.hpp"
 #include "pnm/hw/proxy.hpp"
+#include "pnm/util/fileio.hpp"
 #include "pnm/util/rng.hpp"
 
 namespace pnm {
-namespace {
-
-/// FNV-1a, to derive deterministic per-genome fine-tuning seeds.  The
-/// same formula MinimizationFlow always used, so evaluator results are
-/// bit-identical to the historical monolithic pipeline.
-std::uint64_t hash_string(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (char ch : s) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(ch));
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
 // ---- Evaluator ----------------------------------------------------------
 
 std::vector<DesignPoint> Evaluator::evaluate_batch(std::span<const Genome> genomes) {
@@ -56,7 +41,7 @@ Mlp PipelineEvaluator::minimize_float(const Genome& genome) const {
   }
 
   Mlp candidate = *model_;
-  Rng rng(config_.seed ^ hash_string(genome.key()));
+  Rng rng(config_.seed ^ fnv1a64(genome.key()));
 
   // 1. Prune.
   std::vector<double> sparsity(n_layers);
@@ -266,18 +251,6 @@ std::vector<DesignPoint> ParallelEvaluator::evaluate_batch(
     points[i] = inner_->evaluate(genomes[i]);
   });
   return points;
-}
-
-// ---- FunctionEvaluator --------------------------------------------------
-
-DesignPoint FunctionEvaluator::evaluate(const Genome& genome) {
-  const GenomeFitness fitness = fn_(genome);
-  DesignPoint point;
-  point.technique = "function";
-  point.config = genome.key();
-  point.accuracy = fitness.accuracy;
-  point.area_mm2 = fitness.area_mm2;
-  return point;
 }
 
 }  // namespace pnm

@@ -18,8 +18,7 @@
 ///   * CachedEvaluator    — decorator memoizing by Genome::key(), optionally
 ///                          persisted across processes by an EvalStore;
 ///   * ParallelEvaluator  — decorator fanning batches across a ThreadPool
-///                          (owned, or borrowed so campaigns reuse workers);
-///   * FunctionEvaluator  — adapter for analytic toy objectives (GA tests).
+///                          (owned, or borrowed so campaigns reuse workers).
 ///
 /// Determinism: the pipeline derives its fine-tuning RNG from
 /// `seed ^ fnv1a(genome.key())`, never from shared mutable state, so an
@@ -251,19 +250,6 @@ class ParallelEvaluator final : public Evaluator {
   Evaluator* inner_;
   std::optional<ThreadPool> owned_;  ///< absent when the pool is borrowed
   ThreadPool* pool_;
-};
-
-/// Adapter turning a GenomeFitness callback into an Evaluator — analytic
-/// toy objectives for GA unit tests and search-core experiments.
-class FunctionEvaluator final : public Evaluator {
- public:
-  explicit FunctionEvaluator(GenomeEvaluator fn) : fn_(std::move(fn)) {}
-
-  DesignPoint evaluate(const Genome& genome) override;
-  [[nodiscard]] std::string name() const override { return "function"; }
-
- private:
-  GenomeEvaluator fn_;
 };
 
 }  // namespace pnm

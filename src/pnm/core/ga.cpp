@@ -126,13 +126,6 @@ std::vector<double> crowding_distances(
 }
 
 GaResult nsga2_search(const GaConfig& config, std::size_t n_layers,
-                      const GenomeEvaluator& evaluate, Rng& rng) {
-  if (!evaluate) throw std::invalid_argument("nsga2_search: null evaluator");
-  FunctionEvaluator adapter(evaluate);
-  return nsga2_search(config, n_layers, adapter, rng);
-}
-
-GaResult nsga2_search(const GaConfig& config, std::size_t n_layers,
                       Evaluator& evaluate, Rng& rng) {
   config.validate();
   if (n_layers == 0) throw std::invalid_argument("nsga2_search: zero layers");

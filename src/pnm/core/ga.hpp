@@ -24,7 +24,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -76,9 +75,6 @@ struct GenomeFitness {
   double area_mm2 = 0.0;
 };
 
-/// Candidate evaluation callback (train/minimize/cost one design).
-using GenomeEvaluator = std::function<GenomeFitness(const Genome&)>;
-
 /// One evaluated design in the result set.
 struct EvaluatedGenome {
   Genome genome;
@@ -112,11 +108,6 @@ std::vector<double> crowding_distances(
 /// parallelize the inner loop (bit-identical results, see eval.hpp).
 GaResult nsga2_search(const GaConfig& config, std::size_t n_layers,
                       Evaluator& evaluate, Rng& rng);
-
-/// Callback convenience overload (analytic toy problems, unit tests):
-/// wraps `evaluate` in a FunctionEvaluator and runs the search above.
-GaResult nsga2_search(const GaConfig& config, std::size_t n_layers,
-                      const GenomeEvaluator& evaluate, Rng& rng);
 
 }  // namespace pnm
 

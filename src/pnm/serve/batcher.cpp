@@ -22,7 +22,6 @@ void RequestPool::release(ServeRequest* r) {
   r->features.clear();    // keeps capacity
   r->xq.clear();          // keeps capacity
   r->staged_bits = -1;
-  r->v2 = false;
   std::lock_guard<std::mutex> lock(mu_);
   free_.push_back(r);
 }

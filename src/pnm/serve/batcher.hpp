@@ -47,7 +47,6 @@ struct ServeRequest {
   // either way.  -1 = not staged.
   std::vector<std::int64_t> xq;      ///< pre-quantized features (capacity reused)
   int staged_bits = -1;
-  bool v2 = false;  ///< arrived as kPredictV2 (selects the error framing)
   std::chrono::steady_clock::time_point admitted{};
 };
 

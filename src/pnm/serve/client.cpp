@@ -48,18 +48,11 @@ void ServeClient::close() {
   }
 }
 
-bool ServeClient::send_predict(std::uint32_t id, std::span<const double> features) {
+bool ServeClient::send_predict(std::uint32_t id, std::span<const double> features,
+                               std::string_view model_name) {
   if (fd_ < 0) return false;
   tx_.clear();
-  encode_predict(tx_, id, features);
-  return send_all(fd_, tx_.data(), tx_.size());
-}
-
-bool ServeClient::send_predict_v2(std::uint32_t id, const std::string& model_name,
-                                  std::span<const double> features) {
-  if (fd_ < 0) return false;
-  tx_.clear();
-  encode_predict_v2(tx_, id, model_name, features);
+  encode_predict(tx_, id, features, model_name);
   return send_all(fd_, tx_.data(), tx_.size());
 }
 
@@ -100,25 +93,11 @@ bool ServeClient::stats(std::string& json_out, int timeout_ms) {
   return true;
 }
 
-bool ServeClient::swap(const std::string& model_path, std::string& message_out,
-                       int timeout_ms) {
+bool ServeClient::swap(std::string_view model_name, const std::string& model_path,
+                       std::string& message_out, int timeout_ms) {
   if (fd_ < 0) return false;
   tx_.clear();
-  encode_swap_req(tx_, model_path);
-  if (!send_all(fd_, tx_.data(), tx_.size())) return false;
-  ClientFrame frame;
-  if (!read_frame(frame, timeout_ms)) return false;
-  if (frame.type != FrameType::kSwapResp) return false;
-  bool ok = false;
-  if (!decode_swap_resp(frame.payload, ok, message_out)) return false;
-  return ok;
-}
-
-bool ServeClient::swap_named(const std::string& model_name, const std::string& model_path,
-                             std::string& message_out, int timeout_ms) {
-  if (fd_ < 0) return false;
-  tx_.clear();
-  encode_swap_req_v2(tx_, model_name, model_path);
+  encode_swap_req(tx_, model_name, model_path);
   if (!send_all(fd_, tx_.data(), tx_.size())) return false;
   ClientFrame frame;
   if (!read_frame(frame, timeout_ms)) return false;
@@ -188,11 +167,7 @@ LoadGenReport run_load(const LoadGenConfig& config) {
       }
       const std::vector<double>& sample = samples[k % samples.size()];
       send_ns[k].store(ns_since(origin), std::memory_order_release);
-      const bool ok = config.model_name.empty()
-                          ? client.send_predict(static_cast<std::uint32_t>(k), sample)
-                          : client.send_predict_v2(static_cast<std::uint32_t>(k),
-                                                   config.model_name, sample);
-      if (ok) {
+      if (client.send_predict(static_cast<std::uint32_t>(k), sample, config.model_name)) {
         sent_ok.fetch_add(1, std::memory_order_release);
       } else {
         send_failures.fetch_add(1, std::memory_order_release);
@@ -248,11 +223,7 @@ LoadGenReport run_load(const LoadGenConfig& config) {
 
     while (next_swap != config.swaps.end() && report.received >= next_swap->first) {
       std::string message;
-      const bool swapped =
-          config.model_name.empty()
-              ? admin.swap(next_swap->second, message)
-              : admin.swap_named(config.model_name, next_swap->second, message);
-      if (!swapped) ++report.swap_failures;
+      if (!admin.swap(config.model_name, next_swap->second, message)) ++report.swap_failures;
       ++next_swap;
     }
   }

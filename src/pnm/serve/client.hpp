@@ -23,6 +23,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pnm/core/qmlp.hpp"
@@ -53,13 +54,10 @@ class ServeClient {
   [[nodiscard]] bool connected() const { return fd_ >= 0; }
   void close();
 
-  /// Sends one kPredict frame.  \return false on a send failure.
-  bool send_predict(std::uint32_t id, std::span<const double> features);
-
-  /// Sends one kPredictV2 frame routed to `model_name` ("" = the default
-  /// model, still as a v2 frame).  \return false on a send failure.
-  bool send_predict_v2(std::uint32_t id, const std::string& model_name,
-                       std::span<const double> features);
+  /// Sends one kPredict frame routed to `model_name` ("" = the default
+  /// model).  \return false on a send failure.
+  bool send_predict(std::uint32_t id, std::span<const double> features,
+                    std::string_view model_name = {});
 
   /// Sends raw bytes verbatim — tests use this to produce truncated,
   /// oversized, or garbage frames.
@@ -78,16 +76,12 @@ class ServeClient {
   /// Round-trips a kStats request.  \return false on failure.
   bool stats(std::string& json_out, int timeout_ms = 5000);
 
-  /// Round-trips a kSwap request.
+  /// Round-trips a kSwap request targeting `model_name` ("" = the default
+  /// model).
   /// \param message_out  the server's response text (new version or error).
   /// \return true when the server accepted the swap.
-  bool swap(const std::string& model_path, std::string& message_out, int timeout_ms = 10000);
-
-  /// Round-trips a kSwapV2 request targeting a named model ("" = default).
-  /// \param message_out  the server's response text (new version or error).
-  /// \return true when the server accepted the swap.
-  bool swap_named(const std::string& model_name, const std::string& model_path,
-                  std::string& message_out, int timeout_ms = 10000);
+  bool swap(std::string_view model_name, const std::string& model_path,
+            std::string& message_out, int timeout_ms = 10000);
 
  private:
   int fd_ = -1;
@@ -100,11 +94,10 @@ struct LoadGenConfig {
   std::uint16_t port = 0;
   double rate = 1000.0;              ///< offered requests/second (<=0: max speed)
   std::size_t total_requests = 1000;
-  /// Registry route.  Empty: protocol-v1 kPredict frames (the default
-  /// model).  Non-empty: kPredictV2 frames naming this model, and any
-  /// `swaps` are routed to it with kSwapV2 — so several loadgens can
-  /// exercise different models (and swap them independently) on one
-  /// server, each verifying its own model's version sequence.
+  /// Registry route of every request and every `swaps` entry ("" = the
+  /// default model) — so several loadgens can exercise different models
+  /// (and swap them independently) on one server, each verifying its own
+  /// model's version sequence.
   std::string model_name;
   /// Sample features, cycled by request index.  Must be non-empty and
   /// outlive run().

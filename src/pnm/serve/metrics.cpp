@@ -57,8 +57,6 @@ double MetricsSnapshot::mean_batch_size() const {
 std::string MetricsSnapshot::to_json() const {
   std::ostringstream out;
   out << "{\n";
-  out << "  \"model_version\": " << model_version << ",\n";
-  out << "  \"model_path\": \"" << json_escape(model_path) << "\",\n";
   out << "  \"connections_opened\": " << connections_opened << ",\n";
   out << "  \"connections_closed\": " << connections_closed << ",\n";
   out << "  \"requests_total\": " << requests_total << ",\n";
@@ -119,8 +117,7 @@ void ServeMetrics::on_response(std::uint64_t latency_us) {
   latency_hist_[latency_bucket(latency_us)].fetch_add(1, std::memory_order_relaxed);
 }
 
-MetricsSnapshot ServeMetrics::snapshot(std::uint64_t queue_depth, std::uint32_t model_version,
-                                       const std::string& model_path) const {
+MetricsSnapshot ServeMetrics::snapshot(std::uint64_t queue_depth) const {
   MetricsSnapshot s;
   s.connections_opened = connections_opened_.load(std::memory_order_relaxed);
   s.connections_closed = connections_closed_.load(std::memory_order_relaxed);
@@ -136,8 +133,6 @@ MetricsSnapshot ServeMetrics::snapshot(std::uint64_t queue_depth, std::uint32_t 
   s.swaps_ok = swaps_ok_.load(std::memory_order_relaxed);
   s.swaps_failed = swaps_failed_.load(std::memory_order_relaxed);
   s.queue_depth = queue_depth;
-  s.model_version = model_version;
-  s.model_path = model_path;
   s.batch_size_hist.resize(batch_size_hist_.size());
   for (std::size_t i = 0; i < batch_size_hist_.size(); ++i) {
     s.batch_size_hist[i] = batch_size_hist_[i].load(std::memory_order_relaxed);

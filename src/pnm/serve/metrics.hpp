@@ -47,12 +47,10 @@ struct MetricsSnapshot {
   std::uint64_t truncated_frames = 0;
   std::uint64_t dropped_responses = 0;  ///< write failed (client went away)
   std::uint64_t predict_errors = 0;     ///< e.g. feature-width mismatch
-  std::uint64_t unknown_model = 0;      ///< v2 requests naming no registered model
+  std::uint64_t unknown_model = 0;      ///< requests naming no registered model
   std::uint64_t swaps_ok = 0;
   std::uint64_t swaps_failed = 0;
   std::uint64_t queue_depth = 0;        ///< admission queue, at snapshot time
-  std::uint32_t model_version = 0;      ///< default model (back-compat key)
-  std::string model_path;               ///< default model (back-compat key)
   std::vector<std::uint64_t> batch_size_hist;  ///< index = batch size (0 unused)
   std::vector<std::uint64_t> latency_hist;     ///< log-scale buckets (us)
   std::vector<std::uint64_t> requests_by_reactor;  ///< admissions per reactor
@@ -93,7 +91,7 @@ class ServeMetrics {
   void on_truncated_frame() { truncated_frames_.fetch_add(1, std::memory_order_relaxed); }
   void on_dropped_response() { dropped_responses_.fetch_add(1, std::memory_order_relaxed); }
   void on_predict_error() { predict_errors_.fetch_add(1, std::memory_order_relaxed); }
-  /// Counts a v2 request rejected at admission for naming no registered
+  /// Counts a request rejected at admission for naming no registered
   /// model.  Deliberately NOT part of requests_total: the request never
   /// entered the queue, so the responses+errors == requests identity
   /// stays exact.
@@ -115,14 +113,10 @@ class ServeMetrics {
   /// empty — the Server fills it from the registry, which owns those
   /// counters.
   ///
-  /// \param queue_depth    current admission-queue depth (sampled by the
-  ///                       caller, which owns the queue).
-  /// \param model_version  live default-model version.
-  /// \param model_path     live default-model source path.
+  /// \param queue_depth  current admission-queue depth (sampled by the
+  ///                     caller, which owns the queue).
   /// \return the snapshot.
-  [[nodiscard]] MetricsSnapshot snapshot(std::uint64_t queue_depth,
-                                         std::uint32_t model_version,
-                                         const std::string& model_path) const;
+  [[nodiscard]] MetricsSnapshot snapshot(std::uint64_t queue_depth) const;
 
  private:
   std::atomic<std::uint64_t> connections_opened_{0};

@@ -42,25 +42,38 @@ void append_header(std::vector<std::uint8_t>& out, FrameType type, std::size_t n
   out.push_back(static_cast<std::uint8_t>(type));
 }
 
+/// Throws unless `name` fits the u8 length field.
+void check_name(std::string_view name, const char* who) {
+  if (name.size() > kMaxModelName) {
+    throw std::invalid_argument(std::string(who) + ": model name too long");
+  }
+}
+
+/// Appends a u8-length-prefixed model name.
+void append_name(std::vector<std::uint8_t>& out, std::string_view name) {
+  out.push_back(static_cast<std::uint8_t>(name.size()));
+  out.insert(out.end(), name.begin(), name.end());
+}
+
+/// Reads the u8-length-prefixed name at `pos` into `name` (when non-null)
+/// and advances `pos` past it.  False when it overruns the payload.
+bool read_name(std::span<const std::uint8_t> payload, std::size_t& pos, std::string* name) {
+  if (pos >= payload.size()) return false;
+  const std::size_t len = payload[pos];
+  if (payload.size() - pos - 1 < len) return false;
+  if (name != nullptr) name->assign(reinterpret_cast<const char*>(payload.data() + pos + 1), len);
+  pos += 1 + len;
+  return true;
+}
+
 }  // namespace
 
 void encode_predict(std::vector<std::uint8_t>& out, std::uint32_t id,
-                    std::span<const double> features) {
-  append_header(out, FrameType::kPredict, 8 + features.size() * 8);
+                    std::span<const double> features, std::string_view model_name) {
+  check_name(model_name, "encode_predict");
+  append_header(out, FrameType::kPredict, 4 + 1 + model_name.size() + 4 + features.size() * 8);
   append_u32(out, id);
-  append_u32(out, static_cast<std::uint32_t>(features.size()));
-  for (const double f : features) append_f64(out, f);
-}
-
-void encode_predict_v2(std::vector<std::uint8_t>& out, std::uint32_t id,
-                       const std::string& model_name, std::span<const double> features) {
-  if (model_name.size() > kMaxModelName) {
-    throw std::invalid_argument("encode_predict_v2: model name too long");
-  }
-  append_header(out, FrameType::kPredictV2, 4 + 1 + model_name.size() + 4 + features.size() * 8);
-  append_u32(out, id);
-  out.push_back(static_cast<std::uint8_t>(model_name.size()));
-  out.insert(out.end(), model_name.begin(), model_name.end());
+  append_name(out, model_name);
   append_u32(out, static_cast<std::uint32_t>(features.size()));
   for (const double f : features) append_f64(out, f);
 }
@@ -77,19 +90,11 @@ void encode_stats_req(std::vector<std::uint8_t>& out) {
   append_header(out, FrameType::kStats, 0);
 }
 
-void encode_swap_req(std::vector<std::uint8_t>& out, const std::string& model_path) {
-  append_header(out, FrameType::kSwap, model_path.size());
-  out.insert(out.end(), model_path.begin(), model_path.end());
-}
-
-void encode_swap_req_v2(std::vector<std::uint8_t>& out, const std::string& model_name,
-                        const std::string& model_path) {
-  if (model_name.size() > kMaxModelName) {
-    throw std::invalid_argument("encode_swap_req_v2: model name too long");
-  }
-  append_header(out, FrameType::kSwapV2, 1 + model_name.size() + model_path.size());
-  out.push_back(static_cast<std::uint8_t>(model_name.size()));
-  out.insert(out.end(), model_name.begin(), model_name.end());
+void encode_swap_req(std::vector<std::uint8_t>& out, std::string_view model_name,
+                     std::string_view model_path) {
+  check_name(model_name, "encode_swap_req");
+  append_header(out, FrameType::kSwap, 1 + model_name.size() + model_path.size());
+  append_name(out, model_name);
   out.insert(out.end(), model_path.begin(), model_path.end());
 }
 
@@ -105,63 +110,39 @@ void encode_swap_resp(std::vector<std::uint8_t>& out, bool ok, const std::string
   out.insert(out.end(), message.begin(), message.end());
 }
 
-void encode_error(std::vector<std::uint8_t>& out, const std::string& message) {
-  append_header(out, FrameType::kError, message.size());
-  out.insert(out.end(), message.begin(), message.end());
-}
-
-void encode_error_v2(std::vector<std::uint8_t>& out, ErrorCode code,
-                     const std::string& message) {
-  append_header(out, FrameType::kErrorV2, 1 + message.size());
+void encode_error(std::vector<std::uint8_t>& out, ErrorCode code, const std::string& message) {
+  append_header(out, FrameType::kError, 1 + message.size());
   out.push_back(static_cast<std::uint8_t>(code));
   out.insert(out.end(), message.begin(), message.end());
 }
 
 bool decode_predict(std::span<const std::uint8_t> payload, std::uint32_t& id,
-                    std::vector<double>& features) {
-  if (payload.size() < 8) return false;
+                    std::vector<double>& features, std::string* model_name) {
+  if (payload.size() < 4) return false;
   id = read_u32(payload.data());
-  const std::uint32_t n = read_u32(payload.data() + 4);
+  std::size_t pos = 4;
+  if (!read_name(payload, pos, model_name) || payload.size() - pos < 4) return false;
+  const std::uint32_t n = read_u32(payload.data() + pos);
+  pos += 4;
   if (n > kMaxFeatures) return false;
-  if (payload.size() != 8 + static_cast<std::size_t>(n) * 8) return false;
+  if (payload.size() - pos != static_cast<std::size_t>(n) * 8) return false;
   features.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    features[i] = read_f64(payload.data() + 8 + static_cast<std::size_t>(i) * 8);
+    features[i] = read_f64(payload.data() + pos + static_cast<std::size_t>(i) * 8);
   }
   return true;
 }
 
-bool decode_predict_v2(std::span<const std::uint8_t> payload, std::uint32_t& id,
-                       std::string& model_name, std::vector<double>& features) {
-  if (payload.size() < 5) return false;
-  id = read_u32(payload.data());
-  const std::size_t name_len = payload[4];
-  if (payload.size() < 5 + name_len + 4) return false;
-  model_name.assign(reinterpret_cast<const char*>(payload.data() + 5), name_len);
-  const std::uint32_t n = read_u32(payload.data() + 5 + name_len);
-  if (n > kMaxFeatures) return false;
-  if (payload.size() != 5 + name_len + 4 + static_cast<std::size_t>(n) * 8) return false;
-  features.resize(n);
-  const std::uint8_t* base = payload.data() + 5 + name_len + 4;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    features[i] = read_f64(base + static_cast<std::size_t>(i) * 8);
-  }
+bool decode_swap_req(std::span<const std::uint8_t> payload, std::string& model_name,
+                     std::string& model_path) {
+  std::size_t pos = 0;
+  if (!read_name(payload, pos, &model_name)) return false;
+  model_path.assign(reinterpret_cast<const char*>(payload.data() + pos), payload.size() - pos);
   return true;
 }
 
-bool decode_swap_v2(std::span<const std::uint8_t> payload, std::string& model_name,
-                    std::string& model_path) {
-  if (payload.empty()) return false;
-  const std::size_t name_len = payload[0];
-  if (payload.size() < 1 + name_len) return false;
-  model_name.assign(reinterpret_cast<const char*>(payload.data() + 1), name_len);
-  model_path.assign(reinterpret_cast<const char*>(payload.data() + 1 + name_len),
-                    payload.size() - 1 - name_len);
-  return true;
-}
-
-bool decode_error_v2(std::span<const std::uint8_t> payload, ErrorCode& code,
-                     std::string& message) {
+bool decode_error(std::span<const std::uint8_t> payload, ErrorCode& code,
+                  std::string& message) {
   if (payload.empty()) return false;
   code = static_cast<ErrorCode>(payload[0]);
   message.assign(payload.begin() + 1, payload.end());

@@ -10,22 +10,17 @@
 ///     u8  type     | FrameType
 ///     ...payload   | type-specific, little-endian, packed
 ///
-/// Request payloads (protocol v1 — route to the server's default model):
-///   kPredict:  u32 request-id, u32 n_features, n_features x f64 (IEEE-754
-///              bits) — features min-max scaled to [0, 1]; the server
-///              quantizes with the live model's input_bits, exactly like
-///              the offline QuantizedDataset encoder.
+/// Request payloads.  A model name is at most kMaxModelName UTF-8 bytes;
+/// the empty name means the registry's default (first-registered) model.
+///   kPredict:  u32 request-id, u8 name-length, name, u32 n_features,
+///              n_features x f64 (IEEE-754 bits) — features min-max scaled
+///              to [0, 1]; the server quantizes with the routed model's
+///              input_bits, exactly like the offline QuantizedDataset
+///              encoder.
 ///   kStats:    empty — admin: metrics snapshot.
-///   kSwap:     UTF-8 path of a pnm-model file — admin: hot-swap the
-///              default model.
-///
-/// Request payloads (protocol v2 — name a model in the registry; an empty
-/// name means the default model, so v2 is a strict superset of v1):
-///   kPredictV2: u32 request-id, u8 name-length, name bytes (UTF-8,
-///               <= kMaxModelName), u32 n_features, n_features x f64.
-///   kSwapV2:    u8 name-length, name bytes, then the UTF-8 model-file
-///               path — admin: hot-swap exactly that model (other models'
-///               versions are untouched).
+///   kSwap:     u8 name-length, name, then the UTF-8 path of a pnm-model
+///              file — admin: hot-swap exactly that model (other models'
+///              versions are untouched).
 ///
 /// Response payloads:
 ///   kPredictResp: u32 request-id (echoed), u32 model-version, u32 class.
@@ -35,16 +30,14 @@
 ///                 it, so a misrouted or torn swap is machine-detectable.
 ///                 Versions are per model name — the (requested model,
 ///                 version) pair identifies one immutable design.
-///   kStatsResp:   UTF-8 JSON document (see ServeMetrics::to_json).
+///   kStatsResp:   UTF-8 JSON document (see MetricsSnapshot::to_json).
 ///   kSwapResp:    u8 ok, then a UTF-8 message (new version or the load
 ///                 error; on failure the old model keeps serving).
-///   kError:       UTF-8 message; the server closes the connection after
-///                 sending it (protocol violations are not recoverable
-///                 mid-stream — framing may be lost).
-///   kErrorV2:     u8 ErrorCode, then a UTF-8 message.  Sent for
-///                 *request-level* failures of v2 requests (unknown model
-///                 name, feature-width mismatch): the connection stays up
-///                 and the next valid request is served normally.
+///   kError:       u8 ErrorCode, then a UTF-8 message.  After
+///                 kMalformedFrame the server closes the connection
+///                 (framing cannot be trusted past a malformed frame);
+///                 after kUnknownModel or kWidthMismatch it keeps serving
+///                 and the next valid request is answered normally.
 ///
 /// Integers are little-endian; doubles are their IEEE-754 bit pattern,
 /// little-endian.  The decoder never trusts the peer: lengths are bounded
@@ -55,11 +48,13 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pnm::serve {
 
-/// Frame type tags (first payload byte).
+/// Frame type tags (first payload byte).  Any other tag is a malformed
+/// frame.
 enum class FrameType : std::uint8_t {
   kPredict = 1,
   kPredictResp = 2,
@@ -68,14 +63,11 @@ enum class FrameType : std::uint8_t {
   kSwap = 5,
   kSwapResp = 6,
   kError = 7,
-  kPredictV2 = 8,  ///< predict with an explicit model name
-  kSwapV2 = 9,     ///< hot-swap a named model
-  kErrorV2 = 10,   ///< typed request-level error (connection survives)
 };
 
-/// Machine-readable reason codes for kErrorV2 frames.
+/// Machine-readable reason codes for kError frames.
 enum class ErrorCode : std::uint8_t {
-  kMalformedFrame = 1,  ///< payload failed structural validation
+  kMalformedFrame = 1,  ///< bad framing, payload, or type tag (connection closes)
   kUnknownModel = 2,    ///< model name not in the registry
   kWidthMismatch = 3,   ///< feature count != the serving model's input size
 };
@@ -89,7 +81,7 @@ constexpr std::size_t kDefaultMaxFrameBytes = 1 << 20;
 /// printed classifier).
 constexpr std::size_t kMaxFeatures = 1 << 14;
 
-/// Cap on model-name length in v2 frames (fits the u8 length field).
+/// Cap on model-name length (fits the u8 length field).
 constexpr std::size_t kMaxModelName = 255;
 
 // ---- little-endian primitives ------------------------------------------
@@ -101,57 +93,44 @@ double read_f64(const std::uint8_t* p);
 
 // ---- frame encoders (append one complete frame to `out`) ---------------
 
-/// kPredict frame.
-void encode_predict(std::vector<std::uint8_t>& out, std::uint32_t id,
-                    std::span<const double> features);
-/// kPredictV2 frame (named model; "" = default).
+/// kPredict frame routed to `model_name` ("" = the default model).
 /// \throws std::invalid_argument  when `model_name` exceeds kMaxModelName.
-void encode_predict_v2(std::vector<std::uint8_t>& out, std::uint32_t id,
-                       const std::string& model_name, std::span<const double> features);
+void encode_predict(std::vector<std::uint8_t>& out, std::uint32_t id,
+                    std::span<const double> features, std::string_view model_name = {});
 /// kPredictResp frame.
 void encode_predict_resp(std::vector<std::uint8_t>& out, std::uint32_t id,
                          std::uint32_t model_version, std::uint32_t predicted_class);
 /// kStats request frame.
 void encode_stats_req(std::vector<std::uint8_t>& out);
-/// kSwap request frame.
-void encode_swap_req(std::vector<std::uint8_t>& out, const std::string& model_path);
-/// kSwapV2 request frame (named model; "" = default).
+/// kSwap request frame targeting `model_name` ("" = the default model).
 /// \throws std::invalid_argument  when `model_name` exceeds kMaxModelName.
-void encode_swap_req_v2(std::vector<std::uint8_t>& out, const std::string& model_name,
-                        const std::string& model_path);
-/// kStatsResp / kSwapResp / kError frame with a raw byte payload.
+void encode_swap_req(std::vector<std::uint8_t>& out, std::string_view model_name,
+                     std::string_view model_path);
+/// A frame of `type` with a raw byte payload (kStatsResp).
 void encode_payload_frame(std::vector<std::uint8_t>& out, FrameType type,
                           std::span<const std::uint8_t> payload);
 /// kSwapResp frame.
 void encode_swap_resp(std::vector<std::uint8_t>& out, bool ok, const std::string& message);
 /// kError frame.
-void encode_error(std::vector<std::uint8_t>& out, const std::string& message);
-/// kErrorV2 frame.
-void encode_error_v2(std::vector<std::uint8_t>& out, ErrorCode code,
-                     const std::string& message);
+void encode_error(std::vector<std::uint8_t>& out, ErrorCode code, const std::string& message);
 
-// ---- payload decoders ---------------------------------------------------
+// ---- payload decoders (bytes after the type tag) -------------------------
 
-/// Decodes a kPredict payload (bytes after the type tag) into `id` and
-/// `features` (reused, resized).  False when the declared feature count
-/// disagrees with the payload size or exceeds kMaxFeatures.
+/// Decodes a kPredict payload into `id`, `features` (reused, resized) and,
+/// when `model_name` is non-null, the name (reused).  False when the name
+/// length overruns the payload, or the feature count exceeds kMaxFeatures
+/// or disagrees with the remaining size.
 bool decode_predict(std::span<const std::uint8_t> payload, std::uint32_t& id,
-                    std::vector<double>& features);
+                    std::vector<double>& features, std::string* model_name = nullptr);
 
-/// Decodes a kPredictV2 payload into `id`, `model_name` (reused), and
-/// `features` (reused, resized).  False when the name length overruns the
-/// payload or the feature count disagrees with the remaining size.
-bool decode_predict_v2(std::span<const std::uint8_t> payload, std::uint32_t& id,
-                       std::string& model_name, std::vector<double>& features);
+/// Decodes a kSwap payload into `model_name` and `model_path`.  False when
+/// the payload is empty or the name length overruns it.
+bool decode_swap_req(std::span<const std::uint8_t> payload, std::string& model_name,
+                     std::string& model_path);
 
-/// Decodes a kSwapV2 payload into `model_name` and `model_path`.  False
-/// when the name length overruns the payload.
-bool decode_swap_v2(std::span<const std::uint8_t> payload, std::string& model_name,
-                    std::string& model_path);
-
-/// Decodes a kErrorV2 payload.  False on an empty payload.
-bool decode_error_v2(std::span<const std::uint8_t> payload, ErrorCode& code,
-                     std::string& message);
+/// Decodes a kError payload.  False on an empty payload.
+bool decode_error(std::span<const std::uint8_t> payload, ErrorCode& code,
+                  std::string& message);
 
 /// Decoded kPredictResp payload.
 struct PredictResponse {

@@ -5,22 +5,22 @@
 /// \brief The multi-model registry: named, independently hot-swappable
 ///        served designs behind one server.
 ///
-/// A Server used to hold exactly one model; the registry generalizes
-/// that to N *named* models sharing the port, the reactors, and the
-/// predict-worker pool.  Each name owns its own monotonically increasing
-/// version sequence, so a (name, version) pair identifies one immutable
-/// design for the lifetime of the server — that is the unit the loadgen
-/// verifies responses against, and it is what makes "swapping A never
-/// disturbs B" machine-checkable: B's version tag cannot move unless B
-/// itself was swapped.
+/// The registry serves N *named* models behind one server, sharing the
+/// port, the reactors, and the predict-worker pool.  The empty name means
+/// the default (first-registered) model.  Each name owns its own
+/// monotonically increasing version sequence, so a (name, version) pair
+/// identifies one immutable design for the lifetime of the server — that
+/// is the unit the loadgen verifies responses against, and it is what
+/// makes "swapping A never disturbs B" machine-checkable: B's version tag
+/// cannot move unless B itself was swapped.
 ///
-/// Concurrency model: the registered name set is fixed after serving
-/// starts (register_model is for setup; it is still mutex-safe).  Reads
-/// take one mutex hop and return a `shared_ptr<const ServedModel>`
-/// snapshot; swap loads and validates the new file *outside* the lock,
-/// then performs one guarded pointer flip — exactly the PR-6 single-model
-/// discipline, per entry.  A swap to an unreadable or corrupt file is
-/// rejected whole and only bumps that model's `swaps_failed`.
+/// Concurrency model: one mutex (`mu_`) guards every entry.  The
+/// registered name set is fixed after serving starts (register_model is
+/// for setup; it is still mutex-safe).  Reads take that mutex once and
+/// return a `shared_ptr<const ServedModel>` snapshot; swap loads and
+/// validates the new file *outside* the lock, then flips one entry's
+/// pointer under it.  A swap to an unreadable or corrupt file is rejected
+/// whole and only bumps that model's `swaps_failed`.
 
 #include <cstdint>
 #include <memory>
@@ -50,8 +50,8 @@ class ModelRegistry {
   ModelRegistry& operator=(const ModelRegistry&) = delete;
 
   /// Registers `model` under `name`.  The first registration becomes the
-  /// default model (the one v1 frames and empty v2 names route to); its
-  /// `version` is forced to 1 if left 0.
+  /// default model (the one the empty name routes to); its `version` is
+  /// forced to 1 if left 0.
   ///
   /// \param name   nonempty, at most kMaxModelName bytes, no '=' (the CLI
   ///               uses NAME=FILE syntax).

@@ -173,30 +173,19 @@ void Server::stop() {
   close_sockets();
 }
 
-std::shared_ptr<const ServedModel> Server::current_model() const {
-  return registry_->get({});
-}
-
 MetricsSnapshot Server::stats() const {
-  const std::shared_ptr<const ServedModel> m = current_model();
-  MetricsSnapshot s = metrics_.snapshot(batcher_.depth(), m == nullptr ? 0 : m->version,
-                                        m == nullptr ? std::string() : m->source_path);
+  MetricsSnapshot s = metrics_.snapshot(batcher_.depth());
   s.models = registry_->stats();
   return s;
 }
 
-bool Server::swap_model(const std::string& path, std::string* error) {
-  return swap_model_named({}, path, error);
-}
-
-bool Server::swap_model_named(std::string_view name, const std::string& path,
-                              std::string* error) {
+bool Server::swap_model(std::string_view name, const std::string& path, std::string* error) {
   const bool ok = registry_->swap(name, path, error);
   metrics_.on_swap(ok);
   return ok;
 }
 
-void Server::handle_admin_frame(const std::shared_ptr<Connection>& conn, FrameType type,
+bool Server::handle_admin_frame(Connection& conn, FrameType type,
                                 std::span<const std::uint8_t> payload) {
   std::vector<std::uint8_t> out;
   if (type == FrameType::kStats) {
@@ -205,20 +194,11 @@ void Server::handle_admin_frame(const std::shared_ptr<Connection>& conn, FrameTy
                          std::span<const std::uint8_t>(
                              reinterpret_cast<const std::uint8_t*>(json.data()), json.size()));
   } else {
-    // kSwap routes to the default model; kSwapV2 names its target.
     std::string name;
     std::string path;
-    bool decoded = true;
-    if (type == FrameType::kSwap) {
-      path.assign(reinterpret_cast<const char*>(payload.data()), payload.size());
-    } else {
-      decoded = decode_swap_v2(payload, name, path);
-    }
+    if (!decode_swap_req(payload, name, path)) return false;
     std::string error;
-    if (!decoded) {
-      metrics_.on_protocol_error();
-      encode_swap_resp(out, false, "malformed swap frame");
-    } else if (swap_model_named(name, path, &error)) {
+    if (swap_model(name, path, &error)) {
       const std::shared_ptr<const ServedModel> m = registry_->get(name);
       encode_swap_resp(out, true,
                        "model " + (m == nullptr ? name : m->name) + " version " +
@@ -227,7 +207,8 @@ void Server::handle_admin_frame(const std::shared_ptr<Connection>& conn, FrameTy
       encode_swap_resp(out, false, error);
     }
   }
-  if (!conn->write_frame(out)) metrics_.on_dropped_response();
+  if (!conn.write_frame(out)) metrics_.on_dropped_response();
+  return true;
 }
 
 void Server::io_loop(std::size_t reactor) {
@@ -245,18 +226,12 @@ void Server::io_loop(std::size_t reactor) {
   std::vector<std::uint8_t> rx(64 * 1024);
   std::vector<std::uint8_t> reply;
 
-  // Pipelined handoff: quantize at admission, against the model the
-  // request routes to *right now*.  The worker re-checks the staged bit
-  // width against the model it actually pins, so a swap landing between
-  // here and the predict pass costs one re-quantize, never correctness.
-  const auto stage_and_admit = [&](ServeRequest* r) {
-    const std::shared_ptr<const ServedModel> m = registry_->get(r->model_name);
-    if (m != nullptr && r->features.size() == m->mlp.input_size()) {
-      quantize_input_into(r->features, m->mlp.input_bits(), r->xq);
-      r->staged_bits = m->mlp.input_bits();
-    }
-    metrics_.on_request(reactor);
-    batcher_.push(r);
+  // A protocol violation: kError{kMalformedFrame}, after which the caller
+  // closes the connection (its framing cannot be trusted past the frame).
+  const auto send_malformed = [&](Connection& conn, const char* why) {
+    reply.clear();
+    encode_error(reply, ErrorCode::kMalformedFrame, why);
+    conn.write_frame(reply);
   };
 
   const auto drop_connection = [&](std::uint64_t tag) {
@@ -303,73 +278,64 @@ void Server::io_loop(std::size_t reactor) {
           const bool ok = conn->reader().feed(
               rx.data(), static_cast<std::size_t>(got),
               [&](FrameType type, std::span<const std::uint8_t> payload) {
+                if (drop) return;  // nothing after a violation is served
+                const char* violation = nullptr;
                 switch (type) {
                   case FrameType::kPredict: {
                     ServeRequest* r = pool_.acquire();
-                    std::uint32_t id = 0;
-                    if (!decode_predict(payload, id, r->features)) {
+                    if (!decode_predict(payload, r->id, r->features, &r->model_name)) {
                       pool_.release(r);
-                      metrics_.on_protocol_error();
-                      reply.clear();
-                      encode_error(reply, "malformed predict frame");
-                      conn->write_frame(reply);
-                      drop = true;
-                      return;
+                      violation = "malformed predict frame";
+                      break;
                     }
-                    r->id = id;
-                    r->conn = conn;
-                    stage_and_admit(r);
-                    return;
-                  }
-                  case FrameType::kPredictV2: {
-                    ServeRequest* r = pool_.acquire();
-                    std::uint32_t id = 0;
-                    if (!decode_predict_v2(payload, id, r->model_name, r->features)) {
-                      pool_.release(r);
-                      metrics_.on_protocol_error();
-                      reply.clear();
-                      encode_error(reply, "malformed predict frame");
-                      conn->write_frame(reply);
-                      drop = true;
-                      return;
-                    }
-                    if (registry_->get(r->model_name) == nullptr) {
-                      // Request-level failure: typed error, the connection
-                      // (and its other in-flight requests) keeps serving.
+                    // One lookup serves both the name check and the
+                    // pipelined handoff: quantize at admission against the
+                    // model the request routes to *right now*.  The worker
+                    // re-checks the staged bit width against the model it
+                    // actually pins, so a swap landing in between costs
+                    // one re-quantize, never correctness.
+                    const std::shared_ptr<const ServedModel> m = registry_->get(r->model_name);
+                    if (m == nullptr) {
+                      // Request-level failure: typed error, and the
+                      // connection (with its other in-flight requests)
+                      // keeps serving.  Not an admitted request.
                       metrics_.on_unknown_model();
                       reply.clear();
-                      encode_error_v2(reply, ErrorCode::kUnknownModel,
-                                      "unknown model: " + r->model_name);
+                      encode_error(reply, ErrorCode::kUnknownModel,
+                                   "unknown model: " + r->model_name);
                       pool_.release(r);
                       if (!conn->write_frame(reply)) metrics_.on_dropped_response();
-                      return;
+                      break;
                     }
-                    r->id = id;
+                    if (r->features.size() == m->mlp.input_size()) {
+                      quantize_input_into(r->features, m->mlp.input_bits(), r->xq);
+                      r->staged_bits = m->mlp.input_bits();
+                    }
                     r->conn = conn;
-                    r->v2 = true;
-                    stage_and_admit(r);
-                    return;
+                    metrics_.on_request(reactor);
+                    batcher_.push(r);
+                    break;
                   }
                   case FrameType::kStats:
                   case FrameType::kSwap:
-                  case FrameType::kSwapV2:
-                    handle_admin_frame(conn, type, payload);
-                    return;
+                    if (!handle_admin_frame(*conn, type, payload)) {
+                      violation = "malformed swap frame";
+                    }
+                    break;
                   default:
-                    metrics_.on_protocol_error();
-                    reply.clear();
-                    encode_error(reply, "unexpected frame type");
-                    conn->write_frame(reply);
-                    drop = true;
-                    return;
+                    violation = "unexpected frame type";
+                    break;
+                }
+                if (violation != nullptr) {
+                  metrics_.on_protocol_error();
+                  send_malformed(*conn, violation);
+                  drop = true;
                 }
               });
           if (!ok && !drop) {
             // Framing violation (zero/oversized length): unrecoverable.
             metrics_.on_oversized();
-            reply.clear();
-            encode_error(reply, "bad frame length");
-            conn->write_frame(reply);
+            send_malformed(*conn, "bad frame length");
             drop = true;
           }
           continue;
@@ -394,11 +360,13 @@ void Server::io_loop(std::size_t reactor) {
 }
 
 void Server::worker_loop() {
-  // A full 8-lane blocked pass costs roughly one block regardless of how
-  // many lanes are live, so sparsely-filled blocks would *lose* to the
-  // single-sample kernel.  Blocks are only formed from at least this many
-  // queued requests; stragglers take the single-sample path (bit-exact
-  // either way, so the split is invisible to clients).
+  // A blocked pass costs one full 8-lane block however many lanes are
+  // live.  On pendigits one block costs 3.7-3.9 single-sample calls
+  // (perfbench serve_pendigits --trace 1, seeds 1-3, 4-vCPU Xeon:
+  // infer.single_ns 212-283 ns per sample, infer.block_ns 102-131 ns per
+  // lane of a full block), so routes of fewer than 4 requests are cheaper
+  // on the single-sample path and routes of 4 or more on the blocked one.
+  // Bit-exact either way, so the split is invisible to clients.
   constexpr std::size_t kMinBlockLanes = 4;
   constexpr std::size_t kB = simd::kSampleBlock;
 
@@ -432,6 +400,24 @@ void Server::worker_loop() {
         }
       }
 
+      // Every request leaves through `send`: count before writing, so once
+      // a client has seen every response, every response is in the
+      // counters and a quiescent stats() snapshot always balances against
+      // the batch histogram (on_batch runs at batch start).
+      const auto send = [&](ServeRequest* r) {
+        metrics_.on_response(elapsed_us(r->admitted));
+        if (r->conn == nullptr || !r->conn->write_frame(frame)) {
+          metrics_.on_dropped_response();
+        }
+        pool_.release(r);
+      };
+      const auto reject = [&](ServeRequest* r, ErrorCode code, const std::string& message) {
+        metrics_.on_predict_error();
+        frame.clear();
+        encode_error(frame, code, message);
+        send(r);
+      };
+
       // Pin one design for the whole route: every member is served — and
       // version-tagged — by the same snapshot, whatever swaps land
       // concurrently on this or any other model.
@@ -441,14 +427,7 @@ void Server::worker_loop() {
         // entries are never removed), but a typed reject keeps the
         // accounting identities intact if that ever changes.
         for (ServeRequest* r : ready) {
-          metrics_.on_predict_error();
-          frame.clear();
-          encode_error_v2(frame, ErrorCode::kUnknownModel, "unknown model: " + route);
-          metrics_.on_response(elapsed_us(r->admitted));
-          if (r->conn == nullptr || !r->conn->write_frame(frame)) {
-            metrics_.on_dropped_response();
-          }
-          pool_.release(r);
+          reject(r, ErrorCode::kUnknownModel, "unknown model: " + route);
         }
         continue;
       }
@@ -458,31 +437,13 @@ void Server::worker_loop() {
       const auto respond = [&](ServeRequest* r, std::size_t cls) {
         frame.clear();
         encode_predict_resp(frame, r->id, model->version, static_cast<std::uint32_t>(cls));
-        // Count before writing: once a client has seen every response, every
-        // response is in the counters, so a quiescent stats() snapshot always
-        // balances against the batch histogram (on_batch runs at batch start).
-        metrics_.on_response(elapsed_us(r->admitted));
-        if (r->conn == nullptr || !r->conn->write_frame(frame)) {
-          metrics_.on_dropped_response();
-        }
-        pool_.release(r);
+        send(r);
       };
 
       std::size_t fill = 0;  // compact width-mismatch rejects out of `ready`
       for (ServeRequest* r : ready) {
         if (r->features.size() != want) {
-          metrics_.on_predict_error();
-          frame.clear();
-          if (r->v2) {
-            encode_error_v2(frame, ErrorCode::kWidthMismatch, "feature count mismatch");
-          } else {
-            encode_error(frame, "feature count mismatch");
-          }
-          metrics_.on_response(elapsed_us(r->admitted));  // count-before-write
-          if (r->conn == nullptr || !r->conn->write_frame(frame)) {
-            metrics_.on_dropped_response();
-          }
-          pool_.release(r);
+          reject(r, ErrorCode::kWidthMismatch, "feature count mismatch");
           continue;
         }
         ready[fill++] = r;

@@ -15,10 +15,10 @@
 /// `reactors = 1` degenerates to the classic single-IO-thread server.
 ///
 /// Models: a ModelRegistry serves any number of named designs behind the
-/// port.  Protocol-v1 frames and v2 frames with an empty name route to
-/// the default (first-registered) model; v2 frames name their model
-/// explicitly.  A v2 request naming no registered model is answered with
-/// a typed kErrorV2 frame and the connection keeps serving.
+/// port.  Every predict and swap frame names its model; the empty name
+/// routes to the default (first-registered) model.  A request naming no
+/// registered model is answered with kError{kUnknownModel}, and the
+/// connection keeps serving.
 ///
 /// Pipelined handoff: the admitting reactor quantizes each request's
 /// features into the pooled request object while the workers are still
@@ -28,14 +28,15 @@
 /// re-quantizes from the raw features — bit-exact either way, since the
 /// encoding depends only on input_bits.
 ///
-/// Hot-swap: per model, the registry holds a mutex-guarded
-/// `shared_ptr<const ServedModel>`.  A swap loads and validates the new
-/// design file first, then performs one guarded pointer flip of exactly
-/// that entry; workers pin a snapshot per *batch route*, so every
-/// in-flight request completes on the design it was scheduled against and
-/// every response carries that design's (per-model) version tag — zero
-/// requests are dropped, none can be misrouted across the flip, and
-/// swapping one model can never disturb another's version sequence.
+/// Hot-swap: the registry holds each model as a
+/// `shared_ptr<const ServedModel>`, and one registry mutex guards every
+/// entry.  A swap loads and validates the new design file first, then
+/// performs one guarded pointer flip of exactly that entry; workers pin a
+/// snapshot per *batch route*, so every in-flight request completes on
+/// the design it was scheduled against and every response carries that
+/// design's (per-model) version tag — zero requests are dropped, none can
+/// be misrouted across the flip, and swapping one model can never disturb
+/// another's version sequence.
 ///
 /// Responses are written by the worker that computed them, directly to
 /// the connection (per-connection write lock); a client that disappeared
@@ -47,6 +48,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -86,8 +88,9 @@ class Server {
   ///
   /// \param config    serve topology and batching policy.
   /// \param registry  at least one registered model; the first-registered
-  ///                  entry is the default (v1) route.  Shared: callers
-  ///                  may keep swapping through their own reference.
+  ///                  entry is the default route (the empty name).
+  ///                  Shared: callers may keep swapping through their own
+  ///                  reference.
   Server(ServeConfig config, std::shared_ptr<ModelRegistry> registry);
 
   ~Server();
@@ -108,34 +111,22 @@ class Server {
   /// The bound port (valid after start(); all reactors share it).
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
-  /// Loads `path` and atomically flips the *default* model to it.
+  /// Loads `path` and atomically flips the named model to it.
   ///
+  /// \param name   registered model name ("" = the default model).
   /// \param path   a pnm-model v1 file.
   /// \param error  receives the load/validation error on failure.
-  /// \return true on success (the new design is live); false leaves the
-  ///         old design serving.
-  bool swap_model(const std::string& path, std::string* error);
-
-  /// Loads `path` and atomically flips the named model ("" = default).
-  ///
-  /// \param name   registered model name.
-  /// \param path   a pnm-model v1 file.
-  /// \param error  receives the failure reason.
-  /// \return true on success; only the named model's version moves.
-  bool swap_model_named(std::string_view name, const std::string& path,
-                        std::string* error);
-
-  /// The live default-model snapshot (what the next v1 batch is served
-  /// with).
-  [[nodiscard]] std::shared_ptr<const ServedModel> current_model() const;
+  /// \return true on success (the new design is live, and only the named
+  ///         model's version moves); false leaves the old design serving.
+  bool swap_model(std::string_view name, const std::string& path, std::string* error);
 
   /// The model registry (shared with the constructing caller).
   [[nodiscard]] const std::shared_ptr<ModelRegistry>& registry() const {
     return registry_;
   }
 
-  /// Metrics snapshot including live queue depth, default-model identity,
-  /// and the per-model registry stats.
+  /// Metrics snapshot including live queue depth and the per-model
+  /// registry stats (name, version, path, ledgers).
   [[nodiscard]] MetricsSnapshot stats() const;
 
   /// Request-pool size (tests assert the zero-steady-state-allocation
@@ -145,7 +136,9 @@ class Server {
  private:
   void io_loop(std::size_t reactor);
   void worker_loop();
-  void handle_admin_frame(const std::shared_ptr<Connection>& conn, FrameType type,
+  /// Answers a kStats or kSwap frame.  \return false when the payload is
+  /// malformed (nothing was sent; the caller closes the connection).
+  bool handle_admin_frame(Connection& conn, FrameType type,
                           std::span<const std::uint8_t> payload);
   void close_sockets();
 

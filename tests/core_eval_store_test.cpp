@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "function_evaluator.hpp"
 #include "pnm/core/eval.hpp"
 #include "pnm/util/fileio.hpp"
 

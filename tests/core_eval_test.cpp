@@ -8,6 +8,7 @@
 #include <atomic>
 #include <vector>
 
+#include "function_evaluator.hpp"
 #include "pnm/core/flow.hpp"
 
 namespace pnm {

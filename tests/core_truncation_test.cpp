@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "function_evaluator.hpp"
 #include "pnm/pnm.hpp"
 
 namespace pnm {
@@ -155,11 +156,11 @@ TEST(Truncation, GaExploresShiftGeneWhenEnabled) {
   ga.generations = 4;
   ga.acc_shift_choices = {0, 2, 4};
   // Toy fitness: area falls with total shift, accuracy mildly too.
-  const GenomeEvaluator eval = [](const Genome& g) {
+  FunctionEvaluator eval([](const Genome& g) {
     double shift_sum = 0.0;
     for (int s : g.acc_shift) shift_sum += s;
     return GenomeFitness{1.0 - 0.01 * shift_sum, 100.0 - 10.0 * shift_sum};
-  };
+  });
   Rng rng(6);
   const auto result = nsga2_search(ga, 2, eval, rng);
   ASSERT_FALSE(result.front.empty());

@@ -136,7 +136,7 @@ TEST(SanitizeStress, ServerHotSwapStopUnderLoad) {
 
     std::string error;
     for (int s = 0; s < 20; ++s) {
-      ASSERT_TRUE(server.swap_model(s % 2 == 0 ? path_b : path_a, &error)) << error;
+      ASSERT_TRUE(server.swap_model("", s % 2 == 0 ? path_b : path_a, &error)) << error;
       (void)server.stats();
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }

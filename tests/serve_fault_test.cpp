@@ -22,54 +22,13 @@
 #include <vector>
 
 #include "pnm/core/model_io.hpp"
-#include "pnm/core/quantize.hpp"
 #include "pnm/serve/client.hpp"
 #include "pnm/util/build_info.hpp"
-#include "pnm/util/rng.hpp"
+
+#include "serve_test_util.hpp"
 
 namespace pnm::serve {
 namespace {
-
-QuantizedMlp make_model(std::uint64_t seed, std::vector<std::size_t> topology = {6, 5, 3}) {
-  Rng rng(seed);
-  const Mlp net(topology, rng);
-  return QuantizedMlp::from_float(net, QuantSpec::uniform(topology.size() - 1, 5, 4));
-}
-
-std::vector<std::vector<double>> make_samples(std::size_t n, std::size_t n_features,
-                                              std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<double>> samples(n);
-  for (auto& s : samples) {
-    s.resize(n_features);
-    for (auto& v : s) v = rng.uniform();
-  }
-  return samples;
-}
-
-std::size_t offline_predict(const QuantizedMlp& model, const std::vector<double>& x,
-                            InferScratch& scratch) {
-  std::vector<std::int64_t> xq;
-  quantize_input_into(x, model.input_bits(), xq);
-  return model.predict_quantized_into(xq, scratch);
-}
-
-/// Polls server stats until `pred` holds or the scaled deadline passes.
-template <typename Pred>
-bool wait_for_stats(const Server& server, Pred pred) {
-  for (int i = 0; i < 200 * pnm::build_info::timing_multiplier(); ++i) {
-    if (pred(server.stats())) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return false;
-}
-
-std::shared_ptr<ModelRegistry> make_registry_ab(std::uint64_t seed_a, std::uint64_t seed_b) {
-  auto registry = std::make_shared<ModelRegistry>();
-  EXPECT_TRUE(registry->register_model("alpha", {make_model(seed_a), 0, "", ""}, nullptr));
-  EXPECT_TRUE(registry->register_model("beta", {make_model(seed_b), 0, "", ""}, nullptr));
-  return registry;
-}
 
 TEST(ServeFault, SlowlorisClientIsServedEventuallyWithoutBlockingOthers) {
   Server server({}, {make_model(51), 0, "", ""});
@@ -185,9 +144,9 @@ TEST(ServeFault, PoisonedFramesOnOneReactorWhileOthersServe) {
   std::thread gen([&] { report = run_load(load); });
 
   // Poison senders: whichever reactor the kernel hashes them onto gets
-  // oversized declarations, zero-length frames, unknown types, and v2
-  // frames with lying name lengths.  Each earns a close and a counter
-  // bump; none may leak into the prediction path.
+  // oversized declarations, zero-length frames, unknown types, and
+  // predict frames with lying name lengths.  Each earns a close and a
+  // counter bump; none may leak into the prediction path.
   std::uint64_t oversized_sent = 0;
   std::uint64_t poisoned_sent = 0;
   const int kRounds = 4 * pnm::build_info::timing_multiplier();
@@ -218,9 +177,9 @@ TEST(ServeFault, PoisonedFramesOnOneReactorWhileOthersServe) {
     {
       ServeClient attacker;
       ASSERT_TRUE(attacker.connect("127.0.0.1", server.port()));
-      // kPredictV2 whose name length points past the payload end.
+      // kPredict whose name length points past the payload end.
       std::vector<std::uint8_t> lying;
-      encode_predict_v2(lying, 1, "m", samples[0]);
+      encode_predict(lying, 1, samples[0], "m");
       lying[9] = 255;  // name_len byte (after u32 len, u8 type, u32 id)
       ASSERT_TRUE(attacker.send_raw(lying.data(), lying.size()));
       ++poisoned_sent;

@@ -39,19 +39,44 @@ TEST(Protocol, PredictRoundTrip) {
   const std::vector<double> features = {0.0, 0.25, 0.999, 1.0, 1e-9};
   encode_predict(frame, 0xDEADBEEF, features);
 
-  // Layout: u32 len | u8 type | u32 id | u32 n | n x f64.
-  ASSERT_EQ(frame.size(), 4U + 1U + 4U + 4U + features.size() * 8U);
+  // Layout: u32 len | u8 type | u32 id | u8 name_len (0) | u32 n | n x f64.
+  ASSERT_EQ(frame.size(), 4U + 1U + 4U + 1U + 4U + features.size() * 8U);
   EXPECT_EQ(read_u32(frame.data()), frame.size() - 4);
   EXPECT_EQ(frame[4], static_cast<std::uint8_t>(FrameType::kPredict));
+  EXPECT_EQ(frame[9], 0U);  // the empty name: the default model
 
   std::uint32_t id = 0;
   std::vector<double> back;
-  ASSERT_TRUE(decode_predict({frame.data() + 5, frame.size() - 5}, id, back));
+  std::string name = "stale";
+  ASSERT_TRUE(decode_predict({frame.data() + 5, frame.size() - 5}, id, back, &name));
   EXPECT_EQ(id, 0xDEADBEEFU);
+  EXPECT_TRUE(name.empty());
   ASSERT_EQ(back.size(), features.size());
   for (std::size_t i = 0; i < features.size(); ++i) {
     EXPECT_EQ(back[i], features[i]);  // IEEE-754 bit pattern, exact
   }
+}
+
+TEST(Protocol, NamedPredictRoundTrip) {
+  std::vector<std::uint8_t> frame;
+  const std::vector<double> features = {0.5, 0.125, 1.0};
+  encode_predict(frame, 41, features, "beta");
+  ASSERT_EQ(frame.size(), 4U + 1U + 4U + 1U + 4U + 4U + features.size() * 8U);
+
+  std::uint32_t id = 0;
+  std::string name;
+  std::vector<double> back;
+  ASSERT_TRUE(decode_predict({frame.data() + 5, frame.size() - 5}, id, back, &name));
+  EXPECT_EQ(id, 41U);
+  EXPECT_EQ(name, "beta");
+  EXPECT_EQ(back, features);
+  // Without a name sink the name is validated and skipped.
+  ASSERT_TRUE(decode_predict({frame.data() + 5, frame.size() - 5}, id, back));
+  EXPECT_EQ(back, features);
+
+  // A name beyond the u8 length field is refused at encode time.
+  EXPECT_THROW(encode_predict(frame, 7, features, std::string(kMaxModelName + 1, 'x')),
+               std::invalid_argument);
 }
 
 TEST(Protocol, PredictRespRoundTrip) {
@@ -87,99 +112,65 @@ TEST(Protocol, SwapRespRoundTrip) {
 
 TEST(Protocol, DecodePredictRejectsMalformedPayloads) {
   std::vector<std::uint8_t> frame;
-  encode_predict(frame, 1, std::vector<double>{0.5, 0.5});
-  std::uint32_t id = 0;
-  std::vector<double> features;
-
-  // Truncated payload (count disagrees with byte length).
-  EXPECT_FALSE(decode_predict({frame.data() + 5, frame.size() - 5 - 8}, id, features));
-  // Declared count too large for the payload.
-  std::vector<std::uint8_t> lying(frame.begin() + 5, frame.end());
-  lying[4] = 200;  // n_features LE byte 0
-  EXPECT_FALSE(decode_predict(lying, id, features));
-  // Payload shorter than the fixed header.
-  EXPECT_FALSE(decode_predict({frame.data() + 5, std::size_t{7}}, id, features));
-}
-
-TEST(Protocol, PredictV2RoundTrip) {
-  std::vector<std::uint8_t> frame;
-  const std::vector<double> features = {0.5, 0.125, 1.0};
-  encode_predict_v2(frame, 41, "beta", features);
-
-  // Layout: u32 len | u8 type | u32 id | u8 name_len | name | u32 n | n x f64.
-  ASSERT_EQ(frame.size(), 4U + 1U + 4U + 1U + 4U + 4U + features.size() * 8U);
-  EXPECT_EQ(frame[4], static_cast<std::uint8_t>(FrameType::kPredictV2));
-
-  std::uint32_t id = 0;
-  std::string name;
-  std::vector<double> back;
-  ASSERT_TRUE(decode_predict_v2({frame.data() + 5, frame.size() - 5}, id, name, back));
-  EXPECT_EQ(id, 41U);
-  EXPECT_EQ(name, "beta");
-  ASSERT_EQ(back.size(), features.size());
-  for (std::size_t i = 0; i < features.size(); ++i) {
-    EXPECT_EQ(back[i], features[i]);  // IEEE-754 bit pattern, exact
-  }
-
-  // An empty name is legal (routes to the default model)...
-  frame.clear();
-  encode_predict_v2(frame, 7, "", features);
-  ASSERT_TRUE(decode_predict_v2({frame.data() + 5, frame.size() - 5}, id, name, back));
-  EXPECT_TRUE(name.empty());
-  // ...and a name beyond the u8 length field is refused at encode time.
-  EXPECT_THROW(encode_predict_v2(frame, 7, std::string(kMaxModelName + 1, 'x'), features),
-               std::invalid_argument);
-}
-
-TEST(Protocol, DecodePredictV2RejectsMalformedPayloads) {
-  std::vector<std::uint8_t> frame;
-  encode_predict_v2(frame, 1, "m", std::vector<double>{0.5, 0.5});
+  encode_predict(frame, 1, std::vector<double>{0.5, 0.5}, "m");
+  const std::vector<std::uint8_t> payload(frame.begin() + 5, frame.end());
   std::uint32_t id = 0;
   std::string name;
   std::vector<double> features;
 
   // Truncated payload (count disagrees with byte length).
-  EXPECT_FALSE(
-      decode_predict_v2({frame.data() + 5, frame.size() - 5 - 8}, id, name, features));
+  EXPECT_FALSE(decode_predict({payload.data(), payload.size() - 8}, id, features, &name));
   // Name length pointing past the payload end.
-  std::vector<std::uint8_t> lying(frame.begin() + 5, frame.end());
+  std::vector<std::uint8_t> lying = payload;
   lying[4] = 255;  // name_len
-  EXPECT_FALSE(decode_predict_v2(lying, id, name, features));
+  EXPECT_FALSE(decode_predict(lying, id, features, &name));
+  EXPECT_FALSE(decode_predict(lying, id, features));
   // Declared feature count too large for the payload.
-  lying.assign(frame.begin() + 5, frame.end());
+  lying = payload;
   lying[6] = 200;  // n_features LE byte 0 (after id + name_len + 1-byte name)
-  EXPECT_FALSE(decode_predict_v2(lying, id, name, features));
-  // Payload shorter than the fixed header.
-  EXPECT_FALSE(decode_predict_v2({frame.data() + 5, std::size_t{4}}, id, name, features));
+  EXPECT_FALSE(decode_predict(lying, id, features, &name));
+  // Payload ending inside the fixed header: before the name length, and
+  // before the feature count.
+  EXPECT_FALSE(decode_predict({payload.data(), std::size_t{4}}, id, features, &name));
+  EXPECT_FALSE(decode_predict({payload.data(), std::size_t{8}}, id, features, &name));
 }
 
-TEST(Protocol, SwapV2RoundTrip) {
+TEST(Protocol, SwapRoundTrip) {
   std::vector<std::uint8_t> frame;
-  encode_swap_req_v2(frame, "beta", "/tmp/next.pnm");
-  EXPECT_EQ(frame[4], static_cast<std::uint8_t>(FrameType::kSwapV2));
+  encode_swap_req(frame, "beta", "/tmp/next.pnm");
+  EXPECT_EQ(frame[4], static_cast<std::uint8_t>(FrameType::kSwap));
   std::string name;
   std::string path;
-  ASSERT_TRUE(decode_swap_v2({frame.data() + 5, frame.size() - 5}, name, path));
+  ASSERT_TRUE(decode_swap_req({frame.data() + 5, frame.size() - 5}, name, path));
   EXPECT_EQ(name, "beta");
   EXPECT_EQ(path, "/tmp/next.pnm");
 
-  // Name length overrunning the payload is refused.
+  // The empty name targets the default model.
+  frame.clear();
+  encode_swap_req(frame, "", "/tmp/default.pnm");
+  ASSERT_TRUE(decode_swap_req({frame.data() + 5, frame.size() - 5}, name, path));
+  EXPECT_TRUE(name.empty());
+  EXPECT_EQ(path, "/tmp/default.pnm");
+
+  // Name length overrunning the payload is refused, as is an empty one.
   std::vector<std::uint8_t> lying(frame.begin() + 5, frame.end());
   lying[0] = 255;
-  EXPECT_FALSE(decode_swap_v2(lying, name, path));
-  EXPECT_FALSE(decode_swap_v2({}, name, path));
+  EXPECT_FALSE(decode_swap_req(lying, name, path));
+  EXPECT_FALSE(decode_swap_req({}, name, path));
+  EXPECT_THROW(encode_swap_req(frame, std::string(kMaxModelName + 1, 'x'), "/tmp/x.pnm"),
+               std::invalid_argument);
 }
 
-TEST(Protocol, ErrorV2RoundTrip) {
+TEST(Protocol, ErrorRoundTrip) {
   std::vector<std::uint8_t> frame;
-  encode_error_v2(frame, ErrorCode::kUnknownModel, "unknown model: gamma");
-  EXPECT_EQ(frame[4], static_cast<std::uint8_t>(FrameType::kErrorV2));
+  encode_error(frame, ErrorCode::kUnknownModel, "unknown model: gamma");
+  EXPECT_EQ(frame[4], static_cast<std::uint8_t>(FrameType::kError));
   ErrorCode code = ErrorCode::kMalformedFrame;
   std::string message;
-  ASSERT_TRUE(decode_error_v2({frame.data() + 5, frame.size() - 5}, code, message));
+  ASSERT_TRUE(decode_error({frame.data() + 5, frame.size() - 5}, code, message));
   EXPECT_EQ(code, ErrorCode::kUnknownModel);
   EXPECT_EQ(message, "unknown model: gamma");
-  EXPECT_FALSE(decode_error_v2({}, code, message));
+  EXPECT_FALSE(decode_error({}, code, message));
 }
 
 TEST(FrameReader, ReassemblesAcrossArbitraryFragmentation) {
@@ -187,7 +178,7 @@ TEST(FrameReader, ReassemblesAcrossArbitraryFragmentation) {
   std::vector<std::uint8_t> stream;
   encode_predict(stream, 1, std::vector<double>{0.1, 0.9});
   encode_stats_req(stream);
-  encode_swap_req(stream, "/tmp/next-model.pnm");
+  encode_swap_req(stream, "", "/tmp/next-model.pnm");
 
   for (const std::size_t step : {std::size_t{1}, std::size_t{3}, std::size_t{7}, stream.size()}) {
     FrameReader reader;
@@ -197,7 +188,9 @@ TEST(FrameReader, ReassemblesAcrossArbitraryFragmentation) {
     EXPECT_EQ(got.types[0], FrameType::kPredict);
     EXPECT_EQ(got.types[1], FrameType::kStats);
     EXPECT_EQ(got.types[2], FrameType::kSwap);
-    const std::string path(got.payloads[2].begin(), got.payloads[2].end());
+    std::string name;
+    std::string path;
+    ASSERT_TRUE(decode_swap_req(got.payloads[2], name, path));
     EXPECT_EQ(path, "/tmp/next-model.pnm");
     EXPECT_FALSE(reader.mid_frame());
   }
@@ -237,7 +230,7 @@ TEST(FrameReader, OversizedFramePoisonsBeforeBuffering) {
 
 TEST(FrameReader, RespectsCustomCap) {
   std::vector<std::uint8_t> frame;
-  encode_swap_req(frame, std::string(64, 'x'));
+  encode_swap_req(frame, "", std::string(64, 'x'));
   {
     FrameReader small(16);
     Collected got;

@@ -1,5 +1,5 @@
 /// Tests for the multi-model registry and its serving semantics: name
-/// validation and duplicate rejection, v1/v2 routing to the default
+/// validation and duplicate rejection, empty-name routing to the default
 /// model, typed unknown-model errors that leave the connection serving,
 /// per-model swap isolation (swapping A never moves B's version), and
 /// the multi-reactor accounting identities — two concurrent loadgens on
@@ -15,56 +15,13 @@
 #include <vector>
 
 #include "pnm/core/model_io.hpp"
-#include "pnm/core/quantize.hpp"
 #include "pnm/serve/client.hpp"
 #include "pnm/serve/server.hpp"
-#include "pnm/util/build_info.hpp"
-#include "pnm/util/rng.hpp"
+
+#include "serve_test_util.hpp"
 
 namespace pnm::serve {
 namespace {
-
-QuantizedMlp make_model(std::uint64_t seed, std::vector<std::size_t> topology = {6, 5, 3}) {
-  Rng rng(seed);
-  const Mlp net(topology, rng);
-  return QuantizedMlp::from_float(net, QuantSpec::uniform(topology.size() - 1, 5, 4));
-}
-
-std::vector<std::vector<double>> make_samples(std::size_t n, std::size_t n_features,
-                                              std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<double>> samples(n);
-  for (auto& s : samples) {
-    s.resize(n_features);
-    for (auto& v : s) v = rng.uniform();
-  }
-  return samples;
-}
-
-std::size_t offline_predict(const QuantizedMlp& model, const std::vector<double>& x,
-                            InferScratch& scratch) {
-  std::vector<std::int64_t> xq;
-  quantize_input_into(x, model.input_bits(), xq);
-  return model.predict_quantized_into(xq, scratch);
-}
-
-std::shared_ptr<ModelRegistry> make_registry_ab(std::uint64_t seed_a, std::uint64_t seed_b) {
-  auto registry = std::make_shared<ModelRegistry>();
-  EXPECT_TRUE(registry->register_model("alpha", {make_model(seed_a), 0, "", ""}, nullptr));
-  EXPECT_TRUE(registry->register_model("beta", {make_model(seed_b), 0, "", ""}, nullptr));
-  return registry;
-}
-
-/// Polls server stats until `pred` holds or ~2s elapse (counters are
-/// bumped by the IO/worker threads, so tests wait instead of racing).
-template <typename Pred>
-bool wait_for_stats(const Server& server, Pred pred) {
-  for (int i = 0; i < 200 * pnm::build_info::timing_multiplier(); ++i) {
-    if (pred(server.stats())) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return false;
-}
 
 TEST(ModelRegistry, RegistrationValidatesNamesAndRejectsDuplicates) {
   ModelRegistry registry;
@@ -112,7 +69,7 @@ TEST(ModelRegistry, SwapUnknownNameFailsWithoutTouchingAnyEntry) {
   EXPECT_EQ(stats[0].swaps_failed, 0U);  // failure attributed to no model
 }
 
-TEST(ModelRegistryServer, V1FramesRouteToDefaultModelBitExactly) {
+TEST(ModelRegistryServer, EmptyNameRoutesToDefaultModelAndNamesRouteByName) {
   Server server({}, make_registry_ab(21, 22));
   server.start();
 
@@ -125,18 +82,18 @@ TEST(ModelRegistryServer, V1FramesRouteToDefaultModelBitExactly) {
   ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
   PredictResponse resp;
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    // v1 frame and v2-with-empty-name must agree with offline alpha; a v2
-    // frame naming beta must agree with offline beta.
+    // The empty name and the name "alpha" must both agree with offline
+    // alpha; a frame naming beta must agree with offline beta.
     ASSERT_TRUE(client.send_predict(static_cast<std::uint32_t>(i), samples[i]));
     ASSERT_TRUE(client.read_predict(resp));
     EXPECT_EQ(resp.predicted_class, offline_predict(ref_a, samples[i], scratch));
     EXPECT_EQ(resp.model_version, 1U);
 
-    ASSERT_TRUE(client.send_predict_v2(static_cast<std::uint32_t>(i), "", samples[i]));
+    ASSERT_TRUE(client.send_predict(static_cast<std::uint32_t>(i), samples[i], "alpha"));
     ASSERT_TRUE(client.read_predict(resp));
     EXPECT_EQ(resp.predicted_class, offline_predict(ref_a, samples[i], scratch));
 
-    ASSERT_TRUE(client.send_predict_v2(static_cast<std::uint32_t>(i), "beta", samples[i]));
+    ASSERT_TRUE(client.send_predict(static_cast<std::uint32_t>(i), samples[i], "beta"));
     ASSERT_TRUE(client.read_predict(resp));
     EXPECT_EQ(resp.predicted_class, offline_predict(ref_b, samples[i], scratch));
     EXPECT_EQ(resp.model_version, 1U);  // beta's own version sequence
@@ -152,18 +109,13 @@ TEST(ModelRegistryServer, UnknownModelNameGetsTypedErrorAndConnectionSurvives) {
   ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
   const auto samples = make_samples(2, 6, 32);
 
-  ASSERT_TRUE(client.send_predict_v2(5, "gamma", samples[0]));
-  ClientFrame frame;
-  ASSERT_TRUE(client.read_frame(frame));
-  ASSERT_EQ(frame.type, FrameType::kErrorV2);
-  ErrorCode code = ErrorCode::kMalformedFrame;
+  ASSERT_TRUE(client.send_predict(5, samples[0], "gamma"));
   std::string message;
-  ASSERT_TRUE(decode_error_v2(frame.payload, code, message));
-  EXPECT_EQ(code, ErrorCode::kUnknownModel);
+  EXPECT_EQ(read_error(client, &message), ErrorCode::kUnknownModel);
   EXPECT_NE(message.find("gamma"), std::string::npos);
 
   // The connection keeps serving: the very next valid request is answered.
-  ASSERT_TRUE(client.send_predict_v2(6, "beta", samples[1]));
+  ASSERT_TRUE(client.send_predict(6, samples[1], "beta"));
   PredictResponse resp;
   ASSERT_TRUE(client.read_predict(resp));
   EXPECT_EQ(resp.id, 6U);
@@ -174,6 +126,7 @@ TEST(ModelRegistryServer, UnknownModelNameGetsTypedErrorAndConnectionSurvives) {
     return s.unknown_model == 1 && s.responses_total == 1;
   }));
   EXPECT_EQ(server.stats().requests_total, 1U);
+  EXPECT_EQ(server.stats().connections_closed, 0U);
   server.stop();
 }
 
@@ -189,7 +142,7 @@ TEST(ModelRegistryServer, PerModelSwapIsolation) {
   ServeClient admin;
   ASSERT_TRUE(admin.connect("127.0.0.1", server.port()));
   std::string message;
-  ASSERT_TRUE(admin.swap_named("alpha", path, message));
+  ASSERT_TRUE(admin.swap("alpha", path, message));
   EXPECT_NE(message.find("version 2"), std::string::npos);
 
   // Swapping alpha moved alpha's version and nobody else's.
@@ -207,18 +160,18 @@ TEST(ModelRegistryServer, PerModelSwapIsolation) {
   PredictResponse resp;
   const QuantizedMlp ref_b = make_model(26);
   for (const auto& s : samples) {
-    ASSERT_TRUE(admin.send_predict_v2(0, "alpha", s));
+    ASSERT_TRUE(admin.send_predict(0, s, "alpha"));
     ASSERT_TRUE(admin.read_predict(resp));
     EXPECT_EQ(resp.model_version, 2U);
     EXPECT_EQ(resp.predicted_class, offline_predict(alpha_v2, s, scratch));
-    ASSERT_TRUE(admin.send_predict_v2(1, "beta", s));
+    ASSERT_TRUE(admin.send_predict(1, s, "beta"));
     ASSERT_TRUE(admin.read_predict(resp));
     EXPECT_EQ(resp.model_version, 1U);
     EXPECT_EQ(resp.predicted_class, offline_predict(ref_b, s, scratch));
   }
 
   // Swapping a name the registry has never seen is refused over the wire.
-  EXPECT_FALSE(admin.swap_named("gamma", path, message));
+  EXPECT_FALSE(admin.swap("gamma", path, message));
   EXPECT_NE(message.find("unknown model"), std::string::npos);
   server.stop();
   std::remove(path.c_str());
@@ -236,9 +189,10 @@ TEST(ModelRegistryServer, TwoReactorLoadgenTotalsReconcileWithServerStats) {
   const auto samples_b = make_samples(16, 6, 35);
   const std::size_t per_gen = 300;
 
-  // Two concurrent loadgens: v1 frames against the default model, v2
-  // frames against beta — their connections land on whichever reactor the
-  // kernel picked, and every response is verified bit-exactly per model.
+  // Two concurrent loadgens: empty-name frames against the default model,
+  // named frames against beta — their connections land on whichever
+  // reactor the kernel picked, and every response is verified bit-exactly
+  // per model.
   LoadGenConfig load_a;
   load_a.port = server.port();
   load_a.rate = 4000.0;
@@ -300,8 +254,9 @@ TEST(ModelRegistryServer, StatsJsonCarriesReactorAndModelBreakdown) {
   EXPECT_NE(json.find("\"models\": ["), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"alpha\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"beta\""), std::string::npos);
-  // The legacy keys the CI soak greps must survive the v2 additions.
-  EXPECT_NE(json.find("\"model_version\": 1"), std::string::npos);
+  // One line per model: the CI soaks grep a model's name and version.
+  EXPECT_NE(json.find("\"name\": \"alpha\", \"version\": 1"), std::string::npos);
+  EXPECT_EQ(json.find("model_version"), std::string::npos);
   EXPECT_NE(json.find("\"swaps_failed\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"dropped_responses\": 0"), std::string::npos);
   server.stop();

@@ -1,7 +1,8 @@
 /// End-to-end tests for the serving layer over real loopback TCP:
 /// bit-exactness against the offline engine, micro-batch coalescing,
 /// hot-swap under load (version-tagged verification), protocol abuse
-/// (truncated / oversized / unknown frames, width mismatches, client
+/// (truncated / oversized / unknown / malformed frames, each closing its
+/// connection with a typed error; width mismatches, which keep it; client
 /// disconnects), observability counters, and the zero-steady-state-
 /// allocation property of the request pool.
 
@@ -9,57 +10,18 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "pnm/core/model_io.hpp"
-#include "pnm/core/quantize.hpp"
 #include "pnm/serve/client.hpp"
-#include "pnm/util/build_info.hpp"
 #include "pnm/util/fileio.hpp"
-#include "pnm/util/rng.hpp"
+
+#include "serve_test_util.hpp"
 
 namespace pnm::serve {
 namespace {
-
-QuantizedMlp make_model(std::uint64_t seed, std::vector<std::size_t> topology = {6, 5, 3}) {
-  Rng rng(seed);
-  const Mlp net(topology, rng);
-  return QuantizedMlp::from_float(net, QuantSpec::uniform(topology.size() - 1, 5, 4));
-}
-
-std::vector<std::vector<double>> make_samples(std::size_t n, std::size_t n_features,
-                                              std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<double>> samples(n);
-  for (auto& s : samples) {
-    s.resize(n_features);
-    for (auto& v : s) v = rng.uniform();
-  }
-  return samples;
-}
-
-std::size_t offline_predict(const QuantizedMlp& model, const std::vector<double>& x,
-                            InferScratch& scratch) {
-  std::vector<std::int64_t> xq;
-  quantize_input_into(x, model.input_bits(), xq);
-  return model.predict_quantized_into(xq, scratch);
-}
-
-/// Polls server stats until `pred` holds or ~2s elapse (counters are
-/// bumped by the IO/worker threads, so tests wait instead of racing).
-/// Sanitizer builds get proportionally more patience.
-template <typename Pred>
-bool wait_for_stats(const Server& server, Pred pred) {
-  for (int i = 0; i < 200 * pnm::build_info::timing_multiplier(); ++i) {
-    if (pred(server.stats())) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return false;
-}
 
 TEST(ServeServer, ServesBitExactPredictions) {
   Server server({}, {make_model(1), 0, "", ""});
@@ -86,7 +48,7 @@ TEST(ServeServer, ServesBitExactPredictions) {
   EXPECT_TRUE(wait_for_stats(server, [&](const MetricsSnapshot& s) {
     return s.requests_total == samples.size() && s.responses_total == samples.size();
   }));
-  EXPECT_EQ(server.stats().model_version, 1U);
+  EXPECT_EQ(server.stats().models.at(0).version, 1U);
   server.stop();
 }
 
@@ -178,8 +140,9 @@ TEST(ServeServer, HotSwapUnderLoadIsBitExactAndLossless) {
 
   const MetricsSnapshot stats = server.stats();
   EXPECT_EQ(stats.swaps_ok, 2U);
-  EXPECT_EQ(stats.model_version, 3U);
-  EXPECT_EQ(stats.model_path, path_a);
+  ASSERT_EQ(stats.models.size(), 1U);
+  EXPECT_EQ(stats.models[0].version, 3U);
+  EXPECT_EQ(stats.models[0].path, path_a);
   server.stop();
   std::remove(path_a.c_str());
   std::remove(path_b.c_str());
@@ -195,14 +158,14 @@ TEST(ServeServer, SwapToCorruptFileIsRejectedAndKeepsServing) {
   ServeClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
   std::string message;
-  EXPECT_FALSE(client.swap(bad_path, message));
+  EXPECT_FALSE(client.swap("", bad_path, message));
   EXPECT_FALSE(message.empty());
-  EXPECT_FALSE(client.swap(::testing::TempDir() + "pnm_serve_no_such_file.pnm", message));
+  EXPECT_FALSE(client.swap("", ::testing::TempDir() + "pnm_serve_no_such_file.pnm", message));
 
   const MetricsSnapshot stats = server.stats();
   EXPECT_EQ(stats.swaps_failed, 2U);
   EXPECT_EQ(stats.swaps_ok, 0U);
-  EXPECT_EQ(stats.model_version, 1U);  // old design kept serving
+  EXPECT_EQ(stats.models.at(0).version, 1U);  // old design kept serving
 
   // ...and it really does keep serving, bit-exactly.
   const auto samples = make_samples(5, 6, 14);
@@ -256,34 +219,67 @@ TEST(ServeServer, OversizedFrameGetsErrorAndDisconnect) {
   append_u32(header, 1 << 20);  // over the 1 KiB cap
   ASSERT_TRUE(client.send_raw(header.data(), header.size()));
 
-  ClientFrame frame;
-  ASSERT_TRUE(client.read_frame(frame));
-  EXPECT_EQ(frame.type, FrameType::kError);
+  EXPECT_EQ(read_error(client), ErrorCode::kMalformedFrame);
   // Server closes the connection after the error frame.
+  ClientFrame frame;
   EXPECT_FALSE(client.read_frame(frame, 2000));
-  EXPECT_TRUE(wait_for_stats(
-      server, [](const MetricsSnapshot& s) { return s.oversized_rejected == 1; }));
+  EXPECT_TRUE(wait_for_stats(server, [](const MetricsSnapshot& s) {
+    return s.oversized_rejected == 1 && s.connections_closed == 1;
+  }));
   server.stop();
+}
+
+/// Sends `bytes` on a fresh connection and expects kError{kMalformedFrame}
+/// followed by the server closing that connection.
+void expect_malformed_closes(Server& server, const std::vector<std::uint8_t>& bytes) {
+  const std::uint64_t closed = server.stats().connections_closed;
+  ServeClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(client.send_raw(bytes.data(), bytes.size()));
+  EXPECT_EQ(read_error(client), ErrorCode::kMalformedFrame);
+  // The client is still open, so only a server-side close can count here.
+  EXPECT_TRUE(wait_for_stats(server, [&](const MetricsSnapshot& s) {
+    return s.connections_closed == closed + 1;
+  }));
 }
 
 TEST(ServeServer, UnknownFrameTypeGetsErrorAndDisconnect) {
   Server server({}, {make_model(8), 0, "", ""});
   server.start();
 
-  ServeClient client;
-  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
-  std::vector<std::uint8_t> raw;
-  append_u32(raw, 3);
-  raw.push_back(99);  // no such FrameType
-  raw.push_back(0);
-  raw.push_back(0);
-  ASSERT_TRUE(client.send_raw(raw.data(), raw.size()));
+  // Only tags 1-7 are frame types.
+  for (const std::uint8_t tag : {8, 9, 10, 99}) {
+    SCOPED_TRACE(static_cast<int>(tag));
+    std::vector<std::uint8_t> raw;
+    append_u32(raw, 3);
+    raw.push_back(tag);
+    raw.push_back(0);
+    raw.push_back(0);
+    expect_malformed_closes(server, raw);
+  }
+  EXPECT_EQ(server.stats().protocol_errors, 4U);
+  server.stop();
+}
 
-  ClientFrame frame;
-  ASSERT_TRUE(client.read_frame(frame));
-  EXPECT_EQ(frame.type, FrameType::kError);
-  EXPECT_TRUE(wait_for_stats(
-      server, [](const MetricsSnapshot& s) { return s.protocol_errors >= 1; }));
+TEST(ServeServer, MalformedPayloadGetsErrorAndDisconnect) {
+  Server server({}, {make_model(11), 0, "", ""});
+  server.start();
+
+  const auto samples = make_samples(1, 6, 19);
+  std::vector<std::uint8_t> lying_predict;
+  encode_predict(lying_predict, 1, samples[0], "m");
+  lying_predict[9] = 255;  // name length (after u32 len, u8 type, u32 id) overruns
+  encode_predict(lying_predict, 2, samples[0]);  // valid, but after the violation
+  expect_malformed_closes(server, lying_predict);
+
+  std::vector<std::uint8_t> nameless_swap;
+  encode_payload_frame(nameless_swap, FrameType::kSwap, {});  // no name-length byte
+  expect_malformed_closes(server, nameless_swap);
+
+  const MetricsSnapshot stats = server.stats();
+  EXPECT_EQ(stats.protocol_errors, 2U);
+  EXPECT_EQ(stats.requests_total, 0U);  // nothing after a violation is admitted
+  EXPECT_EQ(stats.swaps_failed, 0U);
   server.stop();
 }
 
@@ -294,9 +290,7 @@ TEST(ServeServer, FeatureWidthMismatchIsAnErrorNotACrash) {
   ServeClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
   ASSERT_TRUE(client.send_predict(0, std::vector<double>{0.5, 0.5}));  // 2 != 6
-  ClientFrame frame;
-  ASSERT_TRUE(client.read_frame(frame));
-  EXPECT_EQ(frame.type, FrameType::kError);
+  EXPECT_EQ(read_error(client), ErrorCode::kWidthMismatch);
   EXPECT_TRUE(wait_for_stats(
       server, [](const MetricsSnapshot& s) { return s.predict_errors == 1; }));
 
@@ -306,6 +300,8 @@ TEST(ServeServer, FeatureWidthMismatchIsAnErrorNotACrash) {
   ASSERT_TRUE(client.send_predict(1, samples[0]));
   PredictResponse resp;
   EXPECT_TRUE(client.read_predict(resp));
+  EXPECT_EQ(resp.id, 1U);
+  EXPECT_EQ(server.stats().connections_closed, 0U);
   server.stop();
 }
 
