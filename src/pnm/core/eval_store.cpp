@@ -111,9 +111,9 @@ EvalStore::EvalStore(std::string dir, std::string fingerprint, std::size_t write
     throw std::runtime_error("EvalStore: cannot create store directory " + dir_);
   }
   acquire_segment(writer_id);
-  load_segments();
-  if (own_needs_compaction_ || !path_is_regular_file(segment_path_)) {
-    compact_own_segment();
+  const OwnSegment own = load_segments();
+  if (own.needs_compaction || !path_is_regular_file(segment_path_)) {
+    compact_own_segment(own);
   }
   append_.open(segment_path_, std::ios::binary | std::ios::app);
   if (!append_) {
@@ -149,7 +149,8 @@ void EvalStore::acquire_segment(std::size_t preferred_id) {
   throw std::runtime_error("EvalStore: cannot claim a writer segment in " + dir_);
 }
 
-void EvalStore::load_segments() {
+EvalStore::OwnSegment EvalStore::load_segments() {
+  OwnSegment own;
   std::vector<std::string> names = list_files(dir_, kSegmentPrefix, kSegmentSuffix);
   // Numeric segment order (seg-2 before seg-10): the deterministic merge
   // order behind last-write-wins.
@@ -167,7 +168,7 @@ void EvalStore::load_segments() {
     const std::optional<std::string> content = read_text_file(path);
     if (!content) continue;  // raced removal by another process
     if (content->empty()) {
-      if (is_own) own_needs_compaction_ = true;
+      if (is_own) own.needs_compaction = true;
       continue;
     }
     const std::size_t header_end = content->find('\n');
@@ -203,7 +204,7 @@ void EvalStore::load_segments() {
         }
       }
       if (is_own) {
-        own_needs_compaction_ = true;  // rewrite fresh under our fingerprint
+        own.needs_compaction = true;  // rewrite fresh under our fingerprint
       } else {
         const auto id = segment_id_of(name);
         std::optional<FileLock> reaper =
@@ -230,7 +231,7 @@ void EvalStore::load_segments() {
     if (header_end == std::string::npos) {
       // Header without newline: the very first write was torn.
       ++corrupt_dropped_;
-      if (is_own) own_needs_compaction_ = true;
+      if (is_own) own.needs_compaction = true;
       continue;
     }
     std::string_view body = std::string_view(*content).substr(header_end + 1);
@@ -240,7 +241,7 @@ void EvalStore::load_segments() {
         // Trailing record without newline: the write it belonged to was
         // interrupted.  Drop it; compact if it is ours to heal.
         ++corrupt_dropped_;
-        if (is_own) own_needs_compaction_ = true;
+        if (is_own) own.needs_compaction = true;
         break;
       }
       const std::string_view line = body.substr(0, eol);
@@ -250,16 +251,16 @@ void EvalStore::load_segments() {
       DesignPoint point;
       if (!parse_eval_record(line, key, point)) {
         ++corrupt_dropped_;
-        if (is_own) own_needs_compaction_ = true;
+        if (is_own) own.needs_compaction = true;
         continue;
       }
       if (is_own) {
-        const auto [it, inserted] = own_records_.emplace(key, point);
+        const auto [it, inserted] = own.records.emplace(key, point);
         if (inserted) {
-          own_order_.push_back(key);
+          own.order.push_back(key);
         } else {
           it->second = point;
-          own_needs_compaction_ = true;
+          own.needs_compaction = true;
         }
       }
       const auto [it, inserted] = records_.emplace(key, point);
@@ -271,17 +272,17 @@ void EvalStore::load_segments() {
       }
     }
   }
+  return own;
 }
 
-void EvalStore::compact_own_segment() {
+void EvalStore::compact_own_segment(const OwnSegment& own) {
   std::string content = header_line();
-  for (const std::string& key : own_order_) {
-    content += format_eval_record(key, own_records_.at(key));
+  for (const std::string& key : own.order) {
+    content += format_eval_record(key, own.records.at(key));
   }
   if (!write_text_file_atomic(segment_path_, content)) {
     throw std::runtime_error("EvalStore: cannot rewrite " + segment_path_);
   }
-  own_needs_compaction_ = false;
 }
 
 std::optional<DesignPoint> EvalStore::lookup(const std::string& key) const {
@@ -313,8 +314,6 @@ void EvalStore::put(const std::string& key, const DesignPoint& point) {
                              segment_path_);
   }
   records_.emplace(key, point);
-  own_records_.emplace(key, point);
-  own_order_.push_back(key);
 }
 
 std::vector<std::pair<std::string, DesignPoint>> EvalStore::entries() const {

@@ -197,9 +197,18 @@ class EvalStore {
   static std::size_t count_duplicate_records(const std::string& dir);
 
  private:
+  /// The owned segment as loaded: its records in append order (a
+  /// rewritten key keeps its first position and its last value), which is
+  /// what compaction writes, and whether the file needs that rewrite.
+  struct OwnSegment {
+    std::unordered_map<std::string, DesignPoint> records;
+    std::vector<std::string> order;
+    bool needs_compaction = false;
+  };
+
   void acquire_segment(std::size_t preferred_id);
-  void load_segments();
-  void compact_own_segment();
+  [[nodiscard]] OwnSegment load_segments();
+  void compact_own_segment(const OwnSegment& own);
   [[nodiscard]] std::string header_line() const;
   [[nodiscard]] std::string segment_file(std::size_t id) const;
   [[nodiscard]] std::string segment_lock(std::size_t id) const;
@@ -218,10 +227,6 @@ class EvalStore {
   mutable std::mutex mutex_;
   /// Merged view across all segments (last-write-wins at load).
   std::unordered_map<std::string, DesignPoint> records_;
-  /// The owned segment's records + append order, for compaction.
-  std::unordered_map<std::string, DesignPoint> own_records_;
-  std::vector<std::string> own_order_;
-  bool own_needs_compaction_ = false;
   std::size_t loaded_ = 0;
   std::size_t corrupt_dropped_ = 0;
   std::size_t invalidated_ = 0;

@@ -1,7 +1,9 @@
 #include "pnm/core/prune.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace pnm {
@@ -44,8 +46,14 @@ void PruneMask::apply(Mlp& model) const {
     if (raw.size() != keep_[li].size()) {
       throw std::invalid_argument("PruneMask::apply: layer shape mismatch");
     }
+    // A bitwise select, not a branch: every weight is rewritten, a kept
+    // one with all its bits and a dropped one as +0.0 (all bits clear).
+    // No jump depends on the mask, so the loop vectorizes and its speed
+    // does not depend on where the linker places it.
+    const std::vector<std::uint8_t>& keep = keep_[li];
     for (std::size_t i = 0; i < raw.size(); ++i) {
-      if (keep_[li][i] == 0) raw[i] = 0.0;
+      const std::uint64_t select = std::uint64_t{0} - std::uint64_t{keep[i] != 0};
+      raw[i] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(raw[i]) & select);
     }
   }
 }

@@ -112,6 +112,9 @@ void Server::close_sockets() {
 }
 
 void Server::start() {
+  if (stopped_.load()) {
+    throw std::logic_error("Server: start() after stop(); a stopped server cannot restart");
+  }
   if (running_.exchange(true)) return;
   // With one reactor the classic exclusive bind is kept; with several,
   // every sibling sets SO_REUSEPORT and the kernel spreads incoming
@@ -155,6 +158,7 @@ void Server::start() {
 
 void Server::stop() {
   if (!running_.exchange(false)) return;
+  stopped_.store(true);
   // Wake every reactor; each closes its own connections on the way out.
   const std::uint64_t one = 1;
   for (const int fd : wake_fds_) {

@@ -13,6 +13,10 @@
 /// inference workers, and bump ONE ServeMetrics aggregator (per-reactor
 /// admission counters let tests assert the global/per-reactor balance).
 /// `reactors = 1` degenerates to the classic single-IO-thread server.
+/// Neither count wins everywhere: on a 4-vCPU VM a second reactor raised
+/// closed-loop throughput ~10% with 16 connections x 4 requests in
+/// flight and 3 workers, and cost 7-11% with deeper pipelines (numbers
+/// in docs/ARCHITECTURE.md, "Serving layer").
 ///
 /// Models: a ModelRegistry serves any number of named designs behind the
 /// port.  Every predict and swap frame names its model; the empty name
@@ -73,7 +77,7 @@ struct ServeConfig {
 
 /// The server.  start() spawns the reactor IO threads and workers; stop()
 /// (or the destructor) shuts everything down, draining already-admitted
-/// requests.
+/// requests.  A server runs once: after stop() it cannot be started again.
 class Server {
  public:
   /// Single-model convenience: serves `model` as the default model of a
@@ -99,13 +103,18 @@ class Server {
 
   /// Binds the listening socket(s) and spawns the threads.  After it
   /// returns, port() is final and connects succeed (the kernel backlog
-  /// holds early arrivals even before the first epoll dispatch).
+  /// holds early arrivals even before the first epoll dispatch).  A
+  /// second call while running does nothing.
   ///
-  /// \throws std::runtime_error  when a socket cannot be bound.
+  /// \throws std::runtime_error  when a socket cannot be bound (nothing
+  ///         is left running; start() may be retried).
+  /// \throws std::logic_error    after stop(): stop() shuts the admission
+  ///         queue down for good, so a restarted server would accept
+  ///         requests that no worker ever answers.  Build a new Server.
   void start();
 
   /// Stops accepting, drains admitted requests, joins every thread.
-  /// Idempotent.
+  /// Idempotent; a no-op on a server that never started.
   void stop();
 
   /// The bound port (valid after start(); all reactors share it).
@@ -153,6 +162,7 @@ class Server {
   std::vector<int> wake_fds_;    ///< shutdown eventfd, one per reactor
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
+  std::atomic<bool> stopped_{false};  ///< set by the first stop() of a started server
   std::vector<std::thread> io_threads_;
   std::vector<std::thread> workers_;
 };

@@ -3,20 +3,24 @@
 /// hot-swap under load (version-tagged verification), protocol abuse
 /// (truncated / oversized / unknown / malformed frames, each closing its
 /// connection with a typed error; width mismatches, which keep it; client
-/// disconnects), observability counters, and the zero-steady-state-
-/// allocation property of the request pool.
+/// disconnects), observability counters, the zero-steady-state-
+/// allocation property of the request pool, and the start/stop lifecycle
+/// (a stopped server refuses to restart; a taken port fails start()).
 
 #include "pnm/serve/server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 #include "pnm/core/model_io.hpp"
 #include "pnm/serve/client.hpp"
 #include "pnm/util/fileio.hpp"
+#include "pnm/util/socket.hpp"
 
 #include "serve_test_util.hpp"
 
@@ -376,6 +380,44 @@ TEST(ServeServer, StartStopIsIdempotent) {
   // A stopped server's port no longer accepts.
   ServeClient client;
   EXPECT_FALSE(client.connect("127.0.0.1", port, 2));
+}
+
+TEST(ServeServer, RestartAfterStopIsRefused) {
+  // stop() shuts the admission queue down for good: a restarted server
+  // would accept predicts that no worker ever answers.
+  Server server({}, {make_model(14), 0, "", ""});
+  server.start();
+  server.stop();
+  EXPECT_THROW(server.start(), std::logic_error);
+
+  // Nothing came back up: the refused start bound no socket.
+  ServeClient client;
+  EXPECT_FALSE(client.connect("127.0.0.1", server.port(), 2));
+}
+
+TEST(ServeServer, StartOnATakenPortThrows) {
+  const int taken = tcp_listen(0, true);
+  ASSERT_GE(taken, 0);
+  ServeConfig config;
+  config.port = tcp_local_port(taken);
+  {
+    Server server(config, {make_model(15), 0, "", ""});
+    EXPECT_THROW(server.start(), std::runtime_error);
+  }  // destructs cleanly: nothing was left running
+
+  // A failed start leaves the server startable once the port is free.
+  Server server(config, {make_model(15), 0, "", ""});
+  EXPECT_THROW(server.start(), std::runtime_error);
+  ::close(taken);
+  server.start();
+  ServeClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", config.port));
+  const auto samples = make_samples(1, 6, 16);
+  ASSERT_TRUE(client.send_predict(1, samples[0]));
+  PredictResponse resp;
+  ASSERT_TRUE(client.read_predict(resp));
+  EXPECT_EQ(resp.id, 1U);
+  server.stop();
 }
 
 }  // namespace
