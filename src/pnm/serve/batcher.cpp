@@ -15,15 +15,18 @@ ServeRequest* RequestPool::acquire() {
   return all_.back().get();
 }
 
-void RequestPool::release(ServeRequest* r) {
-  r->conn.reset();
-  r->id = 0;
-  r->model_name.clear();  // keeps capacity
-  r->features.clear();    // keeps capacity
-  r->xq.clear();          // keeps capacity
-  r->staged_bits = -1;
+void RequestPool::release(std::span<ServeRequest* const> requests) {
+  for (ServeRequest* r : requests) {
+    r->conn.reset();
+    r->id = 0;
+    r->model_name.clear();  // keeps capacity
+    r->features.clear();    // keeps capacity
+    r->xq.clear();          // keeps capacity
+    r->staged_bits = -1;
+  }
+  if (requests.empty()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  free_.push_back(r);
+  free_.insert(free_.end(), requests.begin(), requests.end());
 }
 
 std::size_t RequestPool::created() const {
@@ -38,21 +41,26 @@ Batcher::Batcher(std::size_t batch_max, std::int64_t deadline_us)
   ring_.resize(64, nullptr);
 }
 
-void Batcher::push(ServeRequest* r) {
-  r->admitted = std::chrono::steady_clock::now();
+void Batcher::push(std::span<ServeRequest* const> requests,
+                   std::chrono::steady_clock::time_point admitted) {
+  if (requests.empty()) return;
+  for (ServeRequest* r : requests) r->admitted = admitted;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (size_locked() == ring_.size()) {
-      // Grow: re-lay the live window at absolute positions in the bigger
-      // power-of-two ring (indices keep their absolute values).
-      std::vector<ServeRequest*> bigger(ring_.size() * 2, nullptr);
+    const std::size_t need = size_locked() + requests.size();
+    if (need > ring_.size()) {
+      // Grow once to the power of two that fits: re-lay the live window
+      // at absolute positions in the bigger ring (indices keep their
+      // absolute values).
+      std::size_t cap = ring_.size() * 2;
+      while (cap < need) cap *= 2;
+      std::vector<ServeRequest*> bigger(cap, nullptr);
       for (std::size_t i = head_; i < tail_; ++i) {
-        bigger[i & (bigger.size() - 1)] = ring_[i & (ring_.size() - 1)];
+        bigger[i & (cap - 1)] = ring_[i & (ring_.size() - 1)];
       }
       ring_.swap(bigger);
     }
-    ring_[tail_ & (ring_.size() - 1)] = r;
-    ++tail_;
+    for (ServeRequest* r : requests) ring_[tail_++ & (ring_.size() - 1)] = r;
   }
   cv_.notify_one();
 }

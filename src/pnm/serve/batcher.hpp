@@ -14,9 +14,12 @@
 ///
 /// Under light load a lone request therefore waits at most one deadline
 /// (bounded tail latency); under heavy load batches fill instantly and
-/// the deadline never engages (maximum throughput).  The queue is a
-/// growable ring buffer of request pointers and the requests themselves
-/// are pooled and recycled, so steady-state admission performs zero
+/// the deadline never engages (maximum throughput).  Both ends move
+/// requests in bulk: the IO thread admits everything one socket read
+/// decoded with one push (one lock, one wake-up), and a worker recycles
+/// its whole batch with one release (one lock).  The queue is a growable
+/// ring buffer of request pointers and the requests themselves are
+/// pooled and recycled, so steady-state admission performs zero
 /// allocations — the only allocations happen while the pool or ring is
 /// still growing toward the peak in-flight count.
 
@@ -25,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,9 +61,13 @@ class RequestPool {
   /// returned object's `features` keeps its previous capacity.
   ServeRequest* acquire();
 
-  /// Returns a request to the pool (clears the connection reference so
-  /// pooled requests never pin a closed socket).
-  void release(ServeRequest* r);
+  /// Returns requests to the pool under one lock (clears each one's
+  /// connection reference so pooled requests never pin a closed socket).
+  /// A worker releases its whole batch before writing the responses, so
+  /// a synchronous client's next request can reuse one of them.
+  ///
+  /// \param requests  requests no thread uses any more; may be empty.
+  void release(std::span<ServeRequest* const> requests);
 
   /// Total requests ever created (== peak concurrent demand; stable once
   /// the pool has warmed up — asserted by tests as the zero-steady-state-
@@ -82,8 +90,17 @@ class Batcher {
   ///                     admission (0 = depart immediately).
   Batcher(std::size_t batch_max, std::int64_t deadline_us);
 
-  /// Admits one request (stamps `r->admitted`).
-  void push(ServeRequest* r);
+  /// Admits `requests` in order under one lock, growing the ring at most
+  /// once, and wakes one worker.  An empty span changes nothing.
+  ///
+  /// \param requests  requests to queue (the IO thread passes everything
+  ///                  one socket read decoded).
+  /// \param admitted  stamped into every request's `admitted`; the
+  ///                  batch deadline counts from it.  The IO thread reads
+  ///                  the clock once when the read returns, so the
+  ///                  server latency still covers decoding and staging.
+  void push(std::span<ServeRequest* const> requests,
+            std::chrono::steady_clock::time_point admitted);
 
   /// Blocks for the next micro-batch: waits for a first request, then
   /// keeps coalescing until the batch is full or the oldest member's

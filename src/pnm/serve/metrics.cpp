@@ -62,6 +62,7 @@ std::string MetricsSnapshot::to_json() const {
   out << "  \"requests_total\": " << requests_total << ",\n";
   out << "  \"responses_total\": " << responses_total << ",\n";
   out << "  \"batches_total\": " << batches_total << ",\n";
+  out << "  \"response_writes\": " << response_writes << ",\n";
   out << "  \"queue_depth\": " << queue_depth << ",\n";
   out << "  \"protocol_errors\": " << protocol_errors << ",\n";
   out << "  \"oversized_rejected\": " << oversized_rejected << ",\n";
@@ -124,6 +125,7 @@ MetricsSnapshot ServeMetrics::snapshot(std::uint64_t queue_depth) const {
   s.requests_total = requests_total_.load(std::memory_order_relaxed);
   s.responses_total = responses_total_.load(std::memory_order_relaxed);
   s.batches_total = batches_total_.load(std::memory_order_relaxed);
+  s.response_writes = response_writes_.load(std::memory_order_relaxed);
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   s.oversized_rejected = oversized_rejected_.load(std::memory_order_relaxed);
   s.truncated_frames = truncated_frames_.load(std::memory_order_relaxed);

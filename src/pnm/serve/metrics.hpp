@@ -42,6 +42,7 @@ struct MetricsSnapshot {
   std::uint64_t requests_total = 0;
   std::uint64_t responses_total = 0;
   std::uint64_t batches_total = 0;
+  std::uint64_t response_writes = 0;    ///< worker socket writes (<= one per connection per batch)
   std::uint64_t protocol_errors = 0;
   std::uint64_t oversized_rejected = 0;
   std::uint64_t truncated_frames = 0;
@@ -78,18 +79,25 @@ class ServeMetrics {
 
   void on_connection_opened() { connections_opened_.fetch_add(1, std::memory_order_relaxed); }
   void on_connection_closed() { connections_closed_.fetch_add(1, std::memory_order_relaxed); }
-  /// Counts one admitted request, attributed to the admitting reactor —
+  /// Counts `n` admitted requests, attributed to the admitting reactor —
   /// sum(requests_by_reactor) == requests_total is a checked invariant.
-  void on_request(std::size_t reactor = 0) {
-    requests_total_.fetch_add(1, std::memory_order_relaxed);
+  void on_requests(std::size_t reactor, std::uint64_t n) {
+    if (n == 0) return;
+    requests_total_.fetch_add(n, std::memory_order_relaxed);
     if (reactor < requests_by_reactor_.size()) {
-      requests_by_reactor_[reactor].fetch_add(1, std::memory_order_relaxed);
+      requests_by_reactor_[reactor].fetch_add(n, std::memory_order_relaxed);
     }
   }
   void on_protocol_error() { protocol_errors_.fetch_add(1, std::memory_order_relaxed); }
   void on_oversized() { oversized_rejected_.fetch_add(1, std::memory_order_relaxed); }
   void on_truncated_frame() { truncated_frames_.fetch_add(1, std::memory_order_relaxed); }
-  void on_dropped_response() { dropped_responses_.fetch_add(1, std::memory_order_relaxed); }
+  /// Counts `frames` responses whose write failed (a worker's failed
+  /// write drops every frame it carried).
+  void on_dropped_response(std::uint64_t frames = 1) {
+    dropped_responses_.fetch_add(frames, std::memory_order_relaxed);
+  }
+  /// Counts one worker write; bumped before the write, like on_response.
+  void on_response_write() { response_writes_.fetch_add(1, std::memory_order_relaxed); }
   void on_predict_error() { predict_errors_.fetch_add(1, std::memory_order_relaxed); }
   /// Counts a request rejected at admission for naming no registered
   /// model.  Deliberately NOT part of requests_total: the request never
@@ -104,9 +112,9 @@ class ServeMetrics {
   void on_batch(std::size_t batch_size);
 
   /// Records one served response with its end-to-end latency (admission
-  /// to response encode; callers count just before the socket write so a
-  /// client that saw every response implies every response is counted),
-  /// in microseconds.
+  /// to the end of its batch's encode; callers count before the socket
+  /// write so a client that saw every response implies every response is
+  /// counted), in microseconds.
   void on_response(std::uint64_t latency_us);
 
   /// Point-in-time copy of every counter and histogram.  `models` is left
@@ -124,6 +132,7 @@ class ServeMetrics {
   std::atomic<std::uint64_t> requests_total_{0};
   std::atomic<std::uint64_t> responses_total_{0};
   std::atomic<std::uint64_t> batches_total_{0};
+  std::atomic<std::uint64_t> response_writes_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> oversized_rejected_{0};
   std::atomic<std::uint64_t> truncated_frames_{0};

@@ -40,10 +40,11 @@ class Connection {
   void mark_closed() { closed_.store(true, std::memory_order_release); }
   [[nodiscard]] bool closed() const { return closed_.load(std::memory_order_acquire); }
 
-  /// Serialized whole-frame write; false when the peer is gone.  The
-  /// stall cap is tighter than send_all's default: with several reactors
-  /// feeding one worker pool, a single peer that stops reading must not
-  /// park a worker for multiple seconds.
+  /// Serialized write of one or more whole frames (a worker passes every
+  /// response its batch holds for this connection); false when the peer
+  /// is gone.  The stall cap is tighter than send_all's default: with
+  /// several reactors feeding one worker pool, a single peer that stops
+  /// reading must not park a worker for multiple seconds.
   bool write_frame(const std::vector<std::uint8_t>& bytes) {
     std::lock_guard<std::mutex> lock(write_mu_);
     if (closed()) return false;
@@ -61,11 +62,19 @@ class Connection {
 
 namespace {
 
-std::uint64_t elapsed_us(std::chrono::steady_clock::time_point since) {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                        std::chrono::steady_clock::now() - since)
-                                        .count());
+std::uint64_t elapsed_us(std::chrono::steady_clock::time_point from,
+                         std::chrono::steady_clock::time_point to) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(to - from).count());
 }
+
+/// One connection's share of a worker batch: every frame the batch answers
+/// it with, encoded in processing order, for one write.
+struct Outbox {
+  std::shared_ptr<Connection> conn;
+  std::vector<std::uint8_t> bytes;  ///< capacity reused across batches
+  std::uint64_t frames = 0;
+};
 
 /// Wraps a lone model into a fresh one-entry registry (name "default").
 std::shared_ptr<ModelRegistry> make_single_registry(ServedModel model) {
@@ -229,6 +238,7 @@ void Server::io_loop(std::size_t reactor) {
   std::vector<epoll_event> events;
   std::vector<std::uint8_t> rx(64 * 1024);
   std::vector<std::uint8_t> reply;
+  std::vector<ServeRequest*> admit;  // the predicts one read decoded, in order
 
   // A protocol violation: kError{kMalformedFrame}, after which the caller
   // closes the connection (its framing cannot be trusted past the frame).
@@ -236,6 +246,14 @@ void Server::io_loop(std::size_t reactor) {
     reply.clear();
     encode_error(reply, ErrorCode::kMalformedFrame, why);
     conn.write_frame(reply);
+  };
+
+  // Admits the predicts decoded so far with one count, one push and one
+  // wake-up.  Counted before the push, so responses never outrun requests.
+  const auto admit_decoded = [&](std::chrono::steady_clock::time_point received) {
+    metrics_.on_requests(reactor, admit.size());
+    batcher_.push(admit, received);
+    admit.clear();
   };
 
   const auto drop_connection = [&](std::uint64_t tag) {
@@ -279,6 +297,10 @@ void Server::io_loop(std::size_t reactor) {
       while (!drop) {
         const long got = recv_some(conn->fd(), rx.data(), rx.size());
         if (got > 0) {
+          // One clock read per read, before decoding: every request it
+          // carries is admitted at this instant, so server latency covers
+          // decode and staging.
+          const auto received = std::chrono::steady_clock::now();
           const bool ok = conn->reader().feed(
               rx.data(), static_cast<std::size_t>(got),
               [&](FrameType type, std::span<const std::uint8_t> payload) {
@@ -288,7 +310,7 @@ void Server::io_loop(std::size_t reactor) {
                   case FrameType::kPredict: {
                     ServeRequest* r = pool_.acquire();
                     if (!decode_predict(payload, r->id, r->features, &r->model_name)) {
-                      pool_.release(r);
+                      pool_.release({&r, 1});
                       violation = "malformed predict frame";
                       break;
                     }
@@ -307,7 +329,7 @@ void Server::io_loop(std::size_t reactor) {
                       reply.clear();
                       encode_error(reply, ErrorCode::kUnknownModel,
                                    "unknown model: " + r->model_name);
-                      pool_.release(r);
+                      pool_.release({&r, 1});
                       if (!conn->write_frame(reply)) metrics_.on_dropped_response();
                       break;
                     }
@@ -316,12 +338,14 @@ void Server::io_loop(std::size_t reactor) {
                       r->staged_bits = m->mlp.input_bits();
                     }
                     r->conn = conn;
-                    metrics_.on_request(reactor);
-                    batcher_.push(r);
+                    admit.push_back(r);
                     break;
                   }
                   case FrameType::kStats:
                   case FrameType::kSwap:
+                    // The predicts ahead of it in the stream go first, so
+                    // stats count them and a swap never overtakes them.
+                    admit_decoded(received);
                     if (!handle_admin_frame(*conn, type, payload)) {
                       violation = "malformed swap frame";
                     }
@@ -342,6 +366,10 @@ void Server::io_loop(std::size_t reactor) {
             send_malformed(*conn, "bad frame length");
             drop = true;
           }
+          // Predicts decoded before a violation or a hangup in this read
+          // are still admitted (after the error frame went out), then the
+          // connection drops.
+          admit_decoded(received);
           continue;
         }
         if (got == 0) {
@@ -375,13 +403,35 @@ void Server::worker_loop() {
   constexpr std::size_t kB = simd::kSampleBlock;
 
   std::vector<ServeRequest*> batch;
-  std::vector<ServeRequest*> ready;  // one route's requests awaiting predict
-  std::vector<std::uint8_t> frame;
+  std::vector<ServeRequest*> unrouted;  // batch members no route has claimed yet
+  std::vector<ServeRequest*> ready;     // one route's requests awaiting predict
   std::string route;  // current route's model name (reused capacity)
+  std::vector<Outbox> outboxes;  // [0, used) answer the current batch
+  std::size_t used = 0;
   InferScratch scratch;
   BlockScratch block_scratch;
   std::size_t preds[kB];
   const simd::Isa isa = simd::active_isa();
+
+  // Every frame goes into the outbox of its request's connection, claimed
+  // on that connection's first frame of the batch.  Frames keep the order
+  // this loop produces them in: routes in first-seen order, and within a
+  // route the width-mismatch rejects, then the predictions in admission
+  // order.
+  const auto outbox_of = [&](const ServeRequest* r) -> Outbox& {
+    for (std::size_t k = 0; k < used; ++k) {
+      if (outboxes[k].conn == r->conn) return outboxes[k];
+    }
+    if (used == outboxes.size()) outboxes.emplace_back();
+    outboxes[used].conn = r->conn;
+    return outboxes[used++];
+  };
+  const auto reject = [&](const ServeRequest* r, ErrorCode code, const std::string& message) {
+    metrics_.on_predict_error();
+    Outbox& box = outbox_of(r);
+    encode_error(box.bytes, code, message);
+    ++box.frames;
+  };
 
   while (batcher_.pop_batch(batch)) {
     metrics_.on_batch(batch.size());
@@ -390,37 +440,20 @@ void Server::worker_loop() {
     // sweep is a pointer scan, so this costs nothing in the common
     // single-route case while keeping the whole batch's admission order
     // within each route.
-    std::size_t remaining = batch.size();
+    unrouted.assign(batch.begin(), batch.end());
+    std::size_t remaining = unrouted.size();
     std::size_t first = 0;
     while (remaining > 0) {
-      while (batch[first] == nullptr) ++first;
-      route.assign(batch[first]->model_name);
+      while (unrouted[first] == nullptr) ++first;
+      route.assign(unrouted[first]->model_name);
       ready.clear();
-      for (std::size_t k = first; k < batch.size(); ++k) {
-        if (batch[k] != nullptr && batch[k]->model_name == route) {
-          ready.push_back(batch[k]);
-          batch[k] = nullptr;
+      for (std::size_t k = first; k < unrouted.size(); ++k) {
+        if (unrouted[k] != nullptr && unrouted[k]->model_name == route) {
+          ready.push_back(unrouted[k]);
+          unrouted[k] = nullptr;
           --remaining;
         }
       }
-
-      // Every request leaves through `send`: count before writing, so once
-      // a client has seen every response, every response is in the
-      // counters and a quiescent stats() snapshot always balances against
-      // the batch histogram (on_batch runs at batch start).
-      const auto send = [&](ServeRequest* r) {
-        metrics_.on_response(elapsed_us(r->admitted));
-        if (r->conn == nullptr || !r->conn->write_frame(frame)) {
-          metrics_.on_dropped_response();
-        }
-        pool_.release(r);
-      };
-      const auto reject = [&](ServeRequest* r, ErrorCode code, const std::string& message) {
-        metrics_.on_predict_error();
-        frame.clear();
-        encode_error(frame, code, message);
-        send(r);
-      };
 
       // Pin one design for the whole route: every member is served — and
       // version-tagged — by the same snapshot, whatever swaps land
@@ -430,7 +463,7 @@ void Server::worker_loop() {
         // Unreachable today (admission validates the name and registry
         // entries are never removed), but a typed reject keeps the
         // accounting identities intact if that ever changes.
-        for (ServeRequest* r : ready) {
+        for (const ServeRequest* r : ready) {
           reject(r, ErrorCode::kUnknownModel, "unknown model: " + route);
         }
         continue;
@@ -438,10 +471,10 @@ void Server::worker_loop() {
       const std::size_t want = model->mlp.input_size();
       const int input_bits = model->mlp.input_bits();
 
-      const auto respond = [&](ServeRequest* r, std::size_t cls) {
-        frame.clear();
-        encode_predict_resp(frame, r->id, model->version, static_cast<std::uint32_t>(cls));
-        send(r);
+      const auto respond = [&](const ServeRequest* r, std::size_t cls) {
+        Outbox& box = outbox_of(r);
+        encode_predict_resp(box.bytes, r->id, model->version, static_cast<std::uint32_t>(cls));
+        ++box.frames;
       };
 
       std::size_t fill = 0;  // compact width-mismatch rejects out of `ready`
@@ -494,6 +527,30 @@ void Server::worker_loop() {
         }
       }
     }
+
+    // Count every response before any write, so once a client has seen
+    // every response, every response is in the counters and a quiescent
+    // stats() snapshot balances against the batch histogram (on_batch
+    // runs at batch start).
+    const auto encoded = std::chrono::steady_clock::now();
+    for (const ServeRequest* r : batch) metrics_.on_response(elapsed_us(r->admitted, encoded));
+    // Recycle before writing, so a synchronous client's next request can
+    // reuse one of these; the outboxes hold the connections.
+    pool_.release(batch);
+    // One write per connection; a failed write drops every frame it held.
+    for (std::size_t k = 0; k < used; ++k) {
+      Outbox& box = outboxes[k];
+      bool delivered = false;
+      if (box.conn != nullptr) {
+        metrics_.on_response_write();
+        delivered = box.conn->write_frame(box.bytes);
+      }
+      if (!delivered) metrics_.on_dropped_response(box.frames);
+      box.conn.reset();
+      box.bytes.clear();
+      box.frames = 0;
+    }
+    used = 0;
   }
 }
 

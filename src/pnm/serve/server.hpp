@@ -43,9 +43,10 @@
 /// another's version sequence.
 ///
 /// Responses are written by the worker that computed them, directly to
-/// the connection (per-connection write lock); a client that disappeared
-/// mid-batch just has its responses counted as dropped — the batch, the
-/// other clients, and the server are unaffected.
+/// the connection (per-connection write lock), with one write per
+/// connection per batch; a client that disappeared mid-batch just has its
+/// responses counted as dropped — the batch, the other clients, and the
+/// server are unaffected.
 
 #include <atomic>
 #include <cstdint>

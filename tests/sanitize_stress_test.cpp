@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,30 +46,40 @@ QuantizedMlp make_model(std::uint64_t seed) {
   return QuantizedMlp::from_float(net, QuantSpec::uniform(2, 5, 4));
 }
 
-// Producers race admission against batch drain and a mid-flight
-// shutdown; every request must come back exactly once or be drained by
-// the final pop_batch loop — the pool's created() count then proves no
-// request leaked.
+// Producers race bulk admission against batch drain and a mid-flight
+// shutdown.  Each producer admits sweeps of 0 to 150 requests with one
+// push (the largest outgrows the ring's initial 64 slots more than twice
+// over, so one push may grow it by several doublings), and consumers
+// recycle each batch with one release.  Every request must come back
+// exactly once or be drained by the final pop_batch loop, and the queue
+// must end empty.
 TEST(SanitizeStress, BatcherProducersVsShutdown) {
   PNM_REQUIRE_SANITIZER();
   constexpr int kCycles = 3;
   constexpr int kProducers = 4;
-  constexpr int kPerProducer = 200;
+  constexpr int kSweeps = 40;
+  constexpr std::size_t kSweepSizes[] = {0, 1, 2, 7, 8, 9, 33, 0, 3, 150};
+  constexpr std::size_t kSizes = std::size(kSweepSizes);
+
+  std::size_t expected = 0;
+  for (int p = 0; p < kProducers; ++p) {
+    for (int s = 0; s < kSweeps; ++s) expected += kSweepSizes[(p + s) % kSizes];
+  }
 
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     serve::RequestPool pool;
     serve::Batcher batcher(8, /*deadline_us=*/50);
-    std::atomic<int> popped{0};
+    batcher.push({}, std::chrono::steady_clock::now());  // an empty sweep admits nothing
+    EXPECT_EQ(batcher.depth(), 0U);
+    std::atomic<std::size_t> popped{0};
 
     std::vector<std::thread> consumers;
     for (int c = 0; c < 2; ++c) {
       consumers.emplace_back([&] {
         std::vector<serve::ServeRequest*> batch;
         while (batcher.pop_batch(batch)) {
-          for (serve::ServeRequest* r : batch) {
-            popped.fetch_add(1, std::memory_order_relaxed);
-            pool.release(r);
-          }
+          popped.fetch_add(batch.size(), std::memory_order_relaxed);
+          pool.release(batch);
         }
       });
     }
@@ -76,12 +87,18 @@ TEST(SanitizeStress, BatcherProducersVsShutdown) {
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
       producers.emplace_back([&, p] {
-        for (int i = 0; i < kPerProducer; ++i) {
-          serve::ServeRequest* r = pool.acquire();
-          r->id = static_cast<std::uint32_t>(p * kPerProducer + i);
-          r->features.assign(6, 0.5);
-          batcher.push(r);
-          if (i % 64 == 0) std::this_thread::yield();
+        std::vector<serve::ServeRequest*> sweep;
+        std::uint32_t id = 0;
+        for (int s = 0; s < kSweeps; ++s) {
+          sweep.clear();
+          for (std::size_t j = 0; j < kSweepSizes[(p + s) % kSizes]; ++j) {
+            serve::ServeRequest* r = pool.acquire();
+            r->id = id++;
+            r->features.assign(6, 0.5);
+            sweep.push_back(r);
+          }
+          batcher.push(sweep, std::chrono::steady_clock::now());
+          if (s % 8 == 0) std::this_thread::yield();
         }
       });
     }
@@ -89,7 +106,7 @@ TEST(SanitizeStress, BatcherProducersVsShutdown) {
     batcher.shutdown();  // races against the last admissions' drain
     for (auto& t : consumers) t.join();
 
-    EXPECT_EQ(popped.load(), kProducers * kPerProducer);
+    EXPECT_EQ(popped.load(), expected);
     EXPECT_EQ(batcher.depth(), 0U);
   }
 }

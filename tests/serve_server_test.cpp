@@ -46,13 +46,12 @@ TEST(ServeServer, ServesBitExactPredictions) {
     EXPECT_EQ(resp.predicted_class, offline_predict(reference, samples[i], scratch));
   }
 
-  // The worker bumps responses_total *after* writing the response, so
-  // the client can hold response N while the counter still reads N-1 —
-  // poll instead of snapshotting (sanitizer builds widen that window).
-  EXPECT_TRUE(wait_for_stats(server, [&](const MetricsSnapshot& s) {
-    return s.requests_total == samples.size() && s.responses_total == samples.size();
-  }));
-  EXPECT_EQ(server.stats().models.at(0).version, 1U);
+  // Workers count every response before writing it, so once the client
+  // holds the last response the counters already include it.
+  const MetricsSnapshot stats = server.stats();
+  EXPECT_EQ(stats.requests_total, samples.size());
+  EXPECT_EQ(stats.responses_total, samples.size());
+  EXPECT_EQ(stats.models.at(0).version, 1U);
   server.stop();
 }
 
@@ -77,12 +76,11 @@ TEST(ServeServer, ObservabilityCountersAreConsistent) {
     ASSERT_TRUE(client.read_predict(resp));
   }
 
-  // Counters land after the response write — poll until they settle
-  // before snapshotting for the accounting identities.
-  ASSERT_TRUE(wait_for_stats(server, [&](const MetricsSnapshot& s) {
-    return s.responses_total == samples.size();
-  }));
+  // No polling: workers bump every counter before the write that carries
+  // a response, so the snapshot taken right after the last read must
+  // already balance.  A poll here would hide a regression of that rule.
   const MetricsSnapshot stats = server.stats();
+  EXPECT_EQ(stats.requests_total, samples.size());
   EXPECT_EQ(stats.responses_total, samples.size());
   ASSERT_EQ(stats.batch_size_hist.size(), config.batch_max + 1);
   std::uint64_t batches = 0;
@@ -97,11 +95,16 @@ TEST(ServeServer, ObservabilityCountersAreConsistent) {
   EXPECT_GT(stats.latency_percentile_us(50), 0.0);
   EXPECT_GE(stats.latency_percentile_us(99), stats.latency_percentile_us(50));
   EXPECT_EQ(stats.queue_depth, 0U);  // drained
+  // One connection: each batch answers it with one write.
+  EXPECT_GE(stats.response_writes, 1U);
+  EXPECT_LE(stats.response_writes, stats.batches_total);
 
   // The same numbers over the admin endpoint.
   std::string json;
   ASSERT_TRUE(client.stats(json));
   EXPECT_NE(json.find("\"requests_total\": 40"), std::string::npos);
+  EXPECT_NE(json.find("\"response_writes\": " + std::to_string(stats.response_writes)),
+            std::string::npos);
   EXPECT_NE(json.find("\"latency_p50_us\":"), std::string::npos);
   EXPECT_NE(json.find("\"batch_size_hist\":"), std::string::npos);
   EXPECT_NE(json.find("\"queue_depth\":"), std::string::npos);
@@ -287,6 +290,29 @@ TEST(ServeServer, MalformedPayloadGetsErrorAndDisconnect) {
   server.stop();
 }
 
+TEST(ServeServer, PredictsBeforeAViolationInOneReadAreAnswered) {
+  Server server({}, {make_model(16), 0, "", ""});
+  server.start();
+
+  // One send: two valid predicts, then a predict whose name length lies.
+  const auto samples = make_samples(3, 6, 20);
+  std::vector<std::uint8_t> bytes;
+  encode_predict(bytes, 1, samples[0]);
+  encode_predict(bytes, 2, samples[1]);
+  const std::size_t lying = bytes.size();
+  encode_predict(bytes, 3, samples[2], "m");
+  bytes[lying + 9] = 255;  // name length (after u32 len, u8 type, u32 id) overruns
+  expect_malformed_closes(server, bytes);
+
+  // The two predicts decoded before the violation were admitted and
+  // answered (delivered, or counted as dropped once the connection closed).
+  EXPECT_TRUE(wait_for_stats(server, [](const MetricsSnapshot& s) {
+    return s.requests_total == 2 && s.responses_total == 2 && s.queue_depth == 0;
+  }));
+  EXPECT_EQ(server.stats().protocol_errors, 1U);
+  server.stop();
+}
+
 TEST(ServeServer, FeatureWidthMismatchIsAnErrorNotACrash) {
   Server server({}, {make_model(9), 0, "", ""});  // expects 6 features
   server.start();
@@ -356,15 +382,17 @@ TEST(ServeServer, RequestPoolStopsGrowingAtSteadyState) {
   EXPECT_GE(warm, 1U);
 
   // Steady state: the pool is bounded by peak concurrent demand, not by
-  // request count.  With one synchronous client that demand is 1 live
-  // request plus up to one straggling release per worker (a worker
-  // releases *after* writing the response, so the IO thread's next
-  // acquire can overtake it) — so 200 more requests may lawfully grow
-  // the pool to that bound, and not one object past it.
+  // request count.  A worker recycles its batch before it writes the
+  // responses, so each request of one synchronous client is back in the
+  // pool before the client can send the next: the pool does not grow at
+  // all.  The looser bound keeps the slack this test has always allowed
+  // (one live request plus one per worker); 200 more requests must not
+  // grow the pool past it by a single object.
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(client.send_predict(static_cast<std::uint32_t>(i), samples[i % 4]));
     ASSERT_TRUE(client.read_predict(resp));
   }
+  EXPECT_EQ(server.request_pool_created(), warm);
   EXPECT_LE(server.request_pool_created(), 1 + ServeConfig{}.worker_threads);
   server.stop();
 }
