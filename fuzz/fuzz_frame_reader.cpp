@@ -10,6 +10,11 @@
 /// dispatched payload must never exceed the frame cap, a decoded name
 /// fits its length field, and a decoded swap's name and path partition
 /// its payload.
+///
+/// Differential oracle: a second reader takes the whole input in one
+/// feed.  It must dispatch exactly the frames the chunked reader did (type
+/// and payload bytes, in order), agree on whether the stream poisons, and,
+/// when it does not, agree on whether a partial frame is left pending.
 
 #include <algorithm>
 #include <cstdint>
@@ -38,9 +43,17 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   pnm::serve::ErrorCode code{};
   std::string message;
 
+  // The frames the current reader dispatched: type, u32 length, payload.
+  std::vector<std::uint8_t> chunked_log;
+  std::vector<std::uint8_t> whole_log;
+  std::vector<std::uint8_t>* log = &chunked_log;
+
   const auto handler = [&](pnm::serve::FrameType type,
                            std::span<const std::uint8_t> payload) {
     if (payload.size() >= kCap) abort();  // cap must bound every dispatch
+    log->push_back(static_cast<std::uint8_t>(type));
+    pnm::serve::append_u32(*log, static_cast<std::uint32_t>(payload.size()));
+    log->insert(log->end(), payload.begin(), payload.end());
     switch (type) {
       case pnm::serve::FrameType::kPredict:
         if (pnm::serve::decode_predict(payload, id, features, &name) &&
@@ -77,7 +90,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     alive = reader.feed(data + pos, chunk, handler);
     pos += chunk;
   }
-  (void)reader.mid_frame();
+
+  log = &whole_log;
+  pnm::serve::FrameReader whole(kCap);
+  const bool whole_alive = whole.feed(data, size, handler);
+  if (whole_alive != alive || whole_log != chunked_log) abort();
+  if (alive && whole.mid_frame() != reader.mid_frame()) abort();
+
   if (!alive && reader.feed(data, size, handler)) abort();  // poison is sticky
   return 0;
 }

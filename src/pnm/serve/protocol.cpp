@@ -1,25 +1,11 @@
 #include "pnm/serve/protocol.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
 namespace pnm::serve {
-
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-  out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xff));
-  out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xff));
-}
-
-void append_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((bits >> (8 * i)) & 0xff));
-  }
-}
 
 std::uint32_t read_u32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -27,19 +13,68 @@ std::uint32_t read_u32(const std::uint8_t* p) {
 }
 
 double read_f64(const std::uint8_t* p) {
-  std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) bits |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+  if constexpr (std::endian::native == std::endian::little) {
+    double v = 0.0;
+    std::memcpy(&v, p, 8);
+    return v;
+  } else {
+    std::uint64_t bits = 0;
+    for (int i = 0; i < 8; ++i) bits |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    return std::bit_cast<double>(bits);
+  }
 }
 
 namespace {
 
-/// Appends the frame header (length + type) for a payload of `n` bytes.
-void append_header(std::vector<std::uint8_t>& out, FrameType type, std::size_t n) {
-  append_u32(out, static_cast<std::uint32_t>(n + 1));  // +1 for the type byte
-  out.push_back(static_cast<std::uint8_t>(type));
+/// Stores `v` little-endian at `p` and returns the byte after it.
+std::uint8_t* put_u32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
+  return p + 4;
+}
+
+/// Stores `v`'s IEEE-754 bits little-endian at `p` and returns the byte
+/// after them.
+std::uint8_t* put_f64(std::uint8_t* p, double v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, 8);
+  } else {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  }
+  return p + 8;
+}
+
+/// Copies `bytes` to `p` and returns the byte after them.
+std::uint8_t* put_bytes(std::uint8_t* p, std::string_view bytes) {
+  if (!bytes.empty()) std::memcpy(p, bytes.data(), bytes.size());
+  return p + bytes.size();
+}
+
+/// Stores a u8-length-prefixed model name at `p` (its length already
+/// passed check_name).
+std::uint8_t* put_name(std::uint8_t* p, std::string_view name) {
+  *p = static_cast<std::uint8_t>(name.size());
+  return put_bytes(p + 1, name);
+}
+
+/// Grows `out` by `n` bytes in one step and returns where they start; the
+/// caller stores every one of them.
+std::uint8_t* grow(std::vector<std::uint8_t>& out, std::size_t n) {
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  return out.data() + at;
+}
+
+/// Grows `out` by one whole frame whose payload after the type tag is `n`
+/// bytes, stores the header (length + type), and returns where the payload
+/// goes.
+std::uint8_t* grow_frame(std::vector<std::uint8_t>& out, FrameType type, std::size_t n) {
+  std::uint8_t* p = put_u32(grow(out, 5 + n), static_cast<std::uint32_t>(n + 1));
+  *p = static_cast<std::uint8_t>(type);
+  return p + 1;
 }
 
 /// Throws unless `name` fits the u8 length field.
@@ -47,12 +82,6 @@ void check_name(std::string_view name, const char* who) {
   if (name.size() > kMaxModelName) {
     throw std::invalid_argument(std::string(who) + ": model name too long");
   }
-}
-
-/// Appends a u8-length-prefixed model name.
-void append_name(std::vector<std::uint8_t>& out, std::string_view name) {
-  out.push_back(static_cast<std::uint8_t>(name.size()));
-  out.insert(out.end(), name.begin(), name.end());
 }
 
 /// Reads the u8-length-prefixed name at `pos` into `name` (when non-null)
@@ -68,52 +97,57 @@ bool read_name(std::span<const std::uint8_t> payload, std::size_t& pos, std::str
 
 }  // namespace
 
+void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) { put_u32(grow(out, 4), v); }
+
+void append_f64(std::vector<std::uint8_t>& out, double v) { put_f64(grow(out, 8), v); }
+
 void encode_predict(std::vector<std::uint8_t>& out, std::uint32_t id,
                     std::span<const double> features, std::string_view model_name) {
   check_name(model_name, "encode_predict");
-  append_header(out, FrameType::kPredict, 4 + 1 + model_name.size() + 4 + features.size() * 8);
-  append_u32(out, id);
-  append_name(out, model_name);
-  append_u32(out, static_cast<std::uint32_t>(features.size()));
-  for (const double f : features) append_f64(out, f);
+  if (features.size() > kMaxFeatures) {
+    throw std::invalid_argument("encode_predict: too many features");
+  }
+  std::uint8_t* p = grow_frame(out, FrameType::kPredict,
+                               4 + 1 + model_name.size() + 4 + features.size() * 8);
+  p = put_name(put_u32(p, id), model_name);
+  p = put_u32(p, static_cast<std::uint32_t>(features.size()));
+  for (const double f : features) p = put_f64(p, f);
 }
 
 void encode_predict_resp(std::vector<std::uint8_t>& out, std::uint32_t id,
                          std::uint32_t model_version, std::uint32_t predicted_class) {
-  append_header(out, FrameType::kPredictResp, 12);
-  append_u32(out, id);
-  append_u32(out, model_version);
-  append_u32(out, predicted_class);
+  std::uint8_t* p = grow_frame(out, FrameType::kPredictResp, 12);
+  put_u32(put_u32(put_u32(p, id), model_version), predicted_class);
 }
 
 void encode_stats_req(std::vector<std::uint8_t>& out) {
-  append_header(out, FrameType::kStats, 0);
+  grow_frame(out, FrameType::kStats, 0);
 }
 
 void encode_swap_req(std::vector<std::uint8_t>& out, std::string_view model_name,
                      std::string_view model_path) {
   check_name(model_name, "encode_swap_req");
-  append_header(out, FrameType::kSwap, 1 + model_name.size() + model_path.size());
-  append_name(out, model_name);
-  out.insert(out.end(), model_path.begin(), model_path.end());
+  std::uint8_t* p =
+      grow_frame(out, FrameType::kSwap, 1 + model_name.size() + model_path.size());
+  put_bytes(put_name(p, model_name), model_path);
 }
 
 void encode_payload_frame(std::vector<std::uint8_t>& out, FrameType type,
                           std::span<const std::uint8_t> payload) {
-  append_header(out, type, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
+  put_bytes(grow_frame(out, type, payload.size()),
+            {reinterpret_cast<const char*>(payload.data()), payload.size()});
 }
 
 void encode_swap_resp(std::vector<std::uint8_t>& out, bool ok, const std::string& message) {
-  append_header(out, FrameType::kSwapResp, 1 + message.size());
-  out.push_back(ok ? 1 : 0);
-  out.insert(out.end(), message.begin(), message.end());
+  std::uint8_t* p = grow_frame(out, FrameType::kSwapResp, 1 + message.size());
+  *p = ok ? 1 : 0;
+  put_bytes(p + 1, message);
 }
 
 void encode_error(std::vector<std::uint8_t>& out, ErrorCode code, const std::string& message) {
-  append_header(out, FrameType::kError, 1 + message.size());
-  out.push_back(static_cast<std::uint8_t>(code));
-  out.insert(out.end(), message.begin(), message.end());
+  std::uint8_t* p = grow_frame(out, FrameType::kError, 1 + message.size());
+  *p = static_cast<std::uint8_t>(code);
+  put_bytes(p + 1, message);
 }
 
 bool decode_predict(std::span<const std::uint8_t> payload, std::uint32_t& id,
@@ -166,21 +200,49 @@ bool decode_swap_resp(std::span<const std::uint8_t> payload, bool& ok, std::stri
 
 bool FrameReader::feed(const std::uint8_t* data, std::size_t n, const FrameHandler& on_frame) {
   if (poisoned_) return false;
-  buf_.insert(buf_.end(), data, data + n);
-  std::size_t pos = 0;
-  while (buf_.size() - pos >= 4) {
-    const std::uint32_t len = read_u32(buf_.data() + pos);
-    if (len == 0 || len > max_frame_bytes_) {
-      poisoned_ = true;
-      buf_.clear();
-      return false;
+  // Checks a frame length the moment its 4 bytes are known: 0 or over the
+  // cap poisons the reader before anything more is buffered.
+  const auto length_ok = [this](std::uint32_t len) {
+    if (len != 0 && len <= max_frame_bytes_) return true;
+    poisoned_ = true;
+    buf_.clear();
+    return false;
+  };
+  // Moves up to `want` more bytes of the new data into the buffer; true
+  // once the buffer holds `want` bytes.
+  const auto fill_to = [&](std::size_t want) {
+    const std::size_t take = std::min(want - buf_.size(), n);
+    buf_.insert(buf_.end(), data, data + take);
+    data += take;
+    n -= take;
+    return buf_.size() == want;
+  };
+
+  // 1. Finish the frame split across reads, if any, from the front of the
+  //    new bytes: its length first, then the rest of the frame.
+  if (!buf_.empty()) {
+    if (buf_.size() < 4) {
+      if (!fill_to(4)) return true;
+      if (!length_ok(read_u32(buf_.data()))) return false;
     }
-    if (buf_.size() - pos < 4 + static_cast<std::size_t>(len)) break;
-    const FrameType type = static_cast<FrameType>(buf_[pos + 4]);
-    on_frame(type, std::span<const std::uint8_t>(buf_.data() + pos + 5, len - 1));
-    pos += 4 + len;
+    if (!fill_to(4 + static_cast<std::size_t>(read_u32(buf_.data())))) return true;
+    on_frame(static_cast<FrameType>(buf_[4]),
+             std::span<const std::uint8_t>(buf_.data() + 5, buf_.size() - 5));
+    buf_.clear();
   }
-  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos));
+
+  // 2. Dispatch every whole frame straight from the caller's bytes.
+  while (n >= 4) {
+    const std::uint32_t len = read_u32(data);
+    if (!length_ok(len)) return false;
+    if (n - 4 < len) break;
+    on_frame(static_cast<FrameType>(data[4]), std::span<const std::uint8_t>(data + 5, len - 1));
+    data += 4 + static_cast<std::size_t>(len);
+    n -= 4 + static_cast<std::size_t>(len);
+  }
+
+  // 3. Keep only the tail: a frame that the next read continues.
+  buf_.assign(data, data + n);
   return true;
 }
 

@@ -92,9 +92,14 @@ std::uint32_t read_u32(const std::uint8_t* p);
 double read_f64(const std::uint8_t* p);
 
 // ---- frame encoders (append one complete frame to `out`) ---------------
+//
+// Each encoder grows `out` once per frame, to the frame's exact size, and
+// stores the fields in place; bytes already in `out` are kept.  Limits are
+// checked before `out` grows, so an encoder that throws leaves it unchanged.
 
 /// kPredict frame routed to `model_name` ("" = the default model).
-/// \throws std::invalid_argument  when `model_name` exceeds kMaxModelName.
+/// \throws std::invalid_argument  when `model_name` exceeds kMaxModelName
+///                                or `features` exceeds kMaxFeatures.
 void encode_predict(std::vector<std::uint8_t>& out, std::uint32_t id,
                     std::span<const double> features, std::string_view model_name = {});
 /// kPredictResp frame.
@@ -148,9 +153,11 @@ bool decode_swap_resp(std::span<const std::uint8_t> payload, bool& ok, std::stri
 // ---- incremental frame reassembly ---------------------------------------
 
 /// Reassembles frames from an arbitrary byte stream (per connection).
-/// feed() buffers partial data and invokes the callback once per complete
-/// frame; a frame whose declared length is 0 or exceeds the cap poisons
-/// the reader (feed returns false and the connection must be dropped —
+/// feed() invokes the callback once per complete frame, in stream order.
+/// Whole frames are dispatched straight from the caller's bytes; only a
+/// frame split across feeds is buffered.  A frame whose declared length is
+/// 0 or exceeds the cap poisons the reader as soon as its 4 length bytes
+/// are known (feed returns false and the connection must be dropped —
 /// framing is unrecoverable).
 class FrameReader {
  public:
@@ -165,6 +172,9 @@ class FrameReader {
   /// \param data      received bytes.
   /// \param n         byte count.
   /// \param on_frame  called with (type, payload-after-type) per frame.
+  ///                  The payload span may point into `data` or into the
+  ///                  reader's buffer: it is valid only during the call, so
+  ///                  a handler copies whatever it keeps.
   /// \return false on a framing violation (reader is poisoned).
   bool feed(const std::uint8_t* data, std::size_t n, const FrameHandler& on_frame);
 
@@ -174,7 +184,7 @@ class FrameReader {
 
  private:
   std::size_t max_frame_bytes_;
-  std::vector<std::uint8_t> buf_;
+  std::vector<std::uint8_t> buf_;  ///< the start of a frame split across feeds
   bool poisoned_ = false;
 };
 
