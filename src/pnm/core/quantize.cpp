@@ -98,15 +98,23 @@ Trainer::WeightView make_qat_view(QuantSpec spec) {
 
 namespace {
 
-/// The single definition of the input-code mapping: clamp to [0,1], scale
-/// to [0, 2^bits - 1], round to nearest.  Every input-quantization entry
-/// point (per-sample and whole-dataset) encodes through this, so the
-/// batched QuantizedDataset path can never drift from quantize_input.
+/// The single definition of the input-code mapping: clamp to [0,1] (NaN
+/// to 0), scale to [0, 2^bits - 1], round to nearest with ties away from
+/// zero.  Every input-quantization entry point (per-sample and
+/// whole-dataset) encodes through this, so the batched QuantizedDataset
+/// path can never drift from quantize_input.
+///
+/// The rounding is std::llround's, done inline: the scaled value lies in
+/// [0, 65535], so truncation is its floor and the fraction it leaves is
+/// exact; adding 1 when that fraction is at least 0.5 is llround for every
+/// such value.  The serving reactor stages every request through here.
 void encode_input_row(const double* x, std::size_t n, double qmax,
                       std::int64_t* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    const double clamped = std::clamp(x[i], 0.0, 1.0);
-    out[i] = static_cast<std::int64_t>(std::llround(clamped * qmax));
+    const double clamped = x[i] > 0.0 ? std::min(x[i], 1.0) : 0.0;  // NaN fails `>`
+    const double scaled = clamped * qmax;
+    const auto whole = static_cast<std::int32_t>(scaled);
+    out[i] = whole + static_cast<std::int64_t>(scaled - whole >= 0.5);
   }
 }
 

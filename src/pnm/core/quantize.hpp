@@ -80,7 +80,11 @@ void fake_quantize_mlp(const Mlp& master, Mlp& view, const QuantSpec& spec);
 Trainer::WeightView make_qat_view(QuantSpec spec);
 
 /// Quantizes a [0,1]-scaled sample to unsigned input codes in
-/// [0, 2^input_bits - 1] (round-to-nearest).
+/// [0, 2^input_bits - 1]: each feature is clamped to [0,1], scaled by
+/// 2^input_bits - 1 and rounded to nearest, ties away from zero (exactly
+/// std::llround).  Every input has a defined code: -inf and negatives map
+/// to 0, +inf and values above 1 to the top code, and NaN to 0, so no
+/// client-supplied feature can push the integer forward pass out of range.
 std::vector<std::int64_t> quantize_input(const std::vector<double>& x, int input_bits);
 
 /// Allocation-free variant: writes the codes into `out` (resized to

@@ -1,23 +1,24 @@
 #include "pnm/serve/batcher.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace pnm::serve {
 
-ServeRequest* RequestPool::acquire() {
+void RequestPool::acquire(std::vector<ServeRequest*>& spare) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!free_.empty()) {
-    ServeRequest* r = free_.back();
-    free_.pop_back();
-    return r;
+  if (free_.empty()) {
+    all_.push_back(std::make_unique<ServeRequest>());
+    spare.push_back(all_.back().get());
+    return;
   }
-  all_.push_back(std::make_unique<ServeRequest>());
-  return all_.back().get();
+  const std::size_t take = std::min(kRefill, free_.size());
+  spare.insert(spare.end(), free_.end() - static_cast<std::ptrdiff_t>(take), free_.end());
+  free_.resize(free_.size() - take);
 }
 
 void RequestPool::release(std::span<ServeRequest* const> requests) {
   for (ServeRequest* r : requests) {
-    r->conn.reset();
     r->id = 0;
     r->model_name.clear();  // keeps capacity
     r->features.clear();    // keeps capacity

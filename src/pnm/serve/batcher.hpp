@@ -14,14 +14,16 @@
 ///
 /// Under light load a lone request therefore waits at most one deadline
 /// (bounded tail latency); under heavy load batches fill instantly and
-/// the deadline never engages (maximum throughput).  Both ends move
-/// requests in bulk: the IO thread admits everything one socket read
-/// decoded with one push (one lock, one wake-up), and a worker recycles
-/// its whole batch with one release (one lock).  The queue is a growable
-/// ring buffer of request pointers and the requests themselves are
-/// pooled and recycled, so steady-state admission performs zero
-/// allocations — the only allocations happen while the pool or ring is
-/// still growing toward the peak in-flight count.
+/// the deadline never engages (maximum throughput).  Every hand-over
+/// moves requests in bulk: the IO thread takes recycled requests from the
+/// pool into a spare list of its own (one lock per refill), admits
+/// everything one socket read decoded with one push (one lock, one
+/// wake-up), and a worker recycles its whole batch with one release (one
+/// lock).  The queue is a growable ring buffer of request pointers and
+/// the requests themselves are pooled and recycled, so steady-state
+/// admission performs zero allocations — the only allocations happen
+/// while the pool or ring is still growing toward the peak in-flight
+/// count.
 
 #include <chrono>
 #include <condition_variable>
@@ -34,11 +36,13 @@
 
 namespace pnm::serve {
 
-class Connection;  // serve/server.cpp's per-socket state
-
 /// One admitted classification request (pooled; see RequestPool).
 struct ServeRequest {
-  std::shared_ptr<Connection> conn;  ///< response route; null in unit tests
+  // Response route: the admitting reactor and its id for the connection.
+  // A worker hands the response to that reactor, which alone touches the
+  // socket (and answers nobody if the connection is gone by then).
+  std::uint32_t reactor = 0;
+  std::uint64_t conn = 0;
   std::uint32_t id = 0;              ///< client-chosen echo tag
   std::string model_name;            ///< registry route; "" = default model
   std::vector<double> features;      ///< [0,1]-scaled inputs (capacity reused)
@@ -57,14 +61,22 @@ struct ServeRequest {
 /// Free-list recycler for ServeRequest objects.  Thread-safe.
 class RequestPool {
  public:
-  /// Takes a recycled request (or allocates while the pool grows).  The
-  /// returned object's `features` keeps its previous capacity.
-  ServeRequest* acquire();
+  /// Recycled requests one acquire() moves at most: one lock covers up
+  /// to this many admissions.
+  static constexpr std::size_t kRefill = 256;
 
-  /// Returns requests to the pool under one lock (clears each one's
-  /// connection reference so pooled requests never pin a closed socket).
-  /// A worker releases its whole batch before writing the responses, so
-  /// a synchronous client's next request can reuse one of them.
+  /// Moves up to kRefill recycled requests into `spare` under one lock,
+  /// or creates exactly one when none is recycled: the pool grows only
+  /// when a caller has nothing left to use, so it never holds more
+  /// requests than were ever in use or in spare lists at once.  Recycled
+  /// requests keep their buffers' capacity.
+  ///
+  /// \param spare  the caller's spare list (appended to).
+  void acquire(std::vector<ServeRequest*>& spare);
+
+  /// Returns requests to the pool under one lock.  A worker releases its
+  /// whole batch before handing the responses on, so a synchronous
+  /// client's next request can reuse one of them.
   ///
   /// \param requests  requests no thread uses any more; may be empty.
   void release(std::span<ServeRequest* const> requests);

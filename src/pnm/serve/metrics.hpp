@@ -42,11 +42,11 @@ struct MetricsSnapshot {
   std::uint64_t requests_total = 0;
   std::uint64_t responses_total = 0;
   std::uint64_t batches_total = 0;
-  std::uint64_t response_writes = 0;    ///< worker socket writes (<= one per connection per batch)
+  std::uint64_t response_writes = 0;    ///< reactor flush sends (each carries every frame pending for its connection)
   std::uint64_t protocol_errors = 0;
   std::uint64_t oversized_rejected = 0;
   std::uint64_t truncated_frames = 0;
-  std::uint64_t dropped_responses = 0;  ///< write failed (client went away)
+  std::uint64_t dropped_responses = 0;  ///< frames never sent (client gone, or dropped for not reading)
   std::uint64_t predict_errors = 0;     ///< e.g. feature-width mismatch
   std::uint64_t unknown_model = 0;      ///< requests naming no registered model
   std::uint64_t swaps_ok = 0;
@@ -91,12 +91,14 @@ class ServeMetrics {
   void on_protocol_error() { protocol_errors_.fetch_add(1, std::memory_order_relaxed); }
   void on_oversized() { oversized_rejected_.fetch_add(1, std::memory_order_relaxed); }
   void on_truncated_frame() { truncated_frames_.fetch_add(1, std::memory_order_relaxed); }
-  /// Counts `frames` responses whose write failed (a worker's failed
-  /// write drops every frame it carried).
-  void on_dropped_response(std::uint64_t frames = 1) {
+  /// Counts `frames` responses that will never be sent: their connection
+  /// closed (or is closing after a protocol violation), or was dropped
+  /// for leaving too much output unread, before the kernel took them.
+  void on_dropped_response(std::uint64_t frames) {
     dropped_responses_.fetch_add(frames, std::memory_order_relaxed);
   }
-  /// Counts one worker write; bumped before the write, like on_response.
+  /// Counts one reactor flush send; bumped before the send, like
+  /// on_response, so a client that saw a response implies it is counted.
   void on_response_write() { response_writes_.fetch_add(1, std::memory_order_relaxed); }
   void on_predict_error() { predict_errors_.fetch_add(1, std::memory_order_relaxed); }
   /// Counts a request rejected at admission for naming no registered

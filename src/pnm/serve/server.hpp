@@ -6,9 +6,11 @@
 ///        trained printed-MLP front designs.
 ///
 /// Topology: `reactors` IO threads share one TCP port via SO_REUSEPORT —
-/// each reactor owns a listening socket, its own epoll instance, and the
-/// read side of every connection the kernel hashed to it, so the accept
-/// and decode paths scale without any shared connection table or lock.
+/// each reactor owns a listening socket, its own epoll instance, and
+/// every connection the kernel hashed to it, outright: it is the only
+/// thread that reads, writes or closes those sockets, so the accept,
+/// decode and send paths scale without any shared connection table or
+/// per-connection lock.
 /// All reactors admit into ONE Batcher drained by `worker_threads`
 /// inference workers, and bump ONE ServeMetrics aggregator (per-reactor
 /// admission counters let tests assert the global/per-reactor balance).
@@ -24,13 +26,16 @@
 /// registered model is answered with kError{kUnknownModel}, and the
 /// connection keeps serving.
 ///
-/// Pipelined handoff: the admitting reactor quantizes each request's
-/// features into the pooled request object while the workers are still
-/// predicting the previous batch, overlapping decode+staging with the
-/// predict pass.  Workers normally just gather the staged integer lanes;
-/// if a hot-swap changed the model's input_bits in between, the worker
-/// re-quantizes from the raw features — bit-exact either way, since the
-/// encoding depends only on input_bits.
+/// Admission, per socket read: the reactor decodes every predict the read
+/// carries into pooled requests (taken from the pool in bulk), looks each
+/// model name up once per read, and quantizes the features into the
+/// request while the workers are still predicting the previous batch,
+/// overlapping decode+staging with the predict pass; then one push admits
+/// the whole read.  A request carries its reactor index and connection
+/// id, nothing that pins the socket.  Workers normally just gather the
+/// staged integer lanes; if a hot-swap changed the model's input_bits in
+/// between, the worker re-quantizes from the raw features — bit-exact
+/// either way, since the encoding depends only on input_bits.
 ///
 /// Hot-swap: the registry holds each model as a
 /// `shared_ptr<const ServedModel>`, and one registry mutex guards every
@@ -42,11 +47,19 @@
 /// be misrouted across the flip, and swapping one model can never disturb
 /// another's version sequence.
 ///
-/// Responses are written by the worker that computed them, directly to
-/// the connection (per-connection write lock), with one write per
-/// connection per batch; a client that disappeared mid-batch just has its
-/// responses counted as dropped — the batch, the other clients, and the
-/// server are unaffected.
+/// Responses: a worker encodes each batch's frames per connection and
+/// hands them to the owning reactor's queue (one lock per reactor per
+/// batch; it writes the reactor's wake eventfd only when no wake is
+/// pending).  The reactor appends them to the connection's output buffer
+/// — where admin replies and kError frames go too — and flushes that
+/// buffer with one nonblocking send after every read and every wake,
+/// continuing on EPOLLOUT while output is pending; while requests it
+/// admitted are still in flight, a reactor that may run on more than one
+/// CPU polls briefly before it blocks, so a hand-off rarely has to wake a
+/// halted CPU.  No thread ever blocks on a peer: a client that stops
+/// reading is dropped once its unsent output passes a fixed cap, and
+/// responses for a connection that is gone are counted as dropped — the
+/// batch, the other clients, and the server are unaffected.
 
 #include <atomic>
 #include <cstdint>
@@ -146,11 +159,15 @@ class Server {
  private:
   void io_loop(std::size_t reactor);
   void worker_loop();
-  /// Answers a kStats or kSwap frame.  \return false when the payload is
-  /// malformed (nothing was sent; the caller closes the connection).
-  bool handle_admin_frame(Connection& conn, FrameType type,
+  /// Appends the reply to a kStats or kSwap frame to `out`.  \return
+  /// false when the payload is malformed (nothing appended; the caller
+  /// closes the connection).
+  bool handle_admin_frame(std::vector<std::uint8_t>& out, FrameType type,
                           std::span<const std::uint8_t> payload);
   void close_sockets();
+
+  struct Outbox;  ///< a worker's encoded frames for one connection (server.cpp)
+  class Outlet;   ///< one reactor's hand-off queue and wake eventfd (server.cpp)
 
   ServeConfig config_;
   std::shared_ptr<ModelRegistry> registry_;
@@ -160,7 +177,8 @@ class Server {
   Batcher batcher_;
 
   std::vector<int> listen_fds_;  ///< one per reactor (SO_REUSEPORT siblings)
-  std::vector<int> wake_fds_;    ///< shutdown eventfd, one per reactor
+  /// One per reactor; outlive the reactor and worker threads.
+  std::vector<std::unique_ptr<Outlet>> outlets_;
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopped_{false};  ///< set by the first stop() of a started server

@@ -158,6 +158,14 @@ bool send_all(int fd, const void* data, std::size_t n, int stall_ms) {
   return true;
 }
 
+long send_some(int fd, const void* data, std::size_t n) {
+  ssize_t rc;
+  do {
+    rc = send(fd, data, n, MSG_NOSIGNAL | MSG_DONTWAIT);
+  } while (rc < 0 && errno == EINTR);
+  return static_cast<long>(rc);
+}
+
 long recv_some(int fd, void* buf, std::size_t n) {
   ssize_t rc;
   do {
@@ -207,6 +215,13 @@ bool Epoll::add(int fd, std::uint32_t events, std::uint64_t data) {
   ev.events = events;
   ev.data.u64 = data;
   return epoll_ctl(fd_, EPOLL_CTL_ADD, fd, &ev) == 0;
+}
+
+bool Epoll::modify(int fd, std::uint32_t events, std::uint64_t data) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = data;
+  return epoll_ctl(fd_, EPOLL_CTL_MOD, fd, &ev) == 0;
 }
 
 void Epoll::remove(int fd) { epoll_ctl(fd_, EPOLL_CTL_DEL, fd, nullptr); }

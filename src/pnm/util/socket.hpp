@@ -5,8 +5,9 @@
 /// \brief Thin POSIX TCP + epoll helpers for the serving layer.
 ///
 /// The serving layer (pnm/serve) needs exactly four things from the OS:
-/// a listening socket, outbound connections, reliable full-buffer sends
-/// on possibly-nonblocking descriptors, and an edge-free readiness loop.
+/// a listening socket, outbound connections, sends (one-shot nonblocking
+/// ones for the server, reliable full-buffer ones for clients), and an
+/// edge-free readiness loop.
 /// These wrappers keep the raw fd plumbing (SIGPIPE suppression via
 /// MSG_NOSIGNAL, EINTR retries, TCP_NODELAY for sub-millisecond
 /// micro-batching, partial-write continuation) in one audited place, in
@@ -77,19 +78,30 @@ bool set_nonblocking(int fd);
 /// sending thread forever on a full socket buffer.  The cap is wall
 /// time since the last byte the kernel accepted, not total call time,
 /// so a large buffer draining slowly-but-steadily still completes.
-/// With N reactors sharing one worker pool a single stalled peer can
-/// idle 1/workers of the predict capacity for the whole cap, which is
-/// why it is now a parameter: serve response writes use a tighter cap
-/// than the 5 s default (see Server).  EINTR during the wait does not
-/// consume stall budget.
+/// EINTR during the wait does not consume stall budget.  This is the
+/// client-side send (ServeClient, load generators); the server never
+/// blocks on a peer — its reactors buffer unsent output and use
+/// send_some (see serve/server.hpp).
 ///
 /// \param fd        connected socket.
 /// \param data      bytes to send.
 /// \param n         byte count.
 /// \param stall_ms  give up after this many ms without a single byte of
-///                  progress (>= 1; default 5000).
+///                  progress (>= 1).  Every caller but the socket tests
+///                  keeps the 5000 default; the tests shorten it so the
+///                  give-up path runs in milliseconds.
 /// \return true when every byte was accepted by the kernel.
 bool send_all(int fd, const void* data, std::size_t n, int stall_ms = 5000);
+
+/// One nonblocking send(2) with EINTR retry and MSG_NOSIGNAL (a vanished
+/// peer yields -1 with EPIPE or ECONNRESET, never SIGPIPE).
+///
+/// \param fd    connected socket.
+/// \param data  bytes to send.
+/// \param n     byte count (> 0).
+/// \return bytes the kernel accepted (> 0); -1 on error or when the
+///         socket buffer is full (errno EAGAIN).
+long send_some(int fd, const void* data, std::size_t n);
 
 /// One recv(2) with EINTR retry.
 ///
@@ -125,6 +137,10 @@ class Epoll {
   /// Registers `fd` for `events` (EPOLLIN etc.) with user tag `data`.
   /// \return false on epoll_ctl failure.
   bool add(int fd, std::uint32_t events, std::uint64_t data);
+
+  /// Replaces the event mask and tag of a registered `fd`.
+  /// \return false on epoll_ctl failure.
+  bool modify(int fd, std::uint32_t events, std::uint64_t data);
 
   /// Unregisters `fd` (ignores failure: the fd may already be closed).
   void remove(int fd);

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "pnm/data/synth.hpp"
@@ -118,6 +120,38 @@ TEST(QuantizeInput, ClampsOutOfRangeInputs) {
   const auto q = quantize_input({-3.0, 42.0}, 4);
   EXPECT_EQ(q[0], 0);
   EXPECT_EQ(q[1], 15);
+}
+
+// The encoder rounds inline; it must equal std::llround(clamp(x) * qmax)
+// for every input it can meet, at every bit width.  The inputs are the
+// rounding edges (each half-way point and its two neighbours), the clamp
+// edges, signed zeros, infinities and denormals.  NaN has no llround
+// reference: it maps to code 0.
+TEST(QuantizeInput, StagingEqualsLlroundForEveryBitWidth) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  for (int bits = 1; bits <= 16; ++bits) {
+    SCOPED_TRACE(bits);
+    const double qmax = static_cast<double>((1 << bits) - 1);
+    std::vector<double> x = {0.0,   -0.0,     inf,    -inf,  denorm, -denorm,
+                             1e-300, -1e-300, -0.25, -1.0,  1.0,    1.5,
+                             1e300,  std::nextafter(1.0, 2.0),  std::nextafter(0.0, 1.0)};
+    for (double k = 0.0; k < qmax; k += 1.0) {
+      const double half = (k + 0.5) / qmax;
+      x.push_back(std::nextafter(half, 0.0));
+      x.push_back(half);
+      x.push_back(std::nextafter(half, 1.0));
+    }
+    const std::vector<std::int64_t> q = quantize_input(x, bits);
+    ASSERT_EQ(q.size(), x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const std::int64_t want = std::llround(std::clamp(x[i], 0.0, 1.0) * qmax);
+      ASSERT_EQ(q[i], want) << "x=" << x[i];
+    }
+    const std::vector<std::int64_t> nan =
+        quantize_input({std::numeric_limits<double>::quiet_NaN(), -std::nan("")}, bits);
+    EXPECT_EQ(nan, (std::vector<std::int64_t>{0, 0}));
+  }
 }
 
 TEST(QuantizeInput, BadBitsThrow) {

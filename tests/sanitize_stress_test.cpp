@@ -47,8 +47,9 @@ QuantizedMlp make_model(std::uint64_t seed) {
 }
 
 // Producers race bulk admission against batch drain and a mid-flight
-// shutdown.  Each producer admits sweeps of 0 to 150 requests with one
-// push (the largest outgrows the ring's initial 64 slots more than twice
+// shutdown.  Each producer takes requests from the pool in bulk, as a
+// reactor does, and admits sweeps of 0 to 150 requests with one push
+// (the largest outgrows the ring's initial 64 slots more than twice
 // over, so one push may grow it by several doublings), and consumers
 // recycle each batch with one release.  Every request must come back
 // exactly once or be drained by the final pop_batch loop, and the queue
@@ -88,11 +89,14 @@ TEST(SanitizeStress, BatcherProducersVsShutdown) {
     for (int p = 0; p < kProducers; ++p) {
       producers.emplace_back([&, p] {
         std::vector<serve::ServeRequest*> sweep;
+        std::vector<serve::ServeRequest*> spare;  // bulk-acquired, as a reactor does
         std::uint32_t id = 0;
         for (int s = 0; s < kSweeps; ++s) {
           sweep.clear();
           for (std::size_t j = 0; j < kSweepSizes[(p + s) % kSizes]; ++j) {
-            serve::ServeRequest* r = pool.acquire();
+            if (spare.empty()) pool.acquire(spare);
+            serve::ServeRequest* r = spare.back();
+            spare.pop_back();
             r->id = id++;
             r->features.assign(6, 0.5);
             sweep.push_back(r);
@@ -100,6 +104,7 @@ TEST(SanitizeStress, BatcherProducersVsShutdown) {
           batcher.push(sweep, std::chrono::steady_clock::now());
           if (s % 8 == 0) std::this_thread::yield();
         }
+        pool.release(spare);
       });
     }
     for (auto& t : producers) t.join();

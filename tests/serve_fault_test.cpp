@@ -1,7 +1,8 @@
 /// Fault-injection suite for the multi-reactor server: slowloris senders
-/// (one byte per write), mid-frame disconnects under live load, poisoned
-/// and oversized frames hammering one reactor while siblings keep
-/// serving, and hot-swap storms racing routed batches.  Every scenario
+/// (one byte per write), peers that send but never read, mid-frame
+/// disconnects under live load, poisoned and oversized frames hammering
+/// one reactor while siblings keep serving, and hot-swap storms racing
+/// routed batches.  Every scenario
 /// asserts both that the abuse is survived AND that concurrent honest
 /// traffic stays bit-exact — the point of the fault layer is that
 /// misbehaving clients cost the server nothing but their own connection.
@@ -14,7 +15,16 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -24,6 +34,7 @@
 #include "pnm/core/model_io.hpp"
 #include "pnm/serve/client.hpp"
 #include "pnm/util/build_info.hpp"
+#include "pnm/util/socket.hpp"
 
 #include "serve_test_util.hpp"
 
@@ -73,6 +84,187 @@ TEST(ServeFault, SlowlorisClientIsServedEventuallyWithoutBlockingOthers) {
   EXPECT_EQ(resp.predicted_class, offline_predict(ref, samples[0], scratch));
   trickler.join();
   EXPECT_TRUE(trickle_done.load());
+  server.stop();
+}
+
+/// Connects a peer that will send but never read.  A tiny receive buffer
+/// and segment size keep the kernel from absorbing much of the server's
+/// output, so unread responses soon pile up on the server side.  Sends
+/// time out after 100 ms, so a sender thread can notice it should stop.
+int connect_stalled_reader(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const int rcvbuf = 1024;
+  const int mss = 536;
+  const timeval send_timeout{0, 100000};
+  setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  setsockopt(fd, IPPROTO_TCP, TCP_MAXSEG, &mss, sizeof mss);
+  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout, sizeof send_timeout);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(ServeFault, StalledReadersCannotStallOtherClients) {
+  const ServeConfig config;
+  Server server(config, {make_model(57), 0, "", ""});
+  server.start();
+
+  const QuantizedMlp ref = make_model(57);
+  const auto samples = make_samples(8, 6, 67);
+  InferScratch scratch;
+  ServeClient healthy;
+  ASSERT_TRUE(healthy.connect("127.0.0.1", server.port()));
+
+  // One more reader that never reads than there are workers: a server
+  // whose workers write responses themselves parks every worker on a
+  // full socket, and the healthy client waits for a stall timeout.  Each
+  // stalled peer streams predicts (always whole frames) until the server
+  // drops it.
+  const std::size_t stalled_peers = config.worker_threads + 1;
+  std::vector<std::uint8_t> burst;
+  for (std::uint32_t i = 0; i < 512; ++i) encode_predict(burst, i, samples[i % samples.size()]);
+  std::atomic<std::size_t> cut_off{0};
+  std::vector<std::jthread> stalled;
+  for (std::size_t k = 0; k < stalled_peers; ++k) {
+    const int fd = connect_stalled_reader(server.port());
+    ASSERT_GE(fd, 0);
+    stalled.emplace_back([&, fd](const std::stop_token& stop) {
+      std::size_t at = 0;  // stream offset within `burst`
+      while (!stop.stop_requested()) {
+        const ssize_t rc = ::send(fd, burst.data() + at, burst.size() - at, MSG_NOSIGNAL);
+        if (rc > 0) {
+          at = (at + static_cast<std::size_t>(rc)) % burst.size();
+        } else if (rc == 0 || (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
+          cut_off.fetch_add(1);  // the server closed this peer
+          break;
+        }
+      }
+      ::close(fd);
+    });
+  }
+
+  // The healthy client is answered promptly, bit-exactly, the whole time
+  // the stalled peers flood the server, each reply well inside the 2 s a
+  // worker writing to a full socket would wait before giving up on it.
+  const int prompt_ms = 1000 * pnm::build_info::timing_multiplier();
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(20 * pnm::build_info::timing_multiplier());
+  std::uint32_t served = 0;
+  while ((cut_off.load() < stalled_peers && std::chrono::steady_clock::now() < give_up) ||
+         served < 20) {
+    const auto& x = samples[served % samples.size()];
+    ASSERT_TRUE(healthy.send_predict(served, x));
+    PredictResponse resp;
+    ASSERT_TRUE(healthy.read_predict(resp, prompt_ms)) << "healthy request " << served;
+    EXPECT_EQ(resp.id, served);
+    EXPECT_EQ(resp.predicted_class, offline_predict(ref, x, scratch));
+    ++served;
+  }
+  ASSERT_EQ(cut_off.load(), stalled_peers) << "the server never dropped its stalled readers";
+  stalled.clear();  // joins
+
+  // Every admitted request was answered or failed; the frames the dropped
+  // peers never read are counted as dropped.
+  ASSERT_TRUE(wait_for_stats(server, [&](const MetricsSnapshot& s) {
+    return s.connections_closed == stalled_peers && s.queue_depth == 0 &&
+           s.responses_total + s.predict_errors == s.requests_total;
+  }));
+  const MetricsSnapshot stats = server.stats();
+  EXPECT_EQ(stats.predict_errors, 0U);
+  EXPECT_GT(stats.dropped_responses, 0U);
+  EXPECT_LE(stats.dropped_responses, stats.responses_total - served);
+  server.stop();
+}
+
+TEST(ServeFault, ErrorFrameReachesAPeerThatReadsLate) {
+  const ServeConfig config;
+  Server server(config, {make_model(59), 0, "", ""});
+  server.start();
+
+  const QuantizedMlp ref = make_model(59);
+  const auto samples = make_samples(8, 6, 69);
+  InferScratch scratch;
+
+  // A pipelined peer sends a burst without reading.  Its 4000 responses
+  // (about 68 KB) are more than twice what the kernel buffers for this
+  // peer, so the rest waits on the server, under its unsent-output cap.
+  const int fd = connect_stalled_reader(server.port());
+  ASSERT_GE(fd, 0);
+  constexpr std::uint32_t kBurst = 4000;
+  std::vector<std::uint8_t> out;
+  for (std::uint32_t i = 0; i < kBurst; ++i) encode_predict(out, i, samples[i % samples.size()]);
+  ASSERT_TRUE(send_all(fd, out.data(), out.size()));
+  ASSERT_TRUE(wait_for_stats(server, [&](const MetricsSnapshot& s) {
+    return s.responses_total == kBurst;
+  }));
+
+  // Then a framing violation (zero length), and only then the peer reads.
+  const std::uint8_t zero[4] = {0, 0, 0, 0};
+  ASSERT_TRUE(send_all(fd, zero, sizeof zero));
+  std::vector<std::uint8_t> in;
+  bool eof = false;
+  const int timeout_ms = 5000 * pnm::build_info::timing_multiplier();
+  for (std::uint8_t buf[4096];;) {
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, timeout_ms) <= 0) break;
+    const ssize_t got = ::recv(fd, buf, sizeof buf, 0);
+    if (got <= 0) {
+      eof = got == 0;
+      break;
+    }
+    in.insert(in.end(), buf, buf + got);
+  }
+  ::close(fd);
+  EXPECT_TRUE(eof) << "the server never closed the connection";
+
+  // The peer gets the responses queued ahead of the violation, every one
+  // bit-exact, then kError{kMalformedFrame} as the last frame.
+  std::vector<bool> seen(kBurst, false);
+  std::size_t answered = 0;
+  std::size_t errors = 0;
+  bool error_last = false;
+  FrameReader reader(kDefaultMaxFrameBytes);
+  ASSERT_TRUE(reader.feed(in.data(), in.size(),
+                          [&](FrameType type, std::span<const std::uint8_t> payload) {
+                            error_last = type == FrameType::kError;
+                            if (error_last) {
+                              ErrorCode code{};
+                              std::string message;
+                              ASSERT_TRUE(decode_error(payload, code, message));
+                              EXPECT_EQ(code, ErrorCode::kMalformedFrame);
+                              ++errors;
+                              return;
+                            }
+                            PredictResponse resp;
+                            ASSERT_TRUE(decode_predict_resp(payload, resp));
+                            ASSERT_LT(resp.id, kBurst);
+                            EXPECT_FALSE(seen[resp.id]) << "duplicate id " << resp.id;
+                            seen[resp.id] = true;
+                            EXPECT_EQ(resp.predicted_class,
+                                      offline_predict(ref, samples[resp.id % samples.size()],
+                                                      scratch));
+                            ++answered;
+                          }));
+  EXPECT_FALSE(reader.mid_frame());
+  EXPECT_EQ(errors, 1U);
+  EXPECT_TRUE(error_last) << "the error frame was not the last frame";
+
+  // Responses still in flight when the violation arrived are dropped,
+  // and counted so.
+  ASSERT_TRUE(wait_for_stats(server, [&](const MetricsSnapshot& s) {
+    return s.connections_closed == 1 && s.queue_depth == 0;
+  }));
+  const MetricsSnapshot stats = server.stats();
+  EXPECT_EQ(stats.oversized_rejected, 1U);
+  EXPECT_EQ(stats.requests_total, kBurst);
+  EXPECT_EQ(answered + stats.dropped_responses, kBurst);
   server.stop();
 }
 

@@ -4,14 +4,18 @@
 /// (truncated / oversized / unknown / malformed frames, each closing its
 /// connection with a typed error; width mismatches, which keep it; client
 /// disconnects), observability counters, the zero-steady-state-
-/// allocation property of the request pool, and the start/stop lifecycle
-/// (a stopped server refuses to restart; a taken port fails start()).
+/// allocation property of the request pool, serving from a single CPU,
+/// and the start/stop lifecycle (a stopped server refuses to restart; a
+/// taken port fails start()).
 
 #include "pnm/serve/server.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
+#include <sched.h>
 #include <stdexcept>
 #include <string>
 #include <unistd.h>
@@ -52,6 +56,56 @@ TEST(ServeServer, ServesBitExactPredictions) {
   EXPECT_EQ(stats.requests_total, samples.size());
   EXPECT_EQ(stats.responses_total, samples.size());
   EXPECT_EQ(stats.models.at(0).version, 1U);
+  server.stop();
+}
+
+TEST(ServeServer, ServesBitExactlyPinnedToOneCpu) {
+  // Threads inherit the affinity of the thread that creates them, so a
+  // server started from a thread pinned to one CPU runs on that CPU
+  // alone, where a reactor blocks as soon as it is idle instead of
+  // polling first.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &saved)) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  struct Restore {
+    const cpu_set_t& mask;
+    ~Restore() { sched_setaffinity(0, sizeof mask, &mask); }
+  } restore{saved};
+
+  Server server({}, {make_model(2), 0, "", ""});
+  server.start();
+  const auto samples = make_samples(200, 6, 13);
+  const QuantizedMlp reference = make_model(2);
+  InferScratch scratch;
+  ServeClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+
+  // Pipelined (blocked batches), then one at a time (single-sample
+  // batches, each answered through a hand-off to a blocked reactor).
+  for (std::uint32_t i = 0; i < samples.size(); ++i) {
+    ASSERT_TRUE(client.send_predict(i, samples[i]));
+  }
+  PredictResponse resp;
+  for (std::size_t k = 0; k < samples.size(); ++k) {
+    ASSERT_TRUE(client.read_predict(resp));
+    ASSERT_LT(resp.id, samples.size());
+    EXPECT_EQ(resp.predicted_class, offline_predict(reference, samples[resp.id], scratch));
+  }
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    ASSERT_TRUE(client.send_predict(i, samples[i]));
+    ASSERT_TRUE(client.read_predict(resp));
+    EXPECT_EQ(resp.id, i);
+    EXPECT_EQ(resp.predicted_class, offline_predict(reference, samples[i], scratch));
+  }
+  EXPECT_EQ(server.stats().responses_total, samples.size() + 20);
   server.stop();
 }
 
@@ -332,6 +386,53 @@ TEST(ServeServer, FeatureWidthMismatchIsAnErrorNotACrash) {
   EXPECT_TRUE(client.read_predict(resp));
   EXPECT_EQ(resp.id, 1U);
   EXPECT_EQ(server.stats().connections_closed, 0U);
+  server.stop();
+}
+
+// Any client can send non-finite or out-of-range features.  Each has a
+// defined input code — NaN and everything below 0 encode as 0, everything
+// above 1 as the top code — so the response is the offline prediction of
+// those codes, on the blocked path and the single-sample path alike.
+TEST(ServeServer, NonFiniteFeaturesAreServedTheirDefinedCodes) {
+  ServeConfig config;
+  config.batch_deadline_us = 20000;  // let the pipelined rotations share a batch
+  Server server(config, {make_model(17), 0, "", ""});
+  server.start();
+
+  const QuantizedMlp reference = make_model(17);
+  ASSERT_EQ(reference.input_bits(), 4);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> odd = {nan, inf, -inf, -3.0, 42.0, -nan};
+  const std::vector<std::int64_t> codes = {0, 15, 0, 0, 15, 0};
+
+  InferScratch scratch;
+  const auto rotated = [](auto v, std::uint32_t id) {
+    std::rotate(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(id % v.size()), v.end());
+    return v;
+  };
+  const auto expected = [&](std::uint32_t id) {
+    return reference.predict_quantized_into(rotated(codes, id), scratch);
+  };
+
+  ServeClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+  // Every rotation pipelined (a blocked batch), then one alone (the
+  // single-sample path).
+  PredictResponse resp;
+  for (std::uint32_t id = 0; id < odd.size(); ++id) {
+    ASSERT_TRUE(client.send_predict(id, rotated(odd, id)));
+  }
+  for (std::size_t k = 0; k < odd.size(); ++k) {
+    ASSERT_TRUE(client.read_predict(resp));
+    EXPECT_EQ(resp.predicted_class, expected(resp.id)) << "request " << resp.id;
+  }
+  const auto lone = static_cast<std::uint32_t>(odd.size() + 1);
+  ASSERT_TRUE(client.send_predict(lone, rotated(odd, lone)));
+  ASSERT_TRUE(client.read_predict(resp));
+  EXPECT_EQ(resp.id, lone);
+  EXPECT_EQ(resp.predicted_class, expected(lone));
+  EXPECT_EQ(server.stats().predict_errors, 0U);
   server.stop();
 }
 
