@@ -38,7 +38,7 @@ inline std::size_t machine_cores() { return ThreadPool::default_thread_count(); 
 inline const char* machine_isa() { return simd::isa_name(simd::active_isa()); }
 
 /// Total duplicate records across every eval store directly inside a
-/// campaign or scenario store directory (the sharding benches' gate).
+/// cell runner's store directory (the sharding bench's gate).
 inline std::size_t store_duplicates(const std::string& store_dir) {
   std::size_t duplicates = 0;
   std::error_code ec;

@@ -1,6 +1,9 @@
 /// \file campaign_main.cpp
-/// \brief CLI driver for multi-dataset GA campaigns (pnm/core/campaign.hpp),
-///        including the cross-process scheduling modes.
+/// \brief Command-line front end for multi-dataset GA campaigns,
+///        including the cross-process scheduling modes.  A campaign is a
+///        one-axis scenario grid (pnm/core/scenario.hpp): datasets x seeds
+///        with the default topology, 4-bit inputs, the `egt` node, no
+///        drifts and the fidelity pass off.
 ///
 /// Usage:
 ///   campaign_main [--datasets a,b,c] [--seeds 42,43] [--pop N] [--gens G]
@@ -11,7 +14,7 @@
 ///
 /// The campaign flags build the spec; the rest choose how its dataset x
 /// seed cells run (see cell_cli.hpp: serial by default, or --worker /
-/// --jobs / --collect over DIR/claims and DIR/cells/<cell>.cell).
+/// --jobs / --collect over DIR/sclaims and DIR/scells/<id>.scell).
 ///
 /// Report artifacts (default, --jobs, and --collect modes):
 ///
@@ -20,17 +23,16 @@
 ///                         with any number of worker processes — must
 ///                         produce an identical file; CI compares them
 ///                         with cmp)
-///   PREFIX.report.json  — fronts + baselines + cache/timing statistics
+///   PREFIX.report.json  — cells, fronts, baselines + cache/timing statistics
 ///   PREFIX.md           — human-readable markdown report (also printed)
 
 #include <cstdlib>
 #include <iostream>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "cell_cli.hpp"
-#include "pnm/core/campaign.hpp"
+#include "pnm/core/scenario.hpp"
 
 namespace {
 
@@ -43,27 +45,14 @@ void usage(const char* argv0) {
                "       [--collect]\n";
 }
 
-const pnm::cli::CellFamily<pnm::CampaignRunner, pnm::CampaignSpec, pnm::CampaignResult>
-    kCampaign{
-        "campaign", "cells", &pnm::collect_campaign,
-        [](const pnm::CampaignResult& r) {
-          return std::vector<std::pair<std::string, std::string>>{
-              {".fronts.json", r.fronts_json()},
-              {".report.json", r.report_json()},
-              {".md", r.report_markdown()}};
-        },
-        [](const pnm::CampaignSpec& s) {
-          return "campaign: " + std::to_string(s.datasets.size()) + " dataset(s) x " +
-                 std::to_string(s.seeds.size()) + " seed(s)";
-        }};
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using pnm::cli::parse_count;
   return pnm::cli::guarded([&] {
-    pnm::CampaignSpec spec;
+    pnm::ScenarioSpec spec;
     spec.datasets = {"seeds"};
+    spec.fidelity = false;
     spec.base.train.epochs = 40;
     spec.base.finetune_epochs = 8;
     spec.ga.population = 16;
@@ -101,6 +90,9 @@ int main(int argc, char** argv) {
         return EXIT_FAILURE;
       }
     }
-    return pnm::cli::run_cells(std::move(spec), flags, kCampaign);
+    return pnm::cli::run_cells(std::move(spec), flags,
+                               {{".fronts.json", &pnm::ScenarioResult::fronts_json},
+                                {".report.json", &pnm::ScenarioResult::report_json},
+                                {".md", &pnm::ScenarioResult::report_markdown}});
   });
 }

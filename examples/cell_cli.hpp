@@ -3,8 +3,10 @@
 
 /// \file cell_cli.hpp
 /// \brief The scheduling front end campaign_main and scenario_main
-///        share: the flags that choose *how* a cell family runs, and its
-///        serial, --worker, --jobs and --collect modes.
+///        share: the flags that choose *how* a ScenarioSpec's cells run,
+///        and its serial, --worker, --jobs and --collect modes.  The two
+///        mains differ only in how they build the spec and which report
+///        artifacts they write.
 ///
 /// Shared flags (the scheduling modes need --store):
 ///
@@ -12,7 +14,10 @@
 ///   --threads N      shared evaluation worker threads (0 = hardware)
 ///   --out PREFIX     prefix of the report artifacts
 ///   --require-warm   exit nonzero unless every evaluation was served from
-///                    the store (zero misses, nonzero hits)
+///                    the store (zero misses, nonzero hits); not with
+///                    --worker, which writes no report (check a worker
+///                    run with --collect --require-warm, which reads the
+///                    counts recorded in the published cells)
 ///   --worker         one work-queue pass: claim available cells, run them,
 ///                    publish each result, and exit.  Run N of these
 ///                    concurrently — same machine, or hosts sharing a
@@ -21,15 +26,17 @@
 ///                    one store together.
 ///   --shard-id K --num-shards N
 ///                    restrict a --worker pass to cells where
-///                    index % N == K (static sharding; shards never contend)
+///                    index % N == K (static sharding; shards never
+///                    contend); refused without --worker
 ///   --jobs N         supervisor: fork N local --worker processes, wait,
 ///                    pick up any cell orphaned by a crashed worker, then
 ///                    collect and write the reports
 ///   --collect        only merge the published cells into the reports
 ///                    (fails if any cell is missing or stale)
 ///
-/// Numeric values are digits only.  A malformed value, a spec that fails
-/// validation, or any other error prints "error: <what>" and exits 1.
+/// Numeric values are digits only.  A malformed value, a flag combination
+/// that would be ignored, a spec that fails validation, or any other
+/// error prints "error: <what>" and exits 1.
 
 #include <cstddef>
 #include <cstdlib>
@@ -41,7 +48,7 @@
 #include <utility>
 #include <vector>
 
-#include "pnm/core/cell_queue.hpp"
+#include "pnm/core/scenario.hpp"
 #include "pnm/util/fileio.hpp"
 
 namespace pnm::cli {
@@ -88,6 +95,7 @@ struct CellFlags {
   bool collect_only = false;
   std::size_t shard_id = 0;
   std::size_t num_shards = 1;
+  bool sharded = false;  ///< --shard-id or --num-shards was given
   std::size_t jobs = 0;
 
   /// Consumes argv[i], and its value (advancing i), when it is a shared
@@ -111,8 +119,10 @@ struct CellFlags {
       threads = parse_count(arg, argv[++i]);
     } else if (arg == "--shard-id") {
       shard_id = parse_count(arg, argv[++i]);
+      sharded = true;
     } else if (arg == "--num-shards") {
       num_shards = parse_count(arg, argv[++i]);
+      sharded = true;
     } else if (arg == "--jobs") {
       jobs = parse_count(arg, argv[++i]);
     } else {
@@ -122,16 +132,11 @@ struct CellFlags {
   }
 };
 
-/// What run_cells needs to know about one cell family.
-template <typename Runner, typename Spec, typename Result>
-struct CellFamily {
-  const char* noun;       ///< "campaign" or "scenario"
-  const char* cells_dir;  ///< published-cell subdirectory (for messages)
-  std::optional<Result> (*collect)(const Spec&);
-  /// (file suffix, content) of every report artifact, in write order.
-  std::vector<std::pair<std::string, std::string>> (*artifacts)(const Result&);
-  /// First words of the serial-run banner, e.g. "campaign: 2 dataset(s)".
-  std::string (*describe)(const Spec&);
+/// One report artifact: the file suffix after the --out prefix and the
+/// ScenarioResult renderer that produces its content.
+struct Artifact {
+  const char* suffix;
+  std::string (ScenarioResult::*render)() const;
 };
 
 inline void print_worker_summary(const char* who, const CampaignWorkerResult& w) {
@@ -141,11 +146,11 @@ inline void print_worker_summary(const char* who, const CampaignWorkerResult& w)
             << " other-shard, in " << w.seconds << " s\n";
 }
 
-/// Runs `spec` in the mode the flags select and writes the reports.
+/// Runs `spec` in the mode the flags select and writes `artifacts`, in
+/// order.
 /// \return the process exit status.
-template <typename Runner, typename Spec, typename Result>
-int run_cells(Spec spec, const CellFlags& flags,
-              const CellFamily<Runner, Spec, Result>& family) {
+inline int run_cells(ScenarioSpec spec, const CellFlags& flags,
+                     const std::vector<Artifact>& artifacts) {
   spec.store_dir = flags.store_dir;
   spec.threads = flags.threads;
   const int modes = static_cast<int>(flags.worker) +
@@ -160,64 +165,75 @@ int run_cells(Spec spec, const CellFlags& flags,
     std::cerr << "error: --worker, --jobs, and --collect are mutually exclusive\n";
     return EXIT_FAILURE;
   }
+  if (flags.sharded && !flags.worker) {
+    std::cerr << "error: --shard-id/--num-shards only apply to a --worker pass\n";
+    return EXIT_FAILURE;
+  }
+  if (flags.require_warm && flags.worker) {
+    std::cerr << "error: --require-warm does not apply to --worker, which writes no "
+                 "report (use --collect --require-warm after the workers)\n";
+    return EXIT_FAILURE;
+  }
 
   if (flags.worker) {
     // Distinct preferred store segments per shard: purely an optimization
     // (the store probes past held segments anyway).
     spec.writer_id = flags.shard_id;
-    print_worker_summary("worker", Runner(std::move(spec))
+    print_worker_summary("worker", ScenarioRunner(std::move(spec))
                                        .run_worker(flags.shard_id, flags.num_shards));
     return EXIT_SUCCESS;
   }
 
-  std::optional<Result> result;
+  std::optional<ScenarioResult> result;
   if (flags.collect_only) {
-    result = family.collect(spec);
+    result = collect_scenario(spec);
   } else if (flags.jobs > 0) {
-    // Supervisor: the workers are forked before any Runner (and so any
+    // Supervisor: the workers are forked before any runner (and so any
     // thread pool) exists in this process.  A worker that died mid-cell
     // released its claim with its process, so one local pass finishes
     // the stragglers.
     std::cout << "supervisor: spawning " << flags.jobs << " worker process(es)\n";
     const bool workers_ok = run_worker_processes(flags.jobs, [&](std::size_t j) {
-      Spec child = spec;
+      ScenarioSpec child = spec;
       child.writer_id = j;  // preferred segment only; probing is safe
-      print_worker_summary("worker", Runner(std::move(child)).run_worker());
+      print_worker_summary("worker", ScenarioRunner(std::move(child)).run_worker());
       return EXIT_SUCCESS;
     });
     if (!workers_ok) {
       std::cerr << "supervisor: a worker exited abnormally — sweeping up its "
                    "cells locally\n";
     }
-    result = family.collect(spec);
+    result = collect_scenario(spec);
     if (!result) {
-      print_worker_summary("supervisor-sweep", Runner(spec).run_worker());
-      result = family.collect(spec);
+      print_worker_summary("supervisor-sweep", ScenarioRunner(spec).run_worker());
+      result = collect_scenario(spec);
     }
   } else {
-    Runner runner(std::move(spec));
-    const Spec& s = runner.spec();
-    std::cout << family.describe(s) << ", pop " << s.ga.population << ", "
-              << s.ga.generations << " gens, " << runner.threads()
-              << " shared worker thread(s)"
+    ScenarioRunner runner(std::move(spec));
+    const ScenarioSpec& s = runner.spec();
+    std::cout << s.expand().size() << " cell(s) (" << s.datasets.size()
+              << " dataset(s) x " << s.topologies.size() << " topology(ies) x "
+              << s.input_bits.size() << " bit width(s) x " << s.tech_nodes.size()
+              << " tech node(s) x " << s.seeds.size() << " seed(s)), pop "
+              << s.ga.population << ", " << s.ga.generations << " gens, "
+              << runner.threads() << " shared worker thread(s)"
               << (s.store_dir.empty() ? ", no persistence"
                                       : ", store dir " + s.store_dir)
               << "\n\n";
     result = runner.run();
   }
   if (!result) {
-    std::cerr << "error: " << family.noun
-              << " incomplete — missing or stale cell results under "
-              << flags.store_dir << "/" << family.cells_dir
-              << " (run more workers, then collect again)\n";
+    std::cerr << "error: incomplete — missing or stale cell results under "
+              << flags.store_dir
+              << "/scells (run more workers, then collect again)\n";
     return EXIT_FAILURE;
   }
 
   std::cout << result->report_markdown() << '\n';
   std::string written;
-  for (const auto& [suffix, content] : family.artifacts(*result)) {
-    const std::string path = flags.out_prefix + suffix;
-    if (!write_text_file_atomic(path, content)) {
+  for (const Artifact& artifact : artifacts) {
+    const std::string path = flags.out_prefix + artifact.suffix;
+    if (!write_text_file_atomic(path, ((*result).*artifact.render)())) {
       std::cerr << "error: failed writing report files under prefix "
                 << flags.out_prefix << '\n';
       return EXIT_FAILURE;
@@ -228,8 +244,8 @@ int run_cells(Spec spec, const CellFlags& flags,
 
   if (flags.require_warm) {
     if (result->total_cache_misses() != 0 || result->total_cache_hits() == 0) {
-      std::cerr << "--require-warm: expected a fully warm " << family.noun
-                << " run, got " << result->total_cache_hits() << " hits / "
+      std::cerr << "--require-warm: expected a fully warm run, got "
+                << result->total_cache_hits() << " hits / "
                 << result->total_cache_misses() << " misses\n";
       return EXIT_FAILURE;
     }

@@ -1,7 +1,8 @@
 /// \file scenario_main.cpp
-/// \brief CLI driver for scenario-matrix campaigns (pnm/core/scenario.hpp):
-///        a grid spec file in, the gated report artifacts out, with the
-///        same cross-process scheduling modes as campaign_main.
+/// \brief Command-line front end for scenario grids
+///        (pnm/core/scenario.hpp): a grid spec file in, the gated report
+///        artifacts out, with the same cross-process scheduling modes as
+///        campaign_main.
 ///
 /// Usage:
 ///   scenario_main --spec FILE [--store DIR] [--threads N] [--out PREFIX]
@@ -23,7 +24,7 @@
 ///                        file, serial or any worker topology; CI cmp's)
 ///   PREFIX.drift.tsv   — the drift-robustness report, one line per
 ///                        (cell, drift, genome); same determinism contract
-///   PREFIX.report.json — grid plus cache/timing statistics
+///   PREFIX.report.json — grid and fronts plus cache/timing statistics
 ///   PREFIX.md          — human-readable markdown summary (also printed)
 
 #include <cstdlib>
@@ -31,7 +32,6 @@
 #include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "cell_cli.hpp"
 #include "pnm/core/scenario.hpp"
@@ -45,25 +45,6 @@ void usage(const char* argv0) {
                "       [--require-warm] [--worker] [--shard-id K --num-shards N]\n"
                "       [--jobs N] [--collect]\n";
 }
-
-const pnm::cli::CellFamily<pnm::ScenarioRunner, pnm::ScenarioSpec, pnm::ScenarioResult>
-    kScenario{
-        "scenario", "scells", &pnm::collect_scenario,
-        [](const pnm::ScenarioResult& r) {
-          return std::vector<std::pair<std::string, std::string>>{
-              {".grid.json", r.grid_json()},
-              {".drift.tsv", r.drift_report()},
-              {".report.json", r.report_json()},
-              {".md", r.report_markdown()}};
-        },
-        [](const pnm::ScenarioSpec& s) {
-          return "scenario: " + std::to_string(s.expand().size()) + " cell(s) (" +
-                 std::to_string(s.datasets.size()) + " dataset(s) x " +
-                 std::to_string(s.topologies.size()) + " topology(ies) x " +
-                 std::to_string(s.input_bits.size()) + " bit width(s) x " +
-                 std::to_string(s.tech_nodes.size()) + " tech node(s) x " +
-                 std::to_string(s.seeds.size()) + " seed(s))";
-        }};
 
 }  // namespace
 
@@ -97,6 +78,10 @@ int main(int argc, char** argv) {
       std::cerr << "error: " << spec_path << ": " << e.what() << '\n';
       return EXIT_FAILURE;
     }
-    return pnm::cli::run_cells(std::move(spec), flags, kScenario);
+    return pnm::cli::run_cells(std::move(spec), flags,
+                               {{".grid.json", &pnm::ScenarioResult::grid_json},
+                                {".drift.tsv", &pnm::ScenarioResult::drift_report},
+                                {".report.json", &pnm::ScenarioResult::report_json},
+                                {".md", &pnm::ScenarioResult::report_markdown}});
   });
 }

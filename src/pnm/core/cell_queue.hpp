@@ -2,15 +2,15 @@
 #define PNM_CORE_CELL_QUEUE_HPP
 
 /// \file cell_queue.hpp
-/// \brief The cross-process cell scheduler behind GA campaigns and
-///        scenario grids: claim -> re-check -> run -> atomic publish, the
-///        collect loop, and the fork/wait helper for local worker
-///        processes.
+/// \brief The cross-process cell scheduler behind the GA cell runner
+///        (pnm/core/scenario.hpp, which runs campaigns and scenario
+///        grids): claim -> re-check -> run -> atomic publish, the collect
+///        loop, and the fork/wait helper for local worker processes.
 ///
-/// A *cell* is one deterministic unit of work (a campaign's (dataset,
-/// seed) pair, a scenario grid point) identified by a file-name-safe id
-/// and a fingerprint of everything that shapes its result.  A cell family
-/// keeps its files under a store directory in its own layout:
+/// A *cell* is one deterministic unit of work (a grid point; a
+/// campaign's (dataset, seed) pair is one) identified by a file-name-safe
+/// id and a fingerprint of everything that shapes its result.  A cell
+/// family keeps its files under a store directory in its layout:
 ///
 ///     <store>/<claims>/<id>.claim         flock = cell ownership
 ///     <store>/<cells>/<id><extension>     published result (atomic)
@@ -44,7 +44,7 @@ namespace pnm {
 /// duplicate-free, or two cells would share one id.
 ///
 /// \param values  the axis values.
-/// \param spec    spec type named in the message, e.g. "CampaignSpec".
+/// \param spec    spec type named in the message, e.g. "ScenarioSpec".
 /// \param what    axis named in the message, e.g. "seed".
 /// \throws std::invalid_argument  on an empty or duplicated list.
 template <typename T>
@@ -64,9 +64,9 @@ void require_unique_nonempty(const std::vector<T>& values, const char* spec,
 
 /// Where one cell family's files live under a store directory.
 struct CellLayout {
-  const char* claims;     ///< claim-file subdirectory, e.g. "claims"
-  const char* cells;      ///< published-result subdirectory, e.g. "cells"
-  const char* extension;  ///< published-file suffix, e.g. ".cell"
+  const char* claims;     ///< claim-file subdirectory, e.g. "sclaims"
+  const char* cells;      ///< published-result subdirectory, e.g. "scells"
+  const char* extension;  ///< published-file suffix, e.g. ".scell"
 };
 
 /// One schedulable cell.

@@ -233,8 +233,8 @@ class ParallelEvaluator final : public Evaluator {
       : inner_(&inner), owned_(std::in_place, threads), pool_(&*owned_) {}
 
   /// Borrows an existing pool instead of spawning one — this is how a
-  /// CampaignRunner reuses one set of workers across every run of a
-  /// campaign.  The pool must outlive this evaluator.
+  /// ScenarioRunner reuses one set of workers across every cell of a
+  /// campaign or grid.  The pool must outlive this evaluator.
   ParallelEvaluator(Evaluator& inner, ThreadPool& pool)
       : inner_(&inner), pool_(&pool) {}
 

@@ -73,8 +73,8 @@
 
 namespace pnm {
 
-/// Serializes one store record (also reused by the campaign layer's
-/// per-cell result files, which store DesignPoints in the same shape).
+/// Serializes one store record (also reused by the cell runner's
+/// published cell files, which store DesignPoints in the same shape).
 ///
 /// \param key    record key (tab/newline-free, non-empty).
 /// \param point  the evaluated design to serialize.
@@ -165,8 +165,8 @@ class EvalStore {
 
   /// Records skipped at preload because their key was already present
   /// (last-write-wins merge).  Nonzero only when two writers raced the
-  /// same genome — the sharded campaign scheduler's claim protocol keeps
-  /// this at 0, and bench/campaign_bench.cpp fails if it ever is not.
+  /// same genome — the cell scheduler's claim protocol keeps this at 0,
+  /// and bench/scenario_bench.cpp fails if it ever is not.
   /// \return duplicate-record count observed during preload.
   [[nodiscard]] std::size_t duplicates() const;
 

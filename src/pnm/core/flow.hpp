@@ -124,9 +124,9 @@ class MinimizationFlow {
 
   /// The same derivation from a bare FlowConfig, without requiring a
   /// prepared flow — the single source of truth behind eval_config()
-  /// and the campaign layer's fingerprints (eval_fingerprint /
-  /// cell_fingerprint must hash exactly the config the evaluators will
-  /// run under, so both call this).
+  /// and the cell runner's fingerprints (eval_fingerprint and
+  /// ScenarioSpec::fingerprint must hash exactly the config the
+  /// evaluators will run under, so both call this).
   ///
   /// \param config           the flow configuration to derive from.
   /// \param finetune_epochs  fitness-pipeline fine-tuning budget.
@@ -180,7 +180,7 @@ class MinimizationFlow {
   /// caller-built stack.  `front_eval` must measure exact netlist cost on
   /// the test split — i.e. wrap netlist_evaluator(config().finetune_epochs,
   /// /*use_test_set=*/true) in any decorators you like.  This is how the
-  /// campaign layer persists and parallelizes the exact re-evaluation too
+  /// cell runner persists and parallelizes the exact re-evaluation too
   /// (CachedEvaluator over an EvalStore); results are bit-identical to the
   /// two-argument overload by evaluator-composition determinism.
   GaOutcome run_ga(Evaluator& fitness, Evaluator& front_eval, const GaConfig& ga);

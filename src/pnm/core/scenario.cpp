@@ -2,15 +2,21 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <initializer_list>
 #include <limits>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
 
+#include "pnm/core/campaign.hpp"
+#include "pnm/core/eval.hpp"
+#include "pnm/core/eval_store.hpp"
 #include "pnm/core/quantize.hpp"
 #include "pnm/data/synth.hpp"
+#include "pnm/hw/mcm.hpp"
 #include "pnm/hw/tech.hpp"
 #include "pnm/util/fileio.hpp"
 #include "pnm/util/table.hpp"
@@ -19,7 +25,9 @@ namespace pnm {
 namespace {
 
 constexpr char kScellMagic[] = "pnm-scenario-cell";
-constexpr int kScellVersion = 1;
+// v2: the fingerprint hashes the search stacks' fingerprints and GA knobs
+// directly and gained the fidelity switch.
+constexpr int kScellVersion = 2;
 
 /// "default" for the per-dataset topology, else '-'-joined hidden widths.
 std::string hidden_token(const std::vector<std::size_t>& hidden) {
@@ -53,19 +61,6 @@ FlowConfig cell_flow_config(const ScenarioSpec& spec, const ScenarioCell& cell) 
   return config;
 }
 
-/// The campaign spec a single scenario cell is equivalent to — the bridge
-/// that lets scenario fingerprints reuse the campaign canonicalization
-/// verbatim (same GA knob list, same backend eval fingerprints).
-CampaignSpec cell_campaign_spec(const ScenarioSpec& spec, const ScenarioCell& cell) {
-  CampaignSpec camp;
-  camp.base = cell_flow_config(spec, cell);
-  camp.datasets = {cell.dataset};
-  camp.seeds = {cell.seed};
-  camp.ga = spec.ga;
-  camp.ga_finetune_epochs = spec.ga_finetune_epochs;
-  return camp;
-}
-
 std::vector<std::size_t> resolved_hidden(const ScenarioCell& cell) {
   return cell.hidden.empty() ? MinimizationFlow::default_hidden(cell.dataset)
                              : cell.hidden;
@@ -90,10 +85,123 @@ std::vector<CellRef> scenario_cells(const ScenarioSpec& spec,
   std::vector<CellRef> refs;
   refs.reserve(cells.size());
   for (const ScenarioCell& cell : cells) {
-    refs.push_back({cell.id(), scenario_cell_fingerprint(spec, cell)});
+    refs.push_back({cell.id(), spec.fingerprint(cell)});
   }
   return refs;
 }
+
+/// The cells' datasets in first-appearance order (spec order).
+std::vector<std::string> datasets_in_order(const std::vector<ScenarioCellResult>& cells) {
+  std::vector<std::string> datasets;
+  for (const ScenarioCellResult& c : cells) {
+    if (std::find(datasets.begin(), datasets.end(), c.cell.dataset) == datasets.end()) {
+      datasets.push_back(c.cell.dataset);
+    }
+  }
+  return datasets;
+}
+
+CellStats totals(const std::vector<ScenarioCellResult>& cells) {
+  CellStats total;
+  for (const CellStats& cell : cells) total += cell;
+  return total;
+}
+
+double hit_rate(std::size_t hits, std::size_t misses) {
+  const std::size_t total = hits + misses;
+  return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
+}
+
+/// One design point as a JSON object.  Doubles go through json_number, so
+/// equal points render to equal bytes and non-finite values as null.
+std::string point_json(const DesignPoint& p) {
+  std::string out = "{\"genome\": \"" + json_escape(p.config) + "\"";
+  out += ", \"technique\": \"" + json_escape(p.technique) + "\"";
+  out += ", \"accuracy\": " + json_number(p.accuracy);
+  out += ", \"area_mm2\": " + json_number(p.area_mm2);
+  out += ", \"power_uw\": " + json_number(p.power_uw);
+  out += ", \"delay_ms\": " + json_number(p.delay_ms);
+  out += "}";
+  return out;
+}
+
+/// A front as a JSON array, one point per line, indented by `indent`.
+std::string front_json(const std::vector<DesignPoint>& front, const std::string& indent) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < front.size(); ++i) {
+    out += (i == 0 ? "\n" : ",\n") + indent + "  " + point_json(front[i]);
+  }
+  out += front.empty() ? "]" : "\n" + indent + "]";
+  return out;
+}
+
+/// One backend's evaluator stack in a cell — stored+cached(parallel(
+/// backend)) on the runner's shared pool.  With a non-empty `store_stem`
+/// the cache is persisted in the EvalStore directory
+/// `<store_stem>_<tag>_<fp>.evalstore`, where fp =
+/// eval_fingerprint(flow, backend.config(), backend.name()).
+class CellEvalStack {
+ public:
+  CellEvalStack(PipelineEvaluator& backend, ThreadPool& pool, const FlowConfig& flow,
+                const std::string& store_stem, const char* tag, std::size_t writer_id)
+      : parallel_(backend, pool) {
+    if (store_stem.empty()) {
+      cached_.emplace(parallel_);
+      return;
+    }
+    // One store per cell x backend, named by fingerprint, so a config
+    // change opens a fresh store instead of invalidating the old one.
+    const std::string fp = eval_fingerprint(flow, backend.config(), backend.name());
+    store_.emplace(store_stem + "_" + tag + "_" + fp + ".evalstore", fp, writer_id);
+    cached_.emplace(parallel_, *store_);
+  }
+
+  /// The top of the stack, handed to the GA or the front re-evaluation.
+  CachedEvaluator& cached() { return *cached_; }
+
+ private:
+  ParallelEvaluator parallel_;
+  std::optional<EvalStore> store_;
+  std::optional<CachedEvaluator> cached_;
+};
+
+/// Measures one cell from construction: wall time and the MCM plan-cache
+/// counter deltas.
+class CellMeter {
+ public:
+  CellMeter() : start_(std::chrono::steady_clock::now()) {
+    const hw::McmCacheStats mcm = hw::mcm_plan_cache_stats();
+    mcm_hits_ = mcm.hits;
+    mcm_misses_ = mcm.misses;
+  }
+
+  /// Fills `stats`: the measured time and MCM deltas,
+  /// `distinct_evaluations`, and the cache counters summed over the
+  /// cell's stacks (null entries are stacks the cell did not build).
+  void record(CellStats& stats, std::size_t distinct_evaluations,
+              std::initializer_list<CellEvalStack*> stacks) const {
+    stats.distinct_evaluations = distinct_evaluations;
+    stats.cache_hits = stats.cache_misses = stats.store_loaded = 0;
+    for (CellEvalStack* stack : stacks) {
+      if (stack == nullptr) continue;
+      stats.cache_hits += stack->cached().hits();
+      stats.cache_misses += stack->cached().misses();
+      stats.store_loaded += stack->cached().loaded();
+    }
+    // Cells run serially within a process, so the process-wide counter
+    // deltas are this cell's own lookups.
+    const hw::McmCacheStats mcm = hw::mcm_plan_cache_stats();
+    stats.mcm_hits = static_cast<std::size_t>(mcm.hits - mcm_hits_);
+    stats.mcm_misses = static_cast<std::size_t>(mcm.misses - mcm_misses_);
+    stats.seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
+  }
+
+ private:
+  std::chrono::steady_clock::time_point start_;
+  std::uint64_t mcm_hits_ = 0;
+  std::uint64_t mcm_misses_ = 0;
+};
 
 /// Deterministic perturbation of the (scaled) test split: every draw
 /// derives from the cell id and the drift, never from global state.
@@ -226,20 +334,42 @@ std::vector<ScenarioCell> ScenarioSpec::expand() const {
   return cells;
 }
 
-std::string scenario_cell_fingerprint(const ScenarioSpec& spec,
-                                      const ScenarioCell& cell) {
-  const FlowConfig config = cell_flow_config(spec, cell);
+std::string ScenarioSpec::fingerprint(const ScenarioCell& cell) const {
+  const FlowConfig config = cell_flow_config(*this, cell);
+  const auto ints = [](const std::vector<int>& values) {
+    std::string out;
+    for (int v : values) out += std::to_string(v) + ",";
+    return out;
+  };
   std::string canon;
-  canon.reserve(256);
+  canon.reserve(512);
   append_kv(canon, "scell_version", std::to_string(kScellVersion));
-  // The campaign fingerprint covers both GA-side backend fingerprints
-  // (which in turn cover dataset, seed, topology, input bits, tech node,
-  // training recipe) plus every GA knob.
-  append_kv(canon, "campaign_fp",
-            cell_fingerprint(cell_campaign_spec(spec, cell), cell.dataset,
-                             cell.seed));
+  // The two search stacks' fingerprints cover everything evaluation-side
+  // (dataset, seed, topology, input bits, tech node, training recipe,
+  // budgets, split); the GA knobs on top decide which genomes get
+  // evaluated and in what order, so they shape the front too.
+  append_kv(canon, "proxy_fp",
+            eval_fingerprint(config,
+                             MinimizationFlow::eval_config_for(
+                                 config, ga_finetune_epochs, false),
+                             "proxy"));
+  append_kv(canon, "netlist_fp",
+            eval_fingerprint(config,
+                             MinimizationFlow::eval_config_for(
+                                 config, config.finetune_epochs, true),
+                             "netlist"));
+  append_kv(canon, "population", std::to_string(ga.population));
+  append_kv(canon, "generations", std::to_string(ga.generations));
+  append_kv(canon, "crossover", format_double_roundtrip(ga.crossover_prob));
+  append_kv(canon, "mutation", format_double_roundtrip(ga.mutation_prob));
+  append_kv(canon, "min_bits", std::to_string(ga.min_bits));
+  append_kv(canon, "max_bits", std::to_string(ga.max_bits));
+  append_kv(canon, "sparsity_choices", ints(ga.sparsity_choices));
+  append_kv(canon, "cluster_choices", ints(ga.cluster_choices));
+  append_kv(canon, "acc_shift_choices", ints(ga.acc_shift_choices));
   // The fidelity pass re-prices the front through a third stack: proxy
   // backend at the front's fine-tune budget on the test split.
+  append_kv(canon, "fidelity", fidelity ? "1" : "0");
   append_kv(canon, "fidelity_fp",
             eval_fingerprint(config,
                              MinimizationFlow::eval_config_for(
@@ -248,14 +378,25 @@ std::string scenario_cell_fingerprint(const ScenarioSpec& spec,
   // Gate membership is stored in the cell file; the tolerance is not (it
   // is applied at report time), so changing only the tolerance re-gates
   // published results instead of recomputing them.
-  append_kv(canon, "gate_max_hidden", std::to_string(spec.fidelity_gate_max_hidden));
-  for (const DriftSpec& d : spec.drifts) {
+  append_kv(canon, "gate_max_hidden", std::to_string(fidelity_gate_max_hidden));
+  for (const DriftSpec& d : drifts) {
     append_kv(canon, "drift",
               d.name + "," + format_double_roundtrip(d.feature_noise) + "," +
                   format_double_roundtrip(d.class_prior_shift) + "," +
                   std::to_string(d.seed));
   }
   return fnv1a64_hex(canon);
+}
+
+CellStats& CellStats::operator+=(const CellStats& other) {
+  distinct_evaluations += other.distinct_evaluations;
+  cache_hits += other.cache_hits;
+  cache_misses += other.cache_misses;
+  store_loaded += other.store_loaded;
+  mcm_hits += other.mcm_hits;
+  mcm_misses += other.mcm_misses;
+  seconds += other.seconds;
+  return *this;
 }
 
 // ---- Cell files ---------------------------------------------------------
@@ -267,7 +408,16 @@ std::string format_scenario_cell(const ScenarioCellResult& result,
   out += "cell\t" + c.dataset + "\t" + hidden_token(c.hidden) + "\t" +
          std::to_string(c.input_bits) + "\t" + c.tech + "\t" +
          std::to_string(c.seed) + "\n";
-  out += format_cell_body(result, result.baseline, result.front);
+  out += "stats\t" + std::to_string(result.distinct_evaluations) + "\t" +
+         std::to_string(result.cache_hits) + "\t" +
+         std::to_string(result.cache_misses) + "\t" +
+         std::to_string(result.store_loaded) + "\t" +
+         std::to_string(result.mcm_hits) + "\t" +
+         std::to_string(result.mcm_misses) + "\t" +
+         format_double_roundtrip(result.seconds) + "\n";
+  out += format_eval_record("baseline", result.baseline);
+  out += "front\t" + std::to_string(result.front.size()) + "\n";
+  for (const DesignPoint& p : result.front) out += format_eval_record("point", p);
   out += "fidelity\t" + std::to_string(result.fidelity.size()) + "\t" +
          (result.fidelity_gated ? "1" : "0") + "\t" +
          format_double_roundtrip(result.fidelity_max_rel_delta) + "\n";
@@ -293,9 +443,9 @@ std::string format_scenario_cell(const ScenarioCellResult& result,
 std::optional<ScenarioCellResult> parse_scenario_cell(std::string_view text,
                                                       const std::string& cell_fp) {
   const std::vector<std::string_view> lines = split_lines(text);
-  // Header, cell, the shared body, the fidelity and drift sections, and
-  // the "end" sentinel.
-  if (lines.size() < 2 || lines[0] != scell_header(cell_fp)) return std::nullopt;
+  // Header, cell, stats, baseline, the front, the fidelity and drift
+  // sections, and the "end" sentinel.
+  if (lines.size() < 5 || lines[0] != scell_header(cell_fp)) return std::nullopt;
   ScenarioCellResult result;
   {
     const std::vector<std::string_view> fields = split_fields(lines[1], '\t');
@@ -314,10 +464,39 @@ std::optional<ScenarioCellResult> parse_scenario_cell(std::string_view text,
     result.cell.tech.assign(fields[4]);
     result.cell.seed = *seed;
   }
-  std::size_t at = 2;
-  if (!parse_cell_body(lines, at, result, result.baseline, result.front) ||
-      at >= lines.size()) {
+  {
+    const std::vector<std::string_view> fields = split_fields(lines[2], '\t');
+    if (fields.size() != 8 || fields[0] != "stats") return std::nullopt;
+    std::size_t* const counters[] = {&result.distinct_evaluations, &result.cache_hits,
+                                     &result.cache_misses,         &result.store_loaded,
+                                     &result.mcm_hits,             &result.mcm_misses};
+    for (std::size_t i = 0; i < 6; ++i) {
+      const std::optional<std::size_t> v = parse_size_strict(fields[i + 1]);
+      if (!v) return std::nullopt;
+      *counters[i] = *v;
+    }
+    const std::optional<double> seconds = parse_double_strict(fields[7]);
+    if (!seconds) return std::nullopt;
+    result.seconds = *seconds;
+  }
+  std::string tag;
+  if (!parse_eval_record(lines[3], tag, result.baseline) || tag != "baseline") {
     return std::nullopt;
+  }
+  std::size_t at = 4;
+  {
+    const std::vector<std::string_view> head = split_fields(lines[at], '\t');
+    const auto count =
+        head.size() == 2 && head[0] == "front" ? parse_size_strict(head[1]) : std::nullopt;
+    ++at;
+    // The points plus the fidelity head must follow.
+    if (!count || *count >= lines.size() - at) return std::nullopt;
+    result.front.reserve(*count);
+    for (std::size_t i = 0; i < *count; ++i, ++at) {
+      DesignPoint point;
+      if (!parse_eval_record(lines[at], tag, point) || tag != "point") return std::nullopt;
+      result.front.push_back(std::move(point));
+    }
   }
   {
     const std::vector<std::string_view> fields = split_fields(lines[at], '\t');
@@ -372,16 +551,26 @@ std::optional<ScenarioCellResult> parse_scenario_cell(std::string_view text,
 
 // ---- ScenarioResult -----------------------------------------------------
 
-std::size_t ScenarioResult::total_cache_hits() const {
-  return sum_cell_stats(cells).cache_hits;
-}
+std::size_t ScenarioResult::total_cache_hits() const { return totals(cells).cache_hits; }
 
 std::size_t ScenarioResult::total_cache_misses() const {
-  return sum_cell_stats(cells).cache_misses;
+  return totals(cells).cache_misses;
 }
 
 std::size_t ScenarioResult::total_store_loaded() const {
-  return sum_cell_stats(cells).store_loaded;
+  return totals(cells).store_loaded;
+}
+
+double ScenarioResult::cache_hit_rate() const {
+  return hit_rate(total_cache_hits(), total_cache_misses());
+}
+
+std::size_t ScenarioResult::total_mcm_hits() const { return totals(cells).mcm_hits; }
+
+std::size_t ScenarioResult::total_mcm_misses() const { return totals(cells).mcm_misses; }
+
+double ScenarioResult::mcm_plan_hit_rate() const {
+  return hit_rate(total_mcm_hits(), total_mcm_misses());
 }
 
 double ScenarioResult::max_gated_rel_delta() const {
@@ -400,6 +589,37 @@ std::size_t ScenarioResult::fidelity_violations(double tolerance) const {
     if (c.fidelity_gated && c.fidelity_max_rel_delta > tolerance) ++n;
   }
   return n;
+}
+
+std::vector<DesignPoint> ScenarioResult::merged_front(const std::string& dataset) const {
+  std::vector<DesignPoint> all;
+  for (const ScenarioCellResult& c : cells) {
+    if (c.cell.dataset != dataset) continue;
+    all.insert(all.end(), c.front.begin(), c.front.end());
+  }
+  return pareto_front(std::move(all));
+}
+
+std::string ScenarioResult::fronts_json() const {
+  std::string out = "{\n  \"datasets\": [";
+  bool first_dataset = true;
+  for (const std::string& dataset : datasets_in_order(cells)) {
+    out += first_dataset ? "\n" : ",\n";
+    first_dataset = false;
+    out += "    {\"dataset\": \"" + json_escape(dataset) + "\", \"runs\": [";
+    bool first_run = true;
+    for (const ScenarioCellResult& c : cells) {
+      if (c.cell.dataset != dataset) continue;
+      out += first_run ? "\n" : ",\n";
+      first_run = false;
+      out += "      {\"seed\": " + std::to_string(c.cell.seed) +
+             ", \"front\": " + front_json(c.front, "      ") + "}";
+    }
+    out += "\n    ], \"merged_front\": " + front_json(merged_front(dataset), "    ") +
+           "}";
+  }
+  out += "\n  ]\n}\n";
+  return out;
 }
 
 std::string ScenarioResult::grid_json() const {
@@ -460,36 +680,73 @@ std::string ScenarioResult::report_json() const {
   out += "  \"total_cache_hits\": " + std::to_string(total_cache_hits()) + ",\n";
   out += "  \"total_cache_misses\": " + std::to_string(total_cache_misses()) + ",\n";
   out += "  \"total_store_loaded\": " + std::to_string(total_store_loaded()) + ",\n";
+  out += "  \"cache_hit_rate\": " + json_number(cache_hit_rate()) + ",\n";
+  out += "  \"total_mcm_plan_hits\": " + std::to_string(total_mcm_hits()) + ",\n";
+  out += "  \"total_mcm_plan_misses\": " + std::to_string(total_mcm_misses()) + ",\n";
+  out += "  \"mcm_plan_hit_rate\": " + json_number(mcm_plan_hit_rate()) + ",\n";
   out += "  \"max_gated_rel_delta\": " + json_number(max_gated_rel_delta()) + ",\n";
   out += "  \"cells\": [";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const ScenarioCellResult& c = cells[i];
     out += (i == 0 ? "\n" : ",\n");
     out += "    {\"id\": \"" + json_escape(c.cell.id()) + "\"";
-    out += cell_stats_json(c) + "}";
+    out += ", \"distinct_evaluations\": " + std::to_string(c.distinct_evaluations);
+    out += ", \"cache_hits\": " + std::to_string(c.cache_hits);
+    out += ", \"cache_misses\": " + std::to_string(c.cache_misses);
+    out += ", \"store_loaded\": " + std::to_string(c.store_loaded);
+    out += ", \"mcm_plan_hits\": " + std::to_string(c.mcm_hits);
+    out += ", \"mcm_plan_misses\": " + std::to_string(c.mcm_misses);
+    out += ", \"seconds\": " + json_number(c.seconds) + "}";
   }
-  out += "\n  ],\n  \"grid\": " + grid_json();
-  // grid_json ends with "}\n"; splice it in as a nested object.
-  out.erase(out.size() - 1);
-  out += "\n}\n";
+  // grid_json and fronts_json end with "}\n"; splice them in as nested
+  // objects.
+  std::string grid = grid_json();
+  std::string fronts = fronts_json();
+  grid.pop_back();
+  fronts.pop_back();
+  out += "\n  ],\n  \"grid\": " + grid + ",\n  \"fronts\": " + fronts + "\n}\n";
   return out;
 }
 
 std::string ScenarioResult::report_markdown() const {
-  std::string out = "# Scenario matrix report\n\n";
+  std::string out = "# GA campaign report\n\n";
   out += "| cell | front | best acc | min area mm^2 | fid gated | fid max delta |\n";
   out += "| ---- | ----- | -------- | ------------- | --------- | ------------- |\n";
   for (const ScenarioCellResult& c : cells) {
+    // A design folded to a constant classifier has 0 mm^2: a real minimum.
     double best_acc = 0.0;
-    double min_area = 0.0;
+    double min_area = c.front.empty() ? 0.0 : c.front.front().area_mm2;
     for (const DesignPoint& p : c.front) {
-      if (p.accuracy > best_acc) best_acc = p.accuracy;
-      if (min_area == 0.0 || p.area_mm2 < min_area) min_area = p.area_mm2;
+      best_acc = std::max(best_acc, p.accuracy);
+      min_area = std::min(min_area, p.area_mm2);
     }
     out += "| " + c.cell.id() + " | " + std::to_string(c.front.size()) + " | " +
            format_fixed(best_acc, 3) + " | " + format_fixed(min_area, 2) + " | " +
            (c.fidelity_gated ? "yes" : "no") + " | " +
            format_fixed(c.fidelity_max_rel_delta, 3) + " |\n";
+  }
+  for (const std::string& dataset : datasets_in_order(cells)) {
+    out += "\n## " + dataset + "\n\n";
+    out += "| cell | genome | accuracy | area mm^2 | gain vs baseline |\n";
+    out += "| ---- | ------ | -------- | --------- | ---------------- |\n";
+    for (const ScenarioCellResult& c : cells) {
+      if (c.cell.dataset != dataset) continue;
+      for (const DesignPoint& p : c.front) {
+        const double gain = p.area_mm2 > 0.0 ? c.baseline.area_mm2 / p.area_mm2 : 0.0;
+        out += "| " + c.cell.id() + " | `" + p.config + "` | " +
+               format_fixed(p.accuracy, 3) + " | " + format_fixed(p.area_mm2, 2) +
+               " | " + format_factor(gain) + " |\n";
+      }
+    }
+    const std::vector<DesignPoint> merged = merged_front(dataset);
+    out += "\nMerged front across cells (" + std::to_string(merged.size()) +
+           " non-dominated designs):\n\n";
+    out += "| genome | accuracy | area mm^2 |\n";
+    out += "| ------ | -------- | --------- |\n";
+    for (const DesignPoint& p : merged) {
+      out += "| `" + p.config + "` | " + format_fixed(p.accuracy, 3) + " | " +
+             format_fixed(p.area_mm2, 2) + " |\n";
+    }
   }
   bool any_drift = false;
   for (const ScenarioCellResult& c : cells) any_drift |= !c.drift.empty();
@@ -517,9 +774,25 @@ std::string ScenarioResult::report_markdown() const {
       }
     }
   }
-  out += "\nCache: " + std::to_string(total_cache_hits()) + " hits, " +
-         std::to_string(total_cache_misses()) + " misses, " +
-         std::to_string(total_store_loaded()) + " preloaded.\n";
+  out += "\n## Evaluation cache\n\n";
+  out += "| cell | GA evals | hits | misses | preloaded | MCM hits | MCM misses | "
+         "seconds |\n";
+  out += "| ---- | -------- | ---- | ------ | --------- | -------- | ---------- | "
+         "------- |\n";
+  for (const ScenarioCellResult& c : cells) {
+    out += "| " + c.cell.id() + " | " + std::to_string(c.distinct_evaluations) + " | " +
+           std::to_string(c.cache_hits) + " | " + std::to_string(c.cache_misses) +
+           " | " + std::to_string(c.store_loaded) + " | " + std::to_string(c.mcm_hits) +
+           " | " + std::to_string(c.mcm_misses) + " | " + format_fixed(c.seconds, 2) +
+           " |\n";
+  }
+  out += "\nTotals: " + std::to_string(total_cache_hits()) + " hits, " +
+         std::to_string(total_cache_misses()) + " misses (hit rate " +
+         format_fixed(cache_hit_rate() * 100.0, 1) + "%), " +
+         std::to_string(total_store_loaded()) + " records preloaded from disk.\n";
+  out += "MCM plan cache: " + std::to_string(total_mcm_hits()) + " hits, " +
+         std::to_string(total_mcm_misses()) + " misses (hit rate " +
+         format_fixed(mcm_plan_hit_rate() * 100.0, 1) + "%).\n";
   return out;
 }
 
@@ -545,21 +818,30 @@ ScenarioCellResult ScenarioRunner::run_cell(const ScenarioCell& cell) {
   MinimizationFlow flow(config);
   flow.prepare();
 
-  // The campaign stacks (proxy fitness on validation, netlist front on
-  // test) plus the fidelity stack: proxy backend at the *front's*
-  // fine-tune budget on the test split, so it realizes and prices the
-  // identical integer model the netlist front evaluation measures.
+  // The two backends of the Fig. 2 search: fast proxy fitness on the
+  // validation split, exact netlist re-evaluation on the test split.
+  // Stores are named by dataset and seed; the fingerprint in each name
+  // carries every other axis.
   ProxyEvaluator proxy = flow.proxy_evaluator(spec_.ga_finetune_epochs);
   NetlistEvaluator netlist =
       flow.netlist_evaluator(config.finetune_epochs, /*use_test_set=*/true);
-  ProxyEvaluator fidelity_proxy =
-      flow.proxy_evaluator(config.finetune_epochs, /*use_test_set=*/true);
   const std::string stem =
-      spec_.store_dir.empty() ? "" : spec_.store_dir + "/" + cell.id();
+      spec_.store_dir.empty()
+          ? ""
+          : spec_.store_dir + "/" + cell.dataset + "_s" + std::to_string(cell.seed);
   CellEvalStack fitness(proxy, pool_, config, stem, "proxy", spec_.writer_id);
   CellEvalStack front_eval(netlist, pool_, config, stem, "netlist", spec_.writer_id);
-  CellEvalStack fidelity_eval(fidelity_proxy, pool_, config, stem, "fidproxy",
-                              spec_.writer_id);
+  // The fidelity stack: proxy backend at the *front's* fine-tune budget on
+  // the test split, so it realizes and prices the identical integer model
+  // the netlist front evaluation measures.
+  std::optional<ProxyEvaluator> fidelity_proxy;
+  std::optional<CellEvalStack> fidelity_eval;
+  if (spec_.fidelity) {
+    fidelity_proxy.emplace(
+        flow.proxy_evaluator(config.finetune_epochs, /*use_test_set=*/true));
+    fidelity_eval.emplace(*fidelity_proxy, pool_, config, stem, "fidproxy",
+                          spec_.writer_id);
+  }
 
   const MinimizationFlow::GaOutcome outcome =
       flow.run_ga(fitness.cached(), front_eval.cached(), spec_.ga);
@@ -568,12 +850,17 @@ ScenarioCellResult ScenarioRunner::run_cell(const ScenarioCell& cell) {
   result.cell = cell;
   result.baseline = flow.baseline();
   result.front = outcome.front;
-  result.fidelity_gated = cell_is_gated(cell, spec_.fidelity_gate_max_hidden);
+  result.fidelity_gated =
+      spec_.fidelity && cell_is_gated(cell, spec_.fidelity_gate_max_hidden);
 
   // Distinct front genomes in deterministic (sorted-key) order: the
-  // record order every report and .scell file uses.
+  // record order every report and .scell file uses.  Both passes read the
+  // netlist points straight from the front cache (all hits); a cell with
+  // neither pass makes no lookups.
   std::vector<std::pair<std::string, Genome>> front_genomes;
-  {
+  std::vector<Genome> genomes;
+  std::vector<DesignPoint> netlist_points;
+  if (spec_.fidelity || !spec_.drifts.empty()) {
     std::unordered_set<std::string> seen;
     for (const EvaluatedGenome& eg : outcome.raw.front) {
       std::string key = eg.genome.key();
@@ -583,32 +870,31 @@ ScenarioCellResult ScenarioRunner::run_cell(const ScenarioCell& cell) {
     }
     std::sort(front_genomes.begin(), front_genomes.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
+    genomes.reserve(front_genomes.size());
+    for (const auto& [key, genome] : front_genomes) genomes.push_back(genome);
+    netlist_points = front_eval.cached().evaluate_batch(genomes);
   }
-  std::vector<Genome> genomes;
-  genomes.reserve(front_genomes.size());
-  for (const auto& [key, genome] : front_genomes) genomes.push_back(genome);
 
-  // Proxy-fidelity pass: the netlist points come straight from the front
-  // cache (all hits); the proxy re-pricing is the fidelity stack's job.
-  const std::vector<DesignPoint> netlist_points =
-      front_eval.cached().evaluate_batch(genomes);
-  const std::vector<DesignPoint> proxy_points =
-      fidelity_eval.cached().evaluate_batch(genomes);
-  result.fidelity.reserve(genomes.size());
-  for (std::size_t i = 0; i < genomes.size(); ++i) {
-    FidelityRecord record;
-    record.genome = front_genomes[i].first;
-    record.proxy_area_mm2 = proxy_points[i].area_mm2;
-    record.netlist_area_mm2 = netlist_points[i].area_mm2;
-    const double diff = std::fabs(record.proxy_area_mm2 - record.netlist_area_mm2);
-    record.rel_delta = record.netlist_area_mm2 > 0.0
-                           ? diff / record.netlist_area_mm2
-                           : (diff > 0.0 ? std::numeric_limits<double>::infinity()
-                                         : 0.0);
-    if (record.rel_delta > result.fidelity_max_rel_delta) {
-      result.fidelity_max_rel_delta = record.rel_delta;
+  // Proxy-fidelity pass: the proxy re-pricing is the fidelity stack's job.
+  if (fidelity_eval) {
+    const std::vector<DesignPoint> proxy_points =
+        fidelity_eval->cached().evaluate_batch(genomes);
+    result.fidelity.reserve(genomes.size());
+    for (std::size_t i = 0; i < genomes.size(); ++i) {
+      FidelityRecord record;
+      record.genome = front_genomes[i].first;
+      record.proxy_area_mm2 = proxy_points[i].area_mm2;
+      record.netlist_area_mm2 = netlist_points[i].area_mm2;
+      const double diff = std::fabs(record.proxy_area_mm2 - record.netlist_area_mm2);
+      record.rel_delta = record.netlist_area_mm2 > 0.0
+                             ? diff / record.netlist_area_mm2
+                             : (diff > 0.0 ? std::numeric_limits<double>::infinity()
+                                           : 0.0);
+      if (record.rel_delta > result.fidelity_max_rel_delta) {
+        result.fidelity_max_rel_delta = record.rel_delta;
+      }
+      result.fidelity.push_back(std::move(record));
     }
-    result.fidelity.push_back(std::move(record));
   }
 
   // Drift-robustness pass: realize each frozen front genome once, then
@@ -629,7 +915,8 @@ ScenarioCellResult ScenarioRunner::run_cell(const ScenarioCell& cell) {
     }
   }
 
-  meter.record(result, outcome.raw.evaluations, {&fitness, &front_eval, &fidelity_eval});
+  meter.record(result, outcome.raw.evaluations,
+               {&fitness, &front_eval, fidelity_eval ? &*fidelity_eval : nullptr});
   return result;
 }
 

@@ -17,7 +17,7 @@
 ///                the composable Evaluator backends (proxy/netlist/
 ///                cached/parallel), the persistent evaluation store, the
 ///                hardware-aware NSGA-II, MinimizationFlow, and the
-///                multi-dataset CampaignRunner
+///                ScenarioRunner that runs GA campaigns and scenario grids
 ///  * pnm/hw    — bespoke printed hardware: netlists, EGT technology,
 ///                constant multipliers, circuit generation, analysis,
 ///                Verilog/testbench export
@@ -34,6 +34,7 @@
 #include "pnm/core/prune.hpp"
 #include "pnm/core/qmlp.hpp"
 #include "pnm/core/quantize.hpp"
+#include "pnm/core/scenario.hpp"
 #include "pnm/data/csv.hpp"
 #include "pnm/data/dataset.hpp"
 #include "pnm/data/scaler.hpp"

@@ -1,8 +1,9 @@
-/// Tests for the scenario-matrix layer: spec validation, grid expansion
-/// order, cell fingerprints separating every axis, .scell round-trips,
-/// the grid-spec file parser, and a tiny end-to-end grid — determinism of
-/// grid_json/drift_report across reruns, warm-store resume with zero
-/// fresh evaluations, and worker/collect matching the serial run.
+/// Tests for the cell runner's grid layer: spec validation, grid
+/// expansion order, cell fingerprints separating every axis, .scell
+/// round-trips, the grid-spec file parser, report rendering, a tiny
+/// end-to-end grid — determinism of grid_json/drift_report across reruns,
+/// warm-store resume with zero fresh evaluations, and worker/collect
+/// matching the serial run — and the fidelity-off cell a campaign runs.
 
 #include "pnm/core/scenario.hpp"
 
@@ -125,45 +126,60 @@ TEST(ScenarioSpec, ExpandOrderAndCellIds) {
 TEST(ScenarioSpec, FingerprintSeparatesEveryAxis) {
   const ScenarioSpec spec = tiny_spec();
   const ScenarioCell cell = spec.expand().front();
-  const std::string base = scenario_cell_fingerprint(spec, cell);
-  EXPECT_EQ(base, scenario_cell_fingerprint(spec, cell));  // deterministic
+  const std::string base = spec.fingerprint(cell);
+  EXPECT_EQ(base, spec.fingerprint(cell));  // deterministic
 
   ScenarioCell other = cell;
+  other.dataset = "redwine";
+  EXPECT_NE(base, spec.fingerprint(other));
+  other = cell;
   other.input_bits = 6;
-  EXPECT_NE(base, scenario_cell_fingerprint(spec, other));
+  EXPECT_NE(base, spec.fingerprint(other));
   other = cell;
   other.tech = "egt_lowcost";
-  EXPECT_NE(base, scenario_cell_fingerprint(spec, other));
+  EXPECT_NE(base, spec.fingerprint(other));
   other = cell;
   other.hidden = {16, 8};
-  EXPECT_NE(base, scenario_cell_fingerprint(spec, other));
+  EXPECT_NE(base, spec.fingerprint(other));
   other = cell;
   other.seed += 1;
-  EXPECT_NE(base, scenario_cell_fingerprint(spec, other));
+  EXPECT_NE(base, spec.fingerprint(other));
 
   ScenarioSpec other_spec = tiny_spec();
   other_spec.drifts[0].feature_noise = 0.06;
-  EXPECT_NE(base, scenario_cell_fingerprint(other_spec, cell));
+  EXPECT_NE(base, other_spec.fingerprint(cell));
   other_spec = tiny_spec();
   other_spec.drifts.pop_back();
-  EXPECT_NE(base, scenario_cell_fingerprint(other_spec, cell));
+  EXPECT_NE(base, other_spec.fingerprint(cell));
   other_spec = tiny_spec();
   other_spec.fidelity_gate_max_hidden = 8;
-  EXPECT_NE(base, scenario_cell_fingerprint(other_spec, cell));
+  EXPECT_NE(base, other_spec.fingerprint(cell));
   other_spec = tiny_spec();
   other_spec.ga.generations += 1;
-  EXPECT_NE(base, scenario_cell_fingerprint(other_spec, cell));
+  EXPECT_NE(base, other_spec.fingerprint(cell));
+  other_spec = tiny_spec();
+  other_spec.ga_finetune_epochs += 1;
+  EXPECT_NE(base, other_spec.fingerprint(cell));
+  other_spec = tiny_spec();
+  other_spec.base.train.epochs += 1;
+  EXPECT_NE(base, other_spec.fingerprint(cell));
+  // A cell without the fidelity pass records different results.
+  other_spec = tiny_spec();
+  other_spec.fidelity = false;
+  EXPECT_NE(base, other_spec.fingerprint(cell));
 
   // The tolerance is applied at report time, never during the run —
   // changing it must NOT invalidate published cells.
   other_spec = tiny_spec();
   other_spec.fidelity_tolerance *= 2.0;
-  EXPECT_EQ(base, scenario_cell_fingerprint(other_spec, cell));
+  EXPECT_EQ(base, other_spec.fingerprint(cell));
 }
 
 ScenarioCellResult sample_cell_result() {
   ScenarioCellResult result;
-  result.cell = {"seeds", {16, 8}, 6, "egt_lowcost", 9};
+  // 20 decimal digits: the full uint64 seed range must survive the round
+  // trip (a rejected seed would make the cell permanently stale).
+  result.cell = {"seeds", {16, 8}, 6, "egt_lowcost", 18446744073709551615ULL};
   result.baseline = {"baseline", "b8", 0.9, 12.5, 3.25, 0.125};
   result.front = {{"ga", "b4,4|s30,0|c4,0", 0.875, 6.5, 2.0, 0.0625},
                   {"ga", "b3,3|s0,0|c0,0", 0.75, 4.25, 1.5, 0.03125}};
@@ -177,10 +193,10 @@ ScenarioCellResult sample_cell_result() {
   result.distinct_evaluations = 24;
   result.cache_hits = 7;
   result.cache_misses = 26;
-  result.store_loaded = 0;
+  result.store_loaded = 3;
   result.mcm_hits = 100;
   result.mcm_misses = 13;
-  result.seconds = 1.5;
+  result.seconds = 1.0 / 3.0;
   return result;
 }
 
@@ -191,6 +207,7 @@ TEST(ScenarioCellFile, RoundTripsExactly) {
   const std::optional<ScenarioCellResult> parsed = parse_scenario_cell(text, fp);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->cell.id(), result.cell.id());
+  EXPECT_EQ(parsed->cell.seed, result.cell.seed);
   EXPECT_EQ(parsed->baseline, result.baseline);
   EXPECT_EQ(parsed->front, result.front);
   ASSERT_EQ(parsed->fidelity.size(), result.fidelity.size());
@@ -211,6 +228,11 @@ TEST(ScenarioCellFile, RoundTripsExactly) {
     EXPECT_EQ(parsed->drift[i].drift_accuracy, result.drift[i].drift_accuracy);
   }
   EXPECT_EQ(parsed->distinct_evaluations, result.distinct_evaluations);
+  EXPECT_EQ(parsed->cache_hits, result.cache_hits);
+  EXPECT_EQ(parsed->cache_misses, result.cache_misses);
+  EXPECT_EQ(parsed->store_loaded, result.store_loaded);
+  EXPECT_EQ(parsed->mcm_hits, result.mcm_hits);
+  EXPECT_EQ(parsed->mcm_misses, result.mcm_misses);
   EXPECT_EQ(parsed->seconds, result.seconds);
   // Serialization is itself deterministic.
   EXPECT_EQ(text, format_scenario_cell(*parsed, fp));
@@ -385,27 +407,65 @@ TEST(Scenario, EndToEndDeterminismResumeAndWorkers) {
   EXPECT_EQ(second.cells_skipped_done, 1u);
 }
 
-TEST(Scenario, CellMatchesEquivalentCampaignCell) {
-  // A campaign cell is a scenario cell with the default topology, 4-bit
-  // inputs, the egt node, and no drifts: both must find the same front
-  // against the same baseline.
-  ScenarioSpec scenario = tiny_spec();
-  scenario.drifts.clear();
-  CampaignSpec campaign;
-  campaign.base = scenario.base;
-  campaign.datasets = scenario.datasets;
-  campaign.seeds = scenario.seeds;
-  campaign.ga = scenario.ga;
-  campaign.ga_finetune_epochs = scenario.ga_finetune_epochs;
+TEST(Scenario, FidelityOffCellDoesOnlyTheSearchWork) {
+  // A campaign cell is a cell with the fidelity pass off.  It must find
+  // the same front against the same baseline as the fidelity-on cell,
+  // build no fidelity stack, and look up exactly the search's genomes:
+  // the fidelity pass costs one front-cache lookup and one fidelity-stack
+  // lookup per distinct front genome.
+  ScenarioSpec on = tiny_spec();
+  on.drifts.clear();
+  on.store_dir = fresh_store_dir("fid_on");
+  ScenarioSpec off = on;
+  off.fidelity = false;
+  off.store_dir = fresh_store_dir("fid_off");
 
-  const ScenarioResult grid = ScenarioRunner(scenario).run();
-  const CampaignResult runs = CampaignRunner(campaign).run();
-  ASSERT_EQ(grid.cells.size(), 1u);
-  ASSERT_EQ(runs.runs.size(), 1u);
-  EXPECT_EQ(grid.cells[0].cell.id(), "seeds__hdef__b4__egt__s5");
-  EXPECT_FALSE(grid.cells[0].front.empty());
-  EXPECT_EQ(grid.cells[0].front, runs.runs[0].front);
-  EXPECT_EQ(grid.cells[0].baseline, runs.runs[0].baseline);
+  const ScenarioResult with_pass = ScenarioRunner(on).run();
+  const ScenarioResult without_pass = ScenarioRunner(off).run();
+  ASSERT_EQ(with_pass.cells.size(), 1u);
+  ASSERT_EQ(without_pass.cells.size(), 1u);
+  const ScenarioCellResult& a = with_pass.cells[0];
+  const ScenarioCellResult& b = without_pass.cells[0];
+  EXPECT_EQ(b.cell.id(), "seeds__hdef__b4__egt__s5");
+  EXPECT_FALSE(b.front.empty());
+  EXPECT_EQ(b.front, a.front);
+  EXPECT_EQ(b.baseline, a.baseline);
+  EXPECT_EQ(with_pass.fronts_json(), without_pass.fronts_json());
+  ASSERT_FALSE(a.fidelity.empty());
+  EXPECT_TRUE(b.fidelity.empty());
+  EXPECT_FALSE(b.fidelity_gated);
+  EXPECT_EQ(b.fidelity_max_rel_delta, 0.0);
+  EXPECT_EQ(b.cache_hits + b.cache_misses,
+            a.cache_hits + a.cache_misses - 2 * a.fidelity.size());
+
+  // Stores are named by dataset and seed; only the fidelity-on cell has a
+  // fidproxy store.
+  const auto count_stores = [](const std::string& dir, const std::string& prefix) {
+    std::size_t n = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      n += entry.path().filename().string().rfind(prefix, 0) == 0 ? 1 : 0;
+    }
+    return n;
+  };
+  EXPECT_EQ(count_stores(on.store_dir, "seeds_s5_proxy_"), 1u);
+  EXPECT_EQ(count_stores(on.store_dir, "seeds_s5_netlist_"), 1u);
+  EXPECT_EQ(count_stores(on.store_dir, "seeds_s5_fidproxy_"), 1u);
+  EXPECT_EQ(count_stores(off.store_dir, "seeds_s5_proxy_"), 1u);
+  EXPECT_EQ(count_stores(off.store_dir, "seeds_s5_netlist_"), 1u);
+  EXPECT_EQ(count_stores(off.store_dir, "seeds_s5_fidproxy_"), 0u);
+}
+
+TEST(ScenarioResult, MarkdownMinimumAreaCountsZeroAreaDesigns) {
+  // A front design folded to a constant classifier costs 0 mm^2; the
+  // summary's minimum area must show it, not the next-smallest design.
+  ScenarioCellResult cell = sample_cell_result();
+  cell.front = {{"ga", "b2,2|s70,70|c0,0", 0.25, 0.0, 0.0, 0.0},
+                {"ga", "b4,4|s30,0|c4,0", 0.875, 6.5, 2.0, 0.0625}};
+  ScenarioResult result;
+  result.cells = {cell};
+  const std::string md = result.report_markdown();
+  const std::string row = "| " + cell.cell.id() + " | 2 | 0.875 | 0.00 | ";
+  EXPECT_NE(md.find(row), std::string::npos) << md;
 }
 
 TEST(Scenario, WorkerRequiresStoreAndValidShards) {
