@@ -20,7 +20,6 @@
 
 #include "pnm/core/eval_store.hpp"
 #include "pnm/core/flow.hpp"
-#include "pnm/core/infer_simd.hpp"
 #include "pnm/core/pareto.hpp"
 #include "pnm/util/table.hpp"
 #include "pnm/util/thread_pool.hpp"
@@ -30,12 +29,6 @@ namespace pnm::bench {
 /// Core count stamped into BENCH_*.json records so perf numbers carry
 /// their machine context (the CI runner and a laptop are not comparable).
 inline std::size_t machine_cores() { return ThreadPool::default_thread_count(); }
-
-/// Runtime-detected instruction set the inference engine dispatched to
-/// ("avx2", "neon", or "scalar" — the latter also when PNM_FORCE_SCALAR
-/// is set).  Stamped next to machine_cores so perf rows say which kernel
-/// produced them.
-inline const char* machine_isa() { return simd::isa_name(simd::active_isa()); }
 
 /// Total duplicate records across every eval store directly inside a
 /// cell runner's store directory (the sharding bench's gate).

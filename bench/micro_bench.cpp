@@ -1,146 +1,41 @@
-/// Google-benchmark microbenchmarks of the substrate operations that
-/// dominate the reproduction's runtime: training steps, integer
-/// inference, netlist generation, gate-level simulation, the area proxy,
-/// and one full GA candidate evaluation — plus a batch-evaluation
-/// throughput measurement (serial vs parallel, proxy vs netlist) that
-/// writes BENCH_eval.json to track the evaluation-layer perf trajectory.
-
-#include <benchmark/benchmark.h>
+/// micro_bench — the speed floors of the GA fitness loop's two hot paths,
+/// plus the generator of the deterministic BENCH_mcm.json artifact.
+///
+/// It exits nonzero when a correctness check fails:
+///   * the single-sample, blocked-scalar and blocked-native inference
+///     engines disagree on a realized model's accuracy;
+///   * vectorized fine-tuning moves the batch's mean realized accuracy
+///     away from the scalar+libm reference by more than 0.05;
+///   * MCM sharing loses gate-level bit-exactness or adds adders;
+/// or, on builds with build_info::timing_multiplier() == 1 (no
+/// sanitizer), when a speed floor fails: blocked-scalar below 0.95x
+/// single-sample, native blocks below 1.5x single-sample, or vectorized
+/// fine-tuning below 1.2x scalar+libm.
+///
+/// The floors are one-shot timings with wide margins, not measurements:
+/// repeated, stage-attributed numbers come from `python3 perfbench/run.py`.
+/// BENCH_mcm.json holds adder counts and areas only, so its bytes are the
+/// same on every host and under PNM_FORCE_SCALAR=1.
 
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 
-#include "pnm/core/dense_reference.hpp"
 #include "pnm/core/eval.hpp"
 #include "pnm/core/flow.hpp"
 #include "pnm/core/infer_simd.hpp"
 #include "pnm/core/quantize.hpp"
-#include "pnm/nn/dense_simd.hpp"
-#include "pnm/util/build_info.hpp"
-#include "pnm/data/scaler.hpp"
-#include "pnm/data/synth.hpp"
 #include "pnm/hw/bespoke.hpp"
-#include "pnm/hw/proxy.hpp"
+#include "pnm/nn/dense_simd.hpp"
 #include "pnm/nn/trainer.hpp"
 #include "pnm/util/bits.hpp"
+#include "pnm/util/build_info.hpp"
 #include "pnm/util/rng.hpp"
-#include "pnm/util/thread_pool.hpp"
 
 namespace {
 
 using namespace pnm;
-
-struct Fixture {
-  Dataset data;
-  DataSplit split;
-  Mlp model;
-  QuantizedMlp qmodel;
-
-  static const Fixture& get() {
-    static const Fixture f = [] {
-      Fixture fx;
-      fx.data = make_seeds(1);
-      Rng rng(2);
-      fx.split = stratified_split(fx.data, 0.7, 0.0, 0.3, rng);
-      MinMaxScaler scaler;
-      scale_split(fx.split, scaler);
-      fx.model = Mlp({7, 4, 3}, rng);
-      TrainConfig tc;
-      tc.epochs = 20;
-      Trainer(tc).fit(fx.model, fx.split.train, rng);
-      fx.qmodel = QuantizedMlp::from_float(fx.model, QuantSpec::uniform(2, 4, 4));
-      return fx;
-    }();
-    return f;
-  }
-};
-
-void BM_TrainEpoch(benchmark::State& state) {
-  const auto& fx = Fixture::get();
-  Mlp model = fx.model;
-  TrainConfig tc;
-  tc.epochs = 1;
-  Rng rng(3);
-  for (auto _ : state) {
-    Trainer trainer(tc);
-    trainer.fit(model, fx.split.train, rng);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(fx.split.train.size()));
-}
-BENCHMARK(BM_TrainEpoch);
-
-void BM_FloatInference(benchmark::State& state) {
-  const auto& fx = Fixture::get();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.model.predict(fx.split.test.x[i % fx.split.test.size()]));
-    ++i;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_FloatInference);
-
-void BM_IntegerInference(benchmark::State& state) {
-  const auto& fx = Fixture::get();
-  const auto xq = quantize_input(fx.split.test.x[0], 4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.qmodel.predict_quantized(xq));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_IntegerInference);
-
-void BM_IntegerInferenceScratch(benchmark::State& state) {
-  const auto& fx = Fixture::get();
-  const auto xq = quantize_input(fx.split.test.x[0], 4);
-  InferScratch scratch;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.qmodel.predict_quantized_into(xq, scratch));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_IntegerInferenceScratch);
-
-void BM_BespokeGeneration(benchmark::State& state) {
-  const auto& fx = Fixture::get();
-  for (auto _ : state) {
-    hw::BespokeCircuit circuit(fx.qmodel);
-    benchmark::DoNotOptimize(circuit.netlist().gate_count());
-  }
-}
-BENCHMARK(BM_BespokeGeneration);
-
-void BM_GateLevelSimulation(benchmark::State& state) {
-  const auto& fx = Fixture::get();
-  const hw::BespokeCircuit circuit(fx.qmodel);
-  const auto xq = quantize_input(fx.split.test.x[0], 4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(circuit.predict(xq));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_GateLevelSimulation);
-
-void BM_AreaProxy(benchmark::State& state) {
-  const auto& fx = Fixture::get();
-  const auto& tech = hw::TechLibrary::egt();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hw::estimate_area_mm2(fx.qmodel, tech));
-  }
-}
-BENCHMARK(BM_AreaProxy);
-
-void BM_ExactArea(benchmark::State& state) {
-  const auto& fx = Fixture::get();
-  const auto& tech = hw::TechLibrary::egt();
-  for (auto _ : state) {
-    hw::BespokeCircuit circuit(fx.qmodel);
-    benchmark::DoNotOptimize(circuit.area_mm2(tech));
-  }
-}
-BENCHMARK(BM_ExactArea);
 
 MinimizationFlow& bench_flow() {
   static MinimizationFlow flow = [] {
@@ -154,25 +49,7 @@ MinimizationFlow& bench_flow() {
   return flow;
 }
 
-void BM_GaCandidateEvaluation(benchmark::State& state) {
-  auto& flow = bench_flow();
-  Genome genome;
-  genome.weight_bits = {4, 4};
-  genome.sparsity_pct = {30, 30};
-  genome.clusters = {3, 3};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        flow.evaluate_genome(genome, 2, /*exact_area=*/false, /*use_test_set=*/false));
-  }
-}
-BENCHMARK(BM_GaCandidateEvaluation);
-
-// ---- Batch-evaluation throughput (BENCH_eval.json) ----------------------
-// A GA-generation-sized batch of distinct genomes through each cost
-// backend, serial vs thread-parallel.  Parallel results are bit-identical
-// to serial (per-genome RNG streams), so the speedup column is a pure
-// throughput number, not a quality trade.
-
+/// A GA-generation-sized batch of distinct random genomes.
 std::vector<Genome> batch_genomes(std::size_t n) {
   Rng rng(1234);
   const std::vector<int> sparsity_choices = {0, 10, 20, 30, 40, 50, 60, 70};
@@ -192,399 +69,123 @@ std::vector<Genome> batch_genomes(std::size_t n) {
   return genomes;
 }
 
-struct EvalBenchRecord {
-  std::string backend;
-  std::string mode;
-  std::size_t threads = 1;
-  std::size_t machine_cores = 1;
-  std::size_t genomes = 0;
-  double seconds = 0.0;
-  double genomes_per_sec = 0.0;
-  double speedup_vs_serial = 1.0;
-};
-
-double timed_batch(Evaluator& evaluator, const std::vector<Genome>& genomes) {
-  const auto start = std::chrono::steady_clock::now();
-  const auto points = evaluator.evaluate_batch(genomes);
-  const auto stop = std::chrono::steady_clock::now();
-  benchmark::DoNotOptimize(points.size());
-  return std::chrono::duration<double>(stop - start).count();
-}
-
-void run_eval_throughput_bench(const std::string& json_path) {
-  auto& flow = bench_flow();
-  // The parallel mode must actually fan out: hardware_concurrency workers,
-  // recorded alongside the machine's core count so speedup_vs_serial is
-  // interpretable (a 1.0x "speedup" on a 1-core runner is expected, not a
-  // regression).
-  const std::size_t machine_cores = ThreadPool::default_thread_count();
-  const std::size_t threads = machine_cores;
-  const std::vector<Genome> genomes = batch_genomes(24);
-
-  ProxyEvaluator proxy = flow.proxy_evaluator(/*finetune_epochs=*/2);
-  NetlistEvaluator netlist = flow.netlist_evaluator(/*finetune_epochs=*/2);
-
-  std::vector<EvalBenchRecord> records;
-  auto measure = [&](const std::string& backend, Evaluator& serial_eval) {
-    // Warm-up evaluation outside the timed region (first-touch effects).
-    serial_eval.evaluate(genomes.front());
-
-    EvalBenchRecord serial;
-    serial.backend = backend;
-    serial.mode = "serial";
-    serial.machine_cores = machine_cores;
-    serial.genomes = genomes.size();
-    serial.seconds = timed_batch(serial_eval, genomes);
-    serial.genomes_per_sec = static_cast<double>(serial.genomes) / serial.seconds;
-    records.push_back(serial);
-
-    ParallelEvaluator parallel_eval(serial_eval, threads);
-    EvalBenchRecord parallel;
-    parallel.backend = backend;
-    parallel.mode = "parallel";
-    parallel.threads = parallel_eval.threads();
-    parallel.machine_cores = machine_cores;
-    parallel.genomes = genomes.size();
-    parallel.seconds = timed_batch(parallel_eval, genomes);
-    parallel.genomes_per_sec = static_cast<double>(parallel.genomes) / parallel.seconds;
-    parallel.speedup_vs_serial = serial.seconds / parallel.seconds;
-    records.push_back(parallel);
-  };
-  measure("proxy", proxy);
-  measure("netlist", netlist);
-
-  std::cout << "\n-- batch evaluation throughput (" << genomes.size()
-            << " genomes, " << threads << " worker threads, " << machine_cores
-            << " machine cores) --\n";
-  std::ofstream json(json_path);
-  if (!json) {
-    std::cerr << "error: cannot write " << json_path << '\n';
-    return;
-  }
-  json << "[\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const EvalBenchRecord& r = records[i];
-    std::cout << "  " << r.backend << '/' << r.mode << ": " << r.genomes_per_sec
-              << " genomes/sec";
-    if (r.mode == "parallel") {
-      std::cout << " (speedup vs serial " << r.speedup_vs_serial << "x on "
-                << r.threads << " threads)";
-    }
-    std::cout << '\n';
-    json << "  {\"bench\": \"eval_batch\", \"backend\": \"" << r.backend
-         << "\", \"mode\": \"" << r.mode << "\", \"threads\": " << r.threads
-         << ", \"machine_cores\": " << r.machine_cores
-         << ", \"genomes\": " << r.genomes << ", \"seconds\": " << r.seconds
-         << ", \"genomes_per_sec\": " << r.genomes_per_sec
-         << ", \"speedup_vs_serial\": " << r.speedup_vs_serial << "}"
-         << (i + 1 < records.size() ? "," : "") << '\n';
-  }
-  json << "]\n";
-  std::cout << "(wrote " << json_path << ")\n";
-}
-
-// ---- Inference throughput (BENCH_infer.json) -----------------------------
-// The quantized-inference engine is the fitness loop's hot path: every
-// candidate's accuracy is one streaming pass over the reporting split.
-// This bench realizes the netlist-backend eval batch's genomes once, then
-// measures genome-scoring throughput five ways:
-//   * seed_dense            — the seed implementation's algorithm,
-//                             faithfully reconstructed: dense [out][in]
-//                             weight rows, the dataset re-quantized
-//                             sample-by-sample for every genome, fresh
-//                             scratch vectors per sample;
-//   * engine_single_sample  — the PR-3 flat-CSR engine: dataset
-//                             pre-quantized once, one sample per layer
-//                             pass, reused InferScratch;
-//   * engine_blocked_scalar — the multi-sample engine on the scalar
-//                             kernel: sample-blocked SoA layout, 8
-//                             samples accumulated per weight visit;
-//   * engine_blocked_simd   — the same blocked pass on the runtime-
-//                             dispatched native kernel (AVX2/NEON);
-//                             present only when a native ISA is active;
-//   * engine_parallel       — the blocked engine (active ISA) fanned
-//                             over hardware_concurrency threads.
-// Every mode's per-genome accuracies must agree bit-exactly with the
-// seed path (the engines are bit-exact by construction), and the blocked
-// modes must actually be faster than single-sample on untimed-scaled
-// builds — the bench fails (CI-red) on any violation.
+// ---- Inference engine and fine-tuning floors -----------------------------
+// The batch's genomes are realized once through the netlist backend, then
+// scored on the validation split three ways: single-sample (one sample
+// per layer pass), blocked on the scalar kernel (kSampleBlock samples per
+// weight visit), and blocked on the runtime-dispatched native kernel
+// (AVX2/NEON; skipped when the active ISA is scalar).  The engines are
+// bit-exact by construction, so their accuracies must agree exactly.
 //
-// A second record family ("finetune_math") times the GA's fine-tuning
-// stage (NetlistEvaluator::realize = quantize + STE fine-tune) with the
-// libm softmax reference vs the vectorized fast-exp path, and gates on
-// front quality: mean realized-model accuracy under fast math must match
-// libm within a declared tolerance (the trajectories are not
-// bit-identical; the quality is).
+// The fine-tuning pair runs NetlistEvaluator::realize (quantize + STE
+// fine-tune) twice: "scalar_libm" is the pre-SIMD trainer (per-sample
+// backprop, scalar dense kernels, libm softmax) and "simd_fast" the
+// shipped default (sample-blocked backprop, active-ISA kernels, batch
+// fast-exp softmax).  Fast softmax perturbs trajectories, so the two are
+// not bit-identical; their mean realized accuracy must match within a
+// declared tolerance instead.
 
-struct InferBenchRecord {
-  std::string mode;
-  std::string isa;            ///< kernel the row dispatched to
-  std::size_t sample_block = 1;
-  std::size_t threads = 1;
-  std::size_t machine_cores = 1;
-  std::size_t genomes = 0;
-  std::size_t samples = 0;  ///< reporting-split size (per genome pass)
-  double seconds = 0.0;
-  double genomes_per_sec = 0.0;
-  double samples_per_sec = 0.0;
-  double speedup_vs_seed_serial = 1.0;
-  double speedup_vs_single_sample = 1.0;
-};
-
-bool run_infer_throughput_bench(const std::string& json_path) {
+bool run_speed_floors() {
   auto& flow = bench_flow();
-  const std::size_t machine_cores = ThreadPool::default_thread_count();
   const std::vector<Genome> genomes = batch_genomes(24);
-  const Dataset& val = flow.data().val;
-  const QuantizedDataset qval = quantize_dataset(val, flow.config().input_bits);
-  // The PR-3 engine measured honestly: same data, no blocked layout, so
-  // accuracy() takes the single-sample path.
+  const QuantizedDataset qval = quantize_dataset(flow.data().val, flow.config().input_bits);
+  // No blocked layout, so accuracy() takes the single-sample path.
   QuantizedDataset qval_single = qval;
   qval_single.xb.clear();
 
   const simd::Isa isa = simd::active_isa();
   const bool native_isa = isa != simd::Isa::kScalar;
-  // Speed gates only bind on untimed-scaled builds (sanitizers distort
-  // kernel-relative timings); correctness gates always bind.
+  // Sanitizers distort kernel-relative timings, so the floors bind only
+  // on untimed-scaled builds; the correctness checks always bind.
   const bool timed_build = pnm::build_info::timing_multiplier() == 1;
+  std::cout << "isa: " << simd::isa_name(isa) << '\n';
 
-  // Realize the eval batch's integer models once (untimed): this bench
-  // isolates the inference stage the tentpole rebuilt, not the training
-  // pipeline around it.
   NetlistEvaluator netlist = flow.netlist_evaluator(/*finetune_epochs=*/2);
   std::vector<QuantizedMlp> models;
   models.reserve(genomes.size());
   for (const Genome& g : genomes) models.push_back(netlist.realize(g));
-  std::vector<DenseReferenceModel> seed_models;
-  seed_models.reserve(models.size());
-  for (const QuantizedMlp& q : models) seed_models.emplace_back(q);
 
-  // Bit-exactness gate: every per-sample prediction of the flat engine
-  // must equal the seed dense implementation's.
-  bool bit_exact = true;
-  {
-    InferScratch scratch;
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      for (std::size_t i = 0; i < val.size(); ++i) {
-        const std::size_t engine_pred =
-            models[m].predict_quantized_into(qval.sample(i), scratch);
-        if (engine_pred != seed_models[m].predict(val.x[i])) bit_exact = false;
-      }
-    }
-  }
-
-  // Several passes so per-mode wall time is well above timer resolution.
+  // Several passes so each mode's wall time is well above timer resolution.
   constexpr int kPasses = 150;
-  const auto timed_passes = [&](auto&& body) {
+  const auto seconds_per_pass = [&](std::vector<double>& accs, auto&& accuracy_of) {
+    accs.resize(models.size());
     const auto t0 = std::chrono::steady_clock::now();
-    for (int p = 0; p < kPasses; ++p) body();
+    for (int p = 0; p < kPasses; ++p) {
+      for (std::size_t m = 0; m < models.size(); ++m) accs[m] = accuracy_of(models[m]);
+    }
     const auto t1 = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(t1 - t0).count() / kPasses;
   };
-
-  std::vector<double> acc_seed(models.size()), acc_single(models.size()),
-      acc_bscalar(models.size()), acc_bsimd(models.size()),
-      acc_parallel(models.size());
-
-  const double sec_seed = timed_passes([&] {
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      acc_seed[m] = seed_models[m].accuracy(val);
-    }
+  std::vector<double> acc_single, acc_bscalar, acc_bnative;
+  const double sec_single = seconds_per_pass(
+      acc_single, [&](const QuantizedMlp& q) { return q.accuracy(qval_single); });
+  const double sec_bscalar = seconds_per_pass(acc_bscalar, [&](const QuantizedMlp& q) {
+    return q.accuracy_blocked(qval, simd::Isa::kScalar);
   });
-  const double sec_single = timed_passes([&] {
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      acc_single[m] = models[m].accuracy(qval_single);
-    }
-  });
-  const double sec_bscalar = timed_passes([&] {
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      acc_bscalar[m] = models[m].accuracy_blocked(qval, simd::Isa::kScalar);
-    }
-  });
-  double sec_bsimd = 0.0;
+  bool engines_agree = acc_bscalar == acc_single;
+  std::cout << "inference on " << models.size() << " realized models x " << qval.size()
+            << " samples: blocked-scalar " << sec_single / sec_bscalar << "x single-sample";
+  double sec_bnative = 0.0;
   if (native_isa) {
-    sec_bsimd = timed_passes([&] {
-      for (std::size_t m = 0; m < models.size(); ++m) {
-        acc_bsimd[m] = models[m].accuracy_blocked(qval, isa);
-      }
-    });
-  } else {
-    acc_bsimd = acc_bscalar;  // no native kernel: nothing extra to compare
+    sec_bnative = seconds_per_pass(
+        acc_bnative, [&](const QuantizedMlp& q) { return q.accuracy_blocked(qval, isa); });
+    engines_agree = engines_agree && acc_bnative == acc_single;
+    std::cout << ", blocked-" << simd::isa_name(isa) << ' ' << sec_single / sec_bnative
+              << 'x';
   }
-  ThreadPool pool(machine_cores);
-  const double sec_parallel = timed_passes([&] {
-    pool.parallel_for(models.size(), [&](std::size_t m) {
-      acc_parallel[m] = models[m].accuracy(qval);
-    });
-  });
+  std::cout << "; accuracies agree: " << (engines_agree ? "yes" : "NO (BUG)") << '\n';
 
-  // Every engine and the seed must score every genome identically.
-  bool modes_agree = true;
-  for (std::size_t m = 0; m < models.size(); ++m) {
-    if (acc_single[m] != acc_seed[m] || acc_bscalar[m] != acc_seed[m] ||
-        acc_bsimd[m] != acc_seed[m] || acc_parallel[m] != acc_seed[m]) {
-      modes_agree = false;
-    }
+  bool ok = engines_agree;
+  if (timed_build && sec_bscalar > sec_single * 1.05) {
+    std::cerr << "FAIL: blocked-scalar slower than single-sample ("
+              << sec_single / sec_bscalar << "x)\n";
+    ok = false;
+  }
+  if (timed_build && native_isa && sec_bnative * 1.5 > sec_single) {
+    std::cerr << "FAIL: " << simd::isa_name(isa) << " blocked speedup "
+              << sec_single / sec_bnative << "x vs single-sample, need >= 1.5x\n";
+    ok = false;
   }
 
-  const auto record = [&](const std::string& mode, const char* row_isa,
-                          std::size_t sample_block, std::size_t threads,
-                          double seconds) {
-    InferBenchRecord r;
-    r.mode = mode;
-    r.isa = row_isa;
-    r.sample_block = sample_block;
-    r.threads = threads;
-    r.machine_cores = machine_cores;
-    r.genomes = models.size();
-    r.samples = val.size();
-    r.seconds = seconds;
-    r.genomes_per_sec = static_cast<double>(r.genomes) / seconds;
-    r.samples_per_sec =
-        static_cast<double>(r.genomes * r.samples) / seconds;
-    r.speedup_vs_seed_serial = sec_seed / seconds;
-    r.speedup_vs_single_sample = sec_single / seconds;
-    return r;
-  };
-  const char* scalar_name = simd::isa_name(simd::Isa::kScalar);
-  const char* active_name = simd::isa_name(isa);
-  std::vector<InferBenchRecord> records = {
-      record("seed_dense", scalar_name, 1, 1, sec_seed),
-      record("engine_single_sample", scalar_name, 1, 1, sec_single),
-      record("engine_blocked_scalar", scalar_name, simd::kSampleBlock, 1, sec_bscalar),
-  };
-  if (native_isa) {
-    records.push_back(
-        record("engine_blocked_simd", active_name, simd::kSampleBlock, 1, sec_bsimd));
-  }
-  records.push_back(record("engine_parallel", active_name, simd::kSampleBlock,
-                           machine_cores, sec_parallel));
-
-  // Perf-regression gates on the tentpole's claims (modest floors; the
-  // snapshots record the actual factors).  Blocked-scalar must not lose
-  // to single-sample, and the native kernel must add a real multiplier.
-  bool speed_ok = true;
-  if (timed_build) {
-    if (sec_bscalar > sec_single * 1.05) {
-      std::cerr << "FAIL: blocked-scalar slower than single-sample ("
-                << sec_single / sec_bscalar << "x)\n";
-      speed_ok = false;
-    }
-    if (native_isa && sec_bsimd * 1.5 > sec_single) {
-      std::cerr << "FAIL: " << active_name << " blocked speedup "
-                << sec_single / sec_bsimd << "x vs single-sample, need >= 1.5x\n";
-      speed_ok = false;
-    }
-  }
-
-  std::cout << "\n-- inference throughput on the netlist-backend eval batch ("
-            << models.size() << " genomes x " << val.size() << " samples, "
-            << machine_cores << " machine cores, active isa " << active_name
-            << ") --\n";
-  std::ofstream json(json_path);
-  if (!json) {
-    std::cerr << "error: cannot write " << json_path << '\n';
-    return false;
-  }
-  json << "[\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const InferBenchRecord& r = records[i];
-    std::cout << "  " << r.mode << " [" << r.isa << "]: " << r.genomes_per_sec
-              << " genomes/sec, " << r.samples_per_sec << " samples/sec ("
-              << r.speedup_vs_seed_serial << "x vs seed, "
-              << r.speedup_vs_single_sample << "x vs single-sample)\n";
-    json << "  {\"bench\": \"infer_throughput\", \"mode\": \"" << r.mode
-         << "\", \"isa\": \"" << r.isa
-         << "\", \"sample_block\": " << r.sample_block
-         << ", \"threads\": " << r.threads
-         << ", \"machine_cores\": " << r.machine_cores
-         << ", \"genomes\": " << r.genomes << ", \"samples\": " << r.samples
-         << ", \"seconds\": " << r.seconds
-         << ", \"genomes_per_sec\": " << r.genomes_per_sec
-         << ", \"samples_per_sec\": " << r.samples_per_sec
-         << ", \"speedup_vs_seed_serial\": " << r.speedup_vs_seed_serial
-         << ", \"speedup_vs_single_sample\": " << r.speedup_vs_single_sample
-         << ", \"bit_exact\": " << (bit_exact ? "true" : "false")
-         << ", \"modes_agree\": " << (modes_agree ? "true" : "false") << "},\n";
-  }
-
-  // ---- Fine-tuning wall time: scalar+libm baseline vs vectorized -------
-  // "scalar_libm" reconstructs the pre-SIMD trainer (per-sample backprop,
-  // scalar dense kernels, libm softmax); "simd_fast" is the shipped
-  // default (sample-blocked backprop, active-ISA dense kernels, batch
-  // fast-exp softmax).  Both fine-tune the same genome batch through
-  // NetlistEvaluator::realize; quality is gated, speed is gated on
-  // untimed-scaled native-ISA builds.
   constexpr int kFtPasses = 3;
   constexpr double kFrontQualityTolerance = 0.05;
-  std::vector<double> ft_acc_base, ft_acc_simd;
-  const auto timed_realizes = [&](bool vectorized, std::vector<double>& accs) {
+  const auto realize_batch = [&](bool vectorized, double& mean_accuracy) {
     const bool saved = softmax_fast_math();
     set_softmax_fast_math(vectorized);
     set_blocked_backprop(vectorized);
     simd::force_dense_kernels(vectorized ? isa : simd::Isa::kScalar);
-    accs.clear();
+    mean_accuracy = 0.0;
     const auto t0 = std::chrono::steady_clock::now();
     for (int p = 0; p < kFtPasses; ++p) {
       for (const Genome& g : genomes) {
         const QuantizedMlp q = netlist.realize(g);
-        if (p == 0) accs.push_back(q.accuracy(qval));
+        if (p == 0) mean_accuracy += q.accuracy(qval);
       }
     }
     const auto t1 = std::chrono::steady_clock::now();
     set_softmax_fast_math(saved);
     set_blocked_backprop(true);
     simd::reset_dense_kernels();
+    mean_accuracy /= static_cast<double>(genomes.size());
     return std::chrono::duration<double>(t1 - t0).count() / kFtPasses;
   };
-  const double sec_ft_base = timed_realizes(false, ft_acc_base);
-  const double sec_ft_simd = timed_realizes(true, ft_acc_simd);
-  const double ft_speedup = sec_ft_base / sec_ft_simd;
-
   double mean_base = 0.0, mean_simd = 0.0;
-  for (double a : ft_acc_base) mean_base += a;
-  for (double a : ft_acc_simd) mean_simd += a;
-  mean_base /= static_cast<double>(ft_acc_base.size());
-  mean_simd /= static_cast<double>(ft_acc_simd.size());
+  const double sec_ft_base = realize_batch(false, mean_base);
+  const double sec_ft_simd = realize_batch(true, mean_simd);
   const double ft_quality_delta = mean_simd - mean_base;
-  // Front-quality gate: vectorized fine-tuning must land at the same mean
-  // realized accuracy (declared accuracy-neutral, not bit-identical —
-  // fast softmax perturbs trajectories; the dense kernels do not).
   const bool ft_quality_ok = std::abs(ft_quality_delta) <= kFrontQualityTolerance;
-  bool ft_speed_ok = true;
+  std::cout << "fine-tuning: simd_fast " << sec_ft_base / sec_ft_simd
+            << "x scalar_libm, mean realized accuracy " << mean_base << " -> " << mean_simd
+            << " (delta " << ft_quality_delta << "; within "
+            << kFrontQualityTolerance << ": " << (ft_quality_ok ? "yes" : "NO (BUG)")
+            << ")\n";
+  ok = ok && ft_quality_ok;
   if (timed_build && native_isa && sec_ft_simd * 1.2 > sec_ft_base) {
-    std::cerr << "FAIL: vectorized fine-tuning speedup " << ft_speedup
+    std::cerr << "FAIL: vectorized fine-tuning speedup " << sec_ft_base / sec_ft_simd
               << "x vs scalar+libm, need >= 1.2x\n";
-    ft_speed_ok = false;
+    ok = false;
   }
-
-  std::cout << "  finetune_math: scalar_libm " << sec_ft_base << "s, simd_fast "
-            << sec_ft_simd << "s per pass (" << ft_speedup
-            << "x), mean realized accuracy " << mean_base << " -> " << mean_simd
-            << " (delta " << ft_quality_delta << ")\n";
-  const auto ft_row = [&](const char* mode, const char* row_isa, double seconds,
-                          double mean_acc) {
-    json << "  {\"bench\": \"finetune_math\", \"mode\": \"" << mode
-         << "\", \"isa\": \"" << row_isa
-         << "\", \"machine_cores\": " << machine_cores
-         << ", \"genomes\": " << genomes.size()
-         << ", \"finetune_epochs\": 2, \"seconds\": " << seconds
-         << ", \"speedup_vs_baseline\": " << sec_ft_base / seconds
-         << ", \"mean_realized_accuracy\": " << mean_acc
-         << ", \"quality_delta_vs_baseline\": " << ft_quality_delta
-         << ", \"quality_ok\": " << (ft_quality_ok ? "true" : "false") << "}";
-  };
-  ft_row("scalar_libm", scalar_name, sec_ft_base, mean_base);
-  json << ",\n";
-  ft_row("simd_fast", active_name, sec_ft_simd, mean_simd);
-  json << "\n]\n";
-
-  std::cout << "  bit-exact vs seed path: " << (bit_exact ? "yes" : "NO (BUG)")
-            << ", all engine accuracies agree: "
-            << (modes_agree ? "yes" : "NO (BUG)") << ", front quality: "
-            << (ft_quality_ok ? "ok" : "NO (BUG)") << '\n';
-  std::cout << "(wrote " << json_path << ")\n";
-  return bit_exact && modes_agree && speed_ok && ft_quality_ok && ft_speed_ok;
+  return ok;
 }
 
 // ---- MCM adder-graph sharing (BENCH_mcm.json) ---------------------------
@@ -705,25 +306,8 @@ bool run_mcm_sharing_bench(const std::string& json_path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool list_only = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg(argv[i]);
-    if (arg == "--benchmark_list_tests") {
-      list_only = true;
-    } else if (arg.rfind("--benchmark_list_tests=", 0) == 0) {
-      const std::string value = arg.substr(arg.find('=') + 1);
-      list_only = (value != "false" && value != "0");
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (!list_only) {
-    run_eval_throughput_bench("BENCH_eval.json");
-    if (!run_infer_throughput_bench("BENCH_infer.json")) return 1;
-    if (!run_mcm_sharing_bench("BENCH_mcm.json")) return 1;
-  }
-  return 0;
+int main() {
+  const bool floors_ok = run_speed_floors();
+  const bool mcm_ok = run_mcm_sharing_bench("BENCH_mcm.json");
+  return floors_ok && mcm_ok ? 0 : 1;
 }

@@ -6,14 +6,12 @@
 ///        kept verbatim as the golden baseline the flat CSR engine is
 ///        pinned against.
 ///
-/// Both the bit-exactness tests (tests/core_infer_golden_test.cpp) and
-/// the CI-gating inference bench (bench/micro_bench.cpp) compare the
-/// engine to THIS single reference — dense [out][in] rows, per-sample
-/// input quantization, magnitude-truncate-then-sign MACs, floor-shifted
-/// bias, lowest-index argmax.  One copy means the test and the bench can
-/// never pin different baselines.  Deliberately slow and allocation-happy:
-/// do not "optimize" it, its value is being obviously identical to the
-/// seed algorithm.
+/// The bit-exactness tests (tests/core_infer_golden_test.cpp) compare the
+/// engine to THIS reference — dense [out][in] rows, per-sample input
+/// quantization, magnitude-truncate-then-sign MACs, floor-shifted bias,
+/// lowest-index argmax.  Deliberately slow and allocation-happy: do not
+/// "optimize" it, its value is being obviously identical to the seed
+/// algorithm.
 
 #include <cstdint>
 #include <cstdlib>

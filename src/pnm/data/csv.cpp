@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -123,7 +124,8 @@ CsvLoadResult load_csv_file(const std::string& path, char delimiter) {
 
 void save_csv(const Dataset& data, std::ostream& out, char delimiter) {
   data.validate();
-  out.precision(10);
+  // Enough digits that load_csv reads back the same doubles.
+  out.precision(std::numeric_limits<double>::max_digits10);
   for (std::size_t i = 0; i < data.size(); ++i) {
     for (double v : data.x[i]) out << v << delimiter;
     out << data.y[i] << '\n';

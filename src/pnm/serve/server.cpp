@@ -39,8 +39,8 @@ constexpr std::size_t kMaxUnsentBytes = std::size_t{256} << 10;
 /// due.  On a single CPU the hand-off cannot come from a halted CPU, and
 /// the time polled is taken from the worker and clients sharing it
 /// (pinned to one CPU, perfbench serve_pendigits' p50 and p90 and most
-/// serve_bench serve_scale p99s were lower without polling), so there it
-/// never polls.
+/// p99s of paced two-model loads on 1, 2 and 4 reactors were lower
+/// without polling), so there it never polls.
 constexpr std::chrono::microseconds kPollBeforeBlock{50};
 
 /// Connection events every reactor watches; EPOLLOUT is added only while

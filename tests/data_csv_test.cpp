@@ -6,6 +6,8 @@
 
 #include <sstream>
 
+#include "pnm/data/synth.hpp"
+
 namespace pnm {
 namespace {
 
@@ -86,19 +88,22 @@ TEST(Csv, MissingFileThrows) {
 }
 
 TEST(Csv, SaveLoadRoundTrip) {
-  Dataset d;
-  d.name = "round";
-  d.n_classes = 3;
-  d.x = {{0.5, -1.25}, {2.0, 3.5}, {7.0, 0.0}};
-  d.y = {2, 0, 1};
-  std::stringstream buffer;
-  save_csv(d, buffer);
-  const auto result = load_csv(buffer);
-  ASSERT_EQ(result.data.size(), d.size());
-  EXPECT_EQ(result.data.n_classes, 3U);
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    EXPECT_EQ(result.data.x[i], d.x[i]);
-    EXPECT_EQ(result.data.y[i], d.y[i]);
+  Dataset small;
+  small.name = "round";
+  small.n_classes = 3;
+  small.x = {{0.5, -1.25}, {2.0, 3.5}, {7.0, 0.0}};
+  small.y = {2, 0, 1};
+  // Generated features use every digit of a double.
+  for (const Dataset& d : {small, make_named_dataset("seeds", 77)}) {
+    std::stringstream buffer;
+    save_csv(d, buffer);
+    const auto result = load_csv(buffer);
+    ASSERT_EQ(result.data.size(), d.size()) << d.name;
+    EXPECT_EQ(result.data.n_classes, d.n_classes) << d.name;
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      EXPECT_EQ(result.data.x[i], d.x[i]) << d.name << " row " << i;
+      EXPECT_EQ(result.data.y[i], d.y[i]) << d.name << " row " << i;
+    }
   }
 }
 

@@ -392,19 +392,30 @@ TEST(ServeFault, PoisonedFramesOnOneReactorWhileOthersServe) {
   server.stop();
 }
 
-TEST(ServeFault, SwapStormDuringRoutedLoadPreservesPerModelIsolation) {
+/// The parameter says whether "beta" also swaps twice during alpha's storm.
+class SwapStorm : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SwapStorm, RoutedLoadPreservesPerModelIsolation) {
   // Two models; the default ("alpha") is swapped back and forth under
   // live load while "beta" serves a concurrent loadgen.  Alpha's verify
-  // map pins every version to the design that must have produced it;
-  // beta verifying ONLY version 1 proves the storm never touched it.
+  // map pins every version to the design that must have produced it.
+  // Without beta swaps, beta verifying ONLY version 1 proves the storm
+  // never touched it; with them, beta's own ledger must count exactly
+  // its two swaps while alpha's stays as it was.
+  const bool beta_swaps = GetParam();
   const QuantizedMlp alpha_v1 = make_model(54);
   const QuantizedMlp alpha_alt = make_model(55);
   const QuantizedMlp beta_ref = make_model(56);
+  const QuantizedMlp beta_alt = make_model(57);
 
   const std::string path_a = ::testing::TempDir() + "pnm_fault_swap_a.pnm";
   const std::string path_alt = ::testing::TempDir() + "pnm_fault_swap_alt.pnm";
+  const std::string path_b = ::testing::TempDir() + "pnm_fault_swap_b.pnm";
+  const std::string path_b_alt = ::testing::TempDir() + "pnm_fault_swap_b_alt.pnm";
   ASSERT_TRUE(save_quantized_mlp(alpha_v1, path_a, "a"));
   ASSERT_TRUE(save_quantized_mlp(alpha_alt, path_alt, "a-alt"));
+  ASSERT_TRUE(save_quantized_mlp(beta_ref, path_b, "b"));
+  ASSERT_TRUE(save_quantized_mlp(beta_alt, path_b_alt, "b-alt"));
 
   ServeConfig config;
   config.reactors = 2;
@@ -434,7 +445,12 @@ TEST(ServeFault, SwapStormDuringRoutedLoadPreservesPerModelIsolation) {
   load_b.total_requests = 300;
   load_b.samples = &samples_b;
   load_b.model_name = "beta";
-  load_b.verify[1] = &beta_ref;  // ONLY v1: any other version is a failure
+  load_b.verify[1] = &beta_ref;  // without beta swaps, ONLY v1 may answer
+  if (beta_swaps) {
+    load_b.swaps = {{100, path_b_alt}, {200, path_b}};
+    load_b.verify[2] = &beta_alt;
+    load_b.verify[3] = &beta_ref;
+  }
 
   LoadGenReport report_a;
   LoadGenReport report_b;
@@ -449,25 +465,40 @@ TEST(ServeFault, SwapStormDuringRoutedLoadPreservesPerModelIsolation) {
                              << " swap_failures=" << report_a.swap_failures;
   EXPECT_TRUE(report_b.ok()) << "beta: received=" << report_b.received
                              << " mismatches=" << report_b.mismatches
-                             << " unknown_version=" << report_b.unknown_version;
-  // Beta saw exactly one version across the whole storm.
-  ASSERT_EQ(report_b.responses_by_version.size(), 1U);
-  EXPECT_EQ(report_b.responses_by_version.begin()->first, 1U);
+                             << " unknown_version=" << report_b.unknown_version
+                             << " swap_failures=" << report_b.swap_failures;
+  if (beta_swaps) {
+    EXPECT_GE(report_b.responses_by_version.size(), 2U);  // a swap landed mid-stream
+  } else {
+    // Beta saw exactly one version across the whole storm.
+    ASSERT_EQ(report_b.responses_by_version.size(), 1U);
+    EXPECT_EQ(report_b.responses_by_version.begin()->first, 1U);
+  }
 
+  const std::uint64_t beta_swaps_ok = beta_swaps ? 2 : 0;
   const MetricsSnapshot stats = server.stats();
-  EXPECT_EQ(stats.swaps_ok, 4U);
+  EXPECT_EQ(stats.swaps_ok, 4U + beta_swaps_ok);
   EXPECT_EQ(stats.swaps_failed, 0U);
   ASSERT_EQ(stats.models.size(), 2U);
   EXPECT_EQ(stats.models[0].version, 5U);   // alpha: 1 + 4 swaps
-  EXPECT_EQ(stats.models[1].version, 1U);   // beta: untouched
+  EXPECT_EQ(stats.models[0].swaps_ok, 4U);
+  EXPECT_EQ(stats.models[1].version, 1U + beta_swaps_ok);
+  EXPECT_EQ(stats.models[1].swaps_ok, beta_swaps_ok);
   EXPECT_EQ(stats.models[0].responses, report_a.received);
   EXPECT_EQ(stats.models[1].responses, report_b.received);
   EXPECT_EQ(stats.dropped_responses, 0U);
 
   server.stop();
-  std::remove(path_a.c_str());
-  std::remove(path_alt.c_str());
+  for (const std::string& path : {path_a, path_alt, path_b, path_b_alt}) {
+    std::remove(path.c_str());
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(BetaSwaps, SwapStorm, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? std::string("BetaSwapsTwice")
+                                             : std::string("BetaServesOnly");
+                         });
 
 }  // namespace
 }  // namespace pnm::serve

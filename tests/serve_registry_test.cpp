@@ -3,8 +3,8 @@
 /// model, typed unknown-model errors that leave the connection serving,
 /// per-model swap isolation (swapping A never moves B's version), and
 /// the multi-reactor accounting identities — two concurrent loadgens on
-/// different models of a 2-reactor server must reconcile exactly with
-/// the aggregated server-side stats snapshot.
+/// different models of a 2- or 4-reactor server must reconcile exactly
+/// with the aggregated server-side stats snapshot.
 
 #include "pnm/serve/registry.hpp"
 
@@ -177,9 +177,12 @@ TEST(ModelRegistryServer, PerModelSwapIsolation) {
   std::remove(path.c_str());
 }
 
-TEST(ModelRegistryServer, TwoReactorLoadgenTotalsReconcileWithServerStats) {
+class MultiReactorServer : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(MultiReactorServer, LoadgenTotalsReconcileWithServerStats) {
+  const std::size_t reactors = GetParam();
   ServeConfig config;
-  config.reactors = 2;
+  config.reactors = reactors;
   Server server(config, make_registry_ab(28, 29));
   server.start();
 
@@ -223,9 +226,18 @@ TEST(ModelRegistryServer, TwoReactorLoadgenTotalsReconcileWithServerStats) {
   }));
   const MetricsSnapshot stats = server.stats();
   EXPECT_EQ(stats.requests_total, 2 * per_gen);
-  ASSERT_EQ(stats.requests_by_reactor.size(), 2U);
-  EXPECT_EQ(stats.requests_by_reactor[0] + stats.requests_by_reactor[1],
-            stats.requests_total);  // per-reactor admissions cover the total
+  ASSERT_EQ(stats.requests_by_reactor.size(), reactors);
+  std::uint64_t by_reactor = 0;
+  for (const std::uint64_t n : stats.requests_by_reactor) by_reactor += n;
+  EXPECT_EQ(by_reactor, stats.requests_total);  // per-reactor admissions cover the total
+  std::uint64_t hist_batches = 0;
+  std::uint64_t hist_responses = 0;
+  for (std::size_t s = 1; s < stats.batch_size_hist.size(); ++s) {
+    hist_batches += stats.batch_size_hist[s];
+    hist_responses += stats.batch_size_hist[s] * s;
+  }
+  EXPECT_EQ(hist_batches, stats.batches_total);  // the histogram covers every batch
+  EXPECT_EQ(hist_responses, stats.responses_total);  // ...and every response
   ASSERT_EQ(stats.models.size(), 2U);
   EXPECT_EQ(stats.models[0].name, "alpha");
   EXPECT_EQ(stats.models[0].responses, report_a.received);
@@ -235,8 +247,14 @@ TEST(ModelRegistryServer, TwoReactorLoadgenTotalsReconcileWithServerStats) {
             stats.responses_total);  // per-model responses cover the total
   EXPECT_EQ(stats.predict_errors, 0U);
   EXPECT_EQ(stats.unknown_model, 0U);
+  EXPECT_EQ(stats.protocol_errors, 0U);
+  EXPECT_EQ(stats.dropped_responses, 0U);
   server.stop();
 }
+
+INSTANTIATE_TEST_SUITE_P(Reactors, MultiReactorServer,
+                         ::testing::Values(std::size_t{2}, std::size_t{4}),
+                         ::testing::PrintToStringParamName());
 
 TEST(ModelRegistryServer, StatsJsonCarriesReactorAndModelBreakdown) {
   ServeConfig config;
