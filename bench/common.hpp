@@ -11,40 +11,17 @@
 /// printed so the printed-technology scale (cm^2!) is visible.
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "pnm/core/eval_store.hpp"
 #include "pnm/core/flow.hpp"
 #include "pnm/core/pareto.hpp"
 #include "pnm/util/table.hpp"
-#include "pnm/util/thread_pool.hpp"
 
 namespace pnm::bench {
-
-/// Core count stamped into BENCH_*.json records so perf numbers carry
-/// their machine context (the CI runner and a laptop are not comparable).
-inline std::size_t machine_cores() { return ThreadPool::default_thread_count(); }
-
-/// Total duplicate records across every eval store directly inside a
-/// cell runner's store directory (the sharding bench's gate).
-inline std::size_t store_duplicates(const std::string& store_dir) {
-  std::size_t duplicates = 0;
-  std::error_code ec;
-  std::filesystem::directory_iterator it(store_dir, ec);
-  if (ec) return duplicates;
-  for (const std::filesystem::directory_entry& entry : it) {
-    if (!entry.is_directory(ec) || ec) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.size() < 10 || name.substr(name.size() - 10) != ".evalstore") continue;
-    duplicates += EvalStore::count_duplicate_records(entry.path().string());
-  }
-  return duplicates;
-}
 
 /// The flow configuration used by all figure benches (full-size runs; the
 /// unit tests use reduced budgets instead).

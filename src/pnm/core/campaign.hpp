@@ -5,10 +5,11 @@
 /// \brief The evaluation-context fingerprint that names every persistent
 ///        EvalStore.
 ///
-/// GA campaigns themselves are one-axis scenario grids: campaign_main
-/// builds a pnm::ScenarioSpec with the default topology, 4-bit inputs, the
-/// `egt` node, no drifts and the fidelity pass off, and runs it through
-/// pnm::ScenarioRunner (pnm/core/scenario.hpp).  This header keeps the one
+/// GA campaigns themselves are one-axis scenario grids: a
+/// pnm::ScenarioSpec with the default topology, 4-bit inputs, the `egt`
+/// node, no drifts and the fidelity pass off (a scenario_main spec file
+/// with `fidelity off`), run by pnm::ScenarioRunner
+/// (pnm/core/scenario.hpp).  This header keeps the one
 /// piece both the runner and the repository benchmark key their stores
 /// by.
 

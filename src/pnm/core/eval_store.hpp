@@ -166,7 +166,8 @@ class EvalStore {
   /// Records skipped at preload because their key was already present
   /// (last-write-wins merge).  Nonzero only when two writers raced the
   /// same genome — the cell scheduler's claim protocol keeps this at 0,
-  /// and bench/scenario_bench.cpp fails if it ever is not.
+  /// and tests/core_campaign_test.cpp's two-process test fails if a
+  /// shared store ever holds one (count_duplicate_records()).
   /// \return duplicate-record count observed during preload.
   [[nodiscard]] std::size_t duplicates() const;
 

@@ -61,13 +61,14 @@ FlowConfig cell_flow_config(const ScenarioSpec& spec, const ScenarioCell& cell) 
   return config;
 }
 
-std::vector<std::size_t> resolved_hidden(const ScenarioCell& cell) {
-  return cell.hidden.empty() ? MinimizationFlow::default_hidden(cell.dataset)
-                             : cell.hidden;
+/// The hidden widths a topology means on `dataset` ({} = its default).
+std::vector<std::size_t> resolved_hidden(const std::string& dataset,
+                                         const std::vector<std::size_t>& hidden) {
+  return hidden.empty() ? MinimizationFlow::default_hidden(dataset) : hidden;
 }
 
 bool cell_is_gated(const ScenarioCell& cell, std::size_t max_hidden) {
-  for (std::size_t w : resolved_hidden(cell)) {
+  for (std::size_t w : resolved_hidden(cell.dataset, cell.hidden)) {
     if (w > max_hidden) return false;
   }
   return true;
@@ -143,7 +144,7 @@ std::string front_json(const std::vector<DesignPoint>& front, const std::string&
 class CellEvalStack {
  public:
   CellEvalStack(PipelineEvaluator& backend, ThreadPool& pool, const FlowConfig& flow,
-                const std::string& store_stem, const char* tag, std::size_t writer_id)
+                const std::string& store_stem, const char* tag)
       : parallel_(backend, pool) {
     if (store_stem.empty()) {
       cached_.emplace(parallel_);
@@ -152,7 +153,7 @@ class CellEvalStack {
     // One store per cell x backend, named by fingerprint, so a config
     // change opens a fresh store instead of invalidating the old one.
     const std::string fp = eval_fingerprint(flow, backend.config(), backend.name());
-    store_.emplace(store_stem + "_" + tag + "_" + fp + ".evalstore", fp, writer_id);
+    store_.emplace(store_stem + "_" + tag + "_" + fp + ".evalstore", fp);
     cached_.emplace(parallel_, *store_);
   }
 
@@ -279,15 +280,18 @@ void ScenarioSpec::validate() const {
   if (topologies.empty()) {
     throw std::invalid_argument("ScenarioSpec: topology list must be non-empty");
   }
-  {
+  // Two topologies that resolve to the same widths on a dataset are one
+  // network: they would run one search twice, into the same stores.
+  for (const std::string& d : datasets) {
     std::unordered_set<std::string> seen;
     for (const auto& hidden : topologies) {
-      for (std::size_t w : hidden) {
-        if (w == 0) throw std::invalid_argument("ScenarioSpec: zero hidden width");
+      if (std::find(hidden.begin(), hidden.end(), 0) != hidden.end()) {
+        throw std::invalid_argument("ScenarioSpec: zero hidden width");
       }
-      if (!seen.insert(hidden_token(hidden)).second) {
-        throw std::invalid_argument("ScenarioSpec: duplicate topology " +
-                                    hidden_token(hidden));
+      const std::string widths = hidden_token(resolved_hidden(d, hidden));
+      if (!seen.insert(widths).second) {
+        throw std::invalid_argument("ScenarioSpec: duplicate topology " + widths +
+                                    " on dataset '" + d + "'");
       }
     }
   }
@@ -829,8 +833,8 @@ ScenarioCellResult ScenarioRunner::run_cell(const ScenarioCell& cell) {
       spec_.store_dir.empty()
           ? ""
           : spec_.store_dir + "/" + cell.dataset + "_s" + std::to_string(cell.seed);
-  CellEvalStack fitness(proxy, pool_, config, stem, "proxy", spec_.writer_id);
-  CellEvalStack front_eval(netlist, pool_, config, stem, "netlist", spec_.writer_id);
+  CellEvalStack fitness(proxy, pool_, config, stem, "proxy");
+  CellEvalStack front_eval(netlist, pool_, config, stem, "netlist");
   // The fidelity stack: proxy backend at the *front's* fine-tune budget on
   // the test split, so it realizes and prices the identical integer model
   // the netlist front evaluation measures.
@@ -839,8 +843,7 @@ ScenarioCellResult ScenarioRunner::run_cell(const ScenarioCell& cell) {
   if (spec_.fidelity) {
     fidelity_proxy.emplace(
         flow.proxy_evaluator(config.finetune_epochs, /*use_test_set=*/true));
-    fidelity_eval.emplace(*fidelity_proxy, pool_, config, stem, "fidproxy",
-                          spec_.writer_id);
+    fidelity_eval.emplace(*fidelity_proxy, pool_, config, stem, "fidproxy");
   }
 
   const MinimizationFlow::GaOutcome outcome =
@@ -979,6 +982,7 @@ std::vector<std::string> split_csv_tokens(std::string_view csv) {
 
 ScenarioSpec parse_scenario_spec(std::string_view text) {
   ScenarioSpec spec;
+  std::unordered_set<std::string_view> keys_seen;
   std::size_t line_no = 0;
   for (std::string_view raw_line : split_fields(text, '\n')) {
     ++line_no;
@@ -991,6 +995,10 @@ ScenarioSpec parse_scenario_spec(std::string_view text) {
     const std::string_view key = line.substr(0, space);
     const std::string_view value = trim(line.substr(space + 1));
     if (value.empty()) bad_spec_line(line_no, "empty value");
+    // A second line of a key would silently replace the first.
+    if (key != "drift" && !keys_seen.insert(key).second) {
+      bad_spec_line(line_no, "repeated key '" + std::string(key) + "'");
+    }
 
     const auto parse_count = [&](const char* what) {
       const std::optional<std::size_t> v = parse_size_strict(value);
@@ -1054,6 +1062,9 @@ ScenarioSpec parse_scenario_spec(std::string_view text) {
       spec.base.finetune_epochs = parse_count("finetune");
     } else if (key == "ga_finetune") {
       spec.ga_finetune_epochs = parse_count("ga_finetune");
+    } else if (key == "fidelity") {
+      if (value != "on" && value != "off") bad_spec_line(line_no, "bad fidelity (on|off)");
+      spec.fidelity = value == "on";
     } else if (key == "fidelity_tolerance") {
       const std::optional<double> v = parse_double_strict(value);
       if (!v) bad_spec_line(line_no, "bad fidelity_tolerance");

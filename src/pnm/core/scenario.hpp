@@ -8,11 +8,12 @@
 ///        result stores, a cross-process work queue, and two optional
 ///        measurements on every cell's final front.
 ///
-/// A GA campaign is a one-axis grid: campaign_main builds a ScenarioSpec
-/// with the default topology, 4-bit inputs, the `egt` node, no drifts and
-/// the fidelity pass off, so its cells do exactly the search's work.  For
-/// every cell the runner prepares a MinimizationFlow and composes the two
-/// evaluator stacks of the search on one shared ThreadPool —
+/// A GA campaign is a one-axis grid: its spec lists datasets, seeds and
+/// budgets and turns the fidelity pass off, so its cells (default
+/// topology, 4-bit inputs, the `egt` node, no drifts) do exactly the
+/// search's work.  For every cell the runner prepares a MinimizationFlow
+/// and composes the two evaluator stacks of the search on one shared
+/// ThreadPool —
 ///
 ///     GA fitness:  stored+cached( parallel( proxy,   shared pool ) )
 ///     front eval:  stored+cached( parallel( netlist, shared pool ) )
@@ -33,9 +34,10 @@
 ///     front's fine-tune budget, test split); the relative delta
 ///     |proxy - netlist| / netlist is recorded per genome.  Cells whose
 ///     resolved hidden widths are all <= fidelity_gate_max_hidden are
-///     *gated*: bench/scenario_bench.cpp exits nonzero when any gated
-///     delta exceeds ScenarioSpec::fidelity_tolerance.  Wider/deeper
-///     cells are recorded but ungated.
+///     *gated*: ScenarioResult::fidelity_violations() counts the gated
+///     cells whose delta exceeds ScenarioSpec::fidelity_tolerance, and
+///     tests/core_campaign_test.cpp fails on any for its reference grid.
+///     Wider/deeper cells are recorded but ungated.
 ///
 ///   * drift robustness (ScenarioSpec::drifts) — each frozen front genome
 ///     is realized once and re-scored on seeded perturbations of the
@@ -129,15 +131,16 @@ struct ScenarioSpec {
   /// Runs the proxy-fidelity pass.  Off, a cell builds only the GA
   /// fitness and front stacks, records no fidelity, is never gated, and
   /// (without drifts) skips the front-genome lookups too, so it does
-  /// exactly the search's work — campaign_main turns it off.
+  /// exactly the search's work — a campaign spec turns it off.
   bool fidelity = true;
   /// Hard bound on the relative proxy-vs-netlist area delta for *gated*
   /// cells (see fidelity_gate_max_hidden).  The analytic proxy is a
   /// ranking signal, not an absolute-area model: on printed-scale fronts
-  /// the measured worst-case delta is ~2.2x (BENCH_scenario.json records
-  /// max_gated_rel_delta), so the default gates at 3.0 — wide enough for
-  /// the known bias, tight enough that a proxy-formula or netlist-DCE
-  /// regression (order-of-magnitude shifts) still trips the bench.
+  /// the measured worst-case delta is ~2.2x (max gated delta 2.19 on the
+  /// reference grid of tests/core_campaign_test.cpp's two-process test),
+  /// so the default gates at 3.0 — wide enough for the known bias, tight
+  /// enough that a proxy-formula or netlist-DCE regression
+  /// (order-of-magnitude shifts) still trips that test.
   double fidelity_tolerance = 3.0;
   /// A cell is fidelity-gated iff every resolved hidden width is <= this
   /// (the small-topology regime where proxy fidelity is already claimed);
@@ -149,17 +152,13 @@ struct ScenarioSpec {
   /// persistence (run() still works; nothing survives the process).
   std::string store_dir;
   std::size_t threads = 0;   ///< shared worker pool; 0 = hardware
-  /// Preferred EvalStore segment id for this *process* (see
-  /// EvalStore::EvalStore): cooperating worker processes pass distinct
-  /// ids so each lands on its own segment without probing.  Collisions
-  /// are still safe, so the default 0 is always correct.
-  std::size_t writer_id = 0;
 
-  /// \throws std::invalid_argument on empty/duplicate axis lists, an
-  ///         unknown dataset or malformed "synth:" token, an unknown tech
-  ///         node, input bits outside [1, 16], duplicate drift names, or a
-  ///         non-finite/non-positive fidelity tolerance (GaConfig::validate
-  ///         covers the GA fields).
+  /// \throws std::invalid_argument on empty/duplicate axis lists (two
+  ///         topologies duplicate when they resolve to the same widths on
+  ///         a dataset), an unknown dataset or malformed "synth:" token,
+  ///         an unknown tech node, input bits outside [1, 16], duplicate
+  ///         drift names, or a non-finite/non-positive fidelity tolerance
+  ///         (GaConfig::validate covers the GA fields).
   void validate() const;
 
   /// The grid, datasets-major then topologies, input_bits, tech_nodes,
@@ -280,7 +279,7 @@ struct ScenarioResult {
 
   /// Deterministic drift-robustness report: one tab-separated line per
   /// (cell, drift, genome).  Same determinism contract as grid_json; the
-  /// bench runs the pass twice and byte-compares this.
+  /// two-process test and CI byte-compare it across runs.
   [[nodiscard]] std::string drift_report() const;
 
   /// Full JSON report: totals, per-cell cache/timing statistics, the grid
@@ -359,11 +358,13 @@ std::optional<ScenarioResult> collect_scenario(const ScenarioSpec& spec);
 ///   seeds      42,43
 ///   drift      NAME FEATURE_NOISE PRIOR_SHIFT SEED     (repeatable)
 ///   pop/gens/train_epochs/finetune/ga_finetune  N
+///   fidelity   on|off                                  (default on)
 ///   fidelity_tolerance X
 ///   fidelity_gate_max_hidden N
 ///
-/// Unlisted keys keep ScenarioSpec defaults; store_dir/threads/writer_id
-/// are CLI-side.  The returned spec is validate()d.
+/// Each key but `drift` may appear once.  Unlisted keys keep ScenarioSpec
+/// defaults; store_dir/threads are CLI-side.  The returned spec is
+/// validate()d.
 /// \throws std::invalid_argument naming the offending line.
 ScenarioSpec parse_scenario_spec(std::string_view text);
 

@@ -3,9 +3,10 @@
 /// fingerprints, report rendering, the resume guarantee (a warm rerun
 /// against a populated store produces byte-identical Pareto fronts while
 /// re-evaluating zero previously-seen genomes, including against a store
-/// an earlier campaign_main wrote), and the campaign's use of the cell
-/// scheduler: worker passes and worker processes matching a serial run
-/// (the scheduler's own claim lifecycle is tested in core_cell_queue_test).
+/// an earlier build wrote), and the campaign's use of the cell scheduler:
+/// worker passes and worker processes matching a serial run, the latter
+/// also on a reference grid with the fidelity gate and drifts (the
+/// scheduler's own claim lifecycle is tested in core_cell_queue_test).
 
 #include "pnm/core/campaign.hpp"
 
@@ -24,8 +25,8 @@ namespace pnm {
 namespace {
 
 /// Tiny-but-real campaign: small models, short training, small GA, and
-/// the axes campaign_main uses (default topology, 4-bit inputs, egt, no
-/// drifts, no fidelity pass).
+/// a campaign's axes (default topology, 4-bit inputs, egt, no drifts, no
+/// fidelity pass).
 ScenarioSpec tiny_spec() {
   ScenarioSpec spec;
   spec.datasets = {"seeds"};
@@ -119,10 +120,9 @@ TEST(Campaign, WarmRerunIsByteIdenticalAndFullyCached) {
 
 TEST(Campaign, StoreWrittenByEarlierBuildStaysWarm) {
   // tests/data holds the two eval stores and the fronts.json that an
-  // earlier campaign_main wrote for
-  //   --datasets seeds --seeds 5 --pop 8 --gens 3 --train-epochs 12
-  //   --finetune 3 --ga-finetune 1
-  // (tiny_spec()).  The runner must find both stores under their
+  // earlier build's campaign CLI wrote for tiny_spec(): datasets seeds,
+  // seeds 5, pop 8, gens 3, train_epochs 12, finetune 3, ga_finetune 1,
+  // fidelity off.  The runner must find both stores under their
   // <dataset>_s<seed>_<tag>_<fp> names, evaluate nothing, write no new
   // store, and render the same fronts bytes — pinning the stem rule, the
   // fingerprints and the fronts rendering across versions.
@@ -242,29 +242,60 @@ TEST(Campaign, WorkerPassesMatchSerialAndSkipDoneCells) {
   EXPECT_EQ(sharded->fronts_json(), serial.fronts_json());
 }
 
-TEST(Campaign, TwoWorkerProcessesMatchSerial) {
-  // The acceptance invariant at unit level: two real worker processes
-  // draining one campaign produce byte-identical merged fronts to the
-  // serial run, with zero duplicate evaluations in the shared store.
-  ScenarioSpec spec = tiny_spec();
-  spec.seeds = {5, 6};  // two cells on one dataset
-  spec.store_dir = fresh_store_dir("twoproc");
+/// One input of the two-process test: a spec (store_dir unset) and how
+/// many of its cells the fidelity gate covers.
+struct TwoProcessCase {
+  const char* name;
+  ScenarioSpec (*spec)();
+  std::size_t gated_cells;
+};
 
-  ASSERT_TRUE(run_worker_processes(2, [&](std::size_t j) {
-    ScenarioSpec child_spec = spec;
-    child_spec.writer_id = j;
-    ScenarioRunner(std::move(child_spec)).run_worker();
+ScenarioSpec two_seed_campaign() {  // two cells on one dataset
+  ScenarioSpec spec = tiny_spec();
+  spec.seeds = {5, 6};
+  return spec;
+}
+
+/// The reference grid: a paper analog and a synthetic-sweep point of
+/// similar size, each at its default printed-scale topology (gated) and
+/// a wider/deeper one (24-16, above the 16-wide gate -> recorded
+/// ungated), with the fidelity pass and two drifts.
+ScenarioSpec fidelity_drift_grid() {
+  ScenarioSpec spec;
+  spec.datasets = {"seeds", "synth:f8:c3:n600:sep2:ord0:k1:ln0.05"};
+  spec.topologies = {{}, {24, 16}};
+  spec.base.train.epochs = 20;
+  spec.base.finetune_epochs = 5;
+  spec.ga.population = 10;
+  spec.ga.generations = 4;
+  spec.drifts = {{"noise", 0.05, 0.0, 11}, {"shift", 0.0, 0.3, 12}};
+  return spec;
+}
+
+class TwoWorkerProcessesMatchSerial : public ::testing::TestWithParam<TwoProcessCase> {};
+
+TEST_P(TwoWorkerProcessesMatchSerial, AndKeepEveryGate) {
+  // Two real worker processes draining one spec match a serial run byte
+  // for byte with zero duplicate evaluations; a warm rerun evaluates
+  // nothing; the gated fidelity deltas stay within tolerance.
+  const TwoProcessCase& param = GetParam();
+  ScenarioSpec spec = param.spec();
+  spec.store_dir = fresh_store_dir(std::string("twoproc_") + param.name);
+
+  ASSERT_TRUE(run_worker_processes(2, [&](std::size_t) {
+    ScenarioRunner(spec).run_worker();
     return 0;
   }));
-
   const std::optional<ScenarioResult> sharded = collect_scenario(spec);
   ASSERT_TRUE(sharded.has_value());
-  ASSERT_EQ(sharded->cells.size(), 2u);
+  ASSERT_EQ(sharded->cells.size(), spec.expand().size());
 
   ScenarioSpec serial_spec = spec;
-  serial_spec.store_dir.clear();  // persistence-free reference
+  serial_spec.store_dir = fresh_store_dir(std::string("twoproc_serial_") + param.name);
   const ScenarioResult serial = ScenarioRunner(serial_spec).run();
   EXPECT_EQ(sharded->fronts_json(), serial.fronts_json());
+  EXPECT_EQ(sharded->grid_json(), serial.grid_json());
+  EXPECT_EQ(sharded->drift_report(), serial.drift_report());
   EXPECT_EQ(sharded->total_cache_misses(), serial.total_cache_misses());
 
   // Zero duplicate evaluations recorded anywhere in the shared store.
@@ -276,7 +307,27 @@ TEST(Campaign, TwoWorkerProcessesMatchSerial) {
     EXPECT_EQ(EvalStore::count_duplicate_records(entry.path().string()), 0u)
         << entry.path();
   }
+
+  const ScenarioResult warm = ScenarioRunner(serial_spec).run();
+  EXPECT_EQ(warm.total_cache_misses(), 0u);
+  EXPECT_EQ(warm.grid_json(), serial.grid_json());
+  EXPECT_EQ(warm.drift_report(), serial.drift_report());
+
+  std::size_t gated = 0;
+  for (const ScenarioCellResult& cell : serial.cells) gated += cell.fidelity_gated;
+  EXPECT_EQ(gated, param.gated_cells);
+  EXPECT_EQ(serial.fidelity_violations(spec.fidelity_tolerance), 0u)
+      << "max gated delta " << serial.max_gated_rel_delta() << ", tolerance "
+      << spec.fidelity_tolerance;
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Campaign, TwoWorkerProcessesMatchSerial,
+    ::testing::Values(TwoProcessCase{"two_seed_campaign", two_seed_campaign, 0},
+                      TwoProcessCase{"fidelity_drift_grid", fidelity_drift_grid, 2}),
+    [](const ::testing::TestParamInfo<TwoProcessCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Campaign, ReportsNameDatasetsAndStats) {
   ScenarioSpec spec = tiny_spec();

@@ -61,6 +61,15 @@ TEST(ScenarioSpec, Validation) {
   spec = tiny_spec();
   spec.topologies = {{16, 8}, {16, 8}};
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+  // seeds' default topology is {4}: `default,4` is one network twice.
+  // On redwine (default {6}) the same list is two networks.
+  spec = tiny_spec();
+  spec.topologies = {{}, {4}};
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec.datasets = {"redwine"};
+  EXPECT_NO_THROW(spec.validate());
+  spec.datasets = {"redwine", "seeds"};
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
   spec = tiny_spec();
   spec.topologies = {{8, 0}};
   EXPECT_THROW(spec.validate(), std::invalid_argument);
@@ -300,6 +309,7 @@ TEST(ScenarioSpecFile, ParsesFullSpec) {
       "train_epochs 12\n"
       "finetune 3\n"
       "ga_finetune 1\n"
+      "fidelity off\n"
       "fidelity_tolerance 0.4\n"
       "fidelity_gate_max_hidden 20\n";
   const ScenarioSpec spec = parse_scenario_spec(text);
@@ -320,6 +330,9 @@ TEST(ScenarioSpecFile, ParsesFullSpec) {
   EXPECT_EQ(spec.base.train.epochs, 12u);
   EXPECT_EQ(spec.base.finetune_epochs, 3u);
   EXPECT_EQ(spec.ga_finetune_epochs, 1u);
+  EXPECT_FALSE(spec.fidelity);
+  EXPECT_TRUE(parse_scenario_spec("datasets seeds\nfidelity on\n").fidelity);
+  EXPECT_TRUE(parse_scenario_spec("datasets seeds\n").fidelity);
   EXPECT_EQ(spec.fidelity_tolerance, 0.4);
   EXPECT_EQ(spec.fidelity_gate_max_hidden, 20u);
   EXPECT_EQ(spec.expand().size(), 32u);
@@ -335,6 +348,19 @@ TEST(ScenarioSpecFile, RejectsMalformedLines) {
                std::invalid_argument);
   EXPECT_THROW(parse_scenario_spec("datasets seeds\ninput_bits 99\n"),
                std::invalid_argument);
+  EXPECT_THROW(parse_scenario_spec("datasets seeds\nseeds 7,abc\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_scenario_spec("datasets seeds\npop 8x\n"), std::invalid_argument);
+  EXPECT_THROW(parse_scenario_spec("datasets seeds\nfidelity yes\n"),
+               std::invalid_argument);
+  // A repeated key would silently replace the earlier line; only drift
+  // repeats by design.
+  try {
+    parse_scenario_spec("datasets seeds\npop 4\npop 6\n");
+    ADD_FAILURE() << "a repeated key was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos) << e.what();
+  }
   // Valid lines but an invalid resulting spec (duplicate seeds).
   EXPECT_THROW(parse_scenario_spec("datasets seeds\nseeds 5,5\n"),
                std::invalid_argument);
