@@ -1,12 +1,10 @@
-/// micro_bench — the speed floors of the GA fitness loop's two hot paths,
-/// plus the generator of the deterministic BENCH_mcm.json artifact.
+/// micro_bench — the speed floors of the GA fitness loop's two hot paths.
 ///
 /// It exits nonzero when a correctness check fails:
 ///   * the single-sample, blocked-scalar and blocked-native inference
 ///     engines disagree on a realized model's accuracy;
 ///   * vectorized fine-tuning moves the batch's mean realized accuracy
 ///     away from the scalar+libm reference by more than 0.05;
-///   * MCM sharing loses gate-level bit-exactness or adds adders;
 /// or, on builds with build_info::timing_multiplier() == 1 (no
 /// sanitizer), when a speed floor fails: blocked-scalar below 0.95x
 /// single-sample, native blocks below 1.5x single-sample, or vectorized
@@ -14,22 +12,18 @@
 ///
 /// The floors are one-shot timings with wide margins, not measurements:
 /// repeated, stage-attributed numbers come from `python3 perfbench/run.py`.
-/// BENCH_mcm.json holds adder counts and areas only, so its bytes are the
-/// same on every host and under PNM_FORCE_SCALAR=1.
+/// The paper reproduction and the BENCH_mcm.json record are `reproduce`'s.
 
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 
 #include "pnm/core/eval.hpp"
 #include "pnm/core/flow.hpp"
 #include "pnm/core/infer_simd.hpp"
 #include "pnm/core/quantize.hpp"
-#include "pnm/hw/bespoke.hpp"
 #include "pnm/nn/dense_simd.hpp"
 #include "pnm/nn/trainer.hpp"
-#include "pnm/util/bits.hpp"
 #include "pnm/util/build_info.hpp"
 #include "pnm/util/rng.hpp"
 
@@ -188,126 +182,6 @@ bool run_speed_floors() {
   return ok;
 }
 
-// ---- MCM adder-graph sharing (BENCH_mcm.json) ---------------------------
-// The headline-metric bench for hw/mcm.hpp: run the (reduced) Fig. 2 GA
-// per dataset, realize every front genome, and regenerate its exact
-// bespoke circuit with cross-coefficient adder-graph sharing off vs on.
-// Records product-stage adders and exact area before/after, plus a
-// gate-level bit-exactness check of the shared circuits against the
-// integer golden model.
-
-struct McmBenchRecord {
-  std::string dataset;
-  std::size_t front_designs = 0;
-  std::size_t adders_unshared = 0;
-  std::size_t adders_shared = 0;
-  double area_unshared = 0.0;
-  double area_shared = 0.0;
-  bool bit_exact = true;
-};
-
-/// Returns false when a hard guarantee is violated (lost bit-exactness,
-/// or a shared plan with more adders than the independent chains), so CI
-/// fails instead of silently uploading a bad record.
-bool run_mcm_sharing_bench(const std::string& json_path) {
-  bool ok = true;
-  std::vector<McmBenchRecord> records;
-  for (const std::string dataset : {"whitewine", "redwine", "pendigits", "seeds"}) {
-    FlowConfig config;
-    config.dataset_name = dataset;
-    config.train.epochs = 30;
-    config.finetune_epochs = 5;
-    MinimizationFlow flow(config);
-    flow.prepare();
-
-    GaConfig ga;
-    ga.population = 16;
-    ga.generations = 8;
-    ProxyEvaluator proxy = flow.proxy_evaluator(/*finetune_epochs=*/2);
-    ParallelEvaluator fitness(proxy);
-    const auto outcome = flow.run_ga(fitness, ga);
-
-    McmBenchRecord rec;
-    rec.dataset = dataset;
-    Rng rng(2024);
-    for (const auto& member : outcome.raw.front) {
-      const QuantizedMlp qmodel =
-          flow.realize_genome(member.genome, config.finetune_epochs);
-      // Controlled comparison: identical model and options except the
-      // sharing knob (share_products on for both so the coefficient set
-      // exists to share across).
-      hw::BespokeOptions unshared;
-      hw::BespokeOptions shared;
-      shared.share_subexpressions = true;
-      const hw::BespokeCircuit before(qmodel, unshared);
-      const hw::BespokeCircuit after(qmodel, shared);
-      rec.adders_unshared += before.product_adder_count();
-      rec.adders_shared += after.product_adder_count();
-      rec.area_unshared += before.area_mm2(flow.tech());
-      rec.area_shared += after.area_mm2(flow.tech());
-      // Netlist simulation must stay bit-exact with QuantizedMlp.
-      const std::int64_t xmax = unsigned_max(config.input_bits);
-      for (int trial = 0; trial < 16; ++trial) {
-        std::vector<std::int64_t> xq(qmodel.input_size());
-        for (auto& v : xq) {
-          v = static_cast<std::int64_t>(
-              rng.uniform_int(static_cast<std::uint64_t>(xmax) + 1));
-        }
-        if (after.predict(xq) != qmodel.predict_quantized(xq)) rec.bit_exact = false;
-      }
-      ++rec.front_designs;
-    }
-    records.push_back(rec);
-  }
-
-  std::cout << "\n-- MCM adder-graph sharing on GA fronts (exact circuits) --\n";
-  std::ofstream json(json_path);
-  if (!json) {
-    std::cerr << "error: cannot write " << json_path << '\n';
-    return false;
-  }
-  json << "[\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const McmBenchRecord& r = records[i];
-    const double adder_red =
-        r.adders_unshared > 0
-            ? 100.0 * (1.0 - static_cast<double>(r.adders_shared) /
-                                 static_cast<double>(r.adders_unshared))
-            : 0.0;
-    const double area_red =
-        r.area_unshared > 0.0 ? 100.0 * (1.0 - r.area_shared / r.area_unshared) : 0.0;
-    std::cout << "  " << r.dataset << ": front=" << r.front_designs
-              << " product adders " << r.adders_unshared << " -> " << r.adders_shared
-              << " (-" << adder_red << "%), area " << r.area_unshared << " -> "
-              << r.area_shared << " mm^2 (-" << area_red << "%), bit-exact: "
-              << (r.bit_exact ? "yes" : "NO (BUG)") << '\n';
-    if (!r.bit_exact || r.adders_shared > r.adders_unshared) {
-      ok = false;  // hard guarantees: bit-exactness, adders never grow
-    }
-    if (r.adders_shared >= r.adders_unshared || r.area_shared >= r.area_unshared) {
-      std::cout << "  WARNING: sharing did not strictly reduce adders/area on "
-                << r.dataset << '\n';
-    }
-    json << "  {\"bench\": \"mcm_sharing\", \"dataset\": \"" << r.dataset
-         << "\", \"front_designs\": " << r.front_designs
-         << ", \"product_adders_unshared\": " << r.adders_unshared
-         << ", \"product_adders_shared\": " << r.adders_shared
-         << ", \"adder_reduction_pct\": " << adder_red
-         << ", \"area_mm2_unshared\": " << r.area_unshared
-         << ", \"area_mm2_shared\": " << r.area_shared
-         << ", \"area_reduction_pct\": " << area_red
-         << ", \"bit_exact\": " << (r.bit_exact ? "true" : "false") << "}"
-         << (i + 1 < records.size() ? "," : "") << '\n';
-  }
-  json << "]\n";
-  std::cout << "(wrote " << json_path << ")\n";
-  return ok;
-}
-
 }  // namespace
 
-int main() {
-  const bool floors_ok = run_speed_floors();
-  const bool mcm_ok = run_mcm_sharing_bench("BENCH_mcm.json");
-  return floors_ok && mcm_ok ? 0 : 1;
-}
+int main() { return run_speed_floors() ? 0 : 1; }

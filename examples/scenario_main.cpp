@@ -30,9 +30,10 @@
 ///                    the published cells); refused with --worker
 ///   --threads N      shared evaluation threads (0 = hardware)
 ///
-/// Numeric values are digits only.  A malformed value, a flag the mode
-/// would ignore, a spec that fails to parse or validate, or any other
-/// error prints "error: <what>" and exits 1.
+/// Numeric values are digits only, and each flag may be given once.  A
+/// malformed value, a repeated flag, a flag the mode would ignore, a spec
+/// that fails to parse or validate, or any other error prints
+/// "error: <what>" and exits 1.
 ///
 /// Reports, written in this order as PREFIX.<suffix> (default PREFIX
 /// "scenario"): grid.json (per-cell axes, front, fidelity and drift
@@ -46,6 +47,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -79,9 +81,12 @@ struct Flags {
   std::size_t num_shards = 1;
   bool sharded = false;  ///< --shard-id or --num-shards was given
   std::size_t jobs = 0;  ///< 0 = no supervisor
+  std::set<std::string> given;  ///< flags parsed so far
 
   /// Consumes argv[i] and its value, if any (advancing i).
   /// \return false when argv[i] is not a flag (or lacks its value).
+  /// \throws std::invalid_argument on a malformed value or a flag given
+  ///         twice (a second value would silently replace the first).
   bool parse(int argc, char** argv, int& i) {
     const std::string arg(argv[i]);
     if (arg == "--require-warm") {
@@ -114,6 +119,7 @@ struct Flags {
     } else {
       return false;
     }
+    if (!given.insert(arg).second) throw std::invalid_argument(arg + " given twice");
     return true;
   }
 };

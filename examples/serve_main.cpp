@@ -41,7 +41,9 @@
 /// Numeric values are strict: digits only (--rate also takes a decimal or
 /// exponent), in range for the field they set (--port at most 65535).  A
 /// malformed value prints "error: <flag>: ..." and exits 1 before any
-/// model is loaded, trained, or served.
+/// model is loaded, trained, or served.  So does a flag given twice
+/// ("error: <flag> given twice"), except the repeatable --model and
+/// --swap-at, and --verify, which repeats once per version.
 ///
 /// This binary links only the pnm_infer engine library — serving a design
 /// needs none of the minimization stack.
@@ -165,7 +167,8 @@ struct Args {
 };
 
 /// Parses and validates every flag, numbers included.
-/// \throws std::invalid_argument  on an unknown flag or a malformed value.
+/// \throws std::invalid_argument  on an unknown flag, a malformed value, or
+///         a non-repeatable flag (or one --verify version) given twice.
 Args parse_args(int argc, char** argv) {
   const std::vector<std::string> flags = {"--loadgen", "--stats"};
   const std::vector<std::string> with_text = {"--train-model", "--out",      "--model",
@@ -173,6 +176,10 @@ Args parse_args(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const bool repeats = arg == "--model" || arg == "--swap-at" || arg == "--verify";
+    if (!repeats && (args.has(arg) || (arg == "--rate" && args.rate))) {
+      throw std::invalid_argument(arg + " given twice");
+    }
     if (std::find(flags.begin(), flags.end(), arg) != flags.end()) {
       args.values[arg] = "1";
       continue;
@@ -200,8 +207,11 @@ Args parse_args(int argc, char** argv) {
       if (arg == "--swap-at") {
         args.swap_at.emplace_back(parse_uint(arg, n, SIZE_MAX), value.substr(eq + 1));
       } else {
-        args.verify[static_cast<std::uint32_t>(parse_uint(arg, n, UINT32_MAX))] =
-            value.substr(eq + 1);
+        const auto version = static_cast<std::uint32_t>(parse_uint(arg, n, UINT32_MAX));
+        if (!args.verify.emplace(version, value.substr(eq + 1)).second) {
+          throw std::invalid_argument(arg + " given twice for version " +
+                                      std::to_string(version));
+        }
       }
     } else {
       // --model repeats (serve mode registers every occurrence); the

@@ -69,8 +69,9 @@ Trainer::Projector make_mask_projector(PruneMask mask);
 ///
 /// The paper prefers unstructured pruning for bespoke circuits ("higher
 /// accuracy for similar sparsity", and the hardware removes pruned
-/// multipliers for free either way); bench/ablation_structured quantifies
-/// that choice.
+/// multipliers for free either way).  The structured-pruning ablation of
+/// BENCH_paper.txt (bench/reproduce) compares both at matched levels and
+/// states what it measured; it does not confirm that preference.
 Mlp structured_prune(const Mlp& model, double neuron_fraction);
 
 /// Saliency used by structured_prune, exposed for tests: importance of

@@ -32,9 +32,6 @@ class MinMaxScaler {
   /// Returns a scaled copy of the dataset.
   [[nodiscard]] Dataset transform(const Dataset& data) const;
 
-  [[nodiscard]] const std::vector<double>& feature_min() const { return min_; }
-  [[nodiscard]] const std::vector<double>& feature_max() const { return max_; }
-
  private:
   std::vector<double> min_;
   std::vector<double> max_;

@@ -64,7 +64,7 @@ std::vector<std::pair<int, bool>> recode_digit_terms(std::int64_t coeff,
   // for some coefficients (e.g. 3 = 2+1 vs 4-1) plain binary is cheaper;
   // a real multiplierless generator picks per coefficient, and so do we
   // when use_csd is set.  use_csd = false forces pure binary (the
-  // ablation baseline of bench/ablation_csd).
+  // baseline of BENCH_paper.txt's CSD ablation).
   auto binary = digit_terms(to_binary_digits(coeff));
   if (!options.use_csd) return binary;
   auto csd = digit_terms(to_csd(coeff));

@@ -10,8 +10,9 @@
 /// radix-2 representation, so it minimizes the number of adders — e.g.
 /// w = 7 = 8 - 1 costs one subtractor instead of two adders.  This is the
 /// standard trick bespoke printed classifiers rely on and one of the
-/// reasons low-bit-width weights are so much cheaper (paper §II-A);
-/// bench/ablation_csd quantifies it against plain binary recoding.
+/// reasons low-bit-width weights are so much cheaper (paper §II-A); the
+/// CSD ablation of BENCH_paper.txt (bench/reproduce) quantifies it
+/// against plain binary recoding.
 
 #include <cstdint>
 #include <vector>

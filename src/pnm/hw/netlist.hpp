@@ -51,7 +51,8 @@ class Netlist {
  public:
   /// enable_cse = false turns off structural hashing (gate reuse) while
   /// keeping constant folding — used by the product-sharing ablation
-  /// (bench/ablation_sharing) to model a naive per-connection datapath.
+  /// (BENCH_paper.txt, bench/reproduce) to model a naive per-connection
+  /// datapath.
   explicit Netlist(bool enable_cse = true);
 
   // -- construction ---------------------------------------------------------

@@ -43,9 +43,9 @@ double estimate_area_mm2(const QuantizedMlp& model, const TechLibrary& tech,
     // the growing partial-sum width; approximate each row at the final
     // product width.  kProductRowFill is the mean fraction of a full FA
     // row that survives constant folding of the shifted zero LSBs
-    // (calibrated against the exact generator; see bench/ablation_proxy —
-    // the same constant fits the shared-DAG rows because node words are
-    // priced at their own, narrower widths).
+    // (calibrated against the exact generator; see BENCH_paper.txt's
+    // proxy-fidelity ablation — the same constant fits the shared-DAG rows
+    // because node words are priced at their own, narrower widths).
     constexpr double kProductRowFill = 0.62;
     if (options.share_subexpressions && options.share_products) {
       // Cross-coefficient sharing: price the per-column MCM DAG the

@@ -19,8 +19,9 @@
 ///   activation ~ ReLU masks (AND per kept bit)
 ///   argmax     ~ (C-1) * (comparator + 2 muxes) of output width
 ///
-/// bench/ablation_proxy measures its fidelity against the exact netlist
-/// (rank correlation is what matters for the GA).
+/// The proxy-fidelity ablation of BENCH_paper.txt (bench/reproduce)
+/// measures it against the exact netlist and checks the rank correlation,
+/// which is what matters for the GA.
 
 #include "pnm/core/qmlp.hpp"
 #include "pnm/hw/bespoke.hpp"

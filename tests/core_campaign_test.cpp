@@ -5,21 +5,32 @@
 /// re-evaluating zero previously-seen genomes, including against a store
 /// an earlier build wrote), and the campaign's use of the cell scheduler:
 /// worker passes and worker processes matching a serial run, the latter
-/// also on a reference grid with the fidelity gate and drifts (the
-/// scheduler's own claim lifecycle is tested in core_cell_queue_test).
+/// also on a reference grid with the fidelity gate and drifts, and worker
+/// processes SIGKILLed mid-run leaving a store that one more pass completes
+/// to the serial bytes (the scheduler's own claim lifecycle is tested in
+/// core_cell_queue_test).
 
 #include "pnm/core/campaign.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
+#include <csignal>
+#include <cstdio>
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "pnm/core/eval_store.hpp"
 #include "pnm/core/scenario.hpp"
 #include "pnm/util/fileio.hpp"
+#include "pnm/util/rng.hpp"
 
 namespace pnm {
 namespace {
@@ -45,6 +56,18 @@ std::string fresh_store_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "pnm_campaign_" + name;
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+/// Duplicate evaluation records summed over every eval store of a
+/// scenario store directory (the cell claim/result folders hold none).
+std::size_t store_duplicates(const std::string& store_dir) {
+  std::size_t duplicates = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(store_dir)) {
+    const std::string name = entry.path().filename().string();
+    if (!entry.is_directory() || name == "scells" || name == "sclaims") continue;
+    duplicates += EvalStore::count_duplicate_records(entry.path().string());
+  }
+  return duplicates;
 }
 
 TEST(Campaign, SpecValidation) {
@@ -299,14 +322,7 @@ TEST_P(TwoWorkerProcessesMatchSerial, AndKeepEveryGate) {
   EXPECT_EQ(sharded->total_cache_misses(), serial.total_cache_misses());
 
   // Zero duplicate evaluations recorded anywhere in the shared store.
-  for (const auto& entry :
-       std::filesystem::directory_iterator(spec.store_dir)) {
-    if (!entry.is_directory()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name == "scells" || name == "sclaims") continue;
-    EXPECT_EQ(EvalStore::count_duplicate_records(entry.path().string()), 0u)
-        << entry.path();
-  }
+  EXPECT_EQ(store_duplicates(spec.store_dir), 0u);
 
   const ScenarioResult warm = ScenarioRunner(serial_spec).run();
   EXPECT_EQ(warm.total_cache_misses(), 0u);
@@ -328,6 +344,75 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<TwoProcessCase>& info) {
       return std::string(info.param.name);
     });
+
+TEST(Campaign, KilledWorkerProcessesLeaveACompletableStore) {
+  // Crash consistency: in each seeded trial two worker processes drain the
+  // reference grid over a fresh store and are SIGKILLed after delays drawn
+  // below half the serial run's wall time (two workers split the cells, so
+  // most kills land mid-run).  One more worker pass then finishes whatever
+  // they left, and the collected reports equal the serial run's bytes with
+  // no evaluation recorded twice.
+  ScenarioSpec serial_spec = fidelity_drift_grid();
+  serial_spec.store_dir = fresh_store_dir("kill_serial");
+  const auto serial_start = std::chrono::steady_clock::now();
+  const ScenarioResult serial = ScenarioRunner(serial_spec).run();
+  const std::chrono::duration<double> serial_wall =
+      std::chrono::steady_clock::now() - serial_start;
+
+  constexpr int kTrials = 5;
+  Rng rng(2026);
+  int killed_children = 0, trials_with_kill = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    ScenarioSpec spec = fidelity_drift_grid();
+    spec.store_dir = fresh_store_dir("kill_" + std::to_string(trial));
+    // (delay, pid) per worker, killed in delay order.
+    std::vector<std::pair<std::chrono::duration<double>, pid_t>> workers;
+    std::fflush(nullptr);  // or the children would repeat buffered output
+    const auto start = std::chrono::steady_clock::now();
+    for (int w = 0; w < 2; ++w) {
+      const pid_t pid = fork();
+      ASSERT_GE(pid, 0);
+      if (pid == 0) {
+        int status = 1;
+        try {
+          ScenarioRunner(spec).run_worker();
+          status = 0;
+        } catch (...) {
+        }
+        _exit(status);
+      }
+      workers.emplace_back(serial_wall * rng.uniform(0.0, 0.5), pid);
+    }
+    std::sort(workers.begin(), workers.end());
+    int killed = 0;
+    for (const auto& [delay, pid] : workers) {
+      std::this_thread::sleep_until(start + delay);
+      kill(pid, SIGKILL);
+      int status = 0;
+      ASSERT_EQ(waitpid(pid, &status, 0), pid);
+      if (WIFSIGNALED(status)) {
+        ++killed;
+      } else {
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "worker failed";
+      }
+    }
+    killed_children += killed;
+    trials_with_kill += killed > 0 ? 1 : 0;
+
+    // A killed worker's claims died with it: this pass runs its cells.
+    ScenarioRunner(spec).run_worker();
+    const std::optional<ScenarioResult> collected = collect_scenario(spec);
+    ASSERT_TRUE(collected.has_value()) << "trial " << trial;
+    EXPECT_EQ(collected->grid_json(), serial.grid_json()) << "trial " << trial;
+    EXPECT_EQ(collected->drift_report(), serial.drift_report()) << "trial " << trial;
+    EXPECT_EQ(collected->fronts_json(), serial.fronts_json()) << "trial " << trial;
+    EXPECT_EQ(store_duplicates(spec.store_dir), 0u) << "trial " << trial;
+  }
+  std::printf("killed %d worker(s); %d/%d trials killed at least one\n", killed_children,
+              trials_with_kill, kTrials);
+  RecordProperty("trials_with_kill", trials_with_kill);
+  EXPECT_GE(killed_children, 1) << "no worker was killed, so nothing was tested";
+}
 
 TEST(Campaign, ReportsNameDatasetsAndStats) {
   ScenarioSpec spec = tiny_spec();
