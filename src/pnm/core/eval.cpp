@@ -25,6 +25,7 @@ std::vector<DesignPoint> Evaluator::evaluate_batch(std::span<const Genome> genom
 PipelineEvaluator::PipelineEvaluator(const Mlp& model, const DataSplit& split,
                                      const hw::TechLibrary& tech, EvalConfig config)
     : model_(&model), split_(&split), tech_(&tech), config_(std::move(config)) {
+  split.train.validate();
   // Quantize each split once; all genome evaluations stream the same
   // read-only flat buffers (the GA re-scores thousands of candidates on
   // identical data, so re-deriving the codes per genome was pure waste).
@@ -72,7 +73,7 @@ Mlp PipelineEvaluator::minimize_float(const Genome& genome) const {
       mask.apply(m);
       clusters.project(m);
     });
-    trainer.fit(candidate, split_->train, rng);
+    trainer.fit_validated(candidate, split_->train, rng);
     // The projector ran after each step, so both constraints hold here.
   }
   return candidate;

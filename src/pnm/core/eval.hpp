@@ -103,9 +103,13 @@ class Evaluator {
 /// MinimizationFlow (or other owner) must outlive the evaluator.
 class PipelineEvaluator : public Evaluator {
  public:
-  /// Quantizes the validation and test splits once at config.input_bits;
-  /// every evaluation (on every thread) then reads the shared flat code
-  /// buffers instead of re-quantizing the dataset per genome.
+  /// Validates the training split once (Dataset::validate), since every
+  /// genome's fine-tune reads it and none re-checks it, and quantizes the
+  /// validation and test splits once at config.input_bits; every
+  /// evaluation (on every thread) then reads the shared flat code buffers
+  /// instead of re-quantizing the dataset per genome.  `split` must
+  /// outlive the evaluator unchanged.
+  /// \throws std::invalid_argument when a split fails validation.
   PipelineEvaluator(const Mlp& model, const DataSplit& split,
                     const hw::TechLibrary& tech, EvalConfig config);
 

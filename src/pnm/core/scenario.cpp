@@ -901,11 +901,14 @@ ScenarioCellResult ScenarioRunner::run_cell(const ScenarioCell& cell) {
   }
 
   // Drift-robustness pass: realize each frozen front genome once, then
-  // re-score it on every seeded perturbation of the test split.
+  // re-score it on every seeded perturbation of the test split.  Each
+  // realization is a full fine-tune (it runs on warm reruns too), so they
+  // fan out over the pool, each into its own slot: the record order stays
+  // the sorted-key order, and every model is deterministic per genome.
   if (!spec_.drifts.empty() && !genomes.empty()) {
-    std::vector<QuantizedMlp> models;
-    models.reserve(genomes.size());
-    for (const Genome& g : genomes) models.push_back(netlist.realize(g));
+    std::vector<QuantizedMlp> models(genomes.size());
+    pool_.parallel_for(genomes.size(),
+                       [&](std::size_t i) { models[i] = netlist.realize(genomes[i]); });
     const std::string cell_id = cell.id();
     for (const DriftSpec& drift : spec_.drifts) {
       const Dataset drifted = perturbed_test(flow.data().test, drift, cell_id);

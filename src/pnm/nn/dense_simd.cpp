@@ -1,5 +1,6 @@
 #include "pnm/nn/dense_simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 
@@ -48,6 +49,19 @@ void axpy_scalar(double* y, const double* x, double s, unsigned long n) {
 
 constexpr unsigned long kB = kDenseBlock;
 
+void gather_scalar(const double* const* rows, unsigned long n, unsigned long cols,
+                   double* out) {
+  for (unsigned long i = 0; i < n; ++i) {
+    double* dst = out + (i / kB) * cols * kB + i % kB;
+    for (unsigned long c = 0; c < cols; ++c) dst[c * kB] = rows[i][c];
+  }
+  if (n % kB == 0) return;
+  double* last = out + (n / kB) * cols * kB;
+  for (unsigned long c = 0; c < cols; ++c) {
+    for (unsigned long j = n % kB; j < kB; ++j) last[c * kB + j] = 0.0;
+  }
+}
+
 void layer_fwd_scalar(const double* w, const double* bias, const double* in,
                       double* out, unsigned long rows, unsigned long cols,
                       unsigned long blocks, bool relu) {
@@ -83,20 +97,21 @@ inline double sum8(const double* p) {
 
 void layer_grad_scalar(const double* delta, const double* in, double* gw,
                        double* gb, unsigned long rows, unsigned long cols,
-                       unsigned long blocks) {
-  for (unsigned long b = 0; b < blocks; ++b) {
-    const double* db = delta + b * rows * kB;
-    const double* xb = in + b * cols * kB;
-    for (unsigned long r = 0; r < rows; ++r) {
-      const double* dv = db + r * kB;
-      gb[r] += sum8(dv);
-      double* gwr = gw + r * cols;
-      for (unsigned long c = 0; c < cols; ++c) {
-        const double* xv = xb + c * kB;
+                       unsigned long blocks, double s) {
+  for (unsigned long r = 0; r < rows; ++r) {
+    double g = 0.0;
+    for (unsigned long b = 0; b < blocks; ++b) g += sum8(delta + (b * rows + r) * kB);
+    gb[r] = g * s;
+    for (unsigned long c = 0; c < cols; ++c) {
+      double acc = 0.0;
+      for (unsigned long b = 0; b < blocks; ++b) {
+        const double* dv = delta + (b * rows + r) * kB;
+        const double* xv = in + (b * cols + c) * kB;
         double p[kB];
         for (unsigned long j = 0; j < kB; ++j) p[j] = dv[j] * xv[j];
-        gwr[c] += sum8(p);
+        acc += sum8(p);
       }
+      gw[r * cols + c] = acc * s;
     }
   }
 }
@@ -181,6 +196,12 @@ void fake_quantize_scalar(const double* src, double* dst, unsigned long n,
   }
 }
 
+double abs_max_scalar(const double* x, unsigned long n) {
+  double m = 0.0;
+  for (unsigned long i = 0; i < n; ++i) m = std::max(m, std::fabs(x[i]));
+  return m;
+}
+
 void adam_scalar(double* w, const double* g, double* m, double* v,
                  unsigned long n, const AdamStep& step) {
   for (unsigned long i = 0; i < n; ++i) {
@@ -205,11 +226,13 @@ void sgd_scalar(double* w, const double* g, double* vel, unsigned long n,
 constexpr DenseKernels kScalarKernels = {
     .dot = dot_scalar,
     .axpy = axpy_scalar,
+    .gather = gather_scalar,
     .layer_fwd = layer_fwd_scalar,
     .layer_grad = layer_grad_scalar,
     .layer_back = layer_back_scalar,
     .softmax_xent = softmax_xent_scalar,
     .fake_quantize = fake_quantize_scalar,
+    .abs_max = abs_max_scalar,
     .adam = adam_scalar,
     .sgd = sgd_scalar};
 

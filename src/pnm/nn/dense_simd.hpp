@@ -3,8 +3,9 @@
 
 /// \file dense_simd.hpp
 /// \brief Runtime-dispatched double-precision kernels for the trainer's
-/// dense hot path (minibatch forward / gradient / backward, softmax
-/// cross-entropy, the QAT fake-quantizer, and the optimizer updates).
+/// dense hot path (minibatch gather / forward / gradient / backward,
+/// softmax cross-entropy, the QAT scale and fake-quantizer, and the
+/// optimizer updates).
 ///
 /// These kernels are the "vectorized fine-tuning math" companion to the
 /// integer multi-sample engine in core/infer_simd.hpp, and they share its
@@ -15,7 +16,8 @@
 ///  * axpy / fake_quantize / adam / sgd are elementwise over independent
 ///    outputs; each lane performs the same individually-rounded
 ///    mul/add/sqrt/div sequence as the scalar loop, so vectorizing them
-///    cannot change a single bit.
+///    cannot change a single bit.  gather only copies, and abs_max is a
+///    maximum whose result does not depend on its grouping.
 ///  * dot is a reduction, so its summation order IS its semantics.  The
 ///    canonical order is four independent accumulator chains over
 ///    columns c ≡ 0..3 (mod 4), tail columns appended to chains 0..2 in
@@ -33,7 +35,7 @@
 /// 8-lane SoA blocks.  Sample i is lane i%8 of block i/8; a layer buffer
 /// of width k holds block b at offset b*k*8 and element e of lane j of
 /// that block at b*k*8 + e*8 + j.  Lanes past n in the last block are
-/// padding: the trainer zero-fills their inputs and the softmax zeroes
+/// padding: the gather zero-fills their inputs and the softmax zeroes
 /// their deltas, so they contribute exactly nothing.
 
 #include "pnm/core/infer_simd.hpp"
@@ -67,6 +69,13 @@ struct DenseKernels {
   double (*dot)(const double* a, const double* b, unsigned long n);
   /// y[i] += s * x[i] for i in [0, n).  x and y must not overlap.
   void (*axpy)(double* y, const double* x, double s, unsigned long n);
+  /// Minibatch gather into ceil(n/8) SoA blocks (cols wide): for every
+  /// sample i < n and feature c < cols,
+  ///   out[(i/8)*cols*8 + c*8 + i%8] = rows[i][c]
+  /// and every padding lane of the last block is set to +0.0.  A pure
+  /// copy, so every ISA writes the same bits.  out must not overlap a row.
+  void (*gather)(const double* const* rows, unsigned long n, unsigned long cols,
+                 double* out);
   /// Dense layer forward over `blocks` SoA blocks (in: cols wide, out:
   /// rows wide), for every block and lane j:
   ///   out[r*8+j] = bias[r] + sum_c w[r*cols+c] * in[c*8+j]
@@ -76,15 +85,20 @@ struct DenseKernels {
   void (*layer_fwd)(const double* w, const double* bias, const double* in,
                     double* out, unsigned long rows, unsigned long cols,
                     unsigned long blocks, bool relu);
-  /// Gradient accumulation over `blocks` SoA blocks (delta: rows wide,
-  /// in: cols wide).  For each block in order:
-  ///   gw[r*cols+c] += sum8_j delta[r*8+j] * in[c*8+j]
-  ///   gb[r]        += sum8_j delta[r*8+j]
-  /// where sum8 is the canonical lane reduction: chains q_j = p_j + p_{j+4}
-  /// combined as (q0+q1)+(q2+q3) — identical on every ISA.
+  /// Scaled gradient over `blocks` SoA blocks (delta: rows wide, in: cols
+  /// wide), stored — gw and gb are overwritten, never read:
+  ///   gw[r*cols+c] = (0.0 + G_0 + G_1 + ... + G_{blocks-1}) * s
+  ///   gb[r]        = (0.0 + B_0 + B_1 + ... + B_{blocks-1}) * s
+  /// summed left to right from +0.0, where block b contributes
+  ///   G_b = sum8_j delta[r*8+j] * in[c*8+j],  B_b = sum8_j delta[r*8+j]
+  /// and sum8 is the canonical lane reduction: chains q_j = p_j + p_{j+4}
+  /// combined as (q0+q1)+(q2+q3) — identical on every ISA.  These are the
+  /// operations, in order, of zeroing gw/gb, adding each block's sum8, and
+  /// then multiplying every element by s, so the fused store is the same
+  /// bit for bit as those three passes.
   void (*layer_grad)(const double* delta, const double* in, double* gw,
                      double* gb, unsigned long rows, unsigned long cols,
-                     unsigned long blocks);
+                     unsigned long blocks, double s);
   /// Backward (transposed) pass over `blocks` SoA blocks (delta: rows
   /// wide, prev: cols wide), overwriting prev:
   ///   prev[c*8+j] = 0.0 + sum_r w[r*cols+c] * delta[r*8+j]
@@ -102,7 +116,10 @@ struct DenseKernels {
   /// delta_label -= 1.0 and loss = fast_log(denom) - (z_label - max).
   /// Padding lanes get delta 0.0.  Each block's lane losses are summed
   /// from 0.0 in lane order and that sum is added to *loss, block by
-  /// block.  labels[i] (< rows) is sample i's class.
+  /// block.  labels[i] (< rows) is sample i's class.  The AVX2 kernel
+  /// steps one exp polynomial across four rows' vectors at a time and
+  /// takes the logs four lanes at a time (nn/fastmath_avx2.hpp); per lane
+  /// the operations are unchanged.
   void (*softmax_xent)(const double* logits, const unsigned long* labels,
                        unsigned long n, unsigned long rows, double* delta,
                        double* loss);
@@ -113,6 +130,12 @@ struct DenseKernels {
   /// scale must be positive.
   void (*fake_quantize)(const double* src, double* dst, unsigned long n,
                         double scale, double qmax);
+  /// The QAT scale's magnitude: the serial fold m = std::max(m, |x[i]|)
+  /// over i in [0, n) from m = +0.0.  That fold skips NaN and maps both
+  /// zeros to +0.0, so it is the maximum of a set whose equal values share
+  /// one bit pattern: any grouping returns the same bits, and the vector
+  /// kernels fold independent lanes.
+  double (*abs_max)(const double* x, unsigned long n);
   /// Adam update of w[0..n) with gradient g, first/second moment m/v:
   ///   g'   = g[i] + weight_decay * w[i]
   ///   m[i] = b1*m[i] + (1-b1)*g';  v[i] = b2*v[i] + (1-b2)*g'*g'

@@ -7,12 +7,14 @@
 
 #if defined(__x86_64__)
 
+#include <algorithm>
 #include <cmath>
 #include <immintrin.h>
 #include <iterator>
 
 #include "pnm/nn/dense_simd.hpp"
 #include "pnm/nn/fastmath.hpp"
+#include "pnm/nn/fastmath_avx2.hpp"
 
 namespace pnm::simd {
 
@@ -54,6 +56,52 @@ void axpy_avx2(double* y, const double* x, double s, unsigned long n) {
 // order of any one chain.
 
 constexpr unsigned long kB = kDenseBlock;
+
+void gather_avx2(const double* const* rows, unsigned long n, unsigned long cols,
+                 double* out) {
+  unsigned long i = 0;
+  // Four samples at a time fill lanes i%8 .. i%8+3 of one block: a 4x4
+  // transpose turns four features of four rows into one vector per feature.
+  for (; i + 4 <= n; i += 4) {
+    double* dst = out + (i / kB) * cols * kB + i % kB;
+    const double* r0 = rows[i];
+    const double* r1 = rows[i + 1];
+    const double* r2 = rows[i + 2];
+    const double* r3 = rows[i + 3];
+    unsigned long c = 0;
+    for (; c + 4 <= cols; c += 4) {
+      const __m256d a = _mm256_loadu_pd(r0 + c);  // a0 a1 a2 a3
+      const __m256d b = _mm256_loadu_pd(r1 + c);
+      const __m256d x = _mm256_loadu_pd(r2 + c);
+      const __m256d y = _mm256_loadu_pd(r3 + c);
+      const __m256d t0 = _mm256_unpacklo_pd(a, b);  // a0 b0 a2 b2
+      const __m256d t1 = _mm256_unpackhi_pd(a, b);  // a1 b1 a3 b3
+      const __m256d t2 = _mm256_unpacklo_pd(x, y);  // x0 y0 x2 y2
+      const __m256d t3 = _mm256_unpackhi_pd(x, y);  // x1 y1 x3 y3
+      _mm256_storeu_pd(dst + c * kB, _mm256_permute2f128_pd(t0, t2, 0x20));
+      _mm256_storeu_pd(dst + (c + 1) * kB, _mm256_permute2f128_pd(t1, t3, 0x20));
+      _mm256_storeu_pd(dst + (c + 2) * kB, _mm256_permute2f128_pd(t0, t2, 0x31));
+      _mm256_storeu_pd(dst + (c + 3) * kB, _mm256_permute2f128_pd(t1, t3, 0x31));
+    }
+    for (; c < cols; ++c) {
+      dst[c * kB] = r0[c];
+      dst[c * kB + 1] = r1[c];
+      dst[c * kB + 2] = r2[c];
+      dst[c * kB + 3] = r3[c];
+    }
+  }
+  for (; i < n; ++i) {
+    double* dst = out + (i / kB) * cols * kB + i % kB;
+    for (unsigned long c = 0; c < cols; ++c) dst[c * kB] = rows[i][c];
+  }
+  // Only the last block's padding lanes are cleared; every other lane was
+  // just written.
+  if (n % kB == 0) return;
+  double* last = out + (n / kB) * cols * kB;
+  for (unsigned long c = 0; c < cols; ++c) {
+    for (unsigned long j = n % kB; j < kB; ++j) last[c * kB + j] = 0.0;
+  }
+}
 
 /// R consecutive output rows of one block: 2R independent chains.
 template <unsigned long R>
@@ -127,21 +175,22 @@ inline __m256d sum8x4_avx2(__m256d q0, __m256d q1, __m256d q2, __m256d q3) {
 
 void layer_grad_avx2(const double* delta, const double* in, double* gw,
                      double* gb, unsigned long rows, unsigned long cols,
-                     unsigned long blocks) {
+                     unsigned long blocks, double s) {
   const unsigned long dstride = rows * kB;
   const unsigned long xstride = cols * kB;
+  const __m256d sv = _mm256_set1_pd(s);
   for (unsigned long r = 0; r < rows; ++r) {
     const double* dr = delta + r * kB;
-    double g = gb[r];
+    double g = 0.0;
     for (unsigned long b = 0; b < blocks; ++b) {
       const double* dv = dr + b * dstride;
       g += sum8_avx2(_mm256_loadu_pd(dv), _mm256_loadu_pd(dv + 4));
     }
-    gb[r] = g;
+    gb[r] = g * s;
     double* gwr = gw + r * cols;
     unsigned long c = 0;
     for (; c + 4 <= cols; c += 4) {
-      __m256d acc = _mm256_loadu_pd(gwr + c);
+      __m256d acc = _mm256_setzero_pd();
       for (unsigned long b = 0; b < blocks; ++b) {
         const double* dv = dr + b * dstride;
         const __m256d d_lo = _mm256_loadu_pd(dv);
@@ -154,17 +203,17 @@ void layer_grad_avx2(const double* delta, const double* in, double* gw,
         }
         acc = _mm256_add_pd(acc, sum8x4_avx2(q[0], q[1], q[2], q[3]));
       }
-      _mm256_storeu_pd(gwr + c, acc);
+      _mm256_storeu_pd(gwr + c, _mm256_mul_pd(acc, sv));
     }
     for (; c < cols; ++c) {
-      double s = gwr[c];
+      double acc = 0.0;
       for (unsigned long b = 0; b < blocks; ++b) {
         const double* dv = dr + b * dstride;
         const double* xv = in + b * xstride + c * kB;
-        s += sum8_avx2(_mm256_mul_pd(_mm256_loadu_pd(dv), _mm256_loadu_pd(xv)),
-                       _mm256_mul_pd(_mm256_loadu_pd(dv + 4), _mm256_loadu_pd(xv + 4)));
+        acc += sum8_avx2(_mm256_mul_pd(_mm256_loadu_pd(dv), _mm256_loadu_pd(xv)),
+                         _mm256_mul_pd(_mm256_loadu_pd(dv + 4), _mm256_loadu_pd(xv + 4)));
       }
-      gwr[c] = s;
+      gwr[c] = acc * s;
     }
   }
 }
@@ -216,29 +265,52 @@ void layer_back_avx2(const double* w, const double* delta,
   }
 }
 
-/// fast_exp (nn/fastmath.cpp) on four lanes, operation for operation: the
-/// same clamps, the same k = floor(x*log2e + 0.5) (vroundpd floors
-/// exactly, as the scalar round-and-fix-up does), the same reduction and
-/// polynomial, and 2^k from the same exponent-magic bit pattern.
-inline __m256d fast_exp4(__m256d x) {
+/// e = fast_exp(z - m) (nn/fastmath.cpp) for R consecutive rows of one
+/// block, stored to d and added to the running denominators in row order.
+/// Operation for operation the scalar fast_exp: the same clamps, the same
+/// k = floor(x*log2e + 0.5) (vroundpd floors exactly, as the scalar
+/// round-and-fix-up does), the same reduction and polynomial, and 2^k from
+/// the same exponent-magic bit pattern.  Each polynomial step runs across
+/// all 2R vectors before the next, so the 2R dependent chains overlap
+/// instead of each waiting out the one before it.
+template <unsigned long R>
+inline void exp_rows(const double* z, __m256d m_lo, __m256d m_hi, double* d,
+                     __m256d& den_lo, __m256d& den_hi) {
   using namespace fastexp;
+  constexpr unsigned long V = 2 * R;  // vector 2k: row k's lanes 0..3; 2k+1: lanes 4..7
   const __m256d ovf = _mm256_set1_pd(kFastExpOverflow);
   const __m256d unf = _mm256_set1_pd(kFastExpUnderflow);
-  const __m256d hi = _mm256_blendv_pd(x, ovf, _mm256_cmp_pd(x, ovf, _CMP_GT_OQ));
-  const __m256d lo = _mm256_blendv_pd(hi, unf, _mm256_cmp_pd(hi, unf, _CMP_LT_OQ));
-  const __m256d v =
-      _mm256_add_pd(_mm256_mul_pd(lo, _mm256_set1_pd(kLog2E)), _mm256_set1_pd(0.5));
-  const __m256d kd = _mm256_round_pd(v, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
-  const __m256d r = _mm256_sub_pd(_mm256_sub_pd(lo, _mm256_mul_pd(kd, _mm256_set1_pd(kLn2Hi))),
-                                  _mm256_mul_pd(kd, _mm256_set1_pd(kLn2Lo)));
-  __m256d p = _mm256_set1_pd(kPoly[0]);
-  for (std::size_t i = 1; i < std::size(kPoly); ++i) {
-    p = _mm256_add_pd(_mm256_mul_pd(p, r), _mm256_set1_pd(kPoly[i]));
+  __m256d x[V];
+  __m256d kd[V];
+  __m256d r[V];
+  __m256d p[V];
+  for (unsigned long k = 0; k < V; ++k) {
+    x[k] = _mm256_sub_pd(_mm256_loadu_pd(z + k * 4), k % 2 == 0 ? m_lo : m_hi);
+    const __m256d hi = _mm256_blendv_pd(x[k], ovf, _mm256_cmp_pd(x[k], ovf, _CMP_GT_OQ));
+    const __m256d lo = _mm256_blendv_pd(hi, unf, _mm256_cmp_pd(hi, unf, _CMP_LT_OQ));
+    const __m256d t =
+        _mm256_add_pd(_mm256_mul_pd(lo, _mm256_set1_pd(kLog2E)), _mm256_set1_pd(0.5));
+    kd[k] = _mm256_round_pd(t, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+    r[k] = _mm256_sub_pd(_mm256_sub_pd(lo, _mm256_mul_pd(kd[k], _mm256_set1_pd(kLn2Hi))),
+                         _mm256_mul_pd(kd[k], _mm256_set1_pd(kLn2Lo)));
+    p[k] = _mm256_set1_pd(kPoly[0]);
   }
-  const __m256d scale = _mm256_castsi256_pd(_mm256_slli_epi64(
-      _mm256_castpd_si256(_mm256_add_pd(kd, _mm256_set1_pd(kExponentMagic))), 52));
-  const __m256d e = _mm256_mul_pd(p, scale);
-  return _mm256_blendv_pd(e, _mm256_setzero_pd(), _mm256_cmp_pd(x, unf, _CMP_LT_OQ));
+  for (std::size_t i = 1; i < std::size(kPoly); ++i) {
+    const __m256d c = _mm256_set1_pd(kPoly[i]);
+    for (unsigned long k = 0; k < V; ++k) p[k] = _mm256_add_pd(_mm256_mul_pd(p[k], r[k]), c);
+  }
+  for (unsigned long k = 0; k < V; ++k) {
+    const __m256d scale = _mm256_castsi256_pd(_mm256_slli_epi64(
+        _mm256_castpd_si256(_mm256_add_pd(kd[k], _mm256_set1_pd(kExponentMagic))), 52));
+    const __m256d e = _mm256_blendv_pd(_mm256_mul_pd(p[k], scale), _mm256_setzero_pd(),
+                                       _mm256_cmp_pd(x[k], unf, _CMP_LT_OQ));
+    _mm256_storeu_pd(d + k * 4, e);
+    if (k % 2 == 0) {
+      den_lo = _mm256_add_pd(den_lo, e);
+    } else {
+      den_hi = _mm256_add_pd(den_hi, e);
+    }
+  }
 }
 
 void softmax_xent_avx2(const double* logits, const unsigned long* labels,
@@ -259,14 +331,10 @@ void softmax_xent_avx2(const double* logits, const unsigned long* labels,
     }
     __m256d den_lo = _mm256_setzero_pd();
     __m256d den_hi = _mm256_setzero_pd();
-    for (unsigned long r = 0; r < rows; ++r) {
-      const __m256d e_lo = fast_exp4(_mm256_sub_pd(_mm256_loadu_pd(z + r * kB), m_lo));
-      const __m256d e_hi = fast_exp4(_mm256_sub_pd(_mm256_loadu_pd(z + r * kB + 4), m_hi));
-      _mm256_storeu_pd(d + r * kB, e_lo);
-      _mm256_storeu_pd(d + r * kB + 4, e_hi);
-      den_lo = _mm256_add_pd(den_lo, e_lo);
-      den_hi = _mm256_add_pd(den_hi, e_hi);
-    }
+    unsigned long r = 0;
+    for (; r + 4 <= rows; r += 4) exp_rows<4>(z + r * kB, m_lo, m_hi, d + r * kB, den_lo, den_hi);
+    for (; r + 2 <= rows; r += 2) exp_rows<2>(z + r * kB, m_lo, m_hi, d + r * kB, den_lo, den_hi);
+    for (; r < rows; ++r) exp_rows<1>(z + r * kB, m_lo, m_hi, d + r * kB, den_lo, den_hi);
     const __m256d one = _mm256_set1_pd(1.0);
     const __m256d inv_lo = _mm256_div_pd(one, den_lo);
     const __m256d inv_hi = _mm256_div_pd(one, den_hi);
@@ -275,16 +343,16 @@ void softmax_xent_avx2(const double* logits, const unsigned long* labels,
       _mm256_storeu_pd(d + r * kB + 4, _mm256_mul_pd(_mm256_loadu_pd(d + r * kB + 4), inv_hi));
     }
     double m[kB];
-    double denom[kB];
+    double log_denom[kB];
     _mm256_storeu_pd(m, m_lo);
     _mm256_storeu_pd(m + 4, m_hi);
-    _mm256_storeu_pd(denom, den_lo);
-    _mm256_storeu_pd(denom + 4, den_hi);
+    _mm256_storeu_pd(log_denom, fast_log4(den_lo));
+    _mm256_storeu_pd(log_denom + 4, fast_log4(den_hi));
     double block_loss = 0.0;
     for (unsigned long j = 0; j < lanes; ++j) {
       const unsigned long label = labels[b * kB + j];
       d[label * kB + j] -= 1.0;
-      block_loss += fast_log(denom[j]) - (z[label * kB + j] - m[j]);
+      block_loss += log_denom[j] - (z[label * kB + j] - m[j]);
     }
     for (unsigned long j = lanes; j < kB; ++j) {
       for (unsigned long r = 0; r < rows; ++r) d[r * kB + j] = 0.0;
@@ -323,6 +391,29 @@ void fake_quantize_avx2(const double* src, double* dst, unsigned long n,
     _mm256_storeu_pd(lanes, fake_quantize4(_mm256_loadu_pd(lanes), sv, qv));
     for (unsigned long k = 0; i + k < n; ++k) dst[i + k] = lanes[k];
   }
+}
+
+double abs_max_avx2(const double* x, unsigned long n) {
+  // andnot clears the sign bit (|x|, NaN stays NaN), and max_pd(a, m)
+  // returns m unless a > m, so a NaN is skipped as std::max(m, a) skips it.
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  __m256d m[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(), _mm256_setzero_pd(),
+                  _mm256_setzero_pd()};
+  unsigned long i = 0;
+  for (; i + 16 <= n; i += 16) {
+    for (unsigned long k = 0; k < 4; ++k) {
+      m[k] = _mm256_max_pd(_mm256_andnot_pd(sign, _mm256_loadu_pd(x + i + 4 * k)), m[k]);
+    }
+  }
+  for (; i + 4 <= n; i += 4) {
+    m[0] = _mm256_max_pd(_mm256_andnot_pd(sign, _mm256_loadu_pd(x + i)), m[0]);
+  }
+  double lanes[4];
+  _mm256_storeu_pd(lanes, _mm256_max_pd(_mm256_max_pd(m[0], m[1]), _mm256_max_pd(m[2], m[3])));
+  double r = 0.0;
+  for (double v : lanes) r = std::max(r, v);
+  for (; i < n; ++i) r = std::max(r, std::fabs(x[i]));
+  return r;
 }
 
 void adam_avx2(double* w, const double* g, double* m, double* v,
@@ -391,11 +482,13 @@ const DenseKernels& dense_kernels_avx2() {
   static constexpr DenseKernels kTable = {
       .dot = dot_avx2,
       .axpy = axpy_avx2,
+      .gather = gather_avx2,
       .layer_fwd = layer_fwd_avx2,
       .layer_grad = layer_grad_avx2,
       .layer_back = layer_back_avx2,
       .softmax_xent = softmax_xent_avx2,
       .fake_quantize = fake_quantize_avx2,
+      .abs_max = abs_max_avx2,
       .adam = adam_avx2,
       .sgd = sgd_avx2};
   return kTable;

@@ -103,9 +103,9 @@ void sgd_neon(double* w, const double* g, double* vel, unsigned long n,
 }  // namespace
 
 const DenseKernels& dense_kernels_neon() {
-  // The minibatch layer, softmax and fake-quantize slots reuse the scalar
-  // functions: bit-identical by construction, and no aarch64 build has
-  // verified intrinsics for them yet.
+  // The gather, minibatch layer, softmax, fake-quantize and abs_max slots
+  // reuse the scalar functions: bit-identical by construction, and no
+  // aarch64 build has verified intrinsics for them yet.
   static const DenseKernels kTable = [] {
     DenseKernels t = *dense_kernels_for(Isa::kScalar);
     t.dot = dot_neon;

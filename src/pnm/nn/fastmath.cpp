@@ -8,8 +8,6 @@ namespace pnm {
 
 namespace {
 
-constexpr double kSqrt2 = 1.41421356237309504880;
-
 /// e^x for x already clamped to [kFastExpUnderflow, kFastExpOverflow].
 /// k = round(x/ln2) = floor(x/ln2 + 1/2), computed exactly without libm:
 /// |v| < 1100 here, so the magic addition rounds v to the nearest integer
@@ -61,19 +59,14 @@ double fast_log(double x) {
   int e = static_cast<int>((bits >> 52) & 0x7FF) - 1023;
   double m = std::bit_cast<double>((bits & 0xFFFFFFFFFFFFFULL) |
                                    0x3FF0000000000000ULL);  // mantissa in [1, 2)
-  if (m > kSqrt2) {
+  if (m > fastlog::kSqrt2) {
     m *= 0.5;
     e += 1;
   }
   const double t = (m - 1.0) / (m + 1.0);
   const double t2 = t * t;
-  double p = 1.0 / 13.0;
-  p = p * t2 + 1.0 / 11.0;
-  p = p * t2 + 1.0 / 9.0;
-  p = p * t2 + 1.0 / 7.0;
-  p = p * t2 + 1.0 / 5.0;
-  p = p * t2 + 1.0 / 3.0;
-  p = p * t2 + 1.0;
+  double p = fastlog::kSeries[0];
+  for (std::size_t i = 1; i < std::size(fastlog::kSeries); ++i) p = p * t2 + fastlog::kSeries[i];
   // e * kLn2Hi is exact (11 + 21 significant bits), so the only rounding
   // in the reconstruction is the final add.
   const auto ed = static_cast<double>(e);

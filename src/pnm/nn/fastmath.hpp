@@ -20,7 +20,9 @@
 ///    operations with the constants below.
 ///  * `fast_log`: exponent/mantissa split to m in [1/sqrt2, sqrt2), then
 ///    the atanh series log m = 2 * sum t^(2i+1)/(2i+1), t = (m-1)/(m+1),
-///    truncated at t^13.
+///    truncated at t^13.  It has a 4-lane AVX2 twin, `simd::fast_log4`
+///    (nn/fastmath_avx2.hpp), which the softmax kernel uses and which
+///    performs the same operations with the constants below.
 ///
 /// Error bounds (verified over dense grids by nn_fastmath_test, asserted
 /// with margin):
@@ -67,6 +69,14 @@ inline constexpr double kPoly[] = {1.0 / 3628800.0, 1.0 / 362880.0, 1.0 / 40320.
                                    1.0 / 24.0,      1.0 / 6.0,      0.5,
                                    1.0,             1.0};
 }  // namespace fastexp
+
+/// fast_log's split point and series, shared with its 4-lane twin.
+namespace fastlog {
+inline constexpr double kSqrt2 = 1.41421356237309504880;
+/// atanh series coefficients 1/(2i+1), t^13's first, down to t^1's 1.
+inline constexpr double kSeries[] = {1.0 / 13.0, 1.0 / 11.0, 1.0 / 9.0, 1.0 / 7.0,
+                                     1.0 / 5.0,  1.0 / 3.0,  1.0};
+}  // namespace fastlog
 
 /// e^x with the bound above; monotone clamp: +inf for x > 709.78.
 double fast_exp(double x);

@@ -58,9 +58,7 @@ void Matrix::add_outer(double alpha, const std::vector<double>& u,
 }
 
 double Matrix::abs_max() const {
-  double m = 0.0;
-  for (double e : data_) m = std::max(m, std::fabs(e));
-  return m;
+  return simd::dense_kernels().abs_max(data_.data(), data_.size());
 }
 
 std::size_t Matrix::zero_count() const {

@@ -135,8 +135,8 @@ double backprop_sample(const Mlp& model, const std::vector<double>& x, std::size
 }
 
 void backprop_minibatch(const Mlp& model, const Dataset& train, const std::size_t* idx,
-                        std::size_t n, Gradients& grads, BlockBackpropScratch& scratch,
-                        double& loss) {
+                        std::size_t n, double grad_scale, Gradients& grads,
+                        BlockBackpropScratch& scratch, double& loss) {
   constexpr std::size_t kB = simd::kDenseBlock;
   const auto& kernels = simd::dense_kernels();
   const std::size_t n_layers = model.layer_count();
@@ -145,20 +145,20 @@ void backprop_minibatch(const Mlp& model, const Dataset& train, const std::size_
   const std::size_t blocks = (n + kB - 1) / kB;
 
   // Gather the minibatch into SoA blocks: sample i is lane i%8 of block
-  // i/8, and the last block's padding lanes stay 0.
-  auto& acts = scratch.acts;
-  acts.resize(n_layers + 1);
-  acts[0].assign(blocks * n_in * kB, 0.0);
+  // i/8, and the last block's padding lanes are 0.
+  scratch.rows.resize(n);
   scratch.labels.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& x = train.x[idx[i]];
-    double* dst = acts[0].data() + (i / kB) * n_in * kB + i % kB;
-    for (std::size_t f = 0; f < n_in; ++f) dst[f * kB] = x[f];
+    scratch.rows[i] = train.x[idx[i]].data();
     scratch.labels[i] = train.y[idx[i]];
     if (scratch.labels[i] >= n_out) {
       throw std::invalid_argument("softmax_cross_entropy: label out of range");
     }
   }
+  auto& acts = scratch.acts;
+  acts.resize(n_layers + 1);
+  acts[0].resize(blocks * n_in * kB);
+  kernels.gather(scratch.rows.data(), n, n_in, acts[0].data());
 
   // Forward: one weight visit per layer feeds every lane of the minibatch.
   for (std::size_t li = 0; li < n_layers; ++li) {
@@ -202,7 +202,7 @@ void backprop_minibatch(const Mlp& model, const Dataset& train, const std::size_
     const auto& layer = model.layer(li);
     kernels.layer_grad(delta.data(), acts[li].data(), grads.w[li].raw().data(),
                        grads.b[li].data(), layer.out_features(), layer.in_features(),
-                       blocks);
+                       blocks, grad_scale);
     if (li == 0) break;
     // acts[li] is the post-activation output of layer li-1; a ReLU's
     // gradient is fused into the backward kernel.
@@ -227,6 +227,10 @@ Trainer::Trainer(TrainConfig config) : config_(config) {
 
 TrainResult Trainer::fit(Mlp& model, const Dataset& train, Rng& rng) {
   train.validate();
+  return fit_validated(model, train, rng);
+}
+
+TrainResult Trainer::fit_validated(Mlp& model, const Dataset& train, Rng& rng) {
   if (train.size() == 0) throw std::invalid_argument("Trainer::fit: empty dataset");
   if (train.n_features() != model.input_size() || train.n_classes > model.output_size()) {
     throw std::invalid_argument("Trainer::fit: dataset/model shape mismatch");
@@ -240,7 +244,10 @@ TrainResult Trainer::fit(Mlp& model, const Dataset& train, Rng& rng) {
   std::vector<std::size_t> order(train.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
-  Mlp view_model = model;  // scratch copy for STE weight views
+  // The STE weight view's target: copied once, then rewritten by the view
+  // before every step (a view sets every weight and bias).
+  Mlp view_model;
+  if (view_) view_model = model;
   TrainResult result;
   result.epoch_loss.reserve(config_.epochs);
   double lr = config_.lr;
@@ -250,26 +257,27 @@ TrainResult Trainer::fit(Mlp& model, const Dataset& train, Rng& rng) {
     double epoch_loss = 0.0;
     for (std::size_t start = 0; start < order.size(); start += config_.batch_size) {
       const std::size_t end = std::min(order.size(), start + config_.batch_size);
-      grads.set_zero();
+      const double inv_n = 1.0 / static_cast<double>(end - start);
 
       const Mlp* fwd = &model;
       if (view_) {
-        view_model = model;
         view_(model, view_model);
         fwd = &view_model;
       }
       if (blocked) {
         // The whole minibatch per weight visit, 8 samples per SoA block
-        // (the trainer-side twin of the inference engine's blocking).
-        backprop_minibatch(*fwd, train, order.data() + start, end - start, grads, scratch,
-                           epoch_loss);
+        // (the trainer-side twin of the inference engine's blocking); it
+        // stores the mean gradient itself.
+        backprop_minibatch(*fwd, train, order.data() + start, end - start, inv_n, grads,
+                           scratch, epoch_loss);
       } else {
+        grads.set_zero();
         for (std::size_t i = start; i < end; ++i) {
           epoch_loss += backprop_sample(*fwd, train.x[order[i]], train.y[order[i]],
                                         grads, sample_scratch);
         }
+        grads.scale(inv_n);
       }
-      grads.scale(1.0 / static_cast<double>(end - start));
       apply_update(model, grads, lr);
       if (projector_) projector_(model);
     }

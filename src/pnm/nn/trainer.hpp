@@ -97,6 +97,7 @@ double backprop_sample(const Mlp& model, const std::vector<double>& x, std::size
 /// blocked layout).  One scratch per fit(): every buffer is fully
 /// overwritten before it is read.
 struct BlockBackpropScratch {
+  std::vector<const double*> rows;        ///< the minibatch's feature rows
   std::vector<std::vector<double>> acts;  ///< blocked activations per layer
   std::vector<double> delta;              ///< blocked dL/d(layer output)
   std::vector<double> prev_delta;         ///< blocked back-propagated delta
@@ -108,19 +109,22 @@ struct BlockBackpropScratch {
 /// Minibatch backprop: runs the n samples train.x[idx[0..n)] through
 /// forward + backward together as ceil(n/8) SoA blocks, one kernel call
 /// per layer and direction for the whole minibatch (nn/dense_simd.hpp).
-/// Accumulates dL/dparams into grads (+=), block by block, and adds each
-/// block's summed loss to `loss` in block order.  Padding lanes of the
-/// last block are zero-filled and their deltas zeroed after the loss, so
-/// they contribute nothing.  The result is the same bit for bit as
-/// running the blocks one at a time, on every kernel table; it is not
-/// bit-identical to backprop_sample (different reduction orders) —
-/// covered by the accuracy-neutral fine-tuning contract, like the
-/// fast-math softmax.
+/// Stores grad_scale times dL/dparams summed over the minibatch into
+/// grads, overwriting every element (the trainer passes 1/n for the mean
+/// gradient): each element is summed from +0.0 block by block and then
+/// scaled, the operations of zeroing grads, accumulating each block and
+/// scaling it afterwards.  Adds each block's summed loss to `loss` in
+/// block order.  Padding lanes of the last block are zero-filled and
+/// their deltas zeroed after the loss, so they contribute nothing.  The
+/// result is the same bit for bit as summing one-block calls from +0.0 in
+/// block order, on every kernel table; it is not bit-identical to
+/// backprop_sample (different reduction orders) — covered by the
+/// accuracy-neutral fine-tuning contract, like the fast-math softmax.
 /// \throws std::invalid_argument when a label is not below the model's
 ///         output width.
 void backprop_minibatch(const Mlp& model, const Dataset& train, const std::size_t* idx,
-                        std::size_t n, Gradients& grads, BlockBackpropScratch& scratch,
-                        double& loss);
+                        std::size_t n, double grad_scale, Gradients& grads,
+                        BlockBackpropScratch& scratch, double& loss);
 
 enum class Optimizer { kSgd, kAdam };
 
@@ -149,7 +153,11 @@ struct TrainResult {
 class Trainer {
  public:
   /// Substitutes the weights used in the forward/backward pass (STE). The
-  /// callee receives the master model and a scratch copy to modify.
+  /// callee receives the master model and the view model, a copy of the
+  /// master made once per fit() and then reused for every step.  The view
+  /// must rewrite every weight and every bias of it from the master on
+  /// each call, as fake_quantize_mlp (core/quantize.hpp) does: whatever it
+  /// leaves alone keeps the previous step's value.
   using WeightView = std::function<void(const Mlp& master, Mlp& view)>;
   /// Constraint re-imposed on the master model after each optimizer step.
   using Projector = std::function<void(Mlp& master)>;
@@ -162,11 +170,20 @@ class Trainer {
   /// Trains and returns the per-epoch loss trace. Deterministic given rng.
   /// Every call starts from fresh optimizer state sized to `model`, so one
   /// Trainer may fit any sequence of models.
+  /// \throws std::invalid_argument when `train` fails Dataset::validate,
+  ///         is empty, or does not fit the model's shape.
   TrainResult fit(Mlp& model, const Dataset& train, Rng& rng);
 
   [[nodiscard]] const TrainConfig& config() const { return config_; }
 
  private:
+  // PipelineEvaluator (core/eval.hpp) validates its training split once,
+  // when it is built, and fine-tunes every genome on that split without
+  // repeating the O(samples x features) Dataset::validate scan: fit()
+  // minus that scan, with every other check kept.
+  friend class PipelineEvaluator;
+  TrainResult fit_validated(Mlp& model, const Dataset& train, Rng& rng);
+
   void reset_optimizer(const Mlp& model);
   void apply_update(Mlp& model, const Gradients& grads, double lr);
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <vector>
 
 #include "function_evaluator.hpp"
@@ -67,6 +68,22 @@ TEST(Eval, PipelineRejectsArityMismatch) {
   bad.sparsity_pct = {0};
   bad.clusters = {0};  // model has 2 layers
   EXPECT_THROW(proxy.evaluate(bad), std::invalid_argument);
+}
+
+/// The training split is validated once, where the evaluator is built:
+/// no genome's fine-tune re-checks it, so a NaN training feature must
+/// throw from the constructor, not from an evaluation on a pool worker.
+TEST(Eval, ConstructorRejectsNonFiniteTrainingFeature) {
+  auto& flow = seeds_flow();
+  const EvalConfig config = flow.proxy_evaluator(1).config();
+  DataSplit split = flow.data();
+  split.train.x[3][1] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(ProxyEvaluator(flow.float_model(), split, flow.tech(), config),
+               std::invalid_argument);
+  EXPECT_THROW(NetlistEvaluator(flow.float_model(), split, flow.tech(), config),
+               std::invalid_argument);
+  split.train.x[3][1] = flow.data().train.x[3][1];
+  EXPECT_NO_THROW(ProxyEvaluator(flow.float_model(), split, flow.tech(), config));
 }
 
 TEST(Eval, ProxyMatchesFlowEvaluateGenome) {

@@ -161,10 +161,12 @@ TEST(DenseSimd, MinibatchLayerKernelsBitIdenticalAcrossTables) {
             expect_same_values(out0, out1, "fwd " + shape);
           }
 
-          std::vector<double> gw0 = random_vec(rng, rows * cols), gw1 = gw0;
-          std::vector<double> gb0 = random_vec(rng, rows), gb1 = gb0;
-          scalar->layer_grad(delta.data(), in.data(), gw0.data(), gb0.data(), rows, cols, nb);
-          table->layer_grad(delta.data(), in.data(), gw1.data(), gb1.data(), rows, cols, nb);
+          // Stale contents must be overwritten, not accumulated into.
+          const double s = 1.0 / static_cast<double>(nb * kB);
+          std::vector<double> gw0 = random_vec(rng, rows * cols), gw1 = random_vec(rng, rows * cols);
+          std::vector<double> gb0 = random_vec(rng, rows), gb1 = random_vec(rng, rows);
+          scalar->layer_grad(delta.data(), in.data(), gw0.data(), gb0.data(), rows, cols, nb, s);
+          table->layer_grad(delta.data(), in.data(), gw1.data(), gb1.data(), rows, cols, nb, s);
           expect_same_values(gw0, gw1, "grad w " + shape);
           expect_same_values(gb0, gb1, "grad b " + shape);
 
@@ -181,11 +183,17 @@ TEST(DenseSimd, MinibatchLayerKernelsBitIdenticalAcrossTables) {
   }
 }
 
+/// The canonical 8-lane reduction, spelled out: chains q_j = p_j + p_{j+4}
+/// combined as (q0+q1)+(q2+q3).
+double sum8_reference(const double* p) {
+  return ((p[0] + p[4]) + (p[1] + p[5])) + ((p[2] + p[6]) + (p[3] + p[7]));
+}
+
 /// The documented per-element order, spelled out independently of the
 /// tables: forward is bias plus a c-ascending chain, backward a
-/// r-ascending chain from +0.0 with the ReLU mask, and gradients add each
-/// block's canonical sum8 in block order — so one multi-block call equals
-/// one single-block call per block.
+/// r-ascending chain from +0.0 with the ReLU mask, and the gradient's
+/// scaled store equals zeroing, adding each block's canonical sum8 in
+/// block order, then scaling.
 TEST(DenseSimd, MinibatchLayerKernelsFollowDocumentedOrder) {
   const auto* scalar = simd::dense_kernels_for(simd::Isa::kScalar);
   Rng rng(17);
@@ -215,15 +223,37 @@ TEST(DenseSimd, MinibatchLayerKernelsFollowDocumentedOrder) {
     }
   }
 
-  std::vector<double> gw_multi(rows * cols, 0.25), gb_multi(rows, -0.5);
-  std::vector<double> gw_seq = gw_multi, gb_seq = gb_multi;
-  scalar->layer_grad(delta.data(), in.data(), gw_multi.data(), gb_multi.data(), rows, cols, nb);
+  // Zero, accumulate block by block, scale: the three passes the store
+  // replaces.  One delta row is all -0.0 products, whose sum8 is -0.0, so
+  // the +0.0 start shows.
+  std::vector<double> neg_delta = delta;
   for (std::size_t b = 0; b < nb; ++b) {
-    scalar->layer_grad(delta.data() + b * rows * kB, in.data() + b * cols * kB, gw_seq.data(),
-                       gb_seq.data(), rows, cols, 1);
+    for (std::size_t j = 0; j < kB; ++j) neg_delta[(b * rows + 1) * kB + j] = -0.0;
   }
-  expect_same_values(gw_multi, gw_seq, "grad w multi vs per-block");
-  expect_same_values(gb_multi, gb_seq, "grad b multi vs per-block");
+  const double s = 1.0 / 24.0;
+  std::vector<double> gw_ref(rows * cols, 0.0), gb_ref(rows, 0.0);
+  for (std::size_t b = 0; b < nb; ++b) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double* dv = neg_delta.data() + (b * rows + r) * kB;
+      gb_ref[r] += sum8_reference(dv);
+      for (std::size_t c = 0; c < cols; ++c) {
+        double p[kB];
+        for (std::size_t j = 0; j < kB; ++j) p[j] = dv[j] * in[(b * cols + c) * kB + j];
+        gw_ref[r * cols + c] += sum8_reference(p);
+      }
+    }
+  }
+  for (double& g : gw_ref) g *= s;
+  for (double& g : gb_ref) g *= s;
+  EXPECT_TRUE(same_value(gb_ref[1], 0.0));
+  std::vector<const simd::DenseKernels*> tables = native_tables();
+  tables.push_back(scalar);
+  for (const auto* table : tables) {
+    std::vector<double> gw(rows * cols, 0.25), gb(rows, -0.5);
+    table->layer_grad(neg_delta.data(), in.data(), gw.data(), gb.data(), rows, cols, nb, s);
+    expect_same_values(gw, gw_ref, "grad w vs zero + accumulate + scale");
+    expect_same_values(gb, gb_ref, "grad b vs zero + accumulate + scale");
+  }
 }
 
 /// SoA logits for n samples in ceil(n/8) blocks of `rows` classes.
@@ -246,13 +276,15 @@ double& logit(SoftmaxCase& c, std::size_t sample, std::size_t r) {
   return c.logits[(sample / kB) * c.rows * kB + r * kB + sample % kB];
 }
 
-/// Softmax edge cases: tied maxima (including a -0.0/+0.0 tie), logit gaps
-/// past kFastExpUnderflow, and infinite logits.
+/// Softmax edge cases for every n and row count in 1..40 (partial blocks,
+/// and row counts on both sides of the AVX2 kernel's 4- and 2-row exp
+/// groups): tied maxima (including a -0.0/+0.0 tie), logit gaps past
+/// kFastExpUnderflow, and infinite logits.
 std::vector<SoftmaxCase> softmax_cases() {
   Rng rng(19);
   std::vector<SoftmaxCase> cases;
-  for (std::size_t n = 1; n <= 8; ++n) {
-    for (std::size_t rows : {1u, 2u, 3u, 10u}) {
+  for (std::size_t n = 1; n <= 40; ++n) {
+    for (std::size_t rows = 1; rows <= 40; ++rows) {
       cases.push_back(softmax_case(rng, n, rows, 3.0));
       if (rows < 2) continue;
       SoftmaxCase tied = softmax_case(rng, n, rows, 3.0);
@@ -368,6 +400,42 @@ TEST(DenseSimd, FakeQuantizeMatchesLlroundOnEveryTable) {
   }
 }
 
+/// The gather writes the documented blocked layout on every table: rows
+/// taken from separate allocations in the caller's order, every feature
+/// of every sample (the AVX2 kernel's 4x4 transposes and its feature and
+/// sample tails), -0.0 copied as is, and +0.0 in exactly the last
+/// block's padding lanes.
+TEST(DenseSimd, GatherWritesBlockedLayoutOnEveryTable) {
+  std::vector<const simd::DenseKernels*> tables = native_tables();
+  tables.push_back(simd::dense_kernels_for(simd::Isa::kScalar));
+  Rng rng(43);
+  for (std::size_t n : {1u, 3u, 5u, 8u, 13u, 18u, 32u, 33u}) {
+    for (std::size_t cols : {1u, 3u, 4u, 7u, 16u}) {
+      const std::string what = "n=" + std::to_string(n) + " cols=" + std::to_string(cols);
+      std::vector<std::vector<double>> data(n + 3);
+      for (auto& row : data) row = random_vec(rng, cols);
+      data[2][cols - 1] = -0.0;
+      std::vector<const double*> rows(n);
+      for (std::size_t i = 0; i < n; ++i) rows[i] = data[(i * 5 + 2) % data.size()].data();
+      const std::size_t blocks = (n + kB - 1) / kB;
+      std::vector<double> want(blocks * cols * kB);
+      for (std::size_t b = 0; b < blocks; ++b) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          for (std::size_t j = 0; j < kB; ++j) {
+            const std::size_t i = b * kB + j;
+            want[(b * cols + c) * kB + j] = i < n ? rows[i][c] : 0.0;
+          }
+        }
+      }
+      for (const auto* table : tables) {
+        std::vector<double> got(want.size(), -0.0);  // stale contents
+        table->gather(rows.data(), n, cols, got.data());
+        expect_same_values(got, want, "gather " + what);
+      }
+    }
+  }
+}
+
 TEST(DenseSimd, ForceAndResetSwitchTables) {
   simd::force_dense_kernels(simd::Isa::kScalar);
   EXPECT_EQ(&simd::dense_kernels(), simd::dense_kernels_for(simd::Isa::kScalar));
@@ -411,7 +479,7 @@ TEST(DenseSimd, MinibatchBackpropMatchesPerSampleWithinTolerance) {
     Gradients blocked = Gradients::zeros_like(model);
     BlockBackpropScratch scratch;
     double loss = 0.0;
-    backprop_minibatch(model, data, idx.data(), n, blocked, scratch, loss);
+    backprop_minibatch(model, data, idx.data(), n, 1.0, blocked, scratch, loss);
 
     EXPECT_NEAR(loss, ref_loss, 1e-9 * (1.0 + std::abs(ref_loss))) << "n " << n;
     for (std::size_t li = 0; li < model.layer_count(); ++li) {
@@ -431,24 +499,33 @@ TEST(DenseSimd, MinibatchBackpropMatchesPerSampleWithinTolerance) {
 }
 
 /// One minibatch call is bit-identical to one call per 8-sample block: the
-/// gradients and the loss accumulate block by block in the same order.
+/// loss accumulates block by block in the same order, and the scaled
+/// gradient store equals the one-block gradients summed from +0.0 in
+/// block order, then scaled.
 TEST(DenseSimd, MinibatchBackpropEqualsBlockByBlock) {
   Rng rng(31);
   Mlp model({5, 6, 4, 3}, rng);
   const Dataset data = random_dataset(rng, 21);
   std::vector<std::size_t> idx(21);
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = (i * 8 + 3) % idx.size();
+  const double s = 1.0 / 21.0;
 
   Gradients whole = Gradients::zeros_like(model);
-  Gradients split = Gradients::zeros_like(model);
   BlockBackpropScratch scratch;
   double whole_loss = 0.125;
   double split_loss = 0.125;
-  backprop_minibatch(model, data, idx.data(), idx.size(), whole, scratch, whole_loss);
+  backprop_minibatch(model, data, idx.data(), idx.size(), s, whole, scratch, whole_loss);
+  Gradients split = Gradients::zeros_like(model);
+  Gradients block = Gradients::zeros_like(model);
   for (std::size_t i = 0; i < idx.size(); i += kB) {
-    backprop_minibatch(model, data, idx.data() + i, std::min(kB, idx.size() - i), split,
+    backprop_minibatch(model, data, idx.data() + i, std::min(kB, idx.size() - i), 1.0, block,
                        scratch, split_loss);
+    for (std::size_t li = 0; li < model.layer_count(); ++li) {
+      split.w[li].axpy(1.0, block.w[li]);
+      for (std::size_t r = 0; r < split.b[li].size(); ++r) split.b[li][r] += block.b[li][r];
+    }
   }
+  split.scale(s);
   EXPECT_TRUE(same_value(whole_loss, split_loss));
   for (std::size_t li = 0; li < model.layer_count(); ++li) {
     expect_same_values(whole.w[li].raw(), split.w[li].raw(), "w layer " + std::to_string(li));
@@ -465,8 +542,9 @@ TEST(DenseSimd, MinibatchBackpropRejectsOutOfRangeLabel) {
   Gradients grads = Gradients::zeros_like(model);
   BlockBackpropScratch scratch;
   double loss = 0.0;
-  EXPECT_THROW(backprop_minibatch(model, data, idx.data(), idx.size(), grads, scratch, loss),
-               std::invalid_argument);
+  EXPECT_THROW(
+      backprop_minibatch(model, data, idx.data(), idx.size(), 1.0, grads, scratch, loss),
+      std::invalid_argument);
 }
 
 }  // namespace

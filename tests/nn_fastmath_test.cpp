@@ -16,7 +16,11 @@
 
 #include "pnm/data/scaler.hpp"
 #include "pnm/data/synth.hpp"
+#include "pnm/nn/dense_simd.hpp"
 #include "pnm/nn/fastmath.hpp"
+#if defined(__x86_64__)
+#include "pnm/nn/fastmath_avx2.hpp"
+#endif
 #include "pnm/nn/metrics.hpp"
 #include "pnm/nn/mlp.hpp"
 #include "pnm/nn/trainer.hpp"
@@ -148,6 +152,60 @@ TEST(FastMath, LogStaysInsideDocumentedBoundAcrossScales) {
   }
   EXPECT_LE(max_rel, kFastLogMaxRelError) << "worst at x = " << worst_x;
   EXPECT_EQ(fast_log(1.0), 0.0);
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void fast_log4_lanes(const double* x, double* out) {
+  _mm256_storeu_pd(out, simd::fast_log4(_mm256_loadu_pd(x)));
+}
+#endif
+
+/// The 4-lane twin the AVX2 softmax takes its logs with returns fast_log's
+/// bits: on both sides of the sqrt 2 split at every scale, at powers of
+/// two, across the softmax denominators' [1, 64], and for the zeros,
+/// subnormals, infinities and NaNs an infinite logit can make.
+TEST(FastMath, FourLaneLogEqualsScalarBitForBit) {
+#if defined(__x86_64__)
+  if (!simd::isa_available(simd::Isa::kAvx2)) GTEST_SKIP() << "no AVX2 on this CPU";
+  std::vector<double> xs;
+  const double sqrt2 = fastlog::kSqrt2;
+  for (int e = -1022; e <= 1023; ++e) {
+    const double p2 = std::ldexp(1.0, e);
+    xs.push_back(p2);
+    xs.push_back(std::nextafter(p2, 0.0));
+    xs.push_back(std::nextafter(p2, 2.0 * p2));
+    if (e < 1023) {
+      for (double m : {std::nextafter(sqrt2, 1.0), sqrt2, std::nextafter(sqrt2, 2.0)}) {
+        xs.push_back(std::ldexp(m, e));
+      }
+    }
+  }
+  for (int i = 0; i <= 63 * 4096; ++i) xs.push_back(1.0 + i / 4096.0);
+  Rng rng(53);
+  for (int i = 0; i < 20000; ++i) xs.push_back(1.0 + 63.0 * rng.uniform());
+  for (double x : {0.0, -0.0, std::numeric_limits<double>::denorm_min(), 1e-310,
+                   std::numeric_limits<double>::infinity(), -1.0,
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    xs.push_back(x);
+  }
+  while (xs.size() % 4 != 0) xs.push_back(1.0);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < xs.size(); i += 4) {
+    double got[4];
+    fast_log4_lanes(xs.data() + i, got);
+    for (std::size_t j = 0; j < 4; ++j) {
+      const double want = fast_log(xs[i + j]);
+      if (std::bit_cast<std::uint64_t>(got[j]) != std::bit_cast<std::uint64_t>(want) &&
+          mismatches++ < 10) {
+        ADD_FAILURE() << "fast_log4(" << xs[i + j] << ") = " << got[j] << ", fast_log "
+                      << want;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+#else
+  GTEST_SKIP() << "the 4-lane twin is x86-64 only";
+#endif
 }
 
 TEST(FastMath, FastSoftmaxMatchesReferenceWithinDeclaredTolerance) {

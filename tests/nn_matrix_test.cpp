@@ -4,7 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "pnm/nn/dense_simd.hpp"
+#include "pnm/util/rng.hpp"
 
 namespace pnm {
 namespace {
@@ -87,6 +96,65 @@ TEST(Matrix, AbsMaxAndZeroCount) {
   EXPECT_EQ(m.zero_count(), 2U);
   Matrix empty;
   EXPECT_EQ(empty.abs_max(), 0.0);
+}
+
+/// The fold abs_max is defined by: m = std::max(m, |e|) from +0.0.
+double serial_abs_max(const std::vector<double>& v) {
+  double m = 0.0;
+  for (double e : v) m = std::max(m, std::fabs(e));
+  return m;
+}
+
+/// Every kernel table's abs_max, and Matrix::abs_max through the active
+/// one, return the serial fold's bits for every size 0..67 (the vector
+/// lanes, their 4-wide tail and the scalar tail), with NaN (skipped),
+/// -0.0 (+0.0 either way), infinities and subnormals at varying places.
+TEST(Matrix, AbsMaxEqualsSerialFoldBitForBit) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  std::vector<const simd::DenseKernels*> tables;
+  for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kNeon}) {
+    if (const simd::DenseKernels* t = simd::dense_kernels_for(isa)) tables.push_back(t);
+  }
+  Rng rng(41);
+  for (std::size_t n = 0; n <= 67; ++n) {
+    std::vector<std::vector<double>> cases;
+    std::vector<double> v(n);
+    for (double& e : v) e = rng.normal();
+    cases.push_back(v);
+    cases.push_back(std::vector<double>(n, -0.0));
+    if (n > 0) {
+      std::vector<double> tail = v;  // the largest magnitude in the last slot
+      tail[n - 1] = -9.0;
+      cases.push_back(tail);
+      std::vector<double> nans = v;
+      for (std::size_t i = n % 3; i < n; i += 5) nans[i] = i % 2 == 0 ? nan : -nan;
+      cases.push_back(nans);
+      std::vector<double> all_nan(n, nan);
+      all_nan[n / 2] = -0.0;
+      cases.push_back(all_nan);
+      std::vector<double> tiny(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        tiny[i] = (i % 2 == 0 ? -1.0 : 1.0) * sub * static_cast<double>(i % 7);
+      }
+      cases.push_back(tiny);
+      for (double big : {inf, -inf}) {
+        std::vector<double> infs = nans;
+        infs[(n * 5 / 7) % n] = big;
+        cases.push_back(infs);
+      }
+    }
+    for (const std::vector<double>& c : cases) {
+      const auto want = std::bit_cast<std::uint64_t>(serial_abs_max(c));
+      const Matrix m(1, c.size(), c);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(m.abs_max()), want) << "n " << n;
+      for (const simd::DenseKernels* t : tables) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(t->abs_max(c.data(), c.size())), want)
+            << "n " << n;
+      }
+    }
+  }
 }
 
 TEST(Matrix, FillSetsEveryElement) {

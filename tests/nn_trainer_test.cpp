@@ -190,13 +190,15 @@ TEST(Trainer, WeightViewReceivesMasterAndAffectsTraining) {
   int view_calls = 0;
   trainer.set_weight_view([&view_calls](const Mlp& master, Mlp& view) {
     ++view_calls;
-    // Crude 1-bit "quantization": sign * 0.5.
+    // Crude 1-bit "quantization": sign * 0.5.  A view rewrites every
+    // weight and bias (the WeightView contract).
     for (std::size_t li = 0; li < master.layer_count(); ++li) {
       auto& w = view.layer(li).weights.raw();
       const auto& mw = master.layer(li).weights.raw();
       for (std::size_t i = 0; i < w.size(); ++i) {
         w[i] = mw[i] > 0 ? 0.5 : (mw[i] < 0 ? -0.5 : 0.0);
       }
+      view.layer(li).bias = master.layer(li).bias;
     }
   });
   trainer.fit(net, data, rng);
