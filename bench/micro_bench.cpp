@@ -3,12 +3,13 @@
 /// It exits nonzero when a correctness check fails:
 ///   * the single-sample, blocked-scalar and blocked-native inference
 ///     engines disagree on a realized model's accuracy;
-///   * vectorized fine-tuning moves the batch's mean realized accuracy
-///     away from the scalar+libm reference by more than 0.05;
+///   * production fine-tuning moves the batch's mean realized accuracy
+///     away from the per-sample libm reference on the scalar table
+///     (tests/trainer_reference.hpp) by more than 0.05;
 /// or, on builds with build_info::timing_multiplier() == 1 (no
 /// sanitizer), when a speed floor fails: blocked-scalar below 0.95x
-/// single-sample, native blocks below 1.5x single-sample, or vectorized
-/// fine-tuning below 1.2x scalar+libm.
+/// single-sample, native blocks below 1.5x single-sample, or production
+/// fine-tuning below 1.2x that reference.
 ///
 /// The floors are one-shot timings with wide margins, not measurements:
 /// repeated, stage-attributed numbers come from `python3 perfbench/run.py`.
@@ -23,9 +24,9 @@
 #include "pnm/core/infer_simd.hpp"
 #include "pnm/core/quantize.hpp"
 #include "pnm/nn/dense_simd.hpp"
-#include "pnm/nn/trainer.hpp"
 #include "pnm/util/build_info.hpp"
 #include "pnm/util/rng.hpp"
+#include "trainer_reference.hpp"
 
 namespace {
 
@@ -71,13 +72,14 @@ std::vector<Genome> batch_genomes(std::size_t n) {
 // (AVX2/NEON; skipped when the active ISA is scalar).  The engines are
 // bit-exact by construction, so their accuracies must agree exactly.
 //
-// The fine-tuning pair runs NetlistEvaluator::realize (quantize + STE
-// fine-tune) twice: "scalar_libm" is the pre-SIMD trainer (per-sample
-// backprop, scalar dense kernels, libm softmax) and "simd_fast" the
-// shipped default (sample-blocked backprop, active-ISA kernels, batch
-// fast-exp softmax).  Fast softmax perturbs trajectories, so the two are
-// not bit-identical; their mean realized accuracy must match within a
-// declared tolerance instead.
+// The fine-tuning pair realizes the batch (prune + cluster + STE fine-tune
+// + quantize) twice: "scalar_libm" is reference::realize with the
+// per-sample libm gradient on the scalar dense kernels (the pre-SIMD
+// trainer, tests/trainer_reference.hpp) and "simd_fast" is
+// NetlistEvaluator::realize, production fine-tuning (sample-blocked
+// backprop, active-ISA kernels, fast softmax).  Fast softmax perturbs
+// trajectories, so the two are not bit-identical; their mean realized
+// accuracy must match within a declared tolerance instead.
 
 bool run_speed_floors() {
   auto& flow = bench_flow();
@@ -144,22 +146,20 @@ bool run_speed_floors() {
   constexpr int kFtPasses = 3;
   constexpr double kFrontQualityTolerance = 0.05;
   const auto realize_batch = [&](bool vectorized, double& mean_accuracy) {
-    const bool saved = softmax_fast_math();
-    set_softmax_fast_math(vectorized);
-    set_blocked_backprop(vectorized);
-    simd::force_dense_kernels(vectorized ? isa : simd::Isa::kScalar);
+    const reference::ScopedKernels kernels(vectorized ? isa : simd::Isa::kScalar);
     mean_accuracy = 0.0;
     const auto t0 = std::chrono::steady_clock::now();
     for (int p = 0; p < kFtPasses; ++p) {
       for (const Genome& g : genomes) {
-        const QuantizedMlp q = netlist.realize(g);
+        const QuantizedMlp q =
+            vectorized ? netlist.realize(g)
+                       : reference::realize(flow.float_model(), flow.data().train,
+                                            netlist.config(), g,
+                                            reference::Gradient::kPerSampleLibm);
         if (p == 0) mean_accuracy += q.accuracy(qval);
       }
     }
     const auto t1 = std::chrono::steady_clock::now();
-    set_softmax_fast_math(saved);
-    set_blocked_backprop(true);
-    simd::reset_dense_kernels();
     mean_accuracy /= static_cast<double>(genomes.size());
     return std::chrono::duration<double>(t1 - t0).count() / kFtPasses;
   };

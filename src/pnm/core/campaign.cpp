@@ -62,12 +62,9 @@ std::string eval_fingerprint(const FlowConfig& flow, const EvalConfig& eval,
   append_kv(canon, "use_csd", bool_str(eval.bespoke.use_csd));
   append_kv(canon, "share_subexpr", bool_str(eval.bespoke.share_subexpressions));
   append_kv(canon, "use_test_set", bool_str(eval.use_test_set));
-  // Fine-tuning float-math generation: the fast-math softmax and the
-  // sample-blocked backprop are accuracy-neutral but not bit-identical to
-  // the libm/per-sample path, so stored results never silently mix modes.
-  append_kv(canon, "finetune_math",
-            std::string(softmax_fast_math() ? "fast" : "libm") + "-" +
-                (blocked_backprop() ? "blocked" : "persample"));
+  // The fine-tuning numerics generation: a declared numerics change bumps
+  // the constant, so stored results never mix generations.
+  append_kv(canon, "finetune_math", kFinetuneMath);
   return fnv1a64_hex(canon);
 }
 

@@ -110,7 +110,8 @@ struct DenseKernels {
                      unsigned long cols, unsigned long blocks);
   /// Fast softmax cross-entropy over n samples whose `rows` logits sit in
   /// ceil(n/8) SoA blocks; writes dL/dlogits to delta (same layout).  Per
-  /// lane, exactly softmax_cross_entropy_fast (nn/trainer.hpp): the max as
+  /// lane, exactly the per-sample fast softmax that
+  /// tests/trainer_reference.hpp keeps as its reference: the max as
   /// std::max_element picks it, e_r = fast_exp(z_r - max), denom summed
   /// from 0.0 in r order, delta_r = e_r * (1.0 / denom), then
   /// delta_label -= 1.0 and loss = fast_log(denom) - (z_label - max).

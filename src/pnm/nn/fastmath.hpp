@@ -36,9 +36,9 @@
 ///    *absolute* error stays below 1e-13).
 ///
 /// Anything consuming these is gated by *front quality*, not bit identity:
-/// the fine-tuned Pareto fronts must match the golden baseline within the
-/// declared tolerance (see nn_fastmath_test.cpp and the trainer's
-/// set_softmax_fast_math switch).
+/// fine-tuning with the fast softmax must land within the declared
+/// tolerances of the libm reference (tests/trainer_reference.hpp) and of
+/// the golden baseline (nn_fastmath_test.cpp, core_front_quality_test.cpp).
 
 #include <cstddef>
 

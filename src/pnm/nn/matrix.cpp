@@ -30,31 +30,11 @@ void Matrix::matvec(const std::vector<double>& x, std::vector<double>& y) const 
   }
 }
 
-void Matrix::matvec_transposed(const std::vector<double>& x, std::vector<double>& y) const {
-  if (x.size() != rows_) throw std::invalid_argument("matvec_transposed: bad x size");
-  const auto& kernels = simd::dense_kernels();
-  y.assign(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    kernels.axpy(y.data(), data_.data() + r * cols_, x[r], cols_);
-  }
-}
-
 void Matrix::axpy(double alpha, const Matrix& other) {
   if (other.rows_ != rows_ || other.cols_ != cols_) {
     throw std::invalid_argument("axpy: shape mismatch");
   }
   simd::dense_kernels().axpy(data_.data(), other.data_.data(), alpha, data_.size());
-}
-
-void Matrix::add_outer(double alpha, const std::vector<double>& u,
-                       const std::vector<double>& v) {
-  if (u.size() != rows_ || v.size() != cols_) {
-    throw std::invalid_argument("add_outer: shape mismatch");
-  }
-  const auto& kernels = simd::dense_kernels();
-  for (std::size_t r = 0; r < rows_; ++r) {
-    kernels.axpy(data_.data() + r * cols_, v.data(), alpha * u[r], cols_);
-  }
 }
 
 double Matrix::abs_max() const {

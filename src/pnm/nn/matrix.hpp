@@ -50,14 +50,8 @@ class Matrix {
   /// y = this * x  (x.size() == cols, y.size() == rows).
   void matvec(const std::vector<double>& x, std::vector<double>& y) const;
 
-  /// y = this^T * x  (x.size() == rows, y.size() == cols).
-  void matvec_transposed(const std::vector<double>& x, std::vector<double>& y) const;
-
   /// this += alpha * other (same shape).
   void axpy(double alpha, const Matrix& other);
-
-  /// Rank-1 update: this += alpha * u * v^T (u.size()==rows, v.size()==cols).
-  void add_outer(double alpha, const std::vector<double>& u, const std::vector<double>& v);
 
   /// Elementwise maximum of |element| over the whole matrix (0 for empty).
   [[nodiscard]] double abs_max() const;

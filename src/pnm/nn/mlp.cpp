@@ -67,21 +67,6 @@ std::vector<double> Mlp::forward(const std::vector<double>& x) const {
   return cur;
 }
 
-void Mlp::forward_cached(const std::vector<double>& x,
-                         std::vector<std::vector<double>>& activations) const {
-  // resize + assign (not a wholesale .assign of empty vectors) so a reused
-  // activation cache keeps its buffers across samples.
-  activations.resize(layers_.size() + 1);
-  activations[0].assign(x.begin(), x.end());
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const auto& l = layers_[i];
-    l.weights.matvec(activations[i], activations[i + 1]);
-    auto& out = activations[i + 1];
-    for (std::size_t r = 0; r < out.size(); ++r) out[r] += l.bias[r];
-    apply_activation(l.act, out);
-  }
-}
-
 std::size_t Mlp::predict(const std::vector<double>& x) const { return argmax(forward(x)); }
 
 std::size_t Mlp::weight_count() const {

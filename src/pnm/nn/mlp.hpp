@@ -62,11 +62,6 @@ class Mlp {
   /// Forward pass; returns the output-layer activations (logits).
   [[nodiscard]] std::vector<double> forward(const std::vector<double>& x) const;
 
-  /// Forward pass that records every layer's post-activation output
-  /// (activations[0] is the input itself); used by backprop.
-  void forward_cached(const std::vector<double>& x,
-                      std::vector<std::vector<double>>& activations) const;
-
   /// Predicted class = argmax of logits (ties resolved to the lowest
   /// index, matching the hardware comparator tree).
   [[nodiscard]] std::size_t predict(const std::vector<double>& x) const;

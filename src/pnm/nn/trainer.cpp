@@ -1,33 +1,12 @@
 #include "pnm/nn/trainer.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
 #include "pnm/nn/dense_simd.hpp"
-#include "pnm/nn/fastmath.hpp"
 
 namespace pnm {
-
-namespace {
-std::atomic<bool> g_softmax_fast{true};
-std::atomic<bool> g_blocked_backprop{true};
-}  // namespace
-
-void set_softmax_fast_math(bool enabled) {
-  g_softmax_fast.store(enabled, std::memory_order_relaxed);
-}
-
-bool softmax_fast_math() { return g_softmax_fast.load(std::memory_order_relaxed); }
-
-void set_blocked_backprop(bool enabled) {
-  g_blocked_backprop.store(enabled, std::memory_order_relaxed);
-}
-
-bool blocked_backprop() {
-  return g_blocked_backprop.load(std::memory_order_relaxed);
-}
 
 Gradients Gradients::zeros_like(const Mlp& model) {
   Gradients g;
@@ -38,20 +17,6 @@ Gradients Gradients::zeros_like(const Mlp& model) {
     g.b.emplace_back(l.out_features(), 0.0);
   }
   return g;
-}
-
-void Gradients::set_zero() {
-  for (auto& m : w) m.fill(0.0);
-  for (auto& v : b) std::fill(v.begin(), v.end(), 0.0);
-}
-
-void Gradients::scale(double s) {
-  for (auto& m : w) {
-    for (auto& e : m.raw()) e *= s;
-  }
-  for (auto& v : b) {
-    for (auto& e : v) e *= s;
-  }
 }
 
 double softmax_cross_entropy(const std::vector<double>& logits, std::size_t label,
@@ -70,66 +35,6 @@ double softmax_cross_entropy(const std::vector<double>& logits, std::size_t labe
       (*grad)[i] = std::exp(logits[i] - max_logit - log_denom);
     }
     (*grad)[label] -= 1.0;
-  }
-  return loss;
-}
-
-double softmax_cross_entropy_fast(const std::vector<double>& logits, std::size_t label,
-                                  std::vector<double>* grad) {
-  if (label >= logits.size()) {
-    throw std::invalid_argument("softmax_cross_entropy: label out of range");
-  }
-  const std::size_t n = logits.size();
-  const double max_logit = *std::max_element(logits.begin(), logits.end());
-  double denom = 0.0;
-  if (grad != nullptr) {
-    // e_i = exp(z_i - max) lands in the gradient buffer and is reused:
-    // grad_i = e_i / denom instead of a second exponentiation pass.
-    grad->resize(n);
-    double* g = grad->data();
-    for (std::size_t i = 0; i < n; ++i) g[i] = logits[i] - max_logit;
-    fast_exp(g, g, n);
-    for (std::size_t i = 0; i < n; ++i) denom += g[i];
-    const double inv = 1.0 / denom;
-    for (std::size_t i = 0; i < n; ++i) g[i] *= inv;
-    g[label] -= 1.0;
-  } else {
-    for (std::size_t i = 0; i < n; ++i) denom += fast_exp(logits[i] - max_logit);
-  }
-  // loss = -(z_label - max - log denom), log-sum-exp stabilized.
-  return fast_log(denom) - (logits[label] - max_logit);
-}
-
-double backprop_sample(const Mlp& model, const std::vector<double>& x, std::size_t label,
-                       Gradients& grads) {
-  BackpropScratch scratch;
-  return backprop_sample(model, x, label, grads, scratch);
-}
-
-double backprop_sample(const Mlp& model, const std::vector<double>& x, std::size_t label,
-                       Gradients& grads, BackpropScratch& scratch) {
-  auto& acts = scratch.acts;
-  model.forward_cached(x, acts);
-
-  auto& delta = scratch.delta;
-  const double loss = softmax_fast_math()
-                          ? softmax_cross_entropy_fast(acts.back(), label, &delta)
-                          : softmax_cross_entropy(acts.back(), label, &delta);
-  // The output layer is identity in this library; if it is not, fold the
-  // activation derivative into delta.
-  apply_activation_grad(model.layers().back().act, acts.back(), delta);
-
-  for (std::size_t li = model.layer_count(); li-- > 0;) {
-    const auto& layer = model.layer(li);
-    // dL/dW += delta * acts[li]^T ; dL/db += delta.
-    grads.w[li].add_outer(1.0, delta, acts[li]);
-    for (std::size_t r = 0; r < delta.size(); ++r) grads.b[li][r] += delta[r];
-    if (li == 0) break;
-    auto& prev_delta = scratch.prev_delta;
-    layer.weights.matvec_transposed(delta, prev_delta);
-    apply_activation_grad(model.layer(li - 1).act, acts[li], prev_delta);
-    // NOTE: acts[li] is the *post-activation* output of layer li-1.
-    delta.swap(prev_delta);
   }
   return loss;
 }
@@ -176,26 +81,7 @@ void backprop_minibatch(const Mlp& model, const Dataset& train, const std::size_
   const auto& logits = acts[n_layers];
   auto& delta = scratch.delta;
   delta.resize(blocks * n_out * kB);
-  if (softmax_fast_math()) {
-    kernels.softmax_xent(logits.data(), scratch.labels.data(), n, n_out, delta.data(),
-                         &loss);
-  } else {
-    // The libm reference, one gathered lane at a time.
-    std::fill(delta.begin(), delta.end(), 0.0);
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const double* z = logits.data() + b * n_out * kB;
-      double* d = delta.data() + b * n_out * kB;
-      double block_loss = 0.0;
-      for (std::size_t j = 0; j < kB && b * kB + j < n; ++j) {
-        scratch.logits.resize(n_out);
-        for (std::size_t r = 0; r < n_out; ++r) scratch.logits[r] = z[r * kB + j];
-        block_loss += softmax_cross_entropy(scratch.logits, scratch.labels[b * kB + j],
-                                            &scratch.grad);
-        for (std::size_t r = 0; r < n_out; ++r) d[r * kB + j] = scratch.grad[r];
-      }
-      loss += block_loss;
-    }
-  }
+  kernels.softmax_xent(logits.data(), scratch.labels.data(), n, n_out, delta.data(), &loss);
   apply_activation_grad(model.layers().back().act, logits, delta);
 
   for (std::size_t li = n_layers; li-- > 0;) {
@@ -239,8 +125,6 @@ TrainResult Trainer::fit_validated(Mlp& model, const Dataset& train, Rng& rng) {
   reset_optimizer(model);
   Gradients grads = Gradients::zeros_like(model);
   BlockBackpropScratch scratch;
-  BackpropScratch sample_scratch;
-  const bool blocked = blocked_backprop();
   std::vector<std::size_t> order(train.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
@@ -264,20 +148,11 @@ TrainResult Trainer::fit_validated(Mlp& model, const Dataset& train, Rng& rng) {
         view_(model, view_model);
         fwd = &view_model;
       }
-      if (blocked) {
-        // The whole minibatch per weight visit, 8 samples per SoA block
-        // (the trainer-side twin of the inference engine's blocking); it
-        // stores the mean gradient itself.
-        backprop_minibatch(*fwd, train, order.data() + start, end - start, inv_n, grads,
-                           scratch, epoch_loss);
-      } else {
-        grads.set_zero();
-        for (std::size_t i = start; i < end; ++i) {
-          epoch_loss += backprop_sample(*fwd, train.x[order[i]], train.y[order[i]],
-                                        grads, sample_scratch);
-        }
-        grads.scale(inv_n);
-      }
+      // The whole minibatch per weight visit, 8 samples per SoA block (the
+      // trainer-side twin of the inference engine's blocking); it stores
+      // the mean gradient itself.
+      backprop_minibatch(*fwd, train, order.data() + start, end - start, inv_n, grads,
+                         scratch, epoch_loss);
       apply_update(model, grads, lr);
       if (projector_) projector_(model);
     }

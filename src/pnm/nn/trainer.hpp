@@ -24,6 +24,13 @@
 
 namespace pnm {
 
+/// The fine-tuning numerics generation: the minibatch backprop below with
+/// the kernel table's fast softmax.  eval_fingerprint (core/campaign.hpp)
+/// hashes it, so stored results never mix generations.  A change that
+/// moves any fine-tuned bit (nn_trainer_golden_test's digests) bumps it in
+/// the same change.
+inline constexpr const char* kFinetuneMath = "fast-blocked";
+
 /// Gradients of the loss w.r.t. one network's parameters.
 struct Gradients {
   std::vector<Matrix> w;                 ///< same shapes as the layers' weights
@@ -31,66 +38,15 @@ struct Gradients {
 
   /// Allocates zero gradients shaped like the model.
   static Gradients zeros_like(const Mlp& model);
-  void set_zero();
-  void scale(double s);
 };
 
 /// Softmax cross-entropy loss for one sample; if grad is non-null it
-/// receives dL/dlogits (softmax - onehot).  Numerically stabilized.
-/// This is the libm reference implementation — exact to double rounding.
+/// receives dL/dlogits (softmax - onehot).  Numerically stabilized, through
+/// libm exp/log: mean_cross_entropy (nn/metrics.hpp) reports it, and the
+/// reference fine-tuning arithmetic (tests/trainer_reference.hpp) takes it
+/// as its libm softmax.
 double softmax_cross_entropy(const std::vector<double>& logits, std::size_t label,
                              std::vector<double>* grad);
-
-/// Fast-math softmax cross-entropy: the same stabilized log-sum-exp
-/// formulation through the batch fast_exp / fast_log kernels
-/// (nn/fastmath.hpp), with each exponential computed once and reused for
-/// the gradient (the reference re-exponentiates per gradient entry, i.e.
-/// 2C libm exp calls per sample vs C fast ones here).  Declared
-/// accuracy-neutral, NOT bit-identical to the reference: per-entry
-/// relative error is bounded by a few times kFastExpMaxRelError, and
-/// everything downstream is gated on *front quality* against the golden
-/// baseline (nn_fastmath_test.cpp), not on bit identity.
-double softmax_cross_entropy_fast(const std::vector<double>& logits, std::size_t label,
-                                  std::vector<double>* grad);
-
-/// Process-wide switch (default ON) routing backprop_sample's loss through
-/// softmax_cross_entropy_fast.  Benches flip it to time libm vs fast on
-/// identical work; the parity tests flip it to compare fine-tuned results.
-/// Campaign eval fingerprints record the fast-math generation token, so
-/// stored results never silently mix the two modes.
-void set_softmax_fast_math(bool enabled);
-[[nodiscard]] bool softmax_fast_math();
-
-/// Process-wide switch (default ON) routing Trainer::fit through the
-/// sample-blocked backprop_minibatch path (a whole minibatch per weight
-/// visit, 8 samples per SoA block).  OFF falls back to the classic
-/// per-sample backprop_sample loop — the pre-blocking reference the
-/// benches time the engine against, and a debugging aid when isolating
-/// the blocked kernels.  Same accuracy-neutral contract as the fast-math
-/// softmax: the two paths reduce in different orders, so they are
-/// quality-equivalent, not bit-identical.
-void set_blocked_backprop(bool enabled);
-[[nodiscard]] bool blocked_backprop();
-
-/// Reusable per-sample backprop buffers.  The GA fine-tunes thousands of
-/// candidate networks over the same small dataset, so the activation and
-/// delta vectors are hoisted out of the per-sample loop — one scratch per
-/// fit() (or per thread) instead of a handful of allocations per sample.
-/// Reuse changes no arithmetic: every buffer is fully overwritten before
-/// it is read.
-struct BackpropScratch {
-  std::vector<std::vector<double>> acts;  ///< forward activations per layer
-  std::vector<double> delta;              ///< dL/d(layer output)
-  std::vector<double> prev_delta;         ///< back-propagated delta
-};
-
-/// Accumulates dL/dparams for one sample into grads (+=). Returns the loss.
-double backprop_sample(const Mlp& model, const std::vector<double>& x, std::size_t label,
-                       Gradients& grads);
-
-/// Allocation-free variant reusing the caller's scratch buffers.
-double backprop_sample(const Mlp& model, const std::vector<double>& x, std::size_t label,
-                       Gradients& grads, BackpropScratch& scratch);
 
 /// Reusable buffers for the minibatch backprop path.  Layer buffers hold
 /// the minibatch as consecutive 8-lane SoA blocks (nn/dense_simd.hpp's
@@ -102,24 +58,24 @@ struct BlockBackpropScratch {
   std::vector<double> delta;              ///< blocked dL/d(layer output)
   std::vector<double> prev_delta;         ///< blocked back-propagated delta
   std::vector<std::size_t> labels;        ///< the minibatch's class labels
-  std::vector<double> logits;             ///< one lane's logits (libm softmax)
-  std::vector<double> grad;               ///< one lane's dL/dlogits (libm softmax)
 };
 
-/// Minibatch backprop: runs the n samples train.x[idx[0..n)] through
-/// forward + backward together as ceil(n/8) SoA blocks, one kernel call
-/// per layer and direction for the whole minibatch (nn/dense_simd.hpp).
-/// Stores grad_scale times dL/dparams summed over the minibatch into
-/// grads, overwriting every element (the trainer passes 1/n for the mean
-/// gradient): each element is summed from +0.0 block by block and then
-/// scaled, the operations of zeroing grads, accumulating each block and
-/// scaling it afterwards.  Adds each block's summed loss to `loss` in
-/// block order.  Padding lanes of the last block are zero-filled and
-/// their deltas zeroed after the loss, so they contribute nothing.  The
-/// result is the same bit for bit as summing one-block calls from +0.0 in
-/// block order, on every kernel table; it is not bit-identical to
-/// backprop_sample (different reduction orders) — covered by the
-/// accuracy-neutral fine-tuning contract, like the fast-math softmax.
+/// Minibatch backprop, the one fine-tuning arithmetic (kFinetuneMath):
+/// runs the n samples train.x[idx[0..n)] through forward + backward
+/// together as ceil(n/8) SoA blocks, one kernel call per layer and
+/// direction for the whole minibatch (nn/dense_simd.hpp), with the kernel
+/// table's fast softmax cross-entropy (fast_exp / fast_log,
+/// nn/fastmath.hpp).  Stores grad_scale times dL/dparams summed over the
+/// minibatch into grads, overwriting every element (the trainer passes
+/// 1/n for the mean gradient): each element is summed from +0.0 block by
+/// block and then scaled, the operations of zeroing grads, accumulating
+/// each block and scaling it afterwards.  Adds each block's summed loss
+/// to `loss` in block order.  Padding lanes of the last block are
+/// zero-filled and their deltas zeroed after the loss, so they contribute
+/// nothing.  The result is the same bit for bit as summing one-block calls
+/// from +0.0 in block order, on every kernel table.  The per-sample and
+/// libm-softmax references it is gated against (accuracy-neutral, not
+/// bit-identical) live in tests/trainer_reference.hpp.
 /// \throws std::invalid_argument when a label is not below the model's
 ///         output width.
 void backprop_minibatch(const Mlp& model, const Dataset& train, const std::size_t* idx,

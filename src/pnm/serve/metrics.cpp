@@ -59,6 +59,7 @@ std::string MetricsSnapshot::to_json() const {
   out << "{\n";
   out << "  \"connections_opened\": " << connections_opened << ",\n";
   out << "  \"connections_closed\": " << connections_closed << ",\n";
+  out << "  \"accept_failures\": " << accept_failures << ",\n";
   out << "  \"requests_total\": " << requests_total << ",\n";
   out << "  \"responses_total\": " << responses_total << ",\n";
   out << "  \"batches_total\": " << batches_total << ",\n";
@@ -122,6 +123,7 @@ MetricsSnapshot ServeMetrics::snapshot(std::uint64_t queue_depth) const {
   MetricsSnapshot s;
   s.connections_opened = connections_opened_.load(std::memory_order_relaxed);
   s.connections_closed = connections_closed_.load(std::memory_order_relaxed);
+  s.accept_failures = accept_failures_.load(std::memory_order_relaxed);
   s.requests_total = requests_total_.load(std::memory_order_relaxed);
   s.responses_total = responses_total_.load(std::memory_order_relaxed);
   s.batches_total = batches_total_.load(std::memory_order_relaxed);

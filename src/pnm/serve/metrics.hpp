@@ -39,6 +39,7 @@ struct ModelStats {
 struct MetricsSnapshot {
   std::uint64_t connections_opened = 0;
   std::uint64_t connections_closed = 0;
+  std::uint64_t accept_failures = 0;    ///< failed accepts, e.g. out of descriptors (EMFILE)
   std::uint64_t requests_total = 0;
   std::uint64_t responses_total = 0;
   std::uint64_t batches_total = 0;
@@ -79,6 +80,9 @@ class ServeMetrics {
 
   void on_connection_opened() { connections_opened_.fetch_add(1, std::memory_order_relaxed); }
   void on_connection_closed() { connections_closed_.fetch_add(1, std::memory_order_relaxed); }
+  /// Counts one accept(2) that failed for a reason other than an empty
+  /// queue; the reactor then stops polling its listen socket for a while.
+  void on_accept_failure() { accept_failures_.fetch_add(1, std::memory_order_relaxed); }
   /// Counts `n` admitted requests, attributed to the admitting reactor —
   /// sum(requests_by_reactor) == requests_total is a checked invariant.
   void on_requests(std::size_t reactor, std::uint64_t n) {
@@ -131,6 +135,7 @@ class ServeMetrics {
  private:
   std::atomic<std::uint64_t> connections_opened_{0};
   std::atomic<std::uint64_t> connections_closed_{0};
+  std::atomic<std::uint64_t> accept_failures_{0};
   std::atomic<std::uint64_t> requests_total_{0};
   std::atomic<std::uint64_t> responses_total_{0};
   std::atomic<std::uint64_t> batches_total_{0};

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <sched.h>
 #include <stdexcept>
 #include <sys/eventfd.h>
@@ -42,6 +43,14 @@ constexpr std::size_t kMaxUnsentBytes = std::size_t{256} << 10;
 /// p99s of paced two-model loads on 1, 2 and 4 reactors were lower
 /// without polling), so there it never polls.
 constexpr std::chrono::microseconds kPollBeforeBlock{50};
+
+/// How long a reactor leaves its listen socket unpolled after accept(2)
+/// failed for something other than an empty queue (such as EMFILE or
+/// ENFILE: out of descriptors).  The socket is level-triggered and the pending
+/// connection stays queued, so polling it again at once would spin; a
+/// closing connection re-arms it sooner.  The timer covers descriptors
+/// freed elsewhere (another reactor, another process).
+constexpr int kAcceptRetryMs = 100;
 
 /// Connection events every reactor watches; EPOLLOUT is added only while
 /// a connection has output the kernel would not yet take.
@@ -397,6 +406,12 @@ void Server::io_loop(std::size_t reactor) {
   std::vector<Outlet::Delivery> deliveries;
   std::vector<Connection*> dirty;      // connections with output to flush
   std::vector<std::uint64_t> doomed;   // connections to drop after this event
+  // Set while the listen socket is out of the epoll set after a failed
+  // accept (kAcceptRetryMs); the time it is re-armed at the latest.
+  std::optional<std::chrono::steady_clock::time_point> accept_retry_at;
+  const auto resume_accepts = [&] {
+    if (accept_retry_at && epoll.add(listen_fd, EPOLLIN, kListenTag)) accept_retry_at.reset();
+  };
 
   const auto doom = [&](Connection& conn) {
     if (conn.doomed) return;
@@ -513,6 +528,7 @@ void Server::io_loop(std::size_t reactor) {
     epoll.remove(conn.fd());
     metrics_.on_connection_closed();
     conns.erase(it);  // closes the fd
+    resume_accepts();  // a descriptor is free again
   };
 
   // Reads everything `conn` has, admitting each read's predicts and then
@@ -632,8 +648,11 @@ void Server::io_loop(std::size_t reactor) {
          n == 0 && in_flight > 0 && std::chrono::steady_clock::now() - since < poll_window;) {
       n = epoll.wait(events, 0);
     }
-    if (n == 0) n = epoll.wait(events, -1);
+    if (n == 0) n = epoll.wait(events, accept_retry_at ? kAcceptRetryMs : -1);
     if (n < 0) break;
+    if (accept_retry_at && std::chrono::steady_clock::now() >= *accept_retry_at) {
+      resume_accepts();
+    }
     for (int i = 0; i < n; ++i) {
       const std::uint64_t tag = events[i].data.u64;
       if (tag == kWakeTag) {
@@ -648,7 +667,15 @@ void Server::io_loop(std::size_t reactor) {
       } else if (tag == kListenTag) {
         for (;;) {
           const int fd = tcp_accept(listen_fd);
-          if (fd < 0) break;
+          if (fd < 0) {
+            if (errno != EAGAIN && errno != EWOULDBLOCK) {
+              metrics_.on_accept_failure();
+              epoll.remove(listen_fd);
+              accept_retry_at = std::chrono::steady_clock::now() +
+                                std::chrono::milliseconds(kAcceptRetryMs);
+            }
+            break;
+          }
           conns.try_emplace(next_tag, next_tag, fd, config_.max_frame_bytes);
           epoll.add(fd, kReadEvents, next_tag);
           ++next_tag;

@@ -50,12 +50,15 @@ double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
 std::uint64_t Rng::uniform_int(std::uint64_t n) {
   if (n == 0) throw std::invalid_argument("Rng::uniform_int: n must be > 0");
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % n);
-  std::uint64_t r;
-  do {
-    r = next_u64();
-  } while (r >= limit);
+  // Rejection sampling to avoid modulo bias: draws at or above `limit` are
+  // redrawn.  limit >= 2^64 - n, so any draw below 2^64 - n is accepted
+  // without computing it, and the division for `limit` runs only for the
+  // top n values (probability n / 2^64).
+  std::uint64_t r = next_u64();
+  if (r >= std::uint64_t{0} - n) {
+    const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % n);
+    while (r >= limit) r = next_u64();
+  }
   return r % n;
 }
 

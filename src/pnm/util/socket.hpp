@@ -61,7 +61,9 @@ int tcp_connect(const std::string& host, std::uint16_t port);
 /// routine under fault injection — must not abort the accept sweep).
 ///
 /// \param listen_fd  the listening socket.
-/// \return the connection fd; -1 when nothing is pending or on error.
+/// \return the connection fd; -1 when nothing is pending (errno EAGAIN or
+///         EWOULDBLOCK) or on error (errno says which, e.g. EMFILE when
+///         the process is out of descriptors).
 int tcp_accept(int listen_fd);
 
 /// Marks `fd` nonblocking.

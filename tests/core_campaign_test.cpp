@@ -111,6 +111,52 @@ TEST(Campaign, FingerprintSeparatesConfigsAndBackends) {
   FlowConfig explicit_hidden = flow;
   explicit_hidden.hidden = MinimizationFlow::default_hidden("seeds");
   EXPECT_EQ(base, eval_fingerprint(explicit_hidden, eval, "proxy"));
+
+  // Every other hashed field: one mutation each must move the fingerprint.
+  const auto flow_moves = [&](const char* field, auto mutate) {
+    FlowConfig changed = flow;
+    mutate(changed);
+    EXPECT_NE(base, eval_fingerprint(changed, eval, "proxy")) << field;
+  };
+  flow_moves("tech", [](FlowConfig& f) { f.tech_name = "egt_lowcost"; });
+  flow_moves("hidden", [](FlowConfig& f) {
+    f.hidden = MinimizationFlow::default_hidden("seeds");
+    f.hidden.back() += 1;
+  });
+  flow_moves("baseline_bits", [](FlowConfig& f) { f.baseline_weight_bits += 1; });
+  flow_moves("train_frac", [](FlowConfig& f) { f.train_frac += 0.05; });
+  flow_moves("val_frac", [](FlowConfig& f) { f.val_frac += 0.05; });
+  flow_moves("test_frac", [](FlowConfig& f) { f.test_frac += 0.05; });
+  flow_moves("epochs", [](FlowConfig& f) { f.train.epochs += 1; });
+  flow_moves("batch_size", [](FlowConfig& f) { f.train.batch_size += 1; });
+  flow_moves("lr", [](FlowConfig& f) { f.train.lr *= 2.0; });
+  flow_moves("lr_decay", [](FlowConfig& f) { f.train.lr_decay = 0.9; });
+  flow_moves("momentum", [](FlowConfig& f) { f.train.momentum = 0.5; });
+  flow_moves("weight_decay", [](FlowConfig& f) { f.train.weight_decay = 1e-4; });
+  flow_moves("optimizer", [](FlowConfig& f) { f.train.optimizer = Optimizer::kSgd; });
+  flow_moves("adam_beta1", [](FlowConfig& f) { f.train.adam_beta1 = 0.8; });
+  flow_moves("adam_beta2", [](FlowConfig& f) { f.train.adam_beta2 = 0.99; });
+  flow_moves("adam_eps", [](FlowConfig& f) { f.train.adam_eps = 1e-7; });
+  flow_moves("shuffle", [](FlowConfig& f) { f.train.shuffle = !f.train.shuffle; });
+  const auto eval_moves = [&](const char* field, auto mutate) {
+    EvalConfig changed = eval;
+    mutate(changed);
+    EXPECT_NE(base, eval_fingerprint(flow, changed, "proxy")) << field;
+  };
+  eval_moves("eval_seed", [](EvalConfig& e) { e.seed += 1; });
+  eval_moves("input_bits", [](EvalConfig& e) { e.input_bits += 1; });
+  eval_moves("cluster_scope", [](EvalConfig& e) {
+    e.cluster_scope = e.cluster_scope == ClusterScope::kPerLayer ? ClusterScope::kPerColumn
+                                                                 : ClusterScope::kPerLayer;
+  });
+  eval_moves("share_when_clustered",
+             [](EvalConfig& e) { e.share_only_when_clustered = !e.share_only_when_clustered; });
+  eval_moves("share_products",
+             [](EvalConfig& e) { e.bespoke.share_products = !e.bespoke.share_products; });
+  eval_moves("use_csd", [](EvalConfig& e) { e.bespoke.use_csd = !e.bespoke.use_csd; });
+  eval_moves("share_subexpr", [](EvalConfig& e) {
+    e.bespoke.share_subexpressions = !e.bespoke.share_subexpressions;
+  });
 }
 
 TEST(Campaign, WarmRerunIsByteIdenticalAndFullyCached) {

