@@ -1,6 +1,7 @@
 #include "pnm/core/campaign.hpp"
 
 #include "pnm/core/eval_store.hpp"
+#include "pnm/nn/dense_simd.hpp"
 #include "pnm/nn/trainer.hpp"
 #include "pnm/util/fileio.hpp"
 
@@ -39,18 +40,24 @@ std::string eval_fingerprint(const FlowConfig& flow, const EvalConfig& eval,
   append_kv(canon, "val_frac", format_double_roundtrip(flow.val_frac));
   append_kv(canon, "test_frac", format_double_roundtrip(flow.test_frac));
   // Baseline training recipe (identical in eval.train, serialized once).
-  const TrainConfig& t = flow.train;
-  append_kv(canon, "train_epochs", std::to_string(t.epochs));
-  append_kv(canon, "batch", std::to_string(t.batch_size));
-  append_kv(canon, "lr", format_double_roundtrip(t.lr));
-  append_kv(canon, "lr_decay", format_double_roundtrip(t.lr_decay));
-  append_kv(canon, "momentum", format_double_roundtrip(t.momentum));
-  append_kv(canon, "weight_decay", format_double_roundtrip(t.weight_decay));
-  append_kv(canon, "optimizer", std::to_string(static_cast<int>(t.optimizer)));
-  append_kv(canon, "adam_beta1", format_double_roundtrip(t.adam_beta1));
-  append_kv(canon, "adam_beta2", format_double_roundtrip(t.adam_beta2));
-  append_kv(canon, "adam_eps", format_double_roundtrip(t.adam_eps));
-  append_kv(canon, "shuffle", bool_str(t.shuffle));
+  // The recipe's fixed settings keep the tokens they had as TrainConfig
+  // fields, so every existing store keeps its name: the batch and Adam's
+  // beta1/beta2/eps from their constants, and the settings the one recipe
+  // no longer has as literals of their last values (lr_decay 1: none;
+  // SGD's momentum, unused by Adam; weight_decay 0; optimizer 1: Adam;
+  // shuffle 1: always).
+  const simd::AdamStep adam;
+  append_kv(canon, "train_epochs", std::to_string(flow.train.epochs));
+  append_kv(canon, "batch", std::to_string(kTrainBatch));
+  append_kv(canon, "lr", format_double_roundtrip(flow.train.lr));
+  append_kv(canon, "lr_decay", "1");
+  append_kv(canon, "momentum", "0.90000000000000002");
+  append_kv(canon, "weight_decay", "0");
+  append_kv(canon, "optimizer", "1");
+  append_kv(canon, "adam_beta1", format_double_roundtrip(adam.beta1));
+  append_kv(canon, "adam_beta2", format_double_roundtrip(adam.beta2));
+  append_kv(canon, "adam_eps", format_double_roundtrip(adam.eps));
+  append_kv(canon, "shuffle", "1");
   // Evaluation-side knobs.
   append_kv(canon, "eval_seed", std::to_string(eval.seed));
   append_kv(canon, "input_bits", std::to_string(eval.input_bits));

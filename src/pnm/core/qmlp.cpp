@@ -69,12 +69,6 @@ void QuantizedLayer::set_dense(std::size_t out_f, std::size_t in_f,
 QuantizedMlp QuantizedMlp::from_float(const Mlp& model, const QuantSpec& spec) {
   spec.validate(model.layer_count());
   if (model.layer_count() == 0) throw std::invalid_argument("QuantizedMlp: empty model");
-  for (std::size_t li = 0; li < model.layer_count(); ++li) {
-    if (!hardware_lowerable(model.layer(li).act)) {
-      throw std::invalid_argument("QuantizedMlp: activation not lowerable: " +
-                                  activation_name(model.layer(li).act));
-    }
-  }
 
   QuantizedMlp q;
   q.input_bits_ = spec.input_bits;
@@ -131,9 +125,6 @@ QuantizedMlp QuantizedMlp::from_layers(std::vector<QuantizedLayer> layers,
     }
     if (l.acc_shift < 0 || l.acc_shift > 12) {
       throw std::invalid_argument(where + ": acc_shift out of range");
-    }
-    if (!hardware_lowerable(l.act)) {
-      throw std::invalid_argument(where + ": activation not lowerable");
     }
     if (l.bias.size() != l.out_features()) {
       throw std::invalid_argument(where + ": bias width mismatch");

@@ -134,7 +134,7 @@ class QuantizedMlp {
   /// layer stack with matching in/out widths, well-formed CSR arrays
   /// (parallel array sizes, monotone row offsets, in-range ascending
   /// columns, magnitude/sign/value agreement), per-layer bias width,
-  /// lowerable activations, and sane bit-width/shift ranges.
+  /// and sane bit-width/shift ranges.
   ///
   /// \param layers      the integer layers, input-first.
   /// \param input_bits  unsigned sensor precision the model expects.

@@ -6,9 +6,8 @@
 ///
 /// Bespoke printed MLPs use ReLU in hidden layers (cheap in hardware: sign
 /// test + AND gates) and a raw-logit output layer resolved by an argmax
-/// comparator tree; see Mubarik et al. (MICRO 2020).  Sigmoid/tanh are
-/// provided for software-side experiments only and are rejected by the
-/// hardware lowering.
+/// comparator tree; see Mubarik et al. (MICRO 2020).  Those are the only
+/// two activations: every one of them lowers to hardware.
 
 #include <string>
 #include <vector>
@@ -18,27 +17,16 @@ namespace pnm {
 enum class Activation {
   kIdentity,  ///< f(x) = x (output layers; argmax resolved downstream).
   kRelu,      ///< f(x) = max(0, x) (hardware-friendly; hidden layers).
-  kSigmoid,   ///< software-only
-  kTanh,      ///< software-only
 };
 
 /// Applies the activation elementwise in place.
 void apply_activation(Activation act, std::vector<double>& v);
 
-/// Derivative f'(pre) evaluated from the *post*-activation value where the
-/// function allows it (ReLU/sigmoid/tanh do; identity trivially does).
-/// Multiplies grad elementwise by the derivative, in place.
-void apply_activation_grad(Activation act, const std::vector<double>& post,
-                           std::vector<double>& grad);
-
-/// Human-readable name ("relu", "identity", ...).
+/// Human-readable name ("relu", "identity").
 std::string activation_name(Activation act);
 
 /// Inverse of activation_name; throws std::invalid_argument on unknown name.
 Activation activation_from_name(const std::string& name);
-
-/// True for activations the bespoke hardware generator can lower.
-bool hardware_lowerable(Activation act);
 
 }  // namespace pnm
 

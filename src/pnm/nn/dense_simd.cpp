@@ -38,10 +38,6 @@ double dot_scalar(const double* a, const double* b, unsigned long n) {
   return (acc0 + acc1) + (acc2 + acc3);
 }
 
-void axpy_scalar(double* y, const double* x, double s, unsigned long n) {
-  for (unsigned long i = 0; i < n; ++i) y[i] += s * x[i];
-}
-
 // ---- minibatch (multi-block 8-lane SoA) trainer kernels -------------------
 // Each lane j is one sample; a layer buffer holds `blocks` consecutive
 // blocks laid out element*8 + lane, the same blocking as the integer
@@ -140,8 +136,7 @@ void layer_back_scalar(const double* w, const double* delta,
 }
 
 void softmax_xent_scalar(const double* logits, const unsigned long* labels,
-                         unsigned long n, unsigned long rows, double* delta,
-                         double* loss) {
+                         unsigned long n, unsigned long rows, double* delta) {
   for (unsigned long b = 0; b * kB < n; ++b) {
     const double* z = logits + b * rows * kB;
     double* d = delta + b * rows * kB;
@@ -167,16 +162,10 @@ void softmax_xent_scalar(const double* logits, const unsigned long* labels,
     for (unsigned long r = 0; r < rows; ++r) {
       for (unsigned long j = 0; j < kB; ++j) d[r * kB + j] *= inv[j];
     }
-    double block_loss = 0.0;
-    for (unsigned long j = 0; j < lanes; ++j) {
-      const unsigned long label = labels[b * kB + j];
-      d[label * kB + j] -= 1.0;
-      block_loss += fast_log(denom[j]) - (z[label * kB + j] - m[j]);
-    }
+    for (unsigned long j = 0; j < lanes; ++j) d[labels[b * kB + j] * kB + j] -= 1.0;
     for (unsigned long j = lanes; j < kB; ++j) {
       for (unsigned long r = 0; r < rows; ++r) d[r * kB + j] = 0.0;
     }
-    *loss += block_loss;
   }
 }
 
@@ -205,27 +194,16 @@ double abs_max_scalar(const double* x, unsigned long n) {
 void adam_scalar(double* w, const double* g, double* m, double* v,
                  unsigned long n, const AdamStep& step) {
   for (unsigned long i = 0; i < n; ++i) {
-    const double gi = g[i] + step.weight_decay * w[i];
-    m[i] = step.beta1 * m[i] + (1.0 - step.beta1) * gi;
-    v[i] = step.beta2 * v[i] + (1.0 - step.beta2) * (gi * gi);
+    m[i] = step.beta1 * m[i] + (1.0 - step.beta1) * g[i];
+    v[i] = step.beta2 * v[i] + (1.0 - step.beta2) * (g[i] * g[i]);
     const double mhat = m[i] / step.bias_corr1;
     const double vhat = v[i] / step.bias_corr2;
     w[i] -= step.lr * mhat / (std::sqrt(vhat) + step.eps);
   }
 }
 
-void sgd_scalar(double* w, const double* g, double* vel, unsigned long n,
-                double momentum, double lr, double weight_decay) {
-  for (unsigned long i = 0; i < n; ++i) {
-    const double gi = g[i] + weight_decay * w[i];
-    vel[i] = momentum * vel[i] - lr * gi;
-    w[i] += vel[i];
-  }
-}
-
 constexpr DenseKernels kScalarKernels = {
     .dot = dot_scalar,
-    .axpy = axpy_scalar,
     .gather = gather_scalar,
     .layer_fwd = layer_fwd_scalar,
     .layer_grad = layer_grad_scalar,
@@ -233,8 +211,7 @@ constexpr DenseKernels kScalarKernels = {
     .softmax_xent = softmax_xent_scalar,
     .fake_quantize = fake_quantize_scalar,
     .abs_max = abs_max_scalar,
-    .adam = adam_scalar,
-    .sgd = sgd_scalar};
+    .adam = adam_scalar};
 
 }  // namespace
 

@@ -4,8 +4,8 @@
 /// \file dense_simd.hpp
 /// \brief Runtime-dispatched double-precision kernels for the trainer's
 /// dense hot path (minibatch gather / forward / gradient / backward,
-/// softmax cross-entropy, the QAT scale and fake-quantizer, and the
-/// optimizer updates).
+/// the softmax cross-entropy gradient, the QAT scale and fake-quantizer,
+/// and the Adam update), plus the float inference dot product.
 ///
 /// These kernels are the "vectorized fine-tuning math" companion to the
 /// integer multi-sample engine in core/infer_simd.hpp, and they share its
@@ -13,10 +13,10 @@
 /// process, and PNM_FORCE_SCALAR pins everything to the portable path.
 ///
 /// Determinism contract — results are identical on every ISA:
-///  * axpy / fake_quantize / adam / sgd are elementwise over independent
-///    outputs; each lane performs the same individually-rounded
-///    mul/add/sqrt/div sequence as the scalar loop, so vectorizing them
-///    cannot change a single bit.  gather only copies, and abs_max is a
+///  * fake_quantize / adam are elementwise over independent outputs;
+///    each lane performs the same individually-rounded mul/add/sqrt/div
+///    sequence as the scalar loop, so vectorizing them cannot change a
+///    single bit.  gather only copies, and abs_max is a
 ///    maximum whose result does not depend on its grouping.
 ///  * dot is a reduction, so its summation order IS its semantics.  The
 ///    canonical order is four independent accumulator chains over
@@ -42,8 +42,9 @@
 
 namespace pnm::simd {
 
-/// One Adam element step, shared by weight and bias updates (biases pass
-/// weight_decay = 0).  bc1/bc2 are the bias-correction denominators
+/// One Adam element step, shared by weight and bias updates.  The
+/// defaults of beta1, beta2 and eps are the training recipe's
+/// (nn/trainer.hpp).  bc1/bc2 are the bias-correction denominators
 /// 1 - beta^t, precomputed once per optimizer step.
 struct AdamStep {
   double beta1 = 0.9;
@@ -52,7 +53,6 @@ struct AdamStep {
   double bias_corr2 = 1.0;
   double lr = 1e-3;
   double eps = 1e-8;
-  double weight_decay = 0.0;
 };
 
 /// Lane count of the sample-blocked trainer kernels below — the same
@@ -67,8 +67,6 @@ struct DenseKernels {
   /// Canonical 4-chain dot product of a[0..n) and b[0..n) (see file
   /// comment for the exact summation order).
   double (*dot)(const double* a, const double* b, unsigned long n);
-  /// y[i] += s * x[i] for i in [0, n).  x and y must not overlap.
-  void (*axpy)(double* y, const double* x, double s, unsigned long n);
   /// Minibatch gather into ceil(n/8) SoA blocks (cols wide): for every
   /// sample i < n and feature c < cols,
   ///   out[(i/8)*cols*8 + c*8 + i%8] = rows[i][c]
@@ -108,22 +106,17 @@ struct DenseKernels {
   void (*layer_back)(const double* w, const double* delta,
                      const double* relu_post, double* prev, unsigned long rows,
                      unsigned long cols, unsigned long blocks);
-  /// Fast softmax cross-entropy over n samples whose `rows` logits sit in
-  /// ceil(n/8) SoA blocks; writes dL/dlogits to delta (same layout).  Per
-  /// lane, exactly the per-sample fast softmax that
+  /// Fast softmax cross-entropy gradient over n samples whose `rows`
+  /// logits sit in ceil(n/8) SoA blocks; writes dL/dlogits to delta (same
+  /// layout).  Per lane, exactly the per-sample fast softmax that
   /// tests/trainer_reference.hpp keeps as its reference: the max as
   /// std::max_element picks it, e_r = fast_exp(z_r - max), denom summed
   /// from 0.0 in r order, delta_r = e_r * (1.0 / denom), then
-  /// delta_label -= 1.0 and loss = fast_log(denom) - (z_label - max).
-  /// Padding lanes get delta 0.0.  Each block's lane losses are summed
-  /// from 0.0 in lane order and that sum is added to *loss, block by
-  /// block.  labels[i] (< rows) is sample i's class.  The AVX2 kernel
-  /// steps one exp polynomial across four rows' vectors at a time and
-  /// takes the logs four lanes at a time (nn/fastmath_avx2.hpp); per lane
-  /// the operations are unchanged.
+  /// delta_label -= 1.0.  Padding lanes get delta 0.0.  labels[i] (< rows)
+  /// is sample i's class.  The AVX2 kernel steps one exp polynomial across
+  /// four rows' vectors at a time; per lane the operations are unchanged.
   void (*softmax_xent)(const double* logits, const unsigned long* labels,
-                       unsigned long n, unsigned long rows, double* delta,
-                       double* loss);
+                       unsigned long n, unsigned long rows, double* delta);
   /// Symmetric fake quantization of src[0..n) into dst (may alias):
   ///   dst[i] = clamp(round(src[i] / scale), -qmax, qmax) * scale
   /// rounding half away from zero (llround's rule) through an exact
@@ -138,16 +131,10 @@ struct DenseKernels {
   /// kernels fold independent lanes.
   double (*abs_max)(const double* x, unsigned long n);
   /// Adam update of w[0..n) with gradient g, first/second moment m/v:
-  ///   g'   = g[i] + weight_decay * w[i]
-  ///   m[i] = b1*m[i] + (1-b1)*g';  v[i] = b2*v[i] + (1-b2)*g'*g'
+  ///   m[i] = b1*m[i] + (1-b1)*g[i];  v[i] = b2*v[i] + (1-b2)*g[i]*g[i]
   ///   w[i] -= lr * (m[i]/bc1) / (sqrt(v[i]/bc2) + eps)
   void (*adam)(double* w, const double* g, double* m, double* v,
                unsigned long n, const AdamStep& step);
-  /// SGD-with-momentum update of w[0..n) with gradient g, velocity vel:
-  ///   g'     = g[i] + weight_decay * w[i]
-  ///   vel[i] = momentum*vel[i] - lr*g';  w[i] += vel[i]
-  void (*sgd)(double* w, const double* g, double* vel, unsigned long n,
-              double momentum, double lr, double weight_decay);
 };
 
 /// Kernel table for the process-wide active ISA (resolved on first call,

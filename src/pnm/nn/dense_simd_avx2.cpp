@@ -14,7 +14,6 @@
 
 #include "pnm/nn/dense_simd.hpp"
 #include "pnm/nn/fastmath.hpp"
-#include "pnm/nn/fastmath_avx2.hpp"
 
 namespace pnm::simd {
 
@@ -35,17 +34,6 @@ double dot_avx2(const double* a, const double* b, unsigned long n) {
   if (c + 1 < n) lanes[1] += a[c + 1] * b[c + 1];
   if (c + 2 < n) lanes[2] += a[c + 2] * b[c + 2];
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-}
-
-void axpy_avx2(double* y, const double* x, double s, unsigned long n) {
-  const __m256d sv = _mm256_set1_pd(s);
-  unsigned long i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d yi = _mm256_loadu_pd(y + i);
-    const __m256d xi = _mm256_loadu_pd(x + i);
-    _mm256_storeu_pd(y + i, _mm256_add_pd(yi, _mm256_mul_pd(sv, xi)));
-  }
-  for (; i < n; ++i) y[i] += s * x[i];
 }
 
 // ---- minibatch (multi-block 8-lane SoA) trainer kernels -------------------
@@ -314,8 +302,7 @@ inline void exp_rows(const double* z, __m256d m_lo, __m256d m_hi, double* d,
 }
 
 void softmax_xent_avx2(const double* logits, const unsigned long* labels,
-                       unsigned long n, unsigned long rows, double* delta,
-                       double* loss) {
+                       unsigned long n, unsigned long rows, double* delta) {
   for (unsigned long b = 0; b * kB < n; ++b) {
     const double* z = logits + b * rows * kB;
     double* d = delta + b * rows * kB;
@@ -342,22 +329,10 @@ void softmax_xent_avx2(const double* logits, const unsigned long* labels,
       _mm256_storeu_pd(d + r * kB, _mm256_mul_pd(_mm256_loadu_pd(d + r * kB), inv_lo));
       _mm256_storeu_pd(d + r * kB + 4, _mm256_mul_pd(_mm256_loadu_pd(d + r * kB + 4), inv_hi));
     }
-    double m[kB];
-    double log_denom[kB];
-    _mm256_storeu_pd(m, m_lo);
-    _mm256_storeu_pd(m + 4, m_hi);
-    _mm256_storeu_pd(log_denom, fast_log4(den_lo));
-    _mm256_storeu_pd(log_denom + 4, fast_log4(den_hi));
-    double block_loss = 0.0;
-    for (unsigned long j = 0; j < lanes; ++j) {
-      const unsigned long label = labels[b * kB + j];
-      d[label * kB + j] -= 1.0;
-      block_loss += log_denom[j] - (z[label * kB + j] - m[j]);
-    }
+    for (unsigned long j = 0; j < lanes; ++j) d[labels[b * kB + j] * kB + j] -= 1.0;
     for (unsigned long j = lanes; j < kB; ++j) {
       for (unsigned long r = 0; r < rows; ++r) d[r * kB + j] = 0.0;
     }
-    *loss += block_loss;
   }
 }
 
@@ -422,7 +397,6 @@ void adam_avx2(double* w, const double* g, double* m, double* v,
   const __m256d b2 = _mm256_set1_pd(step.beta2);
   const __m256d one_m_b1 = _mm256_set1_pd(1.0 - step.beta1);
   const __m256d one_m_b2 = _mm256_set1_pd(1.0 - step.beta2);
-  const __m256d wd_v = _mm256_set1_pd(step.weight_decay);
   const __m256d bc1 = _mm256_set1_pd(step.bias_corr1);
   const __m256d bc2 = _mm256_set1_pd(step.bias_corr2);
   const __m256d lr = _mm256_set1_pd(step.lr);
@@ -430,8 +404,7 @@ void adam_avx2(double* w, const double* g, double* m, double* v,
   unsigned long i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d wi = _mm256_loadu_pd(w + i);
-    const __m256d gi =
-        _mm256_add_pd(_mm256_loadu_pd(g + i), _mm256_mul_pd(wd_v, wi));
+    const __m256d gi = _mm256_loadu_pd(g + i);
     const __m256d mi = _mm256_add_pd(_mm256_mul_pd(b1, _mm256_loadu_pd(m + i)),
                                      _mm256_mul_pd(one_m_b1, gi));
     const __m256d vi = _mm256_add_pd(_mm256_mul_pd(b2, _mm256_loadu_pd(v + i)),
@@ -445,34 +418,11 @@ void adam_avx2(double* w, const double* g, double* m, double* v,
         w + i, _mm256_sub_pd(wi, _mm256_div_pd(_mm256_mul_pd(lr, mhat), denom)));
   }
   for (; i < n; ++i) {
-    const double gi = g[i] + step.weight_decay * w[i];
-    m[i] = step.beta1 * m[i] + (1.0 - step.beta1) * gi;
-    v[i] = step.beta2 * v[i] + (1.0 - step.beta2) * (gi * gi);
+    m[i] = step.beta1 * m[i] + (1.0 - step.beta1) * g[i];
+    v[i] = step.beta2 * v[i] + (1.0 - step.beta2) * (g[i] * g[i]);
     const double mhat = m[i] / step.bias_corr1;
     const double vhat = v[i] / step.bias_corr2;
     w[i] -= step.lr * mhat / (std::sqrt(vhat) + step.eps);
-  }
-}
-
-void sgd_avx2(double* w, const double* g, double* vel, unsigned long n,
-              double momentum, double lr, double weight_decay) {
-  const __m256d mom = _mm256_set1_pd(momentum);
-  const __m256d lrv = _mm256_set1_pd(lr);
-  const __m256d wd = _mm256_set1_pd(weight_decay);
-  unsigned long i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d wi = _mm256_loadu_pd(w + i);
-    const __m256d gi =
-        _mm256_add_pd(_mm256_loadu_pd(g + i), _mm256_mul_pd(wd, wi));
-    const __m256d vi = _mm256_sub_pd(_mm256_mul_pd(mom, _mm256_loadu_pd(vel + i)),
-                                     _mm256_mul_pd(lrv, gi));
-    _mm256_storeu_pd(vel + i, vi);
-    _mm256_storeu_pd(w + i, _mm256_add_pd(wi, vi));
-  }
-  for (; i < n; ++i) {
-    const double gi = g[i] + weight_decay * w[i];
-    vel[i] = momentum * vel[i] - lr * gi;
-    w[i] += vel[i];
   }
 }
 
@@ -481,7 +431,6 @@ void sgd_avx2(double* w, const double* g, double* vel, unsigned long n,
 const DenseKernels& dense_kernels_avx2() {
   static constexpr DenseKernels kTable = {
       .dot = dot_avx2,
-      .axpy = axpy_avx2,
       .gather = gather_avx2,
       .layer_fwd = layer_fwd_avx2,
       .layer_grad = layer_grad_avx2,
@@ -489,8 +438,7 @@ const DenseKernels& dense_kernels_avx2() {
       .softmax_xent = softmax_xent_avx2,
       .fake_quantize = fake_quantize_avx2,
       .abs_max = abs_max_avx2,
-      .adam = adam_avx2,
-      .sgd = sgd_avx2};
+      .adam = adam_avx2};
   return kTable;
 }
 

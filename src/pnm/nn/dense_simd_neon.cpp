@@ -34,22 +34,12 @@ double dot_neon(const double* a, const double* b, unsigned long n) {
   return (chains[0] + chains[1]) + (chains[2] + chains[3]);
 }
 
-void axpy_neon(double* y, const double* x, double s, unsigned long n) {
-  const float64x2_t sv = vdupq_n_f64(s);
-  unsigned long i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(y + i, vaddq_f64(vld1q_f64(y + i), vmulq_f64(sv, vld1q_f64(x + i))));
-  }
-  for (; i < n; ++i) y[i] += s * x[i];
-}
-
 void adam_neon(double* w, const double* g, double* m, double* v,
                unsigned long n, const AdamStep& step) {
   const float64x2_t b1 = vdupq_n_f64(step.beta1);
   const float64x2_t b2 = vdupq_n_f64(step.beta2);
   const float64x2_t one_m_b1 = vdupq_n_f64(1.0 - step.beta1);
   const float64x2_t one_m_b2 = vdupq_n_f64(1.0 - step.beta2);
-  const float64x2_t wd = vdupq_n_f64(step.weight_decay);
   const float64x2_t bc1 = vdupq_n_f64(step.bias_corr1);
   const float64x2_t bc2 = vdupq_n_f64(step.bias_corr2);
   const float64x2_t lr = vdupq_n_f64(step.lr);
@@ -57,7 +47,7 @@ void adam_neon(double* w, const double* g, double* m, double* v,
   unsigned long i = 0;
   for (; i + 2 <= n; i += 2) {
     const float64x2_t wi = vld1q_f64(w + i);
-    const float64x2_t gi = vaddq_f64(vld1q_f64(g + i), vmulq_f64(wd, wi));
+    const float64x2_t gi = vld1q_f64(g + i);
     const float64x2_t mi =
         vaddq_f64(vmulq_f64(b1, vld1q_f64(m + i)), vmulq_f64(one_m_b1, gi));
     const float64x2_t vi = vaddq_f64(vmulq_f64(b2, vld1q_f64(v + i)),
@@ -70,33 +60,11 @@ void adam_neon(double* w, const double* g, double* m, double* v,
     vst1q_f64(w + i, vsubq_f64(wi, vdivq_f64(vmulq_f64(lr, mhat), denom)));
   }
   for (; i < n; ++i) {
-    const double gi = g[i] + step.weight_decay * w[i];
-    m[i] = step.beta1 * m[i] + (1.0 - step.beta1) * gi;
-    v[i] = step.beta2 * v[i] + (1.0 - step.beta2) * (gi * gi);
+    m[i] = step.beta1 * m[i] + (1.0 - step.beta1) * g[i];
+    v[i] = step.beta2 * v[i] + (1.0 - step.beta2) * (g[i] * g[i]);
     const double mhat = m[i] / step.bias_corr1;
     const double vhat = v[i] / step.bias_corr2;
     w[i] -= step.lr * mhat / (std::sqrt(vhat) + step.eps);
-  }
-}
-
-void sgd_neon(double* w, const double* g, double* vel, unsigned long n,
-              double momentum, double lr, double weight_decay) {
-  const float64x2_t mom = vdupq_n_f64(momentum);
-  const float64x2_t lrv = vdupq_n_f64(lr);
-  const float64x2_t wd = vdupq_n_f64(weight_decay);
-  unsigned long i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t wi = vld1q_f64(w + i);
-    const float64x2_t gi = vaddq_f64(vld1q_f64(g + i), vmulq_f64(wd, wi));
-    const float64x2_t vi =
-        vsubq_f64(vmulq_f64(mom, vld1q_f64(vel + i)), vmulq_f64(lrv, gi));
-    vst1q_f64(vel + i, vi);
-    vst1q_f64(w + i, vaddq_f64(wi, vi));
-  }
-  for (; i < n; ++i) {
-    const double gi = g[i] + weight_decay * w[i];
-    vel[i] = momentum * vel[i] - lr * gi;
-    w[i] += vel[i];
   }
 }
 
@@ -109,9 +77,7 @@ const DenseKernels& dense_kernels_neon() {
   static const DenseKernels kTable = [] {
     DenseKernels t = *dense_kernels_for(Isa::kScalar);
     t.dot = dot_neon;
-    t.axpy = axpy_neon;
     t.adam = adam_neon;
-    t.sgd = sgd_neon;
     return t;
   }();
   return kTable;

@@ -50,27 +50,4 @@ void fast_exp(const double* x, double* out, std::size_t n) {
   }
 }
 
-double fast_log(double x) {
-  // Split x = m * 2^e with m in [1/sqrt2, sqrt2): both m - 1 and m + 1 are
-  // exact there, so t = (m-1)/(m+1) loses nothing to cancellation and the
-  // atanh series log m = 2*(t + t^3/3 + ... + t^13/13) converges with
-  // |t| <= 0.1716 (truncation < 5e-13 absolute).
-  const auto bits = std::bit_cast<std::uint64_t>(x);
-  int e = static_cast<int>((bits >> 52) & 0x7FF) - 1023;
-  double m = std::bit_cast<double>((bits & 0xFFFFFFFFFFFFFULL) |
-                                   0x3FF0000000000000ULL);  // mantissa in [1, 2)
-  if (m > fastlog::kSqrt2) {
-    m *= 0.5;
-    e += 1;
-  }
-  const double t = (m - 1.0) / (m + 1.0);
-  const double t2 = t * t;
-  double p = fastlog::kSeries[0];
-  for (std::size_t i = 1; i < std::size(fastlog::kSeries); ++i) p = p * t2 + fastlog::kSeries[i];
-  // e * kLn2Hi is exact (11 + 21 significant bits), so the only rounding
-  // in the reconstruction is the final add.
-  const auto ed = static_cast<double>(e);
-  return (2.0 * t * p + ed * fastexp::kLn2Lo) + ed * fastexp::kLn2Hi;
-}
-
 }  // namespace pnm

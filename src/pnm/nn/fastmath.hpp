@@ -2,12 +2,11 @@
 #define PNM_NN_FASTMATH_HPP
 
 /// \file fastmath.hpp
-/// \brief Declared accuracy-neutral exp/log for the fine-tuning hot path.
+/// \brief Declared accuracy-neutral exp for the fine-tuning hot path.
 ///
-/// Fine-tuning dominates netlist-backend evaluation (~60%), and inside it
-/// the cost is libm `exp`/`log` in softmax cross-entropy.  The bit-exact
-/// optimizations are exhausted (the integer inference engine is already
-/// bit-identical), so this layer trades *declared, bounded* accuracy for
+/// Fine-tuning dominates a genome's evaluation, and inside it the softmax
+/// cross-entropy gradient takes one exponential per logit.  This layer
+/// replaces libm `exp` there, trading *declared, bounded* accuracy for
 /// speed:
 ///
 ///  * `fast_exp`: range reduction x = k*ln2 + r (two-part ln2 constant),
@@ -18,24 +17,14 @@
 ///    form is a plain loop (baseline x86-64 has no vector floor), and the
 ///    trainer's softmax kernel (nn/dense_simd.hpp) vectorizes the same
 ///    operations with the constants below.
-///  * `fast_log`: exponent/mantissa split to m in [1/sqrt2, sqrt2), then
-///    the atanh series log m = 2 * sum t^(2i+1)/(2i+1), t = (m-1)/(m+1),
-///    truncated at t^13.  It has a 4-lane AVX2 twin, `simd::fast_log4`
-///    (nn/fastmath_avx2.hpp), which the softmax kernel uses and which
-///    performs the same operations with the constants below.
 ///
-/// Error bounds (verified over dense grids by nn_fastmath_test, asserted
-/// with margin):
+/// Error bound (verified over dense grids by nn_fastmath_test, asserted
+/// with margin): kFastExpMaxRelError, max |fast_exp(x)/exp(x) - 1| <=
+/// 1e-12 for x in [-700, 700].  Below kFastExpUnderflow the result flushes
+/// to exactly 0 (libm returns subnormals down to ~-745); softmax feeds
+/// only x <= 0 differences where anything below e^-700 is dead weight.
 ///
-///  * kFastExpMaxRelError:  max |fast_exp(x)/exp(x) - 1| <= 1e-12 for
-///    x in [-700, 700].  Below kFastExpUnderflow the result flushes to
-///    exactly 0 (libm returns subnormals down to ~-745); softmax feeds
-///    only x <= 0 differences where anything below e^-700 is dead weight.
-///  * kFastLogMaxRelError:  max |fast_log(x)/log(x) - 1| <= 4e-12 for
-///    normal positive x with |log x| >= 1e-8 (near log's zero at x = 1 the
-///    *absolute* error stays below 1e-13).
-///
-/// Anything consuming these is gated by *front quality*, not bit identity:
+/// Anything consuming it is gated by *front quality*, not bit identity:
 /// fine-tuning with the fast softmax must land within the declared
 /// tolerances of the libm reference (tests/trainer_reference.hpp) and of
 /// the golden baseline (nn_fastmath_test.cpp, core_front_quality_test.cpp).
@@ -44,9 +33,8 @@
 
 namespace pnm {
 
-/// Documented bounds, used by the tests as the contract.
+/// Documented bound, used by the tests as the contract.
 inline constexpr double kFastExpMaxRelError = 1e-12;
-inline constexpr double kFastLogMaxRelError = 4e-12;
 /// Inputs below this flush fast_exp to exactly 0 (no subnormal tail).
 inline constexpr double kFastExpUnderflow = -708.0;
 /// Inputs above this saturate fast_exp to +inf (where exp() overflows).
@@ -70,24 +58,12 @@ inline constexpr double kPoly[] = {1.0 / 3628800.0, 1.0 / 362880.0, 1.0 / 40320.
                                    1.0,             1.0};
 }  // namespace fastexp
 
-/// fast_log's split point and series, shared with its 4-lane twin.
-namespace fastlog {
-inline constexpr double kSqrt2 = 1.41421356237309504880;
-/// atanh series coefficients 1/(2i+1), t^13's first, down to t^1's 1.
-inline constexpr double kSeries[] = {1.0 / 13.0, 1.0 / 11.0, 1.0 / 9.0, 1.0 / 7.0,
-                                     1.0 / 5.0,  1.0 / 3.0,  1.0};
-}  // namespace fastlog
-
 /// e^x with the bound above; monotone clamp: +inf for x > 709.78.
 double fast_exp(double x);
 
 /// Batch form: out[i] = fast_exp(x[i]).  One pass with no data-dependent
 /// branches and no libm call.  `out` may alias `x`.
 void fast_exp(const double* x, double* out, std::size_t n);
-
-/// Natural log with the bound above.  Domain: x > 0 and finite (callers
-/// feed softmax denominators, which are >= 1); no NaN/inf policing.
-double fast_log(double x);
 
 }  // namespace pnm
 

@@ -30,13 +30,6 @@ void Matrix::matvec(const std::vector<double>& x, std::vector<double>& y) const 
   }
 }
 
-void Matrix::axpy(double alpha, const Matrix& other) {
-  if (other.rows_ != rows_ || other.cols_ != cols_) {
-    throw std::invalid_argument("axpy: shape mismatch");
-  }
-  simd::dense_kernels().axpy(data_.data(), other.data_.data(), alpha, data_.size());
-}
-
 double Matrix::abs_max() const {
   return simd::dense_kernels().abs_max(data_.data(), data_.size());
 }
@@ -51,13 +44,6 @@ Matrix he_normal(std::size_t rows, std::size_t cols, Rng& rng) {
   Matrix m(rows, cols);
   const double std = std::sqrt(2.0 / static_cast<double>(cols));
   for (auto& e : m.raw()) e = rng.normal(0.0, std);
-  return m;
-}
-
-Matrix xavier_uniform(std::size_t rows, std::size_t cols, Rng& rng) {
-  Matrix m(rows, cols);
-  const double limit = std::sqrt(6.0 / static_cast<double>(rows + cols));
-  for (auto& e : m.raw()) e = rng.uniform(-limit, limit);
   return m;
 }
 

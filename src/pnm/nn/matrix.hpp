@@ -50,9 +50,6 @@ class Matrix {
   /// y = this * x  (x.size() == cols, y.size() == rows).
   void matvec(const std::vector<double>& x, std::vector<double>& y) const;
 
-  /// this += alpha * other (same shape).
-  void axpy(double alpha, const Matrix& other);
-
   /// Elementwise maximum of |element| over the whole matrix (0 for empty).
   [[nodiscard]] double abs_max() const;
 
@@ -70,9 +67,6 @@ class Matrix {
 /// He-normal initialization (std = sqrt(2/fan_in)), the standard choice for
 /// ReLU MLPs and what we use for every trained baseline.
 Matrix he_normal(std::size_t rows, std::size_t cols, Rng& rng);
-
-/// Xavier/Glorot-uniform initialization, used for tanh/sigmoid variants.
-Matrix xavier_uniform(std::size_t rows, std::size_t cols, Rng& rng);
 
 }  // namespace pnm
 

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "pnm/nn/trainer.hpp"
-
 namespace pnm {
 
 double accuracy(const Predictor& predict, const Dataset& data) {
@@ -49,17 +47,6 @@ double balanced_accuracy(const Predictor& predict, const Dataset& data) {
   }
   if (present == 0) throw std::invalid_argument("balanced_accuracy: no samples");
   return sum / static_cast<double>(present);
-}
-
-double mean_cross_entropy(const Mlp& model, const Dataset& data) {
-  data.validate();
-  if (data.size() == 0) throw std::invalid_argument("mean_cross_entropy: empty dataset");
-  double total = 0.0;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const auto logits = model.forward(data.x[i]);
-    total += softmax_cross_entropy(logits, data.y[i], nullptr);
-  }
-  return total / static_cast<double>(data.size());
 }
 
 }  // namespace pnm

@@ -28,9 +28,6 @@ std::vector<std::vector<std::size_t>> confusion_matrix(const Predictor& predict,
 /// Unweighted mean of per-class recalls (robust to the wines' imbalance).
 double balanced_accuracy(const Predictor& predict, const Dataset& data);
 
-/// Mean softmax cross-entropy of a float MLP over a dataset.
-double mean_cross_entropy(const Mlp& model, const Dataset& data);
-
 }  // namespace pnm
 
 #endif  // PNM_NN_METRICS_HPP

@@ -1,12 +1,10 @@
 #include "pnm/nn/mlp.hpp"
 
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 namespace pnm {
 
-Mlp::Mlp(const std::vector<std::size_t>& topology, Rng& rng, Activation hidden_act) {
+Mlp::Mlp(const std::vector<std::size_t>& topology, Rng& rng) {
   if (topology.size() < 2) {
     throw std::invalid_argument("Mlp: topology needs at least input and output sizes");
   }
@@ -19,7 +17,7 @@ Mlp::Mlp(const std::vector<std::size_t>& topology, Rng& rng, Activation hidden_a
     layer.weights = he_normal(topology[i + 1], topology[i], rng);
     layer.bias.assign(topology[i + 1], 0.0);
     const bool is_output = (i + 2 == topology.size());
-    layer.act = is_output ? Activation::kIdentity : hidden_act;
+    layer.act = is_output ? Activation::kIdentity : Activation::kRelu;
     layers_.push_back(std::move(layer));
   }
 }
@@ -79,52 +77,6 @@ std::size_t Mlp::zero_weight_count() const {
   std::size_t n = 0;
   for (const auto& l : layers_) n += l.weights.zero_count();
   return n;
-}
-
-void Mlp::save(std::ostream& out) const {
-  out << "pnm-mlp 1\n" << layers_.size() << '\n';
-  out.precision(17);
-  for (const auto& l : layers_) {
-    out << l.out_features() << ' ' << l.in_features() << ' ' << activation_name(l.act)
-        << '\n';
-    for (std::size_t r = 0; r < l.out_features(); ++r) {
-      for (std::size_t c = 0; c < l.in_features(); ++c) {
-        out << l.weights(r, c) << (c + 1 < l.in_features() ? ' ' : '\n');
-      }
-    }
-    for (std::size_t r = 0; r < l.bias.size(); ++r) {
-      out << l.bias[r] << (r + 1 < l.bias.size() ? ' ' : '\n');
-    }
-  }
-}
-
-Mlp Mlp::load(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  in >> magic >> version;
-  if (magic != "pnm-mlp" || version != 1) {
-    throw std::runtime_error("Mlp::load: bad header");
-  }
-  std::size_t n_layers = 0;
-  in >> n_layers;
-  std::vector<DenseLayer> layers;
-  layers.reserve(n_layers);
-  for (std::size_t i = 0; i < n_layers; ++i) {
-    std::size_t out_f = 0, in_f = 0;
-    std::string act;
-    in >> out_f >> in_f >> act;
-    DenseLayer l;
-    l.weights = Matrix(out_f, in_f);
-    l.act = activation_from_name(act);
-    for (std::size_t r = 0; r < out_f; ++r) {
-      for (std::size_t c = 0; c < in_f; ++c) in >> l.weights(r, c);
-    }
-    l.bias.assign(out_f, 0.0);
-    for (auto& b : l.bias) in >> b;
-    layers.push_back(std::move(l));
-  }
-  if (!in) throw std::runtime_error("Mlp::load: truncated stream");
-  return Mlp(std::move(layers));
 }
 
 std::size_t argmax(const std::vector<double>& v) {

@@ -13,7 +13,6 @@
 /// and to pnm::hw for bespoke circuit generation.
 
 #include <cstddef>
-#include <iosfwd>
 #include <vector>
 
 #include "pnm/nn/activation.hpp"
@@ -39,12 +38,11 @@ class Mlp {
   Mlp() = default;
 
   /// Builds a network with the given layer sizes, e.g. {11, 6, 7} = 11
-  /// inputs, one hidden layer of 6 (ReLU by default), 7 output classes
-  /// (identity).  Weights are He-normal, biases zero.
-  Mlp(const std::vector<std::size_t>& topology, Rng& rng,
-      Activation hidden_act = Activation::kRelu);
+  /// inputs, one hidden layer of 6 (ReLU), 7 output classes (identity).
+  /// Weights are He-normal, biases zero.
+  Mlp(const std::vector<std::size_t>& topology, Rng& rng);
 
-  /// Builds from explicit layers (used by tests and deserialization).
+  /// Builds from explicit layers (used by structured_prune and tests).
   explicit Mlp(std::vector<DenseLayer> layers);
 
   [[nodiscard]] std::size_t layer_count() const { return layers_.size(); }
@@ -71,10 +69,6 @@ class Mlp {
 
   /// Number of exactly-zero weights (pruned connections).
   [[nodiscard]] std::size_t zero_weight_count() const;
-
-  /// Serialization to/from a simple line-oriented text format.
-  void save(std::ostream& out) const;
-  static Mlp load(std::istream& in);
 
  private:
   std::vector<DenseLayer> layers_;

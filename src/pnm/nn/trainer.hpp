@@ -13,7 +13,10 @@
 ///    constraint on the master weights: pruning masks re-zero pruned
 ///    connections, clustering re-averages each cluster to a shared value.
 ///
-/// Loss is softmax cross-entropy over the output logits.
+/// Every program trains with one recipe: Adam on the softmax
+/// cross-entropy of the output logits, over shuffled minibatches of
+/// kTrainBatch at a constant learning rate.  TrainConfig sets only the
+/// epochs and the learning rate.
 
 #include <functional>
 #include <vector>
@@ -40,14 +43,6 @@ struct Gradients {
   static Gradients zeros_like(const Mlp& model);
 };
 
-/// Softmax cross-entropy loss for one sample; if grad is non-null it
-/// receives dL/dlogits (softmax - onehot).  Numerically stabilized, through
-/// libm exp/log: mean_cross_entropy (nn/metrics.hpp) reports it, and the
-/// reference fine-tuning arithmetic (tests/trainer_reference.hpp) takes it
-/// as its libm softmax.
-double softmax_cross_entropy(const std::vector<double>& logits, std::size_t label,
-                             std::vector<double>* grad);
-
 /// Reusable buffers for the minibatch backprop path.  Layer buffers hold
 /// the minibatch as consecutive 8-lane SoA blocks (nn/dense_simd.hpp's
 /// blocked layout).  One scratch per fit(): every buffer is fully
@@ -64,45 +59,35 @@ struct BlockBackpropScratch {
 /// runs the n samples train.x[idx[0..n)] through forward + backward
 /// together as ceil(n/8) SoA blocks, one kernel call per layer and
 /// direction for the whole minibatch (nn/dense_simd.hpp), with the kernel
-/// table's fast softmax cross-entropy (fast_exp / fast_log,
-/// nn/fastmath.hpp).  Stores grad_scale times dL/dparams summed over the
-/// minibatch into grads, overwriting every element (the trainer passes
-/// 1/n for the mean gradient): each element is summed from +0.0 block by
-/// block and then scaled, the operations of zeroing grads, accumulating
-/// each block and scaling it afterwards.  Adds each block's summed loss
-/// to `loss` in block order.  Padding lanes of the last block are
-/// zero-filled and their deltas zeroed after the loss, so they contribute
-/// nothing.  The result is the same bit for bit as summing one-block calls
-/// from +0.0 in block order, on every kernel table.  The per-sample and
-/// libm-softmax references it is gated against (accuracy-neutral, not
-/// bit-identical) live in tests/trainer_reference.hpp.
+/// table's fast softmax cross-entropy gradient (fast_exp,
+/// nn/fastmath.hpp).  The output layer's values are the logits, so it
+/// must be identity, as Trainer::fit requires.  Stores grad_scale times
+/// dL/dparams summed over the minibatch into grads, overwriting every
+/// element (the trainer passes 1/n for the mean gradient): each element
+/// is summed from +0.0 block by block and then scaled, the operations of
+/// zeroing grads, accumulating each block and scaling it afterwards.
+/// Padding lanes of the last block are zero-filled and their deltas
+/// zeroed, so they contribute nothing.  The result is the same bit for
+/// bit as summing one-block calls from +0.0 in block order, on every
+/// kernel table.  The per-sample and libm-softmax references it is gated
+/// against (accuracy-neutral, not bit-identical) live in
+/// tests/trainer_reference.hpp.
 /// \throws std::invalid_argument when a label is not below the model's
 ///         output width.
 void backprop_minibatch(const Mlp& model, const Dataset& train, const std::size_t* idx,
                         std::size_t n, double grad_scale, Gradients& grads,
-                        BlockBackpropScratch& scratch, double& loss);
+                        BlockBackpropScratch& scratch);
 
-enum class Optimizer { kSgd, kAdam };
+/// Minibatch size of the one training recipe.  The rest of the recipe is
+/// fixed as well: Adam at simd::AdamStep's beta1, beta2 and eps
+/// (nn/dense_simd.hpp), a fresh shuffle of the training set every epoch,
+/// and a constant learning rate.
+inline constexpr std::size_t kTrainBatch = 32;
 
+/// What a program chooses about training: how long, and how fast.
 struct TrainConfig {
   std::size_t epochs = 60;
-  std::size_t batch_size = 32;
   double lr = 3e-3;
-  double lr_decay = 1.0;        ///< multiplicative per-epoch decay
-  double momentum = 0.9;        ///< SGD only
-  double weight_decay = 0.0;    ///< decoupled L2 on weights (not biases)
-  Optimizer optimizer = Optimizer::kAdam;
-  double adam_beta1 = 0.9;
-  double adam_beta2 = 0.999;
-  double adam_eps = 1e-8;
-  bool shuffle = true;
-};
-
-struct TrainResult {
-  std::vector<double> epoch_loss;  ///< mean training loss per epoch
-  [[nodiscard]] double final_loss() const {
-    return epoch_loss.empty() ? 0.0 : epoch_loss.back();
-  }
 };
 
 /// Runs mini-batch training on `model` in place.
@@ -118,17 +103,20 @@ class Trainer {
   /// Constraint re-imposed on the master model after each optimizer step.
   using Projector = std::function<void(Mlp& master)>;
 
+  /// \throws std::invalid_argument when epochs is 0 or lr is not a finite
+  ///         positive number.
   explicit Trainer(TrainConfig config);
 
   void set_weight_view(WeightView view) { view_ = std::move(view); }
   void set_projector(Projector projector) { projector_ = std::move(projector); }
 
-  /// Trains and returns the per-epoch loss trace. Deterministic given rng.
-  /// Every call starts from fresh optimizer state sized to `model`, so one
-  /// Trainer may fit any sequence of models.
+  /// Trains `model` in place. Deterministic given rng.  Every call starts
+  /// from fresh optimizer state sized to `model`, so one Trainer may fit
+  /// any sequence of models.
   /// \throws std::invalid_argument when `train` fails Dataset::validate,
-  ///         is empty, or does not fit the model's shape.
-  TrainResult fit(Mlp& model, const Dataset& train, Rng& rng);
+  ///         is empty, or does not fit the model's shape, or when the
+  ///         model's output layer is not identity.
+  void fit(Mlp& model, const Dataset& train, Rng& rng);
 
   [[nodiscard]] const TrainConfig& config() const { return config_; }
 
@@ -138,17 +126,17 @@ class Trainer {
   // repeating the O(samples x features) Dataset::validate scan: fit()
   // minus that scan, with every other check kept.
   friend class PipelineEvaluator;
-  TrainResult fit_validated(Mlp& model, const Dataset& train, Rng& rng);
+  void fit_validated(Mlp& model, const Dataset& train, Rng& rng);
 
   void reset_optimizer(const Mlp& model);
-  void apply_update(Mlp& model, const Gradients& grads, double lr);
+  void apply_update(Mlp& model, const Gradients& grads);
 
   TrainConfig config_;
   WeightView view_;
   Projector projector_;
-  // Optimizer state, zeroed and sized to the model at the start of fit().
-  std::vector<Matrix> vel_w_, m_w_, v_w_;
-  std::vector<std::vector<double>> vel_b_, m_b_, v_b_;
+  // Adam's moments, zeroed and sized to the model at the start of fit().
+  std::vector<Matrix> m_w_, v_w_;
+  std::vector<std::vector<double>> m_b_, v_b_;
   long step_ = 0;
 };
 

@@ -128,16 +128,7 @@ TEST(Campaign, FingerprintSeparatesConfigsAndBackends) {
   flow_moves("val_frac", [](FlowConfig& f) { f.val_frac += 0.05; });
   flow_moves("test_frac", [](FlowConfig& f) { f.test_frac += 0.05; });
   flow_moves("epochs", [](FlowConfig& f) { f.train.epochs += 1; });
-  flow_moves("batch_size", [](FlowConfig& f) { f.train.batch_size += 1; });
   flow_moves("lr", [](FlowConfig& f) { f.train.lr *= 2.0; });
-  flow_moves("lr_decay", [](FlowConfig& f) { f.train.lr_decay = 0.9; });
-  flow_moves("momentum", [](FlowConfig& f) { f.train.momentum = 0.5; });
-  flow_moves("weight_decay", [](FlowConfig& f) { f.train.weight_decay = 1e-4; });
-  flow_moves("optimizer", [](FlowConfig& f) { f.train.optimizer = Optimizer::kSgd; });
-  flow_moves("adam_beta1", [](FlowConfig& f) { f.train.adam_beta1 = 0.8; });
-  flow_moves("adam_beta2", [](FlowConfig& f) { f.train.adam_beta2 = 0.99; });
-  flow_moves("adam_eps", [](FlowConfig& f) { f.train.adam_eps = 1e-7; });
-  flow_moves("shuffle", [](FlowConfig& f) { f.train.shuffle = !f.train.shuffle; });
   const auto eval_moves = [&](const char* field, auto mutate) {
     EvalConfig changed = eval;
     mutate(changed);

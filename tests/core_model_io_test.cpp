@@ -132,6 +132,25 @@ TEST(ModelIo, RejectsHostileLayerShapes) {
       "layer 1 16 1048576 5 0 relu 1\n");
 }
 
+/// A layer may name only an activation the model can run: identity or
+/// relu.  Smooth activations are unknown names to the parser.
+TEST(ModelIo, RejectsSmoothActivations) {
+  const std::string good = save_quantized_mlp_text(make_model(8), "m");
+  const auto relu = good.find(" relu ");
+  ASSERT_NE(relu, std::string::npos);
+  for (const char* name : {"sigmoid", "tanh"}) {
+    std::string bad = good;
+    bad.replace(relu + 1, 4, name);
+    try {
+      parse_quantized_mlp_text(bad);
+      ADD_FAILURE() << name << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown activation"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ModelIo, RejectsCorruptedRecords) {
   const QuantizedMlp model = make_model(6);
   const std::string good = save_quantized_mlp_text(model, "m");

@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "pnm/hw/bespoke.hpp"
 #include "pnm/util/bits.hpp"
 
 namespace pnm {
@@ -36,11 +37,16 @@ TEST(QuantizedMlp, ShapesAndMetadata) {
   EXPECT_EQ(q.layer(1).act, Activation::kIdentity);
 }
 
-TEST(QuantizedMlp, RejectsNonLowerableActivations) {
-  Rng rng(2);
-  Mlp net({3, 3, 2}, rng, Activation::kSigmoid);
-  EXPECT_THROW(QuantizedMlp::from_float(net, QuantSpec::uniform(2, 4)),
-               std::invalid_argument);
+/// Both activations quantize in any position; only the bespoke generator
+/// fixes their places (ReLU hidden, identity output).  So a hidden identity
+/// layer makes an integer model that keeps its activation and that the
+/// generator refuses to lower.
+TEST(QuantizedMlp, HiddenIdentityLayerQuantizesButDoesNotLower) {
+  Mlp net = random_net({3, 3, 2}, 2);
+  net.layer(0).act = Activation::kIdentity;
+  const auto q = QuantizedMlp::from_float(net, QuantSpec::uniform(2, 4));
+  EXPECT_EQ(q.layer(0).act, Activation::kIdentity);
+  EXPECT_THROW(hw::BespokeCircuit{q}, std::invalid_argument);
 }
 
 /// The central equivalence: integer inference must predict exactly like

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <sstream>
 
 #include "pnm/pnm.hpp"
@@ -172,33 +171,6 @@ TEST(ApiPaths, VerilogOfGatelessNetlistIsValid) {
   EXPECT_NE(v.find("endmodule"), std::string::npos);
 }
 
-TEST(ApiPaths, TrainerLrDecayReducesStepSizes) {
-  // With aggressive decay the late epochs barely move the weights.
-  Dataset data = make_seeds(80);
-  MinMaxScaler scaler;
-  scaler.fit(data);
-  data = scaler.transform(data);
-  Rng rng(8);
-  Mlp net({7, 4, 3}, rng);
-  TrainConfig tc;
-  tc.epochs = 5;
-  tc.lr_decay = 1e-3;  // lr collapses after epoch 1
-  Trainer trainer(tc);
-  trainer.fit(net, data, rng);
-  const Mlp snapshot = net;
-  TrainConfig more = tc;
-  more.epochs = 3;
-  more.lr = tc.lr * 1e-15;  // effectively frozen
-  Trainer(more).fit(net, data, rng);
-  double drift = 0.0;
-  for (std::size_t li = 0; li < net.layer_count(); ++li) {
-    const auto& a = net.layer(li).weights.raw();
-    const auto& b = snapshot.layer(li).weights.raw();
-    for (std::size_t i = 0; i < a.size(); ++i) drift += std::fabs(a[i] - b[i]);
-  }
-  EXPECT_LT(drift, 1e-6);
-}
-
 TEST(ApiPaths, StratifiedSplitWithZeroValFraction) {
   const Dataset data = make_seeds(81);
   Rng rng(9);
@@ -206,16 +178,6 @@ TEST(ApiPaths, StratifiedSplitWithZeroValFraction) {
   EXPECT_EQ(split.val.size(), 0U);
   EXPECT_GT(split.train.size(), 0U);
   EXPECT_GT(split.test.size(), 0U);
-}
-
-TEST(ApiPaths, MlpSaveLoadPreservesPrunedZeros) {
-  Rng rng(10);
-  Mlp net({5, 4, 3}, rng);
-  magnitude_prune_global(net, 0.5);
-  std::stringstream buffer;
-  net.save(buffer);
-  const Mlp loaded = Mlp::load(buffer);
-  EXPECT_EQ(loaded.zero_weight_count(), net.zero_weight_count());
 }
 
 }  // namespace

@@ -33,11 +33,19 @@ std::vector<std::int64_t> random_input(std::size_t n, int input_bits, pnm::Rng& 
   return xq;
 }
 
+/// The generator lowers ReLU hidden layers and an identity output layer
+/// only; the integer model accepts either activation in any position.
 TEST(Bespoke, RejectsUnsupportedShapes) {
   pnm::Rng rng(1);
-  pnm::Mlp sigmoid_net({3, 3, 2}, rng, pnm::Activation::kTanh);
-  EXPECT_THROW(QuantizedMlp::from_float(sigmoid_net, pnm::QuantSpec::uniform(2, 4)),
-               std::invalid_argument);
+  pnm::Mlp net({3, 3, 2}, rng);
+  const auto spec = pnm::QuantSpec::uniform(2, 4);
+  net.layer(0).act = pnm::Activation::kIdentity;
+  EXPECT_THROW(BespokeCircuit{QuantizedMlp::from_float(net, spec)}, std::invalid_argument);
+  net.layer(0).act = pnm::Activation::kRelu;
+  net.layer(1).act = pnm::Activation::kRelu;
+  EXPECT_THROW(BespokeCircuit{QuantizedMlp::from_float(net, spec)}, std::invalid_argument);
+  net.layer(1).act = pnm::Activation::kIdentity;
+  EXPECT_NO_THROW(BespokeCircuit{QuantizedMlp::from_float(net, spec)});
 }
 
 TEST(Bespoke, PredictValidatesInput) {

@@ -64,7 +64,7 @@ TEST(DenseSimd, ScalarTableAlwaysPresent) {
   ASSERT_NE(k.fake_quantize, nullptr);
 }
 
-TEST(DenseSimd, DotAxpyBitIdenticalAcrossTables) {
+TEST(DenseSimd, DotBitIdenticalAcrossTables) {
   const auto* scalar = simd::dense_kernels_for(simd::Isa::kScalar);
   Rng rng(7);
   for (const auto* table : native_tables()) {
@@ -73,24 +73,17 @@ TEST(DenseSimd, DotAxpyBitIdenticalAcrossTables) {
       const std::vector<double> b = random_vec(rng, n);
       EXPECT_EQ(scalar->dot(a.data(), b.data(), n), table->dot(a.data(), b.data(), n))
           << "dot n=" << n;
-
-      std::vector<double> y0 = random_vec(rng, n);
-      std::vector<double> y1 = y0;
-      scalar->axpy(y0.data(), a.data(), 0.37, n);
-      table->axpy(y1.data(), a.data(), 0.37, n);
-      expect_bits_equal(y0, y1);
     }
   }
 }
 
-TEST(DenseSimd, OptimizerKernelsBitIdenticalAcrossTables) {
+TEST(DenseSimd, AdamKernelBitIdenticalAcrossTables) {
   const auto* scalar = simd::dense_kernels_for(simd::Isa::kScalar);
   Rng rng(11);
   simd::AdamStep step;
   step.bias_corr1 = 1.0 - std::pow(step.beta1, 7.0);
   step.bias_corr2 = 1.0 - std::pow(step.beta2, 7.0);
   step.lr = 3e-3;
-  step.weight_decay = 1e-4;
   for (const auto* table : native_tables()) {
     for (std::size_t n : {1u, 3u, 4u, 6u, 8u, 29u, 64u}) {
       const std::vector<double> g = random_vec(rng, n);
@@ -104,13 +97,6 @@ TEST(DenseSimd, OptimizerKernelsBitIdenticalAcrossTables) {
       expect_bits_equal(w0, w1);
       expect_bits_equal(m0, m1);
       expect_bits_equal(v0, v1);
-
-      std::vector<double> sw0 = random_vec(rng, n), sw1 = sw0;
-      std::vector<double> vel0 = random_vec(rng, n, 0.1), vel1 = vel0;
-      scalar->sgd(sw0.data(), g.data(), vel0.data(), n, 0.9, 1e-2, 1e-4);
-      table->sgd(sw1.data(), g.data(), vel1.data(), n, 0.9, 1e-2, 1e-4);
-      expect_bits_equal(sw0, sw1);
-      expect_bits_equal(vel0, vel1);
     }
   }
 }
@@ -317,28 +303,22 @@ TEST(DenseSimd, SoftmaxKernelMatchesPerLaneReferenceOnEveryTable) {
   tables.push_back(simd::dense_kernels_for(simd::Isa::kScalar));
   for (const SoftmaxCase& c : softmax_cases()) {
     const std::string what = "n=" + std::to_string(c.n) + " rows=" + std::to_string(c.rows);
-    // Reference: the per-sample fast softmax on each gathered lane, with
-    // each block's lane losses summed from 0.0 before joining `loss`.
+    // Reference: the per-sample fast softmax gradient on each gathered
+    // lane, and 0.0 in every padding lane.
     const std::size_t blocks = (c.n + kB - 1) / kB;
     std::vector<double> want_delta(blocks * c.rows * kB, 0.0);
-    double want_loss = 0.25;
     std::vector<double> lane(c.rows), grad;
     for (std::size_t b = 0; b < blocks; ++b) {
-      double block_loss = 0.0;
       for (std::size_t j = 0; j < kB && b * kB + j < c.n; ++j) {
         for (std::size_t r = 0; r < c.rows; ++r) lane[r] = c.logits[(b * c.rows + r) * kB + j];
-        block_loss +=
-            reference::softmax_cross_entropy_fast(lane, c.labels[b * kB + j], &grad);
+        reference::softmax_grad_fast(lane, c.labels[b * kB + j], grad);
         for (std::size_t r = 0; r < c.rows; ++r) want_delta[(b * c.rows + r) * kB + j] = grad[r];
       }
-      want_loss += block_loss;
     }
     for (const auto* table : tables) {
       std::vector<double> delta(want_delta.size(), 7.0);
-      double loss = 0.25;
-      table->softmax_xent(c.logits.data(), c.labels.data(), c.n, c.rows, delta.data(), &loss);
+      table->softmax_xent(c.logits.data(), c.labels.data(), c.n, c.rows, delta.data());
       expect_same_values(delta, want_delta, "softmax delta " + what);
-      EXPECT_TRUE(same_value(loss, want_loss)) << what << ": " << loss << " vs " << want_loss;
     }
   }
 }
@@ -474,18 +454,15 @@ TEST(DenseSimd, MinibatchBackpropMatchesPerSampleWithinTolerance) {
 
     Gradients ref = Gradients::zeros_like(model);
     reference::SampleScratch ref_scratch;
-    double ref_loss = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      ref_loss += reference::backprop_sample(model, data.x[idx[i]], data.y[idx[i]],
-                                             reference::Softmax::kFast, ref, ref_scratch);
+      reference::backprop_sample(model, data.x[idx[i]], data.y[idx[i]],
+                                 reference::Softmax::kFast, ref, ref_scratch);
     }
 
     Gradients blocked = Gradients::zeros_like(model);
     BlockBackpropScratch scratch;
-    double loss = 0.0;
-    backprop_minibatch(model, data, idx.data(), n, 1.0, blocked, scratch, loss);
+    backprop_minibatch(model, data, idx.data(), n, 1.0, blocked, scratch);
 
-    EXPECT_NEAR(loss, ref_loss, 1e-9 * (1.0 + std::abs(ref_loss))) << "n " << n;
     for (std::size_t li = 0; li < model.layer_count(); ++li) {
       const auto& rw = ref.w[li].raw();
       const auto& bw = blocked.w[li].raw();
@@ -503,9 +480,8 @@ TEST(DenseSimd, MinibatchBackpropMatchesPerSampleWithinTolerance) {
 }
 
 /// One minibatch call is bit-identical to one call per 8-sample block: the
-/// loss accumulates block by block in the same order, and the scaled
-/// gradient store equals the one-block gradients summed from +0.0 in
-/// block order, then scaled.
+/// scaled gradient store equals the one-block gradients summed from +0.0
+/// in block order, then scaled.
 TEST(DenseSimd, MinibatchBackpropEqualsBlockByBlock) {
   Rng rng(31);
   Mlp model({5, 6, 4, 3}, rng);
@@ -516,21 +492,19 @@ TEST(DenseSimd, MinibatchBackpropEqualsBlockByBlock) {
 
   Gradients whole = Gradients::zeros_like(model);
   BlockBackpropScratch scratch;
-  double whole_loss = 0.125;
-  double split_loss = 0.125;
-  backprop_minibatch(model, data, idx.data(), idx.size(), s, whole, scratch, whole_loss);
+  backprop_minibatch(model, data, idx.data(), idx.size(), s, whole, scratch);
   Gradients split = Gradients::zeros_like(model);
   Gradients block = Gradients::zeros_like(model);
   for (std::size_t i = 0; i < idx.size(); i += kB) {
     backprop_minibatch(model, data, idx.data() + i, std::min(kB, idx.size() - i), 1.0, block,
-                       scratch, split_loss);
+                       scratch);
     for (std::size_t li = 0; li < model.layer_count(); ++li) {
-      split.w[li].axpy(1.0, block.w[li]);
+      auto& w = split.w[li].raw();
+      for (std::size_t k = 0; k < w.size(); ++k) w[k] += block.w[li].raw()[k];
       for (std::size_t r = 0; r < split.b[li].size(); ++r) split.b[li][r] += block.b[li][r];
     }
   }
   reference::scale(split, s);
-  EXPECT_TRUE(same_value(whole_loss, split_loss));
   for (std::size_t li = 0; li < model.layer_count(); ++li) {
     expect_same_values(whole.w[li].raw(), split.w[li].raw(), "w layer " + std::to_string(li));
     expect_same_values(whole.b[li], split.b[li], "b layer " + std::to_string(li));
@@ -545,10 +519,8 @@ TEST(DenseSimd, MinibatchBackpropRejectsOutOfRangeLabel) {
   const std::vector<std::size_t> idx = {0, 1, 2, 3};
   Gradients grads = Gradients::zeros_like(model);
   BlockBackpropScratch scratch;
-  double loss = 0.0;
-  EXPECT_THROW(
-      backprop_minibatch(model, data, idx.data(), idx.size(), 1.0, grads, scratch, loss),
-      std::invalid_argument);
+  EXPECT_THROW(backprop_minibatch(model, data, idx.data(), idx.size(), 1.0, grads, scratch),
+               std::invalid_argument);
 }
 
 }  // namespace

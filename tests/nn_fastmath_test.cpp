@@ -1,8 +1,8 @@
 /// Error-bound and parity tests for the declared accuracy-neutral
 /// fast-math layer (nn/fastmath.hpp) and the fast softmax cross-entropy
-/// built on it.  The documented kFastExp/LogMaxRelError constants are the
-/// contract: they are measured here against libm over dense grids, and the
-/// softmax/gradient/fine-tuning consumers are checked against the libm
+/// gradient built on it.  The documented kFastExpMaxRelError constant is
+/// the contract: it is measured here against libm over dense grids, and
+/// the gradient and fine-tuning consumers are checked against the libm
 /// reference (tests/trainer_reference.hpp) within declared (not
 /// bit-identical) tolerances.
 
@@ -17,11 +17,7 @@
 
 #include "pnm/data/scaler.hpp"
 #include "pnm/data/synth.hpp"
-#include "pnm/nn/dense_simd.hpp"
 #include "pnm/nn/fastmath.hpp"
-#if defined(__x86_64__)
-#include "pnm/nn/fastmath_avx2.hpp"
-#endif
 #include "pnm/nn/metrics.hpp"
 #include "pnm/nn/mlp.hpp"
 #include "pnm/nn/trainer.hpp"
@@ -113,89 +109,6 @@ TEST(FastMath, BatchExpMatchesScalarAndAllowsAliasing) {
   EXPECT_EQ(inplace, out);
 }
 
-TEST(FastMath, LogStaysInsideDocumentedBoundAcrossScales) {
-  double max_rel = 0.0;
-  double worst_x = 0.0;
-  // Log-spaced sweep over the full normal range...
-  for (double x = 1e-300; x < 1e300; x *= 1.000037) {
-    if (std::abs(std::log(x)) < 1e-8) continue;
-    const double r = rel_error(fast_log(x), std::log(x));
-    if (r > max_rel) {
-      max_rel = r;
-      worst_x = x;
-    }
-  }
-  // ...plus a dense linear sweep around 1 where cancellation lives.
-  for (double x = 0.25; x <= 4.0; x += 1e-5) {
-    const double want = std::log(x);
-    if (std::abs(want) < 1e-8) {
-      EXPECT_LE(std::abs(fast_log(x) - want), 1e-13) << "x = " << x;
-      continue;
-    }
-    const double r = rel_error(fast_log(x), want);
-    if (r > max_rel) {
-      max_rel = r;
-      worst_x = x;
-    }
-  }
-  EXPECT_LE(max_rel, kFastLogMaxRelError) << "worst at x = " << worst_x;
-  EXPECT_EQ(fast_log(1.0), 0.0);
-}
-
-#if defined(__x86_64__)
-[[gnu::target("avx2")]] void fast_log4_lanes(const double* x, double* out) {
-  _mm256_storeu_pd(out, simd::fast_log4(_mm256_loadu_pd(x)));
-}
-#endif
-
-/// The 4-lane twin the AVX2 softmax takes its logs with returns fast_log's
-/// bits: on both sides of the sqrt 2 split at every scale, at powers of
-/// two, across the softmax denominators' [1, 64], and for the zeros,
-/// subnormals, infinities and NaNs an infinite logit can make.
-TEST(FastMath, FourLaneLogEqualsScalarBitForBit) {
-#if defined(__x86_64__)
-  if (!simd::isa_available(simd::Isa::kAvx2)) GTEST_SKIP() << "no AVX2 on this CPU";
-  std::vector<double> xs;
-  const double sqrt2 = fastlog::kSqrt2;
-  for (int e = -1022; e <= 1023; ++e) {
-    const double p2 = std::ldexp(1.0, e);
-    xs.push_back(p2);
-    xs.push_back(std::nextafter(p2, 0.0));
-    xs.push_back(std::nextafter(p2, 2.0 * p2));
-    if (e < 1023) {
-      for (double m : {std::nextafter(sqrt2, 1.0), sqrt2, std::nextafter(sqrt2, 2.0)}) {
-        xs.push_back(std::ldexp(m, e));
-      }
-    }
-  }
-  for (int i = 0; i <= 63 * 4096; ++i) xs.push_back(1.0 + i / 4096.0);
-  Rng rng(53);
-  for (int i = 0; i < 20000; ++i) xs.push_back(1.0 + 63.0 * rng.uniform());
-  for (double x : {0.0, -0.0, std::numeric_limits<double>::denorm_min(), 1e-310,
-                   std::numeric_limits<double>::infinity(), -1.0,
-                   std::numeric_limits<double>::quiet_NaN()}) {
-    xs.push_back(x);
-  }
-  while (xs.size() % 4 != 0) xs.push_back(1.0);
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < xs.size(); i += 4) {
-    double got[4];
-    fast_log4_lanes(xs.data() + i, got);
-    for (std::size_t j = 0; j < 4; ++j) {
-      const double want = fast_log(xs[i + j]);
-      if (std::bit_cast<std::uint64_t>(got[j]) != std::bit_cast<std::uint64_t>(want) &&
-          mismatches++ < 10) {
-        ADD_FAILURE() << "fast_log4(" << xs[i + j] << ") = " << got[j] << ", fast_log "
-                      << want;
-      }
-    }
-  }
-  EXPECT_EQ(mismatches, 0u);
-#else
-  GTEST_SKIP() << "the 4-lane twin is x86-64 only";
-#endif
-}
-
 TEST(FastMath, FastSoftmaxMatchesReferenceWithinDeclaredTolerance) {
   Rng rng(406);
   std::vector<double> ref_grad;
@@ -207,12 +120,9 @@ TEST(FastMath, FastSoftmaxMatchesReferenceWithinDeclaredTolerance) {
     for (auto& z : logits) z = rng.uniform(-span, span);
     const std::size_t label = static_cast<std::size_t>(trial) % n;
 
-    const double ref_loss = softmax_cross_entropy(logits, label, &ref_grad);
-    const double fast_loss =
-        reference::softmax_cross_entropy_fast(logits, label, &fast_grad);
+    reference::softmax_cross_entropy(logits, label, &ref_grad);
+    reference::softmax_grad_fast(logits, label, fast_grad);
 
-    ASSERT_NEAR(fast_loss, ref_loss, 1e-9 * (1.0 + std::abs(ref_loss)))
-        << "trial " << trial;
     ASSERT_EQ(fast_grad.size(), ref_grad.size());
     for (std::size_t i = 0; i < n; ++i) {
       // Gradient entries live in [-1, 1]; absolute tolerance is the
@@ -223,16 +133,17 @@ TEST(FastMath, FastSoftmaxMatchesReferenceWithinDeclaredTolerance) {
 }
 
 TEST(FastMath, FastSoftmaxRejectsBadLabel) {
-  EXPECT_THROW((void)reference::softmax_cross_entropy_fast({0.0, 1.0}, 2, nullptr),
-               std::invalid_argument);
+  std::vector<double> grad;
+  EXPECT_THROW(reference::softmax_grad_fast({0.0, 1.0}, 2, grad), std::invalid_argument);
 }
 
 TEST(FastMath, FineTuningParityLibmVsFast) {
   // The front-quality form of the gate at trainer scale: the same
   // fine-tuning run under the libm softmax (the reference loop's blocked
   // libm gradient) and under production's fast math must land at the same
-  // quality (validation accuracy within the declared tolerance), even
-  // though the weight trajectories are not bit-identical.
+  // quality (accuracy and libm mean loss of the trained models within the
+  // declared tolerances), even though the weight trajectories are not
+  // bit-identical.
   Dataset data = make_named_dataset("seeds", 77);
   MinMaxScaler scaler;
   scaler.fit(data);
@@ -240,17 +151,19 @@ TEST(FastMath, FineTuningParityLibmVsFast) {
 
   TrainConfig config;
   config.epochs = 25;
-  config.batch_size = 16;
   config.lr = 5e-3;
 
   const auto run = [&](bool fast) {
     Rng init(1234);
     Mlp model({data.n_features(), 8, data.n_classes}, init);
     Rng rng(99);
-    const TrainResult result =
-        fast ? Trainer(config).fit(model, data, rng)
-             : reference::fit(model, data, rng, config, reference::Gradient::kBlockedLibm);
-    return std::pair<double, double>(accuracy(model, data), result.final_loss());
+    if (fast) {
+      Trainer(config).fit(model, data, rng);
+    } else {
+      reference::fit(model, data, rng, config, reference::Gradient::kBlockedLibm);
+    }
+    return std::pair<double, double>(accuracy(model, data),
+                                     reference::mean_cross_entropy(model, data));
   };
 
   const auto [acc_libm, loss_libm] = run(false);

@@ -69,20 +69,6 @@ TEST(Matrix, MatvecTransposedComputesProduct) {
   EXPECT_EQ(y[2], 3.0 + 12.0);
 }
 
-TEST(Matrix, AxpyAccumulates) {
-  Matrix a(2, 2, {1, 2, 3, 4});
-  Matrix b(2, 2, {10, 20, 30, 40});
-  a.axpy(0.5, b);
-  EXPECT_EQ(a(0, 0), 6.0);
-  EXPECT_EQ(a(1, 1), 24.0);
-}
-
-TEST(Matrix, AxpyShapeMismatchThrows) {
-  Matrix a(2, 2);
-  Matrix b(2, 3);
-  EXPECT_THROW(a.axpy(1.0, b), std::invalid_argument);
-}
-
 TEST(Matrix, AddOuterIsRankOneUpdate) {
   Matrix m(2, 3);
   reference::add_outer(m, 2.0, {1, 2}, {3, 4, 5});
@@ -172,16 +158,6 @@ TEST(Matrix, HeNormalHasExpectedScale) {
   for (double v : m.raw()) sum2 += v * v;
   const double var = sum2 / static_cast<double>(m.size());
   EXPECT_NEAR(var, 2.0 / static_cast<double>(fan_in), 0.004);
-}
-
-TEST(Matrix, XavierUniformStaysInLimit) {
-  Rng rng(6);
-  Matrix m = xavier_uniform(30, 20, rng);
-  const double limit = std::sqrt(6.0 / 50.0);
-  for (double v : m.raw()) {
-    EXPECT_GE(v, -limit);
-    EXPECT_LE(v, limit);
-  }
 }
 
 TEST(Matrix, EqualityIsElementwise) {

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace pnm {
 namespace {
 
@@ -71,17 +69,6 @@ TEST(Metrics, MlpAccuracyOverloadAgreesWithPredictor) {
   const double a2 =
       accuracy([&net](const std::vector<double>& x) { return net.predict(x); }, d);
   EXPECT_EQ(a1, a2);
-}
-
-TEST(Metrics, MeanCrossEntropyOfUniformModelIsLogC) {
-  // Zero-weight model emits uniform logits -> CE = log(n_classes).
-  DenseLayer l;
-  l.weights = Matrix(2, 1);
-  l.bias = {0.0, 0.0};
-  l.act = Activation::kIdentity;
-  Mlp net({l});
-  const Dataset d = four_samples();
-  EXPECT_NEAR(mean_cross_entropy(net, d), std::log(2.0), 1e-12);
 }
 
 }  // namespace

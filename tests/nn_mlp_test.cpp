@@ -1,12 +1,11 @@
-/// Tests for the float MLP: shapes, forward math, serialization, and a
-/// finite-difference check of the backprop gradients.
+/// Tests for the float MLP: shapes, forward math, and a finite-difference
+/// check of the reference backprop gradients.
 
 #include "pnm/nn/mlp.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "pnm/nn/trainer.hpp"
 #include "trainer_reference.hpp"
@@ -101,30 +100,6 @@ TEST(Mlp, ZeroWeightCount) {
   EXPECT_EQ(net.zero_weight_count(), 2U);
 }
 
-TEST(Mlp, SaveLoadRoundTrip) {
-  Rng rng(5);
-  Mlp net({4, 3, 2}, rng);
-  std::stringstream buffer;
-  net.save(buffer);
-  const Mlp loaded = Mlp::load(buffer);
-  ASSERT_EQ(loaded.topology(), net.topology());
-  for (std::size_t li = 0; li < net.layer_count(); ++li) {
-    EXPECT_EQ(loaded.layer(li).weights, net.layer(li).weights);
-    EXPECT_EQ(loaded.layer(li).bias, net.layer(li).bias);
-    EXPECT_EQ(loaded.layer(li).act, net.layer(li).act);
-  }
-  // Behavioral equality on a probe input.
-  const std::vector<double> x = {0.1, 0.2, 0.3, 0.4};
-  const auto a = net.forward(x);
-  const auto b = loaded.forward(x);
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-}
-
-TEST(Mlp, LoadRejectsGarbage) {
-  std::stringstream buffer("not-a-model 7");
-  EXPECT_THROW(Mlp::load(buffer), std::runtime_error);
-}
-
 /// Finite-difference gradient check: the per-sample reference backprop's
 /// (tests/trainer_reference.hpp) analytic gradients must match numeric
 /// gradients of the softmax-CE loss.
@@ -142,7 +117,7 @@ TEST(MlpGradients, MatchFiniteDifferences) {
   const double tol = 1e-5;
   auto loss_at = [&](Mlp& m) {
     const auto logits = m.forward(x);
-    return softmax_cross_entropy(logits, label, nullptr);
+    return reference::softmax_cross_entropy(logits, label, nullptr);
   };
   for (std::size_t li = 0; li < net.layer_count(); ++li) {
     auto& w = net.layer(li).weights.raw();
@@ -190,7 +165,7 @@ TEST_P(GradCheckSweep, BackpropMatchesNumeric) {
   for (std::size_t i = 0; i < w.size(); i += 2) {
     const double saved = w[i];
     auto loss_at = [&]() {
-      return softmax_cross_entropy(net.forward(x), label, nullptr);
+      return reference::softmax_cross_entropy(net.forward(x), label, nullptr);
     };
     w[i] = saved + eps;
     const double up = loss_at();

@@ -6,21 +6,25 @@
 ///        (nn/trainer.hpp: the blocked minibatch backprop with the kernel
 ///        table's fast softmax, kFinetuneMath) is compared against.
 ///
+///  * the libm softmax cross-entropy, and the mean loss of a model over a
+///    dataset computed with it;
 ///  * the per-sample backprop, with the libm softmax or the per-sample
 ///    fast one, and the helpers it needs;
 ///  * the blocked minibatch backprop with the libm softmax taken one lane
 ///    at a time;
 ///  * fit(), which replays Trainer::fit step for step (shuffle, weight
-///    view, gradient, Adam or SGD through simd::dense_kernels(),
-///    projector, learning-rate decay) with the gradient chosen by the
-///    caller.  With Gradient::kProduction it reproduces Trainer::fit bit
-///    for bit (nn_trainer_golden_test holds it to that);
+///    view, gradient, Adam through simd::dense_kernels(), projector) with
+///    the gradient chosen by the caller.  With Gradient::kProduction it
+///    reproduces Trainer::fit bit for bit (nn_trainer_golden_test holds it
+///    to that);
 ///  * minimize_float() and realize(), PipelineEvaluator's pipeline built
 ///    from the public pieces around fit().
 ///
-/// The per-sample and libm paths are accuracy-neutral against production,
-/// not bit-identical (different reduction orders, fast_exp/fast_log against
-/// libm).  Header-only and free of gtest, so micro_bench's fine-tuning floor
+/// Like production, every path takes the output layer's values as the
+/// logits, so the model's output layer must be identity.  The per-sample
+/// and libm paths are accuracy-neutral against production, not
+/// bit-identical (different reduction orders, fast_exp against libm).
+/// Header-only and free of gtest, so micro_bench's fine-tuning floor
 /// includes it too.
 
 #include <algorithm>
@@ -59,15 +63,14 @@ class ScopedKernels {
 
 // ---- Per-sample helpers ---------------------------------------------------
 
-/// y = m^T * x (x.size() == m.rows(), y.size() == m.cols()): one axpy per
-/// row of m, in row order.
+/// y = m^T * x (x.size() == m.rows(), y.size() == m.cols()): row r of m
+/// scaled by x[r] and added into y, rows in order.
 inline void matvec_transposed(const Matrix& m, const std::vector<double>& x,
                               std::vector<double>& y) {
   if (x.size() != m.rows()) throw std::invalid_argument("matvec_transposed: bad x size");
-  const auto& kernels = simd::dense_kernels();
   y.assign(m.cols(), 0.0);
   for (std::size_t r = 0; r < m.rows(); ++r) {
-    kernels.axpy(y.data(), m.data() + r * m.cols(), x[r], m.cols());
+    for (std::size_t c = 0; c < m.cols(); ++c) y[c] += x[r] * m(r, c);
   }
 }
 
@@ -78,9 +81,9 @@ inline void add_outer(Matrix& m, double alpha, const std::vector<double>& u,
   if (u.size() != m.rows() || v.size() != m.cols()) {
     throw std::invalid_argument("add_outer: shape mismatch");
   }
-  const auto& kernels = simd::dense_kernels();
   for (std::size_t r = 0; r < m.rows(); ++r) {
-    kernels.axpy(m.data() + r * m.cols(), v.data(), alpha * u[r], m.cols());
+    const double s = alpha * u[r];
+    for (std::size_t c = 0; c < m.cols(); ++c) m(r, c) += s * v[c];
   }
 }
 
@@ -114,31 +117,59 @@ inline void scale(Gradients& g, double s) {
   }
 }
 
-/// The per-sample fast softmax cross-entropy: the libm formulation through
-/// fast_exp / fast_log, each exponential computed once and reused for the
-/// gradient.  Per lane, the kernel tables' softmax_xent performs exactly
-/// these operations (nn/dense_simd.hpp).
-inline double softmax_cross_entropy_fast(const std::vector<double>& logits,
-                                         std::size_t label, std::vector<double>* grad) {
+/// Softmax cross-entropy loss for one sample; if grad is non-null it
+/// receives dL/dlogits (softmax - onehot).  Numerically stabilized, through
+/// libm exp/log.
+inline double softmax_cross_entropy(const std::vector<double>& logits, std::size_t label,
+                                    std::vector<double>* grad) {
   if (label >= logits.size()) {
     throw std::invalid_argument("softmax_cross_entropy: label out of range");
   }
-  const std::size_t n = logits.size();
   const double max_logit = *std::max_element(logits.begin(), logits.end());
   double denom = 0.0;
+  for (double z : logits) denom += std::exp(z - max_logit);
+  const double log_denom = std::log(denom);
+  const double loss = -(logits[label] - max_logit - log_denom);
   if (grad != nullptr) {
-    grad->resize(n);
-    double* g = grad->data();
-    for (std::size_t i = 0; i < n; ++i) g[i] = logits[i] - max_logit;
-    fast_exp(g, g, n);
-    for (std::size_t i = 0; i < n; ++i) denom += g[i];
-    const double inv = 1.0 / denom;
-    for (std::size_t i = 0; i < n; ++i) g[i] *= inv;
-    g[label] -= 1.0;
-  } else {
-    for (std::size_t i = 0; i < n; ++i) denom += fast_exp(logits[i] - max_logit);
+    grad->resize(logits.size());
+    for (std::size_t i = 0; i < logits.size(); ++i) {
+      (*grad)[i] = std::exp(logits[i] - max_logit - log_denom);
+    }
+    (*grad)[label] -= 1.0;
   }
-  return fast_log(denom) - (logits[label] - max_logit);
+  return loss;
+}
+
+/// Mean libm softmax cross-entropy of a float MLP over a dataset.
+inline double mean_cross_entropy(const Mlp& model, const Dataset& data) {
+  if (data.size() == 0) throw std::invalid_argument("mean_cross_entropy: empty dataset");
+  double total = 0.0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    total += softmax_cross_entropy(model.forward(data.x[i]), data.y[i], nullptr);
+  }
+  return total / static_cast<double>(data.size());
+}
+
+/// The per-sample fast softmax cross-entropy gradient: the libm
+/// formulation through fast_exp, each exponential computed once.  Per
+/// lane, the kernel tables' softmax_xent performs exactly these operations
+/// (nn/dense_simd.hpp).
+inline void softmax_grad_fast(const std::vector<double>& logits, std::size_t label,
+                              std::vector<double>& grad) {
+  if (label >= logits.size()) {
+    throw std::invalid_argument("softmax_grad_fast: label out of range");
+  }
+  const std::size_t n = logits.size();
+  const double max_logit = *std::max_element(logits.begin(), logits.end());
+  grad.resize(n);
+  double* g = grad.data();
+  for (std::size_t i = 0; i < n; ++i) g[i] = logits[i] - max_logit;
+  fast_exp(g, g, n);
+  double denom = 0.0;
+  for (std::size_t i = 0; i < n; ++i) denom += g[i];
+  const double inv = 1.0 / denom;
+  for (std::size_t i = 0; i < n; ++i) g[i] *= inv;
+  g[label] -= 1.0;
 }
 
 enum class Softmax { kLibm, kFast };
@@ -151,17 +182,18 @@ struct SampleScratch {
   std::vector<double> prev_delta;
 };
 
-/// Accumulates dL/dparams for one sample into grads (+=).  Returns the loss.
-inline double backprop_sample(const Mlp& model, const std::vector<double>& x,
-                              std::size_t label, Softmax softmax, Gradients& grads,
-                              SampleScratch& scratch) {
+/// Accumulates dL/dparams for one sample into grads (+=).
+inline void backprop_sample(const Mlp& model, const std::vector<double>& x,
+                            std::size_t label, Softmax softmax, Gradients& grads,
+                            SampleScratch& scratch) {
   auto& acts = scratch.acts;
   forward_cached(model, x, acts);
   auto& delta = scratch.delta;
-  const double loss = softmax == Softmax::kFast
-                          ? softmax_cross_entropy_fast(acts.back(), label, &delta)
-                          : softmax_cross_entropy(acts.back(), label, &delta);
-  apply_activation_grad(model.layers().back().act, acts.back(), delta);
+  if (softmax == Softmax::kFast) {
+    softmax_grad_fast(acts.back(), label, delta);
+  } else {
+    softmax_cross_entropy(acts.back(), label, &delta);
+  }
   for (std::size_t li = model.layer_count(); li-- > 0;) {
     // dL/dW += delta * acts[li]^T ; dL/db += delta.
     add_outer(grads.w[li], 1.0, delta, acts[li]);
@@ -169,11 +201,15 @@ inline double backprop_sample(const Mlp& model, const std::vector<double>& x,
     if (li == 0) break;
     auto& prev_delta = scratch.prev_delta;
     matvec_transposed(model.layer(li).weights, delta, prev_delta);
-    // acts[li] is the post-activation output of layer li-1.
-    apply_activation_grad(model.layer(li - 1).act, acts[li], prev_delta);
+    // acts[li] is the post-activation output of layer li-1: a ReLU passes
+    // no gradient where its output is not positive.
+    if (model.layer(li - 1).act == Activation::kRelu) {
+      for (std::size_t c = 0; c < prev_delta.size(); ++c) {
+        if (acts[li][c] <= 0.0) prev_delta[c] = 0.0;
+      }
+    }
     delta.swap(prev_delta);
   }
-  return loss;
 }
 
 // ---- Blocked minibatch backprop with the libm softmax ---------------------
@@ -184,13 +220,12 @@ struct LibmBlockScratch {
   std::vector<double> grad;    ///< one lane's dL/dlogits
 };
 
-/// backprop_minibatch's contract and kernels, with the softmax taken by the
-/// libm softmax_cross_entropy one gathered lane at a time; each block's
-/// lane losses are summed from 0.0 before joining `loss`.
+/// backprop_minibatch's contract and kernels, with the softmax gradient
+/// taken by the libm softmax_cross_entropy one gathered lane at a time.
 inline void backprop_minibatch_libm(const Mlp& model, const Dataset& train,
                                     const std::size_t* idx, std::size_t n,
                                     double grad_scale, Gradients& grads,
-                                    LibmBlockScratch& scratch, double& loss) {
+                                    LibmBlockScratch& scratch) {
   constexpr std::size_t kB = simd::kDenseBlock;
   const auto& kernels = simd::dense_kernels();
   BlockBackpropScratch& s = scratch.block;
@@ -215,12 +250,10 @@ inline void backprop_minibatch_libm(const Mlp& model, const Dataset& train,
 
   for (std::size_t li = 0; li < n_layers; ++li) {
     const auto& layer = model.layer(li);
-    const bool relu = layer.act == Activation::kRelu;
     acts[li + 1].resize(blocks * layer.out_features() * kB);
     kernels.layer_fwd(layer.weights.raw().data(), layer.bias.data(), acts[li].data(),
                       acts[li + 1].data(), layer.out_features(), layer.in_features(),
-                      blocks, relu);
-    if (!relu) apply_activation(layer.act, acts[li + 1]);
+                      blocks, layer.act == Activation::kRelu);
   }
 
   const auto& logits = acts[n_layers];
@@ -229,17 +262,13 @@ inline void backprop_minibatch_libm(const Mlp& model, const Dataset& train,
   for (std::size_t b = 0; b < blocks; ++b) {
     const double* z = logits.data() + b * n_out * kB;
     double* d = delta.data() + b * n_out * kB;
-    double block_loss = 0.0;
     for (std::size_t j = 0; j < kB && b * kB + j < n; ++j) {
       scratch.logits.resize(n_out);
       for (std::size_t r = 0; r < n_out; ++r) scratch.logits[r] = z[r * kB + j];
-      block_loss +=
-          softmax_cross_entropy(scratch.logits, s.labels[b * kB + j], &scratch.grad);
+      softmax_cross_entropy(scratch.logits, s.labels[b * kB + j], &scratch.grad);
       for (std::size_t r = 0; r < n_out; ++r) d[r * kB + j] = scratch.grad[r];
     }
-    loss += block_loss;
   }
-  apply_activation_grad(model.layers().back().act, logits, delta);
 
   for (std::size_t li = n_layers; li-- > 0;) {
     const auto& layer = model.layer(li);
@@ -247,21 +276,19 @@ inline void backprop_minibatch_libm(const Mlp& model, const Dataset& train,
                        grads.b[li].data(), layer.out_features(), layer.in_features(),
                        blocks, grad_scale);
     if (li == 0) break;
-    const Activation below = model.layer(li - 1).act;
     auto& prev_delta = s.prev_delta;
     prev_delta.resize(blocks * layer.in_features() * kB);
     kernels.layer_back(layer.weights.raw().data(), delta.data(),
-                       below == Activation::kRelu ? acts[li].data() : nullptr,
+                       model.layer(li - 1).act == Activation::kRelu ? acts[li].data() : nullptr,
                        prev_delta.data(), layer.out_features(), layer.in_features(),
                        blocks);
-    if (below != Activation::kRelu) apply_activation_grad(below, acts[li], prev_delta);
     delta.swap(prev_delta);
   }
 }
 
 // ---- The fit loop ---------------------------------------------------------
 
-/// Which arithmetic computes each step's mean gradient and loss.
+/// Which arithmetic computes each step's mean gradient.
 enum class Gradient {
   kProduction,     ///< backprop_minibatch: the fine-tuning numerics
   kBlockedLibm,    ///< backprop_minibatch_libm
@@ -269,20 +296,17 @@ enum class Gradient {
 };
 
 /// Trainer::fit, step for step, with `gradient` computing each step's
-/// gradient: fresh optimizer state, the shuffle, the weight view into a
-/// model copied once, the gradient, the optimizer through
-/// simd::dense_kernels(), the projector, and the per-epoch decay.  Skips
-/// fit's input checks.
-inline TrainResult fit(Mlp& model, const Dataset& train, Rng& rng, const TrainConfig& config,
-                       Gradient gradient, const Trainer::WeightView& view = {},
-                       const Trainer::Projector& projector = {}) {
-  std::vector<Matrix> vel_w, m_w, v_w;
-  std::vector<std::vector<double>> vel_b, m_b, v_b;
+/// gradient: fresh Adam moments, the shuffle, minibatches of kTrainBatch,
+/// the weight view into a model copied once, the gradient, Adam through
+/// simd::dense_kernels(), and the projector.  Skips fit's input checks.
+inline void fit(Mlp& model, const Dataset& train, Rng& rng, const TrainConfig& config,
+                Gradient gradient, const Trainer::WeightView& view = {},
+                const Trainer::Projector& projector = {}) {
+  std::vector<Matrix> m_w, v_w;
+  std::vector<std::vector<double>> m_b, v_b;
   for (const auto& l : model.layers()) {
-    vel_w.emplace_back(l.out_features(), l.in_features());
     m_w.emplace_back(l.out_features(), l.in_features());
     v_w.emplace_back(l.out_features(), l.in_features());
-    vel_b.emplace_back(l.out_features(), 0.0);
     m_b.emplace_back(l.out_features(), 0.0);
     v_b.emplace_back(l.out_features(), 0.0);
   }
@@ -295,14 +319,11 @@ inline TrainResult fit(Mlp& model, const Dataset& train, Rng& rng, const TrainCo
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   Mlp view_model;
   if (view) view_model = model;
-  TrainResult result;
-  double lr = config.lr;
 
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    if (config.shuffle) rng.shuffle(order);
-    double epoch_loss = 0.0;
-    for (std::size_t start = 0; start < order.size(); start += config.batch_size) {
-      const std::size_t end = std::min(order.size(), start + config.batch_size);
+    rng.shuffle(order);
+    for (std::size_t start = 0; start < order.size(); start += kTrainBatch) {
+      const std::size_t end = std::min(order.size(), start + kTrainBatch);
       const double inv_n = 1.0 / static_cast<double>(end - start);
       const Mlp* fwd = &model;
       if (view) {
@@ -312,18 +333,16 @@ inline TrainResult fit(Mlp& model, const Dataset& train, Rng& rng, const TrainCo
       const std::size_t* idx = order.data() + start;
       switch (gradient) {
         case Gradient::kProduction:
-          backprop_minibatch(*fwd, train, idx, end - start, inv_n, grads, block_scratch,
-                             epoch_loss);
+          backprop_minibatch(*fwd, train, idx, end - start, inv_n, grads, block_scratch);
           break;
         case Gradient::kBlockedLibm:
-          backprop_minibatch_libm(*fwd, train, idx, end - start, inv_n, grads, libm_scratch,
-                                  epoch_loss);
+          backprop_minibatch_libm(*fwd, train, idx, end - start, inv_n, grads, libm_scratch);
           break;
         case Gradient::kPerSampleLibm:
           set_zero(grads);
           for (std::size_t i = start; i < end; ++i) {
-            epoch_loss += backprop_sample(*fwd, train.x[order[i]], train.y[order[i]],
-                                          Softmax::kLibm, grads, sample_scratch);
+            backprop_sample(*fwd, train.x[order[i]], train.y[order[i]], Softmax::kLibm, grads,
+                            sample_scratch);
           }
           scale(grads, inv_n);
           break;
@@ -332,38 +351,20 @@ inline TrainResult fit(Mlp& model, const Dataset& train, Rng& rng, const TrainCo
       ++step;
       const auto& kernels = simd::dense_kernels();
       simd::AdamStep adam;
-      if (config.optimizer == Optimizer::kAdam) {
-        adam.beta1 = config.adam_beta1;
-        adam.beta2 = config.adam_beta2;
-        adam.bias_corr1 = 1.0 - std::pow(adam.beta1, static_cast<double>(step));
-        adam.bias_corr2 = 1.0 - std::pow(adam.beta2, static_cast<double>(step));
-        adam.lr = lr;
-        adam.eps = config.adam_eps;
-      }
+      adam.bias_corr1 = 1.0 - std::pow(adam.beta1, static_cast<double>(step));
+      adam.bias_corr2 = 1.0 - std::pow(adam.beta2, static_cast<double>(step));
+      adam.lr = config.lr;
       for (std::size_t li = 0; li < model.layer_count(); ++li) {
         auto& w = model.layer(li).weights.raw();
         auto& b = model.layer(li).bias;
-        const auto& gw = grads.w[li].raw();
-        const auto& gb = grads.b[li];
-        if (config.optimizer == Optimizer::kSgd) {
-          kernels.sgd(w.data(), gw.data(), vel_w[li].raw().data(), w.size(), config.momentum,
-                      lr, config.weight_decay);
-          kernels.sgd(b.data(), gb.data(), vel_b[li].data(), b.size(), config.momentum, lr,
-                      /*weight_decay=*/0.0);
-        } else {
-          adam.weight_decay = config.weight_decay;
-          kernels.adam(w.data(), gw.data(), m_w[li].raw().data(), v_w[li].raw().data(),
-                       w.size(), adam);
-          adam.weight_decay = 0.0;
-          kernels.adam(b.data(), gb.data(), m_b[li].data(), v_b[li].data(), b.size(), adam);
-        }
+        kernels.adam(w.data(), grads.w[li].raw().data(), m_w[li].raw().data(),
+                     v_w[li].raw().data(), w.size(), adam);
+        kernels.adam(b.data(), grads.b[li].data(), m_b[li].data(), v_b[li].data(), b.size(),
+                     adam);
       }
       if (projector) projector(model);
     }
-    result.epoch_loss.push_back(epoch_loss / static_cast<double>(train.size()));
-    lr *= config.lr_decay;
   }
-  return result;
 }
 
 // ---- The pipeline around it -----------------------------------------------
