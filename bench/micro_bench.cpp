@@ -44,23 +44,12 @@ MinimizationFlow& bench_flow() {
   return flow;
 }
 
-/// A GA-generation-sized batch of distinct random genomes.
+/// A GA-generation-sized batch of random genomes for the two-layer flow.
 std::vector<Genome> batch_genomes(std::size_t n) {
   Rng rng(1234);
-  const std::vector<int> sparsity_choices = {0, 10, 20, 30, 40, 50, 60, 70};
-  const std::vector<int> cluster_choices = {0, 2, 3, 4, 6, 8};
   std::vector<Genome> genomes;
   genomes.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Genome g;
-    for (int layer = 0; layer < 2; ++layer) {
-      g.weight_bits.push_back(rng.uniform_int(2, 8));
-      g.sparsity_pct.push_back(
-          sparsity_choices[rng.uniform_int(sparsity_choices.size())]);
-      g.clusters.push_back(cluster_choices[rng.uniform_int(cluster_choices.size())]);
-    }
-    genomes.push_back(std::move(g));
-  }
+  for (std::size_t i = 0; i < n; ++i) genomes.push_back(random_genome(2, rng));
   return genomes;
 }
 

@@ -574,7 +574,7 @@ class Reproduction {
       std::map<int, double> gain;  // by cluster count (0 = off)
       for (int clusters : {0, 4, 2}) {
         const QuantizedMlp qmodel = f.realize_genome(
-            uniform_genome(n_layers, f.config().baseline_weight_bits, 0, clusters),
+            uniform_genome(n_layers, kBaselineWeightBits, 0, clusters),
             f.config().finetune_epochs);
         hw::BespokeOptions shared;
         hw::BespokeOptions unshared;
@@ -618,22 +618,10 @@ class Reproduction {
 
       // Random designs spanning the GA's search space.
       Rng rng(99);
-      GaConfig space;
       std::vector<double> exact, proxy;
       const int n_designs = 24;
       for (int i = 0; i < n_designs; ++i) {
-        Genome genome;
-        genome.weight_bits.resize(n_layers);
-        genome.sparsity_pct.resize(n_layers);
-        genome.clusters.resize(n_layers);
-        for (std::size_t li = 0; li < n_layers; ++li) {
-          genome.weight_bits[li] = rng.uniform_int(space.min_bits, space.max_bits);
-          genome.sparsity_pct[li] = space.sparsity_choices[static_cast<std::size_t>(
-              rng.uniform_int(std::uint64_t{space.sparsity_choices.size()}))];
-          genome.clusters[li] = space.cluster_choices[static_cast<std::size_t>(
-              rng.uniform_int(std::uint64_t{space.cluster_choices.size()}))];
-        }
-        const QuantizedMlp qmodel = f.realize_genome(genome, 2);
+        const QuantizedMlp qmodel = f.realize_genome(random_genome(n_layers, rng), 2);
         exact.push_back(hw::BespokeCircuit(qmodel).area_mm2(f.tech()));
         proxy.push_back(hw::estimate_area_mm2(qmodel, f.tech()));
       }
@@ -674,14 +662,14 @@ class Reproduction {
       const auto& baseline = f.baseline();
       const std::size_t n_layers = f.float_model().layer_count();
       const auto spec =
-          QuantSpec::uniform(n_layers, config.baseline_weight_bits, config.input_bits);
+          QuantSpec::uniform(n_layers, kBaselineWeightBits, config.input_bits);
 
       for (double level : {0.25, 0.5}) {
         // Unstructured at `level` sparsity, fine-tuned with the mask held.
-        const DesignPoint unstructured = f.evaluate_genome(
-            uniform_genome(n_layers, config.baseline_weight_bits,
-                           static_cast<int>(std::llround(level * 100)), 0),
-            config.finetune_epochs, true, true);
+        const DesignPoint unstructured =
+            f.netlist_evaluator(config.finetune_epochs, /*use_test_set=*/true)
+                .evaluate(uniform_genome(n_layers, kBaselineWeightBits,
+                                         static_cast<int>(std::llround(level * 100)), 0));
 
         // Structured: drop the same fraction of hidden neurons, fine-tune.
         Mlp pruned = structured_prune(f.float_model(), level);
@@ -775,7 +763,7 @@ class Reproduction {
       const MinimizationFlow& f = flow(dataset);
       const FlowConfig& config = f.config();
       const std::size_t n_layers = f.float_model().layer_count();
-      const Genome base = uniform_genome(n_layers, config.baseline_weight_bits, 0, 0);
+      const Genome base = uniform_genome(n_layers, kBaselineWeightBits, 0, 0);
       const QuantizedMlp q_base = f.realize_genome(base, config.finetune_epochs);
       hw::BespokeOptions unshared;
       unshared.share_products = false;
@@ -783,7 +771,7 @@ class Reproduction {
 
       const std::vector<std::pair<std::string, Genome>> designs = {
           {"quant-4b", uniform_genome(n_layers, 4, 0, 0)},
-          {"prune-50%", uniform_genome(n_layers, config.baseline_weight_bits, 50, 0)},
+          {"prune-50%", uniform_genome(n_layers, kBaselineWeightBits, 50, 0)},
           {"combined", uniform_genome(n_layers, 4, 30, 4)},
       };
       for (const auto& [name, genome] : designs) {

@@ -35,10 +35,12 @@ std::string eval_fingerprint(const FlowConfig& flow, const EvalConfig& eval,
   std::string hidden_str;
   for (std::size_t h : hidden) hidden_str += std::to_string(h) + ",";
   append_kv(canon, "hidden", hidden_str);
-  append_kv(canon, "baseline_bits", std::to_string(flow.baseline_weight_bits));
-  append_kv(canon, "train_frac", format_double_roundtrip(flow.train_frac));
-  append_kv(canon, "val_frac", format_double_roundtrip(flow.val_frac));
-  append_kv(canon, "test_frac", format_double_roundtrip(flow.test_frac));
+  // The baseline precision and the split are constants that keep the
+  // tokens they had as FlowConfig fields, so every store keeps its name.
+  append_kv(canon, "baseline_bits", std::to_string(kBaselineWeightBits));
+  append_kv(canon, "train_frac", format_double_roundtrip(kTrainFrac));
+  append_kv(canon, "val_frac", format_double_roundtrip(kValFrac));
+  append_kv(canon, "test_frac", format_double_roundtrip(kTestFrac));
   // Baseline training recipe (identical in eval.train, serialized once).
   // The recipe's fixed settings keep the tokens they had as TrainConfig
   // fields, so every existing store keeps its name: the batch and Adam's

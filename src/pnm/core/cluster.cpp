@@ -210,8 +210,4 @@ ClusterAssignment cluster_weights(Mlp& model, const std::vector<int>& clusters_p
   return assignment;
 }
 
-Trainer::Projector make_cluster_projector(ClusterAssignment assignment) {
-  return [assignment = std::move(assignment)](Mlp& model) { assignment.project(model); };
-}
-
 }  // namespace pnm

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "pnm/nn/mlp.hpp"
-#include "pnm/nn/trainer.hpp"
 #include "pnm/util/rng.hpp"
 
 namespace pnm {
@@ -70,9 +69,6 @@ class ClusterAssignment {
 /// or per layer (kPerLayer).  Zero weights stay zero.
 ClusterAssignment cluster_weights(Mlp& model, const std::vector<int>& clusters_per_layer,
                                   Rng& rng, ClusterScope scope = ClusterScope::kPerColumn);
-
-/// Trainer projector that keeps cluster members tied during fine-tuning.
-Trainer::Projector make_cluster_projector(ClusterAssignment assignment);
 
 /// 1-D k-means with k-means++ seeding; returns cluster index per value.
 /// Exposed for testing.  k must be >= 1; empty clusters are re-seeded on

@@ -54,7 +54,7 @@
 namespace pnm {
 
 /// Everything one pipeline evaluation needs besides the genome and the
-/// prepared flow state.  MinimizationFlow::eval_config() derives this
+/// prepared flow state.  MinimizationFlow::eval_config_for() derives this
 /// from its FlowConfig.
 struct EvalConfig {
   std::uint64_t seed = 42;  ///< base seed; per-genome streams derive from it

@@ -35,8 +35,7 @@ void MinimizationFlow::prepare() {
   data.validate();
 
   Rng rng(config_.seed);
-  split_ = stratified_split(data, config_.train_frac, config_.val_frac,
-                            config_.test_frac, rng);
+  split_ = stratified_split(data, kTrainFrac, kValFrac, kTestFrac, rng);
   scale_split(split_, scaler_);
 
   // Topology: inputs -> hidden -> classes.
@@ -55,13 +54,13 @@ void MinimizationFlow::prepare() {
 
   // Baseline: the unminimized bespoke design at baseline precision.
   Genome baseline_genome;
-  baseline_genome.weight_bits.assign(model_.layer_count(), config_.baseline_weight_bits);
+  baseline_genome.weight_bits.assign(model_.layer_count(), kBaselineWeightBits);
   baseline_genome.sparsity_pct.assign(model_.layer_count(), 0);
   baseline_genome.clusters.assign(model_.layer_count(), 0);
   baseline_ = netlist_evaluator(config_.finetune_epochs, /*use_test_set=*/true)
                   .evaluate(baseline_genome);
   baseline_.technique = "baseline";
-  baseline_.config = std::to_string(config_.baseline_weight_bits) + "b";
+  baseline_.config = std::to_string(kBaselineWeightBits) + "b";
 }
 
 const DataSplit& MinimizationFlow::data() const {
@@ -84,12 +83,6 @@ const DesignPoint& MinimizationFlow::baseline() const {
   return baseline_;
 }
 
-EvalConfig MinimizationFlow::eval_config(std::size_t finetune_epochs,
-                                         bool use_test_set) const {
-  if (!prepared_) throw std::logic_error("MinimizationFlow: call prepare() first");
-  return eval_config_for(config_, finetune_epochs, use_test_set);
-}
-
 EvalConfig MinimizationFlow::eval_config_for(const FlowConfig& config,
                                              std::size_t finetune_epochs,
                                              bool use_test_set) {
@@ -107,26 +100,21 @@ EvalConfig MinimizationFlow::eval_config_for(const FlowConfig& config,
 
 ProxyEvaluator MinimizationFlow::proxy_evaluator(std::size_t finetune_epochs,
                                                  bool use_test_set) const {
+  if (!prepared_) throw std::logic_error("MinimizationFlow: call prepare() first");
   return ProxyEvaluator(model_, split_, *tech_,
-                        eval_config(finetune_epochs, use_test_set));
+                        eval_config_for(config_, finetune_epochs, use_test_set));
 }
 
 NetlistEvaluator MinimizationFlow::netlist_evaluator(std::size_t finetune_epochs,
                                                      bool use_test_set) const {
+  if (!prepared_) throw std::logic_error("MinimizationFlow: call prepare() first");
   return NetlistEvaluator(model_, split_, *tech_,
-                          eval_config(finetune_epochs, use_test_set));
+                          eval_config_for(config_, finetune_epochs, use_test_set));
 }
 
 QuantizedMlp MinimizationFlow::realize_genome(const Genome& genome,
                                               std::size_t finetune_epochs) const {
   return proxy_evaluator(finetune_epochs).realize(genome);
-}
-
-DesignPoint MinimizationFlow::evaluate_genome(const Genome& genome,
-                                              std::size_t finetune_epochs,
-                                              bool exact_area, bool use_test_set) const {
-  if (exact_area) return netlist_evaluator(finetune_epochs, use_test_set).evaluate(genome);
-  return proxy_evaluator(finetune_epochs, use_test_set).evaluate(genome);
 }
 
 namespace {
@@ -174,7 +162,7 @@ std::vector<DesignPoint> MinimizationFlow::sweep_pruning(
   std::vector<std::string> configs;
   for (double s : sparsities) {
     Genome genome;
-    genome.weight_bits.assign(model_.layer_count(), config_.baseline_weight_bits);
+    genome.weight_bits.assign(model_.layer_count(), kBaselineWeightBits);
     genome.sparsity_pct.assign(model_.layer_count(),
                                static_cast<int>(std::llround(s * 100.0)));
     genome.clusters.assign(model_.layer_count(), 0);
@@ -195,7 +183,7 @@ std::vector<DesignPoint> MinimizationFlow::sweep_clustering(
   for (int k : cluster_counts) {
     if (k < 1) throw std::invalid_argument("sweep_clustering: cluster count must be >= 1");
     Genome genome;
-    genome.weight_bits.assign(model_.layer_count(), config_.baseline_weight_bits);
+    genome.weight_bits.assign(model_.layer_count(), kBaselineWeightBits);
     genome.sparsity_pct.assign(model_.layer_count(), 0);
     genome.clusters.assign(model_.layer_count(), k);
     genomes.push_back(std::move(genome));
@@ -213,7 +201,7 @@ std::vector<DesignPoint> MinimizationFlow::sweep_truncation(
   for (int s : shifts) {
     if (s < 0) throw std::invalid_argument("sweep_truncation: negative shift");
     Genome genome;
-    genome.weight_bits.assign(model_.layer_count(), config_.baseline_weight_bits);
+    genome.weight_bits.assign(model_.layer_count(), kBaselineWeightBits);
     genome.sparsity_pct.assign(model_.layer_count(), 0);
     genome.clusters.assign(model_.layer_count(), 0);
     genome.acc_shift.assign(model_.layer_count(), s);
@@ -263,17 +251,6 @@ MinimizationFlow::GaOutcome MinimizationFlow::run_ga(Evaluator& fitness,
   outcome.raw = nsga2_search(ga, model_.layer_count(), fitness, rng);
   outcome.front = pareto_front(front_eval.evaluate_batch(front_genomes(outcome.raw)));
   return outcome;
-}
-
-MinimizationFlow::GaOutcome MinimizationFlow::run_combined_ga(
-    const GaConfig& ga, std::size_t ga_finetune_epochs, bool exact_area_fitness) {
-  if (!prepared_) throw std::logic_error("MinimizationFlow: call prepare() first");
-  if (exact_area_fitness) {
-    NetlistEvaluator fitness = netlist_evaluator(ga_finetune_epochs);
-    return run_ga(fitness, ga);
-  }
-  ProxyEvaluator fitness = proxy_evaluator(ga_finetune_epochs);
-  return run_ga(fitness, ga);
 }
 
 }  // namespace pnm

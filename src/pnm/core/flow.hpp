@@ -35,6 +35,16 @@
 
 namespace pnm {
 
+/// Every flow's stratified train/validation/test split of its dataset.
+inline constexpr double kTrainFrac = 0.6;
+inline constexpr double kValFrac = 0.2;
+inline constexpr double kTestFrac = 0.2;
+
+/// Weight precision of the unminimized bespoke baseline (Mubarik-style),
+/// also the precision the standalone pruning, clustering and truncation
+/// sweeps keep.
+inline constexpr int kBaselineWeightBits = 8;
+
 /// Configuration of one end-to-end flow.
 struct FlowConfig {
   /// One of "whitewine", "redwine", "pendigits", "seeds" — or anything if
@@ -46,8 +56,7 @@ struct FlowConfig {
   /// default (see default_hidden()).
   std::vector<std::size_t> hidden;
 
-  int input_bits = 4;            ///< sensor word width (printed ADC scale)
-  int baseline_weight_bits = 8;  ///< the unminimized baseline's precision
+  int input_bits = 4;  ///< sensor word width (printed ADC scale)
 
   /// Printed standard-cell library the flow prices circuits in, by
   /// hw::TechLibrary::by_name token ("egt", "egt_lowcost").  A scenario
@@ -56,10 +65,6 @@ struct FlowConfig {
 
   TrainConfig train{};              ///< baseline training
   std::size_t finetune_epochs = 8;  ///< per-technique fine-tuning budget
-
-  double train_frac = 0.6;
-  double val_frac = 0.2;
-  double test_frac = 0.2;
 
   /// Options for circuit generation and the matching area proxy —
   /// including hw/mcm.hpp's share_subexpressions knob, which flows
@@ -117,16 +122,12 @@ class MinimizationFlow {
   // (run_ga/nsga2_search already memoize within one search; wrap the stack
   // in a CachedEvaluator to additionally reuse results across searches.)
 
-  /// EvalConfig for this flow's prepared state (seed, bits, train recipe,
-  /// sharing policy) at the given fine-tuning budget / reporting split.
-  [[nodiscard]] EvalConfig eval_config(std::size_t finetune_epochs,
-                                       bool use_test_set) const;
-
-  /// The same derivation from a bare FlowConfig, without requiring a
-  /// prepared flow — the single source of truth behind eval_config()
-  /// and the cell runner's fingerprints (eval_fingerprint and
-  /// ScenarioSpec::fingerprint must hash exactly the config the
-  /// evaluators will run under, so both call this).
+  /// EvalConfig for a flow (seed, bits, train recipe, sharing policy) at
+  /// the given fine-tuning budget / reporting split — the single source
+  /// of truth behind the evaluator factories and the cell runner's
+  /// fingerprints (eval_fingerprint and ScenarioSpec::fingerprint must
+  /// hash exactly the config the evaluators will run under, so both call
+  /// this).
   ///
   /// \param config           the flow configuration to derive from.
   /// \param finetune_epochs  fitness-pipeline fine-tuning budget.
@@ -185,22 +186,7 @@ class MinimizationFlow {
   /// two-argument overload by evaluator-composition determinism.
   GaOutcome run_ga(Evaluator& fitness, Evaluator& front_eval, const GaConfig& ga);
 
-  /// Convenience wrapper: runs run_ga with a plain proxy backend (or the
-  /// full netlist with exact_area_fitness — ~65x slower per candidate) on
-  /// the validation split.  Distinct designs are still evaluated once per
-  /// search (nsga2_search memoizes); there is no cross-search caching.
-  GaOutcome run_combined_ga(const GaConfig& ga = {}, std::size_t ga_finetune_epochs = 2,
-                            bool exact_area_fitness = false);
-
   // ---- Shared evaluation pipeline ---------------------------------------
-
-  /// Runs the full minimization pipeline for one genome.  use_test_set
-  /// selects the reporting split (GA fitness uses validation).  exact_area
-  /// builds the real netlist (and fills power/delay); otherwise the proxy
-  /// estimate is used.  Equivalent to evaluating through the matching
-  /// factory-built evaluator.
-  DesignPoint evaluate_genome(const Genome& genome, std::size_t finetune_epochs,
-                              bool exact_area, bool use_test_set) const;
 
   /// The minimized integer model for a genome (for circuit export etc.).
   QuantizedMlp realize_genome(const Genome& genome, std::size_t finetune_epochs) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -16,7 +17,7 @@ bool min_dominates(const std::array<double, 2>& a, const std::array<double, 2>& 
   return a[0] <= b[0] && a[1] <= b[1] && (a[0] < b[0] || a[1] < b[1]);
 }
 
-int pick_choice(const std::vector<int>& choices, Rng& rng) {
+int pick_choice(std::span<const int> choices, Rng& rng) {
   return choices[static_cast<std::size_t>(
       rng.uniform_int(static_cast<std::uint64_t>(choices.size())))];
 }
@@ -44,21 +45,26 @@ std::string Genome::key() const {
 void GaConfig::validate() const {
   if (population < 4) throw std::invalid_argument("GaConfig: population too small");
   if (generations == 0) throw std::invalid_argument("GaConfig: zero generations");
-  if (min_bits < 2 || max_bits > 16 || min_bits > max_bits) {
-    throw std::invalid_argument("GaConfig: bad bits range");
-  }
-  if (sparsity_choices.empty() || cluster_choices.empty()) {
-    throw std::invalid_argument("GaConfig: empty gene choice lists");
-  }
-  for (int s : sparsity_choices) {
-    if (s < 0 || s > 90) throw std::invalid_argument("GaConfig: sparsity out of [0,90]");
-  }
-  for (int c : cluster_choices) {
-    if (c < 0) throw std::invalid_argument("GaConfig: negative cluster count");
-  }
   for (int s : acc_shift_choices) {
     if (s < 0 || s > 12) throw std::invalid_argument("GaConfig: acc shift out of [0,12]");
   }
+}
+
+Genome random_genome(std::size_t n_layers, Rng& rng,
+                     const std::vector<int>& acc_shift_choices) {
+  const bool explore_shift = !acc_shift_choices.empty();
+  Genome genome;
+  genome.weight_bits.resize(n_layers);
+  genome.sparsity_pct.resize(n_layers);
+  genome.clusters.resize(n_layers);
+  if (explore_shift) genome.acc_shift.resize(n_layers);
+  for (std::size_t li = 0; li < n_layers; ++li) {
+    genome.weight_bits[li] = rng.uniform_int(kMinWeightBits, kMaxWeightBits);
+    genome.sparsity_pct[li] = pick_choice(kSparsityChoices, rng);
+    genome.clusters[li] = pick_choice(kClusterChoices, rng);
+    if (explore_shift) genome.acc_shift[li] = pick_choice(acc_shift_choices, rng);
+  }
+  return genome;
 }
 
 std::vector<std::vector<std::size_t>> fast_non_dominated_sort(
@@ -158,33 +164,18 @@ GaResult nsga2_search(const GaConfig& config, std::size_t n_layers,
 
   const bool explore_shift = !config.acc_shift_choices.empty();
 
-  auto random_genome = [&]() {
-    Genome genome;
-    genome.weight_bits.resize(n_layers);
-    genome.sparsity_pct.resize(n_layers);
-    genome.clusters.resize(n_layers);
-    if (explore_shift) genome.acc_shift.resize(n_layers);
-    for (std::size_t li = 0; li < n_layers; ++li) {
-      genome.weight_bits[li] = rng.uniform_int(config.min_bits, config.max_bits);
-      genome.sparsity_pct[li] = pick_choice(config.sparsity_choices, rng);
-      genome.clusters[li] = pick_choice(config.cluster_choices, rng);
-      if (explore_shift) genome.acc_shift[li] = pick_choice(config.acc_shift_choices, rng);
-    }
-    return genome;
-  };
-
   auto mutate = [&](Genome& genome) {
     for (std::size_t li = 0; li < n_layers; ++li) {
-      if (rng.bernoulli(config.mutation_prob)) {
-        genome.weight_bits[li] = rng.uniform_int(config.min_bits, config.max_bits);
+      if (rng.bernoulli(kMutationProb)) {
+        genome.weight_bits[li] = rng.uniform_int(kMinWeightBits, kMaxWeightBits);
       }
-      if (rng.bernoulli(config.mutation_prob)) {
-        genome.sparsity_pct[li] = pick_choice(config.sparsity_choices, rng);
+      if (rng.bernoulli(kMutationProb)) {
+        genome.sparsity_pct[li] = pick_choice(kSparsityChoices, rng);
       }
-      if (rng.bernoulli(config.mutation_prob)) {
-        genome.clusters[li] = pick_choice(config.cluster_choices, rng);
+      if (rng.bernoulli(kMutationProb)) {
+        genome.clusters[li] = pick_choice(kClusterChoices, rng);
       }
-      if (explore_shift && rng.bernoulli(config.mutation_prob)) {
+      if (explore_shift && rng.bernoulli(kMutationProb)) {
         genome.acc_shift[li] = pick_choice(config.acc_shift_choices, rng);
       }
     }
@@ -208,9 +199,9 @@ GaResult nsga2_search(const GaConfig& config, std::size_t n_layers,
   population.reserve(config.population);
   {
     Genome conservative;
-    conservative.weight_bits.assign(n_layers, config.max_bits);
-    conservative.sparsity_pct.assign(n_layers, config.sparsity_choices.front());
-    conservative.clusters.assign(n_layers, config.cluster_choices.front());
+    conservative.weight_bits.assign(n_layers, kMaxWeightBits);
+    conservative.sparsity_pct.assign(n_layers, kSparsityChoices.front());
+    conservative.clusters.assign(n_layers, kClusterChoices.front());
     if (explore_shift) {
       conservative.acc_shift.assign(
           n_layers, *std::min_element(config.acc_shift_choices.begin(),
@@ -218,10 +209,10 @@ GaResult nsga2_search(const GaConfig& config, std::size_t n_layers,
     }
     population.push_back(std::move(conservative));
     Genome aggressive;
-    aggressive.weight_bits.assign(n_layers, config.min_bits);
-    aggressive.sparsity_pct.assign(n_layers, config.sparsity_choices.back());
+    aggressive.weight_bits.assign(n_layers, kMinWeightBits);
+    aggressive.sparsity_pct.assign(n_layers, kSparsityChoices.back());
     int smallest_on = 0;
-    for (int c : config.cluster_choices) {
+    for (int c : kClusterChoices) {
       if (c > 0 && (smallest_on == 0 || c < smallest_on)) smallest_on = c;
     }
     aggressive.clusters.assign(n_layers, smallest_on);
@@ -232,11 +223,11 @@ GaResult nsga2_search(const GaConfig& config, std::size_t n_layers,
     }
     population.push_back(std::move(aggressive));
   }
-  while (population.size() < config.population) population.push_back(random_genome());
+  while (population.size() < config.population) {
+    population.push_back(random_genome(n_layers, rng, config.acc_shift_choices));
+  }
 
   std::vector<GenomeFitness> fitness = fitness_of_all(population);
-
-  GaResult result;
 
   auto objectives_of = [](const std::vector<GenomeFitness>& fits) {
     std::vector<std::array<double, 2>> objs(fits.size());
@@ -273,7 +264,7 @@ GaResult nsga2_search(const GaConfig& config, std::size_t n_layers,
     std::vector<Genome> offspring;
     offspring.reserve(config.population);
     while (offspring.size() < config.population) {
-      Genome child = rng.bernoulli(config.crossover_prob)
+      Genome child = rng.bernoulli(kCrossoverProb)
                          ? crossover(tournament(), tournament())
                          : tournament();
       mutate(child);
@@ -312,18 +303,10 @@ GaResult nsga2_search(const GaConfig& config, std::size_t n_layers,
     }
     population = std::move(next_pop);
     fitness = std::move(next_fit);
-
-    double best_acc = 0.0;
-    double best_area = std::numeric_limits<double>::infinity();
-    for (const auto& f : fitness) {
-      best_acc = std::max(best_acc, f.accuracy);
-      best_area = std::min(best_area, f.area_mm2);
-    }
-    result.best_accuracy_history.push_back(best_acc);
-    result.best_area_history.push_back(best_area);
   }
 
   // Final front.
+  GaResult result;
   const auto objs = objectives_of(fitness);
   const auto fronts = fast_non_dominated_sort(objs);
   for (std::size_t idx : fronts.front()) {

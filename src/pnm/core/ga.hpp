@@ -50,16 +50,24 @@ struct Genome {
   [[nodiscard]] std::string key() const;
 };
 
-/// Search-space definition + GA hyper-parameters.
+/// The per-layer search space every genome is drawn from: weight bits in
+/// [kMinWeightBits, kMaxWeightBits], then one sparsity and one cluster
+/// choice (0 = clustering off).
+inline constexpr int kMinWeightBits = 2;
+inline constexpr int kMaxWeightBits = 8;
+inline constexpr std::array<int, 8> kSparsityChoices = {0, 10, 20, 30, 40, 50, 60, 70};
+inline constexpr std::array<int, 6> kClusterChoices = {0, 2, 3, 4, 6, 8};
+
+/// NSGA-II rates: a child is a uniform crossover of two parents with
+/// kCrossoverProb (else a copy of one), then each gene is redrawn with
+/// kMutationProb.
+inline constexpr double kCrossoverProb = 0.9;
+inline constexpr double kMutationProb = 0.25;
+
+/// The search budget and the optional truncation gene.
 struct GaConfig {
   std::size_t population = 32;
   std::size_t generations = 20;
-  double crossover_prob = 0.9;
-  double mutation_prob = 0.25;  ///< per-gene
-  int min_bits = 2;
-  int max_bits = 8;
-  std::vector<int> sparsity_choices = {0, 10, 20, 30, 40, 50, 60, 70};
-  std::vector<int> cluster_choices = {0, 2, 3, 4, 6, 8};
   /// Accumulator-truncation gene values.  The default {} disables the
   /// gene (paper-faithful search space); e.g. {0, 1, 2, 3, 4} lets the GA
   /// trade accumulator LSBs for area (extension).
@@ -67,6 +75,12 @@ struct GaConfig {
 
   void validate() const;
 };
+
+/// One genome drawn uniformly from the search space.  Per layer it draws
+/// the bits, the sparsity, the clusters and, when `acc_shift_choices` is
+/// non-empty, the truncation gene, in that order.
+Genome random_genome(std::size_t n_layers, Rng& rng,
+                     const std::vector<int>& acc_shift_choices = {});
 
 /// Objectives of one evaluated genome (accuracy to maximize, area to
 /// minimize — kept in natural units; the GA internally negates accuracy).
@@ -86,8 +100,6 @@ struct GaResult {
   std::vector<EvaluatedGenome> front;       ///< final non-dominated designs
   std::vector<EvaluatedGenome> population;  ///< final full population
   std::size_t evaluations = 0;              ///< distinct genomes evaluated
-  std::vector<double> best_accuracy_history;  ///< per generation
-  std::vector<double> best_area_history;      ///< per generation
 };
 
 /// NSGA-II building blocks, exposed for unit testing. Both objectives are

@@ -131,10 +131,6 @@ PruneMask magnitude_prune_per_layer(Mlp& model, const std::vector<double>& spars
   return mask;
 }
 
-Trainer::Projector make_mask_projector(PruneMask mask) {
-  return [mask = std::move(mask)](Mlp& model) { mask.apply(model); };
-}
-
 std::vector<double> neuron_saliency(const Mlp& model, std::size_t li) {
   if (li + 1 >= model.layer_count()) {
     throw std::invalid_argument("neuron_saliency: not a hidden layer");

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "pnm/nn/mlp.hpp"
-#include "pnm/nn/trainer.hpp"
 
 namespace pnm {
 
@@ -57,9 +56,6 @@ PruneMask magnitude_prune_global(Mlp& model, double sparsity);
 /// Prunes each layer independently to its own sparsity level (the GA's
 /// per-layer genes).  sparsity.size() must equal the layer count.
 PruneMask magnitude_prune_per_layer(Mlp& model, const std::vector<double>& sparsity);
-
-/// Trainer projector re-imposing the mask after every optimizer step.
-Trainer::Projector make_mask_projector(PruneMask mask);
 
 /// Structured pruning (§II-B's alternative): removes whole hidden neurons
 /// instead of connections, producing a *smaller topology*.  Neurons are

@@ -67,9 +67,9 @@ std::vector<std::size_t> resolved_hidden(const std::string& dataset,
   return hidden.empty() ? MinimizationFlow::default_hidden(dataset) : hidden;
 }
 
-bool cell_is_gated(const ScenarioCell& cell, std::size_t max_hidden) {
+bool cell_is_gated(const ScenarioCell& cell) {
   for (std::size_t w : resolved_hidden(cell.dataset, cell.hidden)) {
-    if (w > max_hidden) return false;
+    if (w > kFidelityGateMaxHidden) return false;
   }
   return true;
 }
@@ -267,14 +267,23 @@ std::string ScenarioCell::id() const {
 
 void ScenarioSpec::validate() const {
   require_unique_nonempty(datasets, "ScenarioSpec", "dataset");
+  // Two spellings of one synthetic config ("sep2" and "sep2.0") generate
+  // the same data: they would run one search twice, into two stores.
+  std::unordered_set<std::string> configs;
   for (const std::string& d : datasets) {
+    std::string config = d;
     if (d.rfind("synth:", 0) == 0) {
-      parse_synth_dataset_name(d);  // throws with the offending field
+      // Throws with the offending field.
+      config = synth_dataset_name(parse_synth_dataset_name(d));
     } else {
       const auto& known = paper_dataset_names();
       if (std::find(known.begin(), known.end(), d) == known.end()) {
         throw std::invalid_argument("ScenarioSpec: unknown dataset '" + d + "'");
       }
+    }
+    if (!configs.insert(config).second) {
+      throw std::invalid_argument("ScenarioSpec: dataset '" + d +
+                                  "' names the same config as an earlier one");
     }
   }
   if (topologies.empty()) {
@@ -313,10 +322,7 @@ void ScenarioSpec::validate() const {
       }
     }
   }
-  if (!std::isfinite(fidelity_tolerance) || fidelity_tolerance <= 0.0) {
-    throw std::invalid_argument(
-        "ScenarioSpec: fidelity_tolerance must be finite and > 0");
-  }
+  base.train.validate();
   ga.validate();
 }
 
@@ -340,7 +346,7 @@ std::vector<ScenarioCell> ScenarioSpec::expand() const {
 
 std::string ScenarioSpec::fingerprint(const ScenarioCell& cell) const {
   const FlowConfig config = cell_flow_config(*this, cell);
-  const auto ints = [](const std::vector<int>& values) {
+  const auto ints = [](const auto& values) {
     std::string out;
     for (int v : values) out += std::to_string(v) + ",";
     return out;
@@ -350,8 +356,10 @@ std::string ScenarioSpec::fingerprint(const ScenarioCell& cell) const {
   append_kv(canon, "scell_version", std::to_string(kScellVersion));
   // The two search stacks' fingerprints cover everything evaluation-side
   // (dataset, seed, topology, input bits, tech node, training recipe,
-  // budgets, split); the GA knobs on top decide which genomes get
-  // evaluated and in what order, so they shape the front too.
+  // budgets, split); the GA settings and search space on top decide which
+  // genomes get evaluated and in what order, so they shape the front too.
+  // The search space and rates are constants that keep the tokens they had
+  // as GaConfig fields, so every published cell keeps its fingerprint.
   append_kv(canon, "proxy_fp",
             eval_fingerprint(config,
                              MinimizationFlow::eval_config_for(
@@ -364,12 +372,12 @@ std::string ScenarioSpec::fingerprint(const ScenarioCell& cell) const {
                              "netlist"));
   append_kv(canon, "population", std::to_string(ga.population));
   append_kv(canon, "generations", std::to_string(ga.generations));
-  append_kv(canon, "crossover", format_double_roundtrip(ga.crossover_prob));
-  append_kv(canon, "mutation", format_double_roundtrip(ga.mutation_prob));
-  append_kv(canon, "min_bits", std::to_string(ga.min_bits));
-  append_kv(canon, "max_bits", std::to_string(ga.max_bits));
-  append_kv(canon, "sparsity_choices", ints(ga.sparsity_choices));
-  append_kv(canon, "cluster_choices", ints(ga.cluster_choices));
+  append_kv(canon, "crossover", format_double_roundtrip(kCrossoverProb));
+  append_kv(canon, "mutation", format_double_roundtrip(kMutationProb));
+  append_kv(canon, "min_bits", std::to_string(kMinWeightBits));
+  append_kv(canon, "max_bits", std::to_string(kMaxWeightBits));
+  append_kv(canon, "sparsity_choices", ints(kSparsityChoices));
+  append_kv(canon, "cluster_choices", ints(kClusterChoices));
   append_kv(canon, "acc_shift_choices", ints(ga.acc_shift_choices));
   // The fidelity pass re-prices the front through a third stack: proxy
   // backend at the front's fine-tune budget on the test split.
@@ -382,7 +390,7 @@ std::string ScenarioSpec::fingerprint(const ScenarioCell& cell) const {
   // Gate membership is stored in the cell file; the tolerance is not (it
   // is applied at report time), so changing only the tolerance re-gates
   // published results instead of recomputing them.
-  append_kv(canon, "gate_max_hidden", std::to_string(fidelity_gate_max_hidden));
+  append_kv(canon, "gate_max_hidden", std::to_string(kFidelityGateMaxHidden));
   for (const DriftSpec& d : drifts) {
     append_kv(canon, "drift",
               d.name + "," + format_double_roundtrip(d.feature_noise) + "," +
@@ -587,10 +595,10 @@ double ScenarioResult::max_gated_rel_delta() const {
   return max_delta;
 }
 
-std::size_t ScenarioResult::fidelity_violations(double tolerance) const {
+std::size_t ScenarioResult::fidelity_violations() const {
   std::size_t n = 0;
   for (const ScenarioCellResult& c : cells) {
-    if (c.fidelity_gated && c.fidelity_max_rel_delta > tolerance) ++n;
+    if (c.fidelity_gated && c.fidelity_max_rel_delta > kFidelityTolerance) ++n;
   }
   return n;
 }
@@ -853,8 +861,7 @@ ScenarioCellResult ScenarioRunner::run_cell(const ScenarioCell& cell) {
   result.cell = cell;
   result.baseline = flow.baseline();
   result.front = outcome.front;
-  result.fidelity_gated =
-      spec_.fidelity && cell_is_gated(cell, spec_.fidelity_gate_max_hidden);
+  result.fidelity_gated = spec_.fidelity && cell_is_gated(cell);
 
   // Distinct front genomes in deterministic (sorted-key) order: the
   // record order every report and .scell file uses.  Both passes read the
@@ -1068,12 +1075,6 @@ ScenarioSpec parse_scenario_spec(std::string_view text) {
     } else if (key == "fidelity") {
       if (value != "on" && value != "off") bad_spec_line(line_no, "bad fidelity (on|off)");
       spec.fidelity = value == "on";
-    } else if (key == "fidelity_tolerance") {
-      const std::optional<double> v = parse_double_strict(value);
-      if (!v) bad_spec_line(line_no, "bad fidelity_tolerance");
-      spec.fidelity_tolerance = *v;
-    } else if (key == "fidelity_gate_max_hidden") {
-      spec.fidelity_gate_max_hidden = parse_count("fidelity_gate_max_hidden");
     } else {
       bad_spec_line(line_no, "unknown key '" + std::string(key) + "'");
     }

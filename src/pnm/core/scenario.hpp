@@ -33,9 +33,9 @@
 ///     a third store-backed stack (tag `fidproxy`: proxy backend at the
 ///     front's fine-tune budget, test split); the relative delta
 ///     |proxy - netlist| / netlist is recorded per genome.  Cells whose
-///     resolved hidden widths are all <= fidelity_gate_max_hidden are
+///     resolved hidden widths are all <= kFidelityGateMaxHidden are
 ///     *gated*: ScenarioResult::fidelity_violations() counts the gated
-///     cells whose delta exceeds ScenarioSpec::fidelity_tolerance, and
+///     cells whose delta exceeds kFidelityTolerance, and
 ///     tests/core_campaign_test.cpp fails on any for its reference grid.
 ///     Wider/deeper cells are recorded but ungated.
 ///
@@ -110,12 +110,27 @@ struct ScenarioCell {
   [[nodiscard]] std::string id() const;
 };
 
+/// Hard bound on the relative proxy-vs-netlist area delta of *gated*
+/// cells.  The analytic proxy is a ranking signal, not an absolute-area
+/// model: on printed-scale fronts the measured worst-case delta is ~2.2x
+/// (max gated delta 2.19 on the reference grid of
+/// tests/core_campaign_test.cpp's two-process test), so the gate sits at
+/// 3.0 — wide enough for the known bias, tight enough that a
+/// proxy-formula or netlist-DCE regression (order-of-magnitude shifts)
+/// still trips that test.
+inline constexpr double kFidelityTolerance = 3.0;
+
+/// A cell is fidelity-gated iff every resolved hidden width is <= this
+/// (the small-topology regime where proxy fidelity is already claimed);
+/// wider/deeper cells record their deltas ungated.
+inline constexpr std::size_t kFidelityGateMaxHidden = 16;
+
 /// Declarative description of one grid: the cross product of the five
 /// axis lists, each cell one GA search.
 struct ScenarioSpec {
   /// Template for every cell; dataset_name, seed, hidden, input_bits and
   /// tech_name are overridden per cell.  Controls the training recipe,
-  /// bespoke options, front fine-tune budget, and split fractions.
+  /// bespoke options and front fine-tune budget.
   FlowConfig base{};
 
   std::vector<std::string> datasets;                ///< non-empty, unique
@@ -133,19 +148,6 @@ struct ScenarioSpec {
   /// (without drifts) skips the front-genome lookups too, so it does
   /// exactly the search's work — a campaign spec turns it off.
   bool fidelity = true;
-  /// Hard bound on the relative proxy-vs-netlist area delta for *gated*
-  /// cells (see fidelity_gate_max_hidden).  The analytic proxy is a
-  /// ranking signal, not an absolute-area model: on printed-scale fronts
-  /// the measured worst-case delta is ~2.2x (max gated delta 2.19 on the
-  /// reference grid of tests/core_campaign_test.cpp's two-process test),
-  /// so the default gates at 3.0 — wide enough for the known bias, tight
-  /// enough that a proxy-formula or netlist-DCE regression
-  /// (order-of-magnitude shifts) still trips that test.
-  double fidelity_tolerance = 3.0;
-  /// A cell is fidelity-gated iff every resolved hidden width is <= this
-  /// (the small-topology regime where proxy fidelity is already claimed);
-  /// wider/deeper cells record their deltas ungated.
-  std::size_t fidelity_gate_max_hidden = 16;
 
   /// Persistence and scheduling root: EvalStores, claims and published
   /// cells live here, and it is created if missing.  Empty disables
@@ -155,10 +157,12 @@ struct ScenarioSpec {
 
   /// \throws std::invalid_argument on empty/duplicate axis lists (two
   ///         topologies duplicate when they resolve to the same widths on
-  ///         a dataset), an unknown dataset or malformed "synth:" token,
-  ///         an unknown tech node, input bits outside [1, 16], duplicate
-  ///         drift names, or a non-finite/non-positive fidelity tolerance
-  ///         (GaConfig::validate covers the GA fields).
+  ///         a dataset; two datasets when they name one synthetic
+  ///         config, e.g. "sep2" and "sep2.0"), an unknown dataset or
+  ///         malformed "synth:" token, an unknown tech node, input bits
+  ///         outside [1, 16], or duplicate drift names
+  ///         (TrainConfig::validate covers the base training recipe,
+  ///         GaConfig::validate the GA fields).
   void validate() const;
 
   /// The grid, datasets-major then topologies, input_bits, tech_nodes,
@@ -166,8 +170,9 @@ struct ScenarioSpec {
   [[nodiscard]] std::vector<ScenarioCell> expand() const;
 
   /// Stable identity of one cell under this spec: both search stacks'
-  /// eval_fingerprint()s, every GA knob, the fidelity switch and the
-  /// fidelity stack's fingerprint, the gate width, and the drift list.
+  /// eval_fingerprint()s, the GA settings and search space, the fidelity
+  /// switch and the fidelity stack's fingerprint, the gate width, and the
+  /// drift list.
   /// Stamped into published .scell files, so a result computed under a
   /// different spec reads as absent rather than merged.
   /// \return a 16-hex-digit whitespace-free token.
@@ -257,8 +262,8 @@ struct ScenarioResult {
 
   /// Largest relative fidelity delta across *gated* cells (0 if none).
   [[nodiscard]] double max_gated_rel_delta() const;
-  /// Gated cells whose max delta exceeds the tolerance.
-  [[nodiscard]] std::size_t fidelity_violations(double tolerance) const;
+  /// Gated cells whose max delta exceeds kFidelityTolerance.
+  [[nodiscard]] std::size_t fidelity_violations() const;
 
   /// Non-dominated union of the fronts of every cell on `dataset`
   /// (ascending area).  Across seeds this is a stability view, since
@@ -359,8 +364,6 @@ std::optional<ScenarioResult> collect_scenario(const ScenarioSpec& spec);
 ///   drift      NAME FEATURE_NOISE PRIOR_SHIFT SEED     (repeatable)
 ///   pop/gens/train_epochs/finetune/ga_finetune  N
 ///   fidelity   on|off                                  (default on)
-///   fidelity_tolerance X
-///   fidelity_gate_max_hidden N
 ///
 /// Each key but `drift` may appear once.  Unlisted keys keep ScenarioSpec
 /// defaults; store_dir/threads are CLI-side.  The returned spec is

@@ -21,13 +21,6 @@ double accuracy(const Predictor& predict, const Dataset& data);
 /// Accuracy of a float MLP.
 double accuracy(const Mlp& model, const Dataset& data);
 
-/// confusion(r, c) = number of samples of true class r predicted as c.
-std::vector<std::vector<std::size_t>> confusion_matrix(const Predictor& predict,
-                                                       const Dataset& data);
-
-/// Unweighted mean of per-class recalls (robust to the wines' imbalance).
-double balanced_accuracy(const Predictor& predict, const Dataset& data);
-
 }  // namespace pnm
 
 #endif  // PNM_NN_METRICS_HPP

@@ -79,12 +79,14 @@ void backprop_minibatch(const Mlp& model, const Dataset& train, const std::size_
   }
 }
 
-Trainer::Trainer(TrainConfig config) : config_(config) {
-  if (config_.epochs == 0) throw std::invalid_argument("Trainer: epochs must be positive");
-  if (!std::isfinite(config_.lr) || config_.lr <= 0.0) {
-    throw std::invalid_argument("Trainer: lr must be finite and positive");
+void TrainConfig::validate() const {
+  if (epochs == 0) throw std::invalid_argument("TrainConfig: epochs must be positive");
+  if (!std::isfinite(lr) || lr <= 0.0) {
+    throw std::invalid_argument("TrainConfig: lr must be finite and positive");
   }
 }
+
+Trainer::Trainer(TrainConfig config) : config_(config) { config_.validate(); }
 
 void Trainer::fit(Mlp& model, const Dataset& train, Rng& rng) {
   train.validate();

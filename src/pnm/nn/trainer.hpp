@@ -88,6 +88,10 @@ inline constexpr std::size_t kTrainBatch = 32;
 struct TrainConfig {
   std::size_t epochs = 60;
   double lr = 3e-3;
+
+  /// \throws std::invalid_argument when epochs is 0 or lr is not a finite
+  ///         positive number.
+  void validate() const;
 };
 
 /// Runs mini-batch training on `model` in place.
@@ -103,8 +107,7 @@ class Trainer {
   /// Constraint re-imposed on the master model after each optimizer step.
   using Projector = std::function<void(Mlp& master)>;
 
-  /// \throws std::invalid_argument when epochs is 0 or lr is not a finite
-  ///         positive number.
+  /// \throws std::invalid_argument via TrainConfig::validate.
   explicit Trainer(TrainConfig config);
 
   void set_weight_view(WeightView view) { view_ = std::move(view); }

@@ -12,6 +12,7 @@
 #include "pnm/data/scaler.hpp"
 #include "pnm/data/synth.hpp"
 #include "pnm/nn/metrics.hpp"
+#include "pnm/nn/trainer.hpp"
 
 namespace pnm {
 namespace {
@@ -197,7 +198,7 @@ TEST(ClusterFineTune, TiesHoldAndAccuracyRecovers) {
   ft.epochs = 15;
   ft.lr = tc.lr * 0.3;
   Trainer trainer(ft);
-  trainer.set_projector(make_cluster_projector(assignment));
+  trainer.set_projector([&assignment](Mlp& m) { assignment.project(m); });
   trainer.fit(net, split.train, rng);
 
   EXPECT_TRUE(assignment.satisfied_by(net));

@@ -86,13 +86,13 @@ TEST(Eval, ConstructorRejectsNonFiniteTrainingFeature) {
   EXPECT_NO_THROW(ProxyEvaluator(flow.float_model(), split, flow.tech(), config));
 }
 
-TEST(Eval, ProxyMatchesFlowEvaluateGenome) {
+TEST(Eval, FreshEvaluatorsMatchReusedOnes) {
   auto& flow = seeds_flow();
   ProxyEvaluator proxy = flow.proxy_evaluator(2);
   NetlistEvaluator netlist = flow.netlist_evaluator(2);
   for (const Genome& g : sample_genomes()) {
-    expect_same_point(proxy.evaluate(g), flow.evaluate_genome(g, 2, false, false));
-    expect_same_point(netlist.evaluate(g), flow.evaluate_genome(g, 2, true, false));
+    expect_same_point(proxy.evaluate(g), flow.proxy_evaluator(2).evaluate(g));
+    expect_same_point(netlist.evaluate(g), flow.netlist_evaluator(2).evaluate(g));
   }
 }
 
@@ -298,14 +298,15 @@ TEST(Eval, CacheIsExactUnderRepeatedGaGenerations) {
   }
 }
 
-TEST(Eval, RunGaWithComposedStackMatchesSerialCombinedGa) {
+TEST(Eval, RunGaWithComposedStackMatchesSerialProxy) {
   auto& flow = seeds_flow();
   GaConfig ga;
   ga.population = 8;
   ga.generations = 3;
 
-  // Reference: the serial cached-proxy path (the historical pipeline).
-  auto serial = flow.run_combined_ga(ga, /*ga_finetune_epochs=*/1);
+  // Reference: the plain serial proxy backend.
+  ProxyEvaluator serial_fitness = flow.proxy_evaluator(1);
+  auto serial = flow.run_ga(serial_fitness, ga);
 
   // Same search through an explicitly composed parallel stack.
   ProxyEvaluator proxy = flow.proxy_evaluator(1);

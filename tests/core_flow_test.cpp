@@ -99,13 +99,13 @@ TEST(Flow, ClusteringSweepShrinksArea) {
   EXPECT_LT(points[0].area_mm2, 1.05 * points[1].area_mm2);
 }
 
-TEST(Flow, EvaluateGenomeRejectsArityMismatch) {
+TEST(Flow, NetlistEvaluatorRejectsArityMismatch) {
   auto& flow = seeds_flow();
   Genome bad;
   bad.weight_bits = {4};
   bad.sparsity_pct = {0};
   bad.clusters = {0};  // model has 2 layers
-  EXPECT_THROW(flow.evaluate_genome(bad, 1, false, false), std::invalid_argument);
+  EXPECT_THROW(flow.netlist_evaluator(1).evaluate(bad), std::invalid_argument);
 }
 
 TEST(Flow, RealizeGenomeRespectsAllThreeConstraints) {
@@ -150,10 +150,12 @@ TEST(Flow, ProxyAndExactEvaluationAgreeOnOrdering) {
   large.weight_bits = {8, 8};
   large.sparsity_pct = {0, 0};
   large.clusters = {0, 0};
-  const auto small_exact = flow.evaluate_genome(small, 2, true, false);
-  const auto small_proxy = flow.evaluate_genome(small, 2, false, false);
-  const auto large_exact = flow.evaluate_genome(large, 2, true, false);
-  const auto large_proxy = flow.evaluate_genome(large, 2, false, false);
+  NetlistEvaluator exact = flow.netlist_evaluator(2);
+  ProxyEvaluator proxy = flow.proxy_evaluator(2);
+  const auto small_exact = exact.evaluate(small);
+  const auto small_proxy = proxy.evaluate(small);
+  const auto large_exact = exact.evaluate(large);
+  const auto large_proxy = proxy.evaluate(large);
   EXPECT_LT(small_exact.area_mm2, large_exact.area_mm2);
   EXPECT_LT(small_proxy.area_mm2, large_proxy.area_mm2);
 }
@@ -189,7 +191,8 @@ TEST(Flow, SmallGaRunImprovesOnStandalonePoints) {
   GaConfig ga;
   ga.population = 12;
   ga.generations = 6;
-  const auto outcome = flow.run_combined_ga(ga, /*ga_finetune_epochs=*/2);
+  ProxyEvaluator fitness = flow.proxy_evaluator(/*finetune_epochs=*/2);
+  const auto outcome = flow.run_ga(fitness, ga);
   ASSERT_FALSE(outcome.front.empty());
   EXPECT_GT(outcome.raw.evaluations, 10U);
   // Front points are valid designs.

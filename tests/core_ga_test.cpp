@@ -34,15 +34,42 @@ TEST(GaConfig, Validation) {
   bad.population = 2;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad = ok;
-  bad.min_bits = 9;
-  bad.max_bits = 8;
+  bad.generations = 0;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad = ok;
-  bad.sparsity_choices = {95};
+  bad.acc_shift_choices = {0, 13};
   EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = ok;
-  bad.cluster_choices.clear();
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
+}
+
+TEST(RandomGenome, DrawsEveryGeneFromTheSearchSpaceInAPinnedOrder) {
+  const auto in = [](const auto& choices, int v) {
+    return std::find(choices.begin(), choices.end(), v) != choices.end();
+  };
+  Rng rng(9);
+  const std::vector<int> shifts = {1, 3};
+  for (int i = 0; i < 200; ++i) {
+    const Genome plain = random_genome(3, rng);
+    const Genome shifted = random_genome(3, rng, shifts);
+    EXPECT_TRUE(plain.acc_shift.empty());
+    ASSERT_EQ(shifted.acc_shift.size(), 3U);
+    for (const Genome* g : {&plain, &shifted}) {
+      ASSERT_EQ(g->weight_bits.size(), 3U);
+      for (std::size_t li = 0; li < 3; ++li) {
+        EXPECT_GE(g->weight_bits[li], kMinWeightBits);
+        EXPECT_LE(g->weight_bits[li], kMaxWeightBits);
+        EXPECT_TRUE(in(kSparsityChoices, g->sparsity_pct[li]));
+        EXPECT_TRUE(in(kClusterChoices, g->clusters[li]));
+      }
+    }
+    for (int t : shifted.acc_shift) EXPECT_TRUE(in(shifts, t));
+  }
+  // Per layer: bits, sparsity, clusters, then the truncation gene.  The
+  // search, the paper reproduction's proxy-fidelity designs and
+  // micro_bench's batch draw this way, so a reordering would move fronts,
+  // BENCH_paper.txt and micro_bench's mean accuracy.
+  Rng pinned(1234);
+  EXPECT_EQ(random_genome(2, pinned).key(), "b5,8|s60,0|c8,8");
+  EXPECT_EQ(random_genome(2, pinned, {0, 1, 2, 3, 4}).key(), "b5,8|s0,50|c0,8|t0,2");
 }
 
 TEST(FastNonDominatedSort, RanksSimpleFronts) {
@@ -216,11 +243,11 @@ TEST(Nsga2, CachesDuplicateGenomes) {
   EXPECT_EQ(calls, result.evaluations);
   // The 1-layer space has only 7*8*6 genomes; with caching we cannot have
   // evaluated more than that.
-  EXPECT_LE(result.evaluations,
-            7U * cfg.sparsity_choices.size() * cfg.cluster_choices.size());
+  EXPECT_LE(result.evaluations, static_cast<std::size_t>(kMaxWeightBits - kMinWeightBits + 1) *
+                                    kSparsityChoices.size() * kClusterChoices.size());
 }
 
-TEST(Nsga2, HistoriesHaveOneEntryPerGeneration) {
+TEST(Nsga2, FinalPopulationHasTheConfiguredSize) {
   GaConfig cfg;
   cfg.population = 8;
   cfg.generations = 6;
@@ -229,8 +256,6 @@ TEST(Nsga2, HistoriesHaveOneEntryPerGeneration) {
   });
   Rng rng(6);
   const auto result = nsga2_search(cfg, 1, eval, rng);
-  EXPECT_EQ(result.best_accuracy_history.size(), 6U);
-  EXPECT_EQ(result.best_area_history.size(), 6U);
   EXPECT_EQ(result.population.size(), 8U);
 }
 

@@ -9,6 +9,7 @@
 #include "pnm/data/synth.hpp"
 #include "pnm/data/scaler.hpp"
 #include "pnm/nn/metrics.hpp"
+#include "pnm/nn/trainer.hpp"
 
 namespace pnm {
 namespace {
@@ -149,7 +150,7 @@ TEST(PruneFineTune, MaskSurvivesTrainingAndAccuracyRecovers) {
   ft.epochs = 15;
   ft.lr = tc.lr * 0.3;
   Trainer trainer(ft);
-  trainer.set_projector(make_mask_projector(mask));
+  trainer.set_projector([&mask](Mlp& m) { mask.apply(m); });
   trainer.fit(net, split.train, rng);
   const double acc_finetuned = accuracy(net, split.test);
 

@@ -55,6 +55,18 @@ TEST(ScenarioSpec, Validation) {
   spec = tiny_spec();
   spec.datasets = {"synth:f8:c3:n600:sep2:ord0:k1:ln0.05"};  // valid token
   EXPECT_NO_THROW(spec.validate());
+  // Two spellings of one synthetic config generate the same data: one
+  // search twice, into two stores.
+  for (const char* same : {"synth:f8:c3:n600:sep2:ord0:k1:ln0.050",
+                           "synth:f08:c3:n600:sep2:ord0:k1:ln0.05",
+                           "synth:f8:c3:n600:sep2.0:ord0:k1:ln0.05",
+                           "synth:f8:c3:n600:sep2:ord0:k1:ln5e-2"}) {
+    spec.datasets = {"synth:f8:c3:n600:sep2:ord0:k1:ln0.05", same};
+    EXPECT_THROW(spec.validate(), std::invalid_argument) << same;
+  }
+  spec.datasets = {"synth:f8:c3:n600:sep2:ord0:k1:ln0.05",
+                   "synth:f8:c3:n600:sep2:ord0:k1:ln0.1"};
+  EXPECT_NO_THROW(spec.validate());
   spec = tiny_spec();
   spec.topologies = {};
   EXPECT_THROW(spec.validate(), std::invalid_argument);
@@ -88,8 +100,12 @@ TEST(ScenarioSpec, Validation) {
   spec = tiny_spec();
   spec.drifts = {{"a", 0.1, 0.0, 1}, {"a", 0.2, 0.0, 2}};
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+  // TrainConfig::validate rejects, before any cell trains.
   spec = tiny_spec();
-  spec.fidelity_tolerance = 0.0;
+  spec.base.train.epochs = 0;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec = tiny_spec();
+  spec.base.train.lr = 0.0;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   spec = tiny_spec();
   spec.ga.population = 1;  // GaConfig::validate rejects
@@ -137,6 +153,10 @@ TEST(ScenarioSpec, FingerprintSeparatesEveryAxis) {
   const ScenarioCell cell = spec.expand().front();
   const std::string base = spec.fingerprint(cell);
   EXPECT_EQ(base, spec.fingerprint(cell));  // deterministic
+  // Pinned: every hashed setting, the GA search space and the gate width
+  // that are constants included, keeps its token, so cells published by
+  // earlier builds stay done.
+  EXPECT_EQ(base, "27d704c590729685");
 
   ScenarioCell other = cell;
   other.dataset = "redwine";
@@ -161,9 +181,6 @@ TEST(ScenarioSpec, FingerprintSeparatesEveryAxis) {
   other_spec.drifts.pop_back();
   EXPECT_NE(base, other_spec.fingerprint(cell));
   other_spec = tiny_spec();
-  other_spec.fidelity_gate_max_hidden = 8;
-  EXPECT_NE(base, other_spec.fingerprint(cell));
-  other_spec = tiny_spec();
   other_spec.ga.generations += 1;
   EXPECT_NE(base, other_spec.fingerprint(cell));
   other_spec = tiny_spec();
@@ -176,12 +193,6 @@ TEST(ScenarioSpec, FingerprintSeparatesEveryAxis) {
   other_spec = tiny_spec();
   other_spec.fidelity = false;
   EXPECT_NE(base, other_spec.fingerprint(cell));
-
-  // The tolerance is applied at report time, never during the run —
-  // changing it must NOT invalidate published cells.
-  other_spec = tiny_spec();
-  other_spec.fidelity_tolerance *= 2.0;
-  EXPECT_EQ(base, other_spec.fingerprint(cell));
 }
 
 ScenarioCellResult sample_cell_result() {
@@ -286,7 +297,7 @@ TEST(ScenarioCellFile, NonFiniteFidelityRendersAsJsonNull) {
   EXPECT_NE(json.find("\"max_rel_delta\": null"), std::string::npos);
   EXPECT_NE(json.find("\"rel_delta\": null"), std::string::npos);
   EXPECT_EQ(grid.report_json().find("inf"), std::string::npos);
-  EXPECT_EQ(grid.fidelity_violations(3.0), 1u);
+  EXPECT_EQ(grid.fidelity_violations(), 1u);
 
   // Finite values keep their round-trip rendering.
   grid.cells = {sample_cell_result()};
@@ -309,9 +320,7 @@ TEST(ScenarioSpecFile, ParsesFullSpec) {
       "train_epochs 12\n"
       "finetune 3\n"
       "ga_finetune 1\n"
-      "fidelity off\n"
-      "fidelity_tolerance 0.4\n"
-      "fidelity_gate_max_hidden 20\n";
+      "fidelity off\n";
   const ScenarioSpec spec = parse_scenario_spec(text);
   EXPECT_EQ(spec.datasets.size(), 2u);
   ASSERT_EQ(spec.topologies.size(), 2u);
@@ -333,8 +342,6 @@ TEST(ScenarioSpecFile, ParsesFullSpec) {
   EXPECT_FALSE(spec.fidelity);
   EXPECT_TRUE(parse_scenario_spec("datasets seeds\nfidelity on\n").fidelity);
   EXPECT_TRUE(parse_scenario_spec("datasets seeds\n").fidelity);
-  EXPECT_EQ(spec.fidelity_tolerance, 0.4);
-  EXPECT_EQ(spec.fidelity_gate_max_hidden, 20u);
   EXPECT_EQ(spec.expand().size(), 32u);
 }
 
@@ -352,6 +359,14 @@ TEST(ScenarioSpecFile, RejectsMalformedLines) {
                std::invalid_argument);
   EXPECT_THROW(parse_scenario_spec("datasets seeds\npop 8x\n"), std::invalid_argument);
   EXPECT_THROW(parse_scenario_spec("datasets seeds\nfidelity yes\n"),
+               std::invalid_argument);
+  // The fidelity gate's bound and width are constants, not keys.
+  EXPECT_THROW(parse_scenario_spec("datasets seeds\nfidelity_tolerance 0.4\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_scenario_spec("datasets seeds\nfidelity_gate_max_hidden 20\n"),
+               std::invalid_argument);
+  // Every line parses, but every cell would throw at run time.
+  EXPECT_THROW(parse_scenario_spec("datasets seeds\ntrain_epochs 0\n"),
                std::invalid_argument);
   // A repeated key would silently replace the earlier line; only drift
   // repeats by design.

@@ -8,6 +8,7 @@
 #include "pnm/data/scaler.hpp"
 #include "pnm/data/synth.hpp"
 #include "pnm/nn/metrics.hpp"
+#include "pnm/nn/trainer.hpp"
 
 namespace pnm {
 namespace {
@@ -136,7 +137,7 @@ TEST(StructuredPrune, UnstructuredIsAtLeastComparableAtMatchedLevel) {
     auto mask = magnitude_prune_global(unstructured, 0.5);
     {
       Trainer trainer(ft);
-      trainer.set_projector(make_mask_projector(mask));
+      trainer.set_projector([&mask](Mlp& m) { mask.apply(m); });
       Rng r(60 + seed);
       trainer.fit(unstructured, split.train, r);
     }

@@ -79,7 +79,8 @@ TEST(FigureShape, CombinedGaBeatsStandaloneTechniques) {
   GaConfig ga;
   ga.population = 16;
   ga.generations = 8;
-  const auto outcome = flow.run_combined_ga(ga, 2);
+  ProxyEvaluator fitness = flow.proxy_evaluator(2);
+  const auto outcome = flow.run_ga(fitness, ga);
   ASSERT_FALSE(outcome.front.empty());
 
   const double base_acc = flow.baseline().accuracy;

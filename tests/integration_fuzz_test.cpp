@@ -28,22 +28,6 @@ MinimizationFlow& fuzz_flow() {
   return flow;
 }
 
-Genome random_genome(std::size_t n_layers, Rng& rng) {
-  GaConfig space;
-  Genome genome;
-  genome.weight_bits.resize(n_layers);
-  genome.sparsity_pct.resize(n_layers);
-  genome.clusters.resize(n_layers);
-  for (std::size_t li = 0; li < n_layers; ++li) {
-    genome.weight_bits[li] = rng.uniform_int(space.min_bits, space.max_bits);
-    genome.sparsity_pct[li] = space.sparsity_choices[static_cast<std::size_t>(
-        rng.uniform_int(std::uint64_t{space.sparsity_choices.size()}))];
-    genome.clusters[li] = space.cluster_choices[static_cast<std::size_t>(
-        rng.uniform_int(std::uint64_t{space.cluster_choices.size()}))];
-  }
-  return genome;
-}
-
 TEST(FuzzPipeline, RandomGenomesYieldBitExactCircuits) {
   auto& flow = fuzz_flow();
   Rng rng(1);
@@ -183,8 +167,10 @@ TEST(FuzzPipeline, ExactAreaGaFitnessAgreesWithProxyGaOnSmallRun) {
   GaConfig ga;
   ga.population = 8;
   ga.generations = 3;
-  const auto proxy_run = flow.run_combined_ga(ga, 1, /*exact_area_fitness=*/false);
-  const auto exact_run = flow.run_combined_ga(ga, 1, /*exact_area_fitness=*/true);
+  ProxyEvaluator proxy = flow.proxy_evaluator(1);
+  NetlistEvaluator netlist = flow.netlist_evaluator(1);
+  const auto proxy_run = flow.run_ga(proxy, ga);
+  const auto exact_run = flow.run_ga(netlist, ga);
   ASSERT_FALSE(proxy_run.front.empty());
   ASSERT_FALSE(exact_run.front.empty());
   // Same seed, same operators: the searches are deterministic and only the

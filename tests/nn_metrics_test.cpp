@@ -35,32 +35,6 @@ TEST(Metrics, AccuracyRejectsEmptyDataset) {
   EXPECT_THROW(accuracy(p, empty), std::invalid_argument);
 }
 
-TEST(Metrics, ConfusionMatrixEntries) {
-  const Dataset d = four_samples();
-  const Predictor constant = [](const std::vector<double>&) { return std::size_t{1}; };
-  const auto cm = confusion_matrix(constant, d);
-  EXPECT_EQ(cm[0][1], 2U);
-  EXPECT_EQ(cm[1][1], 2U);
-  EXPECT_EQ(cm[0][0], 0U);
-}
-
-TEST(Metrics, ConfusionMatrixRejectsOutOfRangePrediction) {
-  const Dataset d = four_samples();
-  const Predictor bad = [](const std::vector<double>&) { return std::size_t{9}; };
-  EXPECT_THROW(confusion_matrix(bad, d), std::out_of_range);
-}
-
-TEST(Metrics, BalancedAccuracyWeighsClassesEqually) {
-  // Imbalanced: 3 of class 0, 1 of class 1.
-  Dataset d;
-  d.n_classes = 2;
-  d.x = {{0}, {0}, {0}, {1}};
-  d.y = {0, 0, 0, 1};
-  const Predictor constant0 = [](const std::vector<double>&) { return std::size_t{0}; };
-  EXPECT_EQ(accuracy(constant0, d), 0.75);
-  EXPECT_EQ(balanced_accuracy(constant0, d), 0.5);  // (1.0 + 0.0) / 2
-}
-
 TEST(Metrics, MlpAccuracyOverloadAgreesWithPredictor) {
   Rng rng(3);
   Mlp net({1, 4, 2}, rng);
