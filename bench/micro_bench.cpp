@@ -73,10 +73,21 @@ std::vector<Genome> batch_genomes(std::size_t n) {
 bool run_speed_floors() {
   auto& flow = bench_flow();
   const std::vector<Genome> genomes = batch_genomes(24);
-  const QuantizedDataset qval = quantize_dataset(flow.data().val, flow.config().input_bits);
-  // No blocked layout, so accuracy() takes the single-sample path.
-  QuantizedDataset qval_single = qval;
-  qval_single.xb.clear();
+  NetlistEvaluator netlist = flow.netlist_evaluator(/*finetune_epochs=*/2);
+  const QuantizedDataset& qval = netlist.reporting_set();
+  // The single-sample engine reads each validation sample's own codes.
+  const Dataset& val = flow.data().val;
+  std::vector<std::vector<std::int64_t>> val_codes;
+  val_codes.reserve(val.size());
+  for (const auto& x : val.x) val_codes.push_back(quantize_input(x, qval.input_bits));
+  const auto single_sample_accuracy = [&](const QuantizedMlp& q) {
+    InferScratch scratch;
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < val_codes.size(); ++i) {
+      if (q.predict_quantized_into(val_codes[i], scratch) == val.y[i]) ++correct;
+    }
+    return static_cast<double>(correct) / static_cast<double>(val_codes.size());
+  };
 
   const simd::Isa isa = simd::active_isa();
   const bool native_isa = isa != simd::Isa::kScalar;
@@ -85,7 +96,6 @@ bool run_speed_floors() {
   const bool timed_build = pnm::build_info::timing_multiplier() == 1;
   std::cout << "isa: " << simd::isa_name(isa) << '\n';
 
-  NetlistEvaluator netlist = flow.netlist_evaluator(/*finetune_epochs=*/2);
   std::vector<QuantizedMlp> models;
   models.reserve(genomes.size());
   for (const Genome& g : genomes) models.push_back(netlist.realize(g));
@@ -102,10 +112,9 @@ bool run_speed_floors() {
     return std::chrono::duration<double>(t1 - t0).count() / kPasses;
   };
   std::vector<double> acc_single, acc_bscalar, acc_bnative;
-  const double sec_single = seconds_per_pass(
-      acc_single, [&](const QuantizedMlp& q) { return q.accuracy(qval_single); });
+  const double sec_single = seconds_per_pass(acc_single, single_sample_accuracy);
   const double sec_bscalar = seconds_per_pass(acc_bscalar, [&](const QuantizedMlp& q) {
-    return q.accuracy_blocked(qval, simd::Isa::kScalar);
+    return q.accuracy(qval, simd::Isa::kScalar);
   });
   bool engines_agree = acc_bscalar == acc_single;
   std::cout << "inference on " << models.size() << " realized models x " << qval.size()
@@ -113,7 +122,7 @@ bool run_speed_floors() {
   double sec_bnative = 0.0;
   if (native_isa) {
     sec_bnative = seconds_per_pass(
-        acc_bnative, [&](const QuantizedMlp& q) { return q.accuracy_blocked(qval, isa); });
+        acc_bnative, [&](const QuantizedMlp& q) { return q.accuracy(qval, isa); });
     engines_agree = engines_agree && acc_bnative == acc_single;
     std::cout << ", blocked-" << simd::isa_name(isa) << ' ' << sec_single / sec_bnative
               << 'x';

@@ -166,9 +166,9 @@ std::vector<McmBenchRecord> run_mcm_sharing_bench() {
     McmBenchRecord rec;
     rec.dataset = dataset;
     Rng rng(2024);
+    const ProxyEvaluator realizer = flow.proxy_evaluator(config.finetune_epochs);
     for (const auto& member : outcome.raw.front) {
-      const QuantizedMlp qmodel =
-          flow.realize_genome(member.genome, config.finetune_epochs);
+      const QuantizedMlp qmodel = realizer.realize(member.genome);
       // Controlled comparison: identical model and options except the
       // sharing knob (share_products on for both so the coefficient set
       // exists to share across).
@@ -529,10 +529,10 @@ class Reproduction {
     for (const auto& dataset : paper_dataset_names()) {
       const MinimizationFlow& f = flow(dataset);
       const std::size_t n_layers = f.float_model().layer_count();
+      const ProxyEvaluator realizer = f.proxy_evaluator(f.config().finetune_epochs);
       std::vector<double> savings;
       for (int bits : {4, 6, 8}) {
-        const QuantizedMlp qmodel = f.realize_genome(uniform_genome(n_layers, bits, 0, 0),
-                                                     f.config().finetune_epochs);
+        const QuantizedMlp qmodel = realizer.realize(uniform_genome(n_layers, bits, 0, 0));
         hw::BespokeOptions with_csd;
         hw::BespokeOptions without_csd;
         without_csd.use_csd = false;
@@ -571,11 +571,11 @@ class Reproduction {
     for (const auto& dataset : paper_dataset_names()) {
       const MinimizationFlow& f = flow(dataset);
       const std::size_t n_layers = f.float_model().layer_count();
+      const ProxyEvaluator realizer = f.proxy_evaluator(f.config().finetune_epochs);
       std::map<int, double> gain;  // by cluster count (0 = off)
       for (int clusters : {0, 4, 2}) {
-        const QuantizedMlp qmodel = f.realize_genome(
-            uniform_genome(n_layers, kBaselineWeightBits, 0, clusters),
-            f.config().finetune_epochs);
+        const QuantizedMlp qmodel =
+            realizer.realize(uniform_genome(n_layers, kBaselineWeightBits, 0, clusters));
         hw::BespokeOptions shared;
         hw::BespokeOptions unshared;
         unshared.share_products = false;
@@ -617,11 +617,12 @@ class Reproduction {
       const std::size_t n_layers = f.float_model().layer_count();
 
       // Random designs spanning the GA's search space.
+      const ProxyEvaluator realizer = f.proxy_evaluator(/*finetune_epochs=*/2);
       Rng rng(99);
       std::vector<double> exact, proxy;
       const int n_designs = 24;
       for (int i = 0; i < n_designs; ++i) {
-        const QuantizedMlp qmodel = f.realize_genome(random_genome(n_layers, rng), 2);
+        const QuantizedMlp qmodel = realizer.realize(random_genome(n_layers, rng));
         exact.push_back(hw::BespokeCircuit(qmodel).area_mm2(f.tech()));
         proxy.push_back(hw::estimate_area_mm2(qmodel, f.tech()));
       }
@@ -764,7 +765,8 @@ class Reproduction {
       const FlowConfig& config = f.config();
       const std::size_t n_layers = f.float_model().layer_count();
       const Genome base = uniform_genome(n_layers, kBaselineWeightBits, 0, 0);
-      const QuantizedMlp q_base = f.realize_genome(base, config.finetune_epochs);
+      const ProxyEvaluator realizer = f.proxy_evaluator(config.finetune_epochs);
+      const QuantizedMlp q_base = realizer.realize(base);
       hw::BespokeOptions unshared;
       unshared.share_products = false;
       const hw::BespokeCircuit c_base(q_base, unshared);
@@ -775,7 +777,7 @@ class Reproduction {
           {"combined", uniform_genome(n_layers, 4, 30, 4)},
       };
       for (const auto& [name, genome] : designs) {
-        const QuantizedMlp q = f.realize_genome(genome, config.finetune_epochs);
+        const QuantizedMlp q = realizer.realize(genome);
         bool clustered = false;
         for (int k : genome.clusters) clustered |= (k > 0);
         hw::BespokeOptions options;

@@ -26,11 +26,11 @@ PipelineEvaluator::PipelineEvaluator(const Mlp& model, const DataSplit& split,
                                      const hw::TechLibrary& tech, EvalConfig config)
     : model_(&model), split_(&split), tech_(&tech), config_(std::move(config)) {
   split.train.validate();
-  // Quantize each split once; all genome evaluations stream the same
-  // read-only flat buffers (the GA re-scores thousands of candidates on
-  // identical data, so re-deriving the codes per genome was pure waste).
-  qval_ = quantize_dataset(split.val, config_.input_bits);
-  qtest_ = quantize_dataset(split.test, config_.input_bits);
+  // Quantize the reporting split once; all genome evaluations stream the
+  // same read-only codes (the GA re-scores thousands of candidates on
+  // identical data, so re-deriving them per genome was pure waste).
+  reporting_set_ = quantize_dataset(config_.use_test_set ? split.test : split.val,
+                                    config_.input_bits);
 }
 
 Mlp PipelineEvaluator::minimize_float(const Genome& genome) const {

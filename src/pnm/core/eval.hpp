@@ -105,11 +105,13 @@ class PipelineEvaluator : public Evaluator {
  public:
   /// Validates the training split once (Dataset::validate), since every
   /// genome's fine-tune reads it and none re-checks it, and quantizes the
-  /// validation and test splits once at config.input_bits; every
-  /// evaluation (on every thread) then reads the shared flat code buffers
-  /// instead of re-quantizing the dataset per genome.  `split` must
-  /// outlive the evaluator unchanged.
-  /// \throws std::invalid_argument when a split fails validation.
+  /// reporting split (validation unless config.use_test_set) once at
+  /// config.input_bits; every evaluation (on every thread) then reads that
+  /// one shared code buffer instead of re-quantizing the split per genome.
+  /// The split it does not report on is neither encoded nor validated
+  /// here.  `split` must outlive the evaluator unchanged.
+  /// \throws std::invalid_argument when the training or reporting split
+  ///         fails validation.
   PipelineEvaluator(const Mlp& model, const DataSplit& split,
                     const hw::TechLibrary& tech, EvalConfig config);
 
@@ -125,9 +127,7 @@ class PipelineEvaluator : public Evaluator {
 
   /// The pre-quantized reporting split this evaluator scores accuracy on
   /// (validation unless config().use_test_set).
-  [[nodiscard]] const QuantizedDataset& reporting_set() const {
-    return config_.use_test_set ? qtest_ : qval_;
-  }
+  [[nodiscard]] const QuantizedDataset& reporting_set() const { return reporting_set_; }
 
  protected:
   /// Fills the cost fields (area, and power/delay if available) of an
@@ -145,10 +145,9 @@ class PipelineEvaluator : public Evaluator {
   const DataSplit* split_;
   const hw::TechLibrary* tech_;
   EvalConfig config_;
-  /// Splits quantized once at construction (per input_bits); immutable
-  /// afterwards, so concurrent evaluations share them without locking.
-  QuantizedDataset qval_;
-  QuantizedDataset qtest_;
+  /// The reporting split, quantized once at construction; immutable
+  /// afterwards, so concurrent evaluations share it without locking.
+  QuantizedDataset reporting_set_;
 };
 
 /// Fast analytic area proxy (pnm/hw/proxy.hpp); leaves power/delay at 0.

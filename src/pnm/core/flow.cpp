@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "pnm/data/synth.hpp"
 #include "pnm/nn/metrics.hpp"
@@ -36,6 +37,16 @@ void MinimizationFlow::prepare() {
 
   Rng rng(config_.seed);
   split_ = stratified_split(data, kTrainFrac, kValFrac, kTestFrac, rng);
+  // A class feeds validation and test only from 4 samples up, so a tiny
+  // (or noisily labelled) dataset can leave a split empty, and nothing
+  // could be scored on it: refuse before training.
+  if (split_.val.size() == 0 || split_.test.size() == 0) {
+    throw std::invalid_argument(
+        "MinimizationFlow: dataset '" + data.name + "' splits " +
+        std::to_string(split_.train.size()) + "/" + std::to_string(split_.val.size()) +
+        "/" + std::to_string(split_.test.size()) +
+        " into train/validation/test; validation and test need a sample each");
+  }
   scale_split(split_, scaler_);
 
   // Topology: inputs -> hidden -> classes.
@@ -214,10 +225,15 @@ std::vector<DesignPoint> MinimizationFlow::sweep_truncation(
 
 namespace {
 
+/// The distinct genomes of the search's final front, first copy first.
+/// The final population can hold one genome several times; each copy
+/// would be fine-tuned and netlisted again for a point pareto_front drops.
 std::vector<Genome> front_genomes(const GaResult& raw) {
   std::vector<Genome> genomes;
-  genomes.reserve(raw.front.size());
-  for (const auto& member : raw.front) genomes.push_back(member.genome);
+  std::unordered_set<std::string> seen;
+  for (const auto& member : raw.front) {
+    if (seen.insert(member.genome.key()).second) genomes.push_back(member.genome);
+  }
   return genomes;
 }
 

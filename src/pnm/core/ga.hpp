@@ -18,9 +18,10 @@
 /// The genome->objectives evaluation is injected as a pnm::Evaluator
 /// (pnm/core/eval.hpp): the search core batches all uncached candidates of
 /// a generation through Evaluator::evaluate_batch, so a ParallelEvaluator
-/// backend fans fitness evaluation across threads with no GA change.  A
-/// plain callback overload remains for analytic toy problems in tests;
-/// the production evaluators live in pnm::MinimizationFlow.
+/// backend fans fitness evaluation across threads with no GA change.
+/// Analytic toy problems in tests wrap their objective in an Evaluator too
+/// (tests/function_evaluator.hpp); the production evaluators live in
+/// pnm::MinimizationFlow.
 
 #include <array>
 #include <cstdint>

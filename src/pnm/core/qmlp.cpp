@@ -176,14 +176,9 @@ std::span<const std::int64_t> QuantizedMlp::forward_into(
   if (xq.size() != input_size()) {
     throw std::invalid_argument("QuantizedMlp::forward: bad input size");
   }
-  return forward_unchecked(xq.data(), scratch);
-}
-
-std::span<const std::int64_t> QuantizedMlp::forward_unchecked(
-    const std::int64_t* xq, InferScratch& scratch) const {
   // The first layer reads the caller's buffer directly (no staging copy);
   // thereafter the ping-pong scratch buffers alternate.
-  const std::int64_t* x = xq;
+  const std::int64_t* x = xq.data();
   for (const auto& l : layers_) {
     const int s = l.acc_shift;
     const std::size_t out_f = l.out_features();
@@ -224,8 +219,14 @@ std::span<const std::int64_t> QuantizedMlp::forward_unchecked(
   return {scratch.cur.data(), scratch.cur.size()};
 }
 
-std::span<const std::int64_t> QuantizedMlp::forward_block_unchecked(
-    const std::int64_t* xb, BlockScratch& scratch, simd::LayerBlockFn fn) const {
+std::span<const std::int64_t> QuantizedMlp::forward_block_into(
+    const std::int64_t* xb, BlockScratch& scratch, simd::Isa isa) const {
+  if (layers_.empty()) throw std::logic_error("QuantizedMlp::forward_block: empty model");
+  const simd::LayerBlockFn fn = simd::layer_block_kernel(isa);
+  if (fn == nullptr) {
+    throw std::invalid_argument(std::string("QuantizedMlp::forward_block: no ") +
+                                simd::isa_name(isa) + " kernel on this machine");
+  }
   constexpr std::size_t kB = simd::kSampleBlock;
   const std::int64_t* x = xb;
   for (const auto& l : layers_) {
@@ -248,17 +249,6 @@ std::span<const std::int64_t> QuantizedMlp::forward_block_unchecked(
     x = scratch.cur.data();
   }
   return {scratch.cur.data(), scratch.cur.size()};
-}
-
-std::span<const std::int64_t> QuantizedMlp::forward_block_into(
-    const std::int64_t* xb, BlockScratch& scratch, simd::Isa isa) const {
-  if (layers_.empty()) throw std::logic_error("QuantizedMlp::forward_block: empty model");
-  const simd::LayerBlockFn fn = simd::layer_block_kernel(isa);
-  if (fn == nullptr) {
-    throw std::invalid_argument(std::string("QuantizedMlp::forward_block: no ") +
-                                simd::isa_name(isa) + " kernel on this machine");
-  }
-  return forward_block_unchecked(xb, scratch, fn);
 }
 
 void QuantizedMlp::predict_block_into(const std::int64_t* xb, std::size_t lanes,
@@ -302,89 +292,31 @@ std::size_t QuantizedMlp::predict(const std::vector<double>& x) const {
 }
 
 double QuantizedMlp::accuracy(const Dataset& data) const {
-  data.validate();
-  if (data.size() == 0) throw std::invalid_argument("QuantizedMlp::accuracy: empty data");
-  InferScratch scratch;
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    quantize_input_into(data.x[i], input_bits_, scratch.xq);
-    if (predict_quantized_into(scratch.xq, scratch) == data.y[i]) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(data.size());
+  return accuracy(quantize_dataset(data, input_bits_));
 }
 
-double QuantizedMlp::accuracy(const QuantizedDataset& data) const {
-  if (data.size() == 0) throw std::invalid_argument("QuantizedMlp::accuracy: empty data");
-  if (data.input_bits != input_bits_) {
-    throw std::invalid_argument(
-        "QuantizedMlp::accuracy: dataset quantized at different input_bits");
-  }
-  if (layers_.empty()) throw std::logic_error("QuantizedMlp::accuracy: empty model");
-  if (data.n_features != input_size()) {
-    throw std::invalid_argument("QuantizedMlp::accuracy: feature count mismatch");
-  }
-  // GA hot path: ride the multi-sample engine whenever the dataset
-  // carries its blocked layout (quantize_dataset always builds it); an
-  // aggregate-constructed dataset without one takes the single-sample
-  // loop.  Identical predictions either way.
-  if (data.has_blocked()) {
-    return accuracy_with_kernel(data, simd::layer_block_kernel(simd::active_isa()));
-  }
-  // Shape checks hoisted out of the loop: the streaming pass below runs
-  // one unchecked kernel call per sample.
-  InferScratch scratch;
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const auto out = forward_unchecked(data.x.data() + i * data.n_features, scratch);
-    std::size_t best = 0;
-    for (std::size_t j = 1; j < out.size(); ++j) {
-      if (out[j] > out[best]) best = j;
-    }
-    if (best == data.y[i]) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(data.size());
-}
-
-double QuantizedMlp::accuracy_blocked(const QuantizedDataset& data, simd::Isa isa) const {
-  if (data.size() == 0) throw std::invalid_argument("QuantizedMlp::accuracy: empty data");
-  if (data.input_bits != input_bits_) {
-    throw std::invalid_argument(
-        "QuantizedMlp::accuracy: dataset quantized at different input_bits");
-  }
-  if (layers_.empty()) throw std::logic_error("QuantizedMlp::accuracy: empty model");
-  if (data.n_features != input_size()) {
-    throw std::invalid_argument("QuantizedMlp::accuracy: feature count mismatch");
-  }
-  if (!data.has_blocked()) {
-    throw std::invalid_argument("QuantizedMlp::accuracy_blocked: dataset has no blocked layout");
-  }
-  const simd::LayerBlockFn fn = simd::layer_block_kernel(isa);
-  if (fn == nullptr) {
-    throw std::invalid_argument(std::string("QuantizedMlp::accuracy_blocked: no ") +
-                                simd::isa_name(isa) + " kernel on this machine");
-  }
-  return accuracy_with_kernel(data, fn);
-}
-
-double QuantizedMlp::accuracy_with_kernel(const QuantizedDataset& data,
-                                          simd::LayerBlockFn fn) const {
+double QuantizedMlp::accuracy(const QuantizedDataset& data, simd::Isa isa) const {
   constexpr std::size_t kB = simd::kSampleBlock;
+  if (data.size() == 0) throw std::invalid_argument("QuantizedMlp::accuracy: empty data");
+  if (data.input_bits != input_bits_) {
+    throw std::invalid_argument(
+        "QuantizedMlp::accuracy: dataset quantized at different input_bits");
+  }
+  if (data.n_features != input_size() ||
+      data.xb.size() != data.block_count() * data.n_features * kB) {
+    throw std::invalid_argument("QuantizedMlp::accuracy: feature count or code buffer mismatch");
+  }
   BlockScratch scratch;
-  const std::size_t n = data.size();
-  const std::size_t classes = output_size();
+  std::size_t preds[kB] = {};
   std::size_t correct = 0;
   for (std::size_t b = 0; b < data.block_count(); ++b) {
-    const auto out = forward_block_unchecked(data.block(b), scratch, fn);
-    const std::size_t lanes = std::min(kB, n - b * kB);
+    const std::size_t lanes = std::min(kB, data.size() - b * kB);
+    predict_block_into(data.block(b), lanes, scratch, preds, isa);
     for (std::size_t j = 0; j < lanes; ++j) {
-      std::size_t best = 0;
-      for (std::size_t r = 1; r < classes; ++r) {
-        if (out[r * kB + j] > out[best * kB + j]) best = r;
-      }
-      if (best == data.y[b * kB + j]) ++correct;
+      if (preds[j] == data.y[b * kB + j]) ++correct;
     }
   }
-  return static_cast<double>(correct) / static_cast<double>(n);
+  return static_cast<double>(correct) / static_cast<double>(data.size());
 }
 
 std::vector<std::vector<ValueRange>> QuantizedMlp::neuron_preact_ranges() const {

@@ -170,26 +170,21 @@ class QuantizedMlp {
   /// Quantizes a [0,1] float sample and predicts.
   [[nodiscard]] std::size_t predict(const std::vector<double>& x) const;
 
-  /// Test-set accuracy of the integer model (quantizes each sample on the
-  /// fly; prefer the QuantizedDataset overload in loops).
+  /// Accuracy of the integer model on a float dataset: quantizes it at
+  /// this model's input_bits (quantize_dataset), then scores the codes
+  /// through the QuantizedDataset overload.
   [[nodiscard]] double accuracy(const Dataset& data) const;
 
-  /// Batched accuracy over a pre-quantized dataset: one scratch, zero
-  /// allocations per sample.  Bit-exact with accuracy(Dataset) when the
-  /// dataset was quantized at this model's input_bits.  Throws if the
-  /// dataset's input_bits disagree with the model's.
-  ///
-  /// Rides the multi-sample engine at simd::active_isa() when the dataset
-  /// carries its blocked layout (QuantizedDataset::has_blocked()); falls
-  /// back to the single-sample kernel otherwise.  Both paths are bit-exact
-  /// (same predictions, same accuracy), so the choice is invisible.
-  [[nodiscard]] double accuracy(const QuantizedDataset& data) const;
-
-  /// Batched accuracy forced through the blocked engine of a specific ISA
-  /// (cross-engine tests and the bench's scalar-vs-SIMD rows).  Requires
-  /// data.has_blocked().  Throws when no kernel for `isa` is available on
-  /// this machine.
-  [[nodiscard]] double accuracy_blocked(const QuantizedDataset& data, simd::Isa isa) const;
+  /// Batched accuracy over a pre-quantized dataset: predict_block_into on
+  /// every block through the kernel of `isa` (the runtime-dispatched one
+  /// by default; the cross-engine tests and the bench's scalar-vs-SIMD
+  /// rows pass one explicitly), with one scratch and no allocation per
+  /// block.  Every ISA predicts bit-exactly what forward_into does per
+  /// sample.  Throws if the dataset is empty, was quantized at other
+  /// input_bits or another feature count, or when no kernel for `isa` is
+  /// available on this machine.
+  [[nodiscard]] double accuracy(const QuantizedDataset& data,
+                                simd::Isa isa = simd::active_isa()) const;
 
   /// Multi-sample forward pass over one block of simd::kSampleBlock
   /// samples in the blocked layout (QuantizedDataset::block /
@@ -224,20 +219,6 @@ class QuantizedMlp {
   [[nodiscard]] std::vector<std::size_t> shared_multiplier_counts() const;
 
  private:
-  /// Shared kernel behind forward_into / the batched accuracy loop; the
-  /// caller has already validated the input width.
-  std::span<const std::int64_t> forward_unchecked(const std::int64_t* xq,
-                                                  InferScratch& scratch) const;
-
-  /// Blocked counterpart: applies every layer through `fn` (a
-  /// simd::layer_block_kernel), ping-ponging the blocked scratch buffers.
-  std::span<const std::int64_t> forward_block_unchecked(const std::int64_t* xb,
-                                                        BlockScratch& scratch,
-                                                        simd::LayerBlockFn fn) const;
-
-  /// Blocked accuracy loop shared by accuracy / accuracy_blocked.
-  double accuracy_with_kernel(const QuantizedDataset& data, simd::LayerBlockFn fn) const;
-
   std::vector<QuantizedLayer> layers_;
   int input_bits_ = 4;
 };

@@ -102,19 +102,21 @@ namespace {
 /// to 0), scale to [0, 2^bits - 1], round to nearest with ties away from
 /// zero.  Every input-quantization entry point (per-sample and
 /// whole-dataset) encodes through this, so the batched QuantizedDataset
-/// path can never drift from quantize_input.
+/// path can never drift from quantize_input.  Code i lands at
+/// out[i * stride]: 1 for a sample's own row, simd::kSampleBlock for its
+/// lane of a blocked dataset.
 ///
 /// The rounding is std::llround's, done inline: the scaled value lies in
 /// [0, 65535], so truncation is its floor and the fraction it leaves is
 /// exact; adding 1 when that fraction is at least 0.5 is llround for every
 /// such value.  The serving reactor stages every request through here.
 void encode_input_row(const double* x, std::size_t n, double qmax,
-                      std::int64_t* out) {
+                      std::int64_t* out, std::size_t stride) {
   for (std::size_t i = 0; i < n; ++i) {
     const double clamped = x[i] > 0.0 ? std::min(x[i], 1.0) : 0.0;  // NaN fails `>`
     const double scaled = clamped * qmax;
     const auto whole = static_cast<std::int32_t>(scaled);
-    out[i] = whole + static_cast<std::int64_t>(scaled - whole >= 0.5);
+    out[i * stride] = whole + static_cast<std::int64_t>(scaled - whole >= 0.5);
   }
 }
 
@@ -133,17 +135,7 @@ void quantize_input_into(const std::vector<double>& x, int input_bits,
   }
   const double qmax = static_cast<double>((1 << input_bits) - 1);
   out.resize(x.size());
-  encode_input_row(x.data(), x.size(), qmax, out.data());
-}
-
-void QuantizedDataset::build_blocked() {
-  constexpr std::size_t kB = simd::kSampleBlock;
-  xb.assign(block_count() * n_features * kB, 0);  // tail lanes stay zero
-  for (std::size_t i = 0; i < size(); ++i) {
-    const std::int64_t* src = x.data() + i * n_features;
-    std::int64_t* dst = xb.data() + (i / kB) * n_features * kB + (i % kB);
-    for (std::size_t f = 0; f < n_features; ++f) dst[f * kB] = src[f];
-  }
+  encode_input_row(x.data(), x.size(), qmax, out.data(), 1);
 }
 
 QuantizedDataset quantize_dataset(const Dataset& data, int input_bits) {
@@ -151,19 +143,19 @@ QuantizedDataset quantize_dataset(const Dataset& data, int input_bits) {
     throw std::invalid_argument("quantize_dataset: bad input bits");
   }
   data.validate();
+  constexpr std::size_t kB = simd::kSampleBlock;
   QuantizedDataset q;
   q.name = data.name;
   q.input_bits = input_bits;
   q.n_features = data.n_features();
   q.n_classes = data.n_classes;
   q.y = data.y;
-  q.x.resize(data.size() * q.n_features);
+  q.xb.assign(q.block_count() * q.n_features * kB, 0);  // tail lanes stay zero
   const double qmax = static_cast<double>((1 << input_bits) - 1);
   for (std::size_t i = 0; i < data.size(); ++i) {
     encode_input_row(data.x[i].data(), q.n_features, qmax,
-                     q.x.data() + i * q.n_features);
+                     q.xb.data() + (i / kB) * q.n_features * kB + (i % kB), kB);
   }
-  q.build_blocked();
   return q;
 }
 

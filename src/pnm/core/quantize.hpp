@@ -21,11 +21,10 @@
 ///
 /// Input quantization is per *dataset*, not per model: every candidate the
 /// GA evaluates shares one sensor precision, so QuantizedDataset encodes a
-/// dataset once into a flat integer buffer that all genome evaluations
-/// (and all threads) read concurrently.
+/// dataset once into one blocked integer buffer that all genome
+/// evaluations (and all threads) read concurrently.
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -92,55 +91,40 @@ std::vector<std::int64_t> quantize_input(const std::vector<double>& x, int input
 void quantize_input_into(const std::vector<double>& x, int input_bits,
                          std::vector<std::int64_t>& out);
 
-/// A classification dataset quantized once at a fixed sensor precision:
-/// one flat sample-major int64 buffer instead of a vector of per-sample
-/// rows.  Immutable after construction and therefore safe to share
-/// read-only across every genome evaluation and every worker thread —
-/// the evaluation engine quantizes each split once per input_bits instead
-/// of re-deriving the codes per candidate and per sample.
+/// A classification dataset quantized once at a fixed sensor precision,
+/// held once, in the sample-blocked (SoA) layout the multi-sample engine
+/// reads: samples are grouped into blocks of simd::kSampleBlock; within
+/// block b, feature f of lane j (= sample b*kSampleBlock + j) lives at
+///     xb[b * n_features * kSampleBlock + f * kSampleBlock + j].
+/// Lanes past size() in the last block are zero (the accuracy loop never
+/// reads their outputs).  Immutable after construction and therefore safe
+/// to share read-only across every genome evaluation and every worker
+/// thread — an evaluator quantizes the split it scores once per
+/// input_bits instead of re-deriving the codes per candidate and per
+/// sample.
 struct QuantizedDataset {
   std::string name;               ///< source dataset name
   int input_bits = 4;             ///< precision the codes were derived at
   std::size_t n_features = 0;
   std::size_t n_classes = 0;
-  std::vector<std::int64_t> x;    ///< flat codes, sample i at [i*n_features, ...)
+  std::vector<std::int64_t> xb;   ///< blocked codes, layout above
   std::vector<std::size_t> y;     ///< class labels, one per sample
 
-  /// Sample-blocked (SoA) copy of the same codes for the multi-sample
-  /// engine: samples are grouped into blocks of simd::kSampleBlock; within
-  /// block b, feature f of lane j (= sample b*kSampleBlock + j) lives at
-  ///     xb[b * n_features * kSampleBlock + f * kSampleBlock + j].
-  /// Lanes past size() in the last block are zero (the accuracy loop never
-  /// reads their outputs).  quantize_dataset always fills this; aggregate-
-  /// constructed datasets may leave it empty, in which case consumers fall
-  /// back to the single-sample path (see has_blocked()).
-  std::vector<std::int64_t> xb;
-
   [[nodiscard]] std::size_t size() const { return y.size(); }
-  [[nodiscard]] std::span<const std::int64_t> sample(std::size_t i) const {
-    return {x.data() + i * n_features, n_features};
-  }
 
   /// Number of sample blocks (ceil over kSampleBlock).
   [[nodiscard]] std::size_t block_count() const {
     return (size() + simd::kSampleBlock - 1) / simd::kSampleBlock;
   }
-  /// True when xb holds a consistent blocked copy of x.
-  [[nodiscard]] bool has_blocked() const {
-    return !xb.empty() && xb.size() == block_count() * n_features * simd::kSampleBlock;
-  }
-  /// Start of block b in the blocked buffer (requires has_blocked()).
+  /// Start of block b in the blocked buffer.
   [[nodiscard]] const std::int64_t* block(std::size_t b) const {
     return xb.data() + b * n_features * simd::kSampleBlock;
   }
-
-  /// (Re)builds xb from x — for datasets assembled by hand rather than via
-  /// quantize_dataset.
-  void build_blocked();
 };
 
 /// Encodes `data` at the given sensor precision (the same mapping as
-/// quantize_input, applied to every sample).  Validates the dataset.
+/// quantize_input, applied to every sample) straight into its lanes.
+/// Validates the dataset.
 QuantizedDataset quantize_dataset(const Dataset& data, int input_bits);
 
 }  // namespace pnm

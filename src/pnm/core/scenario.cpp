@@ -239,6 +239,30 @@ Dataset perturbed_test(const Dataset& test, const DriftSpec& drift,
   return out;
 }
 
+/// Refuses a synthetic dataset whose stratified split leaves validation
+/// or test empty before label noise (MinimizationFlow::prepare refuses
+/// what noise empties): every cell would train and then throw.  A class
+/// feeds validation from 3 samples and test from 4 up, so the largest
+/// class decides.  Balanced classes hold ceil(n / classes) samples at
+/// most; only weighted configs, whose class count the spec text bounds,
+/// need the generator's per-class budget.
+void require_splittable(const std::string& name, const SynthConfig& cfg) {
+  std::size_t largest = cfg.n_samples / cfg.n_classes + (cfg.n_samples % cfg.n_classes != 0);
+  if (!cfg.class_weights.empty()) {
+    const std::vector<std::size_t> counts = synth_class_counts(cfg);
+    largest = *std::max_element(counts.begin(), counts.end());
+  }
+  const auto [train, val, test] =
+      stratified_class_counts(largest, kTrainFrac, kValFrac, kTestFrac);
+  if (val == 0 || test == 0) {
+    throw std::invalid_argument(
+        "ScenarioSpec: dataset '" + name + "' is too small to split: its largest class (" +
+        std::to_string(largest) + " samples) splits " + std::to_string(train) + "/" +
+        std::to_string(val) + "/" + std::to_string(test) +
+        " into train/validation/test, and a class needs 4 to fill all three");
+  }
+}
+
 }  // namespace
 
 // ---- Spec ---------------------------------------------------------------
@@ -274,7 +298,9 @@ void ScenarioSpec::validate() const {
     std::string config = d;
     if (d.rfind("synth:", 0) == 0) {
       // Throws with the offending field.
-      config = synth_dataset_name(parse_synth_dataset_name(d));
+      const SynthConfig synth = parse_synth_dataset_name(d);
+      config = synth_dataset_name(synth);
+      require_splittable(d, synth);
     } else {
       const auto& known = paper_dataset_names();
       if (std::find(known.begin(), known.end(), d) == known.end()) {

@@ -159,8 +159,10 @@ struct ScenarioSpec {
   ///         topologies duplicate when they resolve to the same widths on
   ///         a dataset; two datasets when they name one synthetic
   ///         config, e.g. "sep2" and "sep2.0"), an unknown dataset or
-  ///         malformed "synth:" token, an unknown tech node, input bits
-  ///         outside [1, 16], or duplicate drift names
+  ///         malformed "synth:" token, a synthetic dataset whose
+  ///         stratified split leaves validation or test empty (no class
+  ///         of 4 samples), an unknown tech node, input bits outside
+  ///         [1, 16], or duplicate drift names
   ///         (TrainConfig::validate covers the base training recipe,
   ///         GaConfig::validate the GA fields).
   void validate() const;

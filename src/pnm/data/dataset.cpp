@@ -1,5 +1,6 @@
 #include "pnm/data/dataset.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -30,6 +31,16 @@ std::vector<std::size_t> Dataset::class_histogram() const {
   return hist;
 }
 
+std::array<std::size_t, 3> stratified_class_counts(std::size_t n, double train_frac,
+                                                   double val_frac, double test_frac) {
+  const auto share = [n](double frac) {
+    return static_cast<std::size_t>(std::llround(frac * static_cast<double>(n)));
+  };
+  const std::size_t train = std::min(n, share(train_frac));
+  const std::size_t val = std::min(n - train, share(val_frac));
+  return {train, val, std::min(n - train - val, share(test_frac))};
+}
+
 DataSplit stratified_split(const Dataset& data, double train_frac, double val_frac,
                            double test_frac, Rng& rng) {
   if (train_frac <= 0.0 || val_frac < 0.0 || test_frac < 0.0 ||
@@ -44,15 +55,12 @@ DataSplit stratified_split(const Dataset& data, double train_frac, double val_fr
 
   std::vector<std::size_t> train_idx, val_idx, test_idx;
   for (const auto& idx : per_class) {
-    const auto n = idx.size();
-    const auto n_train = static_cast<std::size_t>(std::llround(train_frac * static_cast<double>(n)));
-    const auto n_val = static_cast<std::size_t>(std::llround(val_frac * static_cast<double>(n)));
-    auto n_test = static_cast<std::size_t>(std::llround(test_frac * static_cast<double>(n)));
-    if (n_train + n_val + n_test > n) n_test = n - std::min(n, n_train + n_val);
+    const auto [n_train, n_val, n_test] =
+        stratified_class_counts(idx.size(), train_frac, val_frac, test_frac);
     std::size_t p = 0;
-    for (std::size_t k = 0; k < n_train && p < n; ++k) train_idx.push_back(idx[p++]);
-    for (std::size_t k = 0; k < n_val && p < n; ++k) val_idx.push_back(idx[p++]);
-    for (std::size_t k = 0; k < n_test && p < n; ++k) test_idx.push_back(idx[p++]);
+    for (std::size_t k = 0; k < n_train; ++k) train_idx.push_back(idx[p++]);
+    for (std::size_t k = 0; k < n_val; ++k) val_idx.push_back(idx[p++]);
+    for (std::size_t k = 0; k < n_test; ++k) test_idx.push_back(idx[p++]);
   }
   rng.shuffle(train_idx);
   rng.shuffle(val_idx);

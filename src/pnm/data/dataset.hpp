@@ -8,6 +8,7 @@
 /// Seeds).  This type carries either the synthetic analogs from
 /// pnm/data/synth.hpp or real CSV data loaded via pnm/data/csv.hpp.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -40,6 +41,13 @@ struct DataSplit {
   Dataset val;
   Dataset test;
 };
+
+/// How stratified_split divides one class of n samples: {train,
+/// validation, test} counts, each its fraction of n rounded to nearest and
+/// cut to what the earlier parts leave.  So a class feeds all three parts
+/// of a 0.6/0.2/0.2 split only from 4 samples up.
+std::array<std::size_t, 3> stratified_class_counts(std::size_t n, double train_frac,
+                                                   double val_frac, double test_frac);
 
 /// Stratified split: each class is partitioned with the same fractions so
 /// minority classes (the wines are heavily imbalanced) appear in all three

@@ -38,9 +38,12 @@ void SynthConfig::validate() const {
   }
   if (n_samples == 0) throw std::invalid_argument("SynthConfig: need samples");
   if (n_samples < 2 * n_classes) {
-    // The generator floors every class at 2 samples (a stratified split
-    // needs at least that); fewer requested samples would silently
-    // overshoot the budget instead of honoring it.
+    // The generator floors every class at 2 samples, so every class
+    // reaches the training split; fewer requested samples would silently
+    // overshoot the budget instead of honoring it.  (A class reaches the
+    // validation split from 3 samples and the test split from 4 up;
+    // ScenarioSpec::validate and MinimizationFlow::prepare refuse a
+    // dataset that leaves either empty.)
     throw std::invalid_argument(
         "SynthConfig: n_samples (" + std::to_string(n_samples) +
         ") must be >= 2 per class (" + std::to_string(2 * n_classes) + ")");
@@ -74,6 +77,26 @@ void SynthConfig::validate() const {
   }
 }
 
+std::vector<std::size_t> synth_class_counts(const SynthConfig& cfg) {
+  std::vector<double> w = cfg.class_weights;
+  if (w.empty()) w.assign(cfg.n_classes, 1.0);
+  double w_sum = 0.0;
+  for (double e : w) w_sum += e;  // finite and > 0 per validate()
+
+  std::vector<std::size_t> counts(cfg.n_classes, 0);
+  std::size_t assigned = 0;
+  for (std::size_t c = 0; c < cfg.n_classes; ++c) {
+    counts[c] = static_cast<std::size_t>(std::floor(cfg.n_samples * w[c] / w_sum));
+    counts[c] = std::max<std::size_t>(counts[c], 2);  // every class present
+    assigned += counts[c];
+  }
+  while (assigned < cfg.n_samples) {  // distribute the rounding remainder
+    counts[assigned % cfg.n_classes]++;
+    ++assigned;
+  }
+  return counts;
+}
+
 Dataset make_synthetic(const SynthConfig& cfg, Rng& rng) {
   cfg.validate();
 
@@ -105,25 +128,8 @@ Dataset make_synthetic(const SynthConfig& cfg, Rng& rng) {
     }
   }
 
-  // --- per-class sampling budget -----------------------------------------
-  std::vector<double> w = cfg.class_weights;
-  if (w.empty()) w.assign(cfg.n_classes, 1.0);
-  double w_sum = 0.0;
-  for (double e : w) w_sum += e;  // finite and > 0 per validate()
-
-  std::vector<std::size_t> counts(cfg.n_classes, 0);
-  std::size_t assigned = 0;
-  for (std::size_t c = 0; c < cfg.n_classes; ++c) {
-    counts[c] = static_cast<std::size_t>(std::floor(cfg.n_samples * w[c] / w_sum));
-    counts[c] = std::max<std::size_t>(counts[c], 2);  // every class present
-    assigned += counts[c];
-  }
-  while (assigned < cfg.n_samples) {  // distribute the rounding remainder
-    counts[assigned % cfg.n_classes]++;
-    ++assigned;
-  }
-
   // --- draw samples --------------------------------------------------------
+  const std::vector<std::size_t> counts = synth_class_counts(cfg);
   Dataset data;
   data.name = cfg.name;
   data.n_classes = cfg.n_classes;

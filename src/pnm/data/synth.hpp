@@ -49,12 +49,17 @@ struct SynthConfig {
   /// Rejects degenerate configurations with a precise error instead of
   /// letting them reach the generator as UB or a silently-wrong dataset:
   /// < 2 classes, 0 features, 0 clusters, fewer samples than the 2 per
-  /// class every stratified split needs, a class_weights arity mismatch,
-  /// negative / non-finite / overflowing weights, label_noise outside
-  /// [0, 1], and a negative or non-finite class_separation.
+  /// class the generator floors every class at, a class_weights arity
+  /// mismatch, negative / non-finite / overflowing weights, label_noise
+  /// outside [0, 1], and a negative or non-finite class_separation.
   /// \throws std::invalid_argument naming the offending field.
   void validate() const;
 };
+
+/// Samples make_synthetic draws per class, before label noise: each
+/// class's weighted share of n_samples rounded down and floored at 2, then
+/// the rounding remainder one sample at a time.  `cfg` must be valid.
+std::vector<std::size_t> synth_class_counts(const SynthConfig& cfg);
 
 /// Draws a dataset from the mixture described by cfg.
 /// \throws std::invalid_argument via SynthConfig::validate().

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "pnm/data/synth.hpp"
 
 namespace pnm {
@@ -184,6 +187,62 @@ TEST(Flow, AcceptsExternalDataset) {
   flow.prepare();
   EXPECT_EQ(flow.float_model().input_size(), 5U);
   EXPECT_GT(flow.float_test_accuracy(), 0.7);
+}
+
+TEST(Flow, PrepareRefusesAnEmptyValidationOrTestSplit) {
+  // The 0.6/0.2/0.2 split rounds per class: 3 samples split 2/1/0, so a
+  // 3-class set of 9 samples has no test sample.  prepare() must say so
+  // before training instead of training and then failing to score.
+  Dataset data;
+  data.name = "nine";
+  data.n_classes = 3;
+  for (std::size_t i = 0; i < 9; ++i) {
+    data.x.push_back({static_cast<double>(i), static_cast<double>(i % 3)});
+    data.y.push_back(i % 3);
+  }
+  MinimizationFlow flow(fast_config("nine"), data);
+  try {
+    flow.prepare();
+    FAIL() << "prepare() accepted a split with no test sample";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'nine' splits 6/3/0"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(flow.prepared());
+}
+
+/// Forwards to an inner evaluator and records every genome key asked of it.
+class RecordingEvaluator final : public Evaluator {
+ public:
+  explicit RecordingEvaluator(Evaluator& inner) : inner_(&inner) {}
+  DesignPoint evaluate(const Genome& genome) override {
+    keys.push_back(genome.key());
+    return inner_->evaluate(genome);
+  }
+  [[nodiscard]] std::string name() const override { return "recording"; }
+
+  std::vector<std::string> keys;
+
+ private:
+  Evaluator* inner_;
+};
+
+TEST(Flow, FrontReevaluationSeesEachGenomeOnce) {
+  auto& flow = seeds_flow();
+  GaConfig ga;
+  ga.population = 16;
+  ga.generations = 8;
+  ProxyEvaluator fitness = flow.proxy_evaluator(/*finetune_epochs=*/1);
+  NetlistEvaluator exact = flow.netlist_evaluator(/*finetune_epochs=*/1, true);
+  RecordingEvaluator front_eval(exact);
+  const auto outcome = flow.run_ga(fitness, front_eval, ga);
+
+  std::set<std::string> front_keys;
+  for (const auto& member : outcome.raw.front) front_keys.insert(member.genome.key());
+  ASSERT_LT(front_keys.size(), outcome.raw.front.size()) << "no copy on the final front";
+  const std::set<std::string> asked(front_eval.keys.begin(), front_eval.keys.end());
+  EXPECT_EQ(asked.size(), front_eval.keys.size()) << "a front genome was evaluated twice";
+  EXPECT_EQ(asked, front_keys);
 }
 
 TEST(Flow, SmallGaRunImprovesOnStandalonePoints) {

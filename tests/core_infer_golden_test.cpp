@@ -1,9 +1,10 @@
 /// Golden bit-exactness tests for the flat (CSR) quantized-inference
 /// engine: every output of the packed kernels — forward values, argmax
-/// predictions, Dataset accuracy, and the batched QuantizedDataset
-/// accuracy — must match the seed commit's dense implementation
-/// value-for-value, across random models, all four UCI datasets, and the
-/// truncation / ReLU / negative-bias edge cases.
+/// predictions, Dataset accuracy, and the blocked QuantizedDataset
+/// accuracy on the scalar and the dispatched kernel — must match the seed
+/// commit's dense implementation value-for-value, across random models,
+/// all four UCI datasets, and the truncation / ReLU / negative-bias edge
+/// cases.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,7 @@
 #include <cstdlib>
 #include <vector>
 
-#include "pnm/core/dense_reference.hpp"
+#include "dense_reference.hpp"
 #include "pnm/core/qmlp.hpp"
 #include "pnm/core/quantize.hpp"
 #include "pnm/data/scaler.hpp"
@@ -36,7 +37,6 @@ Mlp random_model(const std::vector<std::size_t>& topology, std::uint64_t seed,
 
 void expect_bit_identical(const QuantizedMlp& engine, const Dataset& data) {
   const DenseReferenceModel reference(engine);
-  const QuantizedDataset qdata = quantize_dataset(data, engine.input_bits());
   InferScratch scratch;
   for (std::size_t i = 0; i < data.size(); ++i) {
     const auto xq = quantize_input(data.x[i], engine.input_bits());
@@ -44,15 +44,17 @@ void expect_bit_identical(const QuantizedMlp& engine, const Dataset& data) {
     const auto seed_out = reference.forward(xq);
     const auto engine_out = engine.forward(xq);
     ASSERT_EQ(seed_out, engine_out) << "sample " << i;
-    // Pre-quantized flat buffer path.
-    ASSERT_EQ(engine.predict_quantized_into(qdata.sample(i), scratch),
-              reference.predict(data.x[i]))
+    // Allocation-free single-sample path.
+    ASSERT_EQ(engine.predict_quantized_into(xq, scratch), reference.predict(data.x[i]))
         << "sample " << i;
   }
-  // Both accuracy paths, value-for-value (not approximately).
+  // Both accuracy overloads, the blocked one on the scalar and the
+  // dispatched kernel, value-for-value (not approximately).
   const double seed_acc = reference.accuracy(data);
   ASSERT_EQ(engine.accuracy(data), seed_acc);
+  const QuantizedDataset qdata = quantize_dataset(data, engine.input_bits());
   ASSERT_EQ(engine.accuracy(qdata), seed_acc);
+  ASSERT_EQ(engine.accuracy(qdata, simd::Isa::kScalar), seed_acc);
 }
 
 TEST(InferGolden, RandomModelsOnAllFourDatasetsAreBitExact) {
@@ -76,10 +78,9 @@ TEST(InferGolden, RandomModelsOnAllFourDatasetsAreBitExact) {
 /// past the printed-scale defaults (4-10 hidden units), so the blocked
 /// multi-sample kernels cross block boundaries many times per layer and
 /// the accumulators see much longer dot products.  Every inference path —
-/// per-sample forward, flat-buffer predict, Dataset accuracy, blocked
-/// QuantizedDataset accuracy, and the explicit accuracy_blocked(isa)
-/// entry point — must still match the seed commit's dense reference
-/// value-for-value.
+/// per-sample forward and predict, Dataset accuracy, and the blocked
+/// QuantizedDataset accuracy on both kernels — must still match the seed
+/// commit's dense reference value-for-value.
 TEST(InferGolden, WideDeepTopologyIsBitExactOnAllPaths) {
   Dataset data = make_named_dataset("seeds", 31);
   MinMaxScaler scaler;
@@ -94,15 +95,6 @@ TEST(InferGolden, WideDeepTopologyIsBitExactOnAllPaths) {
     const QuantizedMlp engine =
         QuantizedMlp::from_float(model, QuantSpec::uniform(4, bits, 4));
     expect_bit_identical(engine, data);
-    // The explicit blocked entry point at the runtime-dispatched ISA must
-    // agree with the reference too (expect_bit_identical already covers
-    // the implicit blocked ride inside accuracy(qdata)).
-    const DenseReferenceModel reference(engine);
-    const QuantizedDataset qdata = quantize_dataset(data, engine.input_bits());
-    ASSERT_TRUE(qdata.has_blocked());
-    ASSERT_EQ(engine.accuracy_blocked(qdata, simd::active_isa()),
-              reference.accuracy(data))
-        << "bits " << bits;
   }
 }
 
@@ -188,6 +180,7 @@ TEST(InferGolden, QuantizedDatasetMatchesPerSampleQuantization) {
   MinMaxScaler scaler;
   scaler.fit(data);
   data = scaler.transform(data);
+  constexpr std::size_t kB = simd::kSampleBlock;
   for (int input_bits : {1, 4, 9}) {
     const QuantizedDataset qdata = quantize_dataset(data, input_bits);
     EXPECT_EQ(qdata.size(), data.size());
@@ -196,9 +189,10 @@ TEST(InferGolden, QuantizedDatasetMatchesPerSampleQuantization) {
     EXPECT_EQ(qdata.input_bits, input_bits);
     for (std::size_t i = 0; i < data.size(); ++i) {
       const auto expected = quantize_input(data.x[i], input_bits);
-      const auto row = qdata.sample(i);
-      ASSERT_EQ(std::vector<std::int64_t>(row.begin(), row.end()), expected)
-          << "sample " << i;
+      for (std::size_t f = 0; f < data.n_features(); ++f) {
+        ASSERT_EQ(qdata.block(i / kB)[f * kB + i % kB], expected[f])
+            << "sample " << i << " feature " << f;
+      }
       ASSERT_EQ(qdata.y[i], data.y[i]);
     }
   }

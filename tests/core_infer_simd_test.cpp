@@ -1,11 +1,12 @@
 /// Cross-engine bit-exactness tests for the multi-sample (sample-blocked)
 /// SIMD inference engine: for every compiled kernel (scalar fallback plus
 /// the native AVX2/NEON one when the machine has it), blocked forward
-/// values, blocked predictions, and batched accuracy must equal the PR-3
-/// single-sample engine value-for-value — across random models, all four
-/// UCI datasets, truncation shifts, edge layer widths, sample counts that
-/// are not a multiple of the block, and > 2^32 activations (which stress
-/// the 32-bit-halves multiply in the vector kernels).
+/// values, blocked predictions, and batched accuracy must equal the
+/// single-sample engine on each sample's quantize_input codes,
+/// value-for-value — across random models, all four UCI datasets,
+/// truncation shifts, edge layer widths, sample counts that are not a
+/// multiple of the block, and > 2^32 activations (which stress the
+/// 32-bit-halves multiply in the vector kernels).
 
 #include <gtest/gtest.h>
 
@@ -46,13 +47,15 @@ Mlp random_model(const std::vector<std::size_t>& topology, std::uint64_t seed,
 }
 
 /// Blocked forward/predict/accuracy through every available kernel ==
-/// single-sample engine, value for value.
-void expect_engines_agree(const QuantizedMlp& engine, const QuantizedDataset& qdata) {
-  ASSERT_TRUE(qdata.has_blocked());
+/// single-sample engine on quantize_input's codes, value for value.
+void expect_engines_agree(const QuantizedMlp& engine, const Dataset& data) {
+  const QuantizedDataset qdata = quantize_dataset(data, engine.input_bits());
+  std::vector<std::vector<std::int64_t>> codes;
+  for (const auto& x : data.x) codes.push_back(quantize_input(x, engine.input_bits()));
   const std::size_t classes = engine.output_size();
   InferScratch ss;
   BlockScratch bs;
-  std::size_t preds[kB];
+  std::size_t preds[kB] = {};
 
   for (const simd::Isa isa : available_isas()) {
     for (std::size_t b = 0; b < qdata.block_count(); ++b) {
@@ -61,7 +64,7 @@ void expect_engines_agree(const QuantizedMlp& engine, const QuantizedDataset& qd
       ASSERT_EQ(out.size(), classes * kB);
       for (std::size_t j = 0; j < lanes; ++j) {
         const std::size_t i = b * kB + j;
-        const auto ref = engine.forward_into(qdata.sample(i), ss);
+        const auto ref = engine.forward_into(codes[i], ss);
         for (std::size_t r = 0; r < classes; ++r) {
           ASSERT_EQ(out[r * kB + j], ref[r])
               << simd::isa_name(isa) << " sample " << i << " class " << r;
@@ -70,22 +73,41 @@ void expect_engines_agree(const QuantizedMlp& engine, const QuantizedDataset& qd
       engine.predict_block_into(qdata.block(b), lanes, bs, preds, isa);
       for (std::size_t j = 0; j < lanes; ++j) {
         const std::size_t i = b * kB + j;
-        ASSERT_EQ(preds[j], engine.predict_quantized_into(qdata.sample(i), ss))
+        ASSERT_EQ(preds[j], engine.predict_quantized_into(codes[i], ss))
             << simd::isa_name(isa) << " sample " << i;
       }
     }
   }
 
-  // Batched accuracy: the single-sample loop (forced by dropping the
-  // blocked layout) and every blocked engine agree exactly.
-  QuantizedDataset unblocked = qdata;
-  unblocked.xb.clear();
-  ASSERT_FALSE(unblocked.has_blocked());
-  const double acc_single = engine.accuracy(unblocked);
+  // Batched accuracy: every blocked engine agrees exactly with the
+  // single-sample predictions.
+  std::size_t correct = 0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    if (engine.predict_quantized_into(codes[i], ss) == data.y[i]) ++correct;
+  }
+  const double acc_single = static_cast<double>(correct) / static_cast<double>(data.size());
   EXPECT_EQ(engine.accuracy(qdata), acc_single);
   for (const simd::Isa isa : available_isas()) {
-    EXPECT_EQ(engine.accuracy_blocked(qdata, isa), acc_single) << simd::isa_name(isa);
+    EXPECT_EQ(engine.accuracy(qdata, isa), acc_single) << simd::isa_name(isa);
   }
+}
+
+/// Every input pair (a, b) in [0, 2^input_bits)^2 as a dataset whose
+/// quantize_input codes are exactly (a, b), labelled by `label`.
+Dataset code_grid(int input_bits, std::size_t (*label)(std::int64_t, std::int64_t)) {
+  const std::int64_t xmax = (std::int64_t{1} << input_bits) - 1;
+  const double qmax = static_cast<double>(xmax);
+  Dataset data;
+  data.name = "code-grid";
+  data.n_classes = 2;
+  for (std::int64_t a = 0; a <= xmax; ++a) {
+    for (std::int64_t b = 0; b <= xmax; ++b) {
+      data.x.push_back({static_cast<double>(a) / qmax, static_cast<double>(b) / qmax});
+      data.y.push_back(label(a, b));
+      EXPECT_EQ(quantize_input(data.x.back(), input_bits), (std::vector<std::int64_t>{a, b}));
+    }
+  }
+  return data;
 }
 
 Dataset scaled_named_dataset(const char* name, std::uint64_t seed) {
@@ -104,7 +126,7 @@ TEST(InferSimd, RandomModelsOnAllFourDatasetsMatchSingleSample) {
                                      ++seed, /*bias_span=*/0.5);
       const QuantizedMlp engine =
           QuantizedMlp::from_float(model, QuantSpec::uniform(2, bits, 4));
-      expect_engines_agree(engine, quantize_dataset(data, 4));
+      expect_engines_agree(engine, data);
     }
   }
 }
@@ -119,8 +141,7 @@ TEST(InferSimd, TruncationShiftsMatchSingleSample) {
                                    ++seed, /*bias_span=*/2.0);
     QuantSpec spec = QuantSpec::uniform(2, 6, 4);
     spec.acc_shift = {shift, shift};
-    expect_engines_agree(QuantizedMlp::from_float(model, spec),
-                         quantize_dataset(data, 4));
+    expect_engines_agree(QuantizedMlp::from_float(model, spec), data);
   }
 }
 
@@ -143,7 +164,7 @@ TEST(InferSimd, EdgeWidthsAndPartialTailBlocksMatchSingleSample) {
       Dataset subset = full;
       subset.x.assign(full.x.begin(), full.x.begin() + static_cast<std::ptrdiff_t>(n));
       subset.y.assign(full.y.begin(), full.y.begin() + static_cast<std::ptrdiff_t>(n));
-      expect_engines_agree(engine, quantize_dataset(subset, 4));
+      expect_engines_agree(engine, subset);
     }
   }
 }
@@ -171,20 +192,9 @@ TEST(InferSimd, LargeActivationsStressTheWideMultiply) {
     layers[1].acc_shift = shift;
     const QuantizedMlp engine = QuantizedMlp::from_layers(std::move(layers), 4);
 
-    QuantizedDataset qdata;
-    qdata.name = "wide-mul";
-    qdata.input_bits = 4;
-    qdata.n_features = 2;
-    qdata.n_classes = 2;
-    for (std::int64_t a = 0; a <= 15; ++a) {
-      for (std::int64_t b = 0; b <= 15; ++b) {
-        qdata.x.push_back(a);
-        qdata.x.push_back(b);
-        qdata.y.push_back(static_cast<std::size_t>((a + b) % 2));
-      }
-    }
-    qdata.build_blocked();
-    expect_engines_agree(engine, qdata);
+    expect_engines_agree(engine, code_grid(4, [](std::int64_t a, std::int64_t b) {
+                           return static_cast<std::size_t>((a + b) % 2);
+                         }));
   }
 }
 
@@ -206,20 +216,9 @@ TEST(InferSimd, FullyPrunedRowsMatchSingleSample) {
   const QuantizedMlp engine =
       QuantizedMlp::from_layers({std::move(l1), std::move(l2)}, 3);
 
-  QuantizedDataset qdata;
-  qdata.name = "pruned";
-  qdata.input_bits = 3;
-  qdata.n_features = 2;
-  qdata.n_classes = 2;
-  for (std::int64_t a = 0; a <= 7; ++a) {
-    for (std::int64_t b = 0; b <= 7; ++b) {
-      qdata.x.push_back(a);
-      qdata.x.push_back(b);
-      qdata.y.push_back(static_cast<std::size_t>(a % 2));
-    }
-  }
-  qdata.build_blocked();
-  expect_engines_agree(engine, qdata);
+  expect_engines_agree(engine, code_grid(3, [](std::int64_t a, std::int64_t) {
+                         return static_cast<std::size_t>(a % 2);
+                       }));
 }
 
 TEST(InferSimd, BlockedLayoutRoundTripsAndTailIsZero) {
@@ -228,11 +227,12 @@ TEST(InferSimd, BlockedLayoutRoundTripsAndTailIsZero) {
   subset.x.resize(kB + 3);  // forces a partial tail block
   subset.y.resize(kB + 3);
   const QuantizedDataset q = quantize_dataset(subset, 4);
-  ASSERT_TRUE(q.has_blocked());
   ASSERT_EQ(q.block_count(), 2u);
+  ASSERT_EQ(q.xb.size(), 2 * q.n_features * kB);
   for (std::size_t i = 0; i < q.size(); ++i) {
+    const auto expected = quantize_input(subset.x[i], 4);
     for (std::size_t f = 0; f < q.n_features; ++f) {
-      ASSERT_EQ(q.block(i / kB)[f * kB + i % kB], q.x[i * q.n_features + f]);
+      ASSERT_EQ(q.block(i / kB)[f * kB + i % kB], expected[f]);
     }
   }
   // Tail lanes are zero-filled.
@@ -263,7 +263,7 @@ TEST(InferSimd, DispatchReportsAvailabilityHonestly) {
     const Mlp model = random_model({data.n_features(), 4, data.n_classes}, 5, 0.2);
     const QuantizedMlp engine =
         QuantizedMlp::from_float(model, QuantSpec::uniform(2, 4, 4));
-    EXPECT_THROW((void)engine.accuracy_blocked(quantize_dataset(data, 4), isa),
+    EXPECT_THROW((void)engine.accuracy(quantize_dataset(data, 4), isa),
                  std::invalid_argument);
   }
 }

@@ -67,6 +67,21 @@ TEST(ScenarioSpec, Validation) {
   spec.datasets = {"synth:f8:c3:n600:sep2:ord0:k1:ln0.05",
                    "synth:f8:c3:n600:sep2:ord0:k1:ln0.1"};
   EXPECT_NO_THROW(spec.validate());
+  // The 0.6/0.2/0.2 split rounds per class: 2 samples split 1/0/0 and 3
+  // split 2/1/0, so with no class of 4 validation or test stays empty and
+  // every cell would train, then throw.  One large class fills both.
+  for (const char* tiny : {"synth:f4:c3:n6:sep2:ord0:k1:ln0",
+                           "synth:f4:c3:n9:sep2:ord0:k1:ln0",
+                           "synth:f4:c3:n8:sep2:ord0:k1:ln0:w1+1+1"}) {
+    spec.datasets = {tiny};
+    EXPECT_THROW(spec.validate(), std::invalid_argument) << tiny;
+  }
+  for (const char* enough : {"synth:f4:c3:n12:sep2:ord0:k1:ln0",
+                             "synth:f4:c3:n10:sep2:ord0:k1:ln0",
+                             "synth:f4:c3:n11:sep2:ord0:k1:ln0:w10+1+1"}) {
+    spec.datasets = {enough};
+    EXPECT_NO_THROW(spec.validate()) << enough;
+  }
   spec = tiny_spec();
   spec.topologies = {};
   EXPECT_THROW(spec.validate(), std::invalid_argument);

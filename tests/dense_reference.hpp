@@ -1,5 +1,5 @@
-#ifndef PNM_CORE_DENSE_REFERENCE_HPP
-#define PNM_CORE_DENSE_REFERENCE_HPP
+#ifndef PNM_TESTS_DENSE_REFERENCE_HPP
+#define PNM_TESTS_DENSE_REFERENCE_HPP
 
 /// \file dense_reference.hpp
 /// \brief The seed commit's dense quantized-inference implementation,
@@ -84,4 +84,4 @@ struct DenseReferenceModel {
 
 }  // namespace pnm
 
-#endif  // PNM_CORE_DENSE_REFERENCE_HPP
+#endif  // PNM_TESTS_DENSE_REFERENCE_HPP
