@@ -6,18 +6,30 @@
 ///
 /// This is the bridge from this library to a commercial flow (the paper's
 /// Synopsys step): simulate <prefix>.v together with <prefix>_tb.v in any
-/// Verilog simulator and it prints "PASS: all N vectors".
+/// Verilog simulator and it prints "PASS: all N vectors".  A weight width
+/// that is not an integer in [2, 16] prints an `error:` line and exits 1.
 
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 
 #include "pnm/pnm.hpp"
+#include "pnm/util/fileio.hpp"
 
 int main(int argc, char** argv) {
   using namespace pnm;
   const std::string dataset = argc > 1 ? argv[1] : "seeds";
-  const int bits = argc > 2 ? std::atoi(argv[2]) : 4;
+  int bits = 4;
+  if (argc > 2) {
+    const std::optional<std::size_t> v = parse_size_strict(argv[2]);
+    if (!v || *v < 2 || *v > 16) {
+      std::cerr << "error: weight_bits: expected an integer in [2, 16], got '" << argv[2]
+                << "'\n";
+      return EXIT_FAILURE;
+    }
+    bits = static_cast<int>(*v);
+  }
   const std::string prefix = argc > 3 ? argv[3] : "pnm_" + dataset;
 
   FlowConfig config;

@@ -8,23 +8,50 @@
 /// the Pareto front, selects the design with the best area among those
 /// within 2% of the front's peak accuracy, cross-checks its gate-level
 /// netlist against the integer golden model, and writes the Verilog.
+/// A population or generation count that is not all digits, a population
+/// below 4 or 0 generations prints an `error:` line and exits 1.
 
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
 
 #include "pnm/core/flow.hpp"
 #include "pnm/core/quantize.hpp"
 #include "pnm/hw/report.hpp"
 #include "pnm/hw/verilog.hpp"
+#include "pnm/util/fileio.hpp"
 #include "pnm/util/table.hpp"
+
+namespace {
+
+/// argv[i] parsed strictly as a count, or `fallback` when it is absent.
+/// \throws std::invalid_argument unless argv[i] is all digits and fits.
+std::size_t count_arg(int argc, char** argv, int i, std::size_t fallback, const char* what) {
+  if (argc <= i) return fallback;
+  const std::optional<std::size_t> v = pnm::parse_size_strict(argv[i]);
+  if (!v) {
+    throw std::invalid_argument(std::string(what) + ": expected a non-negative integer, got '" +
+                                argv[i] + "'");
+  }
+  return *v;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace pnm;
   const std::string dataset = argc > 1 ? argv[1] : "seeds";
   GaConfig ga;
-  ga.population = argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 24;
-  ga.generations = argc > 3 ? static_cast<std::size_t>(std::atoi(argv[3])) : 12;
+  try {
+    ga.population = count_arg(argc, argv, 2, 24, "population");
+    ga.generations = count_arg(argc, argv, 3, 12, "generations");
+    ga.validate();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return EXIT_FAILURE;
+  }
   const std::string out_path = argc > 4 ? argv[4] : "pnm_best_design.v";
 
   FlowConfig config;

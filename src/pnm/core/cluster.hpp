@@ -12,10 +12,17 @@
 /// multipliers no matter how many neurons the layer has.  Clustering is
 /// 1-D k-means per column (k-means++ seeding, Lloyd iterations), with the
 /// assignment kept so fine-tuning can keep cluster members tied together
-/// (gradient averaging via a Trainer projector, as in Deep Compression).
+/// (each group re-averaged after every step, as in Deep Compression: the
+/// GA compiles the groups into Trainer::fit_live's live layout; project()
+/// does the same through a Trainer projector).
 ///
-/// Zero weights are pinned to a dedicated zero cluster so clustering never
-/// resurrects pruned connections (composition with §II-B).
+/// Zero weights are pinned to a dedicated zero group per pool (composition
+/// with §II-B): when every zero of a pool is a pruned weight, the group
+/// averages zeros and pruned connections stay pruned.  Zeros the prune mask
+/// keeps (exact zeros of the trained model) join the same group, though.
+/// Fine-tuning then moves them off zero, and projecting the group writes
+/// their mean into its pruned members too, so PruneMask::satisfied_by
+/// fails after the fine-tune.
 
 #include <vector>
 

@@ -1,5 +1,7 @@
 #include "pnm/core/eval.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -21,6 +23,66 @@ std::vector<DesignPoint> Evaluator::evaluate_batch(std::span<const Genome> genom
 }
 
 // ---- PipelineEvaluator --------------------------------------------------
+
+namespace {
+
+/// Compiles a genome's constraints into the trainer's live layout
+/// (nn/trainer.hpp).  A weight is live when the mask keeps it, or when a
+/// tie group holding a live weight holds it too: projecting that group
+/// writes a mean into it after every step.  Every other weight is +0.0
+/// after prune + cluster, the mask keeps it +0.0, and each group it sits
+/// in averages only +0.0s, so dropping it changes no bit.
+LiveLayout compile_live_layout(const Mlp& model, const PruneMask& mask,
+                               const ClusterAssignment& clusters,
+                               const std::vector<int>& weight_bits) {
+  LiveLayout live(model.layer_count());
+  for (std::size_t li = 0; li < live.size(); ++li) {
+    const auto& keep = mask.layer_mask(li);
+    const auto& groups = clusters.layer_groups(li);
+    std::vector<std::uint8_t> is_live(keep.begin(), keep.end());
+    for (bool grew = true; grew;) {
+      grew = false;
+      for (const auto& group : groups) {
+        if (std::none_of(group.members.begin(), group.members.end(),
+                         [&](std::size_t i) { return is_live.at(i) != 0; })) {
+          continue;
+        }
+        for (const std::size_t i : group.members) {
+          if (is_live.at(i) == 0) {
+            is_live[i] = 1;
+            grew = true;
+          }
+        }
+      }
+    }
+
+    LiveLayer& layer = live[li];
+    const std::size_t rows = model.layer(li).out_features();
+    const std::size_t cols = model.layer(li).in_features();
+    std::vector<std::size_t> position(is_live.size());
+    layer.row_begin.push_back(0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const std::size_t i = r * cols + c;
+        if (is_live[i] == 0) continue;
+        position[i] = layer.size();
+        if (keep[i] == 0) layer.rezero.push_back(layer.size());
+        layer.index.push_back(i);
+        layer.col.push_back(c);
+      }
+      layer.row_begin.push_back(layer.size());
+    }
+    for (const auto& group : groups) {
+      if (group.members.empty() || is_live[group.members.front()] == 0) continue;
+      std::vector<std::size_t>& tie = layer.ties.emplace_back();
+      for (const std::size_t i : group.members) tie.push_back(position[i]);
+    }
+    layer.weight_bits = weight_bits[li];
+  }
+  return live;
+}
+
+}  // namespace
 
 PipelineEvaluator::PipelineEvaluator(const Mlp& model, const DataSplit& split,
                                      const hw::TechLibrary& tech, EvalConfig config)
@@ -49,14 +111,15 @@ Mlp PipelineEvaluator::minimize_float(const Genome& genome) const {
   for (std::size_t li = 0; li < n_layers; ++li) {
     sparsity[li] = static_cast<double>(genome.sparsity_pct[li]) / 100.0;
   }
-  PruneMask mask = magnitude_prune_per_layer(candidate, sparsity);
+  const PruneMask mask = magnitude_prune_per_layer(candidate, sparsity);
 
-  // 2. Cluster (zeros pinned, so pruning survives).
-  ClusterAssignment clusters =
+  // 2. Cluster (zeros pinned as one group per pool).
+  const ClusterAssignment clusters =
       cluster_weights(candidate, genome.clusters, rng, config_.cluster_scope);
 
   // 3. Fine-tune with all constraints live: STE quantization in the
-  //    forward pass, mask + cluster ties re-imposed after each step.
+  //    forward pass, mask + cluster ties re-imposed after each step, over
+  //    only the weights those constraints leave live.
   if (config_.finetune_epochs > 0) {
     TrainConfig ft = config_.train;
     ft.epochs = config_.finetune_epochs;
@@ -65,16 +128,12 @@ Mlp PipelineEvaluator::minimize_float(const Genome& genome) const {
     QuantSpec spec;
     spec.weight_bits = genome.weight_bits;
     spec.input_bits = config_.input_bits;
+    spec.validate(n_layers);
     // NOTE: the QAT view models weight quantization only; accumulator
     // truncation is applied post-hoc by the integer model (like the paper
     // applies its approximations after training).
-    trainer.set_weight_view(make_qat_view(spec));
-    trainer.set_projector([mask = std::move(mask), clusters = std::move(clusters)](Mlp& m) {
-      mask.apply(m);
-      clusters.project(m);
-    });
-    trainer.fit_validated(candidate, split_->train, rng);
-    // The projector ran after each step, so both constraints hold here.
+    trainer.fit_live(candidate, split_->train, rng,
+                     compile_live_layout(candidate, mask, clusters, spec.weight_bits));
   }
   return candidate;
 }

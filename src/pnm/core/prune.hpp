@@ -9,8 +9,10 @@
 /// chain loses an operand, so sparsity converts 1:1 into removed hardware
 /// (no index/decompression logic as in programmable accelerators).  The
 /// paper explores 20-60 % sparsity with fine-tuning; the mask is kept and
-/// re-imposed through a Trainer projector so fine-tuning cannot resurrect
-/// pruned weights.
+/// re-imposed after every fine-tuning step (the GA compiles it into
+/// Trainer::fit_live's live layout; a Trainer projector does the same), so
+/// fine-tuning cannot resurrect pruned weights, unless a clustering tie
+/// group writes its mean into them (core/cluster.hpp).
 
 #include <vector>
 

@@ -35,12 +35,21 @@ void QuantSpec::validate(std::size_t n_layers) const {
   }
 }
 
-double quantization_scale(const Matrix& w, int bits) {
+namespace {
+
+/// The one QAT scale rule: the weights' largest magnitude over the largest
+/// code, 2^(bits-1) - 1, and 0 for weights that are all zero.
+double scale_for(double amax, int bits) {
   if (bits < 2 || bits > 16) throw std::invalid_argument("quantization_scale: bad bits");
-  const double amax = w.abs_max();
   if (amax == 0.0) return 0.0;
   const double qmax = static_cast<double>((1 << (bits - 1)) - 1);
   return amax / qmax;
+}
+
+}  // namespace
+
+double quantization_scale(const Matrix& w, int bits) {
+  return scale_for(w.abs_max(), bits);
 }
 
 std::vector<int> quantize_codes(const Matrix& w, int bits, double scale) {
@@ -62,20 +71,24 @@ Matrix fake_quantize(const Matrix& w, int bits) {
 }
 
 void fake_quantize_into(const Matrix& w, int bits, Matrix& out) {
-  const double scale = quantization_scale(w, bits);
   if (out.rows() != w.rows() || out.cols() != w.cols()) {
     out = Matrix(w.rows(), w.cols());
   }
+  fake_quantize_values(w.data(), out.data(), w.size(), bits);
+}
+
+void fake_quantize_values(const double* w, double* out, std::size_t n, int bits) {
+  const auto& kernels = simd::dense_kernels();
+  const double scale = scale_for(kernels.abs_max(w, n), bits);
   if (scale == 0.0) {
-    out.fill(0.0);
+    std::fill(out, out + n, 0.0);
     return;
   }
   // Fused quantize_codes + rescale: identical element arithmetic
   // (clamp(llround(w/scale)) * scale), no temporary code vector, through
   // the vectorized kernel's exact inline rounding instead of libm.
   const int qmax = (1 << (bits - 1)) - 1;
-  simd::dense_kernels().fake_quantize(w.data(), out.data(), w.size(), scale,
-                                      static_cast<double>(qmax));
+  kernels.fake_quantize(w, out, n, scale, static_cast<double>(qmax));
 }
 
 void fake_quantize_mlp(const Mlp& master, Mlp& view, const QuantSpec& spec) {

@@ -72,6 +72,16 @@ Matrix fake_quantize(const Matrix& w, int bits);
 /// to fake_quantize.
 void fake_quantize_into(const Matrix& w, int bits, Matrix& out);
 
+/// Fake quantization of the n weights at `w` into `out` (which may alias
+/// `w`), at the scale quantization_scale gives a matrix of exactly these
+/// weights: every output is +0.0 when their largest magnitude is 0.  Runs
+/// through the kernel table's abs_max and fake_quantize, so a layer whose
+/// other weights are all +0.0 gets, at these weights, the same bits as
+/// fake_quantize_into of the whole layer — how Trainer::fit_live
+/// (nn/trainer.hpp) views only a layer's live weights.
+/// \throws std::invalid_argument when bits is outside [2, 16].
+void fake_quantize_values(const double* w, double* out, std::size_t n, int bits);
+
 /// Applies fake quantization to every layer of `view` per the spec.
 void fake_quantize_mlp(const Mlp& master, Mlp& view, const QuantSpec& spec);
 

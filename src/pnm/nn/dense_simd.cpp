@@ -91,23 +91,49 @@ inline double sum8(const double* p) {
   return (q0 + q1) + (q2 + q3);
 }
 
+// One bias gradient and one weight gradient in the documented order: each
+// block's sum8, summed from +0.0 in block order, then scaled.  Both
+// gradient kernels store exactly these.
+double bias_grad(const double* delta, unsigned long r, unsigned long rows,
+                 unsigned long blocks, double s) {
+  double g = 0.0;
+  for (unsigned long b = 0; b < blocks; ++b) g += sum8(delta + (b * rows + r) * kB);
+  return g * s;
+}
+
+double weight_grad(const double* delta, const double* in, unsigned long r,
+                   unsigned long c, unsigned long rows, unsigned long cols,
+                   unsigned long blocks, double s) {
+  double acc = 0.0;
+  for (unsigned long b = 0; b < blocks; ++b) {
+    const double* dv = delta + (b * rows + r) * kB;
+    const double* xv = in + (b * cols + c) * kB;
+    double p[kB];
+    for (unsigned long j = 0; j < kB; ++j) p[j] = dv[j] * xv[j];
+    acc += sum8(p);
+  }
+  return acc * s;
+}
+
 void layer_grad_scalar(const double* delta, const double* in, double* gw,
                        double* gb, unsigned long rows, unsigned long cols,
                        unsigned long blocks, double s) {
   for (unsigned long r = 0; r < rows; ++r) {
-    double g = 0.0;
-    for (unsigned long b = 0; b < blocks; ++b) g += sum8(delta + (b * rows + r) * kB);
-    gb[r] = g * s;
+    gb[r] = bias_grad(delta, r, rows, blocks, s);
     for (unsigned long c = 0; c < cols; ++c) {
-      double acc = 0.0;
-      for (unsigned long b = 0; b < blocks; ++b) {
-        const double* dv = delta + (b * rows + r) * kB;
-        const double* xv = in + (b * cols + c) * kB;
-        double p[kB];
-        for (unsigned long j = 0; j < kB; ++j) p[j] = dv[j] * xv[j];
-        acc += sum8(p);
-      }
-      gw[r * cols + c] = acc * s;
+      gw[r * cols + c] = weight_grad(delta, in, r, c, rows, cols, blocks, s);
+    }
+  }
+}
+
+void layer_grad_live_scalar(const double* delta, const double* in, double* gw,
+                            double* gb, unsigned long rows, unsigned long cols,
+                            unsigned long blocks, double s,
+                            const unsigned long* row_begin, const unsigned long* col) {
+  for (unsigned long r = 0; r < rows; ++r) {
+    gb[r] = bias_grad(delta, r, rows, blocks, s);
+    for (unsigned long k = row_begin[r]; k < row_begin[r + 1]; ++k) {
+      gw[k] = weight_grad(delta, in, r, col[k], rows, cols, blocks, s);
     }
   }
 }
@@ -207,6 +233,7 @@ constexpr DenseKernels kScalarKernels = {
     .gather = gather_scalar,
     .layer_fwd = layer_fwd_scalar,
     .layer_grad = layer_grad_scalar,
+    .layer_grad_live = layer_grad_live_scalar,
     .layer_back = layer_back_scalar,
     .softmax_xent = softmax_xent_scalar,
     .fake_quantize = fake_quantize_scalar,

@@ -97,6 +97,18 @@ struct DenseKernels {
   void (*layer_grad)(const double* delta, const double* in, double* gw,
                      double* gb, unsigned long rows, unsigned long cols,
                      unsigned long blocks, double s);
+  /// layer_grad over a layer's live weights only (Trainer::fit_live), with
+  /// the weight gradients stored packed.  Live weight k sits in row r when
+  /// row_begin[r] <= k < row_begin[r+1] (rows + 1 ascending offsets from
+  /// row_begin[0] = 0), in column col[k] < cols; a row may hold any number
+  /// of them, none included.  Stores, for every live k and every row r,
+  ///   gw[k] = layer_grad's gw[r*cols + col[k]],  gb[r] = layer_grad's gb[r]
+  /// bit for bit: the same canonical sum8 per block, summed from +0.0 in
+  /// block order, then scaled by s.
+  void (*layer_grad_live)(const double* delta, const double* in, double* gw,
+                          double* gb, unsigned long rows, unsigned long cols,
+                          unsigned long blocks, double s,
+                          const unsigned long* row_begin, const unsigned long* col);
   /// Backward (transposed) pass over `blocks` SoA blocks (delta: rows
   /// wide, prev: cols wide), overwriting prev:
   ///   prev[c*8+j] = 0.0 + sum_r w[r*cols+c] * delta[r*8+j]

@@ -206,6 +206,89 @@ void layer_grad_avx2(const double* delta, const double* in, double* gw,
   }
 }
 
+/// The canonical sum8 of two columns at once: hadd pairs their chains into
+/// (q0+q1, q2+q3) per column, interleaved, and adding the two 128-bit
+/// halves is the scalar tree's final add for each.
+inline __m128d sum8x2_avx2(__m256d q0, __m256d q1) {
+  const __m256d h = _mm256_hadd_pd(q0, q1);
+  return _mm_add_pd(_mm256_castpd256_pd128(h), _mm256_extractf128_pd(h, 1));
+}
+
+/// The chains q_j = p_j + p_{j+4} of one block's products for the column
+/// whose 8 lanes start at x.
+inline __m256d chains(__m256d d_lo, __m256d d_hi, const double* x) {
+  return _mm256_add_pd(_mm256_mul_pd(d_lo, _mm256_loadu_pd(x)),
+                       _mm256_mul_pd(d_hi, _mm256_loadu_pd(x + 4)));
+}
+
+/// layer_grad_avx2 over arbitrary live columns: each row's live weights
+/// go four at a time through sum8x4, then two at a time through sum8x2,
+/// then one through sum8_avx2 — the same per-column tree, and the same
+/// block-order sum from +0.0 and final scaling, as layer_grad_avx2.
+void layer_grad_live_avx2(const double* delta, const double* in, double* gw,
+                          double* gb, unsigned long rows, unsigned long cols,
+                          unsigned long blocks, double s,
+                          const unsigned long* row_begin, const unsigned long* col) {
+  const unsigned long dstride = rows * kB;
+  const unsigned long xstride = cols * kB;
+  const __m256d sv = _mm256_set1_pd(s);
+  for (unsigned long r = 0; r < rows; ++r) {
+    const double* dr = delta + r * kB;
+    double g = 0.0;
+    for (unsigned long b = 0; b < blocks; ++b) {
+      const double* dv = dr + b * dstride;
+      g += sum8_avx2(_mm256_loadu_pd(dv), _mm256_loadu_pd(dv + 4));
+    }
+    gb[r] = g * s;
+    unsigned long k = row_begin[r];
+    const unsigned long end = row_begin[r + 1];
+    for (; k + 4 <= end; k += 4) {
+      const double* x0 = in + col[k] * kB;
+      const double* x1 = in + col[k + 1] * kB;
+      const double* x2 = in + col[k + 2] * kB;
+      const double* x3 = in + col[k + 3] * kB;
+      __m256d acc = _mm256_setzero_pd();
+      for (unsigned long b = 0; b < blocks; ++b) {
+        const double* dv = dr + b * dstride;
+        const __m256d d_lo = _mm256_loadu_pd(dv);
+        const __m256d d_hi = _mm256_loadu_pd(dv + 4);
+        const unsigned long at = b * xstride;
+        acc = _mm256_add_pd(acc, sum8x4_avx2(chains(d_lo, d_hi, x0 + at),
+                                             chains(d_lo, d_hi, x1 + at),
+                                             chains(d_lo, d_hi, x2 + at),
+                                             chains(d_lo, d_hi, x3 + at)));
+      }
+      _mm256_storeu_pd(gw + k, _mm256_mul_pd(acc, sv));
+    }
+    if (k + 2 <= end) {
+      const double* x0 = in + col[k] * kB;
+      const double* x1 = in + col[k + 1] * kB;
+      __m128d acc = _mm_setzero_pd();
+      for (unsigned long b = 0; b < blocks; ++b) {
+        const double* dv = dr + b * dstride;
+        const __m256d d_lo = _mm256_loadu_pd(dv);
+        const __m256d d_hi = _mm256_loadu_pd(dv + 4);
+        const unsigned long at = b * xstride;
+        acc = _mm_add_pd(acc, sum8x2_avx2(chains(d_lo, d_hi, x0 + at),
+                                          chains(d_lo, d_hi, x1 + at)));
+      }
+      _mm_storeu_pd(gw + k, _mm_mul_pd(acc, _mm256_castpd256_pd128(sv)));
+      k += 2;
+    }
+    if (k < end) {
+      const double* x0 = in + col[k] * kB;
+      double acc = 0.0;
+      for (unsigned long b = 0; b < blocks; ++b) {
+        const double* dv = dr + b * dstride;
+        const double* xv = x0 + b * xstride;
+        acc += sum8_avx2(_mm256_mul_pd(_mm256_loadu_pd(dv), _mm256_loadu_pd(xv)),
+                         _mm256_mul_pd(_mm256_loadu_pd(dv + 4), _mm256_loadu_pd(xv + 4)));
+      }
+      gw[k] = acc * s;
+    }
+  }
+}
+
 /// C consecutive columns of one block's backward pass: 2C independent
 /// chains, each summed over r ascending from +0.0.
 template <unsigned long C>
@@ -434,6 +517,7 @@ const DenseKernels& dense_kernels_avx2() {
       .gather = gather_avx2,
       .layer_fwd = layer_fwd_avx2,
       .layer_grad = layer_grad_avx2,
+      .layer_grad_live = layer_grad_live_avx2,
       .layer_back = layer_back_avx2,
       .softmax_xent = softmax_xent_avx2,
       .fake_quantize = fake_quantize_avx2,

@@ -13,6 +13,12 @@
 ///    constraint on the master weights: pruning masks re-zero pruned
 ///    connections, clustering re-averages each cluster to a shared value.
 ///
+/// The GA's fine-tune (core/eval.hpp) does not set these callbacks: it
+/// compiles a genome's prune mask and cluster ties once into a LiveLayout
+/// and runs Trainer::fit_live, the same loop over only the weights those
+/// constraints leave live, bit for bit what fit gives with the QAT view
+/// and the mask + ties projector.
+///
 /// Every program trains with one recipe: Adam on the softmax
 /// cross-entropy of the output logits, over shuffled minibatches of
 /// kTrainBatch at a constant learning rate.  TrainConfig sets only the
@@ -34,9 +40,38 @@ namespace pnm {
 /// the same change.
 inline constexpr const char* kFinetuneMath = "fast-blocked";
 
+/// One layer's live weights: the weights a constrained fine-tune changes
+/// (Trainer::fit_live).  The mask keeps a live weight, or prunes it while
+/// its tie group also holds a live weight, so projecting the group writes
+/// a mean into it after every step.  Every other weight is +0.0 in the
+/// master and in the QAT view for the whole fine-tune, and feeds nothing
+/// that reaches a live weight.  Live weight k is position k of the layer's
+/// packed arrays, in row-major order.
+struct LiveLayer {
+  std::vector<std::size_t> index;  ///< dense row-major index of each, ascending
+  std::vector<std::size_t> col;    ///< column of each
+  /// rows + 1 offsets: row r holds positions [row_begin[r], row_begin[r+1]).
+  std::vector<std::size_t> row_begin;
+  /// Positions of the pruned live weights, set to +0.0 after every step
+  /// before the ties are projected (PruneMask::apply).
+  std::vector<std::size_t> rezero;
+  /// Tie groups over live positions in member order, each set to its
+  /// members' mean after every step (ClusterAssignment::project).  Groups
+  /// without a live member average +0.0s into +0.0 and are left out.
+  std::vector<std::vector<std::size_t>> ties;
+  int weight_bits = 0;  ///< bit width of the layer's QAT view (core/quantize.hpp)
+
+  [[nodiscard]] std::size_t size() const { return index.size(); }
+};
+
+/// A network's live weights, one LiveLayer per layer.
+using LiveLayout = std::vector<LiveLayer>;
+
 /// Gradients of the loss w.r.t. one network's parameters.
 struct Gradients {
-  std::vector<Matrix> w;                 ///< same shapes as the layers' weights
+  /// Same shapes as the layers' weights, or, for a fine-tune over a
+  /// LiveLayout, one row of each layer's packed live weights.
+  std::vector<Matrix> w;
   std::vector<std::vector<double>> b;    ///< same shapes as the biases
 
   /// Allocates zero gradients shaped like the model.
@@ -71,7 +106,8 @@ struct BlockBackpropScratch {
 /// bit as summing one-block calls from +0.0 in block order, on every
 /// kernel table.  The per-sample and libm-softmax references it is gated
 /// against (accuracy-neutral, not bit-identical) live in
-/// tests/trainer_reference.hpp.
+/// tests/trainer_reference.hpp.  Trainer::fit_live runs it with each
+/// partly live layer's weight gradient stored packed by layer_grad_live.
 /// \throws std::invalid_argument when a label is not below the model's
 ///         output width.
 void backprop_minibatch(const Mlp& model, const Dataset& train, const std::size_t* idx,
@@ -111,6 +147,10 @@ class Trainer {
   explicit Trainer(TrainConfig config);
 
   void set_weight_view(WeightView view) { view_ = std::move(view); }
+  /// No program fine-tunes through a projector: the GA compiles its mask
+  /// and ties into fit_live.  This callback path is the reference that
+  /// fit_live is held to, bit for bit: the tests
+  /// (tests/trainer_reference.hpp) and perfbench's stage replay drive it.
   void set_projector(Projector projector) { projector_ = std::move(projector); }
 
   /// Trains `model` in place. Deterministic given rng.  Every call starts
@@ -126,20 +166,37 @@ class Trainer {
  private:
   // PipelineEvaluator (core/eval.hpp) validates its training split once,
   // when it is built, and fine-tunes every genome on that split without
-  // repeating the O(samples x features) Dataset::validate scan: fit()
-  // minus that scan, with every other check kept.
+  // repeating the O(samples x features) Dataset::validate scan.
   friend class PipelineEvaluator;
-  void fit_validated(Mlp& model, const Dataset& train, Rng& rng);
 
-  void reset_optimizer(const Mlp& model);
-  void apply_update(Mlp& model, const Gradients& grads);
+  /// fit() with the QAT view and the mask + ties projector that `live`
+  /// was compiled from, over the live weights only: master weights, Adam's
+  /// moments and the weight gradient are packed arrays of live weights;
+  /// the view quantizes only them (fake_quantize_values) into a dense view
+  /// whose other weights stay +0.0; forward and backward run on that view
+  /// unchanged; the projector zeroes `rezero`, then averages `ties`; at
+  /// the end the model gets the live weights and +0.0 everywhere else.
+  /// `live` must describe the model's layers as PipelineEvaluator compiles
+  /// it, right after prune + cluster, while every weight outside it is
+  /// zero.  The model then ends bit for bit as fit() with those callbacks
+  /// leaves it.  Ignores set_weight_view and set_projector, and skips
+  /// Dataset::validate: the caller has validated `train`.
+  /// \throws std::invalid_argument on fit()'s shape checks, or when `live`
+  ///         has another layer count than the model.
+  void fit_live(Mlp& model, const Dataset& train, Rng& rng, const LiveLayout& live);
+
+  /// Zeroes Adam's moments, sized like `grads`.
+  void reset_optimizer(const Gradients& grads);
+  /// One Adam step over every layer: weights[li], the layer's master
+  /// weights (dense, or packed live ones), with grads.w[li] of the same
+  /// length, and the layer's bias.
+  void apply_update(const std::vector<double*>& weights, Mlp& model, const Gradients& grads);
 
   TrainConfig config_;
   WeightView view_;
   Projector projector_;
-  // Adam's moments, zeroed and sized to the model at the start of fit().
-  std::vector<Matrix> m_w_, v_w_;
-  std::vector<std::vector<double>> m_b_, v_b_;
+  // Adam's moments, zeroed and sized like the gradients at the start of a fit.
+  std::vector<std::vector<double>> m_w_, v_w_, m_b_, v_b_;
   long step_ = 0;
 };
 

@@ -244,6 +244,54 @@ TEST(DenseSimd, MinibatchLayerKernelsFollowDocumentedOrder) {
   }
 }
 
+/// The live-column gradient stores, on every table, that table's
+/// layer_grad elements at the live weights, packed, and its bias
+/// gradients: row r of a layer holds r live columns at random positions,
+/// so row lengths run from 0 to cols, through every partial 4-wide and
+/// 2-wide group.
+TEST(DenseSimd, LiveColumnGradientEqualsLayerGradOnEveryTable) {
+  std::vector<const simd::DenseKernels*> tables = native_tables();
+  tables.push_back(simd::dense_kernels_for(simd::Isa::kScalar));
+  Rng rng(41);
+  for (std::size_t nb : {1u, 3u, 4u}) {
+    for (std::size_t cols : {1u, 5u, 10u, 16u}) {
+      const std::size_t rows = cols + 1;
+      const std::string shape = "nb=" + std::to_string(nb) + " cols=" + std::to_string(cols);
+      const std::vector<double> in = random_vec(rng, nb * cols * kB);
+      const std::vector<double> delta = random_vec(rng, nb * rows * kB);
+      std::vector<std::size_t> row_begin = {0};
+      std::vector<std::size_t> col;
+      for (std::size_t r = 0; r < rows; ++r) {
+        std::vector<std::size_t> pick(cols);
+        for (std::size_t c = 0; c < cols; ++c) pick[c] = c;
+        rng.shuffle(pick);
+        pick.resize(r);
+        std::sort(pick.begin(), pick.end());
+        col.insert(col.end(), pick.begin(), pick.end());
+        row_begin.push_back(col.size());
+      }
+      const double s = 1.0 / static_cast<double>(nb * kB);
+      for (const auto* table : tables) {
+        std::vector<double> gw_dense(rows * cols), gb_dense(rows);
+        table->layer_grad(delta.data(), in.data(), gw_dense.data(), gb_dense.data(), rows, cols,
+                          nb, s);
+        std::vector<double> want(col.size());
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t k = row_begin[r]; k < row_begin[r + 1]; ++k) {
+            want[k] = gw_dense[r * cols + col[k]];
+          }
+        }
+        // Stale contents must be overwritten, not accumulated into.
+        std::vector<double> gw = random_vec(rng, col.size()), gb = random_vec(rng, rows);
+        table->layer_grad_live(delta.data(), in.data(), gw.data(), gb.data(), rows, cols, nb, s,
+                               row_begin.data(), col.data());
+        expect_same_values(gw, want, "live grad w " + shape);
+        expect_same_values(gb, gb_dense, "live grad b " + shape);
+      }
+    }
+  }
+}
+
 /// SoA logits for n samples in ceil(n/8) blocks of `rows` classes.
 struct SoftmaxCase {
   std::size_t n;

@@ -7,11 +7,16 @@
 ///
 /// Every digest must hold under the active dense-kernel table and under
 /// the forced scalar table (the determinism contract in nn/dense_simd.hpp).
-/// The fast digest is production's (Trainer::fit,
-/// PipelineEvaluator::minimize_float), and the reference fit loop
-/// (tests/trainer_reference.hpp) must reproduce it with the production
-/// gradient, so that loop cannot drift from Trainer::fit unseen.  The libm
-/// digest is the reference loop's with the blocked libm-softmax gradient.
+/// The fast digest is production's (Trainer::fit, and
+/// PipelineEvaluator::minimize_float through Trainer::fit_live), and the
+/// reference fit loop (tests/trainer_reference.hpp) must reproduce it with
+/// the production gradient, so that loop cannot drift from Trainer::fit
+/// unseen.  For minimize_float the reference runs the QAT view and the
+/// mask + ties projector as callbacks, so the same digest also holds the
+/// live-weight fine-tune to the callback path: the cases below cover a tie
+/// group with kept and pruned members, a layer that is all zero when the
+/// fine-tune starts, and three weight layers.  The libm digest is the
+/// reference loop's with the blocked libm-softmax gradient.
 ///
 /// Regenerate a digest only for a declared numerics change (and bump
 /// kFinetuneMath with it): the test prints every computed digest next to
@@ -25,8 +30,10 @@
 #include <string>
 #include <vector>
 
+#include "pnm/core/cluster.hpp"
 #include "pnm/core/eval.hpp"
 #include "pnm/core/flow.hpp"
+#include "pnm/core/prune.hpp"
 #include "pnm/core/quantize.hpp"
 #include "pnm/data/scaler.hpp"
 #include "pnm/data/synth.hpp"
@@ -109,10 +116,8 @@ Dataset scaled_synthetic(std::size_t features, std::size_t classes, std::size_t 
   return scaler.transform(data);
 }
 
-/// The GA fitness path: prune + cluster + QAT fine-tune on pendigits.  The
-/// flow's baseline is itself trained by the same trainer, so its digest
-/// is folded into every genome's.
-TEST(TrainerGolden, MinimizeFloatOnPendigits) {
+/// The pendigits flow most cases minimize on, prepared once.
+const MinimizationFlow& pendigits_flow() {
   static const MinimizationFlow flow = [] {
     FlowConfig config;
     config.dataset_name = "pendigits";
@@ -122,6 +127,28 @@ TEST(TrainerGolden, MinimizeFloatOnPendigits) {
     f.prepare();
     return f;
   }();
+  return flow;
+}
+
+/// minimize_float of `genome` over the float model `model`, which stands in
+/// for the flow's own (same shape, the flow's splits and GA-budget config):
+/// production's PipelineEvaluator, and the reference pipeline.
+void check_minimize(const MinimizationFlow& flow, const Mlp& model, const Genome& genome,
+                    const Golden& golden) {
+  const ProxyEvaluator proxy(model, flow.data(), flow.tech(),
+                             flow.proxy_evaluator(2).config());
+  check_case(golden, [&](Path path) {
+    return digest(path ? reference::minimize_float(model, flow.data().train, proxy.config(),
+                                                   genome, *path)
+                       : proxy.minimize_float(genome));
+  });
+}
+
+/// The GA fitness path: prune + cluster + QAT fine-tune on pendigits.  The
+/// flow's baseline is itself trained by the same trainer, so its digest
+/// is folded into every genome's.
+TEST(TrainerGolden, MinimizeFloatOnPendigits) {
+  const MinimizationFlow& flow = pendigits_flow();
   const std::string baseline = digest(flow.float_model());
   std::cout << "  pendigits baseline: " << baseline << "\n";
   EXPECT_EQ(baseline, "ac11d1e42db74689") << "pendigits baseline";
@@ -146,6 +173,81 @@ TEST(TrainerGolden, MinimizeFloatOnPendigits) {
                          : proxy.minimize_float(c.genome));
     });
   }
+}
+
+/// A tie group that holds kept and pruned weights.  Every fourth weight of
+/// the seed-1 model's layer 0 is set to an exact zero: pruning 10% of the
+/// layer drops 16 of those 40 zeros and keeps the other 24, and clustering
+/// pins all 40 into one zero group.  The group's mean moves with its kept
+/// members, and projecting it writes that mean into the pruned ones
+/// (core/cluster.hpp), so they are live weights, not +0.0, at every step.
+TEST(TrainerGolden, TieGroupHoldingKeptAndPrunedWeights) {
+  static const MinimizationFlow flow = [] {
+    FlowConfig config;
+    config.dataset_name = "pendigits";
+    config.seed = 1;
+    MinimizationFlow f(config);
+    f.prepare();
+    return f;
+  }();
+  Mlp model = flow.float_model();
+  auto& w0 = model.layer(0).weights.raw();
+  for (std::size_t i = 0; i < w0.size(); i += 4) w0[i] = 0.0;
+  const Genome genome{{6, 6}, {10, 0}, {2, 0}, {}};
+
+  // The input really holds the group this case is named for.
+  Mlp pruned = model;
+  const PruneMask mask = magnitude_prune_per_layer(pruned, {0.1, 0.0});
+  Rng rng(1);
+  const ClusterAssignment ties = cluster_weights(pruned, genome.clusters, rng,
+                                                 flow.proxy_evaluator(2).config().cluster_scope);
+  bool mixed = false;
+  for (const auto& group : ties.layer_groups(0)) {
+    std::size_t kept = 0;
+    for (const std::size_t i : group.members) kept += mask.layer_mask(0)[i];
+    mixed |= kept > 0 && kept < group.members.size();
+  }
+  ASSERT_TRUE(mixed);
+
+  check_minimize(flow, model, genome,
+                 {"mixed-tie-group b6,6|s10,0|c2,0", "b2ad303c152ec007", "d596356a5be38df8"});
+}
+
+/// A layer whose live weights are all zero when fine-tuning starts: the
+/// output layer is zeroed and 30% of it pruned, so the first step's QAT
+/// view of it takes the amax == 0 rule (every view weight +0.0).
+TEST(TrainerGolden, LayerAllZeroAtTheFirstStep) {
+  const MinimizationFlow& flow = pendigits_flow();
+  Mlp model = flow.float_model();
+  model.layer(1).weights.fill(0.0);
+  check_minimize(flow, model, Genome{{4, 5}, {20, 30}, {3, 0}, {}},
+                 {"zero-output-layer b4,5|s20,30|c3,0", "1c8a78bbab224c99", "8357304af780c24d"});
+}
+
+/// A flow with two hidden layers: three weight layers, each pruned,
+/// clustered and quantized on its own, and a hidden layer below a hidden
+/// layer in the backward pass.
+TEST(TrainerGolden, TwoHiddenLayerFlow) {
+  static const MinimizationFlow flow = [] {
+    FlowConfig config;
+    config.dataset_name = "seeds";
+    config.seed = 7;
+    config.hidden = {8, 6};
+    config.train.epochs = 30;
+    MinimizationFlow f(config);
+    f.prepare();
+    return f;
+  }();
+  const struct {
+    Genome genome;
+    Golden golden;
+  } cases[] = {
+      {{{5, 4, 6}, {30, 20, 10}, {3, 2, 0}, {}},
+       {"b5,4,6|s30,20,10|c3,2,0", "232c0d9910c2f16f", "8b1309a8333b4258"}},
+      {{{3, 6, 4}, {0, 50, 40}, {0, 4, 2}, {}},
+       {"b3,6,4|s0,50,40|c0,4,2", "ce7aba2a15fb0f50", "a214eb30b280d176"}},
+  };
+  for (const auto& c : cases) check_minimize(flow, flow.float_model(), c.genome, c.golden);
 }
 
 /// 101 samples at batch 32: the last minibatch is short (5 samples, one

@@ -18,7 +18,10 @@
 ///    reproduces Trainer::fit bit for bit (nn_trainer_golden_test holds it
 ///    to that);
 ///  * minimize_float() and realize(), PipelineEvaluator's pipeline built
-///    from the public pieces around fit().
+///    from the public pieces around fit(), with the QAT view and the prune
+///    mask + cluster ties projector as fit's callbacks.  Production
+///    compiles that mask and those ties into Trainer::fit_live instead,
+///    which must reproduce this path bit for bit.
 ///
 /// Like production, every path takes the output layer's values as the
 /// logits, so the model's output layer must be identity.  The per-sample
@@ -371,7 +374,7 @@ inline void fit(Mlp& model, const Dataset& train, Rng& rng, const TrainConfig& c
 
 /// PipelineEvaluator::minimize_float (core/eval.cpp) for `genome` over the
 /// float model `base` and the training split `train`, with the fine-tune
-/// run by fit() and `gradient`.
+/// run by fit() and `gradient` through the view and projector callbacks.
 inline Mlp minimize_float(const Mlp& base, const Dataset& train, const EvalConfig& config,
                           const Genome& genome, Gradient gradient) {
   const std::size_t n_layers = base.layer_count();
