@@ -1,9 +1,9 @@
 #include "pnm/core/ga.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <limits>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -25,21 +25,26 @@ int pick_choice(std::span<const int> choices, Rng& rng) {
 }  // namespace
 
 std::string Genome::key() const {
-  std::ostringstream out;
+  std::string out;
   auto emit = [&out](char tag, const std::vector<int>& v) {
-    out << tag;
-    for (std::size_t i = 0; i < v.size(); ++i) out << (i ? "," : "") << v[i];
+    out += tag;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i > 0) out += ',';
+      char digits[12];
+      const auto end = std::to_chars(digits, digits + sizeof digits, v[i]).ptr;
+      out.append(digits, end);
+    }
   };
   emit('b', weight_bits);
-  out << '|';
+  out += '|';
   emit('s', sparsity_pct);
-  out << '|';
+  out += '|';
   emit('c', clusters);
   if (!acc_shift.empty()) {
-    out << '|';
+    out += '|';
     emit('t', acc_shift);
   }
-  return out.str();
+  return out;
 }
 
 void GaConfig::validate() const {

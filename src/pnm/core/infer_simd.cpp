@@ -10,46 +10,56 @@ namespace pnm::simd {
 // exists only on its architecture; the references below are guarded the
 // same way, so the link never dangles.
 #if defined(__x86_64__)
-void layer_block_avx2(const LayerBlockArgs& a);
+void layer_block_avx2(const LayerBlockArgs<std::int32_t>& a);
 #endif
 #if defined(__aarch64__)
-void layer_block_neon(const LayerBlockArgs& a);
+void layer_block_neon(const LayerBlockArgs<std::int32_t>& a);
 #endif
 
 namespace {
 
-/// Portable reference kernel.  The j-loop is the single-sample kernel's
-/// body repeated per lane: identical int64 term order and truncation
-/// semantics, so lane j of a block reproduces sample j bit-for-bit.  The
-/// fixed inner trip count (kSampleBlock) and contiguous lane loads also
-/// let the compiler auto-vectorize this fallback.
-void layer_block_scalar(const LayerBlockArgs& a) {
+/// Portable reference kernel over W lanes of type Lane.  The j-loop is
+/// the single-sample kernel's body repeated per lane: identical term order
+/// and truncation semantics, so lane j reproduces sample j bit-for-bit.
+/// In 32-bit lanes the model's lane rule keeps every product and partial
+/// sum inside int32, so this is plain C++ with no wraparound.  The fixed
+/// inner trip count and contiguous lane loads let the compiler
+/// auto-vectorize it.
+template <class Lane, std::size_t W>
+void layer_lanes(const LayerBlockArgs<Lane>& a) {
   const int s = a.acc_shift;
   for (std::size_t r = 0; r < a.out_features; ++r) {
-    std::int64_t acc[kSampleBlock];
-    const std::int64_t b = (s == 0) ? a.bias[r] : (a.bias[r] >> s);
-    for (std::size_t j = 0; j < kSampleBlock; ++j) acc[j] = b;
+    Lane acc[W];
+    const auto b = static_cast<Lane>(a.bias[r] >> s);
+    for (std::size_t j = 0; j < W; ++j) acc[j] = b;
     if (s == 0) {
       for (std::size_t k = a.row_offset[r]; k < a.row_offset[r + 1]; ++k) {
-        const std::int64_t w = a.w_val[k];
-        const std::int64_t* lane = a.x + a.w_col[k] * kSampleBlock;
-        for (std::size_t j = 0; j < kSampleBlock; ++j) acc[j] += w * lane[j];
+        const Lane w = a.w_val[k];
+        const Lane* lane = a.x + a.w_col[k] * W;
+        for (std::size_t j = 0; j < W; ++j) acc[j] += w * lane[j];
       }
     } else {
       for (std::size_t k = a.row_offset[r]; k < a.row_offset[r + 1]; ++k) {
-        const std::int64_t mag = a.w_mag[k];
+        const Lane mag = a.w_mag[k];
         const bool neg = a.w_neg[k] != 0;
-        const std::int64_t* lane = a.x + a.w_col[k] * kSampleBlock;
-        for (std::size_t j = 0; j < kSampleBlock; ++j) {
-          const std::int64_t t = (mag * lane[j]) >> s;
+        const Lane* lane = a.x + a.w_col[k] * W;
+        for (std::size_t j = 0; j < W; ++j) {
+          const Lane t = (mag * lane[j]) >> s;
           acc[j] += neg ? -t : t;
         }
       }
     }
-    std::int64_t* out = a.out + r * kSampleBlock;
-    for (std::size_t j = 0; j < kSampleBlock; ++j) {
-      out[j] = (a.relu && acc[j] < 0) ? 0 : acc[j];
-    }
+    Lane* out = a.out + r * W;
+    for (std::size_t j = 0; j < W; ++j) out[j] = (a.relu && acc[j] < 0) ? 0 : acc[j];
+  }
+}
+
+template <class Lane>
+void layer_block_scalar(const LayerBlockArgs<Lane>& a) {
+  if (a.blocks == kPassBlocks) {
+    layer_lanes<Lane, kPassBlocks * kSampleBlock>(a);
+  } else {
+    layer_lanes<Lane, kSampleBlock>(a);
   }
 }
 
@@ -121,7 +131,9 @@ LayerBlockFn layer_block_kernel(Isa isa) {
     case Isa::kScalar:
       break;
   }
-  return &layer_block_scalar;
+  return &layer_block_scalar<std::int32_t>;
 }
+
+void layer_block_int64(const LayerBlockArgs<std::int64_t>& a) { layer_block_scalar(a); }
 
 }  // namespace pnm::simd

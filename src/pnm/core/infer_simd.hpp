@@ -18,12 +18,21 @@
 /// input column is therefore a contiguous load (no gather), which is what
 /// makes the AVX2/NEON kernels profitable.
 ///
-/// Bit-exactness *by construction*: every lane executes exactly the int64
-/// operation sequence of the single-sample kernel — same term order (CSR
-/// order), same magnitude-truncate-then-sign semantics for acc_shift > 0,
-/// same arithmetic bias shift, same ReLU clamp.  No reassociation, no
-/// precision change; the cross-engine tests assert equality, they do not
-/// tolerate it.
+/// Lane width: each QuantizedMlp picks 32- or 64-bit lanes once, when it
+/// is built, from its exact, overflow-checked accumulator ranges (see
+/// QuantizedMlp::lane_bits).  A model whose every bias, running
+/// partial-sum bound and product |w| * x_max fits int32 runs the 32-bit
+/// kernels: the scalar one and the AVX2/NEON ones (one 32-bit multiply and
+/// add per weight and lane).  Any other model runs the portable int64
+/// kernel on every ISA.
+///
+/// Bit-exactness *by construction*: every lane executes exactly the
+/// operation sequence of the single-sample int64 kernel — same term order
+/// (CSR order), same magnitude-truncate-then-sign semantics for
+/// acc_shift > 0, same arithmetic bias shift, same ReLU clamp.  In 32-bit
+/// lanes no intermediate value leaves int32, so each operation yields the
+/// int64 kernel's value.  No reassociation; the cross-engine tests assert
+/// equality, they do not tolerate it.
 ///
 /// Dispatch: `active_isa()` picks the best kernel compiled in *and*
 /// supported by the running CPU (AVX2 on x86-64, NEON on aarch64), with an
@@ -37,9 +46,16 @@
 namespace pnm::simd {
 
 /// Samples per block.  Fixed and ISA-independent so the blocked dataset
-/// layout, every kernel, and every stored golden value agree; 8 fills two
-/// 256-bit AVX2 registers (4 x int64 each) and four 128-bit NEON registers.
+/// layout, every kernel, and every stored golden value agree; 8 int32
+/// lanes fill one 256-bit AVX2 register and two 128-bit NEON registers.
 inline constexpr std::size_t kSampleBlock = 8;
+
+/// Blocks that share each weight visit in a whole-dataset pass
+/// (QuantizedMlp::accuracy) in 32-bit lanes.  A kernel call costs a fixed
+/// amount per CSR row on top of its per-weight work, so feeding 32 samples
+/// per visit instead of 8 spreads that cost; 4 blocks keep the
+/// accumulators in 4 AVX2 or 8 NEON registers.
+inline constexpr std::size_t kPassBlocks = 4;
 
 /// Instruction sets a layer-block kernel exists for.
 enum class Isa {
@@ -62,13 +78,16 @@ Isa best_isa();
 /// pins kScalar.  Read once and cached for the process lifetime.
 Isa active_isa();
 
-/// One quantized layer applied to one sample block, flattened to raw
+/// One quantized layer applied to `blocks` sample blocks at once, over
+/// lanes of type `Lane` (std::int32_t or std::int64_t), flattened to raw
 /// pointers so the kernel translation units need no qmlp.hpp dependency.
-/// `x` and `out` use the blocked layout described in the file comment;
-/// `out` must hold out_features * kSampleBlock values and not alias `x`.
+/// `x` and `out` use the blocked layout described in the file comment with
+/// blocks * kSampleBlock lanes per feature; `out` must hold out_features *
+/// blocks * kSampleBlock values and not alias `x`.
+template <class Lane>
 struct LayerBlockArgs {
-  const std::int64_t* x;          ///< blocked input activations
-  std::int64_t* out;              ///< blocked output activations
+  const Lane* x;                  ///< blocked input activations
+  Lane* out;                      ///< blocked output activations
   const std::int64_t* bias;       ///< per-row bias codes (un-shifted)
   const std::int32_t* w_val;      ///< signed codes (s == 0 fast path)
   const std::int32_t* w_mag;      ///< magnitudes (s > 0 truncating path)
@@ -76,16 +95,22 @@ struct LayerBlockArgs {
   const std::uint32_t* w_col;     ///< input column per nonzero
   const std::size_t* row_offset;  ///< CSR offsets, out_features + 1 entries
   std::size_t out_features = 0;
+  std::size_t blocks = 1;         ///< 1 or kPassBlocks blocks per weight visit
   int acc_shift = 0;              ///< product/bias truncation (0 = exact MAC)
   bool relu = false;              ///< clamp negative accumulators to zero
 };
 
-/// A layer-block kernel: applies one layer to one block.
-using LayerBlockFn = void (*)(const LayerBlockArgs&);
+/// A 32-bit layer kernel: applies one layer to 1 or kPassBlocks blocks of
+/// a model whose QuantizedMlp::lane_bits() is 32.
+using LayerBlockFn = void (*)(const LayerBlockArgs<std::int32_t>&);
 
-/// The kernel for `isa`, or nullptr when isa_available(isa) is false.
-/// layer_block_kernel(active_isa()) never returns nullptr.
+/// The 32-bit kernel for `isa`, or nullptr when isa_available(isa) is
+/// false.  layer_block_kernel(active_isa()) never returns nullptr.
 LayerBlockFn layer_block_kernel(Isa isa);
+
+/// The portable int64 kernel, which every ISA runs for a model whose
+/// ranges need 64-bit lanes.
+void layer_block_int64(const LayerBlockArgs<std::int64_t>& a);
 
 }  // namespace pnm::simd
 

@@ -1,23 +1,17 @@
 /// \file infer_simd_avx2.cpp
-/// \brief AVX2 layer-block kernel (x86-64 only; this TU builds with -mavx2,
-///        so nothing here may be referenced unguarded from portable code).
+/// \brief AVX2 32-bit layer-block kernel (x86-64 only; this TU builds with
+///        -mavx2, so nothing here may be referenced unguarded from
+///        portable code).
 ///
-/// AVX2 has no 64-bit integer multiply, no 64-bit arithmetic right shift,
-/// and no 64-bit max, so the kernel assembles all three from narrower ops:
+/// One 256-bit register holds a block's 8 int32 lanes.  The model's lane
+/// rule (QuantizedMlp::lane_bits) keeps every product and partial sum in
+/// int32, so each lane's operations equal the scalar int64 ones:
 ///
-///  * 64x64 -> low-64 multiply: schoolbook over 32-bit halves with
-///    `_mm256_mul_epu32`.  The result is exact mod 2^64, and the true
-///    product fits int64 wherever the scalar engine's `w * x` does, so the
-///    low 64 bits *are* the scalar product — bit-exact, not approximate.
-///    The truncating path multiplies by a nonnegative magnitude < 2^15
-///    (hi half zero), which drops one cross term.
-///  * arithmetic shift right by s: logical shift, then OR the sign mask
-///    (`acc < 0` lanes) shifted left by 64-s — reproducing two's-complement
-///    floor division exactly like the scalar `>> s`.
-///  * ReLU: AND with the `acc >= 0` lane mask.
-///
-/// Per-term semantics (magnitude-truncate, then conditional negate via
-/// `(t ^ m) - m`) match the scalar kernel term for term.
+///  * s == 0: `vpmulld` by the signed code, then `vpaddd`;
+///  * s > 0: `vpmulld` by the magnitude, `vpsrad` (arithmetic, so floor
+///    like the scalar `>> s`), then `vpsignd` by the signed code, which
+///    negates the lanes of a negative weight (the code is never 0);
+///  * ReLU: `vpmaxsd` against zero.
 
 #if defined(__x86_64__)
 
@@ -29,73 +23,54 @@ namespace pnm::simd {
 
 namespace {
 
-/// Low 64 bits of a*b per lane (exact mod 2^64).
-inline __m256i mul64(__m256i a, __m256i b) {
-  const __m256i lo = _mm256_mul_epu32(a, b);
-  const __m256i cross = _mm256_add_epi64(_mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)),
-                                         _mm256_mul_epu32(_mm256_srli_epi64(a, 32), b));
-  return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-/// a * mag per lane where 0 <= mag < 2^32 (one cross term drops out).
-inline __m256i mul64_by_mag(__m256i a, __m256i mag) {
-  const __m256i lo = _mm256_mul_epu32(a, mag);
-  const __m256i hi = _mm256_mul_epu32(_mm256_srli_epi64(a, 32), mag);
-  return _mm256_add_epi64(lo, _mm256_slli_epi64(hi, 32));
-}
-
-/// Arithmetic >> s per int64 lane; cnt = s, cnt_inv = 64 - s, 1 <= s <= 63.
-inline __m256i srai64(__m256i v, __m128i cnt, __m128i cnt_inv) {
-  const __m256i logical = _mm256_srl_epi64(v, cnt);
-  const __m256i sign = _mm256_cmpgt_epi64(_mm256_setzero_si256(), v);
-  return _mm256_or_si256(logical, _mm256_sll_epi64(sign, cnt_inv));
-}
-
-inline __m256i relu64(__m256i v) {
-  return _mm256_and_si256(v, _mm256_cmpgt_epi64(v, _mm256_set1_epi64x(-1)));
+/// The kernel over R registers (R blocks) per activation row.
+template <std::size_t R>
+void layer_regs(const LayerBlockArgs<std::int32_t>& a) {
+  static_assert(kSampleBlock == 8, "kernel assumes one 8-lane AVX2 register per block");
+  constexpr std::size_t kW = R * kSampleBlock;
+  const int s = a.acc_shift;
+  const __m128i cnt = _mm_cvtsi32_si128(s);
+  for (std::size_t r = 0; r < a.out_features; ++r) {
+    __m256i acc[R];
+    for (std::size_t i = 0; i < R; ++i) {
+      acc[i] = _mm256_set1_epi32(static_cast<std::int32_t>(a.bias[r] >> s));
+    }
+    if (s == 0) {
+      for (std::size_t k = a.row_offset[r]; k < a.row_offset[r + 1]; ++k) {
+        const __m256i w = _mm256_set1_epi32(a.w_val[k]);
+        const std::int32_t* lane = a.x + a.w_col[k] * kW;
+        for (std::size_t i = 0; i < R; ++i) {
+          const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lane + 8 * i));
+          acc[i] = _mm256_add_epi32(acc[i], _mm256_mullo_epi32(x, w));
+        }
+      }
+    } else {
+      for (std::size_t k = a.row_offset[r]; k < a.row_offset[r + 1]; ++k) {
+        const __m256i mag = _mm256_set1_epi32(a.w_mag[k]);
+        const __m256i sign = _mm256_set1_epi32(a.w_val[k]);
+        const std::int32_t* lane = a.x + a.w_col[k] * kW;
+        for (std::size_t i = 0; i < R; ++i) {
+          const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lane + 8 * i));
+          const __m256i t = _mm256_sra_epi32(_mm256_mullo_epi32(x, mag), cnt);
+          acc[i] = _mm256_add_epi32(acc[i], _mm256_sign_epi32(t, sign));
+        }
+      }
+    }
+    std::int32_t* out = a.out + r * kW;
+    for (std::size_t i = 0; i < R; ++i) {
+      if (a.relu) acc[i] = _mm256_max_epi32(acc[i], _mm256_setzero_si256());
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * i), acc[i]);
+    }
+  }
 }
 
 }  // namespace
 
-void layer_block_avx2(const LayerBlockArgs& a) {
-  static_assert(kSampleBlock == 8, "kernel assumes two 4-lane AVX2 registers");
-  const int s = a.acc_shift;
-  const __m128i cnt = _mm_cvtsi32_si128(s);
-  const __m128i cnt_inv = _mm_cvtsi32_si128(64 - s);
-  for (std::size_t r = 0; r < a.out_features; ++r) {
-    const std::int64_t b = (s == 0) ? a.bias[r] : (a.bias[r] >> s);
-    __m256i acc0 = _mm256_set1_epi64x(b);
-    __m256i acc1 = acc0;
-    if (s == 0) {
-      for (std::size_t k = a.row_offset[r]; k < a.row_offset[r + 1]; ++k) {
-        const __m256i w = _mm256_set1_epi64x(a.w_val[k]);
-        const std::int64_t* lane = a.x + a.w_col[k] * kSampleBlock;
-        const __m256i x0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lane));
-        const __m256i x1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lane + 4));
-        acc0 = _mm256_add_epi64(acc0, mul64(x0, w));
-        acc1 = _mm256_add_epi64(acc1, mul64(x1, w));
-      }
-    } else {
-      for (std::size_t k = a.row_offset[r]; k < a.row_offset[r + 1]; ++k) {
-        const __m256i mag = _mm256_set1_epi64x(a.w_mag[k]);
-        // All-ones where the code is negative: (t ^ m) - m negates those lanes.
-        const __m256i m = _mm256_set1_epi64x(-static_cast<std::int64_t>(a.w_neg[k]));
-        const std::int64_t* lane = a.x + a.w_col[k] * kSampleBlock;
-        const __m256i x0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lane));
-        const __m256i x1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lane + 4));
-        const __m256i t0 = srai64(mul64_by_mag(x0, mag), cnt, cnt_inv);
-        const __m256i t1 = srai64(mul64_by_mag(x1, mag), cnt, cnt_inv);
-        acc0 = _mm256_add_epi64(acc0, _mm256_sub_epi64(_mm256_xor_si256(t0, m), m));
-        acc1 = _mm256_add_epi64(acc1, _mm256_sub_epi64(_mm256_xor_si256(t1, m), m));
-      }
-    }
-    if (a.relu) {
-      acc0 = relu64(acc0);
-      acc1 = relu64(acc1);
-    }
-    std::int64_t* out = a.out + r * kSampleBlock;
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), acc0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4), acc1);
+void layer_block_avx2(const LayerBlockArgs<std::int32_t>& a) {
+  if (a.blocks == kPassBlocks) {
+    layer_regs<kPassBlocks>(a);
+  } else {
+    layer_regs<1>(a);
   }
 }
 

@@ -1,20 +1,16 @@
 /// \file infer_simd_neon.cpp
-/// \brief NEON (AArch64 Advanced SIMD) layer-block kernel.
+/// \brief NEON (AArch64 Advanced SIMD) 32-bit layer-block kernel.
 ///
-/// Same construction as the AVX2 kernel, on 128-bit registers (four
-/// int64x2 vectors per 8-sample block).  NEON also lacks a 64-bit integer
-/// multiply and a 64-bit max, so:
+/// Same construction as the AVX2 kernel on 128-bit registers: two
+/// int32x4 vectors per 8-sample block.  The model's lane rule
+/// (QuantizedMlp::lane_bits) keeps every product and partial sum in
+/// int32, so each lane's operations equal the scalar int64 ones:
 ///
-///  * 64-bit multiply: 32-bit halves via `vmull_n_u32`/`vmlal_n_u32`
-///    (exact mod 2^64 — the low 64 bits equal the scalar int64 product
-///    wherever that product does not overflow, i.e. everywhere the scalar
-///    engine is defined).
-///  * arithmetic shift right by s: `vshlq_s64` with a negative count is an
-///    arithmetic right shift, identical to the scalar `>> s`.
-///  * ReLU: AND with the `acc >= 0` comparison mask.
-///
-/// Bit-exact with the scalar kernel term for term (magnitude-truncate,
-/// then `(t ^ m) - m` conditional negation).
+///  * s == 0: `vmlaq_n_s32` by the signed code;
+///  * s > 0: `vmulq_n_s32` by the magnitude, `vshlq_s32` by -s (an
+///    arithmetic right shift, identical to the scalar `>> s`), then the
+///    conditional negation `(t ^ m) - m`;
+///  * ReLU: `vmaxq_s32` against zero.
 
 #if defined(__aarch64__)
 
@@ -26,80 +22,53 @@ namespace pnm::simd {
 
 namespace {
 
-/// Low 64 bits of a * w per lane, w any int64 that fits in int32.
-inline int64x2_t mul64_s(int64x2_t a, std::int64_t w) {
-  const uint64x2_t ua = vreinterpretq_u64_s64(a);
-  const uint32x2_t a_lo = vmovn_u64(ua);
-  const uint32x2_t a_hi = vshrn_n_u64(ua, 32);
-  const auto uw = static_cast<std::uint64_t>(w);
-  const auto w_lo = static_cast<std::uint32_t>(uw);
-  const auto w_hi = static_cast<std::uint32_t>(uw >> 32);
-  const uint64x2_t lo = vmull_n_u32(a_lo, w_lo);
-  const uint64x2_t cross = vmlal_n_u32(vmull_n_u32(a_hi, w_lo), a_lo, w_hi);
-  return vreinterpretq_s64_u64(vaddq_u64(lo, vshlq_n_u64(cross, 32)));
-}
-
-/// a * mag per lane where 0 <= mag < 2^32 (high half of the scalar is 0).
-inline int64x2_t mul64_mag(int64x2_t a, std::uint32_t mag) {
-  const uint64x2_t ua = vreinterpretq_u64_s64(a);
-  const uint64x2_t lo = vmull_n_u32(vmovn_u64(ua), mag);
-  const uint64x2_t hi = vmull_n_u32(vshrn_n_u64(ua, 32), mag);
-  return vreinterpretq_s64_u64(vaddq_u64(lo, vshlq_n_u64(hi, 32)));
-}
-
-inline int64x2_t relu64(int64x2_t v) {
-  const uint64x2_t keep = vcgtq_s64(v, vdupq_n_s64(-1));
-  return vreinterpretq_s64_u64(vandq_u64(vreinterpretq_u64_s64(v), keep));
+/// The kernel over R int32x4 registers (R / 2 blocks) per activation row.
+template <std::size_t R>
+void layer_regs(const LayerBlockArgs<std::int32_t>& a) {
+  static_assert(kSampleBlock == 8, "kernel assumes two 4-lane NEON registers per block");
+  constexpr std::size_t kW = R * 4;
+  const int s = a.acc_shift;
+  const int32x4_t sh = vdupq_n_s32(-s);  // vshlq_s32 by -s == arithmetic >> s
+  for (std::size_t r = 0; r < a.out_features; ++r) {
+    int32x4_t acc[R];
+    for (std::size_t i = 0; i < R; ++i) {
+      acc[i] = vdupq_n_s32(static_cast<std::int32_t>(a.bias[r] >> s));
+    }
+    if (s == 0) {
+      for (std::size_t k = a.row_offset[r]; k < a.row_offset[r + 1]; ++k) {
+        const std::int32_t w = a.w_val[k];
+        const std::int32_t* lane = a.x + a.w_col[k] * kW;
+        for (std::size_t i = 0; i < R; ++i) {
+          acc[i] = vmlaq_n_s32(acc[i], vld1q_s32(lane + 4 * i), w);
+        }
+      }
+    } else {
+      for (std::size_t k = a.row_offset[r]; k < a.row_offset[r + 1]; ++k) {
+        const std::int32_t mag = a.w_mag[k];
+        // All-ones where the code is negative: (t ^ m) - m negates those lanes.
+        const int32x4_t m = vdupq_n_s32(-static_cast<std::int32_t>(a.w_neg[k]));
+        const std::int32_t* lane = a.x + a.w_col[k] * kW;
+        for (std::size_t i = 0; i < R; ++i) {
+          const int32x4_t t = vshlq_s32(vmulq_n_s32(vld1q_s32(lane + 4 * i), mag), sh);
+          acc[i] = vaddq_s32(acc[i], vsubq_s32(veorq_s32(t, m), m));
+        }
+      }
+    }
+    std::int32_t* out = a.out + r * kW;
+    for (std::size_t i = 0; i < R; ++i) {
+      if (a.relu) acc[i] = vmaxq_s32(acc[i], vdupq_n_s32(0));
+      vst1q_s32(out + 4 * i, acc[i]);
+    }
+  }
 }
 
 }  // namespace
 
-void layer_block_neon(const LayerBlockArgs& a) {
-  static_assert(kSampleBlock == 8, "kernel assumes four 2-lane NEON registers");
-  const int s = a.acc_shift;
-  const int64x2_t sh = vdupq_n_s64(-s);  // vshlq_s64 by -s == arithmetic >> s
-  for (std::size_t r = 0; r < a.out_features; ++r) {
-    const std::int64_t b = (s == 0) ? a.bias[r] : (a.bias[r] >> s);
-    int64x2_t acc0 = vdupq_n_s64(b);
-    int64x2_t acc1 = acc0;
-    int64x2_t acc2 = acc0;
-    int64x2_t acc3 = acc0;
-    if (s == 0) {
-      for (std::size_t k = a.row_offset[r]; k < a.row_offset[r + 1]; ++k) {
-        const std::int64_t w = a.w_val[k];
-        const std::int64_t* lane = a.x + a.w_col[k] * kSampleBlock;
-        acc0 = vaddq_s64(acc0, mul64_s(vld1q_s64(lane), w));
-        acc1 = vaddq_s64(acc1, mul64_s(vld1q_s64(lane + 2), w));
-        acc2 = vaddq_s64(acc2, mul64_s(vld1q_s64(lane + 4), w));
-        acc3 = vaddq_s64(acc3, mul64_s(vld1q_s64(lane + 6), w));
-      }
-    } else {
-      for (std::size_t k = a.row_offset[r]; k < a.row_offset[r + 1]; ++k) {
-        const auto mag = static_cast<std::uint32_t>(a.w_mag[k]);
-        // All-ones where the code is negative: (t ^ m) - m negates those lanes.
-        const int64x2_t m = vdupq_n_s64(-static_cast<std::int64_t>(a.w_neg[k]));
-        const std::int64_t* lane = a.x + a.w_col[k] * kSampleBlock;
-        const int64x2_t t0 = vshlq_s64(mul64_mag(vld1q_s64(lane), mag), sh);
-        const int64x2_t t1 = vshlq_s64(mul64_mag(vld1q_s64(lane + 2), mag), sh);
-        const int64x2_t t2 = vshlq_s64(mul64_mag(vld1q_s64(lane + 4), mag), sh);
-        const int64x2_t t3 = vshlq_s64(mul64_mag(vld1q_s64(lane + 6), mag), sh);
-        acc0 = vaddq_s64(acc0, vsubq_s64(veorq_s64(t0, m), m));
-        acc1 = vaddq_s64(acc1, vsubq_s64(veorq_s64(t1, m), m));
-        acc2 = vaddq_s64(acc2, vsubq_s64(veorq_s64(t2, m), m));
-        acc3 = vaddq_s64(acc3, vsubq_s64(veorq_s64(t3, m), m));
-      }
-    }
-    if (a.relu) {
-      acc0 = relu64(acc0);
-      acc1 = relu64(acc1);
-      acc2 = relu64(acc2);
-      acc3 = relu64(acc3);
-    }
-    std::int64_t* out = a.out + r * kSampleBlock;
-    vst1q_s64(out, acc0);
-    vst1q_s64(out + 2, acc1);
-    vst1q_s64(out + 4, acc2);
-    vst1q_s64(out + 6, acc3);
+void layer_block_neon(const LayerBlockArgs<std::int32_t>& a) {
+  if (a.blocks == kPassBlocks) {
+    layer_regs<2 * kPassBlocks>(a);
+  } else {
+    layer_regs<2>(a);
   }
 }
 

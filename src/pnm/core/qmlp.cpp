@@ -2,12 +2,169 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "pnm/util/bits.hpp"
 
 namespace pnm {
+namespace {
+
+constexpr std::int64_t kInt32Min = std::numeric_limits<std::int32_t>::min();
+constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+
+bool fits_int32(std::int64_t v) { return v >= kInt32Min && v <= kInt32Max; }
+
+/// neuron_preact_ranges' walk with every add and multiply checked: throws
+/// std::overflow_error when a bound leaves int64.  Stores the ranges in
+/// `ranges` unless it is null, and returns the lane rule: whether every
+/// bias, running partial-sum bound and product bound |w| * x_max lies in
+/// int32.  The engines add the same terms in the same CSR order, so these
+/// bounds hold every value they compute.
+bool walk_ranges(const std::vector<QuantizedLayer>& layers, int input_bits,
+                 std::vector<std::vector<ValueRange>>* ranges) {
+  // The lane rule needs only the extremes: every bias and running bound
+  // lies in [low, high] (lo <= hi holds at every step), every product
+  // bound in [0, p_top].
+  std::int64_t low = 0;
+  std::int64_t high = 0;
+  std::int64_t p_top = 0;
+  bool overflow = false;
+  std::vector<ValueRange> in(layers.front().in_features(),
+                             ValueRange{0, unsigned_max(input_bits)});
+  std::vector<ValueRange> out;
+  if (ranges != nullptr) ranges->assign(layers.size(), {});
+  for (std::size_t li = 0; li < layers.size(); ++li) {
+    const QuantizedLayer& l = layers[li];
+    const int s = l.acc_shift;
+    out.resize(l.out_features());
+    for (std::size_t r = 0; r < l.out_features(); ++r) {
+      std::int64_t lo = l.bias[r] >> s;
+      std::int64_t hi = lo;
+      low = std::min(low, l.bias[r]);
+      high = std::max(high, l.bias[r]);
+      for (std::size_t k = l.row_offset[r]; k < l.row_offset[r + 1]; ++k) {
+        const std::int64_t mag = l.w_mag[k];
+        const ValueRange x = in[l.w_col[k]];
+        // |w| * max|x| bounds every product this weight forms, so checking
+        // it keeps each product, and its negation, inside int64.
+        std::int64_t neg_lo = 0;
+        std::int64_t p_max = 0;
+        overflow |= __builtin_sub_overflow(std::int64_t{0}, x.lo, &neg_lo);
+        overflow |= __builtin_mul_overflow(mag, std::max(x.hi, neg_lo), &p_max);
+        if (overflow) throw std::overflow_error("range walk: int64 overflow");
+        // Truncated-magnitude term range (monotone in x, so exact).
+        const std::int64_t t_lo = (mag * x.lo) >> s;
+        const std::int64_t t_hi = (mag * x.hi) >> s;
+        overflow |= __builtin_add_overflow(lo, l.w_neg[k] ? -t_hi : t_lo, &lo);
+        overflow |= __builtin_add_overflow(hi, l.w_neg[k] ? -t_lo : t_hi, &hi);
+        p_top = std::max(p_top, p_max);
+        low = std::min(low, lo);
+        high = std::max(high, hi);
+      }
+      if (overflow) throw std::overflow_error("range walk: int64 overflow");
+      if (ranges != nullptr) (*ranges)[li].push_back(ValueRange{lo, hi});
+      out[r] = l.act == Activation::kRelu
+                   ? ValueRange{std::max<std::int64_t>(0, lo), std::max<std::int64_t>(0, hi)}
+                   : ValueRange{lo, hi};
+    }
+    in.swap(out);
+  }
+  return fits_int32(low) && fits_int32(high) && p_top <= kInt32Max;
+}
+
+simd::LayerBlockFn kernel_for(simd::Isa isa, const char* who) {
+  const simd::LayerBlockFn fn = simd::layer_block_kernel(isa);
+  if (fn == nullptr) {
+    throw std::invalid_argument(std::string(who) + ": no " + simd::isa_name(isa) +
+                                " kernel on this machine");
+  }
+  return fn;
+}
+
+/// Applies every layer to `blocks` blocks of Lane lanes starting at x
+/// (which must not alias `next`), ping-ponging cur/next; returns the
+/// output layer's blocked values, which end in `cur`.
+template <class Lane>
+const Lane* run_layers(const std::vector<QuantizedLayer>& layers, const Lane* x,
+                       std::size_t blocks, void (*fn)(const simd::LayerBlockArgs<Lane>&),
+                       std::vector<Lane>& cur, std::vector<Lane>& next) {
+  for (const auto& l : layers) {
+    next.resize(l.out_features() * blocks * simd::kSampleBlock);
+    simd::LayerBlockArgs<Lane> args;
+    args.x = x;
+    args.out = next.data();
+    args.bias = l.bias.data();
+    args.w_val = l.w_val.data();
+    args.w_mag = l.w_mag.data();
+    args.w_neg = l.w_neg.data();
+    args.w_col = l.w_col.data();
+    args.row_offset = l.row_offset.data();
+    args.out_features = l.out_features();
+    args.blocks = blocks;
+    args.acc_shift = l.acc_shift;
+    args.relu = l.act == Activation::kRelu;
+    fn(args);
+    cur.swap(next);
+    x = cur.data();
+  }
+  return x;
+}
+
+/// The blocked engine in 32-bit lanes over `blocks` blocks: narrows the
+/// codes of the `present` consecutive blocks at xb once into feature rows
+/// of blocks * kSampleBlock lanes (the lanes of absent blocks are 0), then
+/// runs every layer.  Returns the output layer's lanes.
+const std::int32_t* run_lanes32(const std::vector<QuantizedLayer>& layers,
+                                const std::int64_t* xb, std::size_t blocks,
+                                std::size_t present, simd::LayerBlockFn fn,
+                                BlockScratch& scratch) {
+  constexpr std::size_t kB = simd::kSampleBlock;
+  const std::size_t n_in = layers.front().in_features();
+  const std::size_t width = blocks * kB;
+  scratch.cur32.resize(n_in * width);
+  for (std::size_t i = 0; i < blocks; ++i) {
+    for (std::size_t f = 0; f < n_in; ++f) {
+      std::int32_t* lanes = scratch.cur32.data() + f * width + i * kB;
+      if (i >= present) {
+        std::fill(lanes, lanes + kB, 0);
+        continue;
+      }
+      const std::int64_t* codes = xb + (i * n_in + f) * kB;
+      for (std::size_t j = 0; j < kB; ++j) lanes[j] = static_cast<std::int32_t>(codes[j]);
+    }
+  }
+  return run_layers<std::int32_t>(layers, scratch.cur32.data(), blocks, fn, scratch.cur32,
+                                  scratch.next32);
+}
+
+/// Argmax (lowest index on ties: a later class must be strictly greater)
+/// of the first `lanes` lanes of blocked logits holding W lanes per class.
+/// Written as lane-wise selects: a branch on the logits mispredicts about
+/// as often as the classes are close.
+template <class Lane, std::size_t W>
+void argmax_lanes(const Lane* out, std::size_t classes, std::size_t lanes,
+                  std::size_t* preds) {
+  Lane best[W];
+  Lane index[W];
+  for (std::size_t j = 0; j < W; ++j) {
+    best[j] = out[j];
+    index[j] = 0;
+  }
+  for (std::size_t r = 1; r < classes; ++r) {
+    const Lane* row = out + r * W;
+    for (std::size_t j = 0; j < W; ++j) {
+      const bool gt = row[j] > best[j];
+      best[j] = gt ? row[j] : best[j];
+      index[j] = gt ? static_cast<Lane>(r) : index[j];
+    }
+  }
+  for (std::size_t j = 0; j < lanes; ++j) preds[j] = static_cast<std::size_t>(index[j]);
+}
+
+}  // namespace
 
 int QuantizedLayer::weight(std::size_t r, std::size_t c) const {
   for (std::size_t k = row_offset.at(r); k < row_offset.at(r + 1); ++k) {
@@ -102,6 +259,7 @@ QuantizedMlp QuantizedMlp::from_float(const Mlp& model, const QuantSpec& spec) {
                 static_cast<double>(std::int64_t{1} << ql.acc_shift);
     q.layers_.push_back(std::move(ql));
   }
+  q.choose_lanes("QuantizedMlp::from_float");
   return q;
 }
 
@@ -159,7 +317,16 @@ QuantizedMlp QuantizedMlp::from_layers(std::vector<QuantizedLayer> layers,
   QuantizedMlp q;
   q.input_bits_ = input_bits;
   q.layers_ = std::move(layers);
+  q.choose_lanes("QuantizedMlp::from_layers");
   return q;
+}
+
+void QuantizedMlp::choose_lanes(const char* who) {
+  try {
+    lane_bits_ = walk_ranges(layers_, input_bits_, nullptr) ? 32 : 64;
+  } catch (const std::overflow_error&) {
+    throw std::invalid_argument(std::string(who) + ": accumulator range overflows int64");
+  }
 }
 
 std::size_t QuantizedMlp::input_size() const {
@@ -222,31 +389,13 @@ std::span<const std::int64_t> QuantizedMlp::forward_into(
 std::span<const std::int64_t> QuantizedMlp::forward_block_into(
     const std::int64_t* xb, BlockScratch& scratch, simd::Isa isa) const {
   if (layers_.empty()) throw std::logic_error("QuantizedMlp::forward_block: empty model");
-  const simd::LayerBlockFn fn = simd::layer_block_kernel(isa);
-  if (fn == nullptr) {
-    throw std::invalid_argument(std::string("QuantizedMlp::forward_block: no ") +
-                                simd::isa_name(isa) + " kernel on this machine");
-  }
-  constexpr std::size_t kB = simd::kSampleBlock;
-  const std::int64_t* x = xb;
-  for (const auto& l : layers_) {
-    const std::size_t out_f = l.out_features();
-    scratch.next.resize(out_f * kB);
-    simd::LayerBlockArgs args;
-    args.x = x;
-    args.out = scratch.next.data();
-    args.bias = l.bias.data();
-    args.w_val = l.w_val.data();
-    args.w_mag = l.w_mag.data();
-    args.w_neg = l.w_neg.data();
-    args.w_col = l.w_col.data();
-    args.row_offset = l.row_offset.data();
-    args.out_features = out_f;
-    args.acc_shift = l.acc_shift;
-    args.relu = l.act == Activation::kRelu;
-    fn(args);
-    scratch.cur.swap(scratch.next);
-    x = scratch.cur.data();
+  const simd::LayerBlockFn fn = kernel_for(isa, "QuantizedMlp::forward_block");
+  if (lane_bits_ == 64) {
+    run_layers<std::int64_t>(layers_, xb, 1, &simd::layer_block_int64, scratch.cur,
+                             scratch.next);
+  } else {
+    const std::int32_t* out = run_lanes32(layers_, xb, 1, 1, fn, scratch);
+    scratch.cur.assign(out, out + output_size() * simd::kSampleBlock);
   }
   return {scratch.cur.data(), scratch.cur.size()};
 }
@@ -255,15 +404,15 @@ void QuantizedMlp::predict_block_into(const std::int64_t* xb, std::size_t lanes,
                                       BlockScratch& scratch, std::size_t* preds,
                                       simd::Isa isa) const {
   constexpr std::size_t kB = simd::kSampleBlock;
-  const auto out = forward_block_into(xb, scratch, isa);
-  const std::size_t classes = output_size();
-  for (std::size_t j = 0; j < lanes && j < kB; ++j) {
-    std::size_t best = 0;
-    for (std::size_t r = 1; r < classes; ++r) {
-      if (out[r * kB + j] > out[best * kB + j]) best = r;
-    }
-    preds[j] = best;
+  lanes = std::min(lanes, kB);
+  if (lane_bits_ == 64) {
+    argmax_lanes<std::int64_t, kB>(forward_block_into(xb, scratch, isa).data(), output_size(),
+                                   lanes, preds);
+    return;
   }
+  const std::int32_t* out =
+      run_lanes32(layers_, xb, 1, 1, kernel_for(isa, "QuantizedMlp::predict_block"), scratch);
+  argmax_lanes<std::int32_t, kB>(out, output_size(), lanes, preds);
 }
 
 std::vector<std::int64_t> QuantizedMlp::forward(const std::vector<std::int64_t>& xq) const {
@@ -306,57 +455,32 @@ double QuantizedMlp::accuracy(const QuantizedDataset& data, simd::Isa isa) const
       data.xb.size() != data.block_count() * data.n_features * kB) {
     throw std::invalid_argument("QuantizedMlp::accuracy: feature count or code buffer mismatch");
   }
+  const simd::LayerBlockFn fn = kernel_for(isa, "QuantizedMlp::accuracy");
+  // In 32-bit lanes kPassBlocks blocks share each weight visit; the last
+  // group's missing blocks run as zero lanes nobody reads.
+  const std::size_t step = lane_bits_ == 32 ? simd::kPassBlocks : 1;
   BlockScratch scratch;
-  std::size_t preds[kB] = {};
+  std::size_t preds[simd::kPassBlocks * kB] = {};
   std::size_t correct = 0;
-  for (std::size_t b = 0; b < data.block_count(); ++b) {
-    const std::size_t lanes = std::min(kB, data.size() - b * kB);
-    predict_block_into(data.block(b), lanes, scratch, preds, isa);
+  for (std::size_t b = 0; b < data.block_count(); b += step) {
+    const std::size_t lanes = std::min(step * kB, data.size() - b * kB);
+    if (lane_bits_ == 32) {
+      const std::size_t present = std::min(step, data.block_count() - b);
+      const std::int32_t* out = run_lanes32(layers_, data.block(b), step, present, fn, scratch);
+      argmax_lanes<std::int32_t, simd::kPassBlocks * kB>(out, output_size(), lanes, preds);
+    } else {
+      predict_block_into(data.block(b), lanes, scratch, preds, isa);
+    }
     for (std::size_t j = 0; j < lanes; ++j) {
-      if (preds[j] == data.y[b * kB + j]) ++correct;
+      correct += preds[j] == data.y[b * kB + j] ? 1 : 0;
     }
   }
   return static_cast<double>(correct) / static_cast<double>(data.size());
 }
 
 std::vector<std::vector<ValueRange>> QuantizedMlp::neuron_preact_ranges() const {
-  std::vector<std::vector<ValueRange>> ranges(layers_.size());
-  // Per-input ranges entering the current layer.
-  std::vector<ValueRange> in_ranges(input_size());
-  const std::int64_t xmax = unsigned_max(input_bits_);
-  for (auto& r : in_ranges) r = ValueRange{0, xmax};
-
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    const auto& l = layers_[li];
-    const int s = l.acc_shift;
-    ranges[li].resize(l.out_features());
-    std::vector<ValueRange> out_ranges(l.out_features());
-    for (std::size_t r = 0; r < l.out_features(); ++r) {
-      std::int64_t lo = l.bias[r] >> s;
-      std::int64_t hi = l.bias[r] >> s;
-      for (std::size_t k = l.row_offset[r]; k < l.row_offset[r + 1]; ++k) {
-        // Truncated-magnitude term range (monotone in x, so exact).
-        const std::int64_t mag = l.w_mag[k];
-        const auto& in_range = in_ranges[l.w_col[k]];
-        const std::int64_t t_lo = (mag * in_range.lo) >> s;
-        const std::int64_t t_hi = (mag * in_range.hi) >> s;
-        if (!l.w_neg[k]) {
-          lo += t_lo;
-          hi += t_hi;
-        } else {
-          lo += -t_hi;
-          hi += -t_lo;
-        }
-      }
-      ranges[li][r] = ValueRange{lo, hi};
-      if (l.act == Activation::kRelu) {
-        out_ranges[r] = ValueRange{std::max<std::int64_t>(0, lo), std::max<std::int64_t>(0, hi)};
-      } else {
-        out_ranges[r] = ranges[li][r];
-      }
-    }
-    in_ranges = std::move(out_ranges);
-  }
+  std::vector<std::vector<ValueRange>> ranges;
+  if (!layers_.empty()) walk_ranges(layers_, input_bits_, &ranges);
   return ranges;
 }
 

@@ -11,9 +11,10 @@
 /// weight scale per layer the per-layer activation scale factors out
 /// entirely — provided the bias is rescaled into the layer's accumulator
 /// unit (bias_code = round(bias / (weight_scale * input_scale))).  This
-/// class carries the integer weights/biases and performs pure int64
-/// inference; pnm::hw lowers it gate-by-gate and tests verify bit-exact
-/// agreement between the two.
+/// class carries the integer weights/biases and performs exact integer
+/// inference: int64 per sample, and per block in the narrowest lanes its
+/// exact accumulator ranges allow (lane_bits); pnm::hw lowers it
+/// gate-by-gate and tests verify bit-exact agreement between the two.
 ///
 /// Storage is a flat CSR-style layout: pruned genomes are mostly zeros, so
 /// each layer keeps only its nonzero codes as contiguous signed-magnitude
@@ -109,12 +110,15 @@ struct InferScratch {
 };
 
 /// Scratch for the multi-sample engine: ping-pong *blocked* activation
-/// buffers (layer width x simd::kSampleBlock) plus a staging block for
-/// callers that assemble lanes by hand (the serve workers).  One instance
-/// per thread, reused across blocks — no per-block allocation.
+/// buffers (layer width x simd::kSampleBlock, in the model's lane width)
+/// plus a staging block for callers that assemble lanes by hand (the serve
+/// workers).  One instance per thread, reused across blocks — no
+/// per-block allocation.
 struct BlockScratch {
-  std::vector<std::int64_t> cur;
+  std::vector<std::int64_t> cur;    ///< 64-bit lanes, and widened logits
   std::vector<std::int64_t> next;
+  std::vector<std::int32_t> cur32;  ///< 32-bit lanes (narrowed inputs first)
+  std::vector<std::int32_t> next32;
   std::vector<std::int64_t> xb;   ///< caller-side input lane staging
   std::vector<std::int64_t> xq;   ///< per-request quantization staging
 };
@@ -127,6 +131,8 @@ class QuantizedMlp {
   /// Quantizes a trained float model per the spec.  Inputs are assumed
   /// min-max scaled to [0, 1] (see MinMaxScaler); hidden activations must
   /// be ReLU and the output layer identity, or lowering is impossible.
+  /// \throws std::invalid_argument when an accumulator range of the
+  ///         result leaves int64 (as from_layers does).
   static QuantizedMlp from_float(const Mlp& model, const QuantSpec& spec);
 
   /// Builds a model from already-quantized layers (deserialization; see
@@ -134,7 +140,9 @@ class QuantizedMlp {
   /// layer stack with matching in/out widths, well-formed CSR arrays
   /// (parallel array sizes, monotone row offsets, in-range ascending
   /// columns, magnitude/sign/value agreement), per-layer bias width,
-  /// and sane bit-width/shift ranges.
+  /// sane bit-width/shift ranges, and exact accumulator ranges (every
+  /// product and partial-sum bound of neuron_preact_ranges' walk) that
+  /// fit int64, so integer inference never overflows.
   ///
   /// \param layers      the integer layers, input-first.
   /// \param input_bits  unsigned sensor precision the model expects.
@@ -146,6 +154,12 @@ class QuantizedMlp {
   [[nodiscard]] const QuantizedLayer& layer(std::size_t i) const { return layers_.at(i); }
   [[nodiscard]] const std::vector<QuantizedLayer>& layers() const { return layers_; }
   [[nodiscard]] int input_bits() const { return input_bits_; }
+  /// Lane width of the blocked engine, chosen once when the model is
+  /// built: 32 when, in the exact range walk, every bias, running
+  /// partial-sum bound and product |w| * x_max of every layer lies in
+  /// [-2^31, 2^31), so int32 lanes compute the int64 engine's values;
+  /// 64 otherwise.
+  [[nodiscard]] int lane_bits() const { return lane_bits_; }
   [[nodiscard]] std::size_t input_size() const;
   [[nodiscard]] std::size_t output_size() const;
 
@@ -175,11 +189,11 @@ class QuantizedMlp {
   /// through the QuantizedDataset overload.
   [[nodiscard]] double accuracy(const Dataset& data) const;
 
-  /// Batched accuracy over a pre-quantized dataset: predict_block_into on
-  /// every block through the kernel of `isa` (the runtime-dispatched one
-  /// by default; the cross-engine tests and the bench's scalar-vs-SIMD
-  /// rows pass one explicitly), with one scratch and no allocation per
-  /// block.  Every ISA predicts bit-exactly what forward_into does per
+  /// Batched accuracy over a pre-quantized dataset: the blocked engine on
+  /// every block (in 32-bit lanes, two blocks per weight visit) through
+  /// the kernel of `isa` (the runtime-dispatched one by default; the
+  /// cross-engine tests and the bench's scalar-vs-SIMD rows pass one
+  /// explicitly), with one scratch and no allocation per block.  Every ISA predicts bit-exactly what forward_into does per
   /// sample.  Throws if the dataset is empty, was quantized at other
   /// input_bits or another feature count, or when no kernel for `isa` is
   /// available on this machine.
@@ -188,9 +202,11 @@ class QuantizedMlp {
 
   /// Multi-sample forward pass over one block of simd::kSampleBlock
   /// samples in the blocked layout (QuantizedDataset::block /
-  /// BlockScratch::xb).  Returns the blocked output logits — row r, lane j
-  /// at [r * kSampleBlock + j], valid until the scratch is reused.  Lane j
-  /// is bit-exact with forward_into on sample j.
+  /// BlockScratch::xb), whose codes lie in [0, 2^input_bits) like
+  /// quantize_input's.  Runs in lane_bits() lanes and returns the blocked
+  /// output logits as int64 — row r, lane j at [r * kSampleBlock + j],
+  /// valid until the scratch is reused.  Lane j is bit-exact with
+  /// forward_into on sample j.
   std::span<const std::int64_t> forward_block_into(const std::int64_t* xb,
                                                    BlockScratch& scratch,
                                                    simd::Isa isa) const;
@@ -206,6 +222,8 @@ class QuantizedMlp {
   /// the hard-wired weights and the (per-neuron) input ranges — what the
   /// hardware generator uses to size each adder/accumulator.
   /// Element [li][n] is the range of layer li, neuron n, before activation.
+  /// Every add and multiply of the walk is overflow-checked; the builders
+  /// refuse a model whose walk overflows, so a built model's never does.
   [[nodiscard]] std::vector<std::vector<ValueRange>> neuron_preact_ranges() const;
 
   /// Total / per-layer count of nonzero weight codes (pruned connections
@@ -219,8 +237,13 @@ class QuantizedMlp {
   [[nodiscard]] std::vector<std::size_t> shared_multiplier_counts() const;
 
  private:
+  /// Runs the checked range walk on a freshly built model and sets
+  /// lane_bits_.  \throws std::invalid_argument when a range leaves int64.
+  void choose_lanes(const char* who);
+
   std::vector<QuantizedLayer> layers_;
   int input_bits_ = 4;
+  int lane_bits_ = 64;
 };
 
 }  // namespace pnm

@@ -1,10 +1,9 @@
 #include "pnm/hw/proxy.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
-#include <set>
-#include <tuple>
 #include <vector>
 
 #include "pnm/hw/mcm.hpp"
@@ -31,6 +30,10 @@ double estimate_area_mm2(const QuantizedMlp& model, const TechLibrary& tech,
   const MultOptions mult_options{options.use_csd};
 
   double area = 0.0;
+  // const_mult_adder_count per magnitude, memoized over the call (-1: not
+  // yet counted), and the shared products a layer has priced.
+  std::vector<int> adders_of;
+  std::vector<bool> built;
   const std::int64_t xmax0 = unsigned_max(model.input_bits());
   std::vector<std::int64_t> in_hi(model.input_size(), xmax0);  // per-input max
 
@@ -72,16 +75,27 @@ double estimate_area_mm2(const QuantizedMlp& model, const TechLibrary& tech,
         }
       }
     } else {
-      std::set<std::tuple<std::size_t, std::size_t, std::int64_t>> built;
+      const std::size_t mags =
+          layer.w_mag.empty()
+              ? 1
+              : static_cast<std::size_t>(
+                    *std::max_element(layer.w_mag.begin(), layer.w_mag.end())) + 1;
+      if (adders_of.size() < mags) adders_of.resize(mags, -1);
+      // Each (row, column) appears at most once in CSR, so only a shared
+      // product (column, |w|) can repeat: built[c * mags + |w|] marks the
+      // ones priced, and the first in CSR order pays.
+      if (options.share_products) built.assign(layer.in_features() * mags, false);
       for (std::size_t r = 0; r < layer.out_features(); ++r) {
         for (std::size_t k = layer.row_offset[r]; k < layer.row_offset[r + 1]; ++k) {
           const std::size_t c = layer.w_col[k];
           const std::int64_t mag = layer.w_mag[k];
-          const auto key = options.share_products
-                               ? std::make_tuple(std::size_t{0}, c, mag)
-                               : std::make_tuple(r, c, mag);
-          if (!built.insert(key).second) continue;
-          const int adders = const_mult_adder_count(mag, mult_options);
+          if (options.share_products) {
+            const std::size_t key = c * mags + static_cast<std::size_t>(mag);
+            if (built[key]) continue;
+            built[key] = true;
+          }
+          int& adders = adders_of[static_cast<std::size_t>(mag)];
+          if (adders < 0) adders = const_mult_adder_count(mag, mult_options);
           if (adders == 0) continue;
           const int pw = range_width(0, checked_mul(mag, in_hi[c]));
           area += static_cast<double>(adders) * static_cast<double>(pw) * fa *

@@ -23,10 +23,12 @@ Gradients Gradients::zeros_like(const Mlp& model) {
 namespace {
 
 /// backprop_minibatch, whose weight gradients are packed in live order
-/// when `live` is given.
+/// when `live` is given.  Calls on_grad(li) as soon as layer li's weight
+/// and bias gradients are stored; the pass reads neither again.
+template <class OnGrad>
 void backprop(const Mlp& model, const Dataset& train, const std::size_t* idx, std::size_t n,
               double grad_scale, Gradients& grads, BlockBackpropScratch& scratch,
-              const LiveLayout* live) {
+              const LiveLayout* live, const OnGrad& on_grad) {
   constexpr std::size_t kB = simd::kDenseBlock;
   const auto& kernels = simd::dense_kernels();
   const std::size_t n_layers = model.layer_count();
@@ -81,6 +83,7 @@ void backprop(const Mlp& model, const Dataset& train, const std::size_t* idx, st
                          grads.b[li].data(), layer.out_features(), layer.in_features(),
                          blocks, grad_scale);
     }
+    on_grad(li);
     if (li == 0) break;
     // acts[li] is the post-activation output of layer li-1; a ReLU's
     // gradient is fused into the backward kernel, and identity has none.
@@ -136,7 +139,7 @@ void project(const LiveLayer& layer, double* w) {
 void backprop_minibatch(const Mlp& model, const Dataset& train, const std::size_t* idx,
                         std::size_t n, double grad_scale, Gradients& grads,
                         BlockBackpropScratch& scratch) {
-  backprop(model, train, idx, n, grad_scale, grads, scratch, nullptr);
+  backprop(model, train, idx, n, grad_scale, grads, scratch, nullptr, [](std::size_t) {});
 }
 
 void TrainConfig::validate() const {
@@ -154,7 +157,6 @@ void Trainer::fit(Mlp& model, const Dataset& train, Rng& rng) {
   Gradients grads = Gradients::zeros_like(model);
   reset_optimizer(grads);
   BlockBackpropScratch scratch;
-  std::vector<double*> weights(model.layer_count());
 
   // The STE weight view's target: copied once, then rewritten by the view
   // before every step (a view sets every weight and bias).
@@ -171,12 +173,13 @@ void Trainer::fit(Mlp& model, const Dataset& train, Rng& rng) {
                // The whole minibatch per weight visit, 8 samples per SoA
                // block (the trainer-side twin of the inference engine's
                // blocking); it stores the mean gradient itself.
-               backprop(*fwd, train, idx, n, inv_n, grads, scratch, nullptr);
+               backprop(*fwd, train, idx, n, inv_n, grads, scratch, nullptr,
+                        [](std::size_t) {});
+               const simd::AdamStep step = next_step();
                // Read each step: a projector may give a layer new storage.
-               for (std::size_t li = 0; li < weights.size(); ++li) {
-                 weights[li] = model.layer(li).weights.raw().data();
+               for (std::size_t li = 0; li < model.layer_count(); ++li) {
+                 update_layer(li, model.layer(li).weights.raw().data(), model, grads, step);
                }
-               apply_update(weights, model, grads);
                if (projector_) projector_(model);
              });
 }
@@ -190,12 +193,10 @@ void Trainer::fit_live(Mlp& model, const Dataset& train, Rng& rng, const LiveLay
 
   // The master weights and their gradients, packed; the biases stay dense.
   std::vector<std::vector<double>> master(n_layers);
-  std::vector<double*> weights(n_layers);
   Gradients grads;
   for (std::size_t li = 0; li < n_layers; ++li) {
     const auto& w = model.layer(li).weights.raw();
     for (const std::size_t i : live[li].index) master[li].push_back(w[i]);
-    weights[li] = master[li].data();
     grads.w.emplace_back(1, live[li].size());
     grads.b.emplace_back(model.layer(li).out_features(), 0.0);
   }
@@ -226,9 +227,14 @@ void Trainer::fit_live(Mlp& model, const Dataset& train, Rng& rng, const LiveLay
                  }
                  view.layer(li).bias = model.layer(li).bias;
                }
-               backprop(view, train, idx, n, inv_n, grads, scratch, &live);
-               apply_update(weights, model, grads);
-               for (std::size_t li = 0; li < n_layers; ++li) project(live[li], weights[li]);
+               // Each layer's Adam step and projection run as soon as its
+               // gradient is stored: the backward pass reads the view, never
+               // the master, so they overlap the layers below.
+               const simd::AdamStep step = next_step();
+               backprop(view, train, idx, n, inv_n, grads, scratch, &live, [&](std::size_t li) {
+                 update_layer(li, master[li].data(), model, grads, step);
+                 project(live[li], master[li].data());
+               });
              });
 
   for (std::size_t li = 0; li < n_layers; ++li) {
@@ -252,25 +258,25 @@ void Trainer::reset_optimizer(const Gradients& grads) {
   step_ = 0;
 }
 
-void Trainer::apply_update(const std::vector<double*>& weights, Mlp& model,
-                           const Gradients& grads) {
+simd::AdamStep Trainer::next_step() {
   ++step_;
-
-  // Adam updates every element independently, so the whole step runs
-  // through the vectorized elementwise kernel (bit-identical to the
-  // scalar loop on every ISA — see nn/dense_simd.hpp).
-  const auto& kernels = simd::dense_kernels();
   simd::AdamStep step;
   step.bias_corr1 = 1.0 - std::pow(step.beta1, static_cast<double>(step_));
   step.bias_corr2 = 1.0 - std::pow(step.beta2, static_cast<double>(step_));
   step.lr = config_.lr;
-  for (std::size_t li = 0; li < weights.size(); ++li) {
-    auto& b = model.layer(li).bias;
-    kernels.adam(weights[li], grads.w[li].raw().data(), m_w_[li].data(), v_w_[li].data(),
-                 grads.w[li].size(), step);
-    kernels.adam(b.data(), grads.b[li].data(), m_b_[li].data(), v_b_[li].data(), b.size(),
-                 step);
-  }
+  return step;
+}
+
+void Trainer::update_layer(std::size_t li, double* weights, Mlp& model, const Gradients& grads,
+                           const simd::AdamStep& step) {
+  // Adam updates every element independently, so the step runs through
+  // the vectorized elementwise kernel (bit-identical to the scalar loop on
+  // every ISA — see nn/dense_simd.hpp).
+  const auto& kernels = simd::dense_kernels();
+  auto& b = model.layer(li).bias;
+  kernels.adam(weights, grads.w[li].raw().data(), m_w_[li].data(), v_w_[li].data(),
+               grads.w[li].size(), step);
+  kernels.adam(b.data(), grads.b[li].data(), m_b_[li].data(), v_b_[li].data(), b.size(), step);
 }
 
 }  // namespace pnm

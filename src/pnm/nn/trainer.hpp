@@ -33,6 +33,10 @@
 
 namespace pnm {
 
+namespace simd {
+struct AdamStep;
+}  // namespace simd
+
 /// The fine-tuning numerics generation: the minibatch backprop below with
 /// the kernel table's fast softmax.  eval_fingerprint (core/campaign.hpp)
 /// hashes it, so stored results never mix generations.  A change that
@@ -187,10 +191,14 @@ class Trainer {
 
   /// Zeroes Adam's moments, sized like `grads`.
   void reset_optimizer(const Gradients& grads);
-  /// One Adam step over every layer: weights[li], the layer's master
+  /// Starts one Adam step: advances the step count and returns the step's
+  /// bias corrections and learning rate.
+  simd::AdamStep next_step();
+  /// Layer li's share of an Adam step: `weights`, the layer's master
   /// weights (dense, or packed live ones), with grads.w[li] of the same
   /// length, and the layer's bias.
-  void apply_update(const std::vector<double*>& weights, Mlp& model, const Gradients& grads);
+  void update_layer(std::size_t li, double* weights, Mlp& model, const Gradients& grads,
+                    const simd::AdamStep& step);
 
   TrainConfig config_;
   WeightView view_;

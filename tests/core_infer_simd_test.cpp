@@ -5,12 +5,13 @@
 /// single-sample engine on each sample's quantize_input codes,
 /// value-for-value — across random models, all four UCI datasets,
 /// truncation shifts, edge layer widths, sample counts that are not a
-/// multiple of the block, and > 2^32 activations (which stress the
-/// 32-bit-halves multiply in the vector kernels).
+/// multiple of the block, > 2^32 activations (64-bit lanes), and models
+/// whose exact ranges sit on either side of the int32 lane edge.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "pnm/core/infer_simd.hpp"
@@ -160,7 +161,8 @@ TEST(InferSimd, EdgeWidthsAndPartialTailBlocksMatchSingleSample) {
     const Mlp model = random_model(topology, ++seed, 0.5);
     const QuantizedMlp engine =
         QuantizedMlp::from_float(model, QuantSpec::uniform(topology.size() - 1, 5, 4));
-    for (const std::size_t n : {std::size_t{1}, kB - 1, kB, kB + 1, 3 * kB + 5}) {
+    for (const std::size_t n :
+         {std::size_t{1}, kB - 1, kB, kB + 1, 3 * kB + 5, 5 * kB + 3}) {
       Dataset subset = full;
       subset.x.assign(full.x.begin(), full.x.begin() + static_cast<std::ptrdiff_t>(n));
       subset.y.assign(full.y.begin(), full.y.begin() + static_cast<std::ptrdiff_t>(n));
@@ -169,10 +171,9 @@ TEST(InferSimd, EdgeWidthsAndPartialTailBlocksMatchSingleSample) {
   }
 }
 
-TEST(InferSimd, LargeActivationsStressTheWideMultiply) {
+TEST(InferSimd, LargeActivationsRunInInt64Lanes) {
   // Identity hidden layer with huge bias codes: layer-2 inputs exceed
-  // 2^32 in both signs, so the vector kernels' 32-bit-halves multiply
-  // exercises its cross terms (plain layer-0 activations never do).
+  // 2^32 in both signs, so the model runs the portable int64 kernel.
   QuantizedLayer l1;
   l1.set_dense(2, 2, {3, -2, -3, 1});
   l1.bias = {std::int64_t{3} << 33, -(std::int64_t{5} << 33)};
@@ -191,11 +192,87 @@ TEST(InferSimd, LargeActivationsStressTheWideMultiply) {
     layers[0].acc_shift = shift;
     layers[1].acc_shift = shift;
     const QuantizedMlp engine = QuantizedMlp::from_layers(std::move(layers), 4);
+    EXPECT_EQ(engine.lane_bits(), 64);
 
     expect_engines_agree(engine, code_grid(4, [](std::int64_t a, std::int64_t b) {
                            return static_cast<std::size_t>((a + b) % 2);
                          }));
   }
+}
+
+QuantizedLayer dense_layer(std::size_t out_f, std::size_t in_f, const std::vector<int>& codes,
+                           std::vector<std::int64_t> bias, int acc_shift, Activation act) {
+  QuantizedLayer l;
+  l.set_dense(out_f, in_f, codes);
+  l.bias = std::move(bias);
+  l.weight_bits = 4;  // magnitudes up to 7
+  l.acc_shift = acc_shift;
+  l.act = act;
+  l.weight_scale = 0.1;
+  return l;
+}
+
+constexpr std::int64_t kTwo31 = std::int64_t{1} << 31;
+
+/// One model on each side of the int32 lane edge: its binding bound (a
+/// partial sum, a product under acc_shift > 0, or a negative partial sum)
+/// is exactly the extreme int32 value, or one past it.  Inputs are 4-bit,
+/// so x <= 15 and 7 * x <= 105.
+struct EdgeCase {
+  const char* name;
+  int lane_bits;
+  std::vector<QuantizedLayer> layers;
+};
+
+std::vector<EdgeCase> edge_cases() {
+  std::vector<EdgeCase> cases;
+  // Partial sum: bias + 7 * 15 peaks at 2^31 - 1, or at 2^31.
+  for (const std::int64_t peak : {kTwo31 - 1, kTwo31}) {
+    const std::int64_t b = peak - 105;
+    cases.push_back({peak < kTwo31 ? "partial sum 2^31 - 1" : "partial sum 2^31",
+                     peak < kTwo31 ? 32 : 64,
+                     {dense_layer(3, 2, {7, 0, 0, 7, -3, 5}, {b, b, 2}, 0,
+                                  Activation::kIdentity)}});
+  }
+  // Product under acc_shift 1: the hidden layer peaks at h, which layer 2
+  // multiplies by m before the shift; m * h is 1 * (2^31 - 1), or 2 * 2^30.
+  for (const auto& [m, h] : {std::pair<int, std::int64_t>{1, kTwo31 - 1},
+                             std::pair<int, std::int64_t>{2, kTwo31 / 2}}) {
+    const std::int64_t b = h - 105;
+    // Row 2's bias keeps its sum (bias >> 1) - ((m * h0) >> 1) small.
+    const std::int64_t b2 = m == 1 ? kTwo31 - 1 : kTwo31 - 2;
+    cases.push_back({m == 1 ? "product 2^31 - 1" : "product 2^31", m == 1 ? 32 : 64,
+                     {dense_layer(2, 2, {7, 0, 0, 7}, {b, b}, 0, Activation::kRelu),
+                      dense_layer(3, 2, {m, 0, 0, m, -m, 0}, {0, -1, b2}, 1,
+                                  Activation::kIdentity)}});
+  }
+  // Negative partial sum: bias - 7 * 15 bottoms out at -2^31, or one below.
+  for (const std::int64_t floor : {-kTwo31, -kTwo31 - 1}) {
+    const std::int64_t b = floor + 105;
+    cases.push_back({floor == -kTwo31 ? "partial sum -2^31" : "partial sum -2^31 - 1",
+                     floor == -kTwo31 ? 32 : 64,
+                     {dense_layer(3, 2, {-7, 0, 0, -7, 2, 3}, {b, b, b + 50}, 0,
+                                  Activation::kIdentity)}});
+  }
+  return cases;
+}
+
+TEST(InferSimd, LaneWidthFollowsExactRangesAtTheInt32Edge) {
+  for (EdgeCase& c : edge_cases()) {
+    SCOPED_TRACE(c.name);
+    const QuantizedMlp engine = QuantizedMlp::from_layers(std::move(c.layers), 4);
+    EXPECT_EQ(engine.lane_bits(), c.lane_bits);
+    expect_engines_agree(engine, code_grid(4, [](std::int64_t a, std::int64_t b) {
+                           return static_cast<std::size_t>(a < b ? 1 : 0);
+                         }));
+  }
+  // The bounds sit where the cases say: the first model's sum reaches
+  // 2^31 - 1 exactly, and the negative one's reaches -2^31.
+  const auto cases = edge_cases();
+  const auto first = QuantizedMlp::from_layers(cases[0].layers, 4).neuron_preact_ranges();
+  EXPECT_EQ(first[0][0].hi, kTwo31 - 1);
+  const auto neg = QuantizedMlp::from_layers(cases[4].layers, 4).neuron_preact_ranges();
+  EXPECT_EQ(neg[0][0].lo, -kTwo31);
 }
 
 TEST(InferSimd, FullyPrunedRowsMatchSingleSample) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -181,6 +182,41 @@ TEST(ModelIo, RejectsCorruptedRecords) {
     bad.replace(pos, eol - pos, "row 0 0 1 99 3");
     EXPECT_THROW(parse_quantized_mlp_text(bad), std::runtime_error);
   }
+}
+
+/// Regression: a model whose integer inference overflows int64 parsed,
+/// and predicting with it was signed overflow (1500 + INT64_MAX).  The
+/// range walk is checked, so the builders refuse it; a sum that ends
+/// exactly at INT64_MAX still loads and predicts.
+TEST(ModelIo, RejectsAccumulatorRangesBeyondInt64) {
+  const auto model_text = [](const std::string& bias0, int w0) {
+    return "pnm-model v1\nname overflow\ninput_bits 4\nlayers 1\n"
+           "layer 0 2 1 8 0 identity 1\nbias 0 " +
+           bias0 + " 0\nrow 0 0 1 0 " + std::to_string(w0) + "\nrow 0 1 1 0 1\nend\n";
+  };
+  EXPECT_THROW(parse_quantized_mlp_text(model_text("9223372036854775807", 100)),
+               std::invalid_argument);
+  EXPECT_THROW(parse_quantized_mlp_text(model_text("-9223372036854775807", -100)),
+               std::invalid_argument);
+
+  const QuantizedMlp edge = parse_quantized_mlp_text(model_text("9223372036854774307", 100));
+  EXPECT_EQ(edge.lane_bits(), 64);
+  EXPECT_EQ(edge.neuron_preact_ranges()[0][0].hi, std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(edge.predict_quantized({15}), 0U);
+  EXPECT_EQ(edge.forward({15})[0], std::numeric_limits<std::int64_t>::max());
+
+  // A product that leaves int64 is refused as well: the hidden identity
+  // layer reaches 2^62, and 4 * 2^62 does not fit.
+  std::vector<QuantizedLayer> layers(2);
+  layers[0].set_dense(1, 1, {1});
+  layers[0].bias = {std::int64_t{1} << 62};
+  layers[0].weight_bits = 4;
+  layers[1].set_dense(1, 1, {4});
+  layers[1].bias = {0};
+  layers[1].weight_bits = 4;
+  EXPECT_THROW(QuantizedMlp::from_layers(layers, 4), std::invalid_argument);
+  layers[1].set_dense(1, 1, {1});
+  EXPECT_EQ(QuantizedMlp::from_layers(layers, 4).lane_bits(), 64);
 }
 
 TEST(FromLayers, ValidatesStructure) {

@@ -10,6 +10,8 @@
 #include <cmath>
 
 #include "pnm/core/cluster.hpp"
+#include "pnm/core/flow.hpp"
+#include "pnm/core/ga.hpp"
 #include "pnm/core/prune.hpp"
 
 namespace pnm::hw {
@@ -165,6 +167,45 @@ TEST(Proxy, RespectsSharingOption) {
   BespokeOptions unshared;
   unshared.share_products = false;
   EXPECT_LT(estimate_area_mm2(q, tech, shared), estimate_area_mm2(q, tech, unshared));
+}
+
+/// estimate_area_mm2's exact bits on realized GA models of one fixed flow
+/// (seeds, seed 5, 2 fine-tune epochs), each priced with shared products,
+/// with unshared products, and with shared subexpressions (MCM).  The
+/// values come from the set-based pricing the flat seen-array replaced,
+/// so any change to what the proxy sums, or to the order it sums in,
+/// fails here.
+TEST(Proxy, PinnedAreaBitsOnRealizedModels) {
+  constexpr double kExpected[8][3] = {
+      {0x1.46b573eab3679p+7, 0x1.662e147ae147bp+7, 0x1.46b573eab3679p+7},  // b8,4|s0,20|c3,3|t0,0
+      {0x1.fc58adab9f559p+6, 0x1.20fe0ded288cdp+7, 0x1.fc58adab9f559p+6},  // b6,8|s40,30|c6,2|t1,1
+      {0x1.4477318fc5048p+5, 0x1.4477318fc5048p+5, 0x1.4477318fc5048p+5},  // b4,7|s70,70|c3,8|t1,2
+      {0x1.23f6c8b43957fp+7, 0x1.29fd8adab9f53p+7, 0x1.13e4c2f837b48p+7},  // b7,8|s50,30|c8,0|t0,2
+      {0x1.dd16872b020c3p+5, 0x1.e6765fd8adab9p+5, 0x1.ce5b573eab367p+5},  // b5,6|s60,60|c6,8|t2,2
+      {0x1.b4b5dcc63f13fp+6, 0x1.bcbedfa43fe5ap+6, 0x1.aeaf1a9fbe76ap+6},  // b6,5|s50,0|c8,6|t1,1
+      {0x1.64f34d6a161e5p+6, 0x1.8d205bc01a36ep+6, 0x1.50dcc63f1412p+6},  // b5,8|s70,10|c8,2|t1,2
+      {0x1.a03d70a3d70a3p+5, 0x1.a03d70a3d70a3p+5, 0x1.a03d70a3d70a3p+5},  // b3,6|s20,60|c6,0|t0,2
+  };
+  pnm::FlowConfig config;
+  config.dataset_name = "seeds";
+  config.seed = 5;
+  pnm::MinimizationFlow flow(config);
+  flow.prepare();
+  pnm::Rng rng(77);
+  BespokeOptions shared;
+  BespokeOptions unshared;
+  unshared.share_products = false;
+  BespokeOptions mcm;
+  mcm.share_subexpressions = true;
+  for (const auto& expected : kExpected) {
+    const pnm::Genome genome =
+        pnm::random_genome(flow.float_model().layer_count(), rng, {0, 1, 2});
+    const QuantizedMlp q = flow.realize_genome(genome, 2);
+    SCOPED_TRACE(genome.key());
+    EXPECT_EQ(estimate_area_mm2(q, flow.tech(), shared), expected[0]);
+    EXPECT_EQ(estimate_area_mm2(q, flow.tech(), unshared), expected[1]);
+    EXPECT_EQ(estimate_area_mm2(q, flow.tech(), mcm), expected[2]);
+  }
 }
 
 }  // namespace
